@@ -1,4 +1,4 @@
-.PHONY: install test unit test-parallel obs-smoke audit-smoke alerts-check trace-smoke serve-smoke bench bench-index bench-mega bench-serve-scaling bench-baseline bench-check examples figures lint clean
+.PHONY: install test unit test-parallel obs-smoke audit-smoke alerts-check trace-smoke serve-smoke bench bench-index bench-mega bench-serve-scaling bench-smoke bench-baseline bench-check examples figures lint clean
 
 install:
 	pip install -e '.[test]'
@@ -106,6 +106,15 @@ bench-serve-scaling:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} pytest \
 		benchmarks/test_serve_scaling.py -q --benchmark-disable \
 		--bench-check benchmarks/baselines
+
+# The end-to-end + per-layer cost ledger (bench/, BENCHMARK.json): the
+# schema test that keeps BENCHMARK.json, bench/layers.py and the traced
+# import sites in step, then the < 30 s shape of the real benchmark —
+# every workload once, digests and invariants checked.  Too short to
+# gate times; run `python3 -m bench` for numbers (bench/README.md).
+bench-smoke:
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} pytest bench/ -q
+	python3 -m bench --quick
 
 # Perf-regression harness: record BENCH_*.json baselines, then gate future
 # runs on wall-time (+tolerance) and artifact checksums.  See

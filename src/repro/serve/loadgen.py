@@ -83,6 +83,10 @@ _FLASH_BYTES = mib(4)
 #: Retry-after histogram bucket edges, simulated minutes.
 _RETRY_BUCKETS = (1.0, 5.0, 15.0, 60.0, 240.0, 1440.0)
 
+#: Deployment secret every gateway of a loadgen deployment is provisioned
+#: with, so a capability minted anywhere verifies at every shard.
+_REALM_KEY = b"repro-serve-loadgen"
+
 
 @dataclass(frozen=True)
 class LoadGenSpec:
@@ -197,7 +201,7 @@ def build_gateway(spec: LoadGenSpec) -> BesteffsGateway:
         placement=PlacementConfig(x=min(4, spec.nodes), m=2),
         seed=spec.seed,
     )
-    realm = CapabilityRealm(key=b"repro-serve-loadgen")
+    realm = CapabilityRealm(key=_REALM_KEY)
     ledger = FairShareLedger(
         budget_per_period=spec.budget_gib_days * gib(1) * MINUTES_PER_DAY,
         period_minutes=days(spec.period_days),

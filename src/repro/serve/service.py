@@ -130,6 +130,9 @@ class GatewayService:
         self.responses_by_status: dict[str, int] = {}
         self.shed_by_reason: dict[str, int] = {}
         self.batches = 0
+        #: Admission rounds the gateway raised in; their callers got the
+        #: exception instead of a response.
+        self.failed_batches = 0
         self.queue_peak = 0
         #: Requests answered from a coalesced sibling's decision.
         self.coalesced_total = 0
@@ -319,14 +322,25 @@ class GatewayService:
                 "Requests coalesced per admission round",
                 buckets=COUNT_BUCKETS,
             ).observe(len(batch))
-        if self._pool is not None:
-            responses = await loop.run_in_executor(
-                self._pool, self._handle_batch, batch, batch_now
-            )
-        else:
-            responses = self._handle_batch(batch, batch_now)
-            # Deterministic yield so open-loop submitters interleave.
-            await asyncio.sleep(0)
+        try:
+            if self._pool is not None:
+                responses = await loop.run_in_executor(
+                    self._pool, self._handle_batch, batch, batch_now
+                )
+            else:
+                responses = self._handle_batch(batch, batch_now)
+                # Deterministic yield so open-loop submitters interleave.
+                await asyncio.sleep(0)
+        except Exception as exc:
+            # The gateway raised mid-round: no decision exists for any
+            # member, so each caller's one terminal outcome is the error
+            # (with its traceback) — and the worker lives on to drain the
+            # queue, or ``stop()`` would wait on it forever.
+            self.failed_batches += 1
+            for pending in batch:
+                if not pending.future.done():
+                    pending.future.set_exception(exc)
+            return
         for pending, response in zip(batch, responses):
             self._finish(pending, response, batch_now)
 

@@ -10,22 +10,34 @@ the experiment registry), so the existing parallel executor provides
 worker-process isolation and ``--jobs 1`` versus ``--jobs N`` is
 byte-identical by construction.
 
-A shard worker never receives the routing plan — it *recomputes* it:
+The request stream and the routing plan are shard-independent — both are
+pure functions of the spec — so a process builds them **once** and every
+shard it executes serves its slice of that one copy:
 
-1. regenerate the full request stream (seeded, so identical everywhere);
-2. run :func:`~repro.serve.router.plan_routes` with the shared
-   :class:`~repro.serve.router.RouterConfig` — a pure function of the
-   ordered stream;
-3. serve exactly the sub-stream routed to this shard, passing each
-   request's **global** stream position as the ledger sequence number.
+1. the first ``serve-shard`` spec a process executes generates the full
+   seeded request stream and runs :func:`~repro.serve.router.plan_routes`
+   over it with the shared :class:`~repro.serve.router.RouterConfig`
+   (:func:`route_stream`); the pair is held for the next shard of the
+   same spec (all of them at ``jobs=1``, each pool worker's share at
+   ``jobs=N`` — nothing crosses the process boundary, so a worker still
+   computes the plan it serves, just not once per shard);
+2. every shard serves exactly the sub-stream routed to it, passing each
+   request's **global** stream position as the ledger sequence number;
+3. each shard summarises itself while the typed objects still exist —
+   retry-after bucket counts from its :class:`ServeLedger` entries,
+   latency counts over the obs duration buckets — and serialises each
+   ledger entry exactly once (:meth:`ServeLedger.keyed_lines`).
 
-The parent then merges per-shard ledgers with
+:func:`run_sharded` releases the held stream as soon as the last shard
+returns, *before* it merges — the merge needs rows only.  The parent
+then sums the per-shard counters and merges the ledger lines with
 :func:`~repro.serve.ledger.merge_ledger_lines` — sorting by global seq —
 into one run-wide :class:`~repro.serve.ledger.FrozenServeLedger` whose
 canonical bytes are independent of shard scheduling and worker count.
+No merged line is ever parsed back.
 
 Timing: each shard's ``serve_seconds`` wall clock is measured around the
-serve loop only (stream regeneration and cluster build excluded), and the
+serve loop only (stream generation and cluster build excluded), and the
 merged report's ``wall_seconds`` is the *slowest* shard's serve wall.
 Total requests over that wall is the fleet-capacity throughput — the wall
 clock of a deployment running one worker per shard, which equals measured
@@ -46,7 +58,9 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from time import perf_counter
 
 from repro.besteffs.auth import CapabilityRealm
@@ -54,18 +68,19 @@ from repro.besteffs.cluster import BesteffsCluster, ClusterStats
 from repro.besteffs.fairness import FairShareLedger
 from repro.besteffs.gateway import BesteffsGateway
 from repro.besteffs.placement import PlacementConfig
-from repro.obs import STATE as _OBS
-from repro.serve.ledger import FrozenServeLedger, ServeLedger, merge_ledger_lines
+from repro.obs import DURATION_BUCKETS, STATE as _OBS
+from repro.obs.metrics import quantile_from_cumulative
+from repro.serve.ledger import ServeLedger, merge_ledger_lines
 from repro.serve.loadgen import (
+    _REALM_KEY,
     LoadGenReport,
     LoadGenSpec,
     _drive,
-    _percentile,
     build_requests,
     retry_after_histogram,
 )
-from repro.serve.protocol import ServeError
-from repro.serve.router import RouterConfig, plan_routes
+from repro.serve.protocol import ServeError, StoreRequest
+from repro.serve.router import RouterConfig, RoutingDecision, plan_routes
 from repro.serve.service import GatewayService
 from repro.sim.parallel import RunSpec, run_specs, seed_for
 from repro.sim.shard import shard_slice
@@ -79,6 +94,7 @@ __all__ = [
     "execute_flash",
     "merged_rows",
     "render_shard",
+    "route_stream",
     "run_shard_serve",
     "run_sharded",
     "shard_rows",
@@ -91,6 +107,13 @@ SHARD_ROW_HEADERS = ("kind", "key", "value")
 #: Row kinds whose values are wall-clock measurements — excluded from any
 #: determinism-checked artifact the parent assembles.
 TIMING_KINDS = frozenset({"timing", "latency"})
+
+#: Row keys of a shard's latency counts: one per bucket of the
+#: ``serve_admission_latency_seconds`` histogram, then the overflow.
+_LATENCY_KEYS = tuple(f"le_{bound!r}" for bound in DURATION_BUCKETS) + ("le_+Inf",)
+
+#: A request stream and the routing decision of each of its requests.
+RoutedStream = tuple[list[StoreRequest], list[RoutingDecision]]
 
 
 def shard_serve_seed(seed: int, shard: int, shards: int) -> int:
@@ -131,7 +154,7 @@ def build_shard_gateway(spec: LoadGenSpec, shard: int) -> BesteffsGateway:
         placement=PlacementConfig(x=min(4, node_count), m=2),
         seed=shard_serve_seed(spec.seed, shard, spec.shards),
     )
-    realm = CapabilityRealm(key=b"repro-serve-loadgen")
+    realm = CapabilityRealm(key=_REALM_KEY)
     # Pro-rate the fleet budget by node share: summed over shards the
     # deployment enforces exactly ``budget_gib_days``, whatever the shard
     # count (node_count == spec.nodes at shards == 1, preserving legacy
@@ -159,33 +182,37 @@ class ShardServeOutcome:
     responses_by_status: dict[str, int]
     shed_by_reason: dict[str, int]
     refusals: dict[str, int]
+    #: This shard's ``retry_after`` hints, bucketed from the typed entries.
+    retry_after_histogram: dict[str, int]
     batches: int
     queue_peak: int
     coalesced: int
     deduped: int
     fairness_transactions: int
-    #: Wall clock of the serve loop only (stream regen/build excluded).
+    #: Wall clock of the serve loop only (stream generation/build excluded).
     serve_seconds: float
     latency_mean_s: float
-    latency_p50_s: float
-    latency_p95_s: float
-    latency_p99_s: float
+    latency_min_s: float
+    latency_max_s: float
+    #: Admission latencies counted per :data:`repro.obs.DURATION_BUCKETS`
+    #: bucket plus a final overflow bucket — summable across shards, which
+    #: per-shard percentiles are not.
+    latency_buckets: tuple[int, ...]
     cluster: ClusterStats
     ledger: ServeLedger
+    #: ``ledger.keyed_lines()``, serialised once for the summary's sha256
+    #: and the rows alike.
+    ledger_lines: tuple[tuple[int, str], ...]
 
 
-def run_shard_serve(spec: LoadGenSpec, shard: int) -> ShardServeOutcome:
-    """Serve one shard's sub-stream of the spec's traffic.
+def route_stream(spec: LoadGenSpec, realm: CapabilityRealm) -> RoutedStream:
+    """Generate the spec's full request stream and route every request.
 
-    Regenerates the full stream, replays the deterministic routing plan,
-    and drives only the requests routed here — with their global sequence
-    numbers — through a fresh :class:`GatewayService` over this shard's
-    node slice.  ``spec.clients`` sessions drive *each* shard.
+    Both halves are pure functions of the spec (``realm`` only signs the
+    capabilities, and every shard holds the same key), so the result is
+    the same for every shard and in every process.
     """
-    if not 0 <= shard < spec.shards:
-        raise ServeError(f"shard must be in [0, {spec.shards}), got {shard}")
-    gateway = build_shard_gateway(spec, shard)
-    requests = build_requests(spec, gateway.realm)
+    requests = build_requests(spec, realm)
     config = RouterConfig(
         shards=spec.shards,
         spill=spec.spill,
@@ -193,14 +220,77 @@ def run_shard_serve(spec: LoadGenSpec, shard: int) -> ShardServeOutcome:
         window_minutes=spec.window_minutes,
     )
     plan, _router = plan_routes(requests, config)
-    numbered = [
-        (seq, request)
-        for seq, (request, decision) in enumerate(zip(requests, plan))
-        if decision.shard == shard
-    ]
-    spilled_in = sum(
-        1 for decision in plan if decision.shard == shard and decision.spilled
+    return requests, plan
+
+
+#: ``(spec, routed stream)`` held for the next ``serve-shard`` spec this
+#: process executes.  Module state because the shards of one run reach
+#: :func:`execute` through :func:`~repro.sim.parallel.run_specs`, which
+#: passes picklable values only and runs the same code in pool workers;
+#: one slot, so a process never holds more than one stream.
+_held_stream: tuple[LoadGenSpec, RoutedStream] | None = None
+
+
+def _shared_stream(spec: LoadGenSpec) -> RoutedStream:
+    """The routed stream of ``spec``, built on first use in this process.
+
+    Keyed on the whole (shard-independent) spec, so a different spec never
+    sees this one's stream — it replaces it.  Only :func:`execute` shares:
+    the registry restarts object ids for every spec it runs, which is what
+    makes a stream built for shard 0 identical to the one shard 3 would
+    have built for itself.
+    """
+    global _held_stream
+    if _held_stream is None or _held_stream[0] != spec:
+        _held_stream = None  # let the previous stream go before building
+        _held_stream = (spec, route_stream(spec, CapabilityRealm(key=_REALM_KEY)))
+    return _held_stream[1]
+
+
+def _release_stream() -> None:
+    global _held_stream
+    _held_stream = None
+
+
+def _latency_buckets(latencies: list[float]) -> tuple[int, ...]:
+    """Count latencies per duration bucket (``value <= bound``) + overflow."""
+    counts = [0] * len(_LATENCY_KEYS)
+    for value in latencies:
+        counts[bisect_left(DURATION_BUCKETS, value)] += 1
+    return tuple(counts)
+
+
+def _latency_quantile(counts: list[int], lo: float, hi: float, q: float) -> float:
+    """The ``q``-quantile of bucketed latencies (:func:`_latency_buckets`)."""
+    cumulative = list(accumulate(counts[:-1]))
+    return quantile_from_cumulative(
+        DURATION_BUCKETS, cumulative, sum(counts), lo, hi, q
     )
+
+
+def run_shard_serve(
+    spec: LoadGenSpec, shard: int, routed: RoutedStream | None = None
+) -> ShardServeOutcome:
+    """Serve one shard's sub-stream of the spec's traffic.
+
+    Drives only the requests the routing plan assigns here — with their
+    global sequence numbers — through a fresh :class:`GatewayService` over
+    this shard's node slice.  ``routed`` is :func:`route_stream`'s result
+    for ``spec`` when the caller already has it; standalone calls build
+    their own.  ``spec.clients`` sessions drive *each* shard.
+    """
+    if not 0 <= shard < spec.shards:
+        raise ServeError(f"shard must be in [0, {spec.shards}), got {shard}")
+    gateway = build_shard_gateway(spec, shard)
+    if routed is None:
+        routed = route_stream(spec, gateway.realm)
+    requests, plan = routed
+    numbered: list[tuple[int, StoreRequest]] = []
+    spilled_in = 0
+    for seq, (request, decision) in enumerate(zip(requests, plan)):
+        if decision.shard == shard:
+            numbered.append((seq, request))
+            spilled_in += decision.spilled
     ledger = ServeLedger()
     service = GatewayService(gateway, config=spec.serve_config(), ledger=ledger)
 
@@ -224,7 +314,7 @@ def run_shard_serve(spec: LoadGenSpec, shard: int) -> ShardServeOutcome:
             "Requests arriving at a shard by saturation spill",
             labelnames=("shard",),
         ).inc(spilled_in, shard=shard_label)
-    lat = sorted(service.latencies_seconds)
+    lat = service.latencies_seconds
     return ShardServeOutcome(
         shard=shard,
         shards=spec.shards,
@@ -234,6 +324,7 @@ def run_shard_serve(spec: LoadGenSpec, shard: int) -> ShardServeOutcome:
         responses_by_status=dict(service.responses_by_status),
         shed_by_reason=dict(service.shed_by_reason),
         refusals=dict(gateway.refusals),
+        retry_after_histogram=retry_after_histogram(ledger),
         batches=service.batches,
         queue_peak=service.queue_peak,
         coalesced=service.coalesced_total,
@@ -241,11 +332,12 @@ def run_shard_serve(spec: LoadGenSpec, shard: int) -> ShardServeOutcome:
         fairness_transactions=gateway.ledger.transactions,
         serve_seconds=serve_seconds,
         latency_mean_s=sum(lat) / len(lat) if lat else 0.0,
-        latency_p50_s=_percentile(lat, 0.50),
-        latency_p95_s=_percentile(lat, 0.95),
-        latency_p99_s=_percentile(lat, 0.99),
+        latency_min_s=min(lat, default=0.0),
+        latency_max_s=max(lat, default=0.0),
+        latency_buckets=_latency_buckets(lat),
         cluster=gateway.cluster.stats(now=service.clock),
         ledger=ledger,
+        ledger_lines=tuple(ledger.keyed_lines()),
     )
 
 
@@ -254,7 +346,7 @@ def shard_rows(outcome: ShardServeOutcome) -> list[tuple]:
 
     This is the only form that crosses the worker boundary (the registry
     ships ``rows``, not result objects).  Kinds: ``stat`` (integers and
-    cluster scalars), ``status``/``shed``/``refusal`` (counters),
+    cluster scalars), ``status``/``shed``/``refusal``/``retry`` (counters),
     ``latency``/``timing`` (wall-clock; excluded from deterministic
     artifacts), ``ledger`` (global-seq-keyed canonical entry lines).
     """
@@ -291,17 +383,22 @@ def shard_rows(outcome: ShardServeOutcome) -> list[tuple]:
         ("refusal", gate, count) for gate, count in sorted(outcome.refusals.items())
     )
     rows.extend(
+        ("retry", label, count)
+        for label, count in outcome.retry_after_histogram.items()
+    )
+    rows.extend(
         [
             ("latency", "mean_s", outcome.latency_mean_s),
-            ("latency", "p50_s", outcome.latency_p50_s),
-            ("latency", "p95_s", outcome.latency_p95_s),
-            ("latency", "p99_s", outcome.latency_p99_s),
-            ("timing", "serve_seconds", outcome.serve_seconds),
+            ("latency", "min_s", outcome.latency_min_s),
+            ("latency", "max_s", outcome.latency_max_s),
         ]
     )
     rows.extend(
-        ("ledger", f"{seq:012d}", line) for seq, line in outcome.ledger.keyed_lines()
+        ("latency", key, count)
+        for key, count in zip(_LATENCY_KEYS, outcome.latency_buckets)
     )
+    rows.append(("timing", "serve_seconds", outcome.serve_seconds))
+    rows.extend(("ledger", f"{seq:012d}", line) for seq, line in outcome.ledger_lines)
     return rows
 
 
@@ -309,7 +406,7 @@ def _decode_rows(rows) -> dict:
     """Invert :func:`shard_rows` into per-kind mappings (ledger: pairs)."""
     decoded: dict[str, dict] = {
         kind: {}
-        for kind in ("stat", "status", "shed", "refusal", "latency", "timing")
+        for kind in ("stat", "status", "shed", "refusal", "retry", "latency", "timing")
     }
     ledger: list[tuple[int, str]] = []
     for kind, key, value in rows:
@@ -343,7 +440,7 @@ def render_shard(outcome: ShardServeOutcome) -> str:
             f"{outcome.cluster.resident_objects} resident"
         ),
         f"  serve wall      {outcome.serve_seconds:.3f}s",
-        f"  ledger sha256   {outcome.ledger.canonical_sha256()}",
+        f"  ledger sha256   {merge_ledger_lines(outcome.ledger_lines).canonical_sha256()}",
     ]
     return "\n".join(lines)
 
@@ -364,6 +461,10 @@ def run_sharded(spec: LoadGenSpec, *, jobs: int = 1) -> LoadGenReport:
     :func:`~repro.sim.parallel.run_specs` preserves submission order, so
     the merged report — above all the seq-merged ledger — is a pure
     function of the spec; ``jobs`` touches wall-clock figures only.
+
+    Latency percentiles are fleet quantiles: per-shard bucket counts sum,
+    and the quantile is read off the summed histogram (bucket resolution,
+    clamped to the observed min/max).
     """
     specs = []
     for shard in range(spec.shards):
@@ -376,18 +477,25 @@ def run_sharded(spec: LoadGenSpec, *, jobs: int = 1) -> LoadGenReport:
                 horizon_days=horizon,
             )
         )
-    outcomes = run_specs(specs, jobs=jobs)
+    try:
+        outcomes = run_specs(specs, jobs=jobs)
+    finally:
+        # The merge needs rows only, so the stream the shards shared (all
+        # of them, at jobs=1) goes first.
+        _release_stream()
 
     keyed_lines: list[tuple[int, str]] = []
     status_merged: dict[str, int] = {}
     shed_merged: dict[str, int] = {}
     refusal_merged: dict[str, int] = {}
+    retry_merged: dict[str, int] = {}
     per_shard: list[tuple] = []
     requests = batches = coalesced = deduped = transactions = spilled = 0
     queue_peak = 0
     serve_walls: list[float] = []
     lat_weighted = 0.0
-    lat_p50 = lat_p95 = lat_p99 = 0.0
+    lat_counts = [0] * len(_LATENCY_KEYS)
+    lat_min, lat_max = float("inf"), 0.0
     nodes = capacity = used = resident = placed = rejected = 0
     density_weighted = rounds_weighted = probes_weighted = 0.0
     for shard, outcome in enumerate(outcomes):
@@ -411,6 +519,8 @@ def run_sharded(spec: LoadGenSpec, *, jobs: int = 1) -> LoadGenReport:
             shed_merged[reason] = shed_merged.get(reason, 0) + count
         for gate, count in decoded["refusal"].items():
             refusal_merged[gate] = refusal_merged.get(gate, 0) + count
+        for label, count in decoded["retry"].items():
+            retry_merged[label] = retry_merged.get(label, 0) + count
         nodes += stat["nodes"]
         capacity += stat["capacity_bytes"]
         used += stat["used_bytes"]
@@ -422,10 +532,13 @@ def run_sharded(spec: LoadGenSpec, *, jobs: int = 1) -> LoadGenReport:
         probes_weighted += stat["mean_probes"] * stat["placed"]
         wall = decoded["timing"]["serve_seconds"]
         serve_walls.append(wall)
-        lat_weighted += decoded["latency"]["mean_s"] * assigned
-        lat_p50 = max(lat_p50, decoded["latency"]["p50_s"])
-        lat_p95 = max(lat_p95, decoded["latency"]["p95_s"])
-        lat_p99 = max(lat_p99, decoded["latency"]["p99_s"])
+        latency = decoded["latency"]
+        shard_counts = [latency[key] for key in _LATENCY_KEYS]
+        if any(shard_counts):
+            lat_counts = [a + b for a, b in zip(lat_counts, shard_counts)]
+            lat_weighted += latency["mean_s"] * sum(shard_counts)
+            lat_min = min(lat_min, latency["min_s"])
+            lat_max = max(lat_max, latency["max_s"])
         keyed_lines.extend(decoded["ledger"])
         per_shard.append(
             (
@@ -442,6 +555,7 @@ def run_sharded(spec: LoadGenSpec, *, jobs: int = 1) -> LoadGenReport:
     # Fleet-capacity wall: the slowest shard bounds a one-worker-per-shard
     # deployment, whatever machine executed the shards here.
     wall = max(serve_walls) if serve_walls else 0.0
+    lat_total = sum(lat_counts)
     cluster = ClusterStats(
         nodes=nodes,
         capacity_bytes=capacity,
@@ -463,17 +577,17 @@ def run_sharded(spec: LoadGenSpec, *, jobs: int = 1) -> LoadGenReport:
         queue_peak=queue_peak,
         wall_seconds=wall,
         ops_per_sec=requests / wall if wall > 0 else 0.0,
-        latency_mean_s=lat_weighted / requests if requests else 0.0,
-        latency_p50_s=lat_p50,
-        latency_p95_s=lat_p95,
-        latency_p99_s=lat_p99,
+        latency_mean_s=lat_weighted / lat_total if lat_total else 0.0,
+        latency_p50_s=_latency_quantile(lat_counts, lat_min, lat_max, 0.50),
+        latency_p95_s=_latency_quantile(lat_counts, lat_min, lat_max, 0.95),
+        latency_p99_s=_latency_quantile(lat_counts, lat_min, lat_max, 0.99),
         cluster=cluster,
         ledger=ledger,
         coalesced=coalesced,
         deduped=deduped,
         spilled=spilled,
         fairness_transactions=transactions,
-        retry_after_histogram=retry_after_histogram(ledger),
+        retry_after_histogram=retry_merged,
         per_shard=tuple(per_shard),
     )
 
@@ -531,7 +645,8 @@ def execute(spec: RunSpec) -> ShardServeOutcome:
     kwargs["seed"] = seed_for(spec)
     if spec.horizon_days is not None:
         kwargs["horizon_days"] = spec.horizon_days
-    return run_shard_serve(LoadGenSpec(**kwargs), shard)
+    load_spec = LoadGenSpec(**kwargs)
+    return run_shard_serve(load_spec, shard, _shared_stream(load_spec))
 
 
 def execute_flash(spec: RunSpec) -> LoadGenReport:

@@ -241,6 +241,47 @@ class TestLifecycle:
 
         assert asyncio.run(run()).stored
 
+    @pytest.mark.parametrize("executor", ["inline", "thread"])
+    def test_raising_gateway_fails_its_batch_and_keeps_draining(self, executor):
+        # Rounds of two; the gateway raises in the 2nd.  Every caller must
+        # get exactly one terminal outcome and stop() must still return.
+        gateway = make_gateway()
+        real_handle_batch = gateway.handle_batch
+        rounds = []
+
+        def flaky_handle_batch(requests, now=None):
+            rounds.append(len(requests))
+            if len(rounds) == 2:
+                raise RuntimeError("gateway down")
+            return real_handle_batch(requests, now=now)
+
+        gateway.handle_batch = flaky_handle_batch
+        ledger = ServeLedger()
+
+        async def run():
+            service = GatewayService(
+                gateway,
+                config=ServeConfig(batch_max=2, executor=executor),
+                ledger=ledger,
+            )
+            await service.start()
+            tasks = [
+                asyncio.ensure_future(service.submit(r))
+                for r in make_requests(gateway, 6)
+            ]
+            await asyncio.sleep(0)
+            await service.stop()
+            return service, await asyncio.gather(*tasks, return_exceptions=True)
+
+        service, outcomes = asyncio.run(asyncio.wait_for(run(), timeout=10))
+        assert rounds == [2, 2, 2]
+        assert [type(o) for o in outcomes[2:4]] == [RuntimeError, RuntimeError]
+        assert all(o.stored for o in outcomes[:2] + outcomes[4:])
+        assert service.failed_batches == 1
+        assert not service.running
+        # The failed round answered nobody, so it left no ledger entries.
+        assert len(ledger) == 4
+
     def test_thread_executor_matches_inline_statuses(self):
         inline_gw = make_gateway()
         inline = serve(inline_gw, make_requests(inline_gw, 12, size_gib=0.2))

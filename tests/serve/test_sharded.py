@@ -1,16 +1,27 @@
 """Tests for the sharded multi-gateway runner: route → serve → merge."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.obj import reset_object_ids
+from repro.obs import DURATION_BUCKETS
+from repro.serve import sharded
 from repro.serve.ledger import FrozenServeLedger
-from repro.serve.loadgen import LoadGenSpec, run_loadgen
+from repro.serve.loadgen import (
+    LoadGenSpec,
+    _percentile,
+    retry_after_histogram,
+    run_loadgen,
+)
 from repro.serve.protocol import ServeError
 from repro.serve.sharded import (
     build_shard_gateway,
     merged_rows,
     run_shard_serve,
     run_sharded,
+    shard_rows,
     shard_serve_seed,
 )
 from repro.sim.parallel import RunSpec
@@ -128,6 +139,163 @@ class TestMergedRun:
         # Without spill the burst stays on the target shard's keyspace.
         assert by_shard[0] > max(v for s, v in by_shard.items() if s != 0)
         assert overflow.spilled > 0
+
+
+def count_calls(monkeypatch, name):
+    """Count calls of ``repro.serve.sharded.<name>`` (its import site)."""
+    original = getattr(sharded, name)
+    results = []
+
+    def counted(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(sharded, name, counted)
+    return results
+
+
+class TestStreamBuiltOnce:
+    def test_four_shards_build_and_route_once(self, monkeypatch):
+        built = count_calls(monkeypatch, "build_requests")
+        planned = count_calls(monkeypatch, "plan_routes")
+        report = run_fresh(flash_spec(nodes=8, shards=4), jobs=1)
+        assert len(built) == len(planned) == 1
+        assert len(built[0]) == report.requests
+        assert len(report.per_shard) == 4
+
+    def test_jobs_parity_bytes_and_rows(self):
+        spec = flash_spec(nodes=8, shards=4)
+        inline = run_fresh(spec, jobs=1)
+        workers = run_fresh(spec, jobs=2)
+        assert inline.ledger.canonical_bytes() == workers.ledger.canonical_bytes()
+        assert merged_rows(inline) == merged_rows(workers)
+
+    def test_stream_unreachable_after_run(self, monkeypatch):
+        built = count_calls(monkeypatch, "build_requests")
+        run_fresh(flash_spec())
+        request = weakref.ref(built[0][0])
+        built.clear()
+        gc.collect()
+        assert request() is None
+        assert sharded._held_stream is None
+
+    def test_stream_released_when_a_shard_fails(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("no gateway")
+
+        run_fresh(flash_spec())  # a stream exists before the failing run
+        monkeypatch.setattr(sharded, "build_shard_gateway", broken)
+        with pytest.raises(ServeError, match="no gateway"):
+            run_fresh(flash_spec())
+        assert sharded._held_stream is None
+
+    def test_different_specs_get_their_own_streams(self, monkeypatch):
+        built = count_calls(monkeypatch, "build_requests")
+        small, large = flash_spec(max_requests=150), flash_spec(max_requests=300)
+        first = run_fresh(small)
+        second = run_fresh(large)
+        assert [len(stream) for stream in built] == [150, 300]
+        assert (first.requests, second.requests) == (150, 300)
+        # ... and a rerun of the first spec reproduces it, not the second.
+        assert merged_rows(run_fresh(small)) == merged_rows(first)
+
+    def test_registry_entry_never_serves_another_specs_stream(self):
+        # Two serve-shard specs back to back *without* run_sharded's
+        # release in between: the held stream must be replaced, not reused.
+        from repro.experiments.registry import run_cli
+
+        def shard_spec(max_requests):
+            params, seed, horizon = sharded._spec_params(
+                flash_spec(max_requests=max_requests), 0
+            )
+            return RunSpec("serve-shard", params=params, seed=seed, horizon_days=horizon)
+
+        try:
+            small, _r, _csv = run_cli(shard_spec(150))
+            large, _r, _csv = run_cli(shard_spec(300))
+            assert len(sharded._held_stream[1][0]) == 300
+        finally:
+            sharded._release_stream()
+        assert small.assigned < large.assigned <= 300
+
+    def test_standalone_shard_matches_its_share_of_the_merged_run(self):
+        spec = flash_spec()
+        report = run_fresh(spec)
+        outcomes = []
+        for shard in range(spec.shards):
+            reset_object_ids()  # what the registry does for every spec
+            outcomes.append(run_shard_serve(spec, shard))
+        assert sharded._held_stream is None  # standalone calls share nothing
+        assert [o.assigned for o in outcomes] == [row[2] for row in report.per_shard]
+        lines = sorted(pair for o in outcomes for pair in o.ledger_lines)
+        assert tuple(line for _seq, line in lines) == report.ledger.lines
+
+
+class TestShardSideSummaries:
+    def test_retry_rows_sum_to_the_merged_ledgers_histogram(self):
+        # Rate limiting is what hands out retry-after hints.
+        spec = flash_spec(rate_per_minute=0.05, rate_burst=2.0)
+        summed = {}
+        for shard in range(spec.shards):
+            reset_object_ids()
+            for kind, label, count in shard_rows(run_shard_serve(spec, shard)):
+                if kind == "retry":
+                    summed[label] = summed.get(label, 0) + count
+        report = run_fresh(spec)
+        assert sum(summed.values()) > 0
+        assert summed == report.retry_after_histogram
+        assert summed == retry_after_histogram(report.ledger)  # the parsing path
+
+    def test_latency_rows_are_timing_kind(self):
+        reset_object_ids()
+        rows = shard_rows(run_shard_serve(flash_spec(), 0))
+        latency = {key: value for kind, key, value in rows if kind == "latency"}
+        assert "latency" in sharded.TIMING_KINDS
+        assert set(sharded._LATENCY_KEYS) < set(latency)
+        served = sum(latency[key] for key in sharded._LATENCY_KEYS)
+        assert served == sum(
+            count for kind, _k, count in rows if kind == "status"
+        ) - sum(count for kind, _k, count in rows if kind == "shed")
+
+    def test_fleet_quantile_pools_shards(self):
+        # 1000 fast requests on one shard, 10 slow ones on another: the
+        # fleet median is fast, whatever the slow shard's own median is.
+        fast, slow = [2e-5] * 1000, [2e-2] * 10
+        pooled = [
+            a + b
+            for a, b in zip(
+                sharded._latency_buckets(fast), sharded._latency_buckets(slow)
+            )
+        ]
+        p50 = sharded._latency_quantile(pooled, 2e-5, 2e-2, 0.50)
+        p99 = sharded._latency_quantile(pooled, 2e-5, 2e-2, 0.99)
+        p999 = sharded._latency_quantile(pooled, 2e-5, 2e-2, 0.999)
+        assert p50 <= 5e-5 and p99 <= 5e-5
+        assert 1e-2 < p999 <= 2e-2
+
+    def test_bucketed_quantiles_within_one_bucket_of_exact(self):
+        latencies = sorted(1e-6 * 1.07**i for i in range(200))
+        counts = list(sharded._latency_buckets(latencies))
+        assert sum(counts) == len(latencies)
+        bounds = (0.0, *DURATION_BUCKETS, float("inf"))
+
+        def bucket(value):
+            return next(i for i, bound in enumerate(bounds) if value <= bound)
+
+        for q in (0.5, 0.95, 0.99):
+            exact = _percentile(latencies, q)
+            estimate = sharded._latency_quantile(
+                counts, latencies[0], latencies[-1], q
+            )
+            assert abs(bucket(estimate) - bucket(exact)) <= 1
+
+    def test_single_shard_run_reports_ordered_quantiles(self):
+        spec = flash_spec(workload="university", shards=1, max_requests=200)
+        reset_object_ids()
+        report = run_sharded(spec)
+        assert 0.0 < report.latency_p50_s <= report.latency_p95_s
+        assert report.latency_p95_s <= report.latency_p99_s
+        assert report.latency_mean_s > 0.0
 
 
 class TestRegistryAdapters:
