@@ -81,11 +81,14 @@ serve-smoke:
 bench:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} pytest benchmarks/ --benchmark-only
 
-# Importance-index micro-benchmark: naive full-sort admission planning vs
-# the bucketed index at 10k/50k residents (see docs/performance.md).
+# Importance-index micro-benchmarks at 10k/50k residents: naive full-sort
+# admission planning vs the bucketed index (all residents constant), and
+# the naive density scan vs the per-annotation waning columns (all
+# residents waning).  See docs/performance.md.
 bench-index:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} pytest \
-		benchmarks/test_perf_admission_index.py -q --benchmark-disable \
+		benchmarks/test_perf_admission_index.py \
+		benchmarks/test_perf_density_probe.py -q --benchmark-disable \
 		--bench-check benchmarks/baselines
 
 # Mega-university benchmark (Section 5.4 extension): the reduced scale

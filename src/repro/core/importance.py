@@ -43,7 +43,8 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import repeat
+from typing import Iterable, Sequence
 
 from repro.errors import AnnotationError
 
@@ -130,6 +131,26 @@ class ImportanceFunction(ABC):
     @abstractmethod
     def importance_at(self, age_minutes: float) -> float:
         """Return ``L(age)`` for an age in minutes, clamped to ``[0, 1]``."""
+
+    def wane_terms(
+        self, now: float, arrivals: Iterable[float], sizes: Iterable[float]
+    ) -> list[float]:
+        """Batch ``importance * size`` for objects sharing this annotation.
+
+        ``arrivals`` and ``sizes`` are parallel columns (``t_arrival``,
+        bytes).  Every member must be strictly inside the wane window at
+        ``now`` — ``stable_until < now - t_arrival < t_expire`` — which is
+        what :class:`repro.core.index.ImportanceIndex` guarantees for its
+        waning columns.  Each term is bit-identical to
+        ``StoredObject.importance_at(now) * size``: this default walks that
+        per-object chain, and overrides must perform the same float
+        operations in the same order (they may only drop branches the
+        precondition makes dead).
+        """
+        importance_at = self.importance_at
+        return [
+            importance_at(max(0.0, now - t)) * size for t, size in zip(arrivals, sizes)
+        ]
 
     def __call__(self, age_minutes: float) -> float:
         return self.importance_at(age_minutes)
@@ -292,6 +313,22 @@ class TwoStepImportance(ImportanceFunction):
             return self.p
         # Strictly inside the wane window, so t_wane > 0 here.
         return self.p * (expire - age) / self.t_wane
+
+    def wane_terms(
+        self, now: float, arrivals: Iterable[float], sizes: Iterable[float]
+    ) -> list[float]:
+        # The operation order is a contract: ``p * (expire - age) / t_wane``
+        # then ``* size``, exactly as importance_at's wane branch followed
+        # by the caller's multiply, so every term is bit-identical to the
+        # per-object chain.  Inside the wane window ``age > t_persist >= 0``
+        # and ``age < expire``: the age clamp and both early returns above
+        # are dead, and ``t_wane > 0``.
+        p = self.p
+        expire = self.t_expire
+        t_wane = self.t_wane
+        return [
+            p * (expire - (now - t)) / t_wane * size for t, size in zip(arrivals, sizes)
+        ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -499,3 +536,13 @@ class ScaledImportance(ImportanceFunction):
 
     def importance_at(self, age_minutes: float) -> float:
         return self.factor * self.inner.importance_at(age_minutes)
+
+    def wane_terms(
+        self, now: float, arrivals: Iterable[float], sizes: Iterable[float]
+    ) -> list[float]:
+        # ``(factor * inner) * size``, not ``factor * (inner * size)``: the
+        # inner batch runs over unit sizes (``x * 1.0`` is exact), then the
+        # two multiplies happen in importance_at's order.
+        factor = self.factor
+        inner = self.inner.wane_terms(now, arrivals, repeat(1.0))
+        return [factor * importance * size for importance, size in zip(inner, sizes)]

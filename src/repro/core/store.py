@@ -151,11 +151,13 @@ class StorageUnit:
         on the ``on_eviction`` / ``on_rejection`` callbacks instead.
     indexed:
         When True, maintain an :class:`~repro.core.index.ImportanceIndex`
-        over the residents: admission planning sorts only a candidate tail
-        and density probes stop scanning every resident, with bit-identical
-        results.  ``None`` (default) follows the module-level
-        :data:`DEFAULT_INDEXED`; pass False to force the naive reference
-        path (the differential-test oracle).
+        over the residents: admission planning sorts only a candidate tail,
+        and an exact density probe reads the constant phase from a running
+        sum and the waning phase with one batch call per annotation over
+        its ``t_arrival``/``size`` columns (O(waning), but no per-resident
+        call chain), with bit-identical results.  ``None`` (default)
+        follows the module-level :data:`DEFAULT_INDEXED`; pass False to
+        force the naive reference path (the differential-test oracle).
     layout:
         ``"slab"`` additionally mirrors scalar per-resident state into
         flat array columns (:class:`~repro.core.slab.ResidentSlab`) so

@@ -26,7 +26,7 @@ from repro.core.store import EvictionRecord, RejectionRecord, StorageUnit
 from repro.obs import STATE as _OBS
 from repro.units import MINUTES_PER_DAY
 
-__all__ = ["ArrivalRecord", "Recorder"]
+__all__ = ["ArrivalRecord", "Recorder", "merge_recorders"]
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,18 @@ The paper's contract (Section 3): every lifetime function is monotone
 non-increasing over age, bounded to [0, 1], and zero at/after t_expire.
 These properties are checked for randomly parameterised members of the
 whole built-in family.
+
+The last section pins the *float* contract of the batch evaluator
+``ImportanceFunction.wane_terms``: the two-step wane arithmetic is spelled
+out in four places (``TwoStepImportance.importance_at`` and ``wane_terms``,
+``victims._two_step``, ``victims._Family.entry_at``), and the index's
+density probe is bit-identical to the naive scan only while they all
+perform the same operations in the same order.
 """
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.annotations import validate_importance_function
@@ -22,6 +29,8 @@ from repro.core.importance import (
     StepWaneImportance,
     TwoStepImportance,
 )
+from repro.core.obj import StoredObject
+from repro.core.victims import key_evaluator
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 duration = st.floats(min_value=0.0, max_value=1e7, allow_nan=False)
@@ -136,3 +145,71 @@ def test_is_expired_iff_importance_zero_forever(func, t):
     if func.is_expired(t):
         assert func.importance_at(t) == 0.0
         assert func.importance_at(t + 1e6) == 0.0
+
+
+# -- wane_terms: the batch evaluator's float contract ---------------------------
+
+#: Durations and probe times on the integer-minute grid as well as off it:
+#: the victim superfamilies only answer on the grid, the index everywhere.
+grid_or_not = st.one_of(
+    st.floats(min_value=0.0, max_value=1e7, allow_nan=False),
+    st.integers(min_value=0, max_value=10**7).map(float),
+)
+
+
+@st.composite
+def nested_scaled(draw):
+    """Every subclass, wrapped in zero to two ``ScaledImportance`` layers."""
+    func = draw(
+        st.one_of(
+            any_function(),
+            st.builds(
+                TwoStepImportance,
+                p=st.one_of(unit, st.sampled_from([0.0, 1.0])),
+                t_persist=grid_or_not,
+                t_wane=grid_or_not,
+            ),
+        )
+    )
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        factor = draw(st.floats(min_value=0.01, max_value=1.0, allow_nan=False))
+        func = ScaledImportance(inner=func, factor=factor)
+    return func
+
+
+@given(
+    func=nested_scaled(),
+    now=grid_or_not.map(lambda t: t + 2e7),
+    members=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+            st.integers(min_value=1, max_value=2**40),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    on_grid=st.booleans(),
+)
+@settings(max_examples=500)
+def test_wane_terms_are_bit_identical_to_the_per_object_chain(func, now, members, on_grid):
+    stable, expire = func.stable_until, func.t_expire
+    if not stable < expire:
+        return  # no wane window: the index never builds a column for it
+    width = (expire if math.isfinite(expire) else stable + 1e7) - stable
+    objs = []
+    for i, (fraction, size) in enumerate(members):
+        t_arrival = now - (stable + fraction * width)
+        if on_grid:
+            t_arrival = float(math.floor(t_arrival))
+        objs.append(StoredObject(size=size, t_arrival=t_arrival, lifetime=func, object_id=f"o{i}"))
+    # The precondition, by the predicates the index classifies with.
+    waning = [o for o in objs if not o.is_expired_at(now) and o.age_at(now) > stable]
+    assume(waning)
+    terms = func.wane_terms(now, [o.t_arrival for o in waning], [o.size for o in waning])
+    assert len(terms) == len(waning)
+    evaluator = key_evaluator(func)
+    for obj, term in zip(waning, terms):
+        expect = obj.importance_at(now) * obj.size
+        assert term.hex() == expect.hex()
+        if evaluator is not None:
+            assert (evaluator(obj, now)[0] * obj.size).hex() == expect.hex()

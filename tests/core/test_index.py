@@ -1,6 +1,7 @@
 """Unit tests for the incremental importance index (repro.core.index)."""
 
 import math
+import random
 
 import pytest
 
@@ -304,3 +305,151 @@ class TestIndexMass:
         assert index.exact_mass(0.0) < before
         index.discard("b")
         assert index.exact_mass(0.0) == 0.0
+
+
+def _naive_mass(objs, now):
+    return math.fsum(imp * o.size for o in objs if (imp := o.importance_at(now)) > 0.0)
+
+
+class TestWaningColumns:
+    """The per-annotation waning columns under churn, probes and rebuilds."""
+
+    #: Shared annotations (columns with many members) of every waning shape.
+    ANNOTATIONS = (
+        TwoStepImportance(p=0.8, t_persist=100.0, t_wane=60.0),
+        TwoStepImportance(p=0.35, t_persist=40.5, t_wane=90.25),
+        TwoStepImportance(p=0.0, t_persist=10.0, t_wane=50.0),
+        ScaledImportance(TwoStepImportance(p=0.9, t_persist=70.0, t_wane=80.0), 0.5),
+        ScaledImportance(ScaledImportance(TwoStepImportance(0.7, 20.0, 120.0), 0.9), 0.3),
+        ExponentialWaneImportance(p=0.6, t_persist=50.0, t_wane=100.0),
+        StepWaneImportance(p=0.9, t_persist=30.0, t_wane=80.0, steps=5),
+        PiecewiseLinearImportance([(20.0, 0.9), (90.0, 0.4), (160.0, 0.0)]),
+        FixedLifetimeImportance(p=0.5, expire_after=120.0),
+        ConstantImportance(p=0.25),
+    )
+
+    def _churn(self, seed):
+        """Yield ``(index, residents, now)`` after each step of a seeded run."""
+        rng = random.Random(seed)
+        index = ImportanceIndex()
+        residents = {}
+        now = 0.0
+        for step in range(400):
+            now += rng.choice((0.0, 0.5, 1.0, 3.0, 7.25))
+            for _ in range(rng.randrange(0, 4)):
+                obj = StoredObject(
+                    size=rng.randrange(1, 2**30),
+                    t_arrival=max(0.0, now - rng.choice((0.0, 0.0, 15.0, 60.5, 130.0))),
+                    lifetime=rng.choice(self.ANNOTATIONS),
+                    object_id=f"o{step}-{len(residents)}-{rng.randrange(10**6)}",
+                )
+                index.add(obj, now)
+                residents[obj.object_id] = obj
+            # Evict from anywhere: the head, middle and tail of a column.
+            for oid in rng.sample(sorted(residents), min(len(residents), rng.randrange(0, 3))):
+                index.discard(oid)
+                del residents[oid]
+            yield index, residents, now
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_churned_index_matches_the_naive_mass_at_every_step(self, seed):
+        saw_waning = saw_expired = 0
+        for index, residents, now in self._churn(seed):
+            objs = list(residents.values())
+            exact = index.exact_mass(now)
+            assert exact == _naive_mass(objs, now)
+            total_bytes = sum(o.size for o in objs)
+            assert index.closed_form_mass(now) == pytest.approx(
+                exact, rel=1e-9, abs=1e-9 * total_bytes
+            )
+            assert index.check(now)
+            saw_waning = max(saw_waning, index.waning_count)
+            saw_expired = max(saw_expired, index.expired_count)
+        # The run really walked residents through all three phases.
+        assert saw_waning > 20 and saw_expired > 20 and index.transitions > 100
+
+    def test_regressing_probes_rebuild_the_columns(self):
+        for index, residents, now in self._churn(7):
+            pass
+        objs = list(residents.values())
+        # Forward, then back into the past (rebuild), then forward again.
+        for probe in (now, now + 40.0, now - 55.5, now - 200.0, now - 90.0, now + 300.0, 0.0):
+            assert index.exact_mass(probe) == _naive_mass(objs, probe)
+            assert index.check(probe)
+            waning = [
+                o for o in objs
+                if not o.is_expired_at(probe) and o.age_at(probe) > o.lifetime.stable_until
+            ]
+            assert index.waning_count == len(waning)
+            assert {o.object_id for o in index.victim_candidates(probe, 0)} >= {
+                o.object_id for o in waning
+            }
+
+    def test_swap_remove_keeps_the_slot_map_current(self):
+        index = ImportanceIndex()
+        objs = [two_step_obj(f"o{i}", 10 + i, t_arrival=float(i)) for i in range(6)]
+        for obj in objs:
+            index.add(obj, obj.t_arrival)
+        now = 110.0  # ages 105..110: all six waning, one shared column
+        index.advance(now)
+        assert index.waning_count == 6
+        index.discard("o2")  # middle: the tail member moves into slot 2
+        index.discard("o5")  # the moved member, now mid-column
+        index.discard("o4")  # the current tail
+        assert index.check(now)
+        left = [objs[0], objs[1], objs[3]]
+        assert index.exact_mass(now) == _naive_mass(left, now)
+        for obj in left:
+            index.discard(obj.object_id)
+        assert index.waning_count == 0 and not index._columns
+        assert index.exact_mass(now) == 0.0
+
+    def test_equal_annotations_share_one_column(self):
+        index = ImportanceIndex()
+        for i in range(5):  # distinct-but-equal annotation instances
+            index.add(two_step_obj(f"o{i}", 10, t_arrival=0.0), 0.0)
+        index.add(two_step_obj("other", 10, t_arrival=0.0, p=0.3), 0.0)
+        index.advance(120.0)
+        assert index.waning_count == 6
+        assert sorted(len(c.objs) for c in index._columns.values()) == [1, 5]
+
+
+class TestCheckCatchesStaleColumns:
+    def _waning_index(self):
+        index = ImportanceIndex()
+        for i in range(4):
+            index.add(two_step_obj(f"o{i}", 10 + i, t_arrival=float(i)), float(i))
+        index.add(two_step_obj("late", 5, t_arrival=100.0), 100.0)  # stays constant
+        assert index.check(110.0) and index.waning_count == 4
+        (column,) = index._columns.values()
+        return index, column
+
+    def test_wrong_slot_map(self):
+        index, _column = self._waning_index()
+        index._slot["o0"], index._slot["o1"] = index._slot["o1"], index._slot["o0"]
+        with pytest.raises(ReproError, match="stale waning slot"):
+            index.check(110.0)
+
+    def test_length_mismatch(self):
+        index, column = self._waning_index()
+        column.sizes.pop()
+        with pytest.raises(ReproError, match="ragged"):
+            index.check(110.0)
+
+    def test_stale_column_value(self):
+        index, column = self._waning_index()
+        column.arrivals[1] += 1.0
+        with pytest.raises(ReproError, match="stale waning column values"):
+            index.check(110.0)
+
+    def test_member_not_in_the_waning_phase(self):
+        index, column = self._waning_index()
+        column.objs[0] = index._obj["late"]  # a constant-phase resident
+        with pytest.raises(ReproError, match="is not waning"):
+            index.check(110.0)
+
+    def test_byte_total(self):
+        index, _column = self._waning_index()
+        index._waning_bytes += 1
+        with pytest.raises(ReproError, match="waning byte total"):
+            index.check(110.0)
