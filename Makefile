@@ -1,4 +1,4 @@
-.PHONY: install test unit test-parallel obs-smoke audit-smoke alerts-check trace-smoke serve-smoke bench bench-index bench-mega bench-serve-scaling bench-smoke bench-baseline bench-check examples figures lint clean
+.PHONY: install test unit loc test-parallel obs-smoke audit-smoke alerts-check trace-smoke serve-smoke bench bench-index bench-mega bench-serve-scaling bench-smoke bench-baseline bench-check examples figures lint clean
 
 install:
 	pip install -e '.[test]'
@@ -141,6 +141,10 @@ examples:
 
 figures:
 	python -m repro run all
+
+# The tracked number of ROADMAP aim 2 ("src/ line count should go down").
+loc:
+	@find src -name '*.py' | xargs cat | wc -l
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \

@@ -8,10 +8,15 @@ absorbing the pressure.
 
 from benchmarks.conftest import run_once
 from repro.experiments import ext_mixed_apps as mod
+from repro.sim.parallel import RunSpec
 
 
 def test_ext_mixed_apps(benchmark, save_artifact):
-    result = run_once(benchmark, mod.run, capacity_gib=40, horizon_days=365.0, seed=42)
+    result = run_once(
+        benchmark,
+        mod.execute,
+        RunSpec("ext-mixed", {"capacity_gib": 40}, seed=42, horizon_days=365.0),
+    )
 
     archiver = result.per_class["archiver"]
     reporter = result.per_class["reporter"]

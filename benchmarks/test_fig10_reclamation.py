@@ -3,11 +3,14 @@
 from benchmarks.conftest import run_once
 from repro.experiments import fig10_reclamation_importance as mod
 from repro.experiments.common import POLICY_PALIMPSEST, POLICY_TEMPORAL
+from repro.sim.parallel import RunSpec
 
 
 def test_fig10_reclamation_importance(benchmark, save_artifact):
     result = run_once(
-        benchmark, mod.run, capacities_gib=(80, 120), horizon_days=3 * 365.0, seed=42
+        benchmark,
+        mod.execute,
+        RunSpec("fig10", {"capacities_gib": (80, 120)}, seed=42, horizon_days=3 * 365.0),
     )
 
     # Paper: under 80 GB pressure university objects are evicted once they

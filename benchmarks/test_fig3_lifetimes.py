@@ -7,11 +7,14 @@ from repro.experiments.common import (
     POLICY_PALIMPSEST,
     POLICY_TEMPORAL,
 )
+from repro.sim.parallel import RunSpec
 
 
 def test_fig3_lifetimes(benchmark, save_artifact):
     result = run_once(
-        benchmark, mod.run, capacities_gib=(80, 120), horizon_days=365.0, seed=42
+        benchmark,
+        mod.execute,
+        RunSpec("fig3", {"capacities_gib": (80, 120)}, seed=42, horizon_days=365.0),
     )
 
     for capacity in (80, 120):

@@ -2,10 +2,15 @@
 
 from benchmarks.conftest import run_once
 from repro.experiments import fig5_timeconstant as mod
+from repro.sim.parallel import RunSpec
 
 
 def test_fig5_timeconstant(benchmark, save_artifact):
-    result = run_once(benchmark, mod.run, capacity_gib=80, horizon_days=365.0, seed=42)
+    result = run_once(
+        benchmark,
+        mod.execute,
+        RunSpec("fig5", {"capacity_gib": 80}, seed=42, horizon_days=365.0),
+    )
 
     # Paper: hourly estimates vary considerably, daily estimates are
     # heteroscedastic, month-scale windows are the most stable.

@@ -2,10 +2,15 @@
 
 from benchmarks.conftest import run_once
 from repro.experiments import fig7_cdf as mod
+from repro.sim.parallel import RunSpec
 
 
 def test_fig7_cdf(benchmark, save_artifact):
-    result = run_once(benchmark, mod.run, capacity_gib=80, horizon_days=365.0, seed=42)
+    result = run_once(
+        benchmark,
+        mod.execute,
+        RunSpec("fig7", {"capacity_gib": 80}, seed=42, horizon_days=365.0),
+    )
 
     # The snapshot really was taken near the paper's density.
     assert abs(result.density_at_snapshot - mod.PAPER_DENSITY) <= 0.02

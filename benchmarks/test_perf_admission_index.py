@@ -6,9 +6,11 @@ residents bucketed by annotation phase and walks the ascending
 constant-``p`` buckets only until the candidate byte total covers the
 deficit, then sorts just that tail.  This bench fills a store to capacity
 with ``n`` constant-phase residents at varied importances and times a
-fixed burst of preempting offers against twin naive/indexed stores,
-asserting that the two paths evict the exact same victims and that the
-index delivers at least a 5x speedup at 50k residents.
+fixed burst of preempting offers against twin stores — the naive one is
+a ``StorageUnit`` with the full-scan oracle of :mod:`tests.oracles`
+injected, the indexed one is the store as shipped — asserting that the
+two paths evict the exact same victims and that the index delivers at
+least a 5x speedup at 50k residents.
 
 Wall-clock renders differ on every run, so the artifact is saved with
 ``checksum=False`` and only the module timing is baselined.
@@ -21,6 +23,7 @@ from repro.core.importance import TwoStepImportance
 from repro.core.obj import StoredObject
 from repro.core.policies.temporal import TemporalImportancePolicy
 from repro.core.store import StorageUnit
+from tests.oracles import oracle_store
 
 #: Residents never leave the constant phase during the bench.
 PERSIST = 1.0e9
@@ -29,12 +32,11 @@ INCOMING_SIZE = 5
 
 
 def _filled_store(n: int, *, indexed: bool) -> StorageUnit:
-    store = StorageUnit(
+    store = (StorageUnit if indexed else oracle_store)(
         n,
         TemporalImportancePolicy(),
         name=f"{'idx' if indexed else 'naive'}-{n}",
         keep_history=False,
-        indexed=indexed,
     )
     for i in range(n):
         # 101 distinct importance levels spread over [0.2, 0.9].

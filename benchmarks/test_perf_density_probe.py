@@ -10,8 +10,9 @@ mass must be re-evaluated per probe, and nothing dedups (each
 residents in per-annotation ``t_arrival`` / ``size`` columns and asks each
 annotation once for its column's terms (``ImportanceFunction.wane_terms``).
 
-This bench fills twin naive/indexed stores with ``n`` residents across 64
-two-step annotations, moves the clock to where all of them are inside
+This bench fills twin stores (naive = the full-scan oracle of
+:mod:`tests.oracles` injected, indexed = as shipped) with ``n`` residents
+across 64 two-step annotations, moves the clock to where all of them are inside
 their wane window, and times 50 exact probes on each — asserting that the
 densities are bit-equal and that the columns deliver at least 4x at 50k
 residents.  One untimed probe first lets the index process its
@@ -30,6 +31,7 @@ from repro.core.importance import TwoStepImportance
 from repro.core.obj import StoredObject
 from repro.core.policies.temporal import TemporalImportancePolicy
 from repro.core.store import StorageUnit
+from tests.oracles import oracle_store
 
 ANNOTATIONS = 64
 PROBES = 50
@@ -44,12 +46,11 @@ def _filled_store(n: int, *, indexed: bool) -> StorageUnit:
         for k in range(ANNOTATIONS)
     ]
     sizes = [1 + (i * 7919) % 4096 for i in range(n)]
-    store = StorageUnit(
+    store = (StorageUnit if indexed else oracle_store)(
         sum(sizes),
         TemporalImportancePolicy(),
         name=f"{'idx' if indexed else 'naive'}-{n}",
         keep_history=False,
-        indexed=indexed,
     )
     for i, size in enumerate(sizes):
         t_arrival = i * ARRIVAL_STEP

@@ -17,6 +17,7 @@ import pytest
 
 from benchmarks.conftest import run_once
 from repro.experiments import sec54_mega as mod
+from repro.sim.parallel import RunSpec
 
 
 def _assert_saturation(result):
@@ -41,14 +42,13 @@ def _assert_saturation(result):
 def test_sec54_mega_reduced(benchmark, save_artifact):
     result = run_once(
         benchmark,
-        mod.run,
-        nodes=2_000,
-        shards=4,
-        node_capacity_gib=2.0,
-        epoch_days=5.0,
-        horizon_days=30.0,
-        seed=11,
-        jobs=1,
+        mod.execute,
+        RunSpec(
+            "sec54-mega",
+            {"nodes": 2_000, "shards": 4, "node_capacity_gib": 2.0, "epoch_days": 5.0, "jobs": 1},
+            seed=11,
+            horizon_days=30.0,
+        ),
     )
     assert result.nodes == 2_000
     assert result.shards == 4
@@ -65,14 +65,13 @@ def test_sec54_mega_reduced(benchmark, save_artifact):
 def test_sec54_mega(benchmark, save_artifact):
     result = run_once(
         benchmark,
-        mod.run,
-        nodes=50_000,
-        shards=8,
-        node_capacity_gib=2.0,
-        epoch_days=5.0,
-        horizon_days=60.0,
-        seed=11,
-        jobs=1,
+        mod.execute,
+        RunSpec(
+            "sec54-mega",
+            {"nodes": 50_000, "shards": 8, "node_capacity_gib": 2.0, "epoch_days": 5.0, "jobs": 1},
+            seed=11,
+            horizon_days=60.0,
+        ),
     )
     assert result.nodes == 50_000
     assert result.courses == 58_025

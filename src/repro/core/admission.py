@@ -86,8 +86,11 @@ def plan_preemptive_admission(
         return AdmissionPlan(admit=True, reason="free-space")
 
     needed = obj.size - free
-    index = getattr(store, "importance_index", None) if order is importance_order else None
-    merged = index.greedy_victims(now, needed) if index is not None else None
+    # The index's victim structures encode the paper ordering; an ablation's
+    # own order sorts every resident.
+    paper_order = order is importance_order
+    index = store.importance_index
+    merged = index.greedy_victims(now, needed) if paper_order else None
     if merged is not None:
         # Lazy k-way merge over the expired stream, statically ordered
         # annotation groups and integer-grid superfamilies: only merge heads
@@ -100,12 +103,11 @@ def plan_preemptive_admission(
             # stores whose accounting was corrupted externally.
             return AdmissionPlan(admit=False, reason="insufficient-space")
     else:
-        # Either the store has no index, or the merge declined (superfamily
-        # exactness not guaranteed at this now): sort candidates instead.
-        if index is not None:
-            candidates: Iterable[StoredObject] = index.victim_candidates(now, needed)
-        else:
-            candidates = store.iter_residents()
+        # The merge declined (superfamily exactness not guaranteed at this
+        # now) or was not asked: sort candidates instead.
+        candidates: Iterable[StoredObject] = (
+            index.victim_candidates(now, needed) if paper_order else store.iter_residents()
+        )
         ordered = order(candidates, now)
         victims = []
         freed = 0

@@ -18,7 +18,6 @@ threshold probe used by Figures 6/12 commentary.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -54,27 +53,17 @@ def importance_density(
     packed with importance-1 objects approaches 1 (exactly 1 only if no
     byte is free).
 
-    Indexed stores answer from their
-    :class:`~repro.core.index.ImportanceIndex` instead of scanning every
-    resident; the result is bit-identical to the naive scan (both are the
-    correctly-rounded sum of the same per-object terms).  ``closed_form``
-    opts into the O(1) ``C + A - B*t`` evaluation — approximate to ~1e-9
-    relative, meant for monitoring gauges, never for artifacts; naive
-    stores ignore the flag.
+    The store's :class:`~repro.core.index.ImportanceIndex` answers instead
+    of a scan over every resident; the result is bit-identical to that scan
+    (both are the correctly-rounded sum of the same per-object terms).
+    ``closed_form`` opts into the O(1) ``C + A - B*t`` evaluation —
+    approximate to ~1e-9 relative, meant for monitoring gauges, never for
+    artifacts.
     """
-    index = getattr(store, "importance_index", None)
-    if index is not None:
-        if closed_form:
-            return index.closed_form_mass(now) / store.capacity_bytes
-        return index.exact_mass(now) / store.capacity_bytes
-    return (
-        math.fsum(
-            importance * obj.size
-            for obj in store.iter_residents()
-            if (importance := obj.importance_at(now)) > 0.0
-        )
-        / store.capacity_bytes
-    )
+    index = store.importance_index
+    if closed_form:
+        return index.closed_form_mass(now) / store.capacity_bytes
+    return index.exact_mass(now) / store.capacity_bytes
 
 
 def byte_importance_snapshot(

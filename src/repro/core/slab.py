@@ -1,32 +1,19 @@
-"""Slab-backed resident state: flat parallel arrays behind the store API.
+"""Slab-backed resident state: per-creator byte totals behind the store API.
 
 At mega-scale (tens of thousands of storage units, millions of resident
-objects) the per-resident Python overhead of dict-of-:class:`StoredObject`
-bookkeeping dominates aggregate probes: every per-creator byte tally and
-every expiry sweep walks boxed floats and attribute lookups.  The
-:class:`ResidentSlab` keeps the *scalar* per-resident state — arrival
-time, relative expiry, initial importance, size — in ``array`` columns
-indexed by a stable slot id, with an explicit free list so slots recycle
-without compaction.
+objects) a per-creator byte tally that walks every ``StoredObject`` is
+the dominant cost of the sharded simulation's per-epoch summary, which
+asks every unit of every shard.  The :class:`ResidentSlab` keeps what
+that tally needs — each resident's size and interned creator code — in
+``array`` columns indexed by a stable slot id, with an explicit free
+list so slots recycle without compaction, and maintains the per-creator
+totals incrementally on :meth:`add` / :meth:`discard`.
 
 The slab is a **secondary representation**: the store's insertion-ordered
 dict of residents remains the source of truth (iteration order, object
 identity, policy planning), and differential tests validate the slab
-against it after every mutation (:meth:`validate`).  What the slab serves:
-
-* :meth:`bytes_by_creator` — O(#creators) from incrementally maintained
-  per-creator byte totals (the per-epoch summary of the sharded mega
-  simulation calls this on every unit of every shard);
-* :meth:`expired_object_ids` — an expiry sweep that scans two float
-  columns instead of constructing method-call chains per resident, while
-  returning ids in exactly the admission order the naive dict scan
-  yields (slots are recycled, so a per-slot admission sequence number
-  restores the order).
-
-Column comparisons replicate the naive predicates bit for bit: expiry is
-``now - t_arrival >= t_expire`` — the same float subtraction
-``StoredObject.is_expired_at`` performs — with the age clamp handled by
-the ``t_expire <= 0`` disjunct.
+against it after every mutation (:meth:`validate`).  The one read it
+serves is :meth:`bytes_by_creator`, O(#creators).
 """
 
 from __future__ import annotations
@@ -43,15 +30,10 @@ class ResidentSlab:
     """Parallel-array resident columns with slot recycling."""
 
     __slots__ = (
-        "_t_arrival",
-        "_t_expire",
-        "_importance",
         "_size",
-        "_seq",
         "_oids",
         "_slot_of",
         "_free",
-        "_next_seq",
         "_creator_code",
         "_creator_codes",
         "_creator_names",
@@ -62,16 +44,11 @@ class ResidentSlab:
     def __init__(self) -> None:
         # One entry per slot; dead slots keep stale values and sit on the
         # free list until recycled.
-        self._t_arrival = array("d")
-        self._t_expire = array("d")  # relative to arrival (minutes; inf ok)
-        self._importance = array("d")  # initial importance p
         self._size = array("q")
-        self._seq = array("q")  # admission order, never recycled
         self._oids: list[ObjectId | None] = []
         self._creator_code = array("l")
         self._slot_of: dict[ObjectId, int] = {}
         self._free: list[int] = []
-        self._next_seq = 0
         # Creator labels interned to small ints, with running byte totals.
         self._creator_codes: dict[str, int] = {}
         self._creator_names: list[str] = []
@@ -107,24 +84,14 @@ class ResidentSlab:
             self._creator_codes[creator] = code
             self._creator_names.append(creator)
             self._creator_bytes.append(0)
-        seq = self._next_seq
-        self._next_seq = seq + 1
         if self._free:
             slot = self._free.pop()
-            self._t_arrival[slot] = obj.t_arrival
-            self._t_expire[slot] = obj.lifetime.t_expire
-            self._importance[slot] = obj.lifetime.initial_importance
             self._size[slot] = obj.size
-            self._seq[slot] = seq
             self._creator_code[slot] = code
             self._oids[slot] = oid
         else:
             slot = len(self._oids)
-            self._t_arrival.append(obj.t_arrival)
-            self._t_expire.append(obj.lifetime.t_expire)
-            self._importance.append(obj.lifetime.initial_importance)
             self._size.append(obj.size)
-            self._seq.append(seq)
             self._creator_code.append(code)
             self._oids.append(oid)
         self._slot_of[oid] = slot
@@ -143,7 +110,7 @@ class ResidentSlab:
         self._oids[slot] = None
         self._free.append(slot)
 
-    # -- aggregate probes --------------------------------------------------
+    # -- aggregate probe ---------------------------------------------------
 
     def bytes_by_creator(self) -> dict[str, int]:
         """Resident bytes per creator class, skipping empty classes."""
@@ -152,29 +119,6 @@ class ResidentSlab:
             for name, total in zip(self._creator_names, self._creator_bytes)
             if total
         }
-
-    def expired_object_ids(self, now: float) -> list[ObjectId]:
-        """Ids of expired residents, in admission order.
-
-        Uses the same predicate as ``StoredObject.is_expired_at``:
-        ``max(0, now - t_arrival) >= t_expire``, decomposed so the column
-        scan performs the identical subtraction (the clamp only matters
-        when ``t_expire <= 0``, where expiry holds at any age).
-        """
-        now = float(now)
-        hits: list[tuple[int, ObjectId]] = []
-        oids = self._oids
-        seqs = self._seq
-        expires = self._t_expire
-        for slot, t_arrival in enumerate(self._t_arrival):
-            oid = oids[slot]
-            if oid is None:
-                continue
-            t_expire = expires[slot]
-            if now - t_arrival >= t_expire or t_expire <= 0.0:
-                hits.append((seqs[slot], oid))
-        hits.sort()
-        return [oid for _seq, oid in hits]
 
     # -- diagnostics -------------------------------------------------------
 
@@ -197,10 +141,7 @@ class ResidentSlab:
             if self._slot_of.get(oid) != slot:
                 raise ReproError(f"slot map disagrees for {oid!r}")
             if (
-                self._t_arrival[slot] != obj.t_arrival
-                or self._t_expire[slot] != obj.lifetime.t_expire
-                or self._importance[slot] != obj.lifetime.initial_importance
-                or self._size[slot] != obj.size
+                self._size[slot] != obj.size
                 or self._creator_names[self._creator_code[slot]] != obj.creator
             ):
                 raise ReproError(f"slab columns are stale for {oid!r}")

@@ -28,23 +28,7 @@ __all__ = [
     "AdmissionResult",
     "StorageUnit",
     "StoreStats",
-    "DEFAULT_INDEXED",
-    "DEFAULT_LAYOUT",
 ]
-
-#: Default for ``StorageUnit(indexed=...)`` when the caller passes None.
-#: The importance index is behaviour-preserving (plans, evictions and
-#: densities are bit-identical to the naive path), so it is on everywhere;
-#: differential tests flip this module global to run the naive reference
-#: oracle without threading a parameter through every scenario builder.
-DEFAULT_INDEXED = True
-
-#: Default for ``StorageUnit(layout=...)`` when the caller passes None.
-#: ``"slab"`` mirrors the scalar per-resident state into flat array
-#: columns (:class:`~repro.core.slab.ResidentSlab`) that aggregate probes
-#: read instead of walking objects; ``"dict"`` is the object-only
-#: reference path the differential suite runs as the oracle.
-DEFAULT_LAYOUT = "slab"
 
 
 @dataclass(frozen=True)
@@ -149,22 +133,15 @@ class StorageUnit:
         in :attr:`evictions` / :attr:`rejections`.  Long multi-year
         simulations with external recorders can disable retention and rely
         on the ``on_eviction`` / ``on_rejection`` callbacks instead.
-    indexed:
-        When True, maintain an :class:`~repro.core.index.ImportanceIndex`
-        over the residents: admission planning sorts only a candidate tail,
-        and an exact density probe reads the constant phase from a running
-        sum and the waning phase with one batch call per annotation over
-        its ``t_arrival``/``size`` columns (O(waning), but no per-resident
-        call chain), with bit-identical results.  ``None`` (default)
-        follows the module-level :data:`DEFAULT_INDEXED`; pass False to
-        force the naive reference path (the differential-test oracle).
-    layout:
-        ``"slab"`` additionally mirrors scalar per-resident state into
-        flat array columns (:class:`~repro.core.slab.ResidentSlab`) so
-        aggregate probes (per-creator byte tallies, expiry sweeps) scan
-        arrays instead of objects; ``"dict"`` keeps only the object dict
-        (the differential oracle).  ``None`` (default) follows
-        :data:`DEFAULT_LAYOUT`.  Results are bit-identical either way.
+
+    Every unit books its residents in an
+    :class:`~repro.core.index.ImportanceIndex` (:attr:`importance_index`:
+    admission victims, density mass and the expired set, all bit-identical
+    to a full scan of the residents) and a
+    :class:`~repro.core.slab.ResidentSlab` (:attr:`resident_slab`:
+    per-creator byte totals).  There is no other configuration; the
+    full-scan reference the differential suites compare against lives in
+    ``tests/oracles``.
     """
 
     def __init__(
@@ -174,8 +151,6 @@ class StorageUnit:
         *,
         name: str = "unit-0",
         keep_history: bool = True,
-        indexed: bool | None = None,
-        layout: str | None = None,
     ) -> None:
         if not isinstance(capacity_bytes, int) or capacity_bytes <= 0:
             raise CapacityError(f"capacity must be a positive int, got {capacity_bytes!r}")
@@ -183,21 +158,10 @@ class StorageUnit:
         self.policy = policy
         self.name = name
         self.keep_history = keep_history
-        if indexed is None:
-            indexed = DEFAULT_INDEXED
-        if layout is None:
-            layout = DEFAULT_LAYOUT
-        if layout not in ("slab", "dict"):
-            raise CapacityError(f"layout must be 'slab' or 'dict', got {layout!r}")
-        self.layout = layout
-        #: Phase-bucketed resident index, or None on the naive path.
-        self.importance_index: ImportanceIndex | None = (
-            ImportanceIndex() if indexed else None
-        )
-        #: Array-column mirror of the residents, or None on the dict path.
-        self.resident_slab: ResidentSlab | None = (
-            ResidentSlab() if layout == "slab" else None
-        )
+        #: Phase-bucketed resident index (victims, density mass, expiry).
+        self.importance_index = ImportanceIndex()
+        #: Per-creator byte totals of the residents.
+        self.resident_slab = ResidentSlab()
 
         self._residents: dict[ObjectId, StoredObject] = {}
         self._used_bytes = 0
@@ -260,18 +224,8 @@ class StorageUnit:
         return self._last_access[object_id]
 
     def bytes_by_creator(self) -> dict[str, int]:
-        """Resident bytes per creator class.
-
-        Served from the slab's incrementally maintained totals when the
-        layout is ``"slab"`` (O(#creators)); the dict layout scans the
-        residents.  Both return identical totals (integer sums).
-        """
-        if self.resident_slab is not None:
-            return self.resident_slab.bytes_by_creator()
-        out: dict[str, int] = {}
-        for obj in self._residents.values():
-            out[obj.creator] = out.get(obj.creator, 0) + obj.size
-        return out
+        """Resident bytes per creator class (O(#creators), from the slab)."""
+        return self.resident_slab.bytes_by_creator()
 
     def utilization(self) -> float:
         """Fraction of raw capacity occupied, in ``[0, 1]``."""
@@ -307,6 +261,8 @@ class StorageUnit:
         ``plan`` reuses a plan from :meth:`peek_admission` at the same
         ``now`` (the Besteffs probe→accept flow); the store must not have
         mutated in between, which the single-threaded simulator guarantees.
+        A plan that no longer fits — a victim already gone, or too little
+        space even after the evictions — raises before anything is evicted.
         """
         if obj.object_id in self._residents:
             raise CapacityError(f"{obj.object_id!r} is already stored on {self.name}")
@@ -348,7 +304,29 @@ class StorageUnit:
                 )
             return AdmissionResult(admitted=False, plan=plan, rejection=rejection)
 
-        scanned = len(self._residents) if plan.victims else 0
+        # Feasibility is settled before the first eviction, so a stale plan
+        # or a buggy policy raises with the store untouched.
+        victims = plan.victims
+        reclaimable = self.free_bytes
+        if victims:
+            residents = self._residents
+            for victim in victims:
+                if residents.get(victim.object_id) is not victim:
+                    raise UnknownObjectError(
+                        f"admission plan for {obj.object_id!r} names {victim.object_id!r}, "
+                        f"which is not stored on {self.name} (stale plan?)"
+                    )
+                reclaimable += victim.size
+            if len(victims) > 1 and len({v.object_id for v in victims}) != len(victims):
+                raise UnknownObjectError(
+                    f"admission plan for {obj.object_id!r} names a victim twice"
+                )
+        if obj.size > reclaimable:
+            raise CapacityError(
+                f"policy {self.policy.name!r} produced an infeasible plan on {self.name}: "
+                f"{obj.size} bytes needed, {reclaimable} free after evictions"
+            )
+        scanned = len(self._residents) if victims else 0
         if ledger is not None:
             # Pressure and the exact compared importance, captured *before*
             # any victim leaves — this is the context the plan was made in.
@@ -356,7 +334,7 @@ class StorageUnit:
             incoming = plan.incoming_importance
             if incoming is None:
                 incoming = obj.importance_at(now)
-            evict_threshold: float | None = incoming if plan.victims else None
+            evict_threshold: float | None = incoming if victims else None
         else:
             evict_threshold = None
         evictions = tuple(
@@ -364,20 +342,13 @@ class StorageUnit:
                 victim, now, reason="preempted", preempted_by=obj.object_id,
                 threshold=evict_threshold,
             )
-            for victim in plan.victims
+            for victim in victims
         )
-        if obj.size > self.free_bytes:
-            raise CapacityError(
-                f"policy {self.policy.name!r} produced an infeasible plan on {self.name}: "
-                f"{obj.size} bytes needed, {self.free_bytes} free after evictions"
-            )
         self._residents[obj.object_id] = obj
         self._used_bytes += obj.size
         self._last_access[obj.object_id] = now
-        if self.importance_index is not None:
-            self.importance_index.add(obj, now)
-        if self.resident_slab is not None:
-            self.resident_slab.add(obj)
+        self.importance_index.add(obj, now)
+        self.resident_slab.add(obj)
         self.accepted_count += 1
         self.bytes_accepted += obj.size
         if _OBS.enabled:
@@ -429,22 +400,9 @@ class StorageUnit:
         preempted — but delete-optimised deployments (Douglis et al.) sweep
         eagerly, and experiments use this to measure squatting.
         """
-        if self.importance_index is not None:
-            # The index already knows who expired; only those are examined
-            # (and in admission order, matching the naive scan's output).
-            expired = self.importance_index.expired_objects(now)
-            scanned = len(expired)
-        elif self.resident_slab is not None:
-            # Column scan over (t_arrival, t_expire); same predicate and
-            # same admission order as the object scan below.
-            scanned = len(self._residents)
-            expired = [
-                self._residents[oid]
-                for oid in self.resident_slab.expired_object_ids(now)
-            ]
-        else:
-            scanned = len(self._residents)
-            expired = [o for o in self._residents.values() if o.is_expired_at(now)]
+        # The index already knows who expired; only those are examined, in
+        # admission order (what a scan of the residents would yield).
+        expired = self.importance_index.expired_objects(now)
         records = tuple(self._evict(o, now, reason="expired", preempted_by=None) for o in expired)
         if _OBS.enabled:
             _OBS.registry.histogram(
@@ -453,7 +411,7 @@ class StorageUnit:
                 "expiry sweep).",
                 ("unit",),
                 buckets=COUNT_BUCKETS,
-            ).observe(scanned, unit=self.name)
+            ).observe(len(expired), unit=self.name)
         return records
 
     def _evict(
@@ -470,10 +428,8 @@ class StorageUnit:
         del self._residents[victim.object_id]
         self._last_access.pop(victim.object_id, None)
         self._used_bytes -= victim.size
-        if self.importance_index is not None:
-            self.importance_index.discard(victim.object_id)
-        if self.resident_slab is not None:
-            self.resident_slab.discard(victim.object_id)
+        self.importance_index.discard(victim.object_id)
+        self.resident_slab.discard(victim.object_id)
         record = EvictionRecord(
             obj=victim,
             t_evicted=now,

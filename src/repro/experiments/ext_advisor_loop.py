@@ -36,7 +36,7 @@ from repro.sim.workload.single_app import RateRamp, SingleAppWorkload
 from repro.units import days, gib, to_days
 from repro.sim.parallel import RunSpec
 
-__all__ = ["AdvisorLoopResult", "execute", "run", "render"]
+__all__ = ["AdvisorLoopResult", "execute", "render"]
 
 #: Each producer asks for the same temporal shape; only `p` varies.
 PERSIST_DAYS = 10.0
@@ -187,8 +187,3 @@ def render(result: AdvisorLoopResult) -> str:
 def execute(spec: RunSpec) -> AdvisorLoopResult:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs())
-
-
-def run(**kwargs) -> AdvisorLoopResult:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    return execute(RunSpec.from_kwargs("ext-advisor", **kwargs))

@@ -30,7 +30,7 @@ from repro.sim.workload.single_app import RateRamp, SingleAppWorkload
 from repro.units import days, gib, to_days
 from repro.sim.parallel import RunSpec
 
-__all__ = ["AppClass", "MixedAppsResult", "APP_CLASSES", "execute", "run", "render"]
+__all__ = ["AppClass", "MixedAppsResult", "APP_CLASSES", "execute", "render"]
 
 
 @dataclass(frozen=True)
@@ -159,8 +159,3 @@ def render(result: MixedAppsResult) -> str:
 def execute(spec: RunSpec) -> MixedAppsResult:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs())
-
-
-def run(**kwargs) -> MixedAppsResult:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    return execute(RunSpec.from_kwargs("ext-mixed", **kwargs))

@@ -41,7 +41,7 @@ from repro.sim.workload.readers import build_read_schedule
 from repro.units import MINUTES_PER_DAY, days, gib
 from repro.sim.parallel import RunSpec
 
-__all__ = ["ReadAvailabilityResult", "execute", "run", "render"]
+__all__ = ["ReadAvailabilityResult", "execute", "render"]
 
 def _table1_annotation(t: float):
     """The paper's lecture annotation: flat until the end of the term."""
@@ -167,8 +167,3 @@ def render(result: ReadAvailabilityResult) -> str:
 def execute(spec: RunSpec) -> ReadAvailabilityResult:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs(horizon=False))
-
-
-def run(**kwargs) -> ReadAvailabilityResult:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    return execute(RunSpec.from_kwargs("ext-reads", **kwargs))

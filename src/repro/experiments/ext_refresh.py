@@ -31,7 +31,7 @@ from repro.sim.workload.single_app import SingleAppWorkload
 from repro.units import MINUTES_PER_DAY, MINUTES_PER_HOUR, days, gib
 from repro.sim.parallel import RunSpec
 
-__all__ = ["RefreshResult", "execute", "run", "render"]
+__all__ = ["RefreshResult", "execute", "render"]
 
 WINDOWS = {
     "hour": float(MINUTES_PER_HOUR),
@@ -164,8 +164,3 @@ def render(result: RefreshResult) -> str:
 def execute(spec: RunSpec) -> RefreshResult:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs())
-
-
-def run(**kwargs) -> RefreshResult:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    return execute(RunSpec.from_kwargs("ext-refresh", **kwargs))

@@ -25,7 +25,7 @@ from repro.report.table import TextTable
 from repro.sim.workload.lecture import UNIVERSITY_CREATOR
 from repro.sim.parallel import RunSpec
 
-__all__ = ["Fig10Result", "execute", "run", "render"]
+__all__ = ["Fig10Result", "execute", "render"]
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,3 @@ def render(result: Fig10Result) -> str:
 def execute(spec: RunSpec) -> Fig10Result:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs())
-
-
-def run(**kwargs) -> Fig10Result:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    return execute(RunSpec.from_kwargs("fig10", **kwargs))

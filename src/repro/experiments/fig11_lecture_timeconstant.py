@@ -22,7 +22,7 @@ from repro.report.table import TextTable
 from repro.units import gib, to_days
 from repro.sim.parallel import RunSpec
 
-__all__ = ["Fig11Result", "execute", "run", "render"]
+__all__ = ["Fig11Result", "execute", "render"]
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,3 @@ def render(result: Fig11Result) -> str:
 def execute(spec: RunSpec) -> Fig11Result:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs())
-
-
-def run(**kwargs) -> Fig11Result:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    return execute(RunSpec.from_kwargs("fig11", **kwargs))

@@ -20,7 +20,7 @@ from repro.report.table import TextTable
 from repro.units import to_days
 from repro.sim.parallel import RunSpec
 
-__all__ = ["Fig12Result", "execute", "run", "render"]
+__all__ = ["Fig12Result", "execute", "render"]
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,3 @@ def render(result: Fig12Result) -> str:
 def execute(spec: RunSpec) -> Fig12Result:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs())
-
-
-def run(**kwargs) -> Fig12Result:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    return execute(RunSpec.from_kwargs("fig12", **kwargs))

@@ -16,7 +16,7 @@ from repro.sim.workload.single_app import SingleAppWorkload
 from repro.units import days, gib, to_days, to_gib
 from repro.sim.parallel import RunSpec
 
-__all__ = ["Fig2Result", "execute", "run", "render"]
+__all__ = ["Fig2Result", "execute", "render"]
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,3 @@ def render(result: Fig2Result) -> str:
 def execute(spec: RunSpec) -> Fig2Result:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs())
-
-
-def run(**kwargs) -> Fig2Result:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    return execute(RunSpec.from_kwargs("fig2", **kwargs))

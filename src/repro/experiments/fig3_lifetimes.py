@@ -21,7 +21,7 @@ from repro.report.table import TextTable
 from repro.units import to_days
 from repro.sim.parallel import RunSpec
 
-__all__ = ["Fig3Result", "execute", "run", "render"]
+__all__ = ["Fig3Result", "execute", "render"]
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,3 @@ def render(result: Fig3Result) -> str:
 def execute(spec: RunSpec) -> Fig3Result:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs())
-
-
-def run(**kwargs) -> Fig3Result:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    return execute(RunSpec.from_kwargs("fig3", **kwargs))

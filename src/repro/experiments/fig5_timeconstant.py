@@ -30,7 +30,7 @@ from repro.report.table import TextTable
 from repro.units import gib, to_days
 from repro.sim.parallel import RunSpec
 
-__all__ = ["Fig5Result", "execute", "run", "render", "run_from_arrivals"]
+__all__ = ["Fig5Result", "execute", "render", "run_from_arrivals"]
 
 WINDOWS = {"hour": WINDOW_HOUR, "day": WINDOW_DAY, "month": WINDOW_MONTH}
 
@@ -129,8 +129,3 @@ def render(result: Fig5Result) -> str:
 def execute(spec: RunSpec) -> Fig5Result:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs())
-
-
-def run(**kwargs) -> Fig5Result:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    return execute(RunSpec.from_kwargs("fig5", **kwargs))

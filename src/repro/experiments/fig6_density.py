@@ -20,7 +20,7 @@ from repro.report.table import TextTable
 from repro.units import to_days
 from repro.sim.parallel import RunSpec
 
-__all__ = ["Fig6Result", "execute", "run", "render"]
+__all__ = ["Fig6Result", "execute", "render"]
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,3 @@ def render(result: Fig6Result) -> str:
 def execute(spec: RunSpec) -> Fig6Result:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs())
-
-
-def run(**kwargs) -> Fig6Result:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    return execute(RunSpec.from_kwargs("fig6", **kwargs))

@@ -26,7 +26,7 @@ from repro.sim.runner import feed_arrivals
 from repro.units import days, to_days
 from repro.sim.parallel import RunSpec
 
-__all__ = ["Fig7Result", "execute", "run", "render", "PAPER_DENSITY"]
+__all__ = ["Fig7Result", "execute", "render", "PAPER_DENSITY"]
 
 #: The density at which the paper took its snapshot.
 PAPER_DENSITY = 0.8369
@@ -109,8 +109,3 @@ def render(result: Fig7Result) -> str:
 def execute(spec: RunSpec) -> Fig7Result:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs())
-
-
-def run(**kwargs) -> Fig7Result:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    return execute(RunSpec.from_kwargs("fig7", **kwargs))

@@ -15,7 +15,7 @@ from repro.report.table import TextTable
 from repro.sim.workload.downloads import DownloadTraceConfig, synthesize_download_trace
 from repro.sim.parallel import RunSpec
 
-__all__ = ["Fig8Result", "execute", "run", "render"]
+__all__ = ["Fig8Result", "execute", "render"]
 
 
 @dataclass(frozen=True)
@@ -70,9 +70,3 @@ def render(result: Fig8Result) -> str:
 def execute(spec: RunSpec) -> Fig8Result:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs(horizon=False))
-
-
-def run(**kwargs) -> Fig8Result:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    kwargs.setdefault("seed", 0)
-    return execute(RunSpec.from_kwargs("fig8", **kwargs))

@@ -24,7 +24,7 @@ from repro.sim.workload.lecture import STUDENT_CREATOR, UNIVERSITY_CREATOR
 from repro.units import to_days
 from repro.sim.parallel import RunSpec
 
-__all__ = ["Fig9Result", "execute", "run", "render"]
+__all__ = ["Fig9Result", "execute", "render"]
 
 CREATORS = (UNIVERSITY_CREATOR, STUDENT_CREATOR)
 
@@ -142,8 +142,3 @@ def render(result: Fig9Result) -> str:
 def execute(spec: RunSpec) -> Fig9Result:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs())
-
-
-def run(**kwargs) -> Fig9Result:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    return execute(RunSpec.from_kwargs("fig9", **kwargs))

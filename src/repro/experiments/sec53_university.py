@@ -25,7 +25,7 @@ from repro.report.table import TextTable
 from repro.units import days, gib, to_days, to_tib
 from repro.sim.parallel import RunSpec
 
-__all__ = ["Sec53Result", "execute", "run", "render"]
+__all__ = ["Sec53Result", "execute", "render"]
 
 
 @dataclass(frozen=True)
@@ -146,9 +146,3 @@ def render(result: Sec53Result) -> str:
 def execute(spec: RunSpec) -> Sec53Result:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs())
-
-
-def run(**kwargs) -> Sec53Result:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    kwargs.setdefault("seed", 7)
-    return execute(RunSpec.from_kwargs("sec53", **kwargs))

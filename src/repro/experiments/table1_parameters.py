@@ -21,7 +21,7 @@ from repro.sim.workload.calendar import (
 from repro.units import days, to_days
 from repro.sim.parallel import RunSpec
 
-__all__ = ["Table1Result", "execute", "run", "render"]
+__all__ = ["Table1Result", "execute", "render"]
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,3 @@ def render(result: Table1Result) -> str:
 def execute(spec: RunSpec) -> Table1Result:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs(seed=False, horizon=False))
-
-
-def run(**kwargs) -> Table1Result:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    return execute(RunSpec.from_kwargs("table1", **kwargs))

@@ -128,11 +128,11 @@ class SimulationEngine:
             )
         self._stopped = False
         if not _OBS.enabled:
-            return self._dispatch_loop(
+            return self._dispatch_loop_batched(
                 until_minutes, max_events, on_progress, progress_every, instrumented=False
             )
         with _OBS.tracer.span("engine.run", sim_time=self.clock.now):
-            dispatched = self._dispatch_loop(
+            dispatched = self._dispatch_loop_batched(
                 until_minutes, max_events, on_progress, progress_every, instrumented=True
             )
         collector = _OBS.timeseries
@@ -140,7 +140,7 @@ class SimulationEngine:
             collector.maybe_scrape(self.clock.now)
         return dispatched
 
-    def _dispatch_loop(
+    def _dispatch_loop_batched(
         self,
         until_minutes: float,
         max_events: int | None,
@@ -149,6 +149,19 @@ class SimulationEngine:
         *,
         instrumented: bool,
     ) -> int:
+        """The dispatch loop, draining same-timestamp runs per batch.
+
+        Workloads quantise arrivals to whole minutes, so long runs of
+        events share one timestamp; the clock advances once per distinct
+        timestamp instead of once per event, and the hot loop touches only
+        local names.  Events still pop in ``(time, priority, seq)`` order
+        one at a time, so callbacks that schedule more work at the current
+        timestamp interleave exactly as they were queued.
+
+        Obs metering rides the same loop behind ``instrumented`` (sampled
+        once, by :meth:`run`): with it off each event pays one local truth
+        test.
+        """
         if instrumented:
             registry = _OBS.registry
             profiler = _OBS.profiler
@@ -164,87 +177,52 @@ class SimulationEngine:
             queue_depth = registry.gauge(
                 "engine_queue_depth", "Events pending in the engine heap."
             )
-        if not instrumented:
-            return self._dispatch_loop_batched(
-                until_minutes, max_events, on_progress, progress_every
-            )
-        dispatched_here = 0
-        while self._heap and not self._stopped:
-            t, _prio, _seq, event = self._heap[0]
-            if t > until_minutes:
-                break
-            heapq.heappop(self._heap)
-            self.clock.advance_to(t)
-            label = event.label or "unlabeled"
-            t0 = perf_counter()
-            event.callback(t)
-            elapsed = perf_counter() - t0
-            callback_seconds.observe(elapsed, label=label)
-            profiler.observe("engine.step", elapsed)
-            events_total.inc(label=label)
-            queue_depth.set(len(self._heap))
-            if collector is not None and t >= collector.next_due:
-                # Scrapes walk every registry series; under a span so
-                # trace shards separate scrape cost from event cost.
-                with _OBS.tracer.span("engine.scrape", sim_time=t):
-                    collector.scrape(t, registry)
-                    alerts = _OBS.alerts
-                    if alerts is not None:
-                        # Scrape-time SLO evaluation: first-violation
-                        # sim times come from here (the end-of-run
-                        # evaluation alone could not date a transient
-                        # breach).
-                        alerts.evaluate(registry, now=t)
-            dispatched_here += 1
-            self.dispatched += 1
-            if max_events is not None and dispatched_here >= max_events:
-                break
-            if on_progress is not None and dispatched_here % progress_every == 0:
-                on_progress(t, dispatched_here)
-        if not self._stopped and (max_events is None or dispatched_here < max_events):
-            self.clock.advance_to(until_minutes)
-        return dispatched_here
-
-    def _dispatch_loop_batched(
-        self,
-        until_minutes: float,
-        max_events: int | None,
-        on_progress: Callable[[float, int], None] | None,
-        progress_every: int,
-    ) -> int:
-        """Uninstrumented dispatch, draining same-timestamp runs per batch.
-
-        Workloads quantise arrivals to whole minutes, so long runs of
-        events share one timestamp; the clock advances once per distinct
-        timestamp instead of once per event, and the hot loop touches only
-        local names.  Dispatch order is untouched: events still pop in
-        ``(time, priority, seq)`` order one at a time, so callbacks that
-        schedule more work at the current timestamp interleave exactly as
-        in the per-event loop.
-        """
         heap = self._heap
         heappop = heapq.heappop
         advance = self.clock.advance_to
         current = None
         dispatched_here = 0
-        try:
-            while heap and not self._stopped:
-                entry = heap[0]
-                t = entry[0]
-                if t > until_minutes:
-                    break
-                heappop(heap)
-                if t != current:
-                    advance(t)
-                    current = t
+        while heap and not self._stopped:
+            entry = heap[0]
+            t = entry[0]
+            if t > until_minutes:
+                break
+            heappop(heap)
+            if t != current:
+                advance(t)
+                current = t
+            if instrumented:
+                event = entry[3]
+                label = event.label or "unlabeled"
+                t0 = perf_counter()
+                event.callback(t)
+                elapsed = perf_counter() - t0
+                callback_seconds.observe(elapsed, label=label)
+                profiler.observe("engine.step", elapsed)
+                events_total.inc(label=label)
+                queue_depth.set(len(heap))
+                if collector is not None and t >= collector.next_due:
+                    # Scrapes walk every registry series; under a span so
+                    # trace shards separate scrape cost from event cost.
+                    with _OBS.tracer.span("engine.scrape", sim_time=t):
+                        collector.scrape(t, registry)
+                        alerts = _OBS.alerts
+                        if alerts is not None:
+                            # Scrape-time SLO evaluation: first-violation
+                            # sim times come from here (the end-of-run
+                            # evaluation alone could not date a transient
+                            # breach).
+                            alerts.evaluate(registry, now=t)
+            else:
                 entry[3].callback(t)
-                dispatched_here += 1
-                if max_events is not None and dispatched_here >= max_events:
-                    break
-                if on_progress is not None and dispatched_here % progress_every == 0:
-                    on_progress(t, dispatched_here)
-        finally:
-            self.dispatched += dispatched_here
+            dispatched_here += 1
+            # Published per event: a callback reading the counter mid-run
+            # sees the events before it, and a raising one is not counted.
+            self.dispatched += 1
+            if max_events is not None and dispatched_here >= max_events:
+                break
+            if on_progress is not None and dispatched_here % progress_every == 0:
+                on_progress(t, dispatched_here)
         if not self._stopped and (max_events is None or dispatched_here < max_events):
             self.clock.advance_to(until_minutes)
         return dispatched_here

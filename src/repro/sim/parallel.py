@@ -148,31 +148,6 @@ class RunSpec:
 
     # -- construction ------------------------------------------------------
 
-    @classmethod
-    def from_kwargs(cls, experiment: str, **kwargs: Any) -> "RunSpec":
-        """Adapt a legacy ``run(**kwargs)`` call into a spec.
-
-        This is the deprecation shim behind every experiment module's old
-        ``run()`` signature: ``seed`` and ``horizon_days`` become spec
-        fields, everything else lands in :attr:`params`.
-        """
-        import warnings
-
-        warnings.warn(
-            f"calling {experiment} run(**kwargs) is deprecated; build a "
-            "repro.sim.parallel.RunSpec and call execute(spec) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        seed = kwargs.pop("seed", None)
-        horizon = kwargs.pop("horizon_days", None)
-        spec = cls(experiment=experiment, params=tuple(kwargs.items()))
-        if seed is not None:
-            spec = replace(spec, seed=int(seed))
-        if horizon is not None:
-            spec = replace(spec, horizon_days=float(horizon))
-        return spec
-
     def with_overrides(self, **changes: Any) -> "RunSpec":
         """A copy with fields replaced (params re-normalised)."""
         return replace(self, **changes)

@@ -1,11 +1,12 @@
-"""Differential testing: indexed stores must be bit-identical to naive ones.
+"""Differential testing: the store must be bit-identical to its scan oracle.
 
-Twin :class:`StorageUnit` instances — one with the importance index, one on
-the naive reference path — are fed identical randomized workloads (mixed
-annotation shapes, expiries, preemption pressure, manual removals, expiry
-sweeps and density probes).  At every step the admission plans, eviction
-records, occupancy and densities must agree **exactly**: the index is an
-acceleration structure, never a behaviour change.
+Twin :class:`StorageUnit` instances — the real one, and one with the
+full-scan oracles of :mod:`tests.oracles` injected — are fed identical
+randomized workloads (mixed annotation shapes, expiries, preemption
+pressure, manual removals, expiry sweeps and density probes).  At every
+step the admission plans, eviction records, occupancy, per-creator totals
+and densities must agree **exactly**: the index is an acceleration
+structure, never a behaviour change.
 """
 
 import math
@@ -24,9 +25,11 @@ from repro.core.importance import (
     StepWaneImportance,
     TwoStepImportance,
 )
+from repro.core.index import ImportanceIndex
 from repro.core.obj import StoredObject
 from repro.core.policies.temporal import TemporalImportancePolicy
 from repro.core.store import StorageUnit
+from tests.oracles import ScanIndex, oracle_store
 
 CAPACITY = 50_000
 
@@ -79,10 +82,10 @@ def assert_evictions_equal(naive, indexed, step):
 @pytest.mark.parametrize("seed", [1234, 777, 2026])
 def test_randomized_workload_is_bit_identical(seed):
     rng = random.Random(seed)
-    naive = StorageUnit(CAPACITY, TemporalImportancePolicy(), name="naive", indexed=False)
-    fast = StorageUnit(CAPACITY, TemporalImportancePolicy(), name="fast", indexed=True)
-    assert naive.importance_index is None
-    assert fast.importance_index is not None
+    naive = oracle_store(CAPACITY, TemporalImportancePolicy(), name="naive")
+    fast = StorageUnit(CAPACITY, TemporalImportancePolicy(), name="fast")
+    assert isinstance(naive.importance_index, ScanIndex)
+    assert isinstance(fast.importance_index, ImportanceIndex)
 
     now = 0.0
     for step in range(1500):
@@ -118,12 +121,15 @@ def test_randomized_workload_is_bit_identical(seed):
             probe_t = max(0.0, probe_t)
             d_naive = importance_density(naive, probe_t)
             d_fast = importance_density(fast, probe_t)
-            assert d_naive == d_fast, f"step {step}: density drifted at t={probe_t}"
+            assert d_naive.hex() == d_fast.hex(), (
+                f"step {step}: density drifted at t={probe_t}"
+            )
             d_closed = importance_density(fast, probe_t, closed_form=True)
             assert d_closed == pytest.approx(d_naive, rel=1e-9, abs=1e-9)
 
         assert naive.used_bytes == fast.used_bytes, f"step {step}"
         assert sorted(naive._residents) == sorted(fast._residents), f"step {step}"
+        assert naive.bytes_by_creator() == fast.bytes_by_creator(), f"step {step}"
         if step % 250 == 0:
             assert fast.importance_index.check(max(now, fast.importance_index._now))
 
@@ -167,13 +173,13 @@ def test_integer_grid_workload_is_bit_identical(seed):
     """Whole-minute twin workload: the superfamily greedy path vs naive.
 
     Arrivals and probes stay on the integer grid, exactly like the
-    lecture/university workloads, so the indexed store answers admission
+    lecture/university workloads, so the real store answers admission
     plans from the grouped/superfamily merge rather than the sorted
-    fallback — and must still match the naive scan bit for bit.
+    fallback — and must still match the scan oracle bit for bit.
     """
     rng = random.Random(seed)
-    naive = StorageUnit(CAPACITY, TemporalImportancePolicy(), name="naive", indexed=False)
-    fast = StorageUnit(CAPACITY, TemporalImportancePolicy(), name="fast", indexed=True)
+    naive = oracle_store(CAPACITY, TemporalImportancePolicy(), name="naive")
+    fast = StorageUnit(CAPACITY, TemporalImportancePolicy(), name="fast")
 
     now = 0.0
     for step in range(1200):
@@ -204,7 +210,9 @@ def test_integer_grid_workload_is_bit_identical(seed):
                 [naive.remove(victim, now)], [fast.remove(victim, now)], step
             )
         else:
-            assert importance_density(naive, now) == importance_density(fast, now)
+            assert (
+                importance_density(naive, now).hex() == importance_density(fast, now).hex()
+            )
         assert naive.used_bytes == fast.used_bytes, f"step {step}"
         if step % 300 == 0:
             assert fast.importance_index.check(max(now, fast.importance_index._now))
@@ -256,8 +264,8 @@ def _linear_scan_threshold(store, probe_size, now):
 
 
 def test_indexed_and_naive_agree_on_an_empty_and_full_store():
-    for indexed in (False, True):
-        store = StorageUnit(1000, TemporalImportancePolicy(), indexed=indexed)
+    for build in (oracle_store, StorageUnit):
+        store = build(1000, TemporalImportancePolicy())
         assert importance_density(store, 0.0) == 0.0
         store.offer(
             StoredObject(

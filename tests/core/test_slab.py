@@ -1,29 +1,34 @@
 """Slab-backed resident state: differential and unit coverage.
 
 The :class:`~repro.core.slab.ResidentSlab` is a secondary, array-backed
-representation of a store's residents; the dict-of-objects path is the
-oracle.  Twin stores — one per layout — are fed identical randomized
+representation of a store's residents; a scan of the dict of objects
+(:class:`tests.oracles.ScanSlab`) is the oracle.  Twin stores — one with
+the slab, one with the scan injected — are fed identical randomized
 workloads and must agree on every observable: admission outcomes,
 eviction records (expiry order included), per-creator byte totals and
 occupancy.  :meth:`ResidentSlab.validate` cross-checks every column
 against the oracle along the way.
 """
 
+import inspect
 import random
 
 import pytest
 
-from repro.core.obj import StoredObject
+import repro.core.store as store_module
 from repro.core.importance import ConstantImportance, FixedLifetimeImportance
+from repro.core.index import ImportanceIndex
+from repro.core.obj import StoredObject
 from repro.core.policies.temporal import TemporalImportancePolicy
 from repro.core.slab import ResidentSlab
-from repro.core.store import DEFAULT_LAYOUT, StorageUnit
-from repro.errors import CapacityError, ReproError
+from repro.core.store import StorageUnit
+from repro.errors import ReproError
 from tests.core.test_index_differential import (
     assert_evictions_equal,
     assert_plans_equal,
     random_lifetime,
 )
+from tests.oracles import ScanSlab, oracle_store
 
 CAPACITY = 50_000
 CREATORS = ("university", "student", "archive")
@@ -60,23 +65,23 @@ def _twin_step(rng, step, now, slab_store, dict_store):
 @pytest.mark.parametrize("seed", [11, 404])
 @pytest.mark.parametrize("indexed", [True, False])
 def test_slab_layout_matches_dict_layout(seed, indexed):
-    """Twin randomized workload across layouts (both index settings).
+    """Twin randomized workload: the slab against its scan oracle.
 
-    ``indexed=False`` matters: that is the configuration where
-    ``reclaim_expired`` is actually *served* by the slab's column scan,
-    so eviction order parity pins the admission-sequence sort.
+    Both stores carry the same index — the real one, or with
+    ``indexed=False`` the scan oracle on both sides — so a disagreement
+    can only come from the slab.
     """
     rng = random.Random(seed)
-    slab_store = StorageUnit(
+    slab_store = oracle_store(
         CAPACITY, TemporalImportancePolicy(), name="slab",
-        indexed=indexed, layout="slab",
+        scan_index=not indexed, scan_slab=False,
     )
-    dict_store = StorageUnit(
+    dict_store = oracle_store(
         CAPACITY, TemporalImportancePolicy(), name="dict",
-        indexed=indexed, layout="dict",
+        scan_index=not indexed, scan_slab=True,
     )
-    assert slab_store.resident_slab is not None
-    assert dict_store.resident_slab is None
+    assert isinstance(slab_store.resident_slab, ResidentSlab)
+    assert isinstance(dict_store.resident_slab, ScanSlab)
 
     now = 0.0
     for step in range(900):
@@ -135,55 +140,67 @@ class TestResidentSlab:
         assert slab.bytes_by_creator() == {"s": 40}
         assert slab.used_bytes == 40
 
-    def test_expired_ids_come_back_in_admission_order(self):
-        slab = ResidentSlab()
-        # Admission order a, b, c — but slot order changes under recycling.
-        slab.add(_obj("x", t=0.0, expire=5.0))
-        slab.add(_obj("a", t=0.0, expire=10.0))
-        slab.discard("x")
-        slab.add(_obj("b", t=0.0, expire=10.0))  # recycles x's slot 0
-        slab.add(_obj("c", t=0.0, expire=10.0))
-        assert slab.expired_object_ids(10.0) == ["a", "b", "c"]
-        assert slab.expired_object_ids(9.999) == []
-
-    def test_expiry_predicate_matches_is_expired_at(self):
-        rng = random.Random(7)
-        slab = ResidentSlab()
-        objs = []
-        for i in range(200):
-            obj = _obj(
-                f"o-{i}",
-                t=rng.uniform(0.0, 100.0),
-                expire=rng.choice((0.0, rng.uniform(0.0, 80.0))),
-            )
-            slab.add(obj)
-            objs.append(obj)
-        for now in (0.0, 13.7, 50.0, 99.0, 1e6):
-            expected = [o.object_id for o in objs if o.is_expired_at(now)]
-            assert slab.expired_object_ids(now) == expected
-
     def test_validate_catches_a_stale_column(self):
-        slab = ResidentSlab()
-        obj = _obj("a", size=100)
-        slab.add(obj)
-        assert slab.validate({"a": obj})
-        slab._size[0] = 99  # corrupt one column
-        with pytest.raises(ReproError):
-            slab.validate({"a": obj})
+        """Every column the slab keeps is cross-checked, one at a time."""
+        obj, other = _obj("a", size=100, creator="u"), _obj("b", size=100, creator="s")
+
+        def corrupt_size(slab):
+            slab._size[0] = 99
+
+        def corrupt_creator(slab):
+            slab._creator_code[0] = slab._creator_code[1]
+
+        def corrupt_slot_map(slab):
+            slab._slot_of["a"], slab._slot_of["b"] = 1, 0
+
+        def corrupt_oids(slab):
+            slab._oids[0] = "ghost"
+
+        def corrupt_free_list(slab):
+            slab._free.append(0)
+
+        def corrupt_creator_total(slab):
+            slab._creator_bytes[0] += 1
+
+        def corrupt_byte_total(slab):
+            slab._used_bytes += 1
+
+        for corrupt in (
+            corrupt_size, corrupt_creator, corrupt_slot_map, corrupt_oids,
+            corrupt_free_list, corrupt_creator_total, corrupt_byte_total,
+        ):
+            slab = ResidentSlab()
+            slab.add(obj)
+            slab.add(other)
+            residents = {"a": obj, "b": other}
+            assert slab.validate(residents)
+            corrupt(slab)
+            with pytest.raises(ReproError):
+                slab.validate(residents)
 
 
 class TestStoreLayout:
+    """One configuration: no constructor knob or module default selects
+    how a unit holds its residents."""
+
     def test_default_layout_is_slab(self):
-        assert DEFAULT_LAYOUT == "slab"
         store = StorageUnit(1000, TemporalImportancePolicy())
-        assert store.resident_slab is not None
+        assert isinstance(store.resident_slab, ResidentSlab)
+        assert isinstance(store.importance_index, ImportanceIndex)
+        for name in ("DEFAULT_LAYOUT", "DEFAULT_INDEXED"):
+            assert not hasattr(store_module, name)
+            assert name not in store_module.__all__
 
     def test_unknown_layout_is_rejected(self):
-        with pytest.raises(CapacityError):
-            StorageUnit(1000, TemporalImportancePolicy(), layout="columnar")
+        parameters = inspect.signature(StorageUnit.__init__).parameters
+        assert "layout" not in parameters and "indexed" not in parameters
+        with pytest.raises(TypeError):
+            StorageUnit(1000, TemporalImportancePolicy(), layout="dict")
+        with pytest.raises(TypeError):
+            StorageUnit(1000, TemporalImportancePolicy(), indexed=False)
 
     def test_bytes_by_creator_agrees_with_a_resident_scan(self):
-        store = StorageUnit(10_000, TemporalImportancePolicy(), layout="slab")
+        store = StorageUnit(10_000, TemporalImportancePolicy())
         store.offer(
             StoredObject(
                 size=700, t_arrival=0.0,

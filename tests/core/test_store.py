@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.importance import FixedLifetimeImportance
 from repro.core.policies.temporal import TemporalImportancePolicy
+from repro.core.policy import AdmissionPlan
 from repro.core.store import StorageUnit
 from repro.errors import CapacityError, UnknownObjectError
 from repro.units import days, gib
@@ -67,6 +68,55 @@ class TestOffer:
         assert len(result.evictions) == 2
         assert temporal_store.used_bytes == gib(10)
         assert temporal_store.resident_count == 9
+
+    @staticmethod
+    def _state(store):
+        return (
+            store.stats(),
+            [o.object_id for o in store.iter_residents()],
+            store.bytes_by_creator(),
+            len(store.evictions),
+            len(store.rejections),
+        )
+
+    def test_stale_plan_raises_before_any_eviction(self, temporal_store):
+        """A plan whose victim already left must not cost the others."""
+        for _ in range(10):
+            temporal_store.offer(make_obj(1.0, t_arrival=0.0), 0.0)
+        now = days(20)  # residents waned to ~0.67
+        incoming = make_obj(2.0, t_arrival=now)
+        plan = temporal_store.peek_admission(incoming, now)
+        assert plan.admit and len(plan.victims) == 2
+        # The store mutates between probe and commit: the *second* victim
+        # leaves, so a victim-by-victim commit would lose the first.
+        temporal_store.remove(plan.victims[1].object_id, now)
+        before = self._state(temporal_store)
+        with pytest.raises(UnknownObjectError, match="stale plan"):
+            temporal_store.offer(incoming, now, plan=plan)
+        assert self._state(temporal_store) == before
+        assert plan.victims[0].object_id in temporal_store
+        assert temporal_store.importance_index.check(now)
+        assert temporal_store.resident_slab.validate(temporal_store._residents)
+
+    def test_infeasible_plan_raises_before_any_eviction(self, temporal_store):
+        """A policy that frees too little raises with nothing evicted."""
+        for _ in range(10):
+            temporal_store.offer(make_obj(1.0, t_arrival=0.0), 0.0)
+        now = days(20)
+        victim = next(iter(temporal_store.iter_residents()))
+        short = AdmissionPlan(admit=True, victims=(victim,), reason="preempt")
+        before = self._state(temporal_store)
+        with pytest.raises(CapacityError, match="infeasible plan"):
+            temporal_store.offer(make_obj(2.0, t_arrival=now), now, plan=short)
+        with pytest.raises(UnknownObjectError):  # the same victim named twice
+            temporal_store.offer(
+                make_obj(2.0, t_arrival=now), now,
+                plan=AdmissionPlan(admit=True, victims=(victim, victim), reason="preempt"),
+            )
+        assert self._state(temporal_store) == before
+        assert victim.object_id in temporal_store
+        assert temporal_store.importance_index.check(now)
+        assert temporal_store.resident_slab.validate(temporal_store._residents)
 
     def test_capacity_never_exceeded(self, temporal_store):
         now = 0.0

@@ -94,8 +94,8 @@ class TestStoreInstrumentation:
         assert evict.value(unit="d0", reason="preempted") == 2.0
 
     def test_reclaim_expired_observes_scan_length(self):
-        # Indexed store (the default): the sweep examines only the residents
-        # the importance index already classified as expired.
+        # The sweep examines only the residents the importance index already
+        # classified as expired.
         obs.enable()
         short = FixedLifetimeImportance(p=1.0, expire_after=10.0)
         store = StorageUnit(gib(4), TemporalImportancePolicy(), name="d0")
@@ -108,19 +108,6 @@ class TestStoreInstrumentation:
         assert scan["count"] == 1
         assert scan["max"] == 1.0  # only the expired resident is examined
         assert reg.get("store_evictions_total").value(unit="d0", reason="expired") == 1.0
-
-    def test_reclaim_expired_scan_length_on_naive_store(self):
-        # The naive reference path still scans every resident.
-        obs.enable()
-        short = FixedLifetimeImportance(p=1.0, expire_after=10.0)
-        store = StorageUnit(gib(4), TemporalImportancePolicy(), name="d0", indexed=False)
-        store.offer(make_obj(1.0, lifetime=short), 0.0)
-        store.offer(make_obj(1.0), 0.0)
-        records = store.reclaim_expired(100.0)
-        assert len(records) == 1
-        scan = obs.STATE.registry.get("store_reclaim_scan_length").snapshot(unit="d0")
-        assert scan["count"] == 1
-        assert scan["max"] == 2.0  # both residents examined by the full scan
 
 
 class TestRecorderGauges:

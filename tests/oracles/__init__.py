@@ -1,0 +1,100 @@
+"""Full-scan reference implementations of a store's resident bookkeeping.
+
+``src/`` has one way to hold resident state: every
+:class:`~repro.core.store.StorageUnit` books its residents in an
+:class:`~repro.core.index.ImportanceIndex` and a
+:class:`~repro.core.slab.ResidentSlab`.  The naive paths those two
+structures replaced are kept here, as plain implementations of the same
+read protocols that answer every question by scanning all residents.
+Differential suites (and the ``benchmarks/test_perf_*`` twins) inject
+them into a store and require bit-equal plans, eviction records,
+densities, per-creator totals and expiry order.
+
+Both hold the store's own ``StoredObject`` instances in admission order
+(a dict keyed by object id: evicted ids leave, re-admitted ids re-enter
+at the end), which is the order ``StorageUnit.iter_residents`` yields.
+"""
+
+from __future__ import annotations
+
+import math
+
+from repro.core.obj import ObjectId, StoredObject
+from repro.core.policy import EvictionPolicy
+from repro.core.store import StorageUnit
+
+__all__ = ["ScanIndex", "ScanSlab", "oracle_store"]
+
+
+class _ResidentScan:
+    """The residents in admission order, and nothing else."""
+
+    def __init__(self) -> None:
+        self._obj: dict[ObjectId, StoredObject] = {}
+
+    def discard(self, object_id: ObjectId) -> None:
+        self._obj.pop(object_id, None)
+
+
+class ScanIndex(_ResidentScan):
+    """:class:`~repro.core.index.ImportanceIndex`'s protocol, by full scan.
+
+    ``greedy_victims`` always declines, so admission planning takes the
+    candidates-plus-sort path over *all* residents — the paper's rule as
+    written (sort everything by current importance, take the greedy
+    prefix).
+    """
+
+    def add(self, obj: StoredObject, now: float) -> None:
+        self._obj[obj.object_id] = obj
+
+    def greedy_victims(self, now: float, needed: int) -> None:
+        return None
+
+    def victim_candidates(self, now: float, needed: int) -> list[StoredObject]:
+        return list(self._obj.values())
+
+    def expired_objects(self, now: float) -> list[StoredObject]:
+        return [obj for obj in self._obj.values() if obj.is_expired_at(now)]
+
+    def exact_mass(self, now: float) -> float:
+        return math.fsum(
+            importance * obj.size
+            for obj in self._obj.values()
+            if (importance := obj.importance_at(now)) > 0.0
+        )
+
+
+class ScanSlab(_ResidentScan):
+    """:class:`~repro.core.slab.ResidentSlab`'s protocol, by full scan."""
+
+    def add(self, obj: StoredObject) -> None:
+        self._obj[obj.object_id] = obj
+
+    def bytes_by_creator(self) -> dict[str, int]:
+        out: dict[str, int] = {}
+        for obj in self._obj.values():
+            out[obj.creator] = out.get(obj.creator, 0) + obj.size
+        return out
+
+
+def oracle_store(
+    capacity_bytes: int,
+    policy: EvictionPolicy,
+    *,
+    scan_index: bool = True,
+    scan_slab: bool = True,
+    **kwargs,
+) -> StorageUnit:
+    """An empty :class:`StorageUnit` with the scan oracles injected.
+
+    ``scan_index`` / ``scan_slab`` pick which structure is replaced, so a
+    suite can isolate one of them against its oracle while the other stays
+    the same on both sides of the comparison.
+    """
+    store = StorageUnit(capacity_bytes, policy, **kwargs)
+    if scan_index:
+        store.importance_index = ScanIndex()
+    if scan_slab:
+        store.resident_slab = ScanSlab()
+    return store

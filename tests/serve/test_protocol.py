@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.besteffs.auth import CapabilityRealm
-from repro.besteffs.gateway import StoreOutcome
 from repro.besteffs.placement import PlacementDecision
 from repro.serve.protocol import ServeError, StoreRequest, StoreResponse, StoreStatus
 from tests.conftest import make_obj
@@ -108,22 +107,6 @@ class TestStoreResponse:
         assert StoreResponse("r", StoreStatus.REJECTED_PLACEMENT).refused_by == "placement"
         assert StoreResponse("r", StoreStatus.SHED_BACKPRESSURE).refused_by is None
         assert StoreResponse("r", StoreStatus.EXPIRED_IN_QUEUE).refused_by is None
-
-    def test_to_outcome_maps_legacy_gates(self):
-        outcome = StoreResponse(
-            "r", StoreStatus.REJECTED_FAIRNESS, detail="over budget"
-        ).to_outcome()
-        assert isinstance(outcome, StoreOutcome)
-        assert not outcome.stored
-        assert outcome.refused_by == "fairness"
-        assert outcome.detail == "over budget"
-
-    def test_to_outcome_keeps_serving_statuses_visible(self):
-        shed = StoreResponse("r", StoreStatus.SHED_BACKPRESSURE).to_outcome()
-        assert not shed.stored
-        assert shed.refused_by == "shed-backpressure"
-        expired = StoreResponse("r", StoreStatus.EXPIRED_IN_QUEUE).to_outcome()
-        assert expired.refused_by == "expired-in-queue"
 
     def test_canonical_dict_has_no_wallclock_fields(self):
         response = StoreResponse(

@@ -1,10 +1,11 @@
-"""Batched dispatch must be order-identical to the per-event loop.
+"""One dispatch loop: obs on and obs off must be order-identical.
 
-The engine's uninstrumented fast path drains same-timestamp runs while
-advancing the clock once per distinct timestamp; the instrumented loop
-still steps per event.  Both must dispatch the identical sequence —
-(time, priority, insertion order) — including events that callbacks
-schedule at the *current* timestamp mid-batch.
+The engine drains same-timestamp runs while advancing the clock once per
+distinct timestamp, and meters each event inside that same loop when
+:mod:`repro.obs` is enabled.  Both settings must dispatch the identical
+sequence — (time, priority, insertion order) — including events that
+callbacks schedule at the *current* timestamp mid-batch, and must show a
+callback the same ``engine.dispatched`` mid-run.
 """
 
 import random
@@ -21,7 +22,7 @@ def _build_schedule(engine, seen, rng):
     times = [float(rng.randrange(0, 20)) for _ in range(60)]
     for i, t in enumerate(times):
         def callback(now, i=i, t=t):
-            seen.append((t, i, now, engine.clock.now))
+            seen.append((t, i, now, engine.clock.now, engine.dispatched))
             # Occasionally extend the current batch and the future.
             if i % 7 == 0:
                 engine.schedule_at(now, lambda n, i=i: seen.append(("same", i, n, engine.clock.now)))
@@ -61,6 +62,10 @@ def test_batched_order_matches_the_instrumented_loop(seed):
     # lets the clock lag or lead within a timestamp run.
     for record in seen:
         assert record[2] == record[3]
+    # ``engine.dispatched`` read mid-run counts the events before this one
+    # (nested "same"/"later" events sit between the numbered ones).
+    counts = [record[4] for record in seen if len(record) == 5]
+    assert counts[0] == 0 and counts == sorted(set(counts))
 
 
 def test_max_events_stops_mid_batch():

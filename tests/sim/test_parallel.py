@@ -102,41 +102,6 @@ class TestSeedFor:
             assert 0 <= value < 2**63
 
 
-class TestFromKwargs:
-    def test_warns_and_maps_fields(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            spec = RunSpec.from_kwargs("fig6", horizon_days=30, seed=9, capacity_gib=40)
-        assert spec == RunSpec(
-            "fig6", params={"capacity_gib": 40}, seed=9, horizon_days=30.0
-        )
-
-    def test_defaults_left_untouched_when_not_passed(self):
-        with pytest.warns(DeprecationWarning):
-            spec = RunSpec.from_kwargs("fig6")
-        assert spec.seed == 42
-        assert spec.horizon_days is None
-
-
-class TestDeprecatedRunShims:
-    """Old ``run(**kwargs)`` signatures keep working, with a warning."""
-
-    def test_fig8_run_warns_and_matches_execute(self):
-        from repro.experiments import fig8_downloads as mod
-
-        with pytest.warns(DeprecationWarning):
-            legacy = mod.run()
-        fresh = mod.execute(RunSpec("fig8", seed=0))
-        assert legacy == fresh  # module default seed (0) survives the shim
-
-    def test_fig2_run_warns_and_matches_execute(self):
-        from repro.experiments import fig2_storage_requirements as mod
-
-        with pytest.warns(DeprecationWarning):
-            legacy = mod.run(horizon_days=20.0, seed=3)
-        fresh = mod.execute(RunSpec("fig2", seed=3, horizon_days=20.0))
-        assert legacy == fresh
-
-
 class TestExpandSweep:
     def test_grid_cross_product_in_sorted_key_order(self):
         specs = expand_sweep("fig6", grid={"b": [1, 2], "a": ["x"]})
