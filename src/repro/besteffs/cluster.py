@@ -165,14 +165,16 @@ class BesteffsCluster:
                 )
             self._obs_scrape(now)
             return decision, None
-        result = node.accept(obj, now, plan=decision.plan)
-        if not result.admitted:
-            # The probe said admissible but the commit failed — possible
-            # only if the store mutated between probe and accept, which the
-            # single-threaded simulator forbids.
+        # Only the winner is planned, and the plan must be the one its probe
+        # scored: checked on every placed offer, before anything is evicted.
+        plan = node.store.peek_admission(obj, now)
+        if not plan.admit or plan.highest_preempted != decision.chosen_score:
             raise PlacementError(
-                f"probe/commit disagreement on node {node.node_id!r} for {obj.object_id!r}"
+                f"probe/commit disagreement on node {node.node_id!r} for "
+                f"{obj.object_id!r}: probed {decision.chosen_score!r}, planned "
+                f"{plan.highest_preempted!r} ({plan.reason})"
             )
+        result = node.store.offer(obj, now, plan=plan)
         self._locations[obj.object_id] = node.node_id
         self.placed_count += 1
         if self.recorder is not None:

@@ -3,35 +3,36 @@
 A node pairs a :class:`~repro.core.store.StorageUnit` (always running the
 temporal-importance policy — that is the Besteffs admission rule) with a
 stable node id used by the overlay, and exposes the placement *probe*: the
-highest importance that admitting a given object would preempt.
+highest importance that admitting a given object would preempt, as a score
+(no admission plan is built until a unit is chosen).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from time import perf_counter
+from typing import NamedTuple
 
 from repro.core.obj import StoredObject
 from repro.core.policies.temporal import TemporalImportancePolicy
-from repro.core.policy import AdmissionPlan, EvictionPolicy
+from repro.core.policy import EvictionPolicy
 from repro.core.store import AdmissionResult, StorageUnit
 from repro.errors import CapacityError
+from repro.obs import STATE as _OBS
 
 __all__ = ["BesteffsNode", "ProbeResult"]
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(NamedTuple):
     """Outcome of probing one node for one object.
 
     ``admissible`` is True when the node could accept the object right now;
-    ``highest_preempted`` is the importance the placement rule minimises
-    (0.0 when the object fits in free/expired space).
+    ``highest_preempted`` is then the importance the placement rule
+    minimises (0.0 when the object fits in free/expired space).
     """
 
     node_id: str
     admissible: bool
     highest_preempted: float
-    plan: AdmissionPlan
 
     @property
     def direct(self) -> bool:
@@ -72,26 +73,23 @@ class BesteffsNode:
     def free_bytes(self) -> int:
         return self.store.free_bytes
 
-    def probe(self, obj: StoredObject, now: float) -> ProbeResult:
-        """Non-mutating admission probe (Section 5.3's per-unit check)."""
-        plan = self.store.peek_admission(obj, now)
-        return ProbeResult(
-            node_id=self.node_id,
-            admissible=plan.admit,
-            highest_preempted=plan.highest_preempted,
-            plan=plan,
-        )
+    def probe(
+        self, obj: StoredObject, now: float, incoming: float | None = None
+    ) -> ProbeResult:
+        """Non-mutating admission probe (Section 5.3's per-unit check): a
+        score, not a plan (:meth:`EvictionPolicy.probe`).  ``incoming`` is
+        ``obj.importance_at(now)``; placement computes it once per offer."""
+        if incoming is None:
+            incoming = obj.importance_at(now)
+        t0 = perf_counter() if _OBS.enabled else 0.0
+        admissible, highest = self.store.policy.probe(self.store, obj, now, incoming)
+        if _OBS.enabled:
+            _OBS.profiler.observe("store.plan_admission", perf_counter() - t0)
+        return ProbeResult(self.node_id, admissible, highest)
 
-    def accept(
-        self, obj: StoredObject, now: float, *, plan: AdmissionPlan | None = None
-    ) -> AdmissionResult:
-        """Store the object on this node (may preempt residents).
-
-        ``plan`` lets the caller commit a plan obtained from :meth:`probe`
-        at the same ``now`` without re-planning; the store is unchanged in
-        between, so the replanned result would be identical.
-        """
-        return self.store.offer(obj, now, plan=plan)
+    def accept(self, obj: StoredObject, now: float) -> AdmissionResult:
+        """Store the object on this node (may preempt residents)."""
+        return self.store.offer(obj, now)
 
     def __repr__(self) -> str:
         return (

@@ -28,10 +28,10 @@ class Overlay:
             raise OverlayError("overlay must be connected for random walks to mix")
         self._graph = graph
         self._nodes: tuple[str, ...] = tuple(graph.nodes())
-        # Lazy compact adjacency for the walk hot path; an Overlay is
-        # immutable (joins/departures build new instances) so the cache
-        # never invalidates.
-        self._compact: tuple[dict[str, int], tuple[tuple[int, ...], ...]] | None = None
+        # Lazy draw table for the walk hot path; an Overlay is immutable
+        # (joins/departures build new instances) so the cache never
+        # invalidates.
+        self._compact: tuple[dict[str, int], tuple] | None = None
         self._neighbor_cache: dict[str, tuple[str, ...]] = {}
 
     @classmethod
@@ -151,27 +151,29 @@ class Overlay:
         self._neighbor_cache[node_id] = result
         return result
 
-    def compact_adjacency(
+    def walk_draws(
         self,
-    ) -> tuple[dict[str, int], tuple[tuple[int, ...], ...]]:
-        """Integer-indexed adjacency for the walk hot path.
+    ) -> tuple[dict[str, int], tuple[tuple[int, tuple[int, ...]], ...]]:
+        """Integer-indexed draw table for the walk hot path.
 
-        Returns ``(index_of, adjacency)`` where ``adjacency[i]`` lists
-        neighbour *indices* in exactly the order :meth:`neighbors` reports
-        them, so an index-space walk visits the same sequence of nodes (and
-        consumes the same RNG draws) as the string-space walk.  Index ``i``
-        corresponds to ``node_ids[i]``.
+        Returns ``(index_of, draws)``; index ``i`` is ``node_ids[i]`` and
+        ``draws[i] = (k, row)`` answers ``rng.choice(neighbors(node))`` as
+        ``_randbelow_with_getrandbits`` does, one lookup per draw: of
+        ``k = len(neighbors).bit_length()`` drawn bits, ``row[bits]`` is the
+        chosen neighbour's *index* in :meth:`neighbors` order, or -1 where
+        ``choice`` rejects the draw (``bits >= len(neighbors)``).  ``k`` is
+        0 for the isolated node of a single-node overlay.
         """
         compact = self._compact
         if compact is None:
             index_of = {node: i for i, node in enumerate(self._nodes)}
             graph = self._graph
-            adjacency = tuple(
-                tuple(index_of[m] for m in graph.neighbors(node))
-                for node in self._nodes
-            )
-            compact = (index_of, adjacency)
-            self._compact = compact
+            draws = []
+            for node in self._nodes:
+                row = [index_of[m] for m in graph.neighbors(node)]
+                k = len(row).bit_length()
+                draws.append((k, tuple(row + [-1] * ((1 << k) - len(row))) if k else ()))
+            compact = self._compact = (index_of, tuple(draws))
         return compact
 
     def degree(self, node_id: str) -> int:

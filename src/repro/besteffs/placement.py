@@ -13,18 +13,18 @@ To store an object, the reclamation algorithm:
    the admissible unit with the **lowest** highest-preempted importance.
 
 The comparison is deliberately *not* size-weighted (the paper calls this
-out explicitly); :class:`PlacementConfig.size_weighted` enables the
-ablation that weights it.
+out explicitly), so a probe is a score — ``(admissible, highest preempted
+importance)`` — and no unit builds an admission plan until it is chosen.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Mapping
 
-from repro.besteffs.node import BesteffsNode, ProbeResult
+from repro.besteffs.node import BesteffsNode
 from repro.besteffs.overlay import Overlay
 from repro.besteffs.walks import DEFAULT_WALK_LENGTH, sample_nodes
 from repro.core.obj import StoredObject
@@ -44,8 +44,6 @@ class PlacementConfig:
     m: int = 3
     #: Steps per random walk.
     walk_length: int = DEFAULT_WALK_LENGTH
-    #: Ablation: weight the probe by victim size (paper: False).
-    size_weighted: bool = False
 
     def __post_init__(self) -> None:
         if self.x < 1:
@@ -67,27 +65,6 @@ class PlacementDecision:
     #: Probe score of the chosen unit (0.0 for a direct store).
     chosen_score: float
     reason: str  # "direct" | "lowest-preempted" | "all-full"
-    #: The winning probe's admission plan, reusable by the commit: the
-    #: store cannot mutate between probe and accept in the single-threaded
-    #: simulator, so re-planning on accept would reproduce it verbatim.
-    plan: object | None = field(default=None, compare=False, repr=False)
-
-
-def _probe_score(probe: ProbeResult, now: float, size_weighted: bool) -> float:
-    """The scalar the rule minimises across candidate units.
-
-    Paper semantics: the raw highest preempted importance.  With
-    ``size_weighted`` (ablation) the score becomes the size-weighted mean
-    importance of the victim set, so a unit is no longer penalised for a
-    tiny high-importance victim that contributes 1 % of the space.
-    """
-    if not size_weighted or not probe.plan.victims:
-        return probe.highest_preempted
-    total = probe.plan.victim_bytes
-    if total == 0:
-        return probe.highest_preempted
-    weighted = sum(v.importance_at(now) * v.size for v in probe.plan.victims)
-    return weighted / total
 
 
 def choose_unit(
@@ -172,14 +149,16 @@ def _choose_unit(
 ) -> tuple[PlacementDecision, BesteffsNode | None]:
     if not nodes:
         raise PlacementError("cannot place on an empty cluster")
-    node_ids = overlay.node_ids
-    origin = start_node if start_node is not None else rng.choice(node_ids)
-    if origin not in nodes:
-        raise PlacementError(f"start node {origin!r} is not a cluster member")
+    if start_node is None:
+        origin = rng.choice(overlay.node_ids)
+    elif start_node in nodes:
+        origin = start_node
+    else:
+        raise PlacementError(f"start node {start_node!r} is not a cluster member")
 
+    incoming = obj.importance_at(now)
     best_score = float("inf")
     best_node: BesteffsNode | None = None
-    best_plan = None
     probed_total = 0
     profiled = _OBS.enabled
 
@@ -189,9 +168,13 @@ def _choose_unit(
             overlay, origin, config.x, rng, walk_length=config.walk_length
         )
         for node_id in sampled:
-            node = nodes[node_id]
-            probe = node.probe(obj, now)
             probed_total += 1
+            node = nodes.get(node_id)
+            if node is None:
+                # Expelled since the overlay was built: a brick that cannot
+                # store, probed and skipped like a full unit.
+                continue
+            probe = node.probe(obj, now, incoming)
             if not probe.admissible:
                 continue  # full for this object (or oversized here)
             if probe.direct:
@@ -205,39 +188,24 @@ def _choose_unit(
                         nodes_probed=probed_total,
                         chosen_score=0.0,
                         reason="direct",
-                        plan=probe.plan,
                     ),
                     node,
                 )
-            score = _probe_score(probe, now, config.size_weighted)
-            if score < best_score:
-                best_score = score
+            if probe.highest_preempted < best_score:
+                best_score = probe.highest_preempted
                 best_node = node
-                best_plan = probe.plan
         if profiled:
             _OBS.profiler.observe("placement.round", perf_counter() - round_t0)
 
-    if best_node is None:
-        return (
-            PlacementDecision(
-                placed=False,
-                node_id=None,
-                rounds_used=config.m,
-                nodes_probed=probed_total,
-                chosen_score=float("inf"),
-                reason="all-full",
-            ),
-            None,
-        )
+    placed = best_node is not None
     return (
         PlacementDecision(
-            placed=True,
-            node_id=best_node.node_id,
+            placed=placed,
+            node_id=best_node.node_id if placed else None,
             rounds_used=config.m,
             nodes_probed=probed_total,
-            chosen_score=best_score,
-            reason="lowest-preempted",
-            plan=best_plan,
+            chosen_score=best_score,  # still inf when every unit was full
+            reason="lowest-preempted" if placed else "all-full",
         ),
         best_node,
     )

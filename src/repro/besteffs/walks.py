@@ -22,6 +22,21 @@ __all__ = ["random_walk", "sample_nodes"]
 DEFAULT_WALK_LENGTH = 16
 
 
+def _walk(draws, start_ix: int, length: int, getrandbits) -> int:
+    """Endpoint index of one walk over :meth:`Overlay.walk_draws` rows:
+    bits are drawn exactly as ``rng.choice(neighbors)`` draws them, so the
+    endpoint — and the RNG state left behind — are bit-identical to the
+    string-space walk."""
+    current = start_ix
+    if len(draws) > 1:  # else: the isolated node of a single-node overlay
+        for _ in range(length):
+            k, row = draws[current]
+            current = row[getrandbits(k)]
+            while current < 0:
+                current = row[getrandbits(k)]
+    return current
+
+
 def random_walk(
     overlay: Overlay, start: str, length: int, rng: random.Random
 ) -> str:
@@ -31,25 +46,8 @@ def random_walk(
     if length < 0:
         raise OverlayError(f"walk length must be >= 0, got {length}")
     if type(rng) is random.Random:
-        # Hot path: walk in index space over the overlay's compact
-        # adjacency, drawing bits exactly as ``rng.choice`` would
-        # (``_randbelow_with_getrandbits``: k = n.bit_length() bits,
-        # rejecting r >= n), so the endpoint — and the RNG state left
-        # behind — are bit-identical to the string-space walk.
-        index_of, adjacency = overlay.compact_adjacency()
-        getrandbits = rng.getrandbits
-        current_ix = index_of[start]
-        for _ in range(length):
-            neighbors_ix = adjacency[current_ix]
-            n = len(neighbors_ix)
-            if not n:
-                break  # isolated single-node overlay
-            k = n.bit_length()
-            r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
-            current_ix = neighbors_ix[r]
-        return overlay.node_ids[current_ix]
+        index_of, draws = overlay.walk_draws()
+        return overlay.node_ids[_walk(draws, index_of[start], length, rng.getrandbits)]
     current = start
     for _ in range(length):
         neighbors = overlay.neighbors(current)
@@ -85,42 +83,43 @@ def sample_nodes(
     """
     if x < 1:
         raise OverlayError(f"sample size x must be >= 1, got {x}")
-    if start not in overlay:
+    # Resolve the overlay once per sample, not once per walk.
+    index_of, draws = overlay.walk_draws()
+    start_ix = index_of.get(start)
+    if start_ix is None:
         raise OverlayError(f"walk start {start!r} is not an overlay member")
     members = overlay.node_ids
+    found: list[str] = []
+    attempts = 0
     if x >= len(members):
         found = list(members)
-        if _OBS.enabled:
-            registry = _OBS.registry
-            registry.counter(
-                "overlay_walks_total", "Random walks executed by the sampler."
-            ).inc(0)
-            registry.histogram(
-                "overlay_sample_attempts",
-                "Walks needed to collect the requested distinct units.",
-                buckets=COUNT_BUCKETS,
-            ).observe(0)
-        return found
-    found: list[str] = []
-    seen: set[str] = set()
-    attempts = 0
-    limit = x * max_attempts_factor
-    while len(found) < x and attempts < limit:
-        endpoint = random_walk(overlay, start, walk_length, rng)
-        attempts += 1
-        if endpoint not in seen:
-            seen.add(endpoint)
-            found.append(endpoint)
+    else:
+        if walk_length < 0:
+            raise OverlayError(f"walk length must be >= 0, got {walk_length}")
+        seen: set[str] = set()
+        limit = x * max_attempts_factor
+        fast = type(rng) is random.Random
+        getrandbits = rng.getrandbits
+        while len(found) < x and attempts < limit:
+            if fast:
+                endpoint = members[_walk(draws, start_ix, walk_length, getrandbits)]
+            else:
+                endpoint = random_walk(overlay, start, walk_length, rng)
+            attempts += 1
+            if endpoint not in seen:
+                seen.add(endpoint)
+                found.append(endpoint)
     if _OBS.enabled:
         registry = _OBS.registry
         registry.counter(
             "overlay_walks_total", "Random walks executed by the sampler."
         ).inc(attempts)
-        registry.histogram(
-            "overlay_walk_length",
-            "Steps taken per random walk.",
-            buckets=COUNT_BUCKETS,
-        ).observe(walk_length)
+        if attempts:  # none on the whole-overlay shortcut
+            registry.histogram(
+                "overlay_walk_length",
+                "Steps taken per random walk.",
+                buckets=COUNT_BUCKETS,
+            ).observe(walk_length)
         registry.histogram(
             "overlay_sample_attempts",
             "Walks needed to collect the requested distinct units.",

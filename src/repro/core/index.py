@@ -539,6 +539,19 @@ class ImportanceIndex:
             now, needed, phases=self._phase, expired=self._expired_sorted
         )
 
+    def preempted_floor(
+        self, now: float, needed: int, incoming: float, strict: bool
+    ) -> tuple[bool, float] | None:
+        """``(admissible, highest preempted importance)`` of the plan
+        :meth:`greedy_victims` would back, unbuilt: O(1) when the expired
+        residents cover ``needed``, else a fold over the live merge heads
+        (:meth:`GroupedResidents.preempted_floor`; None when it declines)."""
+        self.advance(now)
+        deficit = needed - self._expired_bytes
+        if deficit <= 0:
+            return True, 0.0
+        return self.groups.preempted_floor(now, deficit, incoming, strict, phases=self._phase)
+
     def expired_objects(self, now: float) -> list[StoredObject]:
         """Expired residents in admission order (matches a naive scan)."""
         self.advance(now)

@@ -49,3 +49,13 @@ class RandomPolicy(EvictionPolicy):
         return AdmissionPlan(
             admit=True, victims=victims, highest_preempted=highest, reason="random-overwrite"
         )
+
+    def probe(
+        self, store: "StorageUnit", obj: StoredObject, now: float, incoming: float
+    ) -> tuple[bool, float]:
+        # Rewind the draws: the plan that commits must be the plan scored.
+        state = self._rng.getstate()
+        try:
+            return super().probe(store, obj, now, incoming)
+        finally:
+            self._rng.setstate(state)

@@ -39,3 +39,17 @@ class TemporalImportancePolicy(EvictionPolicy):
         self, store: "StorageUnit", obj: StoredObject, now: float
     ) -> AdmissionPlan:
         return plan_preemptive_admission(store, obj, now, strict=self.strict)
+
+    def probe(
+        self, store: "StorageUnit", obj: StoredObject, now: float, incoming: float
+    ) -> tuple[bool, float]:
+        # plan_preemptive_admission's guards in its order, then the index's
+        # score of the plan it would build; the plan itself only when the
+        # index declines (off-grid ``now``, pool run dry).
+        if obj.size > store.capacity_bytes:
+            return False, 0.0
+        needed = obj.size - store.free_bytes
+        if needed <= 0:
+            return True, 0.0
+        scored = store.importance_index.preempted_floor(now, needed, incoming, self.strict)
+        return scored or super().probe(store, obj, now, incoming)

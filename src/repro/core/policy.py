@@ -5,8 +5,8 @@ storage unit, an incoming object, and the current time, which residents (if
 any) must be preempted, and is the store "full" for this object?*  The
 :class:`~repro.core.store.StorageUnit` owns all mutation; policies are pure
 planners, which keeps them trivially testable and lets the Besteffs
-placement layer "peek" at an admission plan without committing it
-(Section 5.3's ``highest importance object preempted`` probe).
+placement layer score a unit (:meth:`EvictionPolicy.probe`) without
+planning it — Section 5.3's ``highest importance object preempted`` probe.
 """
 
 from __future__ import annotations
@@ -61,21 +61,17 @@ class AdmissionPlan:
     reason: str = ""
     incoming_importance: float | None = None
 
-    @property
-    def victim_bytes(self) -> int:
-        """Total bytes reclaimed by this plan."""
-        return sum(victim.size for victim in self.victims)
-
 
 @dataclass
 class EvictionPolicy(ABC):
     """Strategy interface for planning admissions.
 
-    Subclasses override :meth:`plan_admission`; they must not mutate the
-    store.  A policy instance may be shared between storage units as long as
-    it is stateless (all built-in policies are, except
-    :class:`~repro.core.policies.random_.RandomPolicy`, which carries an
-    RNG and therefore documents that it should not be shared).
+    Subclasses override :meth:`plan_admission` (and may override
+    :meth:`probe`); they must not mutate the store.  A policy instance may
+    be shared between storage units as long as it is stateless (all built-in
+    policies are, except :class:`~repro.core.policies.random_.RandomPolicy`,
+    which carries an RNG and therefore documents that it should not be
+    shared).
     """
 
     #: Human-readable policy name used in reports and experiment tables.
@@ -86,6 +82,21 @@ class EvictionPolicy(ABC):
         self, store: "StorageUnit", obj: StoredObject, now: float
     ) -> AdmissionPlan:
         """Plan how (whether) ``obj`` would be admitted at time ``now``."""
+
+    def probe(
+        self, store: "StorageUnit", obj: StoredObject, now: float, incoming: float
+    ) -> tuple[bool, float]:
+        """Score ``obj`` on ``store``: ``(plan.admit, plan.highest_preempted)``.
+
+        Section 5.3's placement probe; ``incoming`` is
+        ``obj.importance_at(now)``, computed once per offer.  The default
+        plans in full.  An override may stop short of the plan (any blocking
+        importance will do on a refusal), but the plan built next must bear
+        an admissible score out bit for bit, or
+        :meth:`BesteffsCluster.offer` refuses to commit it.
+        """
+        plan = self.plan_admission(store, obj, now)
+        return plan.admit, plan.highest_preempted
 
     # -- shared helpers ----------------------------------------------------
 

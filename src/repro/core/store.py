@@ -259,7 +259,7 @@ class StorageUnit:
         on successful admission — rejected arrivals have no side effects.
 
         ``plan`` reuses a plan from :meth:`peek_admission` at the same
-        ``now`` (the Besteffs probe→accept flow); the store must not have
+        ``now`` (how Besteffs commits a placement); the store must not have
         mutated in between, which the single-threaded simulator guarantees.
         A plan that no longer fits — a victim already gone, or too little
         space even after the evictions — raises before anything is evicted.
@@ -370,10 +370,10 @@ class StorageUnit:
     def peek_admission(self, obj: StoredObject, now: float) -> AdmissionPlan:
         """Plan admission without mutating the store.
 
-        This is the probe the Besteffs placement algorithm runs against
-        each sampled unit to learn the *highest importance object that will
-        be preempted* (Section 5.3).  Probes run hot during placement, so
-        they share ``offer``'s ``store.plan_admission`` profiler phase.
+        Besteffs placement scores the units it samples
+        (:meth:`EvictionPolicy.probe`) and calls this on the one it chose,
+        so the plan can be checked against the score before it commits;
+        it shares ``offer``'s ``store.plan_admission`` profiler phase.
         """
         if _OBS.enabled:
             t0 = perf_counter()

@@ -435,6 +435,35 @@ class GroupedResidents:
         for group in self._groups.values():
             group.live_start = 0
 
+    def _live_heads(self, now: float, phases: Mapping[ObjectId, str]) -> list[Entry] | None:
+        """The merge head of every source with a live member at ``now``;
+        None when superfamily exactness cannot be guaranteed there (off the
+        integer grid, or before a family member's arrival)."""
+        if self._families and not (
+            -_MAX_EXACT_NOW <= now <= _MAX_EXACT_NOW
+            and now.is_integer()
+            and now >= self._family_max_arrival
+        ):
+            return None
+        heads: list[Entry] = []
+        expired_phase = "expired"
+        for group in self._groups.values():
+            members = group.members
+            n = len(members)
+            i = group.live_start
+            while i < n and phases.get(members[i][1]) == expired_phase:
+                i += 1
+            group.live_start = i
+            if i < n:
+                t_arrival, oid, obj = members[i]
+                imp, rem = group.eval(obj, now)
+                heads.append((imp, rem, t_arrival, oid, i, group))
+        for family in self._families.values():
+            entry = family.entry_at(bisect_right(family.members, now, key=_E_OF), now)
+            if entry is not None:
+                heads.append(entry)
+        return heads
+
     def greedy_victims(
         self,
         now: float,
@@ -456,34 +485,12 @@ class GroupedResidents:
         sort-based plan.
         """
         now = float(now)
-        if self._families and not (
-            -_MAX_EXACT_NOW <= now <= _MAX_EXACT_NOW
-            and now.is_integer()
-            and now >= self._family_max_arrival
-        ):
+        heap = self._live_heads(now, phases)
+        if heap is None:
             return None
-        heap: list[Entry] = []
         if expired:
             t_arrival, oid, _obj = expired[0]
             heap.append((0.0, 0.0, t_arrival, oid, 0, _ExpiredStream(expired)))
-        expired_phase = "expired"
-        for group in self._groups.values():
-            members = group.members
-            n = len(members)
-            i = group.live_start
-            while i < n and phases.get(members[i][1]) == expired_phase:
-                i += 1
-            group.live_start = i
-            if i < n:
-                t_arrival, oid, obj = members[i]
-                imp, rem = group.eval(obj, now)
-                heap.append((imp, rem, t_arrival, oid, i, group))
-        for family in self._families.values():
-            members = family.members
-            i = bisect_right(members, now, key=_E_OF)
-            entry = family.entry_at(i, now)
-            if entry is not None:
-                heap.append(entry)
         heapify(heap)
         victims: list[StoredObject] = []
         freed = 0
@@ -499,3 +506,39 @@ class GroupedResidents:
             if nxt is not None:
                 heappush(heap, nxt)
         return victims, highest, freed
+
+    def preempted_floor(
+        self, now: float, deficit: int, incoming: float, strict: bool,
+        *, phases: Mapping[ObjectId, str],
+    ) -> tuple[bool, float] | None:
+        """Score, without collecting it, the greedy prefix of the *live*
+        residents for the ``deficit > 0`` bytes the expired ones leave
+        uncovered (their keys ``(0.0, 0.0, ...)`` sort first, so this
+        prefix's highest importance is the whole prefix's).
+
+        ``(True, highest)`` as :meth:`greedy_victims` would report it, or
+        ``(False, importance)`` at the first victim that blocks
+        ``incoming`` — victims pop in ascending importance, so the prefix
+        maximum blocks too.  None when the merge declines or the pool runs
+        dry: the caller plans in full.  See docs/performance.md.
+        """
+        now = float(now)
+        heap = self._live_heads(now, phases)
+        if heap is None:
+            return None
+        heapify(heap)
+        freed = 0
+        highest = 0.0
+        while heap:
+            imp, _rem, _t, _oid, pos, source = heappop(heap)
+            if imp > 0.0 and (imp >= incoming if strict else imp > incoming):
+                return False, imp
+            freed += source.obj_at(pos).size
+            if imp > highest:
+                highest = imp
+            if freed >= deficit:
+                return True, highest
+            nxt = source.entry_at(pos + 1, now)
+            if nxt is not None:
+                heappush(heap, nxt)
+        return None

@@ -119,27 +119,3 @@ class TestChooseUnit:
         with pytest.raises(PlacementError):
             choose_unit({}, overlay, make_obj(1.0), 0.0,
                         config=PlacementConfig(), rng=random.Random(0))
-
-    def test_size_weighted_ablation_changes_score(self):
-        # One node holds a tiny fresh object and a big waned one; the
-        # paper rule scores it by the max victim importance, the ablation
-        # by the size-weighted mean (much lower here).
-        node = BesteffsNode("n0", gib(4))
-        node.accept(make_obj(3.5, t_arrival=0.0), 0.0)     # importance 1/3 at day 25
-        node.accept(make_obj(0.5, t_arrival=days(4)), days(4))  # importance 0.6 at day 25
-        nodes = {"n0": node}
-        overlay = Overlay.random_regular(["n0"], seed=0)
-        now = days(25)
-        incoming = make_obj(3.8, t_arrival=now)
-        _d_paper, _ = choose_unit(
-            nodes, overlay, incoming, now,
-            config=PlacementConfig(x=1, m=1, size_weighted=False),
-            rng=random.Random(0),
-        )
-        d_weighted, _ = choose_unit(
-            nodes, overlay, incoming, now,
-            config=PlacementConfig(x=1, m=1, size_weighted=True),
-            rng=random.Random(0),
-        )
-        assert _d_paper.placed and d_weighted.placed
-        assert d_weighted.chosen_score < _d_paper.chosen_score

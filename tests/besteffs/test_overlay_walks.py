@@ -137,3 +137,82 @@ class TestWholeOverlayShortcut:
         before = rng.getstate()
         sample_nodes(overlay, IDS[0], 5, rng)
         assert rng.getstate() != before
+
+
+class _SubclassedRandom(random.Random):
+    """Forces the string-space walk: the reference the kernel must equal."""
+
+
+def _reference_sample(overlay, start, x, rng, walk_length, max_attempts_factor=8):
+    """``sample_nodes`` as first written: ``rng.choice`` over neighbour tuples."""
+    found, attempts = [], 0
+    while len(found) < x and attempts < x * max_attempts_factor:
+        current = start
+        for _ in range(walk_length):
+            neighbors = overlay.neighbors(current)
+            if not neighbors:
+                break
+            current = rng.choice(neighbors)
+        attempts += 1
+        if current not in found:
+            found.append(current)
+    return found
+
+
+def _overlays():
+    regular = Overlay.random_regular(IDS, degree=8, seed=3)
+    spliced = Overlay.random_regular(IDS[:12], degree=3, seed=4)
+    joiner = random.Random(9)
+    for extra, degree in (("j1", 1), ("j2", 5), ("j3", 2), ("j4", 9)):
+        spliced = spliced.with_node(extra, degree=degree, rng=joiner)
+    return {
+        "regular": regular,
+        "odd-degree": Overlay.random_regular(IDS[:20], degree=5, seed=2),
+        "small-world": Overlay.small_world(IDS, k=6, rewire_p=0.3, seed=2),
+        "single-node": Overlay.random_regular(["solo"], seed=0),
+        "spliced": spliced.without_node(IDS[0], rng=joiner),
+    }
+
+
+class TestWalkKernelEqualsTheStringSpaceWalk:
+    """Endpoints *and the RNG state left behind* match ``rng.choice`` walks."""
+
+    @pytest.mark.parametrize("name", list(_overlays()))
+    def test_random_walk(self, name):
+        overlay = _overlays()[name]
+        if name == "spliced":
+            assert len({overlay.degree(n) for n in overlay.node_ids}) > 2  # mixed degrees
+        for seed in range(5):
+            fast, reference = random.Random(seed), _SubclassedRandom(seed)
+            for start in overlay.node_ids[:6]:
+                for length in (0, 1, 7, 16):
+                    assert random_walk(overlay, start, length, fast) == random_walk(
+                        overlay, start, length, reference
+                    )
+                    assert fast.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("name", list(_overlays()))
+    def test_sample_nodes(self, name):
+        overlay = _overlays()[name]
+        for seed in range(5):
+            fast, subclassed, plain = (
+                random.Random(seed), _SubclassedRandom(seed), random.Random(seed)
+            )
+            for start in overlay.node_ids[:4]:
+                for x, walk_length in ((1, 16), (3, 5), (5, 16), (7, 0)):
+                    if x >= len(overlay):
+                        continue  # the whole-overlay shortcut, tested above
+                    expected = _reference_sample(overlay, start, x, plain, walk_length)
+                    assert sample_nodes(
+                        overlay, start, x, fast, walk_length=walk_length
+                    ) == expected
+                    assert sample_nodes(
+                        overlay, start, x, subclassed, walk_length=walk_length
+                    ) == expected
+                    assert fast.getstate() == plain.getstate() == subclassed.getstate()
+
+    def test_sample_nodes_rejects_a_negative_walk_length(self):
+        overlay = Overlay.random_regular(IDS, degree=8, seed=3)
+        for rng in (random.Random(0), _SubclassedRandom(0)):
+            with pytest.raises(OverlayError):
+                sample_nodes(overlay, IDS[0], 3, rng, walk_length=-1)

@@ -3,6 +3,7 @@
 from repro import obs
 from repro.besteffs.cluster import BesteffsCluster
 from repro.besteffs.gossip import GossipAverager, sampled_density
+from repro.besteffs.placement import PlacementConfig
 from repro.core.importance import FixedLifetimeImportance
 from repro.core.policies.temporal import TemporalImportancePolicy
 from repro.core.store import StorageUnit
@@ -158,6 +159,27 @@ class TestBesteffsInstrumentation:
         assert reg.get("overlay_walks_total").value() > 0
         assert reg.get("overlay_walk_length").snapshot()["count"] > 0
         assert obs.STATE.tracer.stats("besteffs.choose_unit").count == 6
+
+    def test_a_score_probe_is_profiled_like_the_plan_it_replaced(self):
+        # One ``store.plan_admission`` observation per probe (plus the
+        # winner's plan at commit), one ``placement.round`` per round —
+        # the same phases the plan-per-probe loop recorded, from the same
+        # code that runs with obs off.
+        obs.enable()
+        cluster = BesteffsCluster(
+            {f"n{i}": gib(1) for i in range(6)}, placement=PlacementConfig(x=3, m=2), seed=1
+        )
+        probes = rounds = placed = 0
+        for i in range(12):
+            now = days(2 * i)
+            decision, _result = cluster.offer(make_obj(1.0, t_arrival=now), now)
+            probes += decision.nodes_probed
+            rounds += decision.rounds_used
+            placed += decision.placed
+        assert 0 < placed < 12  # direct stores, preemptions and all-full refusals
+        profiler = obs.STATE.profiler
+        assert profiler.stats("store.plan_admission").count == probes + placed
+        assert profiler.stats("placement.round").count == rounds
 
     def test_gossip_metrics(self):
         obs.enable()

@@ -39,16 +39,19 @@ class _ResidentScan:
 class ScanIndex(_ResidentScan):
     """:class:`~repro.core.index.ImportanceIndex`'s protocol, by full scan.
 
-    ``greedy_victims`` always declines, so admission planning takes the
-    candidates-plus-sort path over *all* residents — the paper's rule as
-    written (sort everything by current importance, take the greedy
-    prefix).
+    ``greedy_victims`` and ``preempted_floor`` always decline, so admission
+    planning takes the candidates-plus-sort path over *all* residents — the
+    paper's rule as written (sort everything by current importance, take
+    the greedy prefix) — and a probe is scored from that plan.
     """
 
     def add(self, obj: StoredObject, now: float) -> None:
         self._obj[obj.object_id] = obj
 
     def greedy_victims(self, now: float, needed: int) -> None:
+        return None
+
+    def preempted_floor(self, now: float, needed: int, incoming: float, strict: bool) -> None:
         return None
 
     def victim_candidates(self, now: float, needed: int) -> list[StoredObject]:

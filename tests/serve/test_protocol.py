@@ -91,7 +91,7 @@ class TestStoreResponse:
     def test_admitted_properties(self):
         decision = PlacementDecision(
             placed=True, node_id="n1", rounds_used=1, nodes_probed=4,
-            chosen_score=0.0, reason="ok", plan=None,
+            chosen_score=0.0, reason="ok",
         )
         response = StoreResponse(
             request_id="r1", status=StoreStatus.ADMITTED,
