@@ -114,19 +114,23 @@ bench-serve-scaling:
 # schema test that keeps BENCHMARK.json, bench/layers.py and the traced
 # import sites in step, then the < 30 s shape of the real benchmark —
 # every workload once, digests and invariants checked — and one quick
-# parent|change pair of HEAD against this tree, so the A/B tool below
-# keeps running too.  Too short to gate times; run `python3 -m bench` for
-# numbers (bench/README.md) and `make bench-ab` for a comparison.
+# parent|change pair of HEAD against this tree on one serve and one sim
+# workload, untraced then traced (--layers), so the A/B tool below and the
+# tracer's targets keep running too.  Too short to gate times; run
+# `python3 -m bench` for numbers (bench/README.md) and `make bench-ab` for
+# a comparison.
 bench-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} pytest bench/ -q
 	python3 -m bench --quick
-	python3 tools/bench_ab.py HEAD --workload sim_cluster --pairs 1 --quick
+	python3 tools/bench_ab.py HEAD --workload serve_flash --workload sim_cluster \
+		--pairs 1 --quick --layers
 
 # A perf PR's evidence: alternating parent/change pairs of the
 # BENCHMARK.json contract run, judged by the choosing-metrics §8 rule
 # (wins >= 9/10, medians further apart than the parent's quartile spread,
 # "unresolved" where that spread exceeds the metric's bound).  The parent
 # is extracted with `git archive`; the change is this working tree.
+# ARGS="--layers" adds one traced pair per workload (per-layer rows).
 #   make bench-ab PARENT=HEAD~1 [ARGS="--workload sim_cluster --seed 7"]
 bench-ab:
 	python3 tools/bench_ab.py $(PARENT) $(ARGS)

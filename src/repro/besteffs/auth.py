@@ -21,7 +21,8 @@ import hashlib
 import hmac
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from repro.core.obj import StoredObject
 from repro.errors import ReproError
@@ -52,8 +53,8 @@ class Capability:
     expires_at_minutes: float
     signature: str = field(default="", compare=False)
 
-    def payload(self) -> bytes:
-        """Canonical signed byte representation."""
+    @cached_property
+    def _payload(self) -> bytes:
         return json.dumps(
             {
                 "principal": self.principal,
@@ -64,6 +65,31 @@ class Capability:
             },
             sort_keys=True,
         ).encode()
+
+    def payload(self) -> bytes:
+        """Canonical signed byte representation, encoded once per instance.
+
+        A pure function of the frozen fields, kept in the instance
+        ``__dict__`` where no dataclass-generated method looks (``==``,
+        ``hash``, ``repr``, ``asdict``; ``replace`` builds a new instance
+        that encodes its own).  Only the encoding is remembered: every
+        :meth:`CapabilityRealm.verify` recomputes the HMAC over it.
+        """
+        return self._payload
+
+    def same_token(self, other: Capability) -> bool:
+        """Whether ``other`` presents the same fields *and* signature.
+
+        ``==`` ignores ``signature`` (``compare=False``); this is the
+        identity under which one token's verification outcome is
+        another's.  A malformed signature matches nothing but itself.
+        """
+        if self is other:
+            return True
+        try:
+            return self == other and hmac.compare_digest(self.signature, other.signature)
+        except TypeError:
+            return False
 
     def allows(self, action: str) -> bool:
         return action in self.actions
@@ -108,20 +134,23 @@ class CapabilityRealm:
             max_initial_importance=max_initial_importance,
             expires_at_minutes=expires_at_minutes,
         )
-        signature = self._sign(unsigned)
-        return Capability(
-            principal=unsigned.principal,
-            actions=unsigned.actions,
-            max_object_bytes=unsigned.max_object_bytes,
-            max_initial_importance=unsigned.max_initial_importance,
-            expires_at_minutes=unsigned.expires_at_minutes,
-            signature=signature,
-        )
+        return replace(unsigned, signature=self._sign(unsigned))
 
     def verify(self, capability: Capability, now: float) -> None:
-        """Raise :class:`AuthError` unless the capability is valid now."""
-        expected = self._sign(capability)
-        if not hmac.compare_digest(expected, capability.signature):
+        """Raise :class:`AuthError` unless the capability is valid now.
+
+        The HMAC is recomputed and compared on every call; a verdict is
+        never remembered (it is what makes a token unforgeable, and expiry
+        depends on ``now``).
+        """
+        signature = capability.signature
+        # compare_digest raises TypeError for bytes, None and non-ASCII
+        # str: anything but the exact hex digest is a forgery, not a crash.
+        if not (
+            isinstance(signature, str)
+            and signature.isascii()
+            and hmac.compare_digest(self._sign(capability), signature)
+        ):
             raise AuthError(f"forged capability for {capability.principal!r}")
         if now > capability.expires_at_minutes:
             raise AuthError(

@@ -238,7 +238,7 @@ def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-coalesce",
         action="store_true",
-        help="disable same-(principal, object) write coalescing per "
+        help="disable same-(token, object) write coalescing per "
         "admission round",
     )
     parser.add_argument(

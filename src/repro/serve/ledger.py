@@ -3,9 +3,9 @@
 Every request the service answers — admitted, rejected, shed or expired —
 appends one entry pairing the request's canonical form with the
 response's.  The ledger follows the trace archive's canonical-bytes
-discipline (:mod:`repro.obs.traceexport`): one ``json.dumps(...,
-sort_keys=True)`` object per line, entries ordered by submission
-sequence, **simulation-time fields only**.  Wall-clock latencies live in
+discipline (:mod:`repro.obs.traceexport`): one sorted-key JSON object
+per line, entries ordered by submission sequence, **simulation-time
+fields only**.  Wall-clock latencies live in
 the obs histograms and the loadgen report, never here — so a seeded
 closed-loop run writes a byte-identical ledger on every invocation (the
 determinism pin in ``tests/serve/test_determinism.py``).
@@ -24,6 +24,16 @@ __all__ = ["ServeLedgerEntry", "ServeLedger", "FrozenServeLedger", "merge_ledger
 
 _FORMAT = "repro-serve-ledger/1"
 
+#: The one encoder of ledger lines.  Every dict it is handed is a literal
+#: written in sorted key order (``to_dict`` / ``canonical_dict``), so its
+#: output is byte-equal to ``json.dumps(..., sort_keys=True)`` with no
+#: per-line sort and no per-line ``JSONEncoder``.
+_encode = json.JSONEncoder().encode
+
+
+def _header_line(entries: int) -> str:
+    return _encode({"entries": entries, "format": _FORMAT})
+
 
 @dataclass(frozen=True)
 class ServeLedgerEntry:
@@ -36,13 +46,17 @@ class ServeLedgerEntry:
     response: StoreResponse
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "seq": self.seq,
-            "t_submit": self.t_submit,
-            "t_decided": self.t_decided,
+        return {  # keys in sorted order, like both halves: see ``_encode``
             "request": self.request.canonical_dict(),
             "response": self.response.canonical_dict(),
+            "seq": self.seq,
+            "t_decided": self.t_decided,
+            "t_submit": self.t_submit,
         }
+
+    def canonical_line(self) -> str:
+        """The entry's ledger line (canonical JSON, no newline)."""
+        return _encode(self.to_dict())
 
 
 @dataclass
@@ -84,9 +98,6 @@ class ServeLedger:
     def entries(self) -> tuple[ServeLedgerEntry, ...]:
         return tuple(self._entries)
 
-    def _header(self) -> dict[str, object]:
-        return {"format": _FORMAT, "entries": len(self._entries)}
-
     def canonical_bytes(self) -> bytes:
         """The run-invariant byte form: header line + one line per entry.
 
@@ -94,11 +105,8 @@ class ServeLedger:
         decision order, which under batching can interleave) so two runs
         that answered the same requests produce identical bytes.
         """
-        lines = [json.dumps(self._header(), sort_keys=True)]
-        lines.extend(
-            json.dumps(e.to_dict(), sort_keys=True)
-            for e in sorted(self._entries, key=lambda e: e.seq)
-        )
+        lines = [_header_line(len(self._entries))]
+        lines.extend(line for _seq, line in self.keyed_lines())
         return ("\n".join(lines) + "\n").encode("utf-8")
 
     def canonical_sha256(self) -> str:
@@ -108,7 +116,7 @@ class ServeLedger:
         """``(seq, canonical JSON line)`` pairs — the picklable transport
         form shard workers ship back for the parent's merge."""
         return [
-            (e.seq, json.dumps(e.to_dict(), sort_keys=True))
+            (e.seq, e.canonical_line())
             for e in sorted(self._entries, key=lambda e: e.seq)
         ]
 
@@ -138,9 +146,7 @@ class FrozenServeLedger:
         return len(self.lines)
 
     def canonical_bytes(self) -> bytes:
-        header = json.dumps(
-            {"format": _FORMAT, "entries": len(self.lines)}, sort_keys=True
-        )
+        header = _header_line(len(self.lines))
         return ("\n".join([header, *self.lines]) + "\n").encode("utf-8")
 
     def canonical_sha256(self) -> str:

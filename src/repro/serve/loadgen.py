@@ -130,7 +130,7 @@ class LoadGenSpec:
     high_water: int = 64
     #: Sliding offered-load window, simulated minutes.
     window_minutes: float = 1440.0
-    #: Coalesce same-``(principal, object id)`` requests per admission round.
+    #: Coalesce same-token, same-object writes per admission round.
     coalesce: bool = True
     #: Flash-crowd workload: distinct hot object ids the burst hammers.
     hot_objects: int = 8

@@ -129,14 +129,15 @@ class StoreRequest:
 
     def canonical_dict(self) -> dict[str, object]:
         """Sim-time-only JSON form (ledger lines; no wall-clock fields)."""
-        return {
-            "request_id": self.request_id,
-            "principal": self.principal,
-            "object_id": self.obj.object_id,
-            "size": self.obj.size,
-            "creator": self.obj.creator,
-            "t_arrival": self.obj.t_arrival,
+        obj = self.obj
+        return {  # keys in sorted order: the ledger encodes without sorting
+            "creator": obj.creator,
             "deadline": self.deadline,
+            "object_id": obj.object_id,
+            "principal": self.capability.principal,
+            "request_id": self.request_id,
+            "size": obj.size,
+            "t_arrival": obj.t_arrival,
         }
 
 
@@ -165,11 +166,11 @@ class StoreResponse:
 
     def canonical_dict(self) -> dict[str, object]:
         """Sim-time-only JSON form (ledger lines; no wall-clock fields)."""
-        return {
-            "request_id": self.request_id,
-            "status": self.status.value,
+        return {  # keys in sorted order: the ledger encodes without sorting
+            "cost_charged": self.cost_charged,
             "detail": self.detail,
             "node_id": self.decision.node_id if self.decision else None,
-            "cost_charged": self.cost_charged,
+            "request_id": self.request_id,
             "retry_after": self.retry_after,
+            "status": self.status._value_,
         }

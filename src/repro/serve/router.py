@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.serve.protocol import ServeError, StoreRequest
 
@@ -46,13 +47,16 @@ __all__ = [
 SPILL_POLICIES = ("overflow", "never")
 
 
+@lru_cache(maxsize=1024)
 def home_shard(object_id: str, shards: int) -> int:
     """The stable home shard of a placement key.
 
     SHA-256 of the object id, reduced mod ``shards`` — independent of
     ``PYTHONHASHSEED``, process, and platform, so every participant
     (parent planner, shard workers, a future client library) agrees on
-    the home without coordination.
+    the home without coordination.  A pure function of immutable keys, so
+    the hot ids of a flash crowd are hashed once; the memo is bounded
+    because most ids are seen exactly once.
     """
     if shards < 1:
         raise ServeError(f"shards must be >= 1, got {shards}")
@@ -122,34 +126,34 @@ class ShardRouter:
 
     def offered_load(self, shard: int, now: float) -> int:
         """Requests routed to ``shard`` within the trailing window."""
-        self._expire(shard, now)
-        return len(self._windows[shard])
-
-    def _expire(self, shard: int, now: float) -> None:
         horizon = now - self.config.window_minutes
         window = self._windows[shard]
         while window and window[0] <= horizon:
             window.popleft()
+        return len(window)
 
     def route(self, request: StoreRequest, now: float | None = None) -> RoutingDecision:
         """Assign one request to a shard and account for it."""
         if now is None:
             now = request.obj.t_arrival
         config = self.config
+        windows = self._windows
         home = home_shard(request.obj.object_id, config.shards)
         target = home
         if config.spill == "overflow" and config.shards > 1:
-            for shard in range(config.shards):
-                self._expire(shard, now)
-            if len(self._windows[home]) >= config.high_water:
-                loads = [len(w) for w in self._windows]
-                least = min(range(config.shards), key=lambda s: (loads[s], s))
+            horizon = now - config.window_minutes
+            for window in windows:
+                while window and window[0] <= horizon:
+                    window.popleft()
+            if len(windows[home]) >= config.high_water:
+                loads = [len(w) for w in windows]
+                least = loads.index(min(loads))  # ties: the lowest shard id
                 if loads[least] < loads[home]:
                     target = least
         if target != home:
             self.spilled_total += 1
         self.routed_by_shard[target] += 1
-        self._windows[target].append(now)
+        windows[target].append(now)
         return RoutingDecision(shard=target, home=home)
 
 

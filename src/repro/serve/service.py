@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 
 from repro.besteffs.gateway import BesteffsGateway
@@ -72,9 +72,10 @@ class ServeConfig:
     executor: str = "inline"
     #: Thread-pool width when ``executor="thread"``.
     threads: int = 4
-    #: Coalesce same-``(principal, object id)`` requests within one
-    #: admission round into a single gateway decision fanned back to all
-    #: callers (the write-dedup half of flash-crowd survival).
+    #: Coalesce requests presenting the same token for the same object id
+    #: and payload within one admission round into a single gateway
+    #: decision fanned back to all callers (the write-dedup half of
+    #: flash-crowd survival).
     coalesce: bool = True
 
     def __post_init__(self) -> None:
@@ -94,7 +95,7 @@ class ServeConfig:
             raise ServeError(f"threads must be >= 1, got {self.threads}")
 
 
-@dataclass
+@dataclass(slots=True)
 class _Pending:
     """A queued request awaiting its admission batch."""
 
@@ -106,6 +107,20 @@ class _Pending:
 
 
 _STOP = object()
+
+
+def _same_auth_input(leader: StoreRequest, member: StoreRequest) -> bool:
+    """Whether the auth gate reads the same input from both requests.
+
+    True only for the same presented token — fields *and* signature — and
+    the same payload fields :meth:`CapabilityRealm.authorize_store`
+    checks against it (size, lifetime).
+    """
+    return (
+        leader.capability.same_token(member.capability)
+        and leader.obj.size == member.obj.size
+        and leader.obj.lifetime == member.obj.lifetime
+    )
 
 
 class GatewayService:
@@ -139,6 +154,7 @@ class GatewayService:
         #: Wall-clock admission latency of every queue-processed request.
         self.latencies_seconds: list[float] = []
         self._seq = 0
+        self._loop: asyncio.AbstractEventLoop | None = None
         self._queue: asyncio.Queue | None = None
         self._worker_task: asyncio.Task | None = None
         self._pool: ThreadPoolExecutor | None = None
@@ -155,6 +171,7 @@ class GatewayService:
         if self.running:
             raise ServeError("service is already running")
         self._draining = False
+        self._loop = asyncio.get_running_loop()
         self._queue = asyncio.Queue(maxsize=self.config.queue_size)
         if self.config.executor == "thread" and self._pool is None:
             self._pool = ThreadPoolExecutor(
@@ -215,18 +232,17 @@ class GatewayService:
 
         if self._draining:
             return self._shed(request, seq, now, "draining", None)
-        if not self.limiter.try_acquire(request.principal, self.clock):
+        principal = request.capability.principal
+        if not self.limiter.try_acquire(principal, self.clock):
             return self._shed(
                 request,
                 seq,
                 now,
                 "ratelimit",
-                self.limiter.retry_after(request.principal, self.clock),
+                self.limiter.retry_after(principal, self.clock),
             )
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        pending = _Pending(
-            request=request, seq=seq, t_submit=now, t0=perf_counter(), future=future
-        )
+        future: asyncio.Future = self._loop.create_future()
+        pending = _Pending(request, seq, now, perf_counter(), future)
         try:
             self._queue.put_nowait(pending)
         except asyncio.QueueFull:
@@ -271,7 +287,7 @@ class GatewayService:
         return response
 
     def _account(self, response: StoreResponse) -> None:
-        status = response.status.value
+        status = response.status._value_  # the plain attribute behind ``.value``
         self.responses_by_status[status] = self.responses_by_status.get(status, 0) + 1
         if _OBS.enabled:
             _OBS.registry.counter(
@@ -284,7 +300,6 @@ class GatewayService:
 
     async def _worker(self) -> None:
         assert self._queue is not None
-        loop = asyncio.get_running_loop()
         while True:
             item = await self._queue.get()
             if item is _STOP:
@@ -304,13 +319,11 @@ class GatewayService:
                 _OBS.registry.gauge(
                     "serve_queue_depth", "Requests queued awaiting admission"
                 ).set(self._queue.qsize())
-            await self._process_batch(batch, loop)
+            await self._process_batch(batch)
             if stop_seen:
                 break
 
-    async def _process_batch(
-        self, batch: list[_Pending], loop: asyncio.AbstractEventLoop
-    ) -> None:
+    async def _process_batch(self, batch: list[_Pending]) -> None:
         # One clock per batch: every member is judged at the same instant,
         # which is what makes coalescing a *placement round* rather than a
         # convenience loop.
@@ -324,7 +337,7 @@ class GatewayService:
             ).observe(len(batch))
         try:
             if self._pool is not None:
-                responses = await loop.run_in_executor(
+                responses = await self._loop.run_in_executor(
                     self._pool, self._handle_batch, batch, batch_now
                 )
             else:
@@ -352,10 +365,14 @@ class GatewayService:
         Deadlines are checked first — an expired request is answered
         ``EXPIRED_IN_QUEUE`` *before* coalescing groups form, so it can
         neither be admitted through a live sibling's decision nor drag a
-        live sibling down with it.  The surviving requests then coalesce
-        by ``(principal, object id)``: one gateway decision per group,
-        fanned back to every member (siblings carry ``cost_charged=0`` —
-        only the leader's write was charged and placed).
+        live sibling down with it.  The surviving requests then coalesce:
+        one gateway decision per group, fanned back to every member
+        (siblings carry ``cost_charged=0`` — only the leader's write was
+        charged and placed).  Groups form *before* authentication, so the
+        claimed ``(principal, object id)`` only nominates one: a member
+        rides its leader's decision only if :func:`_same_auth_input` holds
+        — the auth gate, judging both at this round's clock, provably
+        answers them alike — and otherwise leads a group of its own.
         """
         requests = [pending.request for pending in batch]
         responses: list[StoreResponse | None] = [None] * len(batch)
@@ -373,11 +390,22 @@ class GatewayService:
             else:
                 live.append(i)
         if self.config.coalesce:
-            groups: dict[tuple[str, str], list[int]] = {}
+            # Groups in order of their leaders' queue positions; the token
+            # comparison runs only where a claimed key repeats in a round.
+            members: list[list[int]] = []
+            claimed: dict[tuple[str, str], list[list[int]]] = {}
             for i in live:
-                key = (requests[i].principal, requests[i].obj.object_id)
-                groups.setdefault(key, []).append(i)
-            members = list(groups.values())
+                request = requests[i]
+                key = (request.capability.principal, request.obj.object_id)
+                candidates = claimed.setdefault(key, [])
+                for group in candidates:
+                    if _same_auth_input(requests[group[0]], request):
+                        group.append(i)
+                        break
+                else:
+                    group = [i]
+                    candidates.append(group)
+                    members.append(group)
         else:
             members = [[i] for i in live]
         leaders = [requests[idxs[0]] for idxs in members]

@@ -100,6 +100,11 @@ class UniversityWorkload:
             if not self.calendar.in_session(doy):
                 continue
             base = day * MINUTES_PER_DAY
+            # Table 1 reads an arrival time only through its day of year,
+            # and every offset below stays inside this day: one annotation
+            # pair serves the whole class day.
+            university = university_lifetime_for_day(base, self.calendar)
+            student = student_lifetime_for_day(base, self.calendar)
             for course in range(cfg.courses):
                 if cfg.meet_fraction < 1.0 and rng.random() >= cfg.meet_fraction:
                     continue
@@ -110,7 +115,7 @@ class UniversityWorkload:
                 yield StoredObject(
                     size=lec.university_object_bytes,
                     t_arrival=t,
-                    lifetime=university_lifetime_for_day(t, self.calendar),
+                    lifetime=university,
                     creator=UNIVERSITY_CREATOR,
                     metadata={"course": course, "day": day},
                 )
@@ -121,7 +126,7 @@ class UniversityWorkload:
                     yield StoredObject(
                         size=lec.student_object_bytes,
                         t_arrival=t,
-                        lifetime=student_lifetime_for_day(t, self.calendar),
+                        lifetime=student,
                         creator=STUDENT_CREATOR,
                         metadata={"course": course, "day": day, "student": s},
                     )

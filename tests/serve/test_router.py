@@ -3,6 +3,8 @@
 import pytest
 
 from repro.besteffs.auth import CapabilityRealm
+from repro.serve import router as router_module
+from repro.serve.loadgen import LoadGenSpec, build_requests
 from repro.serve.protocol import ServeError, StoreRequest
 from repro.serve.router import (
     RouterConfig,
@@ -144,3 +146,41 @@ class TestRouting:
         plan_a, _ = plan_routes(make_requests(object_ids), config)
         plan_b, _ = plan_routes(make_requests(object_ids), config)
         assert plan_a == plan_b
+
+
+class TestHomeShardMemo:
+    """``home_shard`` is memoised with a constant bound; a plan must not
+    depend on what the memo holds, and the memo must not grow with the
+    stream (most ids are seen exactly once)."""
+
+    def test_flash_plan_equals_the_unmemoised_plan(self, monkeypatch):
+        # The serve_flash shape at test scale: a university base stream
+        # plus 64 hot ids aimed at one shard, with spill under way.
+        spec = LoadGenSpec(
+            workload="flashcrowd", shards=4, nodes=16, scale=0.02, horizon_days=40,
+            burst_factor=4, hot_objects=64, high_water=16, window_minutes=720,
+            seed=42,
+        )
+        requests = build_requests(spec, CapabilityRealm(b"router-tests"))
+        config = RouterConfig(shards=4, high_water=16, window_minutes=720.0)
+        home_shard.cache_clear()
+        cold, cold_router = plan_routes(requests, config)
+        warm, _ = plan_routes(requests, config)  # every hot id already held
+        monkeypatch.setattr(router_module, "home_shard", home_shard.__wrapped__)
+        plain, plain_router = plan_routes(requests, config)
+        assert cold == warm == plain
+        assert cold_router.spilled_total == plain_router.spilled_total > 0
+        assert len({r.obj.object_id for r in requests}) > 1000
+
+    def test_memo_stays_at_its_constant_bound(self):
+        home_shard.cache_clear()
+        bound = home_shard.cache_info().maxsize
+        assert bound is not None and bound <= 4096
+        homes = [home_shard(f"once-{i}", 8) for i in range(10_000)]
+        assert home_shard.cache_info().currsize == bound
+        assert homes == [home_shard.__wrapped__(f"once-{i}", 8) for i in range(10_000)]
+
+    def test_errors_are_not_memoised(self):
+        for _ in range(2):
+            with pytest.raises(ServeError):
+                home_shard("obj", 0)

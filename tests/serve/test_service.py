@@ -1,6 +1,7 @@
 """Tests for the async gateway service: batching, backpressure, drain."""
 
 import asyncio
+import dataclasses
 
 import pytest
 
@@ -281,6 +282,38 @@ class TestLifecycle:
         assert not service.running
         # The failed round answered nobody, so it left no ledger entries.
         assert len(ledger) == 4
+
+    @pytest.mark.parametrize(
+        "signature", ["é" * 64, b"0" * 64, None], ids=["non-ascii", "bytes", "none"]
+    )
+    def test_malformed_signature_is_refused_without_failing_its_round(
+        self, signature
+    ):
+        # hmac.compare_digest raises TypeError for all three shapes; that
+        # must read "forged", not take the other callers' round down.
+        gateway = make_gateway()
+        requests = make_requests(gateway, 5)
+        malformed = dataclasses.replace(requests[2].capability, signature=signature)
+        requests[2] = dataclasses.replace(requests[2], capability=malformed)
+        ledger = ServeLedger()
+
+        async def run():
+            service = GatewayService(
+                gateway, config=ServeConfig(batch_max=8), ledger=ledger
+            )
+            await service.start()
+            tasks = [asyncio.ensure_future(service.submit(r)) for r in requests]
+            responses = await asyncio.gather(*tasks)
+            await service.stop()
+            return service, responses
+
+        service, responses = asyncio.run(asyncio.wait_for(run(), timeout=10))
+        assert service.batches == 1 and service.failed_batches == 0
+        assert responses[2].status is StoreStatus.REJECTED_AUTH
+        assert "forged" in responses[2].detail
+        assert all(r.stored for i, r in enumerate(responses) if i != 2)
+        assert gateway.refusals["auth"] == 1
+        assert len(ledger) == 5
 
     def test_thread_executor_matches_inline_statuses(self):
         inline_gw = make_gateway()

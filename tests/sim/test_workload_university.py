@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.obj import reset_object_ids
 from repro.errors import SimulationError
+from repro.sim.workload.calendar import PAPER_CALENDAR, Term
 from repro.sim.workload.lecture import STUDENT_CREATOR, UNIVERSITY_CREATOR
 from repro.sim.workload.university import (
     PAPER_COURSES,
@@ -11,6 +13,7 @@ from repro.sim.workload.university import (
     UniversityWorkload,
 )
 from repro.units import days, tib
+from tests.oracles.university import arrivals_per_object
 
 
 class TestUniversityConfig:
@@ -90,3 +93,47 @@ class TestUniversityWorkload:
             if o.creator == UNIVERSITY_CREATOR
         )
         assert half < full * 0.75
+
+
+class TestClassDayAnnotations:
+    """The stream builds its two annotations once per class day; the
+    per-object loop it replaced (``tests/oracles/university.py``) is the
+    reference it must equal object for object."""
+
+    # A year and a half: spring, the May break, summer, the August break,
+    # fall, the new-year wrap and a second spring.
+    HORIZON = days(520)
+
+    @pytest.mark.parametrize("meet_fraction", [1.0, 0.7])
+    def test_stream_equals_the_per_object_loop(self, meet_fraction):
+        cfg = UniversityConfig(courses=9, nodes=4, meet_fraction=meet_fraction)
+        workload = UniversityWorkload(config=cfg, seed=11)
+
+        def fields(stream):
+            reset_object_ids()
+            return [
+                (o.size, o.t_arrival, o.lifetime, o.creator, o.metadata, o.object_id)
+                for o in stream
+            ]
+
+        got = fields(workload.arrivals(self.HORIZON))
+        want = fields(arrivals_per_object(workload, self.HORIZON))
+        assert got == want
+        doys = {int(t // days(1)) % 365 for _size, t, *_rest in got}
+        assert {term.term for term in map(PAPER_CALENDAR.term_for_day, doys)} == set(Term)
+        assert not any(120 <= doy < 150 or 210 <= doy < 248 for doy in doys)  # breaks
+
+    def test_one_annotation_object_per_class_day_and_creator(self):
+        cfg = UniversityConfig(courses=9, nodes=4)
+        by_key: dict[tuple[int, str], set[int]] = {}
+        stream = list(UniversityWorkload(config=cfg, seed=11).arrivals(self.HORIZON))
+        for obj in stream:
+            key = (obj.metadata["day"], obj.creator)
+            by_key.setdefault(key, set()).add(id(obj.lifetime))
+        assert len(by_key) > 200
+        assert all(len(ids) == 1 for ids in by_key.values())
+
+    def test_a_class_day_cut_short_by_the_horizon_builds_nothing_that_raises(self):
+        # Day 14 is a Monday in spring; the horizon ends before 08:00.
+        workload = UniversityWorkload(config=UniversityConfig(courses=3, nodes=2))
+        assert all(o.metadata["day"] < 14 for o in workload.arrivals(days(14) + 60.0))

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Alternating parent/change benchmark pairs, judged by the §8 rule.
 
-    python3 tools/bench_ab.py PARENT_REV [--workload W] [--pairs N] [--seed S] [--quick]
+    python3 tools/bench_ab.py PARENT_REV [--workload W] [--pairs N] [--seed S] [--quick] [--layers]
 
 Extracts the committed files of ``PARENT_REV`` into a temporary directory
 (``git archive``: nothing is registered in ``.git``, and the parent runs
@@ -24,9 +24,22 @@ by the choosing-metrics §8 rule with the bounds ``BENCHMARK.json`` fixes:
   than every parent run);
 * ``same`` — otherwise.
 
+``--layers`` adds, after the untraced pairs of each workload, one traced
+pair (``--trace 1`` on both sides) and prints every per-layer row as
+parent | change with its delta — where the saving appeared.  Counts repeat
+exactly for a seed and size (choosing-metrics §8), so a **count** row that
+differs at all is marked ``!=``; a time row is marked ``*`` when it moved
+more than 10 % (and is at least a millisecond on one side: below that the
+tracer's own clock reads are the row).
+
 Exit status is 1 on a regression, a digest mismatch, a failed run or more
-failed operations on the change side.  ``--quick`` is the smoke shape
-(``--seconds 2``): it exercises the tool, not the program.
+failed operations on the change side; with ``--layers`` also when the
+change's traced run fails (a ``bench/trace.py`` target that no longer
+resolves), hashes to another digest than the untraced pairs, or is not
+``correct`` (a validity check flipped).  ``--quick`` is the smoke shape
+(``--seconds 2``): it exercises the tool, not the program — too short to
+reach the regimes the validity checks describe, so it reports them
+without enforcing them, as ``python3 -m bench --quick`` does.
 """
 
 from __future__ import annotations
@@ -54,18 +67,24 @@ def extract(rev: str, into: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``BENCHMARK.json`` contract run: its result object plus the digest."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One ``BENCHMARK.json`` contract run: its result object plus the digest.
+
+    A run failed when it printed no result object; one that printed
+    ``"correct": false`` (a traced run's validity check) is returned.
+    """
     done = subprocess.run(
         [sys.executable, "-m", "bench", "--workload", workload, "--seed", str(seed),
-         "--seconds", f"{seconds:g}", "--trace", "0"],
+         "--seconds", f"{seconds:g}", "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True,
     )
     lines = done.stdout.strip().splitlines()
-    if done.returncode or not lines:
-        raise SystemExit(f"bench failed in {checkout}:\n{done.stdout}{done.stderr}")
-    result = json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        raise SystemExit(f"bench failed in {checkout}:\n{done.stdout}{done.stderr}") from None
     result["digest"] = lines[0].rpartition("digest=")[2]
+    result["validity"] = [line.strip() for line in lines if line.startswith("  validity ")]
     return result
 
 
@@ -94,6 +113,45 @@ def judge(parent: list[float], change: list[float], better: str, bound: float):
         all_better = max(sign * c for c in change) < min(sign * p for p in parent)
         return wins, decided, "same" if all_better else "unresolved"
     return wins, decided, "regression" if worse_by > bound else "same"
+
+
+#: A traced time row is marked when it moved by more than this share ...
+LAYER_MOVED = 0.10
+#: ... and reads at least this many seconds (or microseconds) on one side.
+LAYER_FLOOR = {"s": 1e-3, "us": 1.0, "ratio": 0.0}
+
+
+def compare_layers(
+    workload: str, parent_dir: Path, args: argparse.Namespace, seconds: float,
+    untraced_digests: set[str],
+) -> bool:
+    """One traced pair: every per-layer row as parent | change."""
+    parent = run_once(parent_dir, workload, args.seed, seconds, trace=1)
+    change = run_once(REPO, workload, args.seed, seconds, trace=1)
+    print(f"-- {workload} traced pair (--trace 1; parent | change), times carry the "
+          "tracer's overhead")
+    print(f"  {'layer metric':<34} {'parent':>14} {'change':>14} {'delta':>8}")
+    differ = moved = 0
+    for name, row in change["metrics"].items():
+        p, c, unit = parent["metrics"][name]["value"], row["value"], row["unit"]
+        delta = "=" if c == p else f"{(c - p) / p:+.1%}" if p else "new"
+        mark = ""
+        if unit == "count":
+            if c != p:
+                differ, mark = differ + 1, "!="
+        elif abs(c - p) > LAYER_MOVED * abs(p) and max(p, c) >= LAYER_FLOOR[unit]:
+            moved, mark = moved + 1, "*"
+        print(f"  {name:<34} {p:>14.6g} {c:>14.6g} {delta:>8} {mark}")
+    same_digest = change["digest"] in untraced_digests and len(untraced_digests) == 1
+    enforced = "" if not args.quick else " (not enforced: --quick)"
+    print(f"  {differ} count row(s) differ (!=), {moved} time row(s) moved more than "
+          f"{LAYER_MOVED:.0%} (*)")
+    for side, run in (("parent", parent), ("change", change)):
+        for line in run["validity"]:
+            print(f"  {side}: {line}")
+    print(f"  traced digest {'equal to' if same_digest else 'DIFFERS from'} the untraced "
+          f"pairs'; change validity {'ok' if change['correct'] else 'FAILED'}{enforced}")
+    return same_digest and (change["correct"] or args.quick)
 
 
 def compare(workload: str, parent_dir: Path, args: argparse.Namespace, metrics) -> bool:
@@ -133,6 +191,9 @@ def compare(workload: str, parent_dir: Path, args: argparse.Namespace, metrics) 
               f"{(c_q[1] - p_q[1]) / p_q[1]:>+8.1%} {wins:>3}/{decided:<2}  {verdict}")
         print(f"    {name} per pair: "
               + " ".join(f"{p:.4g}|{c:.4g}" for p, c in zip(parent, change)))
+    if args.layers:
+        all_digests = digests["parent"] | digests["change"]
+        ok = compare_layers(workload, parent_dir, args, seconds, all_digests) and ok
     return ok
 
 
@@ -147,6 +208,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--quick", action="store_true", help="--seconds 2 smoke shape")
+    parser.add_argument("--layers", action="store_true",
+                        help="then one traced pair per workload: per-layer parent | change")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
