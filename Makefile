@@ -14,12 +14,14 @@ unit:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -x -q
 
 # The run-spec/parallel-executor surface: RunSpec unit tests, CLI
-# --jobs/sweep coverage, obs merge semantics, and the jobs-parity
-# determinism suite (serial vs pooled artifacts byte-identical).
+# --jobs/sweep coverage (incl. the multi-spec artifact-set parity of the
+# one run driver), obs merge semantics, and the jobs-parity determinism
+# suite (serial vs pooled artifacts byte-identical).
 test-parallel:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q \
 		tests/sim/test_parallel.py \
 		tests/experiments/test_cli.py \
+		tests/experiments/test_cli_driver.py \
 		tests/obs/test_metrics.py tests/obs/test_timeseries.py \
 		tests/integration/test_parallel_determinism.py
 
@@ -158,9 +160,11 @@ examples:
 figures:
 	python -m repro run all
 
-# The tracked number of ROADMAP aim 2 ("src/ line count should go down").
+# The tracked number of ROADMAP aim 2 ("src/ line count should go down"),
+# then the five largest files — where the next cut should look.
 loc:
 	@find src -name '*.py' | xargs cat | wc -l
+	@find src -name '*.py' | xargs wc -l | sort -rn | sed -n '2,6p'
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \

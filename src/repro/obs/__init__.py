@@ -45,7 +45,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.profile import PhaseProfiler
 from repro.obs.timeseries import SeriesBuffer, TimeSeriesCollector, series_label
-from repro.obs.tracing import SpanNode, SpanStats, Tracer, render_aggregates
+from repro.obs.tracing import SpanNode, SpanStats, Tracer, render_aggregates, render_trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; audit/alerts stay lazy
     from repro.obs.alerts import AlertEngine
@@ -75,6 +75,7 @@ __all__ = [
     "export_payload",
     "is_enabled",
     "render_aggregates",
+    "render_trace",
     "reset",
     "series_label",
 ]
@@ -173,8 +174,10 @@ def export_payload(experiment: str) -> dict:
     """Snapshot :data:`STATE` into one JSON-friendly telemetry payload.
 
     The schema matches ``--metrics-out`` files and dashboard payloads:
-    ``{experiment, metrics, spans, spans_dropped, profile, timeseries?,
-    trace?, audit?, alerts?}``.  Parallel workers ship this dict back to
+    ``{experiment, metrics, spans, span_tree, spans_dropped, profile,
+    timeseries?, trace?, audit?, alerts?}`` — ``span_tree`` is the rendered
+    (bounded) tree, so ``--trace`` prints the same text from a worker's
+    payload as from a live tracer.  Parallel workers ship this dict back to
     the parent, which can rebuild live objects via
     :meth:`MetricsRegistry.from_dict` /
     :meth:`TimeSeriesCollector.from_dict` /
@@ -186,6 +189,7 @@ def export_payload(experiment: str) -> dict:
         "experiment": experiment,
         "metrics": STATE.registry.to_dict(),
         "spans": STATE.tracer.aggregates(),
+        "span_tree": STATE.tracer.render_tree(),
         "spans_dropped": STATE.tracer.dropped_spans,
         "profile": STATE.profiler.aggregates(),
     }

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Iterator
 if TYPE_CHECKING:  # pragma: no cover - typing only; traceexport stays lazy
     from repro.obs.traceexport import SpanExporter
 
-__all__ = ["SpanNode", "SpanStats", "Tracer", "render_aggregates"]
+__all__ = ["SpanNode", "SpanStats", "Tracer", "render_aggregates", "render_trace"]
 
 
 @dataclass
@@ -105,10 +105,9 @@ def _finite(value: float) -> float:
 def render_aggregates(aggregates: dict[str, dict[str, float]]) -> str:
     """Render a :meth:`Tracer.aggregates` dict as the aggregate table.
 
-    Matches the table half of :meth:`Tracer.render` so span timings that
-    crossed a process boundary (parallel workers ship aggregates, not
-    live tracers) print identically to a serial run's.  Labels with zero
-    observations render zeros, never ``inf`` sentinels.
+    Takes the plain dicts rather than a live tracer, so span timings that
+    crossed a process boundary print exactly as in-process ones do.
+    Labels with zero observations render zeros, never ``inf`` sentinels.
     """
     lines = ["span aggregates (wall-clock):"]
     if not aggregates:
@@ -127,6 +126,12 @@ def render_aggregates(aggregates: dict[str, dict[str, float]]) -> str:
             f"mean={mean:.6f}s max={peak:.6f}s"
         )
     return "\n".join(lines)
+
+
+def render_trace(aggregates: dict[str, dict[str, float]], tree: str = "") -> str:
+    """The ``--trace`` text: aggregate table, then :meth:`Tracer.render_tree`."""
+    table = render_aggregates(aggregates)
+    return f"{table}\n{tree}" if tree else table
 
 
 class Tracer:
@@ -231,19 +236,12 @@ class Tracer:
         """The aggregate for one label, or None."""
         return self._aggregates.get(label)
 
-    def render(self, *, max_depth: int = 6, max_children: int = 20) -> str:
-        """Human-readable trace: aggregate table, then the span tree."""
-        lines = ["span aggregates (wall-clock):"]
-        if not self._aggregates:
-            lines.append("  (no spans recorded)")
-        width = max((len(label) for label in self._aggregates), default=0)
-        for label, stats in sorted(
-            self._aggregates.items(), key=lambda kv: -kv[1].total_s
-        ):
-            lines.append(
-                f"  {label.ljust(width)}  n={stats.count:<8d} total={stats.total_s:.6f}s "
-                f"mean={stats.mean_s:.6f}s max={stats.max_s:.6f}s"
-            )
+    def render_tree(self, *, max_depth: int = 6, max_children: int = 20) -> str:
+        """The retained span tree as bounded, indented text ("" when empty).
+
+        Plain text so it can ride in the telemetry payload next to the aggregates.
+        """
+        lines: list[str] = []
         if self.roots:
             lines.append("span tree:")
             for root in self.roots[:max_children]:
@@ -263,6 +261,13 @@ class Tracer:
                 "(beyond the tree bound; aggregated and exported only)"
             )
         return "\n".join(lines)
+
+    def render(self, *, max_depth: int = 6, max_children: int = 20) -> str:
+        """Human-readable trace: aggregate table, then the span tree."""
+        return render_trace(
+            self.aggregates(),
+            self.render_tree(max_depth=max_depth, max_children=max_children),
+        )
 
     def reset(self) -> None:
         """Drop all recorded spans and aggregates (exporter detached)."""

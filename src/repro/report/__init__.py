@@ -9,7 +9,7 @@ plotting.
 from repro.report.table import TextTable
 from repro.report.asciichart import ascii_plot, ascii_cdf, sparkline
 from repro.report.csvout import write_csv
-from repro.report.dashboard import collect_payload, render_dashboard, write_dashboard
+from repro.report.dashboard import render_dashboard, write_dashboard
 from repro.report.metrics import metrics_summary
 
 # Flamegraph names resolve lazily (PEP 562): every experiment module
@@ -35,7 +35,6 @@ __all__ = [
     "TextTable",
     "ascii_cdf",
     "ascii_plot",
-    "collect_payload",
     "critical_path",
     "metrics_summary",
     "render_critical_path",

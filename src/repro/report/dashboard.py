@@ -7,8 +7,8 @@ Light and dark mode are both styled (``prefers-color-scheme``), series
 identity never relies on color alone (direct labels + legends), and every
 mark carries a native ``<title>`` tooltip.
 
-Inputs are the JSON-friendly payloads the CLI already produces — one dict
-per experiment with ``metrics`` (``MetricsRegistry.to_dict``) and
+Inputs are the JSON-friendly payloads of :func:`repro.obs.export_payload`
+— one dict per experiment with ``metrics`` (``MetricsRegistry.to_dict``) and
 optionally ``timeseries`` (``TimeSeriesCollector.to_dict``), ``spans``
 (``Tracer.aggregates``) and ``profile`` (``PhaseProfiler.aggregates``) —
 so a dashboard can be rebuilt later from ``--metrics-out`` files via
@@ -22,7 +22,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.obs.metrics import quantile_from_cumulative
 
-__all__ = ["collect_payload", "render_dashboard", "write_dashboard"]
+__all__ = ["render_dashboard", "write_dashboard"]
 
 #: Cap on generic sparkline cards per experiment (dropped series are counted).
 MAX_SPARKLINE_CARDS = 48
@@ -112,30 +112,6 @@ def _fmt(value: float) -> str:
 
 def _esc(value: Any) -> str:
     return html.escape(str(value), quote=True)
-
-
-# -- payload assembly -----------------------------------------------------
-
-
-def collect_payload(experiment: str) -> dict[str, Any]:
-    """Snapshot the live ``obs.STATE`` into one dashboard payload."""
-    from repro import obs
-
-    payload: dict[str, Any] = {
-        "experiment": experiment,
-        "metrics": obs.STATE.registry.to_dict(),
-        "spans": obs.STATE.tracer.aggregates(),
-        "profile": obs.STATE.profiler.aggregates(),
-    }
-    if obs.STATE.timeseries is not None:
-        payload["timeseries"] = obs.STATE.timeseries.to_dict()
-    if obs.STATE.alerts is not None:
-        payload["alerts"] = obs.STATE.alerts.to_dict()
-    payload["spans_dropped"] = obs.STATE.tracer.dropped_spans
-    if obs.STATE.tracer.exporter is not None:
-        payload["trace"] = obs.STATE.tracer.exporter.to_dict()
-        payload["spans_dropped"] += obs.STATE.tracer.exporter.dropped_spans
-    return payload
 
 
 def _counter_total(metrics: Mapping[str, Any], name: str) -> float:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from repro.errors import ReproError
 from repro.obs.audit import AuditLedger, AuditRecord
+from repro.report.rundir import run_files
 from repro.units import MINUTES_PER_DAY
 
 __all__ = [
@@ -33,27 +34,18 @@ __all__ = [
 def discover_ledger_files(path: str) -> list[str]:
     """Audit JSONL files under ``path`` (a file, or a run directory).
 
-    In a directory, files named ``*audit*.jsonl`` are taken (sorted); if
-    any of them is a ``*-merged.jsonl`` ledger, only merged ledgers are
-    used — the per-worker shards it was folded from would double-count.
+    A file is taken as given; a directory yields its ``*audit*.jsonl``
+    files, or only the ``-merged`` ledger when there is one — the
+    per-spec ledgers it was folded from would double-count.
     """
-    if os.path.isfile(path):
-        return [path]
-    if not os.path.isdir(path):
-        raise ReproError(f"no such file or directory: {path!r}")
-    names = sorted(
-        name
-        for name in os.listdir(path)
-        if name.endswith(".jsonl") and "audit" in name
+    explicit = os.path.isfile(path)
+    found = run_files(
+        path,
+        ".jsonl",
+        lambda file: explicit or "audit" in os.path.basename(file),
+        what="audit ledgers (*audit*.jsonl, written by --audit-out)",
     )
-    merged = [name for name in names if name.endswith("-merged.jsonl")]
-    chosen = merged if merged else names
-    if not chosen:
-        raise ReproError(
-            f"no audit ledgers (*audit*.jsonl) found in {path!r}; "
-            "run with --audit-out to produce one"
-        )
-    return [os.path.join(path, name) for name in chosen]
+    return list(found)
 
 
 def load_run_ledger(path: str) -> AuditLedger:

@@ -232,7 +232,7 @@ class RunOutcome:
     rendered: str | None = None
     headers: tuple[str, ...] | None = None
     rows: tuple[tuple, ...] | None = None
-    #: Telemetry payload (``collect_payload`` schema) when obs was on.
+    #: Telemetry payload (:func:`repro.obs.export_payload`) when obs was on.
     telemetry: dict[str, Any] | None = None
     error: RunError | None = None
 

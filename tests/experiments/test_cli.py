@@ -5,15 +5,15 @@ import json
 import pytest
 
 from repro import obs
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import build_parser, main
+from repro.experiments import registry
 
 
 class TestParser:
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in EXPERIMENTS:
-            assert name in out
+        assert out.split() == list(registry.names())
 
     def test_run_requires_known_experiment(self):
         with pytest.raises(SystemExit):
@@ -139,8 +139,8 @@ class TestObservability:
         assert "Metrics summary" not in capsys.readouterr().out
 
 
-def _stub_experiment(args):
-    """Instant experiment used to exercise 'run all' plumbing."""
+def _stub_experiment(spec):
+    """Instant registry adapter used to exercise 'run all' plumbing."""
     from repro import obs
 
     if obs.is_enabled():
@@ -162,7 +162,8 @@ class TestRunAllMetrics:
     @pytest.fixture(autouse=True)
     def _stub_experiments(self, monkeypatch):
         monkeypatch.setattr(
-            "repro.cli.EXPERIMENTS",
+            registry,
+            "_ADAPTERS",
             {"stub-a": _stub_experiment, "stub-b": _stub_experiment},
         )
 
@@ -177,7 +178,10 @@ class TestRunAllMetrics:
             # Registries are reset between experiments: exactly one stub run.
             assert payload["metrics"]["stub_runs_total"]["series"][0]["value"] == 1.0
         assert not base.exists()  # only the suffixed files are written
-        assert capsys.readouterr().out.count("metrics written") == 2
+        # ... plus the cross-spec fold, at --jobs 1 as at --jobs N.
+        merged = json.loads((tmp_path / "metrics-merged.json").read_text())
+        assert merged["metrics"]["stub_runs_total"]["series"][0]["value"] == 2.0
+        assert capsys.readouterr().out.count("metrics written") == 3
 
     def test_one_prom_per_experiment(self, tmp_path):
         base = tmp_path / "metrics.prom"
@@ -280,13 +284,14 @@ class TestParallelRun:
 
     def test_parallel_failure_reports_and_exits_nonzero(self, capsys):
         # fig7 needs its full default horizon to cross the density band; a
-        # 5-day run fails fast — the parallel path must capture it as a
-        # structured per-spec failure, not a traceback-and-abort.
-        code = main(["run", "fig7", "--horizon-days", "5", "--jobs", "2"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "[fig7 failed" in captured.err
-        assert "RuntimeError" in captured.err
+        # 5-day run fails fast — at any job count it must be captured as a
+        # structured per-spec failure, not a traceback-and-abort.  (A loop,
+        # not a parametrize: the test id is on the tier-1 floor list.)
+        for jobs in ("1", "2"):
+            code = main(["run", "fig7", "--horizon-days", "5", "--jobs", jobs])
+            captured = capsys.readouterr()
+            assert code == 1, jobs
+            assert "[fig7 failed: RuntimeError: " in captured.err, jobs
 
     def test_parallel_metrics_merge_across_specs(self, tmp_path, capsys):
         out = tmp_path / "metrics.json"

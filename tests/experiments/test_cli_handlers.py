@@ -1,19 +1,19 @@
-"""Handler-level tests for every CLI experiment entry.
+"""Adapter-level tests for every CLI experiment entry.
 
 `tests/experiments/test_cli.py` covers the argument parsing and a few full
-commands; these tests drive each handler directly at reduced horizons to
-verify the (handler-specific) CSV row construction and rendering wiring.
+commands; these tests drive each registry adapter directly at reduced
+horizons — the spec the CLI would build, through ``registry.run_cli`` — to
+verify the (adapter-specific) CSV row construction and rendering wiring.
 """
-
-import argparse
 
 import pytest
 
-from repro.cli import EXPERIMENTS
+from repro.experiments import registry
+from repro.sim.parallel import RunSpec
 
 
-def ns(horizon_days=None, seed=11):
-    return argparse.Namespace(horizon_days=horizon_days, seed=seed, csv=None)
+def run(name, horizon_days=None, seed=11):
+    return registry.run_cli(RunSpec(name, seed=seed, horizon_days=horizon_days))
 
 
 def assert_csv_shape(headers, rows):
@@ -32,7 +32,7 @@ def assert_csv_shape(headers, rows):
     ("table1", None),
 ])
 def test_fast_handlers_produce_csv_rows(name, horizon):
-    result, rendered, (headers, rows) = EXPERIMENTS[name](ns(horizon))
+    result, rendered, (headers, rows) = run(name, horizon)
     assert result is not None
     assert rendered.strip()
     assert_csv_shape(headers, rows)
@@ -48,14 +48,14 @@ def test_fast_handlers_produce_csv_rows(name, horizon):
     ("fig12", 400.0),
 ])
 def test_lecture_scale_handlers_produce_csv_rows(name, horizon):
-    _result, rendered, (headers, rows) = EXPERIMENTS[name](ns(horizon))
+    _result, rendered, (headers, rows) = run(name, horizon)
     assert rendered.strip()
     assert_csv_shape(headers, rows)
     assert rows
 
 
 def test_sec53_handler():
-    _result, rendered, (headers, rows) = EXPERIMENTS["sec53"](ns(120.0))
+    _result, rendered, (headers, rows) = run("sec53", 120.0)
     assert "Section 5.3" in rendered
     assert_csv_shape(headers, rows)
     assert len(rows) == 2  # one row per node capacity
@@ -64,7 +64,7 @@ def test_sec53_handler():
 def test_ext_handlers():
     for name, horizon in (("ext-mixed", 90.0), ("ext-refresh", 90.0),
                           ("ext-reads", None)):
-        _result, rendered, (headers, rows) = EXPERIMENTS[name](ns(horizon))
+        _result, rendered, (headers, rows) = run(name, horizon)
         assert rendered.strip()
         assert_csv_shape(headers, rows)
         assert rows
