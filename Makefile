@@ -62,8 +62,10 @@ trace-smoke:
 
 # Serving round trip exactly as CI runs it: a short closed-loop loadgen
 # run with metrics + ledger export and the in-run SLO gate, the same
-# rules re-checked offline via `repro-sim alerts`, then an open-loop
-# `serve` run against a single unit (exit non-zero if any leg fails).
+# rules re-checked offline via `repro-sim alerts`, an open-loop `serve`
+# run against a single unit, then a two-shard closed-loop run at
+# --jobs 1 and --jobs 2 whose ledgers must be the same bytes (exit
+# non-zero if any leg fails).
 serve-smoke:
 	@rm -rf .serve-smoke && mkdir -p .serve-smoke
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro.cli loadgen \
@@ -76,6 +78,13 @@ serve-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro.cli serve \
 		--nodes 1 --horizon-days 10 --scale 0.005 --queue-size 32 \
 		--batch-max 8 >/dev/null
+	@for jobs in 1 2; do \
+		PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro.cli loadgen \
+			--mode closed --clients 4 --nodes 4 --shards 2 --horizon-days 10 \
+			--scale 0.005 --jobs $$jobs \
+			--ledger-out .serve-smoke/jobs-$$jobs.jsonl >/dev/null || exit 1; \
+	done
+	cmp .serve-smoke/jobs-1.jsonl .serve-smoke/jobs-2.jsonl
 	@test -s .serve-smoke/ledger.jsonl
 	@rm -rf .serve-smoke
 	@echo "serve smoke OK"

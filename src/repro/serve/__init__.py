@@ -10,13 +10,15 @@ The ROADMAP's "serve the store, don't just simulate it" subsystem:
 * :mod:`repro.serve.ratelimit` — per-principal token buckets in sim time;
 * :mod:`repro.serve.ledger` — the canonical-bytes request/response JSONL
   ledger (byte-identical across seeded runs);
-* :mod:`repro.serve.loadgen` — seeded closed/open-loop load generation
-  replaying the workload generators as concurrent client sessions;
+* :mod:`repro.serve.loadgen` — what a serving experiment is: the spec,
+  its deployment, its seeded request stream replayed as closed/open-loop
+  client sessions, and the report;
 * :mod:`repro.serve.router` — deterministic hash-home request routing
   across gateway shards with saturation-aware spill;
-* :mod:`repro.serve.sharded` — the sharded multi-gateway runner: one
-  :class:`GatewayService` per node slice, globally-sequenced per-shard
-  ledgers merged into one run-wide artifact.
+* :mod:`repro.serve.sharded` — the one serving path: one
+  :class:`GatewayService` per node slice (a single gateway is the fleet
+  of one), globally-sequenced per-shard ledgers merged into one run-wide
+  artifact.
 
 Only the protocol is imported eagerly: the gateway itself speaks
 :class:`StoreRequest`/:class:`StoreResponse`, so this package must be
@@ -27,7 +29,6 @@ service and loadgen surfaces load lazily on first attribute access.
 from repro.serve.protocol import ServeError, StoreRequest, StoreResponse, StoreStatus
 
 __all__ = [
-    "FrozenServeLedger",
     "GatewayService",
     "LoadGenReport",
     "LoadGenSpec",
@@ -52,7 +53,6 @@ _LAZY = {
     "ServeConfig": "repro.serve.service",
     "serve": "repro.serve.service",
     "ServeLedger": "repro.serve.ledger",
-    "FrozenServeLedger": "repro.serve.ledger",
     "TokenBucketLimiter": "repro.serve.ratelimit",
     "LoadGenSpec": "repro.serve.loadgen",
     "LoadGenReport": "repro.serve.loadgen",

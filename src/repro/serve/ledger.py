@@ -1,14 +1,18 @@
 """The request/response JSONL ledger of a serving run.
 
 Every request the service answers — admitted, rejected, shed or expired —
-appends one entry pairing the request's canonical form with the
-response's.  The ledger follows the trace archive's canonical-bytes
-discipline (:mod:`repro.obs.traceexport`): one sorted-key JSON object
-per line, entries ordered by submission sequence, **simulation-time
-fields only**.  Wall-clock latencies live in
-the obs histograms and the loadgen report, never here — so a seeded
-closed-loop run writes a byte-identical ledger on every invocation (the
-determinism pin in ``tests/serve/test_determinism.py``).
+appends one entry: a flat tuple of the scalars its ledger line is made of
+(:data:`ENTRY_FIELDS`).  Recording keeps no reference to the request or
+the response, a shard worker ships its entries to the parent as they are,
+and JSON exists only when bytes are asked for.
+
+The bytes follow the trace archive's canonical discipline
+(:mod:`repro.obs.traceexport`): one sorted-key JSON object per line,
+entries ordered by submission sequence, **simulation-time fields only**.
+Wall-clock latencies live in the obs histograms and the loadgen report,
+never here — so a seeded closed-loop run writes a byte-identical ledger on
+every invocation (the determinism pin in
+``tests/serve/test_determinism.py``).
 """
 
 from __future__ import annotations
@@ -16,54 +20,80 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import pairwise
+from operator import itemgetter
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from repro.serve.protocol import StoreRequest, StoreResponse
 
-__all__ = ["ServeLedgerEntry", "ServeLedger", "FrozenServeLedger", "merge_ledger_lines"]
+__all__ = ["ENTRY_FIELDS", "ServeLedger", "entry_dict", "merge_entries"]
 
 _FORMAT = "repro-serve-ledger/1"
 
+#: Columns of an entry tuple: the run's coordinates, then the request's
+#: scalars, then the response's.
+ENTRY_FIELDS = (
+    "seq", "t_submit", "t_decided",
+    "creator", "deadline", "object_id", "principal", "request_id", "size", "t_arrival",
+    "cost_charged", "detail", "node_id", "retry_after", "status",
+)
+
 #: The one encoder of ledger lines.  Every dict it is handed is a literal
-#: written in sorted key order (``to_dict`` / ``canonical_dict``), so its
-#: output is byte-equal to ``json.dumps(..., sort_keys=True)`` with no
-#: per-line sort and no per-line ``JSONEncoder``.
+#: written in sorted key order (:func:`entry_dict`, the header line),
+#: so its output is byte-equal to ``json.dumps(..., sort_keys=True)`` with
+#: no per-line sort and no per-line ``JSONEncoder``.
 _encode = json.JSONEncoder().encode
 
-
-def _header_line(entries: int) -> str:
-    return _encode({"entries": entries, "format": _FORMAT})
+_seq = itemgetter(0)
 
 
-@dataclass(frozen=True)
-class ServeLedgerEntry:
-    """One answered request: submit/decide sim-times plus both halves."""
+def entry_dict(entry: tuple) -> dict[str, object]:
+    """The ledger line of one entry tuple, as the nested object it encodes.
 
-    seq: int
-    t_submit: float
-    t_decided: float
-    request: StoreRequest
-    response: StoreResponse
-
-    def to_dict(self) -> dict[str, object]:
-        return {  # keys in sorted order, like both halves: see ``_encode``
-            "request": self.request.canonical_dict(),
-            "response": self.response.canonical_dict(),
-            "seq": self.seq,
-            "t_decided": self.t_decided,
-            "t_submit": self.t_submit,
-        }
-
-    def canonical_line(self) -> str:
-        """The entry's ledger line (canonical JSON, no newline)."""
-        return _encode(self.to_dict())
+    This literal is the only spelling of a line's key names and order.
+    """
+    (
+        seq, t_submit, t_decided,
+        creator, deadline, object_id, principal, request_id, size, t_arrival,
+        cost_charged, detail, node_id, retry_after, status,
+    ) = entry
+    return {  # keys in sorted order at both levels: see ``_encode``
+        "request": {
+            "creator": creator,
+            "deadline": deadline,
+            "object_id": object_id,
+            "principal": principal,
+            "request_id": request_id,
+            "size": size,
+            "t_arrival": t_arrival,
+        },
+        "response": {
+            "cost_charged": cost_charged,
+            "detail": detail,
+            "node_id": node_id,
+            "request_id": request_id,
+            "retry_after": retry_after,
+            "status": status,
+        },
+        "seq": seq,
+        "t_decided": t_decided,
+        "t_submit": t_submit,
+    }
 
 
 @dataclass
 class ServeLedger:
-    """Append-only record of every request/response pair of one run."""
+    """Every request/response pair of one run, or of several merged.
 
-    _entries: list[ServeLedgerEntry] = field(default_factory=list)
+    A service appends to its own ledger; :func:`merge_entries` folds the
+    entries of any number of shards into one ledger of the same class.
+    Iterating yields the entry tuples in submission order.  (The bench
+    harness probes a ledger with ``hasattr(ledger, "entries")`` and then
+    expects typed objects, so no attribute here may take that name.)
+    """
+
+    _entries: list[tuple] = field(default_factory=list)
 
     def record(
         self,
@@ -73,20 +103,25 @@ class ServeLedger:
         t_submit: float,
         t_decided: float,
         seq: int | None = None,
-    ) -> ServeLedgerEntry:
-        """Append one pair; ``seq`` is the submission sequence number.
+    ) -> tuple:
+        """Append one pair, flattened; ``seq`` is the submission sequence number.
 
         When omitted it defaults to the append position, which is only
         correct for callers that record strictly in submission order (the
         service passes its own submit counter, since shed responses are
-        recorded immediately while queued ones wait for their batch).
+        recorded immediately while queued ones wait for their batch).  A
+        response answers the request it is recorded with: the line carries
+        the request's id on both sides.
         """
-        entry = ServeLedgerEntry(
-            seq=len(self._entries) if seq is None else seq,
-            t_submit=t_submit,
-            t_decided=t_decided,
-            request=request,
-            response=response,
+        obj = request.obj
+        entry = (  # grouped as ENTRY_FIELDS is
+            len(self._entries) if seq is None else seq, t_submit, t_decided,
+            obj.creator, request.deadline, obj.object_id, request.capability.principal,
+            request.request_id, obj.size, obj.t_arrival,
+            response.cost_charged, response.detail,
+            response.decision.node_id if response.decision else None,
+            response.retry_after,
+            response.status._value_,  # the plain attribute behind ``.value``
         )
         self._entries.append(entry)
         return entry
@@ -94,31 +129,41 @@ class ServeLedger:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __iter__(self) -> Iterator[tuple]:
+        # Entries are appended in decision order, which under batching can
+        # interleave; every read is in submission order, so two runs that
+        # answered the same requests produce identical bytes.
+        return iter(sorted(self._entries, key=_seq))
+
     @property
-    def entries(self) -> tuple[ServeLedgerEntry, ...]:
-        return tuple(self._entries)
-
-    def canonical_bytes(self) -> bytes:
-        """The run-invariant byte form: header line + one line per entry.
-
-        Entries are sorted by submission sequence (they are appended in
-        decision order, which under batching can interleave) so two runs
-        that answered the same requests produce identical bytes.
-        """
-        lines = [_header_line(len(self._entries))]
-        lines.extend(line for _seq, line in self.keyed_lines())
-        return ("\n".join(lines) + "\n").encode("utf-8")
-
-    def canonical_sha256(self) -> str:
-        return hashlib.sha256(self.canonical_bytes()).hexdigest()
+    def lines(self) -> list[str]:
+        """One canonical JSON line per entry (no newline)."""
+        return [_encode(entry_dict(entry)) for entry in self]
 
     def keyed_lines(self) -> list[tuple[int, str]]:
-        """``(seq, canonical JSON line)`` pairs — the picklable transport
-        form shard workers ship back for the parent's merge."""
-        return [
-            (e.seq, e.canonical_line())
-            for e in sorted(self._entries, key=lambda e: e.seq)
-        ]
+        """``(seq, canonical JSON line)`` pairs."""
+        return [(entry[0], _encode(entry_dict(entry))) for entry in self]
+
+    def entry_dicts(self) -> list[dict]:
+        """The nested object of every line, for report post-processing."""
+        return [entry_dict(entry) for entry in self]
+
+    def _canonical_chunks(self) -> Iterator[bytes]:
+        header = {"entries": len(self._entries), "format": _FORMAT}
+        yield f"{_encode(header)}\n".encode("utf-8")
+        for entry in self:
+            yield f"{_encode(entry_dict(entry))}\n".encode("utf-8")
+
+    def canonical_bytes(self) -> bytes:
+        """The run-invariant byte form: header line + one line per entry."""
+        return b"".join(self._canonical_chunks())
+
+    def canonical_sha256(self) -> str:
+        """sha256 of :meth:`canonical_bytes`, hashed line by line."""
+        digest = hashlib.sha256()
+        for chunk in self._canonical_chunks():
+            digest.update(chunk)
+        return digest.hexdigest()
 
     def write_jsonl(self, path: str | Path) -> Path:
         """Write the canonical JSONL form to ``path`` and return it."""
@@ -128,53 +173,19 @@ class ServeLedger:
         return path
 
 
-@dataclass(frozen=True)
-class FrozenServeLedger:
-    """A merged, read-only ledger rebuilt from canonical entry lines.
-
-    Sharded serving runs record per-shard :class:`ServeLedger`\\ s whose
-    entries carry *global* sequence numbers; the parent merges their
-    :meth:`ServeLedger.keyed_lines` back into one run-wide ledger.  Only
-    the canonical-bytes surface survives the merge (the typed
-    request/response objects stay in the workers), which is exactly what
-    reports, hashing and ``write_jsonl`` need.
-    """
-
-    lines: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.lines)
-
-    def canonical_bytes(self) -> bytes:
-        header = _header_line(len(self.lines))
-        return ("\n".join([header, *self.lines]) + "\n").encode("utf-8")
-
-    def canonical_sha256(self) -> str:
-        return hashlib.sha256(self.canonical_bytes()).hexdigest()
-
-    def entry_dicts(self) -> list[dict]:
-        """Parsed entry objects, for report post-processing."""
-        return [json.loads(line) for line in self.lines]
-
-    def write_jsonl(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(self.canonical_bytes())
-        return path
-
-
-def merge_ledger_lines(
-    keyed_lines: "list[tuple[int, str]]",
-) -> FrozenServeLedger:
-    """Merge ``(seq, line)`` pairs from any number of shards into one ledger.
+def merge_entries(entries: Iterable[tuple]) -> ServeLedger:
+    """Merge the entry tuples of any number of shards into one ledger.
 
     Sorting by the global sequence number makes the merge independent of
     shard count, shard order and worker scheduling: the same request
     stream produces byte-identical canonical bytes at any ``--jobs``.
     """
-    ordered = sorted(keyed_lines, key=lambda pair: pair[0])
-    seqs = [seq for seq, _line in ordered]
-    if len(set(seqs)) != len(seqs):
+    ordered = sorted(entries, key=_seq)
+    if any(before[0] == after[0] for before, after in pairwise(ordered)):
         raise ValueError("duplicate ledger sequence numbers across shards")
-    return FrozenServeLedger(lines=tuple(line for _seq, line in ordered))
+    return ServeLedger(ordered)
 
+
+# Second names ``bench/trace.py`` resolves in this module's namespace.
+FrozenServeLedger = ServeLedger
+merge_ledger_lines = merge_entries

@@ -15,6 +15,13 @@ cluster, capability realm, fair-share ledger, gateway, service — so one
   rate limiter do the shedding (this is the mode that exercises
   backpressure).
 
+This module holds what a spec *is* — its validation, the deployment it
+stands up (:func:`build_gateway`), its request stream
+(:func:`build_requests`), the client sessions and the report.  Serving it
+is :mod:`repro.serve.sharded`'s job at every shard count: Besteffs has no
+central component, so a single gateway is the fleet of one, and
+:func:`run_loadgen` has no serving code of its own.
+
 Everything that decides *outcomes* runs on simulation time with seeded
 RNGs, so a spec maps to one byte-exact request/response ledger
 (:meth:`LoadGenReport.ledger`).  Wall-clock enters only the throughput
@@ -24,9 +31,9 @@ and latency figures of the report.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from time import perf_counter
 from typing import Iterator
 
 from repro.besteffs.auth import Capability, CapabilityRealm
@@ -36,10 +43,11 @@ from repro.besteffs.gateway import BesteffsGateway
 from repro.besteffs.placement import PlacementConfig
 from repro.core.importance import TwoStepImportance
 from repro.core.obj import StoredObject
-from repro.serve.ledger import FrozenServeLedger, ServeLedger
+from repro.serve.ledger import ENTRY_FIELDS, ServeLedger
 from repro.serve.protocol import ServeError, StoreRequest, StoreStatus
-from repro.serve.router import SPILL_POLICIES, home_shard
+from repro.serve.router import RouterConfig, home_shard
 from repro.serve.service import GatewayService, ServeConfig
+from repro.sim.shard import shard_slice
 from repro.sim.workload.diurnal import DiurnalModulation, OFFICE_HOURS_PROFILE
 from repro.sim.workload.downloads import synthesize_download_trace
 from repro.sim.workload.single_app import SingleAppWorkload
@@ -120,9 +128,8 @@ class LoadGenSpec:
     period_days: float = 30.0
     #: Hard cap on replayed requests; None replays the whole horizon.
     max_requests: int | None = None
-    #: Gateway shards fronting the cluster; 1 is the legacy single-gateway
-    #: path, >1 routes each request to a shard (:mod:`repro.serve.router`)
-    #: and serves each shard on its own service.
+    #: Gateway shards fronting the cluster: each request is routed to one
+    #: (:mod:`repro.serve.router`) and each shard serves on its own service.
     shards: int = 1
     #: Spill policy under home-shard saturation: "overflow" or "never".
     spill: str = "overflow"
@@ -156,21 +163,12 @@ class LoadGenSpec:
             raise ServeError(f"max_requests must be >= 1, got {self.max_requests}")
         if self.open_burst < 1:
             raise ServeError(f"open_burst must be >= 1, got {self.open_burst}")
-        if self.shards < 1:
-            raise ServeError(f"shards must be >= 1, got {self.shards}")
+        self.router_config()  # validates shards, spill, high_water, window_minutes
         if self.shards > self.nodes:
             raise ServeError(
                 f"shards must be <= nodes, got {self.shards} shards "
                 f"over {self.nodes} nodes"
             )
-        if self.spill not in SPILL_POLICIES:
-            raise ServeError(
-                f"spill must be one of {SPILL_POLICIES}, got {self.spill!r}"
-            )
-        if self.high_water < 1:
-            raise ServeError(f"high_water must be >= 1, got {self.high_water}")
-        if self.window_minutes <= 0:
-            raise ServeError(f"window_minutes must be > 0, got {self.window_minutes}")
         if self.hot_objects < 1:
             raise ServeError(f"hot_objects must be >= 1, got {self.hot_objects}")
         if self.burst_factor < 0:
@@ -179,6 +177,14 @@ class LoadGenSpec:
             raise ServeError(
                 f"target_shard must be in [0, {self.shards}), got {self.target_shard}"
             )
+
+    def router_config(self) -> RouterConfig:
+        return RouterConfig(
+            shards=self.shards,
+            spill=self.spill,
+            high_water=self.high_water,
+            window_minutes=self.window_minutes,
+        )
 
     def serve_config(self) -> ServeConfig:
         return ServeConfig(
@@ -191,19 +197,50 @@ class LoadGenSpec:
         )
 
 
-def build_gateway(spec: LoadGenSpec) -> BesteffsGateway:
-    """Stand up the deployment a spec describes: cluster, realm, ledger."""
+def shard_serve_seed(seed: int, shard: int, shards: int) -> int:
+    """Deterministic 63-bit seed of one serving shard's cluster RNG.
+
+    The fleet of one keeps the base seed.  Multi-shard seeds derive from
+    the shard coordinates alone — never from worker identity — mirroring
+    :func:`repro.sim.shard.shard_seed`.
+    """
+    if shards == 1:
+        return seed
+    ident = f"serve|{seed}|{shards}|{shard}".encode()
+    return int.from_bytes(hashlib.sha256(ident).digest()[:8], "big") >> 1
+
+
+def build_gateway(spec: LoadGenSpec, shard: int = 0) -> BesteffsGateway:
+    """Stand up shard ``shard``'s slice of the deployment a spec describes.
+
+    Node names keep their *global* indexes (``node-007`` is the same brick
+    whatever the shard count), and every shard mints capabilities from the
+    same realm key, so a capability is valid at whichever shard routing
+    picks.
+    """
+    node_start, node_count = shard_slice(spec.nodes, spec.shards, shard)
+    if node_count < 1:
+        raise ServeError(
+            f"serving shard {shard}/{spec.shards} has no nodes "
+            f"({spec.nodes} total); use fewer shards"
+        )
     capacities = {
-        f"node-{i:03d}": gib(spec.node_capacity_gib) for i in range(spec.nodes)
+        f"node-{node_start + i:03d}": gib(spec.node_capacity_gib)
+        for i in range(node_count)
     }
     cluster = BesteffsCluster(
         capacities,
-        placement=PlacementConfig(x=min(4, spec.nodes), m=2),
-        seed=spec.seed,
+        placement=PlacementConfig(x=min(4, node_count), m=2),
+        seed=shard_serve_seed(spec.seed, shard, spec.shards),
     )
     realm = CapabilityRealm(key=_REALM_KEY)
+    # Pro-rate the fleet budget by node share: summed over shards the
+    # deployment enforces exactly ``budget_gib_days``, whatever the shard
+    # count.
     ledger = FairShareLedger(
-        budget_per_period=spec.budget_gib_days * gib(1) * MINUTES_PER_DAY,
+        budget_per_period=(
+            spec.budget_gib_days * gib(1) * MINUTES_PER_DAY * node_count / spec.nodes
+        ),
         period_minutes=days(spec.period_days),
     )
     return BesteffsGateway(cluster, realm, ledger)
@@ -250,15 +287,15 @@ def flash_hot_ids(
     return ids
 
 
-def _flash_requests(spec: LoadGenSpec, realm: CapabilityRealm) -> list[StoreRequest]:
+def _flash_arrivals(spec: LoadGenSpec) -> list[tuple[StoredObject, str]]:
     """The slashdot scenario: a university base load plus a hot-key burst.
 
     The burst adds ``burst_factor`` x the base volume of small cache-grade
     writes, every one naming one of ``hot_objects`` ids homed on
     ``target_shard``, spread evenly over the middle third of the horizon.
     Burst duplicates share object ids but need distinct request ids (the
-    ledger keys responses by them), so each carries an explicit
-    ``req-<object-id>@<k>``.
+    ledger keys responses by them), so each is paired with an explicit
+    ``req-<object-id>@<k>``; base arrivals keep the derived id (``""``).
     """
     base_spec = replace(spec, workload="university")
     merged: list[tuple[float, int, int, StoredObject, str]] = []
@@ -282,28 +319,7 @@ def _flash_requests(spec: LoadGenSpec, realm: CapabilityRealm) -> list[StoreRequ
         )
         merged.append((t, 1, k, obj, f"req-{object_id}@{k}"))
     merged.sort(key=lambda item: (item[0], item[1], item[2]))
-    if spec.max_requests is not None:
-        merged = merged[: spec.max_requests]
-    caps: dict[str, Capability] = {}
-    requests: list[StoreRequest] = []
-    for _t, _src, _idx, obj, request_id in merged:
-        cap = caps.get(obj.creator)
-        if cap is None:
-            cap = caps[obj.creator] = realm.mint(
-                obj.creator,
-                max_initial_importance=_CEILINGS.get(obj.creator, 1.0),
-            )
-        deadline = (
-            None
-            if spec.deadline_minutes is None
-            else obj.t_arrival + spec.deadline_minutes
-        )
-        requests.append(
-            StoreRequest(
-                capability=cap, obj=obj, request_id=request_id, deadline=deadline
-            )
-        )
-    return requests
+    return [(obj, request_id) for _t, _src, _idx, obj, request_id in merged]
 
 
 def _arrivals(spec: LoadGenSpec) -> Iterator[StoredObject]:
@@ -332,13 +348,14 @@ def build_requests(spec: LoadGenSpec, realm: CapabilityRealm) -> list[StoreReque
     where listed (1.0 otherwise).
     """
     if spec.workload == "flashcrowd":
-        return _flash_requests(spec, realm)
-    caps: dict[str, Capability] = {}
-    requests: list[StoreRequest] = []
-    stream = _arrivals(spec)
+        stream = _flash_arrivals(spec)
+    else:
+        stream = ((obj, "") for obj in _arrivals(spec))
     if spec.max_requests is not None:
         stream = islice(stream, spec.max_requests)
-    for obj in stream:
+    caps: dict[str, Capability] = {}
+    requests: list[StoreRequest] = []
+    for obj, request_id in stream:
         cap = caps.get(obj.creator)
         if cap is None:
             cap = caps[obj.creator] = realm.mint(
@@ -350,7 +367,11 @@ def build_requests(spec: LoadGenSpec, realm: CapabilityRealm) -> list[StoreReque
             if spec.deadline_minutes is None
             else obj.t_arrival + spec.deadline_minutes
         )
-        requests.append(StoreRequest(capability=cap, obj=obj, deadline=deadline))
+        requests.append(
+            StoreRequest(
+                capability=cap, obj=obj, request_id=request_id, deadline=deadline
+            )
+        )
     return requests
 
 
@@ -358,11 +379,11 @@ def build_requests(spec: LoadGenSpec, realm: CapabilityRealm) -> list[StoreReque
 class LoadGenReport:
     """What one loadgen run produced, measured, and recorded.
 
-    Sharded runs (``spec.shards > 1``) fill the same report: counters sum
-    across shards, ``wall_seconds`` is the *slowest shard's* serve wall
-    (the fleet-capacity wall clock — what the run would take with one
-    worker per shard), and ``ledger`` is the seq-merged
-    :class:`~repro.serve.ledger.FrozenServeLedger`.
+    Counters sum across shards, ``wall_seconds`` is the *slowest shard's*
+    serve wall (the fleet-capacity wall clock — what the run would take
+    with one worker per shard), the latency percentiles are read off the
+    fleet's summed bucket counts, and ``ledger`` is the seq-merged
+    :class:`~repro.serve.ledger.ServeLedger`.
     """
 
     spec: LoadGenSpec
@@ -379,7 +400,7 @@ class LoadGenReport:
     latency_p95_s: float
     latency_p99_s: float
     cluster: ClusterStats
-    ledger: ServeLedger | FrozenServeLedger
+    ledger: ServeLedger
     #: Requests answered from a coalesced sibling's decision.
     coalesced: int = 0
     #: Writes acknowledged against an already-resident copy (cross-batch).
@@ -391,7 +412,7 @@ class LoadGenReport:
     #: Histogram of the ``retry_after`` hints handed back, bucketed minutes.
     retry_after_histogram: dict[str, int] = field(default_factory=dict)
     #: Per-shard rows ``(shard, nodes, assigned, spilled_in, admitted,
-    #: coalesced, serve_seconds)``; empty for unsharded runs.
+    #: coalesced, serve_seconds)``; empty for a one-shard fleet.
     per_shard: tuple[tuple, ...] = ()
 
     @property
@@ -399,25 +420,15 @@ class LoadGenReport:
         return self.responses_by_status.get("admitted", 0)
 
 
-def retry_after_histogram(ledger: ServeLedger | FrozenServeLedger) -> dict[str, int]:
+def retry_after_histogram(ledger: ServeLedger) -> dict[str, int]:
     """Bucket every non-null ``retry_after`` hint in the ledger (minutes).
 
     Buckets are fixed (:data:`_RETRY_BUCKETS` edges plus an overflow), and
     every bucket appears — zero counts included — so reports from
     different runs line up column-for-column.
     """
-    if isinstance(ledger, FrozenServeLedger):
-        values = [
-            entry["response"]["retry_after"]
-            for entry in ledger.entry_dicts()
-            if entry["response"]["retry_after"] is not None
-        ]
-    else:
-        values = [
-            entry.response.retry_after
-            for entry in ledger.entries
-            if entry.response.retry_after is not None
-        ]
+    column = ENTRY_FIELDS.index("retry_after")
+    values = [entry[column] for entry in ledger if entry[column] is not None]
     labels = [f"<={edge:g}m" for edge in _RETRY_BUCKETS]
     labels.append(f">{_RETRY_BUCKETS[-1]:g}m")
     hist = dict.fromkeys(labels, 0)
@@ -431,14 +442,6 @@ def retry_after_histogram(ledger: ServeLedger | FrozenServeLedger) -> dict[str, 
     return hist
 
 
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (0.0 when empty)."""
-    if not sorted_values:
-        return 0.0
-    rank = max(0, min(len(sorted_values) - 1, round(q * (len(sorted_values) - 1))))
-    return sorted_values[rank]
-
-
 async def _drive(
     service: GatewayService,
     numbered: list[tuple[int, StoreRequest]],
@@ -449,8 +452,7 @@ async def _drive(
     """Submit ``(seq, request)`` pairs closed- or open-loop.
 
     The explicit sequence number is each request's *global* stream
-    position — identical to the service's own counter in the unsharded
-    path, and the merge key when a shard serves a filtered sub-stream.
+    position: the merge key when a shard serves a filtered sub-stream.
     """
     if mode == "closed":
 
@@ -473,54 +475,18 @@ async def _drive(
 def run_loadgen(spec: LoadGenSpec, *, jobs: int = 1) -> LoadGenReport:
     """Build the deployment, replay the traffic, return the report.
 
-    ``spec.shards > 1`` dispatches to the sharded runner
-    (:func:`repro.serve.sharded.run_sharded`); ``jobs`` then selects how
-    many shard workers execute concurrently and never affects outcomes.
+    This is :func:`repro.serve.sharded.run_sharded` at every shard count;
+    ``jobs`` selects how many shard workers execute concurrently and never
+    affects outcomes.  Two things follow for a one-shard spec.  Every
+    shard runs through the experiment registry, which restarts the
+    auto-generated object ids (``reset_object_ids()``) first: two runs in
+    one process name their objects alike.  And ``latency_p50/95/99_s`` are
+    quantiles of the fleet's latency bucket counts — bucket resolution,
+    clamped to the observed min/max — not exact order statistics.
     """
-    if spec.shards > 1:
-        from repro.serve.sharded import run_sharded
+    from repro.serve.sharded import run_sharded
 
-        return run_sharded(spec, jobs=jobs)
-    gateway = build_gateway(spec)
-    requests = build_requests(spec, gateway.realm)
-    ledger = ServeLedger()
-    service = GatewayService(gateway, config=spec.serve_config(), ledger=ledger)
-
-    async def _run() -> float:
-        await service.start()
-        t0 = perf_counter()
-        await _drive(
-            service, list(enumerate(requests)), spec.mode, spec.clients,
-            spec.open_burst,
-        )
-        await service.stop()
-        return perf_counter() - t0
-
-    wall = asyncio.run(_run())
-    lat = sorted(service.latencies_seconds)
-    n = len(requests)
-    return LoadGenReport(
-        spec=spec,
-        requests=n,
-        responses_by_status=dict(service.responses_by_status),
-        shed_by_reason=dict(service.shed_by_reason),
-        refusals=dict(gateway.refusals),
-        batches=service.batches,
-        queue_peak=service.queue_peak,
-        wall_seconds=wall,
-        ops_per_sec=n / wall if wall > 0 else 0.0,
-        latency_mean_s=sum(lat) / len(lat) if lat else 0.0,
-        latency_p50_s=_percentile(lat, 0.50),
-        latency_p95_s=_percentile(lat, 0.95),
-        latency_p99_s=_percentile(lat, 0.99),
-        cluster=gateway.cluster.stats(now=service.clock),
-        ledger=ledger,
-        coalesced=service.coalesced_total,
-        deduped=gateway.deduped_total,
-        spilled=0,
-        fairness_transactions=gateway.ledger.transactions,
-        retry_after_histogram=retry_after_histogram(ledger),
-    )
+    return run_sharded(spec, jobs=jobs)
 
 
 def render_report(report: LoadGenReport) -> str:
@@ -528,7 +494,7 @@ def render_report(report: LoadGenReport) -> str:
 
     Every :class:`~repro.serve.protocol.StoreStatus` gets a line (zero
     counts included, so runs line up), shed reasons and the retry-after
-    histogram are broken out, and sharded runs append a per-shard table.
+    histogram are broken out, and multi-shard runs append a per-shard table.
     """
     spec = report.spec
     sharding = (

@@ -15,11 +15,10 @@ service (:mod:`repro.serve.service`), the load generator
   charged, and a ``retry_after`` hint (minutes) for shed or
   fairness-refused requests.
 
-Both sides are frozen dataclasses with canonical sorted-key dict forms
-(:meth:`StoreRequest.canonical_dict` / :meth:`StoreResponse.canonical_dict`)
-carrying *simulation-time fields only* — no wall-clock — so a seeded
-closed-loop run writes a byte-identical request/response ledger across
-invocations (see :mod:`repro.serve.ledger`).
+Both sides are frozen dataclasses carrying *simulation-time fields only* —
+no wall-clock — so a seeded closed-loop run writes a byte-identical
+request/response ledger across invocations (:mod:`repro.serve.ledger`
+flattens a pair into the scalars of its line and spells the line's keys).
 """
 
 from __future__ import annotations
@@ -127,19 +126,6 @@ class StoreRequest:
     def principal(self) -> str:
         return self.capability.principal
 
-    def canonical_dict(self) -> dict[str, object]:
-        """Sim-time-only JSON form (ledger lines; no wall-clock fields)."""
-        obj = self.obj
-        return {  # keys in sorted order: the ledger encodes without sorting
-            "creator": obj.creator,
-            "deadline": self.deadline,
-            "object_id": obj.object_id,
-            "principal": self.capability.principal,
-            "request_id": self.request_id,
-            "size": obj.size,
-            "t_arrival": obj.t_arrival,
-        }
-
 
 @dataclass(frozen=True)
 class StoreResponse:
@@ -163,14 +149,3 @@ class StoreResponse:
         """Legacy gate name (``auth``/``fairness``/``placement``), if any."""
         gate = self.status.gate
         return gate if gate in ("auth", "fairness", "placement") else None
-
-    def canonical_dict(self) -> dict[str, object]:
-        """Sim-time-only JSON form (ledger lines; no wall-clock fields)."""
-        return {  # keys in sorted order: the ledger encodes without sorting
-            "cost_charged": self.cost_charged,
-            "detail": self.detail,
-            "node_id": self.decision.node_id if self.decision else None,
-            "request_id": self.request_id,
-            "retry_after": self.retry_after,
-            "status": self.status._value_,
-        }

@@ -119,10 +119,15 @@ class ShardRouter:
     routed_by_shard: list[int] = field(init=False)
     spilled_total: int = field(init=False, default=0)
     _windows: list[deque] = field(init=False, repr=False)
+    #: ``_decisions[shard][home]``: decisions are immutable, so every
+    #: request routed alike shares one.
+    _decisions: list[list[RoutingDecision]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        shards = range(self.config.shards)
         self.routed_by_shard = [0] * self.config.shards
-        self._windows = [deque() for _ in range(self.config.shards)]
+        self._windows = [deque() for _ in shards]
+        self._decisions = [[RoutingDecision(s, home) for home in shards] for s in shards]
 
     def offered_load(self, shard: int, now: float) -> int:
         """Requests routed to ``shard`` within the trailing window."""
@@ -140,21 +145,26 @@ class ShardRouter:
         windows = self._windows
         home = home_shard(request.obj.object_id, config.shards)
         target = home
-        if config.spill == "overflow" and config.shards > 1:
-            horizon = now - config.window_minutes
-            for window in windows:
-                while window and window[0] <= horizon:
-                    window.popleft()
-            if len(windows[home]) >= config.high_water:
-                loads = [len(w) for w in windows]
-                least = loads.index(min(loads))  # ties: the lowest shard id
-                if loads[least] < loads[home]:
-                    target = least
+        # Trimmed on every append, whether or not this router can spill:
+        # a window holds the trailing ``window_minutes``, not the stream.
+        horizon = now - config.window_minutes
+        for window in windows:
+            while window and window[0] <= horizon:
+                window.popleft()
+        if (
+            config.spill == "overflow"
+            and config.shards > 1
+            and len(windows[home]) >= config.high_water
+        ):
+            loads = [len(w) for w in windows]
+            least = loads.index(min(loads))  # ties: the lowest shard id
+            if loads[least] < loads[home]:
+                target = least
         if target != home:
             self.spilled_total += 1
         self.routed_by_shard[target] += 1
         windows[target].append(now)
-        return RoutingDecision(shard=target, home=home)
+        return self._decisions[target][home]
 
 
 def plan_routes(

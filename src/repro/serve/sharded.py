@@ -1,14 +1,16 @@
-"""Sharded multi-gateway serving: route → per-shard serve → merge.
+"""The one serving path: route → per-shard serve → merge.
 
-One :class:`~repro.serve.loadgen.LoadGenSpec` with ``shards > 1``
-partitions the Besteffs cluster into contiguous node slices
+A :class:`~repro.serve.loadgen.LoadGenSpec` partitions the Besteffs
+cluster into ``spec.shards`` contiguous node slices
 (:func:`repro.sim.shard.shard_slice`), fronts each slice with its own
 :class:`~repro.serve.service.GatewayService`, and routes every request
-deterministically with :mod:`repro.serve.router`.  Each shard is a
-self-contained :class:`~repro.sim.parallel.RunSpec` run ("serve-shard" in
-the experiment registry), so the existing parallel executor provides
-worker-process isolation and ``--jobs 1`` versus ``--jobs N`` is
-byte-identical by construction.
+deterministically with :mod:`repro.serve.router`.  One shard is the
+degenerate fleet, not a second path: the same code serves it, and
+:func:`~repro.serve.loadgen.run_loadgen` is :func:`run_sharded`.  Each
+shard is a self-contained :class:`~repro.sim.parallel.RunSpec` run
+("serve-shard" in the experiment registry), so the existing parallel
+executor provides worker-process isolation and ``--jobs 1`` versus
+``--jobs N`` is byte-identical by construction.
 
 The request stream and the routing plan are shard-independent — both are
 pure functions of the spec — so a process builds them **once** and every
@@ -23,18 +25,17 @@ shard it executes serves its slice of that one copy:
    computes the plan it serves, just not once per shard);
 2. every shard serves exactly the sub-stream routed to it, passing each
    request's **global** stream position as the ledger sequence number;
-3. each shard summarises itself while the typed objects still exist —
-   retry-after bucket counts from its :class:`ServeLedger` entries,
-   latency counts over the obs duration buckets — and serialises each
-   ledger entry exactly once (:meth:`ServeLedger.keyed_lines`).
+3. each shard summarises itself — retry-after bucket counts from its
+   :class:`ServeLedger`, latency counts over the obs duration buckets —
+   and ships its ledger entries as the scalar tuples they already are.
 
 :func:`run_sharded` releases the held stream as soon as the last shard
 returns, *before* it merges — the merge needs rows only.  The parent
-then sums the per-shard counters and merges the ledger lines with
-:func:`~repro.serve.ledger.merge_ledger_lines` — sorting by global seq —
-into one run-wide :class:`~repro.serve.ledger.FrozenServeLedger` whose
-canonical bytes are independent of shard scheduling and worker count.
-No merged line is ever parsed back.
+then sums the per-shard counters and merges the entries with
+:func:`~repro.serve.ledger.merge_entries` — sorting by global seq — into
+one run-wide :class:`~repro.serve.ledger.ServeLedger` whose canonical
+bytes are independent of shard scheduling and worker count.  No JSON is
+encoded until someone asks for bytes.
 
 Timing: each shard's ``serve_seconds`` wall clock is measured around the
 serve loop only (stream generation and cluster build excluded), and the
@@ -57,39 +58,34 @@ shard's slice of it.
 from __future__ import annotations
 
 import asyncio
-import hashlib
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import accumulate
 from time import perf_counter
 
 from repro.besteffs.auth import CapabilityRealm
-from repro.besteffs.cluster import BesteffsCluster, ClusterStats
-from repro.besteffs.fairness import FairShareLedger
-from repro.besteffs.gateway import BesteffsGateway
-from repro.besteffs.placement import PlacementConfig
+from repro.besteffs.cluster import ClusterStats
 from repro.obs import DURATION_BUCKETS, STATE as _OBS
 from repro.obs.metrics import quantile_from_cumulative
-from repro.serve.ledger import ServeLedger, merge_ledger_lines
+from repro.serve.ledger import ServeLedger, merge_entries
 from repro.serve.loadgen import (
     _REALM_KEY,
     LoadGenReport,
     LoadGenSpec,
     _drive,
+    build_gateway,
     build_requests,
     retry_after_histogram,
 )
 from repro.serve.protocol import ServeError, StoreRequest
-from repro.serve.router import RouterConfig, RoutingDecision, plan_routes
+from repro.serve.router import RoutingDecision, plan_routes
 from repro.serve.service import GatewayService
 from repro.sim.parallel import RunSpec, run_specs, seed_for
-from repro.sim.shard import shard_slice
-from repro.units import MINUTES_PER_DAY, days, gib
 
 __all__ = [
     "SHARD_ROW_HEADERS",
     "ShardServeOutcome",
-    "build_shard_gateway",
     "execute",
     "execute_flash",
     "merged_rows",
@@ -98,7 +94,6 @@ __all__ = [
     "run_shard_serve",
     "run_sharded",
     "shard_rows",
-    "shard_serve_seed",
 ]
 
 #: CSV header of the typed ``(kind, key, value)`` shard rows.
@@ -112,60 +107,11 @@ TIMING_KINDS = frozenset({"timing", "latency"})
 #: ``serve_admission_latency_seconds`` histogram, then the overflow.
 _LATENCY_KEYS = tuple(f"le_{bound!r}" for bound in DURATION_BUCKETS) + ("le_+Inf",)
 
+#: ``bench/trace.py`` resolves the deployment builder under this name here.
+build_shard_gateway = build_gateway
+
 #: A request stream and the routing decision of each of its requests.
 RoutedStream = tuple[list[StoreRequest], list[RoutingDecision]]
-
-
-def shard_serve_seed(seed: int, shard: int, shards: int) -> int:
-    """Deterministic 63-bit seed of one serving shard's cluster RNG.
-
-    ``shards == 1`` returns the base seed unchanged, so a one-shard run is
-    byte-for-byte the legacy single-gateway
-    :func:`~repro.serve.loadgen.run_loadgen` deployment.  Multi-shard
-    seeds derive from the shard coordinates alone — never from worker
-    identity — mirroring :func:`repro.sim.shard.shard_seed`.
-    """
-    if shards == 1:
-        return seed
-    ident = f"serve|{seed}|{shards}|{shard}".encode()
-    return int.from_bytes(hashlib.sha256(ident).digest()[:8], "big") >> 1
-
-
-def build_shard_gateway(spec: LoadGenSpec, shard: int) -> BesteffsGateway:
-    """Stand up shard ``shard``'s slice of the deployment a spec describes.
-
-    Node names keep their *global* indexes (``node-007`` is the same brick
-    whatever the shard count), and every shard mints capabilities from the
-    same realm key, so a capability is valid at whichever shard routing
-    picks.
-    """
-    node_start, node_count = shard_slice(spec.nodes, spec.shards, shard)
-    if node_count < 1:
-        raise ServeError(
-            f"serving shard {shard}/{spec.shards} has no nodes "
-            f"({spec.nodes} total); use fewer shards"
-        )
-    capacities = {
-        f"node-{node_start + i:03d}": gib(spec.node_capacity_gib)
-        for i in range(node_count)
-    }
-    cluster = BesteffsCluster(
-        capacities,
-        placement=PlacementConfig(x=min(4, node_count), m=2),
-        seed=shard_serve_seed(spec.seed, shard, spec.shards),
-    )
-    realm = CapabilityRealm(key=_REALM_KEY)
-    # Pro-rate the fleet budget by node share: summed over shards the
-    # deployment enforces exactly ``budget_gib_days``, whatever the shard
-    # count (node_count == spec.nodes at shards == 1, preserving legacy
-    # byte parity).
-    ledger = FairShareLedger(
-        budget_per_period=(
-            spec.budget_gib_days * gib(1) * MINUTES_PER_DAY * node_count / spec.nodes
-        ),
-        period_minutes=days(spec.period_days),
-    )
-    return BesteffsGateway(cluster, realm, ledger)
 
 
 @dataclass(frozen=True)
@@ -182,7 +128,7 @@ class ShardServeOutcome:
     responses_by_status: dict[str, int]
     shed_by_reason: dict[str, int]
     refusals: dict[str, int]
-    #: This shard's ``retry_after`` hints, bucketed from the typed entries.
+    #: This shard's ``retry_after`` hints, bucketed.
     retry_after_histogram: dict[str, int]
     batches: int
     queue_peak: int
@@ -200,9 +146,6 @@ class ShardServeOutcome:
     latency_buckets: tuple[int, ...]
     cluster: ClusterStats
     ledger: ServeLedger
-    #: ``ledger.keyed_lines()``, serialised once for the summary's sha256
-    #: and the rows alike.
-    ledger_lines: tuple[tuple[int, str], ...]
 
 
 def route_stream(spec: LoadGenSpec, realm: CapabilityRealm) -> RoutedStream:
@@ -213,13 +156,7 @@ def route_stream(spec: LoadGenSpec, realm: CapabilityRealm) -> RoutedStream:
     the same for every shard and in every process.
     """
     requests = build_requests(spec, realm)
-    config = RouterConfig(
-        shards=spec.shards,
-        spill=spec.spill,
-        high_water=spec.high_water,
-        window_minutes=spec.window_minutes,
-    )
-    plan, _router = plan_routes(requests, config)
+    plan, _router = plan_routes(requests, spec.router_config())
     return requests, plan
 
 
@@ -281,7 +218,7 @@ def run_shard_serve(
     """
     if not 0 <= shard < spec.shards:
         raise ServeError(f"shard must be in [0, {spec.shards}), got {shard}")
-    gateway = build_shard_gateway(spec, shard)
+    gateway = build_gateway(spec, shard)
     if routed is None:
         routed = route_stream(spec, gateway.realm)
     requests, plan = routed
@@ -318,7 +255,7 @@ def run_shard_serve(
     return ShardServeOutcome(
         shard=shard,
         shards=spec.shards,
-        nodes=shard_slice(spec.nodes, spec.shards, shard)[1],
+        nodes=len(gateway.cluster.nodes),
         assigned=len(numbered),
         spilled_in=spilled_in,
         responses_by_status=dict(service.responses_by_status),
@@ -337,7 +274,6 @@ def run_shard_serve(
         latency_buckets=_latency_buckets(lat),
         cluster=gateway.cluster.stats(now=service.clock),
         ledger=ledger,
-        ledger_lines=tuple(ledger.keyed_lines()),
     )
 
 
@@ -348,7 +284,8 @@ def shard_rows(outcome: ShardServeOutcome) -> list[tuple]:
     ships ``rows``, not result objects).  Kinds: ``stat`` (integers and
     cluster scalars), ``status``/``shed``/``refusal``/``retry`` (counters),
     ``latency``/``timing`` (wall-clock; excluded from deterministic
-    artifacts), ``ledger`` (global-seq-keyed canonical entry lines).
+    artifacts), ``ledger`` (global-seq-keyed entry tuples, see
+    :data:`repro.serve.ledger.ENTRY_FIELDS`).
     """
     stats = outcome.cluster
     rows: list[tuple] = [
@@ -398,20 +335,20 @@ def shard_rows(outcome: ShardServeOutcome) -> list[tuple]:
         for key, count in zip(_LATENCY_KEYS, outcome.latency_buckets)
     )
     rows.append(("timing", "serve_seconds", outcome.serve_seconds))
-    rows.extend(("ledger", f"{seq:012d}", line) for seq, line in outcome.ledger_lines)
+    rows.extend(("ledger", entry[0], entry) for entry in outcome.ledger)
     return rows
 
 
 def _decode_rows(rows) -> dict:
-    """Invert :func:`shard_rows` into per-kind mappings (ledger: pairs)."""
+    """Invert :func:`shard_rows` into per-kind mappings (ledger: entries)."""
     decoded: dict[str, dict] = {
         kind: {}
         for kind in ("stat", "status", "shed", "refusal", "retry", "latency", "timing")
     }
-    ledger: list[tuple[int, str]] = []
+    ledger: list[tuple] = []
     for kind, key, value in rows:
         if kind == "ledger":
-            ledger.append((int(key), value))
+            ledger.append(value)
         else:
             decoded[kind][key] = value
     decoded["ledger"] = ledger
@@ -440,18 +377,18 @@ def render_shard(outcome: ShardServeOutcome) -> str:
             f"{outcome.cluster.resident_objects} resident"
         ),
         f"  serve wall      {outcome.serve_seconds:.3f}s",
-        f"  ledger sha256   {merge_ledger_lines(outcome.ledger_lines).canonical_sha256()}",
+        f"  ledger          {len(outcome.ledger)} entries",
     ]
     return "\n".join(lines)
 
 
-def _spec_params(spec: LoadGenSpec, shard: int) -> tuple[dict, int, float]:
-    """Split a loadgen spec into registry params plus (seed, horizon)."""
+def _shard_spec(spec: LoadGenSpec, shard: int) -> RunSpec:
+    """The registry spec that runs shard ``shard`` of a loadgen spec."""
     params = asdict(spec)
     seed = params.pop("seed")
     horizon = params.pop("horizon_days")
     params["shard"] = shard
-    return params, seed, horizon
+    return RunSpec("serve-shard", params=params, seed=seed, horizon_days=horizon)
 
 
 def run_sharded(spec: LoadGenSpec, *, jobs: int = 1) -> LoadGenReport:
@@ -466,17 +403,7 @@ def run_sharded(spec: LoadGenSpec, *, jobs: int = 1) -> LoadGenReport:
     and the quantile is read off the summed histogram (bucket resolution,
     clamped to the observed min/max).
     """
-    specs = []
-    for shard in range(spec.shards):
-        params, seed, horizon = _spec_params(spec, shard)
-        specs.append(
-            RunSpec(
-                experiment="serve-shard",
-                params=params,
-                seed=seed,
-                horizon_days=horizon,
-            )
-        )
+    specs = [_shard_spec(spec, shard) for shard in range(spec.shards)]
     try:
         outcomes = run_specs(specs, jobs=jobs)
     finally:
@@ -484,19 +411,16 @@ def run_sharded(spec: LoadGenSpec, *, jobs: int = 1) -> LoadGenReport:
         # of them, at jobs=1) goes first.
         _release_stream()
 
-    keyed_lines: list[tuple[int, str]] = []
-    status_merged: dict[str, int] = {}
-    shed_merged: dict[str, int] = {}
-    refusal_merged: dict[str, int] = {}
-    retry_merged: dict[str, int] = {}
+    entries: list[tuple] = []
+    # Every ``stat`` row summed over shards (means and ids ride along unread).
+    total: Counter = Counter()
+    counters = {kind: Counter() for kind in ("status", "shed", "refusal", "retry")}
     per_shard: list[tuple] = []
-    requests = batches = coalesced = deduped = transactions = spilled = 0
     queue_peak = 0
-    serve_walls: list[float] = []
+    wall = 0.0
     lat_weighted = 0.0
     lat_counts = [0] * len(_LATENCY_KEYS)
     lat_min, lat_max = float("inf"), 0.0
-    nodes = capacity = used = resident = placed = rejected = 0
     density_weighted = rounds_weighted = probes_weighted = 0.0
     for shard, outcome in enumerate(outcomes):
         if not outcome.ok:
@@ -504,34 +428,17 @@ def run_sharded(spec: LoadGenSpec, *, jobs: int = 1) -> LoadGenReport:
             raise ServeError(f"serving shard {shard} failed: {detail}")
         decoded = _decode_rows(outcome.rows or ())
         stat = decoded["stat"]
-        assigned = stat["assigned"]
-        admitted = decoded["status"].get("admitted", 0)
-        requests += assigned
-        spilled += stat["spilled_in"]
-        batches += stat["batches"]
+        total.update(stat)
+        for kind, counter in counters.items():
+            counter.update(decoded[kind])
         queue_peak = max(queue_peak, stat["queue_peak"])
-        coalesced += stat["coalesced"]
-        deduped += stat["deduped"]
-        transactions += stat["fairness_transactions"]
-        for status, count in decoded["status"].items():
-            status_merged[status] = status_merged.get(status, 0) + count
-        for reason, count in decoded["shed"].items():
-            shed_merged[reason] = shed_merged.get(reason, 0) + count
-        for gate, count in decoded["refusal"].items():
-            refusal_merged[gate] = refusal_merged.get(gate, 0) + count
-        for label, count in decoded["retry"].items():
-            retry_merged[label] = retry_merged.get(label, 0) + count
-        nodes += stat["nodes"]
-        capacity += stat["capacity_bytes"]
-        used += stat["used_bytes"]
-        resident += stat["resident"]
-        placed += stat["placed"]
-        rejected += stat["rejected"]
         density_weighted += stat["mean_density"] * stat["capacity_bytes"]
         rounds_weighted += stat["mean_rounds"] * stat["placed"]
         probes_weighted += stat["mean_probes"] * stat["placed"]
-        wall = decoded["timing"]["serve_seconds"]
-        serve_walls.append(wall)
+        serve_seconds = decoded["timing"]["serve_seconds"]
+        # Fleet-capacity wall: the slowest shard bounds a one-worker-per-shard
+        # deployment, whatever machine executed the shards here.
+        wall = max(wall, serve_seconds)
         latency = decoded["latency"]
         shard_counts = [latency[key] for key in _LATENCY_KEYS]
         if any(shard_counts):
@@ -539,30 +446,27 @@ def run_sharded(spec: LoadGenSpec, *, jobs: int = 1) -> LoadGenReport:
             lat_weighted += latency["mean_s"] * sum(shard_counts)
             lat_min = min(lat_min, latency["min_s"])
             lat_max = max(lat_max, latency["max_s"])
-        keyed_lines.extend(decoded["ledger"])
+        entries.extend(decoded["ledger"])
         per_shard.append(
             (
                 shard,
                 stat["nodes"],
-                assigned,
+                stat["assigned"],
                 stat["spilled_in"],
-                admitted,
+                decoded["status"].get("admitted", 0),
                 stat["coalesced"],
-                wall,
+                serve_seconds,
             )
         )
-    ledger = merge_ledger_lines(keyed_lines)
-    # Fleet-capacity wall: the slowest shard bounds a one-worker-per-shard
-    # deployment, whatever machine executed the shards here.
-    wall = max(serve_walls) if serve_walls else 0.0
+    requests, capacity, placed = total["assigned"], total["capacity_bytes"], total["placed"]
     lat_total = sum(lat_counts)
     cluster = ClusterStats(
-        nodes=nodes,
+        nodes=total["nodes"],
         capacity_bytes=capacity,
-        used_bytes=used,
-        resident_objects=resident,
+        used_bytes=total["used_bytes"],
+        resident_objects=total["resident"],
         placed=placed,
-        rejected=rejected,
+        rejected=total["rejected"],
         mean_density=density_weighted / capacity if capacity else 0.0,
         mean_rounds=rounds_weighted / placed if placed else 0.0,
         mean_probes=probes_weighted / placed if placed else 0.0,
@@ -570,10 +474,10 @@ def run_sharded(spec: LoadGenSpec, *, jobs: int = 1) -> LoadGenReport:
     return LoadGenReport(
         spec=spec,
         requests=requests,
-        responses_by_status=status_merged,
-        shed_by_reason=shed_merged,
-        refusals=refusal_merged,
-        batches=batches,
+        responses_by_status=dict(counters["status"]),
+        shed_by_reason=dict(counters["shed"]),
+        refusals=dict(counters["refusal"]),
+        batches=total["batches"],
         queue_peak=queue_peak,
         wall_seconds=wall,
         ops_per_sec=requests / wall if wall > 0 else 0.0,
@@ -582,18 +486,19 @@ def run_sharded(spec: LoadGenSpec, *, jobs: int = 1) -> LoadGenReport:
         latency_p95_s=_latency_quantile(lat_counts, lat_min, lat_max, 0.95),
         latency_p99_s=_latency_quantile(lat_counts, lat_min, lat_max, 0.99),
         cluster=cluster,
-        ledger=ledger,
-        coalesced=coalesced,
-        deduped=deduped,
-        spilled=spilled,
-        fairness_transactions=transactions,
-        retry_after_histogram=retry_merged,
-        per_shard=tuple(per_shard),
+        ledger=merge_entries(entries),
+        coalesced=total["coalesced"],
+        deduped=total["deduped"],
+        spilled=total["spilled_in"],
+        fairness_transactions=total["fairness_transactions"],
+        retry_after_histogram=dict(counters["retry"]),
+        # One row per shard of a fleet; the fleet of one has no table.
+        per_shard=tuple(per_shard) if spec.shards > 1 else (),
     )
 
 
 def merged_rows(report: LoadGenReport) -> list[tuple]:
-    """Deterministic ``(kind, key, value)`` rows of a merged sharded run.
+    """Deterministic ``(kind, key, value)`` rows of a merged run.
 
     Wall-clock kinds never appear here — this is the artifact surface the
     jobs-parity and determinism checks hash.

@@ -96,7 +96,7 @@ class TestStream:
     def test_stream_deterministic(self):
         _, a = self.build(shards=2)
         _, b = self.build(shards=2)
-        assert [r.canonical_dict() for r in a] == [r.canonical_dict() for r in b]
+        assert a == b  # frozen dataclasses: capability, payload, id, deadline
 
 
 class TestRenderBreakdown:

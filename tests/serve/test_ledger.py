@@ -1,16 +1,20 @@
 """The ledger's one line function against the formula it replaced.
 
-``ServeLedgerEntry.canonical_line`` encodes ``to_dict()`` with one
-module-level encoder and **no key sort**; it is byte-equal to the parent's
-``json.dumps(entry.to_dict(), sort_keys=True)`` only because every literal
-behind ``to_dict`` is written in sorted key order.  Both halves of that
-argument are pinned here: the bytes, and the property they rely on.
+A ledger entry is a flat tuple of scalars (``ENTRY_FIELDS``); its line is
+``entry_dict`` encoded with one module-level encoder and **no key sort**.
+That is byte-equal to the original ``json.dumps(entry.to_dict(),
+sort_keys=True)`` over the typed request/response pair only because the
+literal behind ``entry_dict`` is written in sorted key order.  Both halves
+of that argument are pinned here: the bytes, and the property they rely on.
 """
 
+import gc
+import hashlib
 import itertools
 import json
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +23,11 @@ from hypothesis import strategies as st
 from repro.besteffs.auth import CapabilityRealm
 from repro.besteffs.placement import PlacementDecision
 from repro.serve.ledger import (
+    ENTRY_FIELDS,
     FrozenServeLedger,
     ServeLedger,
-    ServeLedgerEntry,
+    entry_dict,
+    merge_entries,
     merge_ledger_lines,
 )
 from repro.serve.protocol import StoreRequest, StoreResponse, StoreStatus
@@ -39,8 +45,8 @@ DECISION = PlacementDecision(
 )
 
 
-def entry(*, principal="cam", text="plain", status=StoreStatus.ADMITTED,
-          retry_after=None, deadline=None, decision=None, seq=3) -> ServeLedgerEntry:
+def pair(*, principal="cam", text="plain", status=StoreStatus.ADMITTED,
+         retry_after=None, deadline=None, decision=None):
     request = StoreRequest(
         capability=REALM.mint(principal),
         obj=make_obj(0.1, t_arrival=1.5, object_id=f"obj-{text}", creator=text),
@@ -55,20 +61,51 @@ def entry(*, principal="cam", text="plain", status=StoreStatus.ADMITTED,
         cost_charged=1234.5,
         retry_after=retry_after,
     )
-    return ServeLedgerEntry(
-        seq=seq, t_submit=1.5, t_decided=2.25, request=request, response=response
-    )
+    return request, response
 
 
-def parent_line(e: ServeLedgerEntry) -> str:
-    return json.dumps(e.to_dict(), sort_keys=True)
+def nested(request, response, seq, t_submit=1.5, t_decided=2.25) -> dict:
+    """An entry's line object, built from the typed pair as the original
+    ``to_dict`` / ``canonical_dict`` methods built it (in no key order)."""
+    return {
+        "seq": seq,
+        "t_submit": t_submit,
+        "t_decided": t_decided,
+        "request": {
+            "request_id": request.request_id,
+            "principal": request.capability.principal,
+            "object_id": request.obj.object_id,
+            "size": request.obj.size,
+            "creator": request.obj.creator,
+            "t_arrival": request.obj.t_arrival,
+            "deadline": request.deadline,
+        },
+        "response": {
+            "request_id": response.request_id,
+            "status": response.status.value,
+            "detail": response.detail,
+            "node_id": response.decision.node_id if response.decision else None,
+            "cost_charged": response.cost_charged,
+            "retry_after": response.retry_after,
+        },
+    }
 
 
-def parent_bytes(entries) -> bytes:
-    """``ServeLedger.canonical_bytes`` as the parent commit spelled it."""
-    header = {"format": "repro-serve-ledger/1", "entries": len(entries)}
+def recorded(request, response, seq=3) -> tuple[tuple, str]:
+    """``(entry, line)`` of one pair recorded on a fresh ledger."""
+    ledger = ServeLedger()
+    entry = ledger.record(request, response, t_submit=1.5, t_decided=2.25, seq=seq)
+    (line,) = ledger.lines
+    return entry, line
+
+
+def parent_bytes(dicts) -> bytes:
+    """``ServeLedger.canonical_bytes`` as the original commit spelled it."""
+    header = {"format": "repro-serve-ledger/1", "entries": len(dicts)}
     lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(parent_line(e) for e in sorted(entries, key=lambda e: e.seq))
+    lines.extend(
+        json.dumps(d, sort_keys=True) for d in sorted(dicts, key=lambda d: d["seq"])
+    )
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -81,14 +118,14 @@ class TestLineEqualsTheSortedDump:
     )
     def test_every_shape_of_entry(self, status, retry_after, deadline, decision):
         for text in NASTY:
-            e = entry(
+            request, response = pair(
                 principal=text, text=text, status=status, retry_after=retry_after,
                 deadline=deadline, decision=decision,
             )
-            line = e.canonical_line()
-            assert line == parent_line(e)
+            entry, line = recorded(request, response)
+            assert line == json.dumps(nested(request, response, 3), sort_keys=True)
             assert "\n" not in line and line.isascii()
-            assert json.loads(line) == e.to_dict()
+            assert json.loads(line) == entry_dict(entry) == nested(request, response, 3)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -99,43 +136,93 @@ class TestLineEqualsTheSortedDump:
         seq=st.integers(min_value=0, max_value=10**12),
     )
     def test_any_text_in_any_field(self, principal, text, status, retry_after, seq):
-        e = entry(
-            principal=principal, text=text, status=status, retry_after=retry_after,
-            seq=seq,
+        request, response = pair(
+            principal=principal, text=text, status=status, retry_after=retry_after
         )
-        assert e.canonical_line() == parent_line(e)
+        _entry, line = recorded(request, response, seq)
+        assert line == json.dumps(nested(request, response, seq), sort_keys=True)
 
 
 class TestLedgerBytes:
-    def shuffled(self) -> ServeLedger:
+    def shuffled(self) -> tuple[ServeLedger, list[dict]]:
         ledger = ServeLedger()
-        entries = [
-            entry(text=NASTY[i % len(NASTY)], status=list(StoreStatus)[i % 6], seq=i)
+        pairs = [
+            (i, *pair(text=NASTY[i % len(NASTY)], status=list(StoreStatus)[i % 6]))
             for i in range(40)
         ]
-        random.Random(5).shuffle(entries)  # decision order != submission order
-        for e in entries:
-            ledger.record(
-                e.request, e.response, t_submit=e.t_submit, t_decided=e.t_decided,
-                seq=e.seq,
-            )
-        return ledger
+        random.Random(5).shuffle(pairs)  # decision order != submission order
+        for seq, request, response in pairs:
+            ledger.record(request, response, t_submit=1.5, t_decided=2.25, seq=seq)
+        return ledger, [nested(request, response, seq) for seq, request, response in pairs]
 
     def test_canonical_bytes_equal_the_parent_formula(self):
-        ledger = self.shuffled()
-        assert [e.seq for e in ledger.entries] != sorted(e.seq for e in ledger.entries)
-        assert ledger.canonical_bytes() == parent_bytes(ledger.entries)
+        ledger, dicts = self.shuffled()
+        appended = [entry[0] for entry in ledger._entries]
+        assert appended != sorted(appended)
+        assert [entry[0] for entry in ledger] == sorted(appended)
+        assert ledger.canonical_bytes() == parent_bytes(dicts)
         assert ServeLedger().canonical_bytes() == parent_bytes(())
 
-    def test_keyed_lines_and_canonical_bytes_are_one_spelling(self):
-        ledger = self.shuffled()
+    def test_keyed_lines_and_canonical_bytes_are_one_spelling(self, tmp_path):
+        ledger, dicts = self.shuffled()
         keyed = ledger.keyed_lines()
         assert [seq for seq, _line in keyed] == list(range(40))
         body = ledger.canonical_bytes().decode().splitlines()[1:]
-        assert body == [line for _seq, line in keyed]
-        merged = merge_ledger_lines(keyed[20:] + keyed[:20])
-        assert isinstance(merged, FrozenServeLedger)
+        assert body == [line for _seq, line in keyed] == ledger.lines
+        assert ledger.entry_dicts() == sorted(dicts, key=lambda d: d["seq"])
+        assert ledger.canonical_sha256() == hashlib.sha256(ledger.canonical_bytes()).hexdigest()
+        assert ledger.write_jsonl(tmp_path / "l.jsonl").read_bytes() == ledger.canonical_bytes()
+
+    def test_merged_is_the_local_ledger_in_any_shard_order(self):
+        ledger, _dicts = self.shuffled()
+        entries = list(ledger)
+        merged = merge_entries(entries[20:] + entries[:20])
+        assert type(merged) is ServeLedger is FrozenServeLedger
+        assert merge_ledger_lines is merge_entries
+        assert merged == merge_entries(entries)
         assert merged.canonical_bytes() == ledger.canonical_bytes()
+        assert merged.canonical_sha256() == ledger.canonical_sha256()
+
+    def test_duplicate_seq_across_shards_raises(self):
+        ledger, _dicts = self.shuffled()
+        entries = list(ledger)
+        with pytest.raises(ValueError, match="duplicate ledger sequence"):
+            merge_entries(entries + entries[7:8])
+
+
+class TestRecordFlattens:
+    def test_record_does_not_retain_the_response(self):
+        # What the serving path's memory rests on: a ledger of n entries
+        # pins n tuples of scalars, not n responses and their decisions.
+        ledger = ServeLedger()
+        request, response = pair(decision=DECISION, retry_after=1.5)
+        alive = weakref.ref(response)
+        ledger.record(request, response, t_submit=1.5, t_decided=2.25, seq=0)
+        del response
+        gc.collect()
+        assert alive() is None
+        assert len(ledger) == 1
+
+    def test_an_entry_is_scalars_in_field_order(self):
+        request, response = pair(decision=DECISION, retry_after=1.5, deadline=90.0)
+        entry, _line = recorded(request, response)
+        assert len(entry) == len(ENTRY_FIELDS) == 15
+        assert all(
+            value is None or type(value) in (int, float, str) for value in entry
+        )
+        by_name = dict(zip(ENTRY_FIELDS, entry))
+        assert by_name["seq"] == 3 and by_name["t_decided"] == 2.25
+        assert by_name["node_id"] == DECISION.node_id
+        assert by_name["status"] == "admitted"
+
+    def test_field_names_and_line_keys_agree(self):
+        # Feed the column names through as values: every leaf of the line
+        # object must sit under the key that names its column.
+        line = entry_dict(ENTRY_FIELDS)
+        leaves = {**line["request"], **line["response"]}
+        leaves.update((k, v) for k, v in line.items() if k not in ("request", "response"))
+        assert all(key == value for key, value in leaves.items())
+        assert set(leaves) == set(ENTRY_FIELDS)
 
 
 def assert_sorted_at_every_level(value, path="line"):
@@ -150,11 +237,12 @@ class TestLiteralsAreWrittenInSortedKeyOrder:
 
     @pytest.mark.parametrize("decision", [None, DECISION])
     def test_to_dict_and_both_canonical_dicts(self, decision):
-        e = entry(decision=decision, deadline=90.0, retry_after=1.5)
-        assert_sorted_at_every_level(e.request.canonical_dict(), "request")
-        assert_sorted_at_every_level(e.response.canonical_dict(), "response")
-        assert_sorted_at_every_level(e.to_dict())
-        assert set(e.to_dict()) == {"request", "response", "seq", "t_decided", "t_submit"}
+        request, response = pair(decision=decision, deadline=90.0, retry_after=1.5)
+        entry, _line = recorded(request, response)
+        line = entry_dict(entry)
+        assert_sorted_at_every_level(line)
+        assert set(line) == {"request", "response", "seq", "t_decided", "t_submit"}
+        assert len(line["request"]) == 7 and len(line["response"]) == 6
 
     def test_the_header_too(self):
         header = ServeLedger().canonical_bytes().decode().splitlines()[0]

@@ -2,17 +2,19 @@
 
 import pytest
 
+from repro.core.obj import reset_object_ids
 from repro.serve.loadgen import (
     LoadGenSpec,
-    _percentile,
     build_gateway,
     build_requests,
     render_report,
     run_loadgen,
 )
 from repro.serve.protocol import ServeError
+from repro.serve.sharded import run_sharded
 from repro.sim.workload.university import STUDENT_CREATOR
 from repro.units import gib
+from tests.oracles.percentile import nearest_rank
 
 
 def small_spec(**kwargs):
@@ -146,14 +148,46 @@ class TestRunLoadgen:
 
 
 class TestPercentile:
+    """The exact reference the report's bucketed quantiles are held to."""
+
     def test_empty_is_zero(self):
-        assert _percentile([], 0.5) == 0.0
+        assert nearest_rank([], 0.5) == 0.0
 
     def test_nearest_rank_endpoints(self):
         values = [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert _percentile(values, 0.0) == 1.0
-        assert _percentile(values, 0.5) == 3.0
-        assert _percentile(values, 1.0) == 5.0
+        assert nearest_rank(values, 0.0) == 1.0
+        assert nearest_rank(values, 0.5) == 3.0
+        assert nearest_rank(values, 1.0) == 5.0
+
+
+#: Report fields that are pure functions of the spec (no wall clock).
+_DETERMINISTIC_FIELDS = (
+    "spec", "requests", "responses_by_status", "shed_by_reason", "refusals",
+    "batches", "queue_peak", "cluster", "ledger", "coalesced", "deduped",
+    "spilled", "fairness_transactions", "retry_after_histogram", "per_shard",
+)
+
+
+class TestOneServingPath:
+    def test_run_loadgen_is_the_one_shard_fleet(self):
+        spec = small_spec(max_requests=60, rate_per_minute=0.05, rate_burst=2.0)
+        assert spec.shards == 1
+        reset_object_ids()  # the registry does this per run: must not matter
+        via_loadgen = run_loadgen(spec)
+        via_fleet = run_sharded(spec)
+        for name in _DETERMINISTIC_FIELDS:
+            assert getattr(via_loadgen, name) == getattr(via_fleet, name), name
+        assert via_loadgen.ledger.canonical_bytes() == via_fleet.ledger.canonical_bytes()
+        assert sum(via_loadgen.retry_after_histogram.values()) > 0
+        assert via_loadgen.per_shard == ()
+        assert via_loadgen.spilled == 0
+
+    def test_one_shard_report_prints_no_shard_table(self):
+        text = render_report(run_loadgen(small_spec(max_requests=40)))
+        assert "shard" not in text and "spilled" not in text
+        fleet = render_report(run_loadgen(small_spec(max_requests=40, shards=2)))
+        assert "2 shard(s) (overflow spill)" in fleet
+        assert "spilled-in" in fleet and "off-home routes" in fleet
 
 
 class TestRenderReport:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.besteffs.auth import CapabilityRealm
 from repro.besteffs.placement import PlacementDecision
+from repro.serve.ledger import ServeLedger
 from repro.serve.protocol import ServeError, StoreRequest, StoreResponse, StoreStatus
 from tests.conftest import make_obj
 
@@ -16,6 +17,14 @@ def make_request(**kwargs):
     kwargs.setdefault("capability", REALM.mint("alice"))
     kwargs.setdefault("obj", make_obj(0.1))
     return StoreRequest(**kwargs)
+
+
+def ledger_line(request, response) -> dict:
+    """The pair's canonical form: the object its ledger line encodes."""
+    ledger = ServeLedger()
+    ledger.record(request, response, t_submit=0.0, t_decided=0.0)
+    (line,) = ledger.entry_dicts()
+    return line
 
 
 class TestStoreStatus:
@@ -75,8 +84,8 @@ class TestStoreRequest:
     def test_canonical_dict_is_sim_time_only(self):
         obj = make_obj(0.25, t_arrival=60.0, object_id="obj-c", creator="cam")
         request = make_request(obj=obj, deadline=120.0)
-        d = request.canonical_dict()
-        assert d == {
+        d = ledger_line(request, StoreResponse("req-obj-c", StoreStatus.ADMITTED))
+        assert d["request"] == {
             "request_id": "req-obj-c",
             "principal": "alice",
             "object_id": "obj-c",
@@ -99,7 +108,7 @@ class TestStoreResponse:
         )
         assert response.stored
         assert response.refused_by is None
-        assert response.canonical_dict()["node_id"] == "n1"
+        assert ledger_line(make_request(), response)["response"]["node_id"] == "n1"
 
     def test_refused_by_only_for_legacy_gates(self):
         assert StoreResponse("r", StoreStatus.REJECTED_AUTH).refused_by == "auth"
@@ -112,6 +121,6 @@ class TestStoreResponse:
         response = StoreResponse(
             "r", StoreStatus.ADMITTED, detail="ok", cost_charged=1.0, retry_after=2.0
         )
-        assert set(response.canonical_dict()) == {
+        assert set(ledger_line(make_request(), response)["response"]) == {
             "request_id", "status", "detail", "node_id", "cost_charged", "retry_after",
         }

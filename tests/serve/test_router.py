@@ -148,6 +148,39 @@ class TestRouting:
         assert plan_a == plan_b
 
 
+class TestWindowsStayBounded:
+    """The offered-load windows hold the trailing window, whatever the
+    spill policy, and equal routes share one decision object."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            RouterConfig(shards=2, spill="never", window_minutes=50.0),
+            RouterConfig(shards=1, window_minutes=50.0),
+            RouterConfig(shards=2, high_water=8, window_minutes=50.0),
+        ],
+        ids=["never", "one-shard", "overflow"],
+    )
+    def test_retained_timestamps_fit_the_window(self, config):
+        # One request per minute for 2,000 minutes: forty windows' worth.
+        requests = make_requests([f"obj-{i:05d}" for i in range(2000)])
+        plan, router = plan_routes(requests, config)
+        in_window = sum(
+            1 for r in requests if r.obj.t_arrival > 1999.0 - config.window_minutes
+        )
+        assert in_window == 50
+        assert sum(len(window) for window in router._windows) <= in_window
+        loads = [router.offered_load(s, 1999.0) for s in range(config.shards)]
+        assert sum(loads) == in_window
+        # The plan itself is what it always was: home unless spilled.
+        assert [d.home for d in plan] == [
+            home_shard(r.obj.object_id, config.shards) for r in requests
+        ]
+        if config.spill == "never" or config.shards == 1:
+            assert all(not d.spilled for d in plan)
+        assert len({id(d) for d in plan}) <= config.shards**2
+
+
 class TestHomeShardMemo:
     """``home_shard`` is memoised with a constant bound; a plan must not
     depend on what the memo holds, and the memo must not grow with the

@@ -8,24 +8,24 @@ import pytest
 from repro.core.obj import reset_object_ids
 from repro.obs import DURATION_BUCKETS
 from repro.serve import sharded
-from repro.serve.ledger import FrozenServeLedger
+from repro.serve.ledger import ServeLedger
 from repro.serve.loadgen import (
     LoadGenSpec,
-    _percentile,
+    build_gateway,
     retry_after_histogram,
     run_loadgen,
+    shard_serve_seed,
 )
 from repro.serve.protocol import ServeError
 from repro.serve.sharded import (
-    build_shard_gateway,
     merged_rows,
     run_shard_serve,
     run_sharded,
     shard_rows,
-    shard_serve_seed,
 )
 from repro.sim.parallel import RunSpec
 from repro.units import MINUTES_PER_DAY, gib
+from tests.oracles.percentile import nearest_rank
 
 
 def flash_spec(**kwargs):
@@ -65,7 +65,7 @@ class TestBuildShardGateway:
         spec = flash_spec(nodes=4, shards=2)
         names = []
         for shard in range(2):
-            gateway = build_shard_gateway(spec, shard)
+            gateway = build_gateway(spec, shard)
             names.extend(sorted(gateway.cluster.nodes))
         assert names == ["node-000", "node-001", "node-002", "node-003"]
 
@@ -73,12 +73,13 @@ class TestBuildShardGateway:
         spec = flash_spec(nodes=4, shards=2)
         fleet = spec.budget_gib_days * gib(1) * MINUTES_PER_DAY
         budgets = [
-            build_shard_gateway(spec, shard).ledger.budget_per_period
+            build_gateway(spec, shard).ledger.budget_per_period
             for shard in range(2)
         ]
         assert sum(budgets) == pytest.approx(fleet)
-        single = build_shard_gateway(flash_spec(nodes=4, shards=1), 0)
+        single = build_gateway(flash_spec(nodes=4, shards=1))
         assert single.ledger.budget_per_period == pytest.approx(fleet)
+        assert sharded.build_shard_gateway is build_gateway  # bench/trace.py's name
 
     def test_rejects_out_of_range_shard(self):
         with pytest.raises(ServeError):
@@ -87,7 +88,8 @@ class TestBuildShardGateway:
 
 class TestSingleShardParity:
     def test_one_shard_matches_legacy_gateway(self):
-        # shards=1 must be byte-for-byte the legacy single-gateway path.
+        # A standalone shard 0 of 1 is the whole run_loadgen run (whose
+        # bytes tests/serve/test_determinism.py pins to the legacy path's).
         spec = flash_spec(workload="university", shards=1, max_requests=200)
         legacy = run_fresh(spec)
         reset_object_ids()
@@ -110,7 +112,7 @@ class TestMergedRun:
         report = run_fresh(flash_spec())
         assert report.spilled > 0
         assert report.coalesced > 0
-        assert isinstance(report.ledger, FrozenServeLedger)
+        assert isinstance(report.ledger, ServeLedger)
 
     def test_merged_rows_deterministic_across_runs(self):
         spec = flash_spec()
@@ -184,7 +186,7 @@ class TestStreamBuiltOnce:
             raise RuntimeError("no gateway")
 
         run_fresh(flash_spec())  # a stream exists before the failing run
-        monkeypatch.setattr(sharded, "build_shard_gateway", broken)
+        monkeypatch.setattr(sharded, "build_gateway", broken)
         with pytest.raises(ServeError, match="no gateway"):
             run_fresh(flash_spec())
         assert sharded._held_stream is None
@@ -205,10 +207,7 @@ class TestStreamBuiltOnce:
         from repro.experiments.registry import run_cli
 
         def shard_spec(max_requests):
-            params, seed, horizon = sharded._spec_params(
-                flash_spec(max_requests=max_requests), 0
-            )
-            return RunSpec("serve-shard", params=params, seed=seed, horizon_days=horizon)
+            return sharded._shard_spec(flash_spec(max_requests=max_requests), 0)
 
         try:
             small, _r, _csv = run_cli(shard_spec(150))
@@ -227,8 +226,8 @@ class TestStreamBuiltOnce:
             outcomes.append(run_shard_serve(spec, shard))
         assert sharded._held_stream is None  # standalone calls share nothing
         assert [o.assigned for o in outcomes] == [row[2] for row in report.per_shard]
-        lines = sorted(pair for o in outcomes for pair in o.ledger_lines)
-        assert tuple(line for _seq, line in lines) == report.ledger.lines
+        entries = sorted(entry for o in outcomes for entry in o.ledger)
+        assert entries == list(report.ledger)
 
 
 class TestShardSideSummaries:
@@ -244,7 +243,7 @@ class TestShardSideSummaries:
         report = run_fresh(spec)
         assert sum(summed.values()) > 0
         assert summed == report.retry_after_histogram
-        assert summed == retry_after_histogram(report.ledger)  # the parsing path
+        assert summed == retry_after_histogram(report.ledger)  # the merged column
 
     def test_latency_rows_are_timing_kind(self):
         reset_object_ids()
@@ -283,7 +282,7 @@ class TestShardSideSummaries:
             return next(i for i, bound in enumerate(bounds) if value <= bound)
 
         for q in (0.5, 0.95, 0.99):
-            exact = _percentile(latencies, q)
+            exact = nearest_rank(latencies, q)
             estimate = sharded._latency_quantile(
                 counts, latencies[0], latencies[-1], q
             )
