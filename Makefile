@@ -13,13 +13,15 @@ test: lint unit obs-smoke audit-smoke alerts-check trace-smoke serve-smoke
 unit:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -x -q
 
-# The run-spec/parallel-executor surface: RunSpec unit tests, CLI
-# --jobs/sweep coverage (incl. the multi-spec artifact-set parity of the
-# one run driver), obs merge semantics, and the jobs-parity determinism
-# suite (serial vs pooled artifacts byte-identical).
+# The run-spec/parallel-executor surface: RunSpec unit tests, the fleet
+# runner (run_shards, failed shards included), CLI --jobs/sweep coverage
+# (incl. the multi-spec artifact-set and CSV parity of the one run
+# driver), obs merge semantics, and the jobs-parity determinism suite
+# (serial vs pooled artifacts byte-identical).
 test-parallel:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q \
 		tests/sim/test_parallel.py \
+		tests/sim/test_run_shards.py \
 		tests/experiments/test_cli.py \
 		tests/experiments/test_cli_driver.py \
 		tests/obs/test_metrics.py tests/obs/test_timeseries.py \
@@ -64,8 +66,10 @@ trace-smoke:
 # run with metrics + ledger export and the in-run SLO gate, the same
 # rules re-checked offline via `repro-sim alerts`, an open-loop `serve`
 # run against a single unit, then a two-shard closed-loop run at
-# --jobs 1 and --jobs 2 whose ledgers must be the same bytes (exit
-# non-zero if any leg fails).
+# --jobs 1 and --jobs 2 whose ledgers must be the same bytes, and a
+# two-shard serve-shard sweep whose per-shard CSVs (the shards' ledgers)
+# must be the same bytes at --jobs 1 and --jobs 2 (exit non-zero if any
+# leg fails).
 serve-smoke:
 	@rm -rf .serve-smoke && mkdir -p .serve-smoke
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro.cli loadgen \
@@ -85,6 +89,15 @@ serve-smoke:
 			--ledger-out .serve-smoke/jobs-$$jobs.jsonl >/dev/null || exit 1; \
 	done
 	cmp .serve-smoke/jobs-1.jsonl .serve-smoke/jobs-2.jsonl
+	@for jobs in 1 2; do \
+		PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro.cli sweep serve-shard \
+			--param shards=2 --param shard=0,1 --horizon-days 10 --jobs $$jobs \
+			--csv .serve-smoke/shard-jobs-$$jobs.csv >/dev/null || exit 1; \
+	done
+	@for shard in 0 1; do \
+		cmp .serve-smoke/shard-jobs-1-serve-shard-shard=$$shard-shards=2-h=10.csv \
+			.serve-smoke/shard-jobs-2-serve-shard-shard=$$shard-shards=2-h=10.csv || exit 1; \
+	done
 	@test -s .serve-smoke/ledger.jsonl
 	@rm -rf .serve-smoke
 	@echo "serve smoke OK"

@@ -23,8 +23,7 @@ ratio is not.
 
 from benchmarks.conftest import run_once
 from repro.core.obj import reset_object_ids
-from repro.serve.loadgen import LoadGenSpec, run_loadgen
-from repro.serve.sharded import merged_rows
+from repro.serve.loadgen import LoadGenSpec, csv_rows, run_loadgen
 
 SHARD_ARMS = (1, 2, 4, 8)
 REPS = 3
@@ -136,8 +135,8 @@ def test_sharded_artifacts_worker_count_invariant(benchmark, save_artifact):
     inline = run_once(benchmark, run_fresh, spec, jobs=1)
     workers = run_fresh(spec, jobs=2)
 
-    rows = merged_rows(inline)
-    assert rows == merged_rows(workers)
+    rows = csv_rows(inline)
+    assert rows == csv_rows(workers)
     assert inline.ledger.canonical_sha256() == workers.ledger.canonical_sha256()
     assert inline.ledger.canonical_sha256() == spec_sha(rows)
 

@@ -35,9 +35,10 @@ def main() -> None:
         if not outcome.ok:
             print(f"  {outcome.spec.slug()}: FAILED ({outcome.error.render()})")
             continue
-        # Outcomes carry the CSV rows (capacity, t, density) across the
-        # process boundary; the plateau is the tail of the density series.
-        tail = [density for _cap, _t, density in outcome.rows[-10:]]
+        # Outcomes carry fig6's typed result across the process boundary;
+        # the plateau is the tail of the (t, density) series.
+        (series,) = outcome.result.series.values()
+        tail = [density for _t, density in series[-10:]]
         print(f"  {outcome.spec.slug():40s} "
               f"mean(last 10 samples) = {sum(tail) / len(tail):.3f}")
 

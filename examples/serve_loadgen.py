@@ -22,7 +22,7 @@ Run with::
 
 from repro.api import LoadGenSpec, run_loadgen
 from repro.core.obj import reset_object_ids
-from repro.serve.loadgen import render_report
+from repro.serve.loadgen import render
 
 
 def main() -> None:
@@ -30,7 +30,7 @@ def main() -> None:
         workload="university", mode="closed", clients=4, nodes=4,
         horizon_days=10.0, scale=0.005, seed=7,
     )
-    print(render_report(run_loadgen(closed)))
+    print(render(run_loadgen(closed)))
     print()
 
     reset_object_ids()  # fresh auto ids so the second run is self-contained
@@ -40,7 +40,7 @@ def main() -> None:
         open_burst=16, max_requests=300,
     )
     report = run_loadgen(open_loop)
-    print(render_report(report))
+    print(render(report))
     shed = report.responses_by_status.get("shed-backpressure", 0)
     print()
     print(f"The bounded queue shed {shed} of {report.requests} open-loop "

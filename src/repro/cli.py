@@ -458,8 +458,9 @@ def _parse_param_grid(entries: list[str] | None) -> dict[str, list[Any]]:
 # the "[<noun> written to <path><detail>]" line.
 
 
-def _write_csv(path: str, table: tuple) -> str:
-    write_csv(path, *table)
+def _write_csv(path: str, outcome: RunOutcome) -> str:
+    """``--csv``: the only place an experiment's result becomes rows."""
+    write_csv(path, *registry.csv_table(outcome.spec.experiment, outcome.result))
     return ""
 
 
@@ -581,7 +582,7 @@ def _run_and_emit(specs: list[RunSpec], args: argparse.Namespace, *, sweep: bool
             return
         print(outcome.rendered)
         print()
-        _write_sink(args, "csv", (outcome.headers, outcome.rows), suffix)
+        _write_sink(args, "csv", outcome, suffix)
         telemetry = outcome.telemetry
         if telemetry is None:
             return
@@ -818,7 +819,8 @@ def _serve_cmd(args: argparse.Namespace) -> int:
     the async service, and print the report.  Metrics export and in-run
     alert evaluation mirror the ``run`` subcommand.
     """
-    from repro.serve.loadgen import LoadGenSpec, render_report, run_loadgen
+    from repro.obs.alerts import AlertEngine, load_rules
+    from repro.serve.loadgen import LoadGenSpec, render, run_loadgen
 
     spec = LoadGenSpec(
         **{
@@ -828,6 +830,8 @@ def _serve_cmd(args: argparse.Namespace) -> int:
             for f in dataclasses.fields(LoadGenSpec)
         }
     )
+    # Rules load before anything runs, so a bad rules file is exit 2.
+    rules = load_rules(args.alert_rules) if args.alert_rules else ()
     obs_requested = bool(args.metrics_out or args.alert_rules)
     if obs_requested:
         from repro import obs
@@ -836,17 +840,16 @@ def _serve_cmd(args: argparse.Namespace) -> int:
         obs.enable()
     try:
         report = run_loadgen(spec, jobs=args.jobs)
-        print(render_report(report))
+        print(render(report))
         _write_sink(args, "ledger", report.ledger)
         failed = False
         if obs_requested:
             payload = _metrics_export(obs.export_payload(args.command), trace=False)
             _write_sink(args, "metrics", payload)
-            if args.alert_rules:
-                from repro.obs.alerts import AlertEngine, load_rules
+            if rules:
                 from repro.report.metrics import alerts_verdict_line
 
-                engine = AlertEngine(rules=load_rules(args.alert_rules))
+                engine = AlertEngine(rules=rules)
                 engine.evaluate(obs.STATE.registry)
                 print(alerts_verdict_line(engine))
                 failed = not engine.passed

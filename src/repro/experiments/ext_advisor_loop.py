@@ -36,7 +36,7 @@ from repro.sim.workload.single_app import RateRamp, SingleAppWorkload
 from repro.units import days, gib, to_days
 from repro.sim.parallel import RunSpec
 
-__all__ = ["AdvisorLoopResult", "execute", "render"]
+__all__ = ["AdvisorLoopResult", "execute", "render", "CSV_HEADERS", "csv_rows"]
 
 #: Each producer asks for the same temporal shape; only `p` varies.
 PERSIST_DAYS = 10.0
@@ -182,6 +182,18 @@ def render(result: AdvisorLoopResult) -> str:
             ]
         )
     return table.render()
+
+
+CSV_HEADERS = ("strategy", "admission_rate", "mean_life_days", "mean_importance")
+
+
+def csv_rows(result: AdvisorLoopResult) -> list[tuple]:
+    """One row per annotation strategy."""
+    return [
+        (label, stats["admission_rate"], stats["mean_life_days"],
+         stats["mean_importance"])
+        for label, stats in result.per_strategy.items()
+    ]
 
 
 def execute(spec: RunSpec) -> AdvisorLoopResult:

@@ -27,7 +27,7 @@ from repro.sim.workload.university import UniversityConfig, UniversityWorkload
 from repro.units import days, gib, to_days, to_gib
 from repro.sim.parallel import RunSpec
 
-__all__ = ["ChurnResult", "execute", "render"]
+__all__ = ["ChurnResult", "execute", "render", "CSV_HEADERS", "csv_rows"]
 
 
 @dataclass(frozen=True)
@@ -125,6 +125,19 @@ def render(result: ChurnResult) -> str:
     table.add_row(["overlay rebuilds", result.overlay_rebuilds])
     table.add_row(["final density", round(result.final_density, 4)])
     return table.render()
+
+
+CSV_HEADERS = ("metric", "value")
+
+
+def csv_rows(result: ChurnResult) -> list[tuple]:
+    """The placement and loss counters, one row each."""
+    return [
+        ("placed", result.placed),
+        ("rejected", result.rejected),
+        ("preempted", result.preempted),
+        ("lost_to_departures", result.lost_to_departures),
+    ]
 
 
 def execute(spec: RunSpec) -> ChurnResult:

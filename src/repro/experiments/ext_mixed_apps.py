@@ -30,7 +30,15 @@ from repro.sim.workload.single_app import RateRamp, SingleAppWorkload
 from repro.units import days, gib, to_days
 from repro.sim.parallel import RunSpec
 
-__all__ = ["AppClass", "MixedAppsResult", "APP_CLASSES", "execute", "render"]
+__all__ = [
+    "AppClass",
+    "MixedAppsResult",
+    "APP_CLASSES",
+    "execute",
+    "render",
+    "CSV_HEADERS",
+    "csv_rows",
+]
 
 
 @dataclass(frozen=True)
@@ -154,6 +162,17 @@ def render(result: MixedAppsResult) -> str:
             ]
         )
     return table.render()
+
+
+CSV_HEADERS = ("class", "arrivals", "rejected", "mean_life_days")
+
+
+def csv_rows(result: MixedAppsResult) -> list[tuple]:
+    """One row per application class."""
+    return [
+        (name, stats["arrivals"], stats["rejected"], stats["mean_life_days"])
+        for name, stats in result.per_class.items()
+    ]
 
 
 def execute(spec: RunSpec) -> MixedAppsResult:

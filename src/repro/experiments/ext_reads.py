@@ -41,7 +41,7 @@ from repro.sim.workload.readers import build_read_schedule
 from repro.units import MINUTES_PER_DAY, days, gib
 from repro.sim.parallel import RunSpec
 
-__all__ = ["ReadAvailabilityResult", "execute", "render"]
+__all__ = ["ReadAvailabilityResult", "execute", "render", "CSV_HEADERS", "csv_rows"]
 
 def _table1_annotation(t: float):
     """The paper's lecture annotation: flat until the end of the term."""
@@ -162,6 +162,18 @@ def render(result: ReadAvailabilityResult) -> str:
             ]
         )
     return table.render()
+
+
+CSV_HEADERS = ("variant", "hit_rate", "hits", "missed_never_stored", "missed_evicted")
+
+
+def csv_rows(result: ReadAvailabilityResult) -> list[tuple]:
+    """One row per policy variant."""
+    return [
+        (name, stats["hit_rate"], stats["hits"], stats["misses_never_stored"],
+         stats["misses_evicted"])
+        for name, stats in result.per_policy.items()
+    ]
 
 
 def execute(spec: RunSpec) -> ReadAvailabilityResult:

@@ -31,7 +31,7 @@ from repro.sim.workload.single_app import SingleAppWorkload
 from repro.units import MINUTES_PER_DAY, MINUTES_PER_HOUR, days, gib
 from repro.sim.parallel import RunSpec
 
-__all__ = ["RefreshResult", "execute", "render"]
+__all__ = ["RefreshResult", "execute", "render", "CSV_HEADERS", "csv_rows"]
 
 WINDOWS = {
     "hour": float(MINUTES_PER_HOUR),
@@ -159,6 +159,17 @@ def render(result: RefreshResult) -> str:
             ]
         )
     return table.render()
+
+
+CSV_HEADERS = ("window", "safety", "registered", "lost", "refreshes")
+
+
+def csv_rows(result: RefreshResult) -> list[tuple]:
+    """One row per (window, safety factor), sorted."""
+    return [
+        (window, safety, o.registered, o.lost, o.refreshes)
+        for (window, safety), o in sorted(result.outcomes.items())
+    ]
 
 
 def execute(spec: RunSpec) -> RefreshResult:

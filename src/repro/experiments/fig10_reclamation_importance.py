@@ -25,7 +25,7 @@ from repro.report.table import TextTable
 from repro.sim.workload.lecture import UNIVERSITY_CREATOR
 from repro.sim.parallel import RunSpec
 
-__all__ = ["Fig10Result", "execute", "render"]
+__all__ = ["Fig10Result", "execute", "render", "CSV_HEADERS", "csv_rows"]
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,18 @@ def render(result: Fig10Result) -> str:
             "victims at projected importance >= 0.5 (the paper's pathology)"
         )
     return "\n\n".join(chunks)
+
+
+CSV_HEADERS = ("capacity_gib", "policy", "bucket_day", "mean_importance", "count")
+
+
+def csv_rows(result: Fig10Result) -> list[tuple]:
+    """One row per bucket of every (capacity, policy) reclamation series."""
+    return [
+        (cap, policy, day, imp, n)
+        for (cap, policy), series in result.series.items()
+        for day, imp, n in series
+    ]
 
 
 def execute(spec: RunSpec) -> Fig10Result:

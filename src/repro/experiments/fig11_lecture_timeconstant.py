@@ -22,7 +22,7 @@ from repro.report.table import TextTable
 from repro.units import gib, to_days
 from repro.sim.parallel import RunSpec
 
-__all__ = ["Fig11Result", "execute", "render"]
+__all__ = ["Fig11Result", "execute", "render", "CSV_HEADERS", "csv_rows"]
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,18 @@ def render(result: Fig11Result) -> str:
         )
     chunks.append(table.render())
     return "\n\n".join(chunks)
+
+
+CSV_HEADERS = ("window", "t_minutes", "tau_minutes")
+
+
+def csv_rows(result: Fig11Result) -> list[tuple]:
+    """One row per point of every window's time-constant series."""
+    return [
+        (name, t, tau)
+        for name, series in result.series.items()
+        for t, tau in series.points
+    ]
 
 
 def execute(spec: RunSpec) -> Fig11Result:

@@ -16,7 +16,7 @@ from repro.sim.workload.single_app import SingleAppWorkload
 from repro.units import days, gib, to_days, to_gib
 from repro.sim.parallel import RunSpec
 
-__all__ = ["Fig2Result", "execute", "render"]
+__all__ = ["Fig2Result", "execute", "render", "CSV_HEADERS", "csv_rows"]
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,14 @@ def render(result: Fig2Result) -> str:
         else "120 GiB disk never fills",
     ]
     return "\n".join(lines)
+
+
+CSV_HEADERS = ("t_minutes", "cumulative_bytes")
+
+
+def csv_rows(result: Fig2Result) -> list[tuple]:
+    """The cumulative-demand series, one row per arrival."""
+    return list(result.series)
 
 
 def execute(spec: RunSpec) -> Fig2Result:

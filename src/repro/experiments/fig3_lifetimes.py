@@ -21,7 +21,7 @@ from repro.report.table import TextTable
 from repro.units import to_days
 from repro.sim.parallel import RunSpec
 
-__all__ = ["Fig3Result", "execute", "render"]
+__all__ = ["Fig3Result", "execute", "render", "CSV_HEADERS", "csv_rows"]
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,18 @@ def render(result: Fig3Result) -> str:
         )
     chunks.append(table.render())
     return "\n\n".join(chunks)
+
+
+CSV_HEADERS = ("capacity_gib", "policy", "bucket_day", "mean_days", "count")
+
+
+def csv_rows(result: Fig3Result) -> list[tuple]:
+    """One row per lifetime bucket of every (capacity, policy) series."""
+    return [
+        (cap, policy, day, mean, n)
+        for (cap, policy), series in result.series.items()
+        for day, mean, n in series
+    ]
 
 
 def execute(spec: RunSpec) -> Fig3Result:

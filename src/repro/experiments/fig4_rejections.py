@@ -20,7 +20,7 @@ from repro.report.table import TextTable
 from repro.units import to_days
 from repro.sim.parallel import RunSpec
 
-__all__ = ["Fig4Result", "execute", "render"]
+__all__ = ["Fig4Result", "execute", "render", "CSV_HEADERS", "csv_rows"]
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,18 @@ def render(result: Fig4Result) -> str:
         )
     chunks.append(table.render())
     return "\n\n".join(chunks)
+
+
+CSV_HEADERS = ("capacity_gib", "policy", "t_minutes", "cumulative_rejections")
+
+
+def csv_rows(result: Fig4Result) -> list[tuple]:
+    """One row per point of every (capacity, policy) rejection curve."""
+    return [
+        (cap, policy, t, count)
+        for (cap, policy), series in result.cumulative.items()
+        for t, count in series
+    ]
 
 
 def execute(spec: RunSpec) -> Fig4Result:

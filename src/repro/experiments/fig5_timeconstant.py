@@ -30,7 +30,7 @@ from repro.report.table import TextTable
 from repro.units import gib, to_days
 from repro.sim.parallel import RunSpec
 
-__all__ = ["Fig5Result", "execute", "render", "run_from_arrivals"]
+__all__ = ["Fig5Result", "execute", "render", "run_from_arrivals", "CSV_HEADERS", "csv_rows"]
 
 WINDOWS = {"hour": WINDOW_HOUR, "day": WINDOW_DAY, "month": WINDOW_MONTH}
 
@@ -124,6 +124,18 @@ def render(result: Fig5Result) -> str:
             f"p={result.daily_bp.p_value:.4g} -> {verdict}"
         )
     return "\n\n".join(chunks)
+
+
+CSV_HEADERS = ("window", "t_minutes", "tau_minutes")
+
+
+def csv_rows(result: Fig5Result) -> list[tuple]:
+    """One row per point of every window's time-constant series."""
+    return [
+        (name, t, tau)
+        for name, series in result.series.items()
+        for t, tau in series.points
+    ]
 
 
 def execute(spec: RunSpec) -> Fig5Result:

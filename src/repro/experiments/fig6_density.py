@@ -20,7 +20,7 @@ from repro.report.table import TextTable
 from repro.units import to_days
 from repro.sim.parallel import RunSpec
 
-__all__ = ["Fig6Result", "execute", "render"]
+__all__ = ["Fig6Result", "execute", "render", "CSV_HEADERS", "csv_rows"]
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,18 @@ def render(result: Fig6Result) -> str:
             ]
         )
     return chart + "\n\n" + table.render()
+
+
+CSV_HEADERS = ("capacity_gib", "t_minutes", "density")
+
+
+def csv_rows(result: Fig6Result) -> list[tuple]:
+    """One row per density sample of every capacity."""
+    return [
+        (cap, t, density)
+        for cap, series in result.series.items()
+        for t, density in series
+    ]
 
 
 def execute(spec: RunSpec) -> Fig6Result:

@@ -26,7 +26,7 @@ from repro.sim.runner import feed_arrivals
 from repro.units import days, to_days
 from repro.sim.parallel import RunSpec
 
-__all__ = ["Fig7Result", "execute", "render", "PAPER_DENSITY"]
+__all__ = ["Fig7Result", "execute", "render", "PAPER_DENSITY", "CSV_HEADERS", "csv_rows"]
 
 #: The density at which the paper took its snapshot.
 PAPER_DENSITY = 0.8369
@@ -104,6 +104,14 @@ def render(result: Fig7Result) -> str:
         f"{result.min_storable_importance:.3f}  (paper: ~0.25)",
     ]
     return "\n".join(lines)
+
+
+CSV_HEADERS = ("importance", "cumulative_fraction")
+
+
+def csv_rows(result: Fig7Result) -> list[tuple]:
+    """The importance CDF at the snapshot, one row per step."""
+    return list(result.cdf)
 
 
 def execute(spec: RunSpec) -> Fig7Result:

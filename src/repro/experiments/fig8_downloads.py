@@ -15,7 +15,7 @@ from repro.report.table import TextTable
 from repro.sim.workload.downloads import DownloadTraceConfig, synthesize_download_trace
 from repro.sim.parallel import RunSpec
 
-__all__ = ["Fig8Result", "execute", "render"]
+__all__ = ["Fig8Result", "execute", "render", "CSV_HEADERS", "csv_rows"]
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,14 @@ def render(result: Fig8Result) -> str:
     table.add_row(["mean/day after term", round(result.mean_after_term, 1)])
     table.add_row(["exam days", ", ".join(map(str, result.config.exam_days))])
     return chart + "\n\n" + table.render()
+
+
+CSV_HEADERS = ("day", "downloads")
+
+
+def csv_rows(result: Fig8Result) -> list[tuple]:
+    """The daily download trace."""
+    return list(result.trace)
 
 
 def execute(spec: RunSpec) -> Fig8Result:

@@ -24,7 +24,7 @@ from repro.sim.workload.lecture import STUDENT_CREATOR, UNIVERSITY_CREATOR
 from repro.units import to_days
 from repro.sim.parallel import RunSpec
 
-__all__ = ["Fig9Result", "execute", "render"]
+__all__ = ["Fig9Result", "execute", "render", "CSV_HEADERS", "csv_rows"]
 
 CREATORS = (UNIVERSITY_CREATOR, STUDENT_CREATOR)
 
@@ -137,6 +137,18 @@ def render(result: Fig9Result) -> str:
         )
     chunks.append(table.render())
     return "\n\n".join(chunks)
+
+
+CSV_HEADERS = ("capacity_gib", "creator", "bucket_day", "mean_days", "count")
+
+
+def csv_rows(result: Fig9Result) -> list[tuple]:
+    """One row per lifetime bucket of every (capacity, creator) series."""
+    return [
+        (cap, creator, day, mean, n)
+        for (cap, creator), series in result.series.items()
+        for day, mean, n in series
+    ]
 
 
 def execute(spec: RunSpec) -> Fig9Result:

@@ -1,359 +1,107 @@
-"""Experiment registry: one spec-driven entry point per paper artifact.
+"""Experiment registry: one table from experiment name to its module.
 
-Historically each CLI handler threaded ``argparse`` attributes into its
-experiment module's ``run(**kwargs)``; the registry replaces that with a
-single shape shared by the CLI, the parallel sweep executor and the
-benchmarks:
+Every entry is a module with the same four names, so the CLI, the
+parallel sweep executor and the benchmarks share one shape:
+
+* ``execute(spec)`` — run a :class:`~repro.sim.parallel.RunSpec` and
+  return the experiment's typed result;
+* ``render(result)`` — the printable report;
+* ``CSV_HEADERS`` and ``csv_rows(result)`` — the ``--csv`` artifact.
+
+::
 
     from repro.sim.parallel import RunSpec
     from repro.experiments import registry
 
-    result, rendered, (headers, rows) = registry.run_cli(RunSpec("fig6"))
+    result, rendered = registry.run_cli(RunSpec("fig6"))
+    headers, rows = registry.csv_table("fig6", result)
 
-``run_cli`` dispatches by :attr:`RunSpec.experiment`, calls the module's
-``execute(spec)`` and extracts the experiment-specific CSV rows — the
-exact tuples the CLI has always written.  Because adapters live at
-module top level and take only a picklable spec, any registry entry can
-run in a worker process untouched.
+The typed result is what crosses a process boundary
+(:attr:`repro.sim.parallel.RunOutcome.result`); CSV rows are built only
+where ``--csv`` writes them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+import importlib
+from contextlib import nullcontext
+from types import ModuleType
+from typing import Any, Iterable
 
 from repro.errors import ReproError
 from repro.sim.parallel import RunSpec
 
-__all__ = ["CliRun", "names", "run_cli", "run_experiment"]
-
-#: ``(result, rendered, [headers, rows])`` — the CLI handler contract.
-CliRun = tuple[Any, str, list]
-
-
-def _fig2(spec: RunSpec) -> CliRun:
-    from repro.experiments import fig2_storage_requirements as mod
-
-    result = mod.execute(spec)
-    rows = [(t, total) for t, total in result.series]
-    return result, mod.render(result), [("t_minutes", "cumulative_bytes"), rows]
-
-
-def _fig3(spec: RunSpec) -> CliRun:
-    from repro.experiments import fig3_lifetimes as mod
-
-    result = mod.execute(spec)
-    rows = [
-        (cap, policy, day, mean, n)
-        for (cap, policy), series in result.series.items()
-        for day, mean, n in series
-    ]
-    return (
-        result,
-        mod.render(result),
-        [("capacity_gib", "policy", "bucket_day", "mean_days", "count"), rows],
-    )
-
-
-def _fig4(spec: RunSpec) -> CliRun:
-    from repro.experiments import fig4_rejections as mod
-
-    result = mod.execute(spec)
-    rows = [
-        (cap, policy, t, count)
-        for (cap, policy), series in result.cumulative.items()
-        for t, count in series
-    ]
-    return (
-        result,
-        mod.render(result),
-        [("capacity_gib", "policy", "t_minutes", "cumulative_rejections"), rows],
-    )
-
-
-def _fig5(spec: RunSpec) -> CliRun:
-    from repro.experiments import fig5_timeconstant as mod
-
-    result = mod.execute(spec)
-    rows = [
-        (name, t, tau)
-        for name, series in result.series.items()
-        for t, tau in series.points
-    ]
-    return result, mod.render(result), [("window", "t_minutes", "tau_minutes"), rows]
-
-
-def _fig6(spec: RunSpec) -> CliRun:
-    from repro.experiments import fig6_density as mod
-
-    result = mod.execute(spec)
-    rows = [
-        (cap, t, density)
-        for cap, series in result.series.items()
-        for t, density in series
-    ]
-    return result, mod.render(result), [("capacity_gib", "t_minutes", "density"), rows]
-
-
-def _fig7(spec: RunSpec) -> CliRun:
-    from repro.experiments import fig7_cdf as mod
-
-    result = mod.execute(spec)
-    rows = list(result.cdf)
-    return result, mod.render(result), [("importance", "cumulative_fraction"), rows]
-
-
-def _fig8(spec: RunSpec) -> CliRun:
-    from repro.experiments import fig8_downloads as mod
-
-    result = mod.execute(spec)
-    rows = list(result.trace)
-    return result, mod.render(result), [("day", "downloads"), rows]
-
-
-def _table1(spec: RunSpec) -> CliRun:
-    from repro.experiments import table1_parameters as mod
-
-    result = mod.execute(spec)
-    rows = list(result.rows)
-    return result, mod.render(result), [("term", "begin_doy", "t_persist", "t_wane_days"), rows]
-
-
-def _fig9(spec: RunSpec) -> CliRun:
-    from repro.experiments import fig9_lecture_lifetimes as mod
-
-    result = mod.execute(spec)
-    rows = [
-        (cap, creator, day, mean, n)
-        for (cap, creator), series in result.series.items()
-        for day, mean, n in series
-    ]
-    return (
-        result,
-        mod.render(result),
-        [("capacity_gib", "creator", "bucket_day", "mean_days", "count"), rows],
-    )
-
-
-def _fig10(spec: RunSpec) -> CliRun:
-    from repro.experiments import fig10_reclamation_importance as mod
-
-    result = mod.execute(spec)
-    rows = [
-        (cap, policy, day, imp, n)
-        for (cap, policy), series in result.series.items()
-        for day, imp, n in series
-    ]
-    return (
-        result,
-        mod.render(result),
-        [("capacity_gib", "policy", "bucket_day", "mean_importance", "count"), rows],
-    )
-
-
-def _fig11(spec: RunSpec) -> CliRun:
-    from repro.experiments import fig11_lecture_timeconstant as mod
-
-    result = mod.execute(spec)
-    rows = [
-        (name, t, tau)
-        for name, series in result.series.items()
-        for t, tau in series.points
-    ]
-    return result, mod.render(result), [("window", "t_minutes", "tau_minutes"), rows]
-
-
-def _fig12(spec: RunSpec) -> CliRun:
-    from repro.experiments import fig12_lecture_density as mod
-
-    result = mod.execute(spec)
-    rows = [
-        (cap, t, density)
-        for cap, series in result.series.items()
-        for t, density in series
-    ]
-    return result, mod.render(result), [("capacity_gib", "t_minutes", "density"), rows]
-
-
-def _sec53(spec: RunSpec) -> CliRun:
-    from repro.experiments import sec53_university as mod
-
-    result = mod.execute(spec)
-    rows = [
-        (cap, stats.placed, stats.rejected, stats.mean_density)
-        for cap, stats in result.stats.items()
-    ]
-    return (
-        result,
-        mod.render(result),
-        [("node_capacity_gib", "placed", "rejected", "mean_density"), rows],
-    )
-
-
-def _sec54_shard(spec: RunSpec) -> CliRun:
-    from repro.sim import shard as mod
-
-    run = mod.execute(spec)
-    rows = [digest.as_row(run.shard) for digest in run.digests]
-    return run, mod.render(run), [mod.DIGEST_HEADERS, rows]
-
-
-def _sec54_mega(spec: RunSpec) -> CliRun:
-    from repro.experiments import sec54_mega as mod
-    from repro.sim.shard import DIGEST_HEADERS
-
-    result = mod.execute(spec)
-    return result, mod.render(result), [DIGEST_HEADERS, list(result.shard_rows)]
-
-
-def _serve_shard(spec: RunSpec) -> CliRun:
-    from repro.serve import sharded as mod
-
-    outcome = mod.execute(spec)
-    return outcome, mod.render_shard(outcome), [mod.SHARD_ROW_HEADERS, mod.shard_rows(outcome)]
-
-
-def _serve_flash(spec: RunSpec) -> CliRun:
-    from repro.serve import sharded as mod
-    from repro.serve.loadgen import render_report
-
-    report = mod.execute_flash(spec)
-    return report, render_report(report), [mod.SHARD_ROW_HEADERS, mod.merged_rows(report)]
-
-
-def _ext_mixed(spec: RunSpec) -> CliRun:
-    from repro.experiments import ext_mixed_apps as mod
-
-    result = mod.execute(spec)
-    rows = [
-        (name, stats["arrivals"], stats["rejected"], stats["mean_life_days"])
-        for name, stats in result.per_class.items()
-    ]
-    return (
-        result,
-        mod.render(result),
-        [("class", "arrivals", "rejected", "mean_life_days"), rows],
-    )
-
-
-def _ext_churn(spec: RunSpec) -> CliRun:
-    from repro.experiments import ext_churn as mod
-
-    result = mod.execute(spec)
-    rows = [
-        ("placed", result.placed),
-        ("rejected", result.rejected),
-        ("preempted", result.preempted),
-        ("lost_to_departures", result.lost_to_departures),
-    ]
-    return result, mod.render(result), [("metric", "value"), rows]
-
-
-def _ext_refresh(spec: RunSpec) -> CliRun:
-    from repro.experiments import ext_refresh as mod
-
-    result = mod.execute(spec)
-    rows = [
-        (window, safety, o.registered, o.lost, o.refreshes)
-        for (window, safety), o in sorted(result.outcomes.items())
-    ]
-    return (
-        result,
-        mod.render(result),
-        [("window", "safety", "registered", "lost", "refreshes"), rows],
-    )
-
-
-def _ext_reads(spec: RunSpec) -> CliRun:
-    from repro.experiments import ext_reads as mod
-
-    result = mod.execute(spec)
-    rows = [
-        (name, stats["hit_rate"], stats["hits"], stats["misses_never_stored"],
-         stats["misses_evicted"])
-        for name, stats in result.per_policy.items()
-    ]
-    return (
-        result,
-        mod.render(result),
-        [("variant", "hit_rate", "hits", "missed_never_stored", "missed_evicted"),
-         rows],
-    )
-
-
-def _ext_advisor(spec: RunSpec) -> CliRun:
-    from repro.experiments import ext_advisor_loop as mod
-
-    result = mod.execute(spec)
-    rows = [
-        (label, stats["admission_rate"], stats["mean_life_days"],
-         stats["mean_importance"])
-        for label, stats in result.per_strategy.items()
-    ]
-    return (
-        result,
-        mod.render(result),
-        [("strategy", "admission_rate", "mean_life_days", "mean_importance"), rows],
-    )
-
-
-_ADAPTERS: dict[str, Callable[[RunSpec], CliRun]] = {
-    "fig2": _fig2,
-    "fig3": _fig3,
-    "fig4": _fig4,
-    "fig5": _fig5,
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "fig8": _fig8,
-    "table1": _table1,
-    "fig9": _fig9,
-    "fig10": _fig10,
-    "fig11": _fig11,
-    "fig12": _fig12,
-    "sec53": _sec53,
-    "sec54-shard": _sec54_shard,
-    "sec54-mega": _sec54_mega,
-    "serve-shard": _serve_shard,
-    "serve-flash": _serve_flash,
-    "ext-mixed": _ext_mixed,
-    "ext-churn": _ext_churn,
-    "ext-refresh": _ext_refresh,
-    "ext-reads": _ext_reads,
-    "ext-advisor": _ext_advisor,
+__all__ = ["csv_table", "names", "run_cli", "run_experiment"]
+
+#: Experiment name -> module path, in canonical (paper) order.
+_MODULES: dict[str, str] = {
+    "fig2": "repro.experiments.fig2_storage_requirements",
+    "fig3": "repro.experiments.fig3_lifetimes",
+    "fig4": "repro.experiments.fig4_rejections",
+    "fig5": "repro.experiments.fig5_timeconstant",
+    "fig6": "repro.experiments.fig6_density",
+    "fig7": "repro.experiments.fig7_cdf",
+    "fig8": "repro.experiments.fig8_downloads",
+    "table1": "repro.experiments.table1_parameters",
+    "fig9": "repro.experiments.fig9_lecture_lifetimes",
+    "fig10": "repro.experiments.fig10_reclamation_importance",
+    "fig11": "repro.experiments.fig11_lecture_timeconstant",
+    "fig12": "repro.experiments.fig12_lecture_density",
+    "sec53": "repro.experiments.sec53_university",
+    "sec54-shard": "repro.sim.shard",
+    "sec54-mega": "repro.experiments.sec54_mega",
+    "serve-shard": "repro.serve.sharded",
+    "serve-flash": "repro.serve.loadgen",
+    "ext-mixed": "repro.experiments.ext_mixed_apps",
+    "ext-churn": "repro.experiments.ext_churn",
+    "ext-refresh": "repro.experiments.ext_refresh",
+    "ext-reads": "repro.experiments.ext_reads",
+    "ext-advisor": "repro.experiments.ext_advisor_loop",
 }
 
 
 def names() -> Iterable[str]:
     """Registered experiment names, in canonical (paper) order."""
-    return tuple(_ADAPTERS)
+    return tuple(_MODULES)
 
 
-def run_cli(spec: RunSpec) -> CliRun:
-    """Execute a spec and return ``(result, rendered, [headers, rows])``."""
+def _module(experiment: str) -> ModuleType:
+    try:
+        path = _MODULES[experiment]
+    except KeyError:
+        raise ReproError(
+            f"unknown experiment {experiment!r}; known: {', '.join(_MODULES)}"
+        ) from None
+    return importlib.import_module(path)
+
+
+def run_cli(spec: RunSpec) -> tuple[Any, str]:
+    """Execute a spec and render it: ``(typed result, rendered report)``."""
     from repro.core.obj import reset_object_ids
     from repro.obs import STATE as _OBS
 
-    try:
-        adapter = _ADAPTERS[spec.experiment]
-    except KeyError:
-        raise ReproError(
-            f"unknown experiment {spec.experiment!r}; known: {', '.join(_ADAPTERS)}"
-        ) from None
+    mod = _module(spec.experiment)
     # Auto-generated object ids restart at obj-000000 for every spec, so
     # artifacts that name objects (the audit ledger above all) come out
     # byte-identical whether specs run inline (--jobs 1, where the
     # process-global counter would otherwise keep counting across specs)
     # or in fresh worker processes.
     reset_object_ids()
-    if not _OBS.enabled:
-        return adapter(spec)
     # One span per dispatched spec: serial multi-experiment runs get a
     # per-experiment subtree, and trace shards attribute setup/render
     # time (everything outside engine.run) to the spec that spent it.
-    with _OBS.tracer.span(f"spec.{spec.experiment}"):
-        return adapter(spec)
+    with _OBS.tracer.span(f"spec.{spec.experiment}") if _OBS.enabled else nullcontext():
+        result = mod.execute(spec)
+        return result, mod.render(result)
 
 
 def run_experiment(spec: RunSpec) -> Any:
     """Execute a spec and return the experiment's typed result object."""
-    result, _rendered, _csv = run_cli(spec)
+    result, _rendered = run_cli(spec)
     return result
+
+
+def csv_table(experiment: str, result: Any) -> tuple[tuple[str, ...], list]:
+    """``(headers, rows)`` of one experiment result — the ``--csv`` artifact."""
+    mod = _module(experiment)
+    return tuple(mod.CSV_HEADERS), list(mod.csv_rows(result))

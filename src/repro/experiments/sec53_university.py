@@ -25,7 +25,7 @@ from repro.report.table import TextTable
 from repro.units import days, gib, to_days, to_tib
 from repro.sim.parallel import RunSpec
 
-__all__ = ["Sec53Result", "execute", "render"]
+__all__ = ["Sec53Result", "execute", "render", "CSV_HEADERS", "csv_rows"]
 
 
 @dataclass(frozen=True)
@@ -141,6 +141,17 @@ def render(result: Sec53Result) -> str:
         "capacity while every annotation stays unchanged.",
     ]
     return head + "\n\n" + table.render() + "\n\n" + "\n".join(notes)
+
+
+CSV_HEADERS = ("node_capacity_gib", "placed", "rejected", "mean_density")
+
+
+def csv_rows(result: Sec53Result) -> list[tuple]:
+    """One row per node capacity."""
+    return [
+        (cap, stats.placed, stats.rejected, stats.mean_density)
+        for cap, stats in result.stats.items()
+    ]
 
 
 def execute(spec: RunSpec) -> Sec53Result:

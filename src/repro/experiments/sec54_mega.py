@@ -8,7 +8,10 @@ shards (:mod:`repro.sim.shard`): each shard simulates a contiguous slice
 of nodes and courses on its own engine, emitting per-epoch digests at
 barrier events, and this module merges the digests — in shard-id order,
 integer counters adding and density folding as weighted mass over total
-capacity — into the cluster-wide epoch table.
+capacity — into the cluster-wide epoch table.  Each shard comes back as
+its typed :class:`~repro.sim.shard.ShardRun` through
+:func:`~repro.sim.parallel.run_shards`, so arrivals and dispatched events
+are the shards' own counts, not derived from the digests.
 
 Determinism contract: the merged artifact is a pure function of the spec
 (nodes, shards, capacity, epochs, horizon, seed).  ``jobs`` only selects
@@ -24,11 +27,11 @@ from dataclasses import dataclass
 
 from repro.errors import ReproError
 from repro.report.table import TextTable
-from repro.sim.parallel import RunSpec, run_specs
-from repro.sim.shard import mega_courses, shard_slice
+from repro.sim.parallel import RunSpec, run_shards
+from repro.sim.shard import CSV_HEADERS, ShardRun, mega_courses
 from repro.units import gib, to_tib
 
-__all__ = ["Sec54Result", "execute", "render"]
+__all__ = ["CSV_HEADERS", "Sec54Result", "csv_rows", "execute", "render"]
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,7 @@ class Sec54Result:
     #: Merged per-epoch rows: ``(epoch, day, placed, rejected, evicted,
     #: resident, used_tib, density, university_tib, student_tib)``.
     epochs: tuple[tuple, ...]
-    #: Raw per-shard digest rows (shard-id order; ``DIGEST_HEADERS``).
+    #: Raw per-shard digest rows (shard-id order; ``CSV_HEADERS``).
     shard_rows: tuple[tuple, ...]
     #: ``(shard, nodes, courses, arrivals, dispatched)`` per shard.
     shard_summary: tuple[tuple[int, int, int, int, int], ...]
@@ -75,81 +78,24 @@ def _run(
     """
     if shards < 1:
         raise ReproError(f"shards must be >= 1, got {shards}")
-    specs = [
-        RunSpec(
-            experiment="sec54-shard",
-            params={
-                "shard": shard,
-                "shards": shards,
-                "nodes": nodes,
-                "node_capacity_gib": node_capacity_gib,
-                "epoch_days": epoch_days,
-            },
-            seed=seed,
-            horizon_days=horizon_days,
-        )
-        for shard in range(shards)
-    ]
-    outcomes = run_specs(specs, jobs=jobs)
-    shard_rows: list[tuple] = []
-    summary: list[tuple[int, int, int, int, int]] = []
-    arrivals = 0
-    dispatched = 0
-    # Merge keyed by epoch index; shard-id order within each epoch (the
-    # outcomes arrive in submission = shard-id order), so float folds are
-    # deterministic whatever the worker scheduling was.
-    merged: dict[int, list] = {}
-    n_epochs = int(horizon_days / epoch_days)
-    for outcome in outcomes:
-        if not outcome.ok:
-            raise ReproError(
-                f"shard {outcome.spec.param('shard')} failed: "
-                f"{outcome.error.render() if outcome.error else 'unknown'}"
-            )
-        shard = outcome.spec.param("shard")
-        rows = outcome.rows or ()
-        if len(rows) != n_epochs:
-            raise ReproError(
-                f"shard {shard} reported {len(rows)} epochs, expected {n_epochs}"
-            )
-        shard_rows.extend(rows)
-        placed = rejected = 0
-        for row in rows:
-            (_shard, epoch, t_minutes, placed, rejected, evicted, resident,
-             used, weighted, uni, stu) = row
-            acc = merged.get(epoch)
-            if acc is None:
-                merged[epoch] = [t_minutes, placed, rejected, evicted,
-                                 resident, used, weighted, uni, stu]
-            else:
-                if acc[0] != t_minutes:
-                    raise ReproError(
-                        f"epoch {epoch} barrier time skew across shards"
-                    )
-                acc[1] += placed
-                acc[2] += rejected
-                acc[3] += evicted
-                acc[4] += resident
-                acc[5] += used
-                acc[6] += weighted
-                acc[7] += uni
-                acc[8] += stu
-        # Every arrival is exactly one placement attempt, and the shard's
-        # event loop dispatches one pump and one barrier per epoch on top.
-        shard_arrivals = placed + rejected
-        shard_dispatched = shard_arrivals + 2 * n_epochs
-        _start, shard_nodes = shard_slice(nodes, shards, shard)
-        _cstart, shard_courses = shard_slice(mega_courses(nodes), shards, shard)
-        summary.append(
-            (shard, shard_nodes, shard_courses, shard_arrivals, shard_dispatched)
-        )
-        arrivals += shard_arrivals
-        dispatched += shard_dispatched
+    params = dict(
+        shards=shards, nodes=nodes, node_capacity_gib=node_capacity_gib, epoch_days=epoch_days
+    )
+    runs: list[ShardRun] = run_shards(
+        "sec54-shard", params, shards, seed=seed, horizon_days=horizon_days, jobs=jobs
+    )
     capacity_bytes = nodes * gib(node_capacity_gib)
     epochs_out = []
-    for epoch in sorted(merged):
-        t_minutes, placed, rejected, evicted, resident, used, weighted, uni, stu = (
-            merged[epoch]
+    # One barrier at a time, shards in shard-id order (run_shards' order),
+    # so float folds are deterministic whatever the worker scheduling was.
+    # Every shard digests the same epochs; ``strict`` holds them to it.
+    for digests in zip(*(run.digests for run in runs), strict=True):
+        epoch, t_minutes = digests[0].epoch, digests[0].t_minutes
+        if any(digest.t_minutes != t_minutes for digest in digests):
+            raise ReproError(f"epoch {epoch} barrier time skew across shards")
+        # Every digest column after (shard, epoch, t_minutes) adds up.
+        placed, rejected, evicted, resident, used, weighted, uni, stu = (
+            sum(column) for column in zip(*(d.as_row(0)[3:] for d in digests))
         )
         epochs_out.append(
             (
@@ -174,11 +120,16 @@ def _run(
         horizon_days=horizon_days,
         seed=seed,
         capacity_bytes=capacity_bytes,
-        arrivals=arrivals,
-        dispatched=dispatched,
+        arrivals=sum(run.arrivals for run in runs),
+        dispatched=sum(run.dispatched for run in runs),
         epochs=tuple(epochs_out),
-        shard_rows=tuple(shard_rows),
-        shard_summary=tuple(summary),
+        shard_rows=tuple(
+            digest.as_row(run.shard) for run in runs for digest in run.digests
+        ),
+        shard_summary=tuple(
+            (run.shard, run.nodes, run.courses, run.arrivals, run.dispatched)
+            for run in runs
+        ),
     )
 
 
@@ -244,6 +195,11 @@ def render(result: Sec54Result) -> str:
         head + "\n\n" + table.render() + "\n\n" + shard_table.render()
         + "\n\n" + "\n".join(notes)
     )
+
+
+def csv_rows(result: Sec54Result) -> list[tuple]:
+    """Every shard's raw epoch digests, in shard-id order (the shard CSV's columns)."""
+    return list(result.shard_rows)
 
 
 def execute(spec: RunSpec) -> Sec54Result:

@@ -21,7 +21,7 @@ from repro.sim.workload.calendar import (
 from repro.units import days, to_days
 from repro.sim.parallel import RunSpec
 
-__all__ = ["Table1Result", "execute", "render"]
+__all__ = ["Table1Result", "execute", "render", "CSV_HEADERS", "csv_rows"]
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,14 @@ def render(result: Table1Result) -> str:
             sub.add_row([doy, round(persist, 1), round(wane, 1)])
         chunks.append(sub.render())
     return "\n\n".join(chunks)
+
+
+CSV_HEADERS = ("term", "begin_doy", "t_persist", "t_wane_days")
+
+
+def csv_rows(result: Table1Result) -> list[tuple]:
+    """Table 1 itself, one row per term."""
+    return list(result.rows)
 
 
 def execute(spec: RunSpec) -> Table1Result:

@@ -139,8 +139,16 @@ def parse_rule(name: str, expr: str) -> AlertRule:
             "(expected '<signal> <op> <number>')"
         )
     signal = match.group("signal")
-    if _SELECTOR_RE.match(signal) is None:
+    selector = _SELECTOR_RE.match(signal)
+    if selector is None:
         raise ObservabilityError(f"alert rule {name!r}: invalid signal {signal!r}")
+    # A percentile is a selector's ``:pN`` or the derived ``importance_density_pN``.
+    agg = selector.group("agg") or signal.removeprefix("importance_density_")
+    pct = _PERCENTILE_RE.match(agg)
+    if pct is not None and not 0.0 <= float(pct.group("pct")) <= 100.0:
+        raise ObservabilityError(
+            f"alert rule {name!r}: percentile {agg!r} is outside p0..p100"
+        )
     try:
         bound = float(match.group("bound"))
     except ValueError as exc:

@@ -247,13 +247,15 @@ class AuditLedger:
 
         Mirrors :meth:`repro.obs.metrics.MetricsRegistry.merge`: the
         parent process merges worker ledgers one by one in submission
-        order, re-sequencing so the merged ledger is identical to the
-        single-process run's (up to ring-buffer truncation, which is
-        applied with the same oldest-first rule either way).
+        order, re-sequencing so the merged ledger is identical to one
+        ledger fed the concatenated decision stream — ring-buffer
+        truncation included, since ``other``'s dropped records were
+        accepted (and numbered) before its survivors.
         """
+        self.recorded_count += other.dropped
+        self.dropped += other.dropped
         for record in other._records:
             self._append(replace(record, seq=self.recorded_count))
-        self.dropped += other.dropped
 
     def to_dict(self) -> dict:
         """JSON-friendly snapshot (the parallel-worker wire format)."""

@@ -20,7 +20,9 @@ stands up (:func:`build_gateway`), its request stream
 (:func:`build_requests`), the client sessions and the report.  Serving it
 is :mod:`repro.serve.sharded`'s job at every shard count: Besteffs has no
 central component, so a single gateway is the fleet of one, and
-:func:`run_loadgen` has no serving code of its own.
+:func:`run_loadgen` has no serving code of its own.  As the ``serve-flash``
+registry entry, the module also runs the flash-crowd scenario
+(:func:`execute`) and reports it (:func:`render`, :func:`csv_rows`).
 
 Everything that decides *outcomes* runs on simulation time with seeded
 RNGs, so a spec maps to one byte-exact request/response ledger
@@ -47,6 +49,7 @@ from repro.serve.ledger import ENTRY_FIELDS, ServeLedger
 from repro.serve.protocol import ServeError, StoreRequest, StoreStatus
 from repro.serve.router import RouterConfig, home_shard
 from repro.serve.service import GatewayService, ServeConfig
+from repro.sim.parallel import RunSpec
 from repro.sim.shard import shard_slice
 from repro.sim.workload.diurnal import DiurnalModulation, OFFICE_HOURS_PROFILE
 from repro.sim.workload.downloads import synthesize_download_trace
@@ -59,11 +62,14 @@ from repro.sim.workload.university import (
 from repro.units import MINUTES_PER_DAY, days, gib, mib
 
 __all__ = [
+    "CSV_HEADERS",
     "FLASH_CREATOR",
     "LoadGenSpec",
     "LoadGenReport",
+    "csv_rows",
+    "execute",
     "flash_hot_ids",
-    "render_report",
+    "render",
     "retry_after_histogram",
     "run_loadgen",
 ]
@@ -489,7 +495,7 @@ def run_loadgen(spec: LoadGenSpec, *, jobs: int = 1) -> LoadGenReport:
     return run_sharded(spec, jobs=jobs)
 
 
-def render_report(report: LoadGenReport) -> str:
+def render(report: LoadGenReport) -> str:
     """Human-readable summary for the CLI.
 
     Every :class:`~repro.serve.protocol.StoreStatus` gets a line (zero
@@ -550,3 +556,71 @@ def render_report(report: LoadGenReport) -> str:
                 f"{admitted:>8}  {coalesced:>9}  {serve_s:>7.3f}"
             )
     return "\n".join(lines)
+
+
+CSV_HEADERS = ("kind", "key", "value")
+
+
+def csv_rows(report: LoadGenReport) -> list[tuple]:
+    """Deterministic ``(kind, key, value)`` rows of a merged run.
+
+    Wall-clock figures never appear here — this is the artifact surface the
+    jobs-parity and determinism checks hash.
+    """
+    rows: list[tuple] = [
+        ("stat", "requests", report.requests),
+        ("stat", "batches", report.batches),
+        ("stat", "coalesced", report.coalesced),
+        ("stat", "deduped", report.deduped),
+        ("stat", "spilled", report.spilled),
+        ("stat", "fairness_transactions", report.fairness_transactions),
+        ("stat", "placed", report.cluster.placed),
+        ("stat", "rejected", report.cluster.rejected),
+        ("stat", "resident", report.cluster.resident_objects),
+        ("stat", "used_bytes", report.cluster.used_bytes),
+    ]
+    rows.extend(
+        ("status", status, count)
+        for status, count in sorted(report.responses_by_status.items())
+    )
+    rows.extend(
+        ("shed", reason, count)
+        for reason, count in sorted(report.shed_by_reason.items())
+    )
+    rows.extend(
+        ("retry", label, count)
+        for label, count in report.retry_after_histogram.items()
+    )
+    rows.extend(
+        ("shard", f"{shard:03d}/assigned", assigned)
+        for shard, _nodes, assigned, _sp, _adm, _co, _wall in report.per_shard
+    )
+    rows.extend(
+        ("shard", f"{shard:03d}/spilled_in", spilled_in)
+        for shard, _nodes, _assigned, spilled_in, _adm, _co, _wall in report.per_shard
+    )
+    rows.append(("ledger", "sha256", report.ledger.canonical_sha256()))
+    rows.extend(
+        ("ledger", f"{i:012d}", line) for i, line in enumerate(report.ledger.lines)
+    )
+    return rows
+
+
+def execute(spec: RunSpec) -> LoadGenReport:
+    """Run the flash-crowd scaling scenario (``serve-flash``) from a :class:`RunSpec`.
+
+    Defaults are the *reduced* interactive scale (the scaling benchmark
+    pins its own, larger spec): a four-shard, eight-node deployment under
+    the slashdot burst, merged across shards.  ``jobs`` selects shard
+    execution width and never reaches the artifacts.
+    """
+    kwargs = spec.call_kwargs()
+    jobs = int(kwargs.pop("jobs", 1))
+    kwargs.setdefault("workload", "flashcrowd")
+    kwargs.setdefault("shards", 4)
+    kwargs.setdefault("nodes", 8)
+    kwargs.setdefault("clients", 4)
+    kwargs.setdefault("scale", 0.005)
+    kwargs.setdefault("high_water", 32)
+    kwargs.setdefault("max_requests", 600)
+    return run_loadgen(LoadGenSpec(**kwargs), jobs=jobs)

@@ -25,13 +25,15 @@ shard it executes serves its slice of that one copy:
    computes the plan it serves, just not once per shard);
 2. every shard serves exactly the sub-stream routed to it, passing each
    request's **global** stream position as the ledger sequence number;
-3. each shard summarises itself — retry-after bucket counts from its
-   :class:`ServeLedger`, latency counts over the obs duration buckets —
-   and ships its ledger entries as the scalar tuples they already are.
+3. each shard summarises itself into a typed :class:`ShardServeOutcome` —
+   retry-after bucket counts from its :class:`ServeLedger`, latency counts
+   over the obs duration buckets, its ledger entries as the scalar tuples
+   they already are — and that object is what
+   :func:`~repro.sim.parallel.run_shards` hands back.
 
 :func:`run_sharded` releases the held stream as soon as the last shard
-returns, *before* it merges — the merge needs rows only.  The parent
-then sums the per-shard counters and merges the entries with
+returns, *before* it merges — the merge reads the outcomes only.  The
+parent then sums the per-shard counters and merges the entries with
 :func:`~repro.serve.ledger.merge_entries` — sorting by global seq — into
 one run-wide :class:`~repro.serve.ledger.ServeLedger` whose canonical
 bytes are independent of shard scheduling and worker count.  No JSON is
@@ -68,7 +70,7 @@ from repro.besteffs.auth import CapabilityRealm
 from repro.besteffs.cluster import ClusterStats
 from repro.obs import DURATION_BUCKETS, STATE as _OBS
 from repro.obs.metrics import quantile_from_cumulative
-from repro.serve.ledger import ServeLedger, merge_entries
+from repro.serve.ledger import ENTRY_FIELDS, ServeLedger, merge_entries
 from repro.serve.loadgen import (
     _REALM_KEY,
     LoadGenReport,
@@ -81,31 +83,18 @@ from repro.serve.loadgen import (
 from repro.serve.protocol import ServeError, StoreRequest
 from repro.serve.router import RoutingDecision, plan_routes
 from repro.serve.service import GatewayService
-from repro.sim.parallel import RunSpec, run_specs, seed_for
+from repro.sim.parallel import RunSpec, run_shards
 
 __all__ = [
-    "SHARD_ROW_HEADERS",
+    "CSV_HEADERS",
     "ShardServeOutcome",
+    "csv_rows",
     "execute",
-    "execute_flash",
-    "merged_rows",
-    "render_shard",
+    "render",
     "route_stream",
     "run_shard_serve",
     "run_sharded",
-    "shard_rows",
 ]
-
-#: CSV header of the typed ``(kind, key, value)`` shard rows.
-SHARD_ROW_HEADERS = ("kind", "key", "value")
-
-#: Row kinds whose values are wall-clock measurements — excluded from any
-#: determinism-checked artifact the parent assembles.
-TIMING_KINDS = frozenset({"timing", "latency"})
-
-#: Row keys of a shard's latency counts: one per bucket of the
-#: ``serve_admission_latency_seconds`` histogram, then the overflow.
-_LATENCY_KEYS = tuple(f"le_{bound!r}" for bound in DURATION_BUCKETS) + ("le_+Inf",)
 
 #: ``bench/trace.py`` resolves the deployment builder under this name here.
 build_shard_gateway = build_gateway
@@ -162,7 +151,7 @@ def route_stream(spec: LoadGenSpec, realm: CapabilityRealm) -> RoutedStream:
 
 #: ``(spec, routed stream)`` held for the next ``serve-shard`` spec this
 #: process executes.  Module state because the shards of one run reach
-#: :func:`execute` through :func:`~repro.sim.parallel.run_specs`, which
+#: :func:`execute` through :func:`~repro.sim.parallel.run_shards`, which
 #: passes picklable values only and runs the same code in pool workers;
 #: one slot, so a process never holds more than one stream.
 _held_stream: tuple[LoadGenSpec, RoutedStream] | None = None
@@ -191,7 +180,7 @@ def _release_stream() -> None:
 
 def _latency_buckets(latencies: list[float]) -> tuple[int, ...]:
     """Count latencies per duration bucket (``value <= bound``) + overflow."""
-    counts = [0] * len(_LATENCY_KEYS)
+    counts = [0] * (len(DURATION_BUCKETS) + 1)
     for value in latencies:
         counts[bisect_left(DURATION_BUCKETS, value)] += 1
     return tuple(counts)
@@ -277,85 +266,7 @@ def run_shard_serve(
     )
 
 
-def shard_rows(outcome: ShardServeOutcome) -> list[tuple]:
-    """Flatten a shard outcome into picklable ``(kind, key, value)`` rows.
-
-    This is the only form that crosses the worker boundary (the registry
-    ships ``rows``, not result objects).  Kinds: ``stat`` (integers and
-    cluster scalars), ``status``/``shed``/``refusal``/``retry`` (counters),
-    ``latency``/``timing`` (wall-clock; excluded from deterministic
-    artifacts), ``ledger`` (global-seq-keyed entry tuples, see
-    :data:`repro.serve.ledger.ENTRY_FIELDS`).
-    """
-    stats = outcome.cluster
-    rows: list[tuple] = [
-        ("stat", "shard", outcome.shard),
-        ("stat", "shards", outcome.shards),
-        ("stat", "nodes", outcome.nodes),
-        ("stat", "assigned", outcome.assigned),
-        ("stat", "spilled_in", outcome.spilled_in),
-        ("stat", "batches", outcome.batches),
-        ("stat", "queue_peak", outcome.queue_peak),
-        ("stat", "coalesced", outcome.coalesced),
-        ("stat", "deduped", outcome.deduped),
-        ("stat", "fairness_transactions", outcome.fairness_transactions),
-        ("stat", "capacity_bytes", stats.capacity_bytes),
-        ("stat", "used_bytes", stats.used_bytes),
-        ("stat", "resident", stats.resident_objects),
-        ("stat", "placed", stats.placed),
-        ("stat", "rejected", stats.rejected),
-        ("stat", "mean_density", stats.mean_density),
-        ("stat", "mean_rounds", stats.mean_rounds),
-        ("stat", "mean_probes", stats.mean_probes),
-    ]
-    rows.extend(
-        ("status", status, count)
-        for status, count in sorted(outcome.responses_by_status.items())
-    )
-    rows.extend(
-        ("shed", reason, count)
-        for reason, count in sorted(outcome.shed_by_reason.items())
-    )
-    rows.extend(
-        ("refusal", gate, count) for gate, count in sorted(outcome.refusals.items())
-    )
-    rows.extend(
-        ("retry", label, count)
-        for label, count in outcome.retry_after_histogram.items()
-    )
-    rows.extend(
-        [
-            ("latency", "mean_s", outcome.latency_mean_s),
-            ("latency", "min_s", outcome.latency_min_s),
-            ("latency", "max_s", outcome.latency_max_s),
-        ]
-    )
-    rows.extend(
-        ("latency", key, count)
-        for key, count in zip(_LATENCY_KEYS, outcome.latency_buckets)
-    )
-    rows.append(("timing", "serve_seconds", outcome.serve_seconds))
-    rows.extend(("ledger", entry[0], entry) for entry in outcome.ledger)
-    return rows
-
-
-def _decode_rows(rows) -> dict:
-    """Invert :func:`shard_rows` into per-kind mappings (ledger: entries)."""
-    decoded: dict[str, dict] = {
-        kind: {}
-        for kind in ("stat", "status", "shed", "refusal", "retry", "latency", "timing")
-    }
-    ledger: list[tuple] = []
-    for kind, key, value in rows:
-        if kind == "ledger":
-            ledger.append(value)
-        else:
-            decoded[kind][key] = value
-    decoded["ledger"] = ledger
-    return decoded
-
-
-def render_shard(outcome: ShardServeOutcome) -> str:
+def render(outcome: ShardServeOutcome) -> str:
     """Printable single-shard summary (standalone ``serve-shard`` runs)."""
     lines = [
         f"serve shard {outcome.shard}/{outcome.shards}: {outcome.nodes} node(s), "
@@ -382,103 +293,78 @@ def render_shard(outcome: ShardServeOutcome) -> str:
     return "\n".join(lines)
 
 
-def _shard_spec(spec: LoadGenSpec, shard: int) -> RunSpec:
-    """The registry spec that runs shard ``shard`` of a loadgen spec."""
-    params = asdict(spec)
-    seed = params.pop("seed")
-    horizon = params.pop("horizon_days")
-    params["shard"] = shard
-    return RunSpec("serve-shard", params=params, seed=seed, horizon_days=horizon)
-
-
 def run_sharded(spec: LoadGenSpec, *, jobs: int = 1) -> LoadGenReport:
     """Serve the spec's traffic across all shards and merge the outcome.
 
-    Shard specs are submitted in shard-id order and
-    :func:`~repro.sim.parallel.run_specs` preserves submission order, so
-    the merged report — above all the seq-merged ledger — is a pure
-    function of the spec; ``jobs`` touches wall-clock figures only.
+    :func:`~repro.sim.parallel.run_shards` returns the shards' typed
+    outcomes in shard-id order, so the merged report — above all the
+    seq-merged ledger — is a pure function of the spec; ``jobs`` touches
+    wall-clock figures only.
 
     Latency percentiles are fleet quantiles: per-shard bucket counts sum,
     and the quantile is read off the summed histogram (bucket resolution,
     clamped to the observed min/max).
     """
-    specs = [_shard_spec(spec, shard) for shard in range(spec.shards)]
+    params = asdict(spec)
+    seed, horizon = params.pop("seed"), params.pop("horizon_days")
     try:
-        outcomes = run_specs(specs, jobs=jobs)
+        outcomes: list[ShardServeOutcome] = run_shards(
+            "serve-shard", params, spec.shards, seed=seed, horizon_days=horizon, jobs=jobs
+        )
     finally:
-        # The merge needs rows only, so the stream the shards shared (all
-        # of them, at jobs=1) goes first.
+        # The merge reads the shards' summaries only, so the stream they
+        # shared (all of them, at jobs=1) goes first.
         _release_stream()
 
-    entries: list[tuple] = []
-    # Every ``stat`` row summed over shards (means and ids ride along unread).
-    total: Counter = Counter()
-    counters = {kind: Counter() for kind in ("status", "shed", "refusal", "retry")}
-    per_shard: list[tuple] = []
-    queue_peak = 0
-    wall = 0.0
-    lat_weighted = 0.0
-    lat_counts = [0] * len(_LATENCY_KEYS)
-    lat_min, lat_max = float("inf"), 0.0
-    density_weighted = rounds_weighted = probes_weighted = 0.0
-    for shard, outcome in enumerate(outcomes):
-        if not outcome.ok:
-            detail = outcome.error.render() if outcome.error else "unknown"
-            raise ServeError(f"serving shard {shard} failed: {detail}")
-        decoded = _decode_rows(outcome.rows or ())
-        stat = decoded["stat"]
-        total.update(stat)
-        for kind, counter in counters.items():
-            counter.update(decoded[kind])
-        queue_peak = max(queue_peak, stat["queue_peak"])
-        density_weighted += stat["mean_density"] * stat["capacity_bytes"]
-        rounds_weighted += stat["mean_rounds"] * stat["placed"]
-        probes_weighted += stat["mean_probes"] * stat["placed"]
-        serve_seconds = decoded["timing"]["serve_seconds"]
-        # Fleet-capacity wall: the slowest shard bounds a one-worker-per-shard
-        # deployment, whatever machine executed the shards here.
-        wall = max(wall, serve_seconds)
-        latency = decoded["latency"]
-        shard_counts = [latency[key] for key in _LATENCY_KEYS]
-        if any(shard_counts):
-            lat_counts = [a + b for a, b in zip(lat_counts, shard_counts)]
-            lat_weighted += latency["mean_s"] * sum(shard_counts)
-            lat_min = min(lat_min, latency["min_s"])
-            lat_max = max(lat_max, latency["max_s"])
-        entries.extend(decoded["ledger"])
-        per_shard.append(
-            (
-                shard,
-                stat["nodes"],
-                stat["assigned"],
-                stat["spilled_in"],
-                decoded["status"].get("admitted", 0),
-                stat["coalesced"],
-                serve_seconds,
-            )
-        )
-    requests, capacity, placed = total["assigned"], total["capacity_bytes"], total["placed"]
+    def total(name: str) -> int:
+        return sum(getattr(outcome, name) for outcome in outcomes)
+
+    def counts(name: str) -> dict[str, int]:
+        merged: Counter = Counter()
+        for outcome in outcomes:
+            merged.update(getattr(outcome, name))
+        return dict(merged)
+
+    served = [outcome for outcome in outcomes if any(outcome.latency_buckets)]
+    lat_counts = [sum(column) for column in zip(*(o.latency_buckets for o in outcomes))]
     lat_total = sum(lat_counts)
+    lat_min = min((o.latency_min_s for o in served), default=float("inf"))
+    lat_max = max((o.latency_max_s for o in served), default=0.0)
+    lat_weighted = sum(o.latency_mean_s * sum(o.latency_buckets) for o in served)
+    stats = [outcome.cluster for outcome in outcomes]
+    capacity = sum(s.capacity_bytes for s in stats)
+    placed = sum(s.placed for s in stats)
     cluster = ClusterStats(
-        nodes=total["nodes"],
+        nodes=total("nodes"),
         capacity_bytes=capacity,
-        used_bytes=total["used_bytes"],
-        resident_objects=total["resident"],
+        used_bytes=sum(s.used_bytes for s in stats),
+        resident_objects=sum(s.resident_objects for s in stats),
         placed=placed,
-        rejected=total["rejected"],
-        mean_density=density_weighted / capacity if capacity else 0.0,
-        mean_rounds=rounds_weighted / placed if placed else 0.0,
-        mean_probes=probes_weighted / placed if placed else 0.0,
+        rejected=sum(s.rejected for s in stats),
+        mean_density=(
+            sum(s.mean_density * s.capacity_bytes for s in stats) / capacity
+            if capacity else 0.0
+        ),
+        mean_rounds=sum(s.mean_rounds * s.placed for s in stats) / placed if placed else 0.0,
+        mean_probes=sum(s.mean_probes * s.placed for s in stats) / placed if placed else 0.0,
     )
+    per_shard = tuple(
+        (o.shard, o.nodes, o.assigned, o.spilled_in,
+         o.responses_by_status.get("admitted", 0), o.coalesced, o.serve_seconds)
+        for o in outcomes
+    )
+    requests = total("assigned")
+    # Fleet-capacity wall: the slowest shard bounds a one-worker-per-shard
+    # deployment, whatever machine executed the shards here.
+    wall = max(outcome.serve_seconds for outcome in outcomes)
     return LoadGenReport(
         spec=spec,
         requests=requests,
-        responses_by_status=dict(counters["status"]),
-        shed_by_reason=dict(counters["shed"]),
-        refusals=dict(counters["refusal"]),
-        batches=total["batches"],
-        queue_peak=queue_peak,
+        responses_by_status=counts("responses_by_status"),
+        shed_by_reason=counts("shed_by_reason"),
+        refusals=counts("refusals"),
+        batches=total("batches"),
+        queue_peak=max(outcome.queue_peak for outcome in outcomes),
         wall_seconds=wall,
         ops_per_sec=requests / wall if wall > 0 else 0.0,
         latency_mean_s=lat_weighted / lat_total if lat_total else 0.0,
@@ -486,92 +372,31 @@ def run_sharded(spec: LoadGenSpec, *, jobs: int = 1) -> LoadGenReport:
         latency_p95_s=_latency_quantile(lat_counts, lat_min, lat_max, 0.95),
         latency_p99_s=_latency_quantile(lat_counts, lat_min, lat_max, 0.99),
         cluster=cluster,
-        ledger=merge_entries(entries),
-        coalesced=total["coalesced"],
-        deduped=total["deduped"],
-        spilled=total["spilled_in"],
-        fairness_transactions=total["fairness_transactions"],
-        retry_after_histogram=dict(counters["retry"]),
+        ledger=merge_entries(entry for outcome in outcomes for entry in outcome.ledger),
+        coalesced=total("coalesced"),
+        deduped=total("deduped"),
+        spilled=total("spilled_in"),
+        fairness_transactions=total("fairness_transactions"),
+        retry_after_histogram=counts("retry_after_histogram"),
         # One row per shard of a fleet; the fleet of one has no table.
-        per_shard=tuple(per_shard) if spec.shards > 1 else (),
+        per_shard=per_shard if spec.shards > 1 else (),
     )
 
 
-def merged_rows(report: LoadGenReport) -> list[tuple]:
-    """Deterministic ``(kind, key, value)`` rows of a merged run.
+#: The ``serve-shard`` CSV is the shard's ledger: sim-time columns only,
+#: so it is byte-identical at any ``--jobs``.
+CSV_HEADERS = ENTRY_FIELDS
 
-    Wall-clock kinds never appear here — this is the artifact surface the
-    jobs-parity and determinism checks hash.
-    """
-    rows: list[tuple] = [
-        ("stat", "requests", report.requests),
-        ("stat", "batches", report.batches),
-        ("stat", "coalesced", report.coalesced),
-        ("stat", "deduped", report.deduped),
-        ("stat", "spilled", report.spilled),
-        ("stat", "fairness_transactions", report.fairness_transactions),
-        ("stat", "placed", report.cluster.placed),
-        ("stat", "rejected", report.cluster.rejected),
-        ("stat", "resident", report.cluster.resident_objects),
-        ("stat", "used_bytes", report.cluster.used_bytes),
-    ]
-    rows.extend(
-        ("status", status, count)
-        for status, count in sorted(report.responses_by_status.items())
-    )
-    rows.extend(
-        ("shed", reason, count)
-        for reason, count in sorted(report.shed_by_reason.items())
-    )
-    rows.extend(
-        ("retry", label, count)
-        for label, count in report.retry_after_histogram.items()
-    )
-    rows.extend(
-        ("shard", f"{shard:03d}/assigned", assigned)
-        for shard, _nodes, assigned, _sp, _adm, _co, _wall in report.per_shard
-    )
-    rows.extend(
-        ("shard", f"{shard:03d}/spilled_in", spilled_in)
-        for shard, _nodes, _assigned, spilled_in, _adm, _co, _wall in report.per_shard
-    )
-    rows.append(("ledger", "sha256", report.ledger.canonical_sha256()))
-    rows.extend(
-        ("ledger", f"{i:012d}", line) for i, line in enumerate(report.ledger.lines)
-    )
-    return rows
+
+def csv_rows(outcome: ShardServeOutcome) -> list[tuple]:
+    """The shard's ledger entries, in global submission order."""
+    return list(outcome.ledger)
 
 
 def execute(spec: RunSpec) -> ShardServeOutcome:
     """Run one serving shard from a :class:`RunSpec` (registry entry)."""
-    kwargs = dict(spec.params)
+    kwargs = spec.call_kwargs()
     shard = int(kwargs.pop("shard", 0))
     kwargs.setdefault("max_requests", 400)  # interactive `run all` scale
-    kwargs["seed"] = seed_for(spec)
-    if spec.horizon_days is not None:
-        kwargs["horizon_days"] = spec.horizon_days
     load_spec = LoadGenSpec(**kwargs)
     return run_shard_serve(load_spec, shard, _shared_stream(load_spec))
-
-
-def execute_flash(spec: RunSpec) -> LoadGenReport:
-    """Run the flash-crowd scaling scenario from a :class:`RunSpec`.
-
-    Defaults are the *reduced* interactive scale (the scaling benchmark
-    pins its own, larger spec): a four-shard, eight-node deployment under
-    the slashdot burst, merged across shards.  ``jobs`` selects shard
-    execution width and never reaches the artifacts.
-    """
-    kwargs = dict(spec.params)
-    jobs = int(kwargs.pop("jobs", 1))
-    kwargs.setdefault("workload", "flashcrowd")
-    kwargs.setdefault("shards", 4)
-    kwargs.setdefault("nodes", 8)
-    kwargs.setdefault("clients", 4)
-    kwargs.setdefault("scale", 0.005)
-    kwargs.setdefault("high_water", 32)
-    kwargs.setdefault("max_requests", 600)
-    kwargs["seed"] = seed_for(spec)
-    if spec.horizon_days is not None:
-        kwargs["horizon_days"] = spec.horizon_days
-    return run_sharded(LoadGenSpec(**kwargs), jobs=jobs)

@@ -5,7 +5,8 @@ seed replica — is described by a single frozen :class:`RunSpec`.  The
 spec is the *only* thing that crosses a process boundary: workers import
 the experiment registry themselves, rebuild a fresh :mod:`repro.obs`
 STATE, execute the spec, and ship back a picklable :class:`RunOutcome`
-(rendered text, CSV rows, telemetry payload, or a structured error).
+(rendered text, the typed result, telemetry payload, or a structured
+error).
 
 Determinism is by construction:
 
@@ -32,6 +33,7 @@ import re
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import product
 from time import perf_counter
@@ -46,6 +48,7 @@ __all__ = [
     "RunSpec",
     "execute_spec",
     "expand_sweep",
+    "run_shards",
     "run_specs",
     "seed_for",
 ]
@@ -230,8 +233,9 @@ class RunOutcome:
     ok: bool
     wall_seconds: float
     rendered: str | None = None
-    headers: tuple[str, ...] | None = None
-    rows: tuple[tuple, ...] | None = None
+    #: The experiment's typed result (``execute(spec)``); CSV rows are
+    #: built from it only where ``--csv`` writes them.
+    result: Any = None
     #: Telemetry payload (:func:`repro.obs.export_payload`) when obs was on.
     telemetry: dict[str, Any] | None = None
     error: RunError | None = None
@@ -290,15 +294,12 @@ def execute_spec(spec: RunSpec) -> RunOutcome:
             )
     t0 = perf_counter()
     try:
-        if opts.enabled:
-            # The worker root span: every span of this spec's shard —
-            # engine loops, placement decisions, renders — nests under
-            # one parentless ``worker.run``, so per-shard trees and the
-            # sweep critical path have a well-defined root.
-            with obs_mod.STATE.tracer.span("worker.run"):
-                _result, rendered, (headers, rows) = registry.run_cli(spec)
-        else:
-            _result, rendered, (headers, rows) = registry.run_cli(spec)
+        # The worker root span: every span of this spec's shard — engine
+        # loops, placement decisions, renders — nests under one parentless
+        # ``worker.run``, so per-shard trees and the sweep critical path
+        # have a well-defined root.
+        with obs_mod.STATE.tracer.span("worker.run") if opts.enabled else nullcontext():
+            result, rendered = registry.run_cli(spec)
     except Exception as exc:
         return RunOutcome(
             spec=spec,
@@ -322,8 +323,7 @@ def execute_spec(spec: RunSpec) -> RunOutcome:
         ok=True,
         wall_seconds=perf_counter() - t0,
         rendered=rendered,
-        headers=tuple(headers),
-        rows=tuple(tuple(row) for row in rows),
+        result=result,
         telemetry=telemetry,
     )
 
@@ -383,6 +383,35 @@ def run_specs(
             if on_outcome is not None:
                 on_outcome(outcome)
     return [outcome for outcome in results if outcome is not None]
+
+
+def run_shards(
+    experiment: str,
+    params: Mapping[str, Any],
+    shards: int,
+    *,
+    seed: int,
+    horizon_days: float | None,
+    jobs: int = 1,
+) -> list[Any]:
+    """Run every shard of a fleet and return their typed results in shard order.
+
+    Shard ``i`` is one ``experiment`` spec with ``params | {"shard": i}``;
+    :func:`run_specs` keeps submission order, so the caller's fold sees
+    the same results in the same order at any ``jobs``.  Any failed shard
+    raises :class:`ReproError` naming the first one — no partial fleet is
+    ever returned.
+    """
+    specs = [
+        RunSpec(experiment, params={**params, "shard": shard}, seed=seed,
+                horizon_days=horizon_days)
+        for shard in range(shards)
+    ]
+    outcomes = run_specs(specs, jobs=jobs)
+    for shard, outcome in enumerate(outcomes):
+        if not outcome.ok:
+            raise ReproError(f"{experiment} shard {shard} failed: {outcome.error.render()}")
+    return [outcome.result for outcome in outcomes]
 
 
 def expand_sweep(

@@ -8,9 +8,9 @@ catalogue — and runs each shard as an independent discrete-event
 simulation.  Shards are self-contained :class:`~repro.sim.parallel.RunSpec`
 runs ("sec54-shard" in the experiment registry), so the existing parallel
 executor provides worker-process isolation, and ``--jobs 1`` versus
-``--jobs N`` is byte-identical by construction: specs are submitted in
-shard-id order and :func:`~repro.sim.parallel.run_specs` returns outcomes
-in submission order regardless of completion order.
+``--jobs N`` is byte-identical by construction:
+:func:`~repro.sim.parallel.run_shards` returns every shard's typed
+:class:`ShardRun` in shard-id order regardless of completion order.
 
 Inside a shard the run is an epoch loop on a
 :class:`~repro.sim.engine.SimulationEngine`:
@@ -47,7 +47,7 @@ from repro.core.obj import StoredObject
 from repro.errors import SimulationError
 from repro.report.table import TextTable
 from repro.sim.engine import SimulationEngine
-from repro.sim.parallel import RunSpec, seed_for
+from repro.sim.parallel import RunSpec
 from repro.sim.workload.lecture import STUDENT_CREATOR, UNIVERSITY_CREATOR
 from repro.sim.workload.university import (
     PAPER_COURSES,
@@ -58,8 +58,10 @@ from repro.sim.workload.university import (
 from repro.units import days, gib
 
 __all__ = [
+    "CSV_HEADERS",
     "EpochDigest",
     "ShardRun",
+    "csv_rows",
     "execute",
     "mega_courses",
     "render",
@@ -149,7 +151,7 @@ class EpochDigest:
 
 
 #: CSV header matching :meth:`EpochDigest.as_row`.
-DIGEST_HEADERS = (
+CSV_HEADERS = (
     "shard",
     "epoch",
     "t_minutes",
@@ -336,10 +338,11 @@ def render(run: ShardRun) -> str:
     return head + "\n\n" + table.render()
 
 
+def csv_rows(run: ShardRun) -> list[tuple]:
+    """The shard's epoch digests, one row each."""
+    return [digest.as_row(run.shard) for digest in run.digests]
+
+
 def execute(spec: RunSpec) -> ShardRun:
     """Run one shard from a :class:`RunSpec` (the registry entry point)."""
-    kwargs = dict(spec.params)
-    kwargs["seed"] = seed_for(spec)
-    if spec.horizon_days is not None:
-        kwargs["horizon_days"] = spec.horizon_days
-    return run_shard(**kwargs)
+    return run_shard(**spec.call_kwargs())

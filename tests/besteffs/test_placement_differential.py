@@ -23,6 +23,7 @@ from repro.core.importance import DiracImportance, TwoStepImportance
 from repro.core.obj import StoredObject, reset_object_ids
 from repro.core.policies.temporal import TemporalImportancePolicy
 from repro.errors import PlacementError
+from repro.experiments.registry import csv_table
 from repro.serve.loadgen import LoadGenSpec, run_loadgen
 from repro.sim.parallel import RunSpec, execute_spec
 from repro.units import days, gib
@@ -91,7 +92,7 @@ def test_sec53_artifact_is_the_plan_per_probe_artifact(monkeypatch):
     assert planned.ok, planned.error
     assert _artifact_sha(scored) == _artifact_sha(planned)
     # The run must be under pressure for the comparison to mean anything.
-    (_capacity, placed, rejected, _density), = scored.rows
+    (_capacity, placed, rejected, _density), = csv_table("sec53", scored.result)[1]
     assert placed > rejected > 0
 
 

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import json
+import sys
+import types
 
 import pytest
 
@@ -139,15 +141,23 @@ class TestObservability:
         assert "Metrics summary" not in capsys.readouterr().out
 
 
-def _stub_experiment(spec):
-    """Instant registry adapter used to exercise 'run all' plumbing."""
+def _stub_execute(spec):
+    """Instant experiment used to exercise 'run all' plumbing."""
     from repro import obs
 
     if obs.is_enabled():
         obs.STATE.registry.counter("stub_runs_total", "Stub runs.").inc()
         if obs.STATE.timeseries is not None:
             obs.STATE.timeseries.maybe_scrape(0.0)
-    return None, "stub output", [("col",), [(1,)]]
+    return None
+
+
+#: A registry entry is any module with the four contract names.
+_STUB = types.ModuleType("repro_stub_experiment")
+_STUB.execute = _stub_execute
+_STUB.render = lambda result: "stub output"
+_STUB.CSV_HEADERS = ("col",)
+_STUB.csv_rows = lambda result: [(1,)]
 
 
 class TestRunAllMetrics:
@@ -161,10 +171,9 @@ class TestRunAllMetrics:
 
     @pytest.fixture(autouse=True)
     def _stub_experiments(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, _STUB.__name__, _STUB)
         monkeypatch.setattr(
-            registry,
-            "_ADAPTERS",
-            {"stub-a": _stub_experiment, "stub-b": _stub_experiment},
+            registry, "_MODULES", {"stub-a": _STUB.__name__, "stub-b": _STUB.__name__}
         )
 
     def test_one_json_per_experiment(self, tmp_path, capsys):

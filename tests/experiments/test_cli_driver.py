@@ -40,8 +40,8 @@ def two_experiments(monkeypatch):
     """
     monkeypatch.setattr(
         registry,
-        "_ADAPTERS",
-        {name: registry._ADAPTERS[name] for name in ("table1", "fig6")},
+        "_MODULES",
+        {name: registry._MODULES[name] for name in ("table1", "fig6")},
     )
 
 
@@ -126,6 +126,36 @@ class TestArtifactSetParity:
         assert "  worker.run" in _span_tree(serial)
 
 
+class TestCsvParity:
+    """``--csv`` rows are built in the parent from the typed result that came
+    back from the worker, so every experiment's CSV is jobs-invariant —
+    ``serve-shard``'s (its ledger) included."""
+
+    def _csvs(self, argv, out_dir, jobs, capsys):
+        code = main([*argv, "--jobs", str(jobs), "--csv", str(out_dir / "vcs.csv")])
+        capsys.readouterr()
+        return code, {path.name: path.read_bytes() for path in out_dir.iterdir()}
+
+    def test_run_all_csv_bytes_do_not_depend_on_jobs(self, tmp_path, capsys):
+        # A 20-day horizon keeps this cheap; fig7 raises at it by design
+        # (exit 1, the batch goes on) and is covered by the sweep below.
+        argv = ["run", "all", "--horizon-days", "20"]
+        serial = self._csvs(argv, tmp_path / "jobs1", 1, capsys)
+        assert serial == self._csvs(argv, tmp_path / "jobs2", 2, capsys)
+        code, files = serial
+        assert code == 1
+        assert sorted(files) == sorted(
+            f"vcs-{name}.csv" for name in registry.names() if name != "fig7"
+        )
+        assert files["vcs-serve-shard.csv"].startswith(b"seq,t_submit,t_decided,")
+
+    def test_fig7_csv_bytes_do_not_depend_on_jobs(self, tmp_path, capsys):
+        argv = ["sweep", "fig7", "--seeds", "2", "--horizon-days", "120"]
+        serial = self._csvs(argv, tmp_path / "jobs1", 1, capsys)
+        assert serial == self._csvs(argv, tmp_path / "jobs2", 2, capsys)
+        assert serial[0] == 0 and len(serial[1]) == 2
+
+
 class TestEmitterOrder:
     def test_out_of_order_outcomes_print_in_submission_order(self, monkeypatch, capsys):
         def backwards(specs, *, jobs, on_outcome):
@@ -192,8 +222,8 @@ class TestSinkNaming:
     def test_failed_spec_does_not_stop_the_batch(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(
             registry,
-            "_ADAPTERS",
-            {name: registry._ADAPTERS[name] for name in ("fig7", "table1")},
+            "_MODULES",
+            {name: registry._MODULES[name] for name in ("fig7", "table1")},
         )
         code = main(["run", "all", "--horizon-days", "5", "--csv", str(tmp_path / "o.csv")])
         captured = capsys.readouterr()

@@ -1,9 +1,9 @@
-"""Adapter-level tests for every CLI experiment entry.
+"""Module-level tests for every CLI experiment entry.
 
 `tests/experiments/test_cli.py` covers the argument parsing and a few full
-commands; these tests drive each registry adapter directly at reduced
+commands; these tests drive each registry module directly at reduced
 horizons — the spec the CLI would build, through ``registry.run_cli`` — to
-verify the (adapter-specific) CSV row construction and rendering wiring.
+verify each module's CSV rows (``registry.csv_table``) and rendering wiring.
 """
 
 import pytest
@@ -13,7 +13,8 @@ from repro.sim.parallel import RunSpec
 
 
 def run(name, horizon_days=None, seed=11):
-    return registry.run_cli(RunSpec(name, seed=seed, horizon_days=horizon_days))
+    result, rendered = registry.run_cli(RunSpec(name, seed=seed, horizon_days=horizon_days))
+    return result, rendered, registry.csv_table(name, result)
 
 
 def assert_csv_shape(headers, rows):

@@ -15,6 +15,7 @@ import pytest
 
 import repro.core.store as store_module
 from repro.core.index import ImportanceIndex
+from repro.experiments.registry import csv_table
 from repro.sim.parallel import RunSpec, execute_spec
 from tests.oracles import ScanIndex, ScanSlab
 
@@ -25,10 +26,11 @@ SPECS = [
 
 
 def _artifact_sha(outcome):
+    headers, rows = csv_table(outcome.spec.experiment, outcome.result)
     digest = hashlib.sha256()
     digest.update(outcome.rendered.encode())
-    digest.update("|".join(outcome.headers).encode())
-    for row in outcome.rows:
+    digest.update("|".join(headers).encode())
+    for row in rows:
         digest.update(repr(row).encode())
     return digest.hexdigest()
 

@@ -11,6 +11,7 @@ roadmap calls out as the paper's quantitative anchors.
 import hashlib
 
 from repro.cli import main
+from repro.experiments.registry import csv_table
 from repro.sim.parallel import RunSpec, run_specs
 
 SPECS = [
@@ -20,10 +21,11 @@ SPECS = [
 
 
 def _artifact_sha(outcome):
+    headers, rows = csv_table(outcome.spec.experiment, outcome.result)
     digest = hashlib.sha256()
     digest.update(outcome.rendered.encode())
-    digest.update("|".join(outcome.headers).encode())
-    for row in outcome.rows:
+    digest.update("|".join(headers).encode())
+    for row in rows:
         digest.update(repr(row).encode())
     return digest.hexdigest()
 

@@ -10,7 +10,7 @@ rows.
 import hashlib
 
 from repro.experiments import sec54_mega
-from repro.experiments.registry import run_cli
+from repro.experiments.registry import csv_table, run_cli
 from repro.sim.parallel import RunSpec
 from repro.sim.shard import run_shard, shard_seed, shard_slice
 
@@ -37,7 +37,8 @@ def _mega(jobs):
         seed=PARAMS["seed"],
         horizon_days=PARAMS["horizon_days"],
     )
-    return run_cli(spec)
+    result, rendered = run_cli(spec)
+    return result, rendered, csv_table("sec54-mega", result)
 
 
 class TestJobsParity:
@@ -94,6 +95,11 @@ class TestMegaExperiment:
             if row[1] == int(PARAMS["horizon_days"] / PARAMS["epoch_days"])
         ]
         assert result.arrivals == sum(row[3] + row[4] for row in last_epochs)
+        # The shards' own counts reach the summary: every arrival is one
+        # event, plus one pump and one barrier per epoch.
+        epochs = int(PARAMS["horizon_days"] / PARAMS["epoch_days"])
+        for _shard, _nodes, _courses, arrivals, dispatched in result.shard_summary:
+            assert dispatched == arrivals + 2 * epochs
 
     def test_registry_exposes_sec54(self):
         from repro.experiments import registry

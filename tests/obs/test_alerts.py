@@ -78,6 +78,45 @@ class TestLoadRules:
         assert [r.name for r in rules] == ["healthy", "fast"]
         assert rules[1].expr == "gossip_convergence_rounds <= 12"
 
+    @pytest.mark.parametrize(
+        "expr",
+        ["serve_responses_total:p150 > 1", "importance_density_p150 < 1", "m{a=b}:p101 < 1"],
+    )
+    def test_percentile_above_100_rejected_at_load(self, expr):
+        with pytest.raises(ObservabilityError, match="outside p0..p100"):
+            load_rules(io.StringIO(f"bad: {expr}\n"))
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["serve_responses_total:p0 >= 0", "serve_responses_total:p100 >= 0",
+         "importance_density_p0 >= 0", "importance_density_p100 <= 1", "latency_p999 < 1"],
+    )
+    def test_percentiles_in_range_still_load(self, expr):
+        (rule,) = load_rules(io.StringIO(f"ok: {expr}\n"))
+        assert rule.signal == expr.split()[0]
+
+    def test_p0_and_p100_evaluate_to_min_and_max(self):
+        registry = _registry_with_traffic()
+        engine = AlertEngine.from_pairs(
+            [("lo", "store_occupancy_ratio:p0 >= 0"), ("hi", "store_occupancy_ratio:p100 <= 1")]
+        )
+        assert [r.value for r in engine.evaluate(registry)] == [0.4, 0.8]
+
+    def test_cli_exits_2_before_serving_on_a_p150_rule(self, tmp_path, capsys):
+        from repro.cli import main
+
+        rules = tmp_path / "bad.rules"
+        rules.write_text("too_high: serve_responses_total:p150 > 1\n")
+        ledger = tmp_path / "ledger.jsonl"
+        code = main(
+            ["loadgen", "--nodes", "1", "--horizon-days", "2", "--max-requests", "5",
+             "--alerts", str(rules), "--check", "--ledger-out", str(ledger)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "outside p0..p100" in captured.err
+        assert "loadgen:" not in captured.out and not ledger.exists()
+
 
 class TestResolveSignal:
     def test_derived_reject_rate(self):

@@ -134,6 +134,33 @@ class TestMergeAndSerialisation:
         a.merge(b)
         assert a.dropped >= 4
 
+    @pytest.mark.parametrize("bound", [1, 2, 3, 5, 100])
+    def test_merged_parts_equal_one_ledger_fed_the_concatenated_stream(self, bound):
+        # The parent folds worker ledgers into an empty one; the result must
+        # be what one process would have recorded, ring truncation included.
+        single = AuditLedger(max_records=bound)
+        merged = AuditLedger(max_records=bound)
+        for prefix, n in (("a", 5), ("b", 4), ("c", 1), ("d", 7)):
+            part = AuditLedger(max_records=bound)
+            for i in range(n):
+                for ledger in (part, single):
+                    ledger.record(
+                        "admit", t=float(i), obj=_obj(f"{prefix}-{i}"), unit="d", importance=1.0
+                    )
+            merged.merge(part)
+        assert [r.to_dict() for r in merged] == [r.to_dict() for r in single]
+        assert (merged.dropped, merged.recorded_count) == (single.dropped, single.recorded_count)
+        assert merged.recorded_count == len(merged) + merged.dropped == 17
+
+    def test_merging_a_truncated_ledger_keeps_its_drops_counted(self):
+        part = AuditLedger(max_records=3)
+        for i in range(5):
+            part.record("admit", t=0.0, obj=_obj(f"p-{i}"), unit="d", importance=1.0)
+        merged = AuditLedger(max_records=3)
+        merged.merge(part)
+        assert (len(merged), merged.dropped, merged.recorded_count) == (3, 2, 5)
+        assert [r.seq for r in merged] == [2, 3, 4]
+
     def test_dict_roundtrip(self):
         ledger = self._filled("x", 3)
         clone = AuditLedger.from_dict(ledger.to_dict())

@@ -9,7 +9,7 @@ from repro.serve.loadgen import (
     LoadGenSpec,
     build_requests,
     flash_hot_ids,
-    render_report,
+    render,
     run_loadgen,
 )
 from repro.serve.protocol import ServeError
@@ -116,7 +116,7 @@ class TestRenderBreakdown:
 
     def test_render_covers_every_status_and_shed_reason(self):
         report = self.report()
-        text = render_report(report)
+        text = render(report)
         # Every StoreStatus appears in the breakdown, zeros included.
         for status in (
             "admitted",

@@ -7,7 +7,7 @@ from repro.serve.loadgen import (
     LoadGenSpec,
     build_gateway,
     build_requests,
-    render_report,
+    render,
     run_loadgen,
 )
 from repro.serve.protocol import ServeError
@@ -183,9 +183,9 @@ class TestOneServingPath:
         assert via_loadgen.spilled == 0
 
     def test_one_shard_report_prints_no_shard_table(self):
-        text = render_report(run_loadgen(small_spec(max_requests=40)))
+        text = render(run_loadgen(small_spec(max_requests=40)))
         assert "shard" not in text and "spilled" not in text
-        fleet = render_report(run_loadgen(small_spec(max_requests=40, shards=2)))
+        fleet = render(run_loadgen(small_spec(max_requests=40, shards=2)))
         assert "2 shard(s) (overflow spill)" in fleet
         assert "spilled-in" in fleet and "off-home routes" in fleet
 
@@ -193,7 +193,7 @@ class TestOneServingPath:
 class TestRenderReport:
     def test_render_mentions_the_essentials(self):
         report = run_loadgen(small_spec(max_requests=40))
-        text = render_report(report)
+        text = render(report)
         assert "university workload, closed loop" in text
         assert "admitted" in text
         assert "ledger sha256" in text

@@ -2,27 +2,26 @@
 
 import gc
 import weakref
+from dataclasses import asdict
 
 import pytest
 
 from repro.core.obj import reset_object_ids
+from repro.errors import ReproError
+from repro.experiments.registry import csv_table, run_cli
 from repro.obs import DURATION_BUCKETS
 from repro.serve import sharded
-from repro.serve.ledger import ServeLedger
+from repro.serve.ledger import ENTRY_FIELDS, ServeLedger
 from repro.serve.loadgen import (
     LoadGenSpec,
     build_gateway,
+    csv_rows,
     retry_after_histogram,
     run_loadgen,
     shard_serve_seed,
 )
 from repro.serve.protocol import ServeError
-from repro.serve.sharded import (
-    merged_rows,
-    run_shard_serve,
-    run_sharded,
-    shard_rows,
-)
+from repro.serve.sharded import run_shard_serve, run_sharded
 from repro.sim.parallel import RunSpec
 from repro.units import MINUTES_PER_DAY, gib
 from tests.oracles.percentile import nearest_rank
@@ -116,7 +115,7 @@ class TestMergedRun:
 
     def test_merged_rows_deterministic_across_runs(self):
         spec = flash_spec()
-        assert merged_rows(run_fresh(spec)) == merged_rows(run_fresh(spec))
+        assert csv_rows(run_fresh(spec)) == csv_rows(run_fresh(spec))
 
     def test_open_loop_deterministic_with_coalescing(self):
         spec = flash_spec(mode="open")
@@ -128,7 +127,7 @@ class TestMergedRun:
         spec = flash_spec()
         inline = run_fresh(spec, jobs=1)
         workers = run_fresh(spec, jobs=2)
-        assert merged_rows(inline) == merged_rows(workers)
+        assert csv_rows(inline) == csv_rows(workers)
         assert (
             inline.ledger.canonical_sha256() == workers.ledger.canonical_sha256()
         )
@@ -170,7 +169,7 @@ class TestStreamBuiltOnce:
         inline = run_fresh(spec, jobs=1)
         workers = run_fresh(spec, jobs=2)
         assert inline.ledger.canonical_bytes() == workers.ledger.canonical_bytes()
-        assert merged_rows(inline) == merged_rows(workers)
+        assert csv_rows(inline) == csv_rows(workers)
 
     def test_stream_unreachable_after_run(self, monkeypatch):
         built = count_calls(monkeypatch, "build_requests")
@@ -187,7 +186,8 @@ class TestStreamBuiltOnce:
 
         run_fresh(flash_spec())  # a stream exists before the failing run
         monkeypatch.setattr(sharded, "build_gateway", broken)
-        with pytest.raises(ServeError, match="no gateway"):
+        failed = "serve-shard shard 0 failed: RuntimeError: no gateway"
+        with pytest.raises(ReproError, match=failed):
             run_fresh(flash_spec())
         assert sharded._held_stream is None
 
@@ -199,19 +199,19 @@ class TestStreamBuiltOnce:
         assert [len(stream) for stream in built] == [150, 300]
         assert (first.requests, second.requests) == (150, 300)
         # ... and a rerun of the first spec reproduces it, not the second.
-        assert merged_rows(run_fresh(small)) == merged_rows(first)
+        assert csv_rows(run_fresh(small)) == csv_rows(first)
 
     def test_registry_entry_never_serves_another_specs_stream(self):
         # Two serve-shard specs back to back *without* run_sharded's
         # release in between: the held stream must be replaced, not reused.
-        from repro.experiments.registry import run_cli
-
         def shard_spec(max_requests):
-            return sharded._shard_spec(flash_spec(max_requests=max_requests), 0)
+            params = dict(asdict(flash_spec(max_requests=max_requests)), shard=0)
+            seed, horizon = params.pop("seed"), params.pop("horizon_days")
+            return RunSpec("serve-shard", params, seed=seed, horizon_days=horizon)
 
         try:
-            small, _r, _csv = run_cli(shard_spec(150))
-            large, _r, _csv = run_cli(shard_spec(300))
+            small, _rendered = run_cli(shard_spec(150))
+            large, _rendered = run_cli(shard_spec(300))
             assert len(sharded._held_stream[1][0]) == 300
         finally:
             sharded._release_stream()
@@ -231,30 +231,30 @@ class TestStreamBuiltOnce:
 
 
 class TestShardSideSummaries:
-    def test_retry_rows_sum_to_the_merged_ledgers_histogram(self):
+    def test_retry_counts_sum_to_the_merged_ledgers_histogram(self):
         # Rate limiting is what hands out retry-after hints.
         spec = flash_spec(rate_per_minute=0.05, rate_burst=2.0)
         summed = {}
         for shard in range(spec.shards):
             reset_object_ids()
-            for kind, label, count in shard_rows(run_shard_serve(spec, shard)):
-                if kind == "retry":
-                    summed[label] = summed.get(label, 0) + count
+            outcome = run_shard_serve(spec, shard)
+            for label, count in outcome.retry_after_histogram.items():
+                summed[label] = summed.get(label, 0) + count
         report = run_fresh(spec)
         assert sum(summed.values()) > 0
         assert summed == report.retry_after_histogram
         assert summed == retry_after_histogram(report.ledger)  # the merged column
 
-    def test_latency_rows_are_timing_kind(self):
+    def test_latency_buckets_count_served_requests(self):
         reset_object_ids()
-        rows = shard_rows(run_shard_serve(flash_spec(), 0))
-        latency = {key: value for kind, key, value in rows if kind == "latency"}
-        assert "latency" in sharded.TIMING_KINDS
-        assert set(sharded._LATENCY_KEYS) < set(latency)
-        served = sum(latency[key] for key in sharded._LATENCY_KEYS)
-        assert served == sum(
-            count for kind, _k, count in rows if kind == "status"
-        ) - sum(count for kind, _k, count in rows if kind == "shed")
+        outcome = run_shard_serve(flash_spec(), 0)
+        # One count per duration bucket plus the overflow bucket.
+        assert len(outcome.latency_buckets) == len(DURATION_BUCKETS) + 1
+        served = sum(outcome.latency_buckets)
+        assert served > 0
+        assert served == sum(outcome.responses_by_status.values()) - sum(
+            outcome.shed_by_reason.values()
+        )
 
     def test_fleet_quantile_pools_shards(self):
         # 1000 fast requests on one shard, 10 slow ones on another: the
@@ -299,8 +299,6 @@ class TestShardSideSummaries:
 
 class TestRegistryAdapters:
     def test_serve_shard_experiment_runs(self):
-        from repro.experiments.registry import run_cli
-
         spec = RunSpec(
             experiment="serve-shard",
             params={
@@ -317,22 +315,25 @@ class TestRegistryAdapters:
             seed=7,
             horizon_days=10.0,
         )
-        outcome, rendered, (headers, rows) = run_cli(spec)
+        outcome, rendered = run_cli(spec)
         assert outcome.shard == 1
-        assert headers == ("kind", "key", "value")
         assert "serve shard 1/2" in rendered
-        assert any(kind == "ledger" for kind, _k, _v in rows)
+        # The CSV is the shard's ledger: sim-time columns only.
+        headers, rows = csv_table("serve-shard", outcome)
+        assert headers == ENTRY_FIELDS
+        assert rows == list(outcome.ledger) and rows
 
     def test_serve_flash_experiment_runs(self):
-        from repro.experiments.registry import run_cli
-
         spec = RunSpec(
             experiment="serve-flash",
             params={"nodes": 4, "shards": 2, "max_requests": 200},
             seed=7,
             horizon_days=10.0,
         )
-        report, rendered, (headers, rows) = run_cli(spec)
+        report, rendered = run_cli(spec)
         assert report.requests > 0
         assert "shard(s)" in rendered
+        headers, rows = csv_table("serve-flash", report)
+        assert headers == ("kind", "key", "value")
+        assert rows == csv_rows(report)
         assert ("ledger", "sha256", report.ledger.canonical_sha256()) in rows

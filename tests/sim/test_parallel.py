@@ -5,6 +5,7 @@ import pickle
 import pytest
 
 from repro.errors import ReproError
+from repro.experiments.registry import csv_table
 from repro.sim.parallel import (
     ObsOptions,
     RunSpec,
@@ -143,8 +144,11 @@ class TestExecuteSpec:
         assert outcome.ok
         assert outcome.error is None
         assert "Table 1" in outcome.rendered
-        assert outcome.headers == ("term", "begin_doy", "t_persist", "t_wane_days")
-        assert len(outcome.rows) > 0
+        # The typed result travels; rows are built from it at the CSV sink.
+        headers, rows = csv_table("table1", outcome.result)
+        assert headers == ("term", "begin_doy", "t_persist", "t_wane_days")
+        assert rows == list(outcome.result.rows)
+        assert len(rows) > 0
         assert outcome.telemetry is None  # obs off by default
         assert outcome.wall_seconds >= 0.0
 
@@ -174,7 +178,9 @@ class TestExecuteSpec:
 
     def test_outcome_is_picklable(self):
         outcome = execute_spec(RunSpec("table1"))
-        assert pickle.loads(pickle.dumps(outcome)).rendered == outcome.rendered
+        clone = pickle.loads(pickle.dumps(outcome))
+        assert clone.rendered == outcome.rendered
+        assert clone.result == outcome.result
 
 
 class TestRunSpecs:
