@@ -49,8 +49,9 @@ alerts-check:
 	@echo "alerts check OK"
 
 # Distributed-trace round trip exactly as CI runs it: a tiny sweep with
-# span export, then `repro-sim flamegraph` rebuilds the HTML view from
-# the JSONL shards (exit non-zero if either leg fails).
+# span export, then `repro-sim flamegraph` prints the critical path and
+# writes the collapsed stacks from the JSONL shards (exit non-zero if
+# either leg fails or the folded file is empty).
 trace-smoke:
 	@rm -rf .trace-smoke && mkdir -p .trace-smoke
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro.cli sweep fig6 \
@@ -58,7 +59,7 @@ trace-smoke:
 		--trace-out .trace-smoke/trace.jsonl >/dev/null
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro.cli flamegraph \
 		.trace-smoke >/dev/null
-	@test -s .trace-smoke/flamegraph.html
+	@test -s .trace-smoke/flamegraph.folded
 	@rm -rf .trace-smoke
 	@echo "trace smoke OK"
 

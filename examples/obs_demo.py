@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Observability demo: metrics, spans, time series, phase profile, logs
-and the HTML dashboard on a fig6-style single-store run.
+"""Observability demo: metrics, spans, time series, phase profile and logs
+on a fig6-style single-store run.
 
 Run with::
 
@@ -8,8 +8,7 @@ Run with::
 
 Equivalent CLI::
 
-    repro-sim run fig6 --horizon-days 60 --metrics-out m.json --trace \
-        --dashboard-out dash.html
+    repro-sim run fig6 --horizon-days 60 --metrics-out m.json --trace
 """
 
 import json
@@ -18,7 +17,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.api import RunSpec, run_experiment
-from repro.report import metrics_summary, render_dashboard
+from repro.report import metrics_summary
 
 
 def main() -> None:
@@ -78,8 +77,8 @@ def main() -> None:
           f"(peak) -> {density[-1]:.3f} over {len(density)} samples")
     print()
 
-    # The registry exports to a JSON-friendly dict or Prometheus text, and
-    # the whole run renders to one self-contained HTML dashboard.
+    # The registry exports to a JSON-friendly dict or Prometheus text; the
+    # summary printed above, with its trend column, is the run's report.
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "metrics.json"
         out.write_text(json.dumps(registry.to_dict(), indent=2))
@@ -87,19 +86,7 @@ def main() -> None:
               f"{len(registry)} metrics")
     prom = registry.to_prometheus_text()
     print(f"Prometheus export: {prom.count(chr(10))} lines")
-    html = render_dashboard(
-        [
-            {
-                "experiment": "fig6-demo",
-                "metrics": registry.to_dict(),
-                "timeseries": collector.to_dict(),
-                "spans": obs.STATE.tracer.aggregates(),
-                "profile": obs.STATE.profiler.aggregates(),
-            }
-        ]
-    )
-    print(f"HTML dashboard: {len(html)} bytes, self-contained "
-          f"({'no' if 'http' not in html else 'HAS'} external refs)")
+    print()
 
     # Back to the free, disabled state.
     obs.reset()

@@ -59,9 +59,9 @@ from repro.obs.traceexport import (
 from repro.report.explain import explain_object, load_run_ledger
 from repro.report.flamegraph import (
     CriticalPathResult,
+    collapsed_stacks,
     critical_path,
-    render_flamegraph_html,
-    write_flamegraph,
+    render_critical_path,
 )
 from repro.sim import Recorder, ScenarioResult, SimulationEngine, run_single_store
 from repro.sim.parallel import (
@@ -130,15 +130,15 @@ __all__ = [
     "explain_object",
     "load_rules",
     "load_run_ledger",
-    # distributed traces + flamegraphs
+    # distributed traces + critical path / collapsed stacks
     "CriticalPathResult",
     "SpanExporter",
     "SpanRecord",
     "TraceArchive",
+    "collapsed_stacks",
     "critical_path",
-    "render_flamegraph_html",
+    "render_critical_path",
     "trace_id_for",
-    "write_flamegraph",
     # serving (repro.serve)
     "BesteffsGateway",
     "CapabilityRealm",

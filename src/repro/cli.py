@@ -34,12 +34,13 @@ Observability (see ``docs/observability.md``): ``--metrics-out FILE``
 exports the :mod:`repro.obs` metrics registry after each experiment
 (JSON, or Prometheus text for ``.prom`` files), ``--trace`` prints span
 timings, and ``--log-level``/``--log-file`` emit structured JSONL events
-(to stderr when no file is given).  ``--dashboard-out FILE`` installs a
-time-series collector (scrape cadence ``--scrape-interval-days``) and
-writes one self-contained HTML dashboard over every experiment run.  Any
-of these flags enables the instrumentation layer; without them it is
-entirely off.  ``repro-sim dashboard <run-dir>`` rebuilds a dashboard
-later from the ``--metrics-out`` JSON files of a previous run.
+(to stderr when no file is given).  Any of these flags enables the
+instrumentation layer; without them it is entirely off.  An instrumented
+run prints a metrics summary whose trend column comes from a time-series
+collector scraped every ``--scrape-interval-days``.  ``--trace-out FILE``
+streams spans to JSONL shards; ``repro-sim flamegraph <run-dir>`` prints
+their critical path and writes the merged span stacks in the folded
+format external flamegraph tools draw.
 
 Decision provenance and SLO alerts: ``--audit-out FILE`` records every
 admit/reject/evict/expire/refresh decision (with the exact thresholds
@@ -108,12 +109,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         help="stream completed spans to a JSONL trace shard per spec (plus a "
         "-merged shard for multi-spec runs); feed the files (or their "
         "directory) to 'repro-sim flamegraph'",
-    )
-    parser.add_argument(
-        "--dashboard-out",
-        metavar="FILE",
-        help="write a self-contained HTML dashboard (implies metrics + "
-        "time-series collection)",
     )
     parser.add_argument(
         "--scrape-interval-days",
@@ -306,31 +301,24 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         help="seed replicas per grid point (replica 0 uses --seed as-is)",
     )
     _add_run_flags(sweep_parser)
-    dash_parser = subcommand(
-        "dashboard", _dashboard_cmd, "rebuild an HTML dashboard from a run's metrics JSON"
-    )
-    dash_parser.add_argument(
-        "run_dir",
-        help="directory holding --metrics-out JSON exports (or one JSON file)",
-    )
-    dash_parser.add_argument(
-        "--out", metavar="FILE", help="output HTML path (default: <run-dir>/dashboard.html)"
-    )
     flame_parser = subcommand(
         "flamegraph",
         _flamegraph_cmd,
-        "build a flamegraph + timeline HTML from a run's --trace-out shards",
+        "print the critical path of a run's --trace-out shards and write "
+        "their collapsed stacks",
     )
     flame_parser.add_argument(
         "run_dir",
         help="a --trace-out JSONL shard, or a run directory holding them",
     )
     flame_parser.add_argument(
-        "--out", metavar="FILE", help="output HTML path (default: <run-dir>/flamegraph.html)"
+        "--out",
+        metavar="FILE",
+        help="output path for the folded stacks (default: <run-dir>/flamegraph.folded)",
     )
     flame_parser.add_argument(
         "--top",
-        type=int,
+        type=_positive_int,
         default=10,
         metavar="K",
         help="spans listed in the critical-path summary (default: 10)",
@@ -403,7 +391,7 @@ def _obs_options(args: argparse.Namespace) -> ObsOptions:
     """
     requested = (
         args.metrics_out, args.trace, args.trace_out, args.log_level, args.log_file,
-        args.dashboard_out, args.audit_out, args.alert_rules,
+        args.audit_out, args.alert_rules,
     )
     if not any(requested):
         return ObsOptions()
@@ -423,6 +411,14 @@ def _obs_options(args: argparse.Namespace) -> ObsOptions:
         audit_sample=args.audit_sample,
         alert_rules=alert_pairs,
     )
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _coerce_param_value(text: str) -> Any:
@@ -535,8 +531,8 @@ def _metrics_export(payload: dict[str, Any], *, trace: bool) -> dict[str, Any]:
     ``--trace``; the loss counter is one integer and always travels —
     silent span loss is exactly what it exists to surface.  The audit
     ledger and trace shards go to their own JSONL files (``--audit-out``
-    / ``--trace-out``); alerts stay — they are small and the ``dashboard``
-    / ``alerts`` subcommands read them from here.
+    / ``--trace-out``); alerts stay — they are small and the ``alerts``
+    subcommand reads them from here.
     """
     drop = {"audit", "trace"}
     if not trace:
@@ -569,7 +565,6 @@ def _run_and_emit(specs: list[RunSpec], args: argparse.Namespace, *, sweep: bool
     multiple = len(specs) > 1
     failures: list[tuple[str, Any]] = []  # (label, RunError)
     folds: dict[str, Any] = {}  # kind -> cross-spec merge, in submission order
-    dashboards: list[dict[str, Any]] = []
 
     def emit(outcome: RunOutcome) -> None:
         label = outcome.spec.slug() if sweep else outcome.spec.experiment
@@ -614,8 +609,6 @@ def _run_and_emit(specs: list[RunSpec], args: argparse.Namespace, *, sweep: bool
         _write_sink(args, "metrics", _metrics_export(telemetry, trace=args.trace), suffix)
         _write_sink(args, "audit", parts.get("audit"), suffix)
         _write_sink(args, "trace", parts.get("trace"), suffix)
-        if args.dashboard_out is not None:
-            dashboards.append(telemetry)
         for kind, part in parts.items():
             if kind in folds:
                 folds[kind].merge(part)
@@ -669,11 +662,6 @@ def _run_and_emit(specs: list[RunSpec], args: argparse.Namespace, *, sweep: bool
         _write_sink(args, "trace", folds["trace"], "merged")
         print(render_critical_path(critical_path(folds["trace"])))
         print()
-    if dashboards:
-        from repro.report.dashboard import write_dashboard
-
-        write_dashboard(args.dashboard_out, dashboards)
-        print(f"[dashboard written to {args.dashboard_out}]")
     for label, error in failures:
         print(f"[{label} failed: {error.render()}]", file=sys.stderr)
         if error.traceback:
@@ -724,45 +712,28 @@ def _read_payload(path: str) -> dict[str, Any] | None:
         return None
     if not isinstance(data, dict) or "metrics" not in data:
         return None
-    data.setdefault("experiment", os.path.splitext(os.path.basename(path))[0])
     return data
 
 
-def _load_payloads(run_dir: str, *, merged: str) -> list[dict[str, Any]]:
-    """The metrics payloads of a finished run: one JSON file, or a directory."""
-    found = run_files(
-        run_dir, ".json", _read_payload, what="metrics JSON payloads", merged=merged
-    )
-    return list(found.values())
-
-
-def _dashboard_cmd(args: argparse.Namespace) -> int:
-    """The ``dashboard`` subcommand: rebuild HTML from metrics JSON files."""
-    from repro.report.dashboard import write_dashboard
-
-    payloads = _load_payloads(args.run_dir, merged="all")
-    out = args.out or default_out(args.run_dir, "dashboard.html")
-    print(f"[dashboard written to {write_dashboard(out, payloads)}]")
-    return 0
-
-
 def _flamegraph_cmd(args: argparse.Namespace) -> int:
-    """The ``flamegraph`` subcommand: trace shards -> HTML + critical path."""
+    """The ``flamegraph`` subcommand: trace shards -> critical path + folded stacks."""
     from repro.obs.traceexport import is_trace_file
     from repro.report.flamegraph import (
+        collapsed_stacks,
         critical_path,
         load_trace_archives,
         render_critical_path,
-        write_flamegraph,
     )
 
     shards = run_files(args.run_dir, ".jsonl", is_trace_file, what="trace JSONL shards")
     archive = load_trace_archives(shards)
-    out = args.out or default_out(args.run_dir, "flamegraph.html")
-    target = write_flamegraph(out, archive)
+    out = args.out or default_out(args.run_dir, "flamegraph.folded")
+    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(collapsed_stacks(archive))
     print(render_critical_path(critical_path(archive, top_k=args.top)))
     print()
-    print(f"[flamegraph written to {target}]")
+    print(f"[collapsed stacks written to {out}]")
     return 0
 
 
@@ -790,7 +761,10 @@ def _alerts_cmd(args: argparse.Namespace) -> int:
     from repro.report.metrics import alerts_verdict_line
     from repro.report.table import TextTable
 
-    payloads = _load_payloads(args.run_dir, merged="skip")
+    found = run_files(
+        args.run_dir, ".json", _read_payload, what="metrics JSON payloads", merged="skip"
+    )
+    payloads = list(found.values())
     if args.rules:
         engine = AlertEngine(rules=load_rules(args.rules))
     else:

@@ -173,7 +173,7 @@ def configure_logging(level: str = "info", sink: str | IO[str] | list | None = N
 def export_payload(experiment: str) -> dict:
     """Snapshot :data:`STATE` into one JSON-friendly telemetry payload.
 
-    The schema matches ``--metrics-out`` files and dashboard payloads:
+    The schema matches ``--metrics-out`` files:
     ``{experiment, metrics, spans, span_tree, spans_dropped, profile,
     timeseries?, trace?, audit?, alerts?}`` — ``span_tree`` is the rendered
     (bounded) tree, so ``--trace`` prints the same text from a worker's

@@ -14,8 +14,8 @@ needed.  The :class:`AlertEngine` evaluates every rule against a
 :class:`~repro.obs.metrics.MetricsRegistry` — at scrape time during a
 run (so the *first violation time* is recorded in simulation minutes)
 and once more at the end — and its results travel in telemetry payloads
-to the dashboard's pass/fail panel, ``metrics_summary``'s verdict line
-and the ``repro-sim alerts --check`` CI gate.
+to ``metrics_summary``'s verdict line, the ``"alerts"`` key of
+``--metrics-out`` exports and the ``repro-sim alerts --check`` CI gate.
 
 Signals
 -------
@@ -199,20 +199,6 @@ def load_rules(source: str | IO[str]) -> tuple[AlertRule, ...]:
 # -- signal resolution -----------------------------------------------------
 
 
-def _percentile(values: Sequence[float], pct: float) -> float:
-    """Linear-interpolation percentile of a small value list."""
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (pct / 100.0) * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    frac = rank - low
-    return ordered[low] + (ordered[high] - ordered[low]) * frac
-
-
 def _parse_labels(spec: str | None) -> dict[str, str]:
     labels: dict[str, str] = {}
     if not spec:
@@ -258,7 +244,11 @@ def _aggregate_scalar(values: Sequence[float], agg: str) -> float | None:
         return values[-1]
     pct = _PERCENTILE_RE.match(agg)
     if pct is not None:
-        return _percentile(values, float(pct.group("pct")))
+        # Imported here: the analysis package pulls in scipy, and an
+        # alerts-only run must not pay for it.
+        from repro.analysis.summarize import percentile
+
+        return percentile(values, float(pct.group("pct")))
     raise ObservabilityError(f"unknown aggregation {agg!r}")
 
 

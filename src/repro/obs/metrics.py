@@ -68,7 +68,8 @@ def quantile_from_cumulative(
     min/max, used as the edges of the first and the ``+Inf`` bucket and to
     clamp the estimate into the observed range.  Exposed as a module
     function so exported snapshots (whose buckets are plain dicts) can be
-    quantiled without a live :class:`Histogram` — the dashboard path.
+    quantiled without a live :class:`Histogram` (merged serving shards, offline
+    ``--metrics-out`` readers).
     """
     if not 0.0 <= q <= 1.0:
         raise ObservabilityError(f"quantile must be in [0, 1], got {q}")

@@ -7,8 +7,8 @@ engine event dispatch, victim selection (admission planning), Besteffs
 placement rounds, gossip rounds.  Each observation is two dict lookups
 plus a histogram update, and everything also lands in the metrics
 registry (``profile_phase_seconds{phase=...}``) so phase timings flow
-through ``--metrics-out`` exports, the time-series collector and the HTML
-dashboard with no extra plumbing.
+through ``--metrics-out`` exports, the time-series collector and the metrics
+summary with no extra plumbing.
 
 Instrumentation sites are gated on ``obs.STATE.enabled`` exactly like the
 metrics sites, so disabled runs never reach this module.

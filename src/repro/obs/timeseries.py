@@ -46,7 +46,7 @@ DEFAULT_MAX_POINTS = 512
 def series_label(name: str, labelnames: Sequence[str], key: Sequence[str]) -> str:
     """Canonical ``name{label=value,...}`` identity of one labelled series.
 
-    Shared by the collector, the metrics summary table and the dashboard so
+    Shared by the collector and the metrics summary table so
     a metric's series can be matched across exports by plain string equality.
     """
     if not labelnames:
@@ -128,7 +128,7 @@ class TimeSeriesCollector:
         self.scrape_count = 0
         self._next_due = float("-inf")
         self._buffers: dict[str, SeriesBuffer] = {}
-        #: ``{series label: metric kind}`` for export and dashboard grouping.
+        #: ``{series label: metric kind}`` for export and :meth:`kind`.
         self._kinds: dict[str, str] = {}
 
     # -- collection -------------------------------------------------------
@@ -198,7 +198,7 @@ class TimeSeriesCollector:
         buffer's bound.  This is how per-worker collectors come back
         together after a parallel run: each worker scraped its own
         registry over the same simulated window, and the merged collector
-        feeds the dashboard exactly as a serial run's would.
+        feeds the metrics summary exactly as a serial run's would.
         """
         for label, theirs in other._buffers.items():
             mine = self._buffers.get(label)
@@ -281,7 +281,7 @@ class TimeSeriesCollector:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "TimeSeriesCollector":
-        """Rebuild a collector from :meth:`to_dict` output (dashboard path)."""
+        """Rebuild a collector from :meth:`to_dict` output (the CLI's cross-spec fold)."""
         try:
             interval = float(payload["interval_minutes"])  # type: ignore[arg-type]
             series = payload["series"]

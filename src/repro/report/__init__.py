@@ -9,18 +9,12 @@ plotting.
 from repro.report.table import TextTable
 from repro.report.asciichart import ascii_plot, ascii_cdf, sparkline
 from repro.report.csvout import write_csv
-from repro.report.dashboard import render_dashboard, write_dashboard
 from repro.report.metrics import metrics_summary
 
 # Flamegraph names resolve lazily (PEP 562): every experiment module
 # triggers this package's import, and the trace pipeline must stay
 # un-imported unless a run opts in (same contract as obs.audit/alerts).
-_FLAMEGRAPH_NAMES = (
-    "critical_path",
-    "render_critical_path",
-    "render_flamegraph_html",
-    "write_flamegraph",
-)
+_FLAMEGRAPH_NAMES = ("collapsed_stacks", "critical_path", "render_critical_path")
 
 
 def __getattr__(name: str):
@@ -35,13 +29,10 @@ __all__ = [
     "TextTable",
     "ascii_cdf",
     "ascii_plot",
+    "collapsed_stacks",
     "critical_path",
     "metrics_summary",
     "render_critical_path",
-    "render_dashboard",
-    "render_flamegraph_html",
     "sparkline",
-    "write_dashboard",
     "write_csv",
-    "write_flamegraph",
 ]

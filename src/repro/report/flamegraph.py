@@ -1,4 +1,4 @@
-"""Sweep-level trace analysis: critical path, flamegraph, timeline.
+"""Sweep-level trace analysis: critical path and collapsed stacks.
 
 Consumes the :class:`~repro.obs.traceexport.TraceArchive` shards the
 trace pipeline writes (``--trace-out``) and answers the question a
@@ -9,21 +9,16 @@ straggler?**
   slowest chain of spans: the straggler shard's root, then the heaviest
   child at every level, with exclusive (self) time per step and the
   top-k dominating span labels across the whole archive.
-* :func:`render_flamegraph_html` — one self-contained HTML file (inline
-  CSS + SVG, light/dark via ``prefers-color-scheme``, no JavaScript, no
-  network) with an icicle-style flamegraph over merged span stacks, a
-  lane-per-shard timeline, and the critical-path table.  Emitted by
-  ``repro-sim flamegraph <run-dir>`` and embedded as a panel in the
-  run dashboard.
+* :func:`collapsed_stacks` — every shard's span trees folded into one
+  line per distinct label stack with its summed exclusive time, the
+  standard input of external flamegraph tools.  Written by
+  ``repro-sim flamegraph <run-dir>``.
 
-All layout is deterministic: stacks order by label, lanes by shard id,
-and ties break lexically — the same archive always renders the same
-bytes.
+Both are deterministic: the same archive always renders the same text.
 """
 
 from __future__ import annotations
 
-import html
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -32,72 +27,11 @@ from repro.obs.traceexport import SpanRecord, TraceArchive
 __all__ = [
     "CriticalPathResult",
     "PathStep",
+    "collapsed_stacks",
     "critical_path",
-    "flamegraph_svg",
     "load_trace_archives",
     "render_critical_path",
-    "render_flamegraph_html",
-    "timeline_svg",
-    "write_flamegraph",
 ]
-
-#: Frames narrower than this fraction of the root are elided (counted).
-MIN_FRAME_FRACTION = 0.001
-#: Timeline bars drawn per lane before eliding the smallest (counted).
-MAX_LANE_BARS = 240
-#: Flamegraph rows (stack depth) rendered before truncating.
-MAX_FLAME_DEPTH = 12
-
-_CSS = """
-:root {
-  color-scheme: light;
-  --surface: #fcfcfb; --card: #ffffff; --line: #e5e4e0;
-  --ink: #0b0b0b; --ink-2: #52514e;
-  --s1: #2a78d6; --s2: #eb6834; --s3: #1baf7a;
-}
-@media (prefers-color-scheme: dark) {
-  :root {
-    color-scheme: dark;
-    --surface: #1a1a19; --card: #222221; --line: #33332f;
-    --ink: #ffffff; --ink-2: #c3c2b7;
-    --s1: #3987e5; --s2: #d95926; --s3: #199e70;
-  }
-}
-.fd-0{fill:#cde2fb}.fd-1{fill:#9ec5f4}.fd-2{fill:#6da7ec}.fd-3{fill:#3987e5}
-.fd-4{fill:#256abf}.fd-5{fill:#1c5cab}.fd-6{fill:#104281}.fd-7{fill:#0d366b}
-@media (prefers-color-scheme: dark) {
-  .fd-0{fill:#0d366b}.fd-1{fill:#104281}.fd-2{fill:#1c5cab}.fd-3{fill:#256abf}
-  .fd-4{fill:#3987e5}.fd-5{fill:#6da7ec}.fd-6{fill:#9ec5f4}.fd-7{fill:#cde2fb}
-}
-* { box-sizing: border-box; }
-body { margin: 0; padding: 24px; background: var(--surface); color: var(--ink);
-       font: 14px/1.45 system-ui, -apple-system, "Segoe UI", sans-serif; }
-h1 { font-size: 20px; margin: 0 0 4px; }
-h2 { font-size: 16px; margin: 28px 0 10px; }
-.sub { color: var(--ink-2); margin: 0 0 18px; }
-.tiles { display: flex; flex-wrap: wrap; gap: 12px; margin: 12px 0 4px; }
-.tile { background: var(--card); border: 1px solid var(--line); border-radius: 8px;
-        padding: 10px 16px; min-width: 120px; }
-.tile .v { font-size: 22px; font-weight: 650; font-variant-numeric: tabular-nums; }
-.tile .k { color: var(--ink-2); font-size: 12px; }
-svg text { font: 10px system-ui, sans-serif; fill: var(--ink-2); }
-svg .frame-label { fill: #ffffff; font-weight: 600; pointer-events: none; }
-svg .lane-label { fill: var(--ink); font-weight: 600; }
-svg rect { stroke: var(--surface); stroke-width: 0.5; }
-table { border-collapse: collapse; background: var(--card); border: 1px solid var(--line);
-        border-radius: 8px; }
-th, td { text-align: left; padding: 5px 12px; border-bottom: 1px solid var(--line);
-         font-variant-numeric: tabular-nums; }
-th { color: var(--ink-2); font-weight: 600; font-size: 12px; }
-tr:last-child td { border-bottom: none; }
-td.num, th.num { text-align: right; }
-.note { color: var(--ink-2); font-size: 12px; margin: 6px 0 0; }
-footer { margin-top: 32px; color: var(--ink-2); font-size: 12px; }
-"""
-
-
-def _esc(value: object) -> str:
-    return html.escape(str(value), quote=True)
 
 
 def _ms(us: int) -> str:
@@ -248,265 +182,27 @@ def render_critical_path(result: CriticalPathResult) -> str:
     return "\n".join(lines)
 
 
-# -- flamegraph SVG --------------------------------------------------------
+# -- collapsed stacks ------------------------------------------------------
 
 
-@dataclass
-class _Frame:
-    label: str
-    wall_us: int
-    count: int
-    children: dict[str, "_Frame"]
+def collapsed_stacks(archive: TraceArchive) -> str:
+    """Folded-stack text: one ``a;b;c <self_us>`` line per distinct label stack.
 
-
-def _build_frames(archive: TraceArchive) -> _Frame:
-    """Merge every shard's span tree into one label-stack frame tree."""
-    root = _Frame(label="all shards", wall_us=0, count=0, children={})
-    trees = _shard_trees(archive)
-    for shard in sorted(trees):
-        roots, children = trees[shard]
-
-        def fold(record: SpanRecord, into: _Frame) -> None:
-            frame = into.children.get(record.label)
-            if frame is None:
-                frame = into.children[record.label] = _Frame(
-                    label=record.label, wall_us=0, count=0, children={}
-                )
-            frame.wall_us += record.wall_us
-            frame.count += 1
-            for child in children.get(record.span_id, ()):
-                fold(child, frame)
-
-        for rec in roots:
-            root.wall_us += rec.wall_us
-            fold(rec, root)
-    root.count = sum(f.count for f in root.children.values())
-    return root
-
-
-def flamegraph_svg(archive: TraceArchive, *, width: int = 960) -> str:
-    """Icicle-style flamegraph over merged span stacks (deterministic)."""
-    root = _build_frames(archive)
-    if not root.wall_us:
-        return '<p class="note">(no spans recorded)</p>'
-    row_h = 18
-    rects: list[str] = []
-    elided = 0
-    max_depth_seen = 0
-
-    def place(frame: _Frame, depth: int, x0: float, x1: float) -> None:
-        nonlocal elided, max_depth_seen
-        if depth > MAX_FLAME_DEPTH:
-            elided += 1
-            return
-        max_depth_seen = max(max_depth_seen, depth)
-        share = frame.wall_us / root.wall_us
-        if (x1 - x0) < MIN_FRAME_FRACTION * width:
-            elided += 1
-            return
-        y = depth * row_h
-        title = (
-            f"{frame.label}: {_ms(frame.wall_us)} "
-            f"({share * 100.0:.1f}% of sweep, n={frame.count})"
-        )
-        rects.append(
-            f'<rect class="fd-{min(7, depth)}" x="{x0:.2f}" y="{y}" '
-            f'width="{max(1.0, x1 - x0):.2f}" height="{row_h - 2}" rx="2">'
-            f"<title>{_esc(title)}</title></rect>"
-        )
-        if (x1 - x0) > 60:
-            rects.append(
-                f'<text class="frame-label" x="{x0 + 4:.2f}" y="{y + row_h - 7}">'
-                f"{_esc(frame.label)}</text>"
+    Self time is summed per stack across every shard and lines sort
+    lexically, so the same archive always yields the same text; any
+    external flamegraph tool that reads the folded format can draw it.
+    """
+    totals: dict[str, int] = {}
+    for roots, children in _shard_trees(archive).values():
+        pending = [(record, record.label) for record in roots]
+        while pending:
+            record, stack = pending.pop()
+            totals[stack] = totals.get(stack, 0) + _self_us(record, children)
+            pending.extend(
+                (child, f"{stack};{child.label}")
+                for child in children.get(record.span_id, ())
             )
-        x = x0
-        for label in sorted(frame.children):
-            child = frame.children[label]
-            span = (child.wall_us / frame.wall_us) * (x1 - x0) if frame.wall_us else 0.0
-            place(child, depth + 1, x, x + span)
-            x += span
-
-    place(_Frame("all shards", root.wall_us, root.count, root.children), 0, 0.0, float(width))
-    height = (max_depth_seen + 1) * row_h
-    note = (
-        f'<p class="note">{elided} frames under '
-        f"{MIN_FRAME_FRACTION * 100:.1f}% width (or beyond depth "
-        f"{MAX_FLAME_DEPTH}) elided</p>"
-        if elided
-        else ""
-    )
-    return (
-        f'<svg width="{width}" height="{height}" role="img" '
-        f'aria-label="flamegraph over merged span stacks">{"".join(rects)}</svg>'
-        + note
-    )
-
-
-def timeline_svg(archive: TraceArchive, *, width: int = 960) -> str:
-    """Lane-per-shard timeline of span bars (wall-clock within each shard)."""
-    trees = _shard_trees(archive)
-    if not trees:
-        return '<p class="note">(no spans recorded)</p>'
-    shards = sorted(trees)
-    extent = max(
-        (r.t_start_us + r.wall_us for r in archive.records), default=0
-    )
-    if extent <= 0:
-        extent = 1
-    lane_h, bar_h, label_w, pad_b = 34, 12, 170, 18
-    height = len(shards) * lane_h + pad_b
-    plot_w = width - label_w - 8
-    parts = [
-        f'<svg width="{width}" height="{height}" role="img" '
-        'aria-label="per-shard span timeline">'
-    ]
-    elided = 0
-    for lane, shard in enumerate(shards):
-        y0 = lane * lane_h
-        parts.append(
-            f'<text class="lane-label" x="{label_w - 6}" y="{y0 + lane_h // 2 + 4}" '
-            f'text-anchor="end">{_esc(shard)}</text>'
-        )
-        records = sorted(
-            (r for r in archive.records if r.shard == shard),
-            key=lambda r: (-r.wall_us, r.seq),
-        )
-        if len(records) > MAX_LANE_BARS:
-            elided += len(records) - MAX_LANE_BARS
-            records = records[:MAX_LANE_BARS]
-        # Depth per record for row offset + shade: walk up parents.
-        by_id = {r.span_id: r for r in archive.records if r.shard == shard}
-        for record in sorted(records, key=lambda r: r.seq):
-            depth = 0
-            cursor = record
-            while cursor.parent_id is not None and depth < 8:
-                parent = by_id.get(cursor.parent_id)
-                if parent is None:
-                    break
-                cursor = parent
-                depth += 1
-            x = label_w + record.t_start_us / extent * plot_w
-            w = max(1.0, record.wall_us / extent * plot_w)
-            y = y0 + 4 + min(depth, 2) * 5
-            at = "" if record.sim_time is None else f" @t={record.sim_time:g}m"
-            title = f"{record.label}: {_ms(record.wall_us)}{at} ({record.spec})"
-            parts.append(
-                f'<rect class="fd-{min(7, depth)}" x="{x:.2f}" y="{y}" '
-                f'width="{w:.2f}" height="{bar_h}" rx="2">'
-                f"<title>{_esc(title)}</title></rect>"
-            )
-    parts.append(
-        f'<text x="{label_w}" y="{height - 4}">0</text>'
-        f'<text x="{width - 4}" y="{height - 4}" text-anchor="end">'
-        f"{_ms(extent)}</text>"
-    )
-    parts.append("</svg>")
-    note = (
-        f'<p class="note">{elided} smallest bars elided '
-        f"(max {MAX_LANE_BARS} per lane)</p>"
-        if elided
-        else ""
-    )
-    return "".join(parts) + note
-
-
-# -- HTML assembly ---------------------------------------------------------
-
-
-def _critical_path_table(result: CriticalPathResult) -> str:
-    rows = []
-    for depth, step in enumerate(result.path):
-        share = step.wall_us / result.total_us * 100.0 if result.total_us else 0.0
-        indent = "&nbsp;" * (depth * 2)
-        rows.append(
-            f"<tr><td>{indent}{_esc(step.label)}</td>"
-            f"<td>{_esc(step.spec)}</td>"
-            f'<td class="num">{_ms(step.wall_us)}</td>'
-            f'<td class="num">{_ms(step.self_us)}</td>'
-            f'<td class="num">{share:.1f}%</td></tr>'
-        )
-    aggregate_us = sum(wall for _shard, wall in result.shard_walls)
-    top = "".join(
-        f"<tr><td>{_esc(label)}</td><td>&mdash;</td>"
-        f'<td class="num">&mdash;</td>'
-        f'<td class="num">{_ms(self_us)}</td>'
-        f'<td class="num">{self_us / aggregate_us * 100.0 if aggregate_us else 0.0:.1f}%</td></tr>'
-        for label, self_us, _count in result.top_spans[:5]
-    )
-    return (
-        "<table><thead><tr><th>span</th><th>spec</th>"
-        '<th class="num">wall</th><th class="num">self</th>'
-        '<th class="num">share</th></tr></thead>'
-        f"<tbody>{''.join(rows)}"
-        + (
-            '<tr><th colspan="5">top spans by exclusive time (all shards)</th></tr>'
-            + top
-            if top
-            else ""
-        )
-        + "</tbody></table>"
-    )
-
-
-def render_flamegraph_html(
-    archive: TraceArchive, *, title: str = "repro trace flamegraph"
-) -> str:
-    """One self-contained HTML page: tiles, flamegraph, timeline, path."""
-    result = critical_path(archive)
-    shards = archive.shards()
-    tiles = [
-        (f"{result.total_us / 1e6:.3f}s", "sweep wall (straggler shard)"),
-        (str(len(shards)), "shards"),
-        (str(result.span_count), "spans exported"),
-    ]
-    if result.straggler:
-        tiles.append((_esc(result.straggler), "straggler shard"))
-    if result.dropped_spans:
-        tiles.append((str(result.dropped_spans), "spans dropped (bounds)"))
-    tile_html = "".join(
-        f'<div class="tile"><div class="v">{v}</div><div class="k">{_esc(k)}</div></div>'
-        for v, k in tiles
-    )
-    trace_note = (
-        f'<p class="sub">trace {_esc(archive.trace_id)} &mdash; '
-        "wall-clock per shard is relative to that shard&#8217;s epoch; "
-        "lanes run concurrently under a parallel sweep</p>"
-        if archive.trace_id
-        else ""
-    )
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en"><head><meta charset="utf-8">\n'
-        f"<title>{_esc(title)}</title>\n"
-        '<meta name="viewport" content="width=device-width, initial-scale=1">\n'
-        f"<style>{_CSS}</style></head>\n"
-        f"<body><h1>{_esc(title)}</h1>"
-        f"{trace_note}"
-        f'<div class="tiles">{tile_html}</div>'
-        "<h2>Flamegraph (merged span stacks)</h2>"
-        + flamegraph_svg(archive)
-        + "<h2>Timeline (one lane per shard)</h2>"
-        + timeline_svg(archive)
-        + "<h2>Critical path</h2>"
-        + _critical_path_table(result)
-        + "<footer>generated by repro.report.flamegraph &mdash; rebuild with "
-        "<code>repro-sim flamegraph &lt;run-dir&gt;</code></footer>"
-        "</body></html>\n"
-    )
-
-
-def write_flamegraph(
-    path: str, archive: TraceArchive, *, title: str = "repro trace flamegraph"
-) -> str:
-    """Write :func:`render_flamegraph_html` output to ``path``."""
-    import os
-
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_flamegraph_html(archive, title=title))
-    return path
+    return "".join(f"{stack} {us}\n" for stack, us in sorted(totals.items()))
 
 
 def load_trace_archives(paths: Iterable[str]) -> TraceArchive:

@@ -7,7 +7,7 @@ p50 / p95 / p99 / max — so a run's behaviour is visible without opening
 the JSON export.  When a :class:`~repro.obs.TimeSeriesCollector` is
 passed, each row additionally gets a block-character sparkline of the
 series' collected history, giving ``--metrics-out`` users
-trend-at-a-glance without the HTML dashboard.
+trend-at-a-glance as text.
 """
 
 from __future__ import annotations

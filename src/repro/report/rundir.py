@@ -1,9 +1,9 @@
 """Find a finished run's artifacts: the rule the read-side subcommands share.
 
-``dashboard``, ``alerts``, ``flamegraph`` and ``explain`` all take "one
-artifact file, or the directory a run wrote them to".  A multi-spec run
-writes one file per spec plus a ``-merged`` fold of all of them, so a
-reader must not take both or it counts everything twice.
+``alerts``, ``flamegraph`` and ``explain`` all take "one artifact file,
+or the directory a run wrote them to".  A multi-spec run writes one file
+per spec plus a ``-merged`` fold of all of them, so a reader must not
+take both or it counts everything twice.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ def run_files(
     (the value is kept, so a sniff that had to load the file loads it
     once).  ``merged`` settles the double count: ``"only"`` keeps just the
     ``-merged`` folds when there are any, ``"skip"`` drops them when
-    per-spec files exist, ``"all"`` keeps both.  Raises :class:`ReproError`
+    per-spec files exist.  Raises :class:`ReproError`
     when ``path`` does not exist or nothing is left (``what`` names the
     kind in the message).
     """
@@ -56,7 +56,7 @@ def run_files(
 
 
 def default_out(path: str, name: str) -> str:
-    """The default ``--out``, next to the input: ``<file>.html`` or ``<dir>/<name>``."""
+    """The default ``--out``, next to the input: ``<file><name's ext>`` or ``<dir>/<name>``."""
     if os.path.isfile(path):
-        return os.path.splitext(path)[0] + ".html"
+        return os.path.splitext(path)[0] + os.path.splitext(name)[1]
     return os.path.join(path, name)

@@ -122,3 +122,55 @@ def test_accounting_counters_consistent(steps):
 def test_used_bytes_matches_resident_sum(steps):
     store = replay(steps)
     assert store.used_bytes == sum(o.size for o in store.iter_residents())
+
+
+@st.composite
+def minute_streams(draw):
+    """Integer-minute ``(dt, size, p, persist, wane)`` steps plus a power 2^k."""
+    minutes = st.integers(min_value=0, max_value=int(days(20)))
+    steps = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=int(days(5))),      # dt
+                st.integers(min_value=1, max_value=CAPACITY),          # size
+                st.floats(min_value=0.0, max_value=1.0, allow_nan=False),  # p
+                minutes,                                               # persist
+                minutes,                                               # wane
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    return steps, 2 ** draw(st.integers(min_value=1, max_value=8))
+
+
+def _decisions(steps, scale):
+    """Every offer's decision, eviction set and density reading at ``scale``."""
+    store = StorageUnit(CAPACITY * scale, TemporalImportancePolicy(), name="prop")
+    now = 0
+    trail = []
+    for i, (dt, size, p, persist, wane) in enumerate(steps):
+        now += dt
+        obj = StoredObject(
+            size=size * scale,
+            t_arrival=now,
+            lifetime=TwoStepImportance(p=p, t_persist=persist, t_wane=wane),
+            object_id=f"prop-{i}",
+        )
+        result = store.offer(obj, now)
+        trail.append((
+            result.admitted,
+            tuple(sorted(record.obj.object_id for record in result.evictions)),
+            importance_density(store, now),
+        ))
+    return trail
+
+
+@given(stream=minute_streams())
+@settings(max_examples=100, deadline=None)
+def test_scaling_sizes_and_capacity_by_a_power_of_two_changes_nothing(stream):
+    # §4.4: density is size-weighted importance over raw capacity, so a
+    # common 2^k factor on every size and on the capacity cancels exactly
+    # (power-of-two scaling is exact in binary floating point).
+    steps, scale = stream
+    assert _decisions(steps, scale) == _decisions(steps, 1)

@@ -205,8 +205,8 @@ class TestRunAllMetrics:
         assert base.exists()
 
 
-class TestDashboard:
-    """--dashboard-out and the dashboard subcommand (acceptance criteria)."""
+class TestTimeSeries:
+    """The time-series collector behind the metrics summary's trend column."""
 
     @pytest.fixture(autouse=True)
     def _fresh_obs(self):
@@ -214,27 +214,11 @@ class TestDashboard:
         yield
         obs.reset()
 
-    def test_run_writes_self_contained_dashboard(self, tmp_path, capsys):
-        dash = tmp_path / "dash.html"
-        assert main([
-            "run", "fig6", "--horizon-days", "60", "--dashboard-out", str(dash),
-        ]) == 0
-        html = dash.read_text()
-        assert html.startswith("<!DOCTYPE html>")
-        assert "http://" not in html and "https://" not in html
-        assert "== fig6 ==" in html
-        assert "Density over time" in html
-        assert "Per-unit occupancy" in html
-        assert "store_evictions_total" in html
-        assert "dashboard written" in capsys.readouterr().out
-        assert not obs.is_enabled()
-
     def test_scrape_interval_flag_sets_cadence(self, tmp_path):
         out_path = tmp_path / "m.json"
         assert main([
             "run", "fig6", "--horizon-days", "60",
             "--metrics-out", str(out_path),
-            "--dashboard-out", str(tmp_path / "d.html"),
             "--scrape-interval-days", "10",
         ]) == 0
         payload = json.loads(out_path.read_text())
@@ -242,36 +226,6 @@ class TestDashboard:
         assert ts["interval_minutes"] == 10 * 1440.0
         assert ts["scrape_count"] >= 2
         assert payload["profile"]["engine.step"]["count"] >= 1.0
-
-    def test_dashboard_subcommand_rebuilds_from_run_dir(self, tmp_path, capsys):
-        out_path = tmp_path / "m.json"
-        assert main([
-            "run", "fig6", "--horizon-days", "30",
-            "--metrics-out", str(out_path),
-        ]) == 0
-        assert main(["dashboard", str(tmp_path)]) == 0
-        html = (tmp_path / "dashboard.html").read_text()
-        assert "== m ==" in html or "== fig6 ==" in html
-        assert "Histogram percentiles" in html
-        assert "dashboard written" in capsys.readouterr().out
-
-    def test_dashboard_subcommand_accepts_single_file(self, tmp_path):
-        out_path = tmp_path / "m.json"
-        assert main([
-            "run", "fig6", "--horizon-days", "30",
-            "--metrics-out", str(out_path),
-        ]) == 0
-        assert main(["dashboard", str(out_path)]) == 0
-        assert (tmp_path / "m.html").exists()
-
-    def test_dashboard_subcommand_rejects_missing_path(self, tmp_path, capsys):
-        assert main(["dashboard", str(tmp_path / "nope")]) == 2
-        assert "not a file or directory" in capsys.readouterr().err
-
-    def test_dashboard_subcommand_rejects_dir_without_payloads(self, tmp_path, capsys):
-        (tmp_path / "notes.json").write_text('{"no_metrics": true}')
-        assert main(["dashboard", str(tmp_path)]) == 2
-        assert "no metrics JSON payloads" in capsys.readouterr().err
 
     def test_metrics_summary_gains_trend_column(self, tmp_path, capsys):
         assert main([
@@ -408,7 +362,7 @@ class TestTraceExport:
         # Every span of a sweep carries the shared sweep-level trace id.
         assert len({r.trace_id for r in merged.records}) == 1
 
-    def test_flamegraph_subcommand_builds_html(self, tmp_path, capsys):
+    def test_flamegraph_subcommand_writes_folded_stacks(self, tmp_path, capsys):
         code = main(
             [
                 "sweep", "fig6", "--seeds", "2", "--horizon-days", "10",
@@ -420,10 +374,10 @@ class TestTraceExport:
         assert main(["flamegraph", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "critical path" in out
-        assert "flamegraph written" in out
-        html = (tmp_path / "flamegraph.html").read_text()
-        assert html.startswith("<!DOCTYPE html>")
-        assert "worker.run" in html
+        assert "collapsed stacks written" in out
+        folded = (tmp_path / "flamegraph.folded").read_text().splitlines()
+        assert folded and folded == sorted(folded)
+        assert any(line.startswith("worker.run;spec.fig6 ") for line in folded)
 
     def test_flamegraph_subcommand_accepts_single_shard(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
@@ -431,13 +385,27 @@ class TestTraceExport:
             ["run", "fig6", "--horizon-days", "10", "--trace-out", str(trace)]
         ) == 0
         capsys.readouterr()
-        assert main(["flamegraph", str(trace), "--out", str(tmp_path / "x.html")]) == 0
-        assert (tmp_path / "x.html").exists()
+        assert main(["flamegraph", str(trace), "--out", str(tmp_path / "x.folded")]) == 0
+        assert (tmp_path / "x.folded").read_text().startswith("worker.run")
+        # Without --out a single shard's stacks land next to it, not in trace.html.
+        assert main(["flamegraph", str(trace)]) == 0
+        assert (tmp_path / "trace.folded").exists()
+        assert not (tmp_path / "trace.html").exists()
 
     def test_flamegraph_subcommand_rejects_traceless_dir(self, tmp_path, capsys):
         (tmp_path / "other.jsonl").write_text('{"kind": "audit-header"}\n')
         assert main(["flamegraph", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("top", ["0", "-3"])
+    def test_flamegraph_top_below_one_is_rejected_before_reading(self, tmp_path, top, capsys):
+        # The run dir does not exist: a parse-time rejection never gets to it.
+        with pytest.raises(SystemExit) as exc:
+            main(["flamegraph", str(tmp_path / "missing"), "--top", top])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be >= 1" in err
+        assert "not a file or directory" not in err
 
     def test_metrics_export_strips_trace_but_keeps_drop_counter(
         self, tmp_path, capsys

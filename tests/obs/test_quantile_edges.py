@@ -1,8 +1,8 @@
 """Pin the histogram-quantile edge cases (empty, single bucket, q=0/1).
 
-These behaviours are contractual: the dashboard, ``metrics_summary`` and
-the alert engine's ``p<N>`` signals all quantile exported snapshots, so a
-change here silently shifts every percentile panel.
+These behaviours are contractual: ``metrics_summary``, the merged
+serving shards and the alert engine's ``p<N>`` signals all quantile
+exported snapshots, so a change here silently shifts every percentile.
 """
 
 import pytest

@@ -1,14 +1,21 @@
-"""Unit tests for the flamegraph/timeline viewer and critical-path analysis."""
+"""Unit tests for the critical-path analysis and the collapsed-stack export."""
 
+import re
+
+import pytest
+
+from repro import obs
+from repro.cli import main
 from repro.obs.traceexport import SpanRecord, TraceArchive
 from repro.report.flamegraph import (
+    collapsed_stacks,
     critical_path,
-    flamegraph_svg,
+    load_trace_archives,
     render_critical_path,
-    render_flamegraph_html,
-    timeline_svg,
-    write_flamegraph,
 )
+
+#: One folded-stack line: ``label;label;... <self_us>``.
+_FOLDED_LINE = re.compile(r"^[A-Za-z0-9_.-]+(;[A-Za-z0-9_.-]+)* \d+$")
 
 
 def _rec(seq, span_id, parent_id, label, wall_us, *, shard, t_start_us=0,
@@ -97,71 +104,59 @@ class TestCriticalPath:
         assert "7 spans dropped" in text
 
 
-class TestSvg:
-    def test_flamegraph_nests_frames(self):
-        svg = flamegraph_svg(_synthetic_archive())
-        assert svg.startswith("<svg")
-        for label in ("worker.run", "slow", "leaf", "fast"):
-            assert label in svg
-        assert 'class="fd-' in svg
-
-    def test_timeline_has_one_lane_per_shard(self):
-        svg = timeline_svg(_synthetic_archive())
-        assert svg.count('class="lane-label"') == 2
-        assert ">A</text>" in svg and ">B</text>" in svg
-
-    def test_empty_archive_renders_placeholder(self):
-        assert "no spans" in flamegraph_svg(TraceArchive())
-        assert "no spans" in timeline_svg(TraceArchive())
+def _one_shard(archive, shard):
+    out = TraceArchive(trace_id=archive.trace_id)
+    out._records.extend(r for r in archive.records if r.shard == shard)
+    return out
 
 
-class TestHtml:
-    def test_page_is_self_contained(self):
-        html = render_flamegraph_html(_synthetic_archive(), title="my trace")
-        assert html.startswith("<!DOCTYPE html>")
-        assert "my trace" in html
-        assert "<script" not in html
-        assert "prefers-color-scheme" in html
-        # Tiles: sweep wall, straggler, span count.
-        assert "straggler" in html and "A" in html
-
-    def test_write_flamegraph(self, tmp_path):
-        target = tmp_path / "sub" / "fg.html"
-        out = write_flamegraph(str(target), _synthetic_archive())
-        assert out == str(target)
-        assert target.read_text().startswith("<!DOCTYPE html>")
+def _folded(text):
+    return {stack: int(us) for stack, us in (line.rsplit(" ", 1) for line in text.splitlines())}
 
 
-class TestDashboardPanel:
-    def test_panel_present_when_payload_has_trace(self):
-        from repro.report.dashboard import render_dashboard
+class TestCollapsedStacks:
+    def test_lines_are_folded_format_and_sorted(self):
+        lines = collapsed_stacks(_synthetic_archive()).splitlines()
+        assert lines
+        assert all(_FOLDED_LINE.match(line) for line in lines)
+        assert lines == sorted(lines)
 
-        payload = {
-            "experiment": "fig6",
-            "metrics": {},
-            "trace": _synthetic_archive().to_dict(),
-            "spans_dropped": 0,
+    def test_stacks_merge_across_shards_with_summed_self_time(self):
+        assert _folded(collapsed_stacks(_synthetic_archive())) == {
+            "worker.run": 50_000,  # self 10ms (A) + 40ms (B)
+            "worker.run;fast": 20_000,
+            "worker.run;slow": 20_000,
+            "worker.run;slow;leaf": 50_000,
         }
-        html = render_dashboard([payload])
-        assert "Trace flamegraph" in html
-        assert "worker.run" in html
 
-    def test_panel_absent_without_trace(self):
-        from repro.report.dashboard import render_dashboard
-
-        html = render_dashboard([{"experiment": "fig6", "metrics": {}}])
-        assert "Trace flamegraph" not in html
-
-    def test_panel_notes_dropped_spans(self):
-        from repro.report.dashboard import render_dashboard
-
+    def test_self_time_per_root_sums_to_the_shard_wall(self):
         archive = _synthetic_archive()
-        archive.dropped_spans = 2
-        payload = {
-            "experiment": "fig6",
-            "metrics": {},
-            "trace": archive.to_dict(),
-            "spans_dropped": 3,
-        }
-        html = render_dashboard([payload])
-        assert "5 spans dropped" in html
+        for shard, wall in critical_path(archive).shard_walls:
+            folded = _folded(collapsed_stacks(_one_shard(archive, shard)))
+            assert sum(folded.values()) == wall, shard
+
+    def test_empty_archive(self):
+        assert collapsed_stacks(TraceArchive()) == ""
+
+
+class TestCollapsedStacksFromASweep:
+    @pytest.fixture(autouse=True)
+    def _fresh_obs(self):
+        obs.reset()
+        yield
+        obs.reset()
+
+    def test_stack_keys_do_not_depend_on_jobs(self, tmp_path, capsys):
+        keys = {}
+        for jobs in ("1", "2"):
+            trace = tmp_path / jobs / "trace.jsonl"
+            assert main([
+                "sweep", "fig6", "--seeds", "2", "--horizon-days", "10",
+                "--jobs", jobs, "--trace-out", str(trace),
+            ]) == 0
+            merged = load_trace_archives([str(tmp_path / jobs / "trace-merged.jsonl")])
+            # Values are wall-clock; only the stacks are deterministic.
+            keys[jobs] = set(_folded(collapsed_stacks(merged)))
+        capsys.readouterr()
+        assert keys["1"] == keys["2"]
+        assert "worker.run;spec.fig6;runner.run_single_store;engine.run" in keys["1"]

@@ -1,4 +1,4 @@
-"""Run-directory discovery: one rule for dashboard/alerts/flamegraph/explain."""
+"""Run-directory discovery: one rule for alerts/flamegraph/explain."""
 
 import pytest
 
@@ -55,7 +55,6 @@ class TestRunFiles:
 
         assert policy("only") == ["m-merged.json"]
         assert policy("skip") == ["m-a.json", "m-b.json"]
-        assert policy("all") == ["m-a.json", "m-b.json", "m-merged.json"]
 
     def test_policies_fall_back_to_what_is_there(self, tmp_path):
         _touch(tmp_path, "m-merged.json")
@@ -75,6 +74,10 @@ class TestRunFiles:
 
 class TestDefaultOut:
     def test_next_to_a_file_or_inside_a_directory(self, tmp_path):
-        _touch(tmp_path, "m.json")
-        assert default_out(str(tmp_path / "m.json"), "dashboard.html") == str(tmp_path / "m.html")
-        assert default_out(str(tmp_path), "dashboard.html") == str(tmp_path / "dashboard.html")
+        _touch(tmp_path, "trace.jsonl")
+        trace = str(tmp_path / "trace.jsonl")
+        # The extension comes from ``name``: text output never lands in a .html file.
+        assert default_out(trace, "flamegraph.folded") == str(tmp_path / "trace.folded")
+        assert default_out(str(tmp_path), "flamegraph.folded") == str(
+            tmp_path / "flamegraph.folded"
+        )
