@@ -48,18 +48,30 @@ alerts-check:
 	@rm -rf .alerts-check
 	@echo "alerts check OK"
 
+# Exit non-zero unless the two trace shards named on the command line
+# have the same canonical bytes.
+TRACE_CMP = import sys; from repro.obs.traceexport import TraceArchive; \
+	a, b = (TraceArchive.read_jsonl(p).canonical_bytes() for p in sys.argv[1:]); \
+	sys.exit(a != b and "trace shards differ: " + " vs ".join(sys.argv[1:]))
+
 # Distributed-trace round trip exactly as CI runs it: a tiny sweep with
-# span export, then `repro-sim flamegraph` prints the critical path and
-# writes the collapsed stacks from the JSONL shards (exit non-zero if
-# either leg fails or the folded file is empty).
+# span export at --jobs 1 and --jobs 2, whose `-merged` shards must have
+# the same canonical bytes (wall-clock fields stripped), then
+# `repro-sim flamegraph` prints the critical path and writes the
+# collapsed stacks from the JSONL shards (exit non-zero if any leg fails
+# or the folded file is empty).
 trace-smoke:
 	@rm -rf .trace-smoke && mkdir -p .trace-smoke
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro.cli sweep fig6 \
-		--seeds 2 --horizon-days 30 --jobs 2 \
-		--trace-out .trace-smoke/trace.jsonl >/dev/null
+	@for jobs in 1 2; do \
+		PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro.cli sweep fig6 \
+			--seeds 2 --horizon-days 30 --jobs $$jobs \
+			--trace-out .trace-smoke/jobs-$$jobs/trace.jsonl >/dev/null || exit 1; \
+	done
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -c '$(TRACE_CMP)' \
+		.trace-smoke/jobs-1/trace-merged.jsonl .trace-smoke/jobs-2/trace-merged.jsonl
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro.cli flamegraph \
-		.trace-smoke >/dev/null
-	@test -s .trace-smoke/flamegraph.folded
+		.trace-smoke/jobs-2 >/dev/null
+	@test -s .trace-smoke/jobs-2/flamegraph.folded
 	@rm -rf .trace-smoke
 	@echo "trace smoke OK"
 

@@ -33,7 +33,7 @@ def _timed_run(opts: ObsOptions) -> tuple[float, int]:
     assert outcome.ok, outcome.error
     spans = 0
     if outcome.telemetry and "trace" in outcome.telemetry:
-        spans = len(outcome.telemetry["trace"]["records"])
+        spans = len(outcome.telemetry["trace"])  # the shipped TraceArchive
     return seconds, spans
 
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Observability demo: metrics, spans, time series, phase profile and logs
-on a fig6-style single-store run.
+"""Observability demo: metrics, spans, time series and logs on a
+fig6-style single-store run.
 
 Run with::
 
@@ -46,8 +46,6 @@ def main() -> None:
     )
     print()
     print(obs.STATE.tracer.render())
-    print()
-    print(obs.STATE.profiler.render())
     print()
 
     # Individual instruments are queryable directly.

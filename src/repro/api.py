@@ -50,12 +50,8 @@ from repro.core import (
 from repro.experiments.registry import run_experiment
 from repro.obs.alerts import AlertEngine, AlertRule, load_rules
 from repro.obs.audit import AuditLedger, AuditRecord
-from repro.obs.traceexport import (
-    SpanExporter,
-    SpanRecord,
-    TraceArchive,
-    trace_id_for,
-)
+from repro.obs.traceexport import TraceArchive, trace_id_for
+from repro.obs.tracing import SpanRecord
 from repro.report.explain import explain_object, load_run_ledger
 from repro.report.flamegraph import (
     CriticalPathResult,
@@ -132,7 +128,6 @@ __all__ = [
     "load_run_ledger",
     # distributed traces + critical path / collapsed stacks
     "CriticalPathResult",
-    "SpanExporter",
     "SpanRecord",
     "TraceArchive",
     "collapsed_stacks",

@@ -27,7 +27,7 @@ from repro.besteffs.cluster import BesteffsCluster
 from repro.besteffs.walks import DEFAULT_WALK_LENGTH, sample_nodes
 from repro.core.density import importance_density
 from repro.errors import OverlayError
-from repro.obs import STATE as _OBS
+from repro.obs import STATE as _OBS, observe_phase
 
 __all__ = ["sampled_density", "GossipAverager"]
 
@@ -144,7 +144,7 @@ class GossipAverager:
                 "gossip_exchanges_total",
                 "Pairwise estimate exchanges (gossip fan-out).",
             ).inc(exchanges)
-            _OBS.profiler.observe("gossip.round", perf_counter() - round_t0)
+            observe_phase("gossip.round", perf_counter() - round_t0)
 
     def run(self, rounds: int) -> float:
         """Run ``rounds`` gossip rounds; returns the final spread."""

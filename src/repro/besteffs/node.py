@@ -17,7 +17,7 @@ from repro.core.policies.temporal import TemporalImportancePolicy
 from repro.core.policy import EvictionPolicy
 from repro.core.store import AdmissionResult, StorageUnit
 from repro.errors import CapacityError
-from repro.obs import STATE as _OBS
+from repro.obs import STATE as _OBS, observe_phase
 
 __all__ = ["BesteffsNode", "ProbeResult"]
 
@@ -84,7 +84,7 @@ class BesteffsNode:
         t0 = perf_counter() if _OBS.enabled else 0.0
         admissible, highest = self.store.policy.probe(self.store, obj, now, incoming)
         if _OBS.enabled:
-            _OBS.profiler.observe("store.plan_admission", perf_counter() - t0)
+            observe_phase("store.plan_admission", perf_counter() - t0)
         return ProbeResult(self.node_id, admissible, highest)
 
     def accept(self, obj: StoredObject, now: float) -> AdmissionResult:

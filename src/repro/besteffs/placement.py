@@ -29,7 +29,7 @@ from repro.besteffs.overlay import Overlay
 from repro.besteffs.walks import DEFAULT_WALK_LENGTH, sample_nodes
 from repro.core.obj import StoredObject
 from repro.errors import PlacementError
-from repro.obs import COUNT_BUCKETS, IMPORTANCE_BUCKETS, STATE as _OBS
+from repro.obs import COUNT_BUCKETS, IMPORTANCE_BUCKETS, STATE as _OBS, observe_phase
 
 __all__ = ["PlacementConfig", "PlacementDecision", "choose_unit"]
 
@@ -179,7 +179,7 @@ def _choose_unit(
                 continue  # full for this object (or oversized here)
             if probe.direct:
                 if profiled:
-                    _OBS.profiler.observe("placement.round", perf_counter() - round_t0)
+                    observe_phase("placement.round", perf_counter() - round_t0)
                 return (
                     PlacementDecision(
                         placed=True,
@@ -195,7 +195,7 @@ def _choose_unit(
                 best_score = probe.highest_preempted
                 best_node = node
         if profiled:
-            _OBS.profiler.observe("placement.round", perf_counter() - round_t0)
+            observe_phase("placement.round", perf_counter() - round_t0)
 
     placed = best_node is not None
     return (

@@ -537,8 +537,6 @@ def _metrics_export(payload: dict[str, Any], *, trace: bool) -> dict[str, Any]:
     drop = {"audit", "trace"}
     if not trace:
         drop |= {"spans", "span_tree"}
-    if not payload.get("profile"):
-        drop.add("profile")
     return {key: value for key, value in payload.items() if key not in drop}
 
 
@@ -587,14 +585,9 @@ def _run_and_emit(specs: list[RunSpec], args: argparse.Namespace, *, sweep: bool
         parts = {"metrics": MetricsRegistry.from_dict(telemetry["metrics"])}
         if "timeseries" in telemetry:
             parts["timeseries"] = TimeSeriesCollector.from_dict(telemetry["timeseries"])
-        if "audit" in telemetry:
-            from repro.obs.audit import AuditLedger
-
-            parts["audit"] = AuditLedger.from_dict(telemetry["audit"])
-        if "trace" in telemetry:
-            from repro.obs.traceexport import TraceArchive
-
-            parts["trace"] = TraceArchive.from_dict(telemetry["trace"])
+        for kind in ("audit", "trace"):  # shipped as the ledger / archive itself
+            if kind in telemetry:
+                parts[kind] = telemetry[kind]
         print(
             metrics_summary(
                 parts["metrics"],

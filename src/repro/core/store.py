@@ -20,7 +20,7 @@ from repro.core.obj import ObjectId, StoredObject
 from repro.core.policy import AdmissionPlan, EvictionPolicy
 from repro.core.slab import ResidentSlab
 from repro.errors import CapacityError, UnknownObjectError
-from repro.obs import COUNT_BUCKETS, STATE as _OBS
+from repro.obs import COUNT_BUCKETS, STATE as _OBS, observe_phase
 
 __all__ = [
     "EvictionRecord",
@@ -270,7 +270,7 @@ class StorageUnit:
             if _OBS.enabled:
                 t0 = perf_counter()
                 plan = self.policy.plan_admission(self, obj, now)
-                _OBS.profiler.observe("store.plan_admission", perf_counter() - t0)
+                observe_phase("store.plan_admission", perf_counter() - t0)
             else:
                 plan = self.policy.plan_admission(self, obj, now)
         ledger = _OBS.audit if _OBS.enabled else None
@@ -373,12 +373,12 @@ class StorageUnit:
         Besteffs placement scores the units it samples
         (:meth:`EvictionPolicy.probe`) and calls this on the one it chose,
         so the plan can be checked against the score before it commits;
-        it shares ``offer``'s ``store.plan_admission`` profiler phase.
+        it shares ``offer``'s ``store.plan_admission`` phase timing.
         """
         if _OBS.enabled:
             t0 = perf_counter()
             plan = self.policy.plan_admission(self, obj, now)
-            _OBS.profiler.observe("store.plan_admission", perf_counter() - t0)
+            observe_phase("store.plan_admission", perf_counter() - t0)
             return plan
         return self.policy.plan_admission(self, obj, now)
 

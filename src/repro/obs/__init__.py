@@ -5,8 +5,9 @@ Three pillars, one switch:
 * :mod:`repro.obs.metrics` — Counter / Gauge / Histogram with label sets
   on a :class:`MetricsRegistry`, exported as a dict or Prometheus text;
 * :mod:`repro.obs.tracing` — context-manager spans recording wall-clock
-  (``perf_counter``) durations and simulation time, with nested span
-  trees and exact per-label aggregates;
+  (``perf_counter``) durations and simulation time, kept as bounded span
+  records (the tree and the trace shards are drawn from them) plus exact
+  per-label aggregates;
 * :mod:`repro.obs.log` — leveled JSONL event logging with component tags
   and sim-time stamps, silent by default.
 
@@ -43,9 +44,8 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.profile import PhaseProfiler
 from repro.obs.timeseries import SeriesBuffer, TimeSeriesCollector, series_label
-from repro.obs.tracing import SpanNode, SpanStats, Tracer, render_aggregates, render_trace
+from repro.obs.tracing import SpanRecord, SpanStats, Tracer, render_aggregates, render_trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; audit/alerts stay lazy
     from repro.obs.alerts import AlertEngine
@@ -62,10 +62,9 @@ __all__ = [
     "JsonlLogger",
     "MetricsRegistry",
     "ObsState",
-    "PhaseProfiler",
     "STATE",
     "SeriesBuffer",
-    "SpanNode",
+    "SpanRecord",
     "SpanStats",
     "TimeSeriesCollector",
     "Tracer",
@@ -74,6 +73,7 @@ __all__ = [
     "enable",
     "export_payload",
     "is_enabled",
+    "observe_phase",
     "render_aggregates",
     "render_trace",
     "reset",
@@ -85,8 +85,7 @@ class ObsState:
     """The process-global telemetry switchboard."""
 
     __slots__ = (
-        "enabled", "registry", "tracer", "logger", "profiler", "timeseries",
-        "audit", "alerts",
+        "enabled", "registry", "tracer", "logger", "timeseries", "audit", "alerts",
     )
 
     def __init__(self) -> None:
@@ -94,7 +93,6 @@ class ObsState:
         self.registry = MetricsRegistry()
         self.tracer = Tracer()
         self.logger = JsonlLogger()
-        self.profiler = PhaseProfiler()
         #: Optional time-series collector; the engine scrapes it when set.
         self.timeseries: TimeSeriesCollector | None = None
         #: Optional decision-provenance ledger (:mod:`repro.obs.audit`).
@@ -156,7 +154,6 @@ def reset() -> None:
     STATE.tracer = Tracer()
     STATE.logger.close()
     STATE.logger = JsonlLogger()
-    STATE.profiler = PhaseProfiler()
     STATE.timeseries = None
     STATE.audit = None
     STATE.alerts = None
@@ -170,37 +167,47 @@ def configure_logging(level: str = "info", sink: str | IO[str] | list | None = N
     return STATE.logger
 
 
-def export_payload(experiment: str) -> dict:
-    """Snapshot :data:`STATE` into one JSON-friendly telemetry payload.
+def observe_phase(phase: str, seconds: float) -> None:
+    """Record one timed occurrence of ``phase`` in ``profile_phase_seconds``.
+
+    The hot paths that time a phase (admission planning, placement and
+    gossip rounds) call this behind their ``STATE.enabled`` guard.
+    """
+    STATE.registry.histogram(
+        "profile_phase_seconds", "Wall-clock seconds per profiled phase.", ("phase",)
+    ).observe(seconds, phase=phase)
+
+
+def export_payload(experiment: str, *, trace: bool = False) -> dict:
+    """Snapshot :data:`STATE` into one telemetry payload.
 
     The schema matches ``--metrics-out`` files:
-    ``{experiment, metrics, spans, span_tree, spans_dropped, profile,
-    timeseries?, trace?, audit?, alerts?}`` — ``span_tree`` is the rendered
-    (bounded) tree, so ``--trace`` prints the same text from a worker's
-    payload as from a live tracer.  Parallel workers ship this dict back to
-    the parent, which can rebuild live objects via
+    ``{experiment, metrics, spans, span_tree, spans_dropped, timeseries?,
+    trace?, audit?, alerts?}`` — ``span_tree`` is the rendered (bounded)
+    tree, so ``--trace`` prints the same text from a worker's payload as
+    from a live tracer.  ``trace`` (the tracer's records as a
+    :class:`~repro.obs.traceexport.TraceArchive`) and ``audit`` (the
+    :class:`~repro.obs.audit.AuditLedger`) ship as the objects
+    themselves and go to their own JSONL sinks; everything else is plain
+    JSON.  Parallel workers ship this dict back to the parent, which
+    rebuilds the registry and collector via
     :meth:`MetricsRegistry.from_dict` /
-    :meth:`TimeSeriesCollector.from_dict` /
-    :meth:`~repro.obs.traceexport.TraceArchive.from_dict` /
-    :meth:`~repro.obs.audit.AuditLedger.from_dict` or merge them into
-    its own STATE.
+    :meth:`TimeSeriesCollector.from_dict` and merges the parts.
     """
+    tracer = STATE.tracer
     payload: dict = {
         "experiment": experiment,
         "metrics": STATE.registry.to_dict(),
-        "spans": STATE.tracer.aggregates(),
-        "span_tree": STATE.tracer.render_tree(),
-        "spans_dropped": STATE.tracer.dropped_spans,
-        "profile": STATE.profiler.aggregates(),
+        "spans": tracer.aggregates(),
+        "span_tree": tracer.render_tree(),
+        "spans_dropped": tracer.dropped_spans,
     }
     if STATE.timeseries is not None:
         payload["timeseries"] = STATE.timeseries.to_dict()
-    if STATE.tracer.exporter is not None:
-        exporter = STATE.tracer.exporter
-        payload["trace"] = exporter.to_dict()
-        payload["spans_dropped"] += exporter.dropped_spans
+    if trace:
+        payload["trace"] = tracer.archive()
     if STATE.audit is not None:
-        payload["audit"] = STATE.audit.to_dict()
+        payload["audit"] = STATE.audit
     if STATE.alerts is not None:
         payload["alerts"] = STATE.alerts.to_dict()
     return payload

@@ -257,30 +257,6 @@ class AuditLedger:
         for record in other._records:
             self._append(replace(record, seq=self.recorded_count))
 
-    def to_dict(self) -> dict:
-        """JSON-friendly snapshot (the parallel-worker wire format)."""
-        return {
-            "sample": self.sample,
-            "max_records": self.max_records,
-            "dropped": self.dropped,
-            "recorded_count": self.recorded_count,
-            "records": [r.to_dict() for r in self._records],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "AuditLedger":
-        ledger = cls(
-            sample=payload.get("sample", 1.0),
-            max_records=payload.get("max_records", DEFAULT_MAX_RECORDS),
-        )
-        for raw in payload.get("records", ()):
-            ledger._records.append(AuditRecord.from_dict(raw))
-        ledger.dropped = payload.get("dropped", 0)
-        ledger.recorded_count = payload.get(
-            "recorded_count", len(ledger._records) + ledger.dropped
-        )
-        return ledger
-
     def write_jsonl(self, sink: str | IO[str]) -> int:
         """Write one JSON object per record; returns the record count.
 

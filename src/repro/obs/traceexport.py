@@ -1,14 +1,14 @@
 """Durable, mergeable cross-process span export (the trace pipeline).
 
-:mod:`repro.obs.tracing` answers "where did the wall-clock go" inside
-one process; this module makes the answer survive the process.  A
-:class:`SpanExporter` attached to a :class:`~repro.obs.tracing.Tracer`
-streams every *completed* span — tree-retained or not — into an
-append-only record list with the span's stable id, parent id and a
-``(trace_id, spec, shard)`` context tag, and serialises it as one
-byte-stable JSONL shard per process.  :class:`TraceArchive` folds worker
-shards into one sweep-level trace deterministically, the same discipline
-as :class:`repro.obs.audit.AuditLedger`.
+:class:`~repro.obs.tracing.Tracer` keeps every completed span of one
+process as a :class:`~repro.obs.tracing.SpanRecord` carrying the span's
+stable id, parent id and the tracer's ``(trace_id, spec, shard)``
+context tag; this module makes those records survive the process.
+:meth:`Tracer.archive <repro.obs.tracing.Tracer.archive>` cuts them as
+one :class:`TraceArchive` — a byte-stable JSONL shard per process — and
+:class:`TraceArchive` folds worker shards into one sweep-level trace
+deterministically, the same discipline as
+:class:`repro.obs.audit.AuditLedger`.
 
 Determinism contract, mirroring the audit ledger:
 
@@ -35,26 +35,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
-from time import perf_counter
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import IO, Iterable, Iterator, Sequence
 
-__all__ = [
-    "DEFAULT_MAX_SPANS",
-    "SpanExporter",
-    "SpanRecord",
-    "TraceArchive",
-    "is_trace_file",
-    "trace_id_for",
-]
+from repro.obs.tracing import SpanRecord
 
-#: Default per-shard record bound — a worker that out-spans it keeps
-#: exact aggregates (the tracer's) but stops appending records, counting
-#: the overflow in ``dropped_spans``.
-DEFAULT_MAX_SPANS = 100_000
-
-#: Fields stripped by the canonical (structure-only) projection.
-_WALL_FIELDS = ("t_start_us", "wall_us")
+__all__ = ["TraceArchive", "is_trace_file", "trace_id_for"]
 
 
 def trace_id_for(slugs: Sequence[str], *, salt: str = "") -> str:
@@ -66,140 +52,6 @@ def trace_id_for(slugs: Sequence[str], *, salt: str = "") -> str:
     """
     ident = "|".join(sorted(slugs)) + "|" + salt
     return hashlib.sha256(ident.encode("utf-8")).hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class SpanRecord:
-    """One completed span, as exported across the process boundary.
-
-    Attributes
-    ----------
-    seq:
-        Close-order position within the shard (0-based; re-sorted merges
-        keep the original per-shard value so identity survives folding).
-    span_id / parent_id:
-        The tracer's stable open-order identity; ``parent_id`` is None
-        for the shard's root span.
-    label:
-        The span label (``engine.run``, ``besteffs.choose_unit``, ...).
-    sim_time:
-        Simulation time (minutes) at span open, when provided.
-    t_start_us / wall_us:
-        Wall-clock start (relative to the shard epoch) and duration, in
-        integer microseconds.  Measurement, not identity — excluded from
-        the canonical projection.
-    trace_id / spec / shard:
-        Context tag: the sweep-level trace id, the run-spec slug, and
-        the process/shard identity that recorded the span.
-    """
-
-    seq: int
-    span_id: int
-    parent_id: int | None
-    label: str
-    sim_time: float | None
-    t_start_us: int
-    wall_us: int
-    trace_id: str
-    spec: str
-    shard: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def canonical_dict(self) -> dict:
-        """The structure-only projection (wall-clock fields stripped)."""
-        payload = asdict(self)
-        for key in _WALL_FIELDS:
-            payload.pop(key, None)
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "SpanRecord":
-        data = {key: payload.get(key) for key in cls.__dataclass_fields__}
-        data["seq"] = int(data["seq"] or 0)
-        data["span_id"] = int(data["span_id"] or 0)
-        data["t_start_us"] = int(data.get("t_start_us") or 0)
-        data["wall_us"] = int(data.get("wall_us") or 0)
-        for key in ("label", "trace_id", "spec", "shard"):
-            data[key] = str(data[key] or "")
-        return cls(**data)
-
-
-class SpanExporter:
-    """Per-process span sink: collects :class:`SpanRecord` in close order.
-
-    Attach to a tracer (``Tracer(exporter=...)`` or
-    ``tracer.exporter = ...``); the tracer calls :meth:`export` for every
-    closing span.  The exporter timestamps spans relative to its own
-    construction (the shard epoch), so ``t_start_us`` is meaningful
-    within a shard without any cross-process clock agreement.
-    """
-
-    def __init__(
-        self,
-        *,
-        trace_id: str = "",
-        spec: str = "",
-        shard: str = "",
-        max_spans: int = DEFAULT_MAX_SPANS,
-    ) -> None:
-        if max_spans <= 0:
-            raise ValueError(f"max_spans must be positive, got {max_spans!r}")
-        self.trace_id = trace_id
-        self.spec = spec
-        self.shard = shard or spec
-        self.max_spans = max_spans
-        self.dropped_spans = 0
-        self._epoch = perf_counter()
-        self._records: list[SpanRecord] = []
-
-    def export(
-        self,
-        *,
-        span_id: int,
-        parent_id: int | None,
-        label: str,
-        sim_time: float | None,
-        start: float,
-        duration_s: float,
-    ) -> None:
-        """Record one completed span (called by the tracer on close)."""
-        if len(self._records) >= self.max_spans:
-            self.dropped_spans += 1
-            return
-        self._records.append(
-            SpanRecord(
-                seq=len(self._records),
-                span_id=span_id,
-                parent_id=parent_id,
-                label=label,
-                sim_time=sim_time,
-                t_start_us=int((start - self._epoch) * 1e6),
-                wall_us=int(duration_s * 1e6),
-                trace_id=self.trace_id,
-                spec=self.spec,
-                shard=self.shard,
-            )
-        )
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    @property
-    def records(self) -> tuple[SpanRecord, ...]:
-        return tuple(self._records)
-
-    def archive(self) -> "TraceArchive":
-        """Snapshot this shard as a :class:`TraceArchive`."""
-        archive = TraceArchive(trace_id=self.trace_id)
-        archive._records = list(self._records)
-        archive.dropped_spans = self.dropped_spans
-        return archive
-
-    def to_dict(self) -> dict:
-        """JSON-friendly shard snapshot (the parallel-worker wire format)."""
-        return self.archive().to_dict()
 
 
 @dataclass
@@ -273,24 +125,6 @@ class TraceArchive:
         return out
 
     # -- IO ----------------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "dropped_spans": self.dropped_spans,
-            "records": [r.to_dict() for r in self._records],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "TraceArchive":
-        archive = cls(
-            trace_id=str(payload.get("trace_id", "")),
-            dropped_spans=int(payload.get("dropped_spans", 0)),
-        )
-        archive._records = [
-            SpanRecord.from_dict(raw) for raw in payload.get("records", ())
-        ]
-        return archive
 
     def _header(self) -> dict:
         return {

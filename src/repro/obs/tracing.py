@@ -2,56 +2,133 @@
 
 A :class:`Tracer` hands out context-manager *spans*.  Each span records
 its wall-clock duration (``time.perf_counter``) and, when provided, the
-simulation time at which it opened; spans nest, so a bounded tree of
-:class:`SpanNode` survives the run for drill-down while per-label
-aggregates (count / total / min / max) stay exact regardless of tree
-bounds.
+simulation time at which it opened.  The tracer is the one place a
+completed span lives: exact per-label aggregates (count / total / min /
+max) over every span, and a bounded list of :class:`SpanRecord` in close
+order (``DEFAULT_MAX_SPANS``; overflow counted in ``dropped_spans``).
+The span tree (:meth:`Tracer.render_tree`) is drawn from those records,
+and the cross-process trace shard (:meth:`Tracer.archive`,
+:mod:`repro.obs.traceexport`) is cut from them.
 
-Every span additionally carries a *stable identity*: a monotone
-``span_id`` plus the ``span_id`` of its enclosing span, assigned whether
-or not the node is retained in the tree.  When an exporter
-(:class:`repro.obs.traceexport.SpanExporter`) is attached, each closing
-span is streamed to it with that identity — the substrate of the
-cross-process trace pipeline (per-worker JSONL shards, sweep-level
-merges, flamegraphs).
+Every span carries a *stable identity*: a monotone ``span_id`` plus the
+``span_id`` of its enclosing span, and the tracer's ``(trace_id, spec,
+shard)`` tag — the substrate of the trace pipeline (per-worker JSONL
+shards, sweep-level merges, critical path, collapsed stacks).
 
 The sim is single-threaded, so nesting is a plain stack — no thread
-locals, no contextvars, no overhead beyond two ``perf_counter`` calls per
-span.
+locals, no contextvars, no overhead beyond two ``perf_counter`` calls and
+one record per span.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; traceexport stays lazy
-    from repro.obs.traceexport import SpanExporter
+    from repro.obs.traceexport import TraceArchive
 
-__all__ = ["SpanNode", "SpanStats", "Tracer", "render_aggregates", "render_trace"]
+__all__ = [
+    "DEFAULT_MAX_SPANS",
+    "SpanRecord",
+    "SpanStats",
+    "Tracer",
+    "render_aggregates",
+    "render_trace",
+    "span_forest",
+]
+
+#: Per-tracer record bound: a run that out-spans it keeps exact
+#: aggregates but stops appending records, counting the overflow in
+#: ``dropped_spans``.
+DEFAULT_MAX_SPANS = 100_000
+
+#: Fields stripped by the canonical (structure-only) projection.
+_WALL_FIELDS = ("t_start_us", "wall_us")
 
 
-@dataclass
-class SpanNode:
-    """One recorded span occurrence in the trace tree."""
+@dataclass(frozen=True, slots=True)
+class SpanRecord:
+    """One completed span.
 
+    Attributes
+    ----------
+    seq:
+        Close-order position within the shard (0-based; re-sorted merges
+        keep the original per-shard value so identity survives folding).
+    span_id / parent_id:
+        The tracer's stable open-order identity; ``parent_id`` is None
+        for the shard's root span.
+    label:
+        The span label (``engine.run``, ``besteffs.choose_unit``, ...).
+    sim_time:
+        Simulation time (minutes) at span open, when provided.
+    t_start_us / wall_us:
+        Wall-clock start (relative to the tracer's creation) and
+        duration, in integer microseconds.  Measurement, not identity —
+        excluded from the canonical projection.
+    trace_id / spec / shard:
+        Context tag: the sweep-level trace id, the run-spec slug, and
+        the process/shard identity that recorded the span.
+    """
+
+    seq: int
+    span_id: int
+    parent_id: int | None
     label: str
-    sim_time: float | None = None
-    duration_s: float = 0.0
-    #: Stable id assigned at open time (monotone per tracer, 1-based).
-    span_id: int = 0
-    #: ``span_id`` of the enclosing span, or None for roots.
-    parent_id: int | None = None
-    children: list["SpanNode"] = field(default_factory=list)
+    sim_time: float | None
+    t_start_us: int
+    wall_us: int
+    trace_id: str
+    spec: str
+    shard: str
 
-    def walk(self, depth: int = 0) -> Iterator[tuple[int, "SpanNode"]]:
-        """Depth-first ``(depth, node)`` traversal of this subtree."""
-        yield depth, self
-        for child in self.children:
-            yield from child.walk(depth + 1)
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    def canonical_dict(self) -> dict:
+        """The structure-only projection (wall-clock fields stripped)."""
+        payload = asdict(self)
+        for key in _WALL_FIELDS:
+            payload.pop(key, None)
+        return payload
+
+    @classmethod
+    def from_dict(cls, payload: Mapping) -> "SpanRecord":
+        data = {key: payload.get(key) for key in cls.__dataclass_fields__}
+        data["seq"] = int(data["seq"] or 0)
+        data["span_id"] = int(data["span_id"] or 0)
+        data["t_start_us"] = int(data.get("t_start_us") or 0)
+        data["wall_us"] = int(data.get("wall_us") or 0)
+        for key in ("label", "trace_id", "spec", "shard"):
+            data[key] = str(data[key] or "")
+        return cls(**data)
+
+
+def span_forest(
+    records: Iterable[SpanRecord],
+) -> dict[str, tuple[list[SpanRecord], dict[int, list[SpanRecord]]]]:
+    """Per shard: (root records, parent span_id -> children in close order).
+
+    A record whose parent is not among the shard's records (the parent
+    closed after the record bound was hit) is a root, so a truncated
+    shard still draws every record it kept.
+    """
+    records = list(records)
+    ids: dict[str, set[int]] = {}
+    for record in records:
+        ids.setdefault(record.shard, set()).add(record.span_id)
+    out: dict[str, tuple[list[SpanRecord], dict[int, list[SpanRecord]]]] = {}
+    for record in records:
+        roots, children = out.setdefault(record.shard, ([], {}))
+        if record.parent_id in ids[record.shard]:
+            children.setdefault(record.parent_id, []).append(record)
+        else:
+            roots.append(record)
+    return out
 
 
 class SpanStats:
@@ -72,16 +149,6 @@ class SpanStats:
             self.min_s = duration_s
         if duration_s > self.max_s:
             self.max_s = duration_s
-
-    def merge(self, other: "SpanStats") -> None:
-        """Fold another label aggregate into this one (cross-process merge)."""
-        self.count += other.count
-        self.total_s += other.total_s
-        if other.count:
-            if other.min_s < self.min_s:
-                self.min_s = other.min_s
-            if other.max_s > self.max_s:
-                self.max_s = other.max_s
 
     @property
     def mean_s(self) -> float:
@@ -135,98 +202,75 @@ def render_trace(aggregates: dict[str, dict[str, float]], tree: str = "") -> str
 
 
 class Tracer:
-    """Collects nested spans and per-label wall-clock aggregates.
+    """The span store: per-label aggregates plus bounded span records.
 
     Parameters
     ----------
-    keep_tree:
-        Retain the span tree (up to ``max_nodes`` nodes).  Aggregates are
-        always kept; the tree is for drill-down rendering.
-    max_nodes:
-        Tree-size bound; spans beyond it still aggregate but are not
-        attached to the tree (``dropped_spans`` counts them).
-    exporter:
-        Optional :class:`~repro.obs.traceexport.SpanExporter`; every
-        closing span (tree-retained or not) is streamed to it with its
-        stable id/parent-id and sim time.
+    trace_id / spec:
+        Context tag stamped on every record (a tracer is one shard, named
+        after its spec); :func:`repro.sim.parallel.execute_spec` sets it
+        from the run spec.
+    max_spans:
+        Record bound; spans beyond it still aggregate but are not
+        recorded (``dropped_spans`` counts them).
     """
 
     def __init__(
         self,
         *,
-        keep_tree: bool = True,
-        max_nodes: int = 10_000,
-        exporter: "SpanExporter | None" = None,
+        trace_id: str = "",
+        spec: str = "",
+        max_spans: int = DEFAULT_MAX_SPANS,
     ) -> None:
-        self.keep_tree = keep_tree
-        self.max_nodes = max_nodes
-        self.exporter = exporter
-        self.roots: list[SpanNode] = []
-        #: Spans not retained in the tree because of the ``max_nodes``
-        #: bound.  Aggregates (and the export stream) still see them.
-        self.dropped_spans = 0
-        self._stack: list[SpanNode | None] = []
-        #: (span_id, parent_id) mirror of ``_stack``, kept for every span
-        #: regardless of tree retention so identities stay stable.
-        self._id_stack: list[int] = []
-        self._next_id = 1
-        self._node_count = 0
-        self._aggregates: dict[str, SpanStats] = {}
-
-    @property
-    def dropped(self) -> int:
-        """Back-compat alias of :attr:`dropped_spans`."""
-        return self.dropped_spans
-
-    @dropped.setter
-    def dropped(self, value: int) -> None:
-        self.dropped_spans = value
+        if max_spans <= 0:
+            raise ValueError(f"max_spans must be positive, got {max_spans!r}")
+        self.trace_id = trace_id
+        self.spec = spec
+        self.max_spans = max_spans
+        self.reset()
 
     @contextmanager
-    def span(self, label: str, *, sim_time: float | None = None) -> Iterator[SpanNode | None]:
-        """Open a span; yields the :class:`SpanNode` (None if tree-dropped)."""
+    def span(self, label: str, *, sim_time: float | None = None) -> Iterator[None]:
+        """Time a block as one span; it is recorded when the block exits."""
         span_id = self._next_id
         self._next_id += 1
         parent_id = self._id_stack[-1] if self._id_stack else None
-        node: SpanNode | None = None
-        if self.keep_tree and self._node_count < self.max_nodes:
-            node = SpanNode(
-                label=label, sim_time=sim_time, span_id=span_id, parent_id=parent_id
-            )
-            self._node_count += 1
-            parent = next((n for n in reversed(self._stack) if n is not None), None)
-            if parent is not None:
-                parent.children.append(node)
-            else:
-                self.roots.append(node)
-        elif self.keep_tree:
-            self.dropped_spans += 1
-        self._stack.append(node)
         self._id_stack.append(span_id)
         start = perf_counter()
         try:
-            yield node
+            yield
         finally:
             duration = perf_counter() - start
-            self._stack.pop()
             self._id_stack.pop()
-            if node is not None:
-                node.duration_s = duration
             stats = self._aggregates.get(label)
             if stats is None:
                 stats = self._aggregates[label] = SpanStats()
             stats.observe(duration)
-            if self.exporter is not None:
-                self.exporter.export(
-                    span_id=span_id,
-                    parent_id=parent_id,
-                    label=label,
-                    sim_time=sim_time,
-                    start=start,
-                    duration_s=duration,
+            records = self._records
+            if len(records) < self.max_spans:
+                records.append(
+                    SpanRecord(
+                        seq=len(records),
+                        span_id=span_id,
+                        parent_id=parent_id,
+                        label=label,
+                        sim_time=sim_time,
+                        t_start_us=int((start - self._epoch) * 1e6),
+                        wall_us=int(duration * 1e6),
+                        trace_id=self.trace_id,
+                        spec=self.spec,
+                        shard=self.spec,
+                    )
                 )
+            else:
+                self.dropped_spans += 1
 
     # -- reporting --------------------------------------------------------
+
+    @property
+    def records(self) -> tuple[SpanRecord, ...]:
+        """The recorded spans, in close order."""
+        return tuple(self._records)
 
     def aggregates(self) -> dict[str, dict[str, float]]:
         """Per-label aggregate timings, as plain dicts (JSON-friendly)."""
@@ -236,29 +280,53 @@ class Tracer:
         """The aggregate for one label, or None."""
         return self._aggregates.get(label)
 
-    def render_tree(self, *, max_depth: int = 6, max_children: int = 20) -> str:
-        """The retained span tree as bounded, indented text ("" when empty).
+    def archive(self) -> "TraceArchive":
+        """The recorded spans as one trace shard (:mod:`repro.obs.traceexport`)."""
+        from repro.obs.traceexport import TraceArchive
 
-        Plain text so it can ride in the telemetry payload next to the aggregates.
+        return TraceArchive(
+            trace_id=self.trace_id,
+            dropped_spans=self.dropped_spans,
+            _records=list(self._records),
+        )
+
+    def render_tree(self, *, max_depth: int = 6, max_children: int = 20) -> str:
+        """The recorded spans as a bounded, indented tree ("" when none).
+
+        At most ``max_children`` children are drawn per node (roots
+        included), each followed by a ``... N more`` line when siblings
+        were cut, and at most ``max_depth`` levels below a root.  The
+        closing lines count every span left out.  Plain text so it can
+        ride in the telemetry payload next to the aggregates.
         """
-        lines: list[str] = []
-        if self.roots:
-            lines.append("span tree:")
-            for root in self.roots[:max_children]:
-                for depth, node in root.walk():
-                    if depth > max_depth:
-                        continue
-                    at = "" if node.sim_time is None else f" @t={node.sim_time:g}m"
-                    lines.append(
-                        f"  {'  ' * depth}{node.label}: {node.duration_s:.6f}s{at}"
-                    )
-            hidden = len(self.roots) - max_children
-            if hidden > 0:
-                lines.append(f"  ... {hidden} more root spans")
+        if not self._records and not self.dropped_spans:
+            return ""
+        lines = ["span tree:"]
+        shown = 0
+
+        def draw(
+            nodes: list[SpanRecord], children: dict[int, list[SpanRecord]], depth: int
+        ) -> None:
+            nonlocal shown
+            indent = "  " * (depth + 1)
+            for record in nodes[:max_children]:
+                at = "" if record.sim_time is None else f" @t={record.sim_time:g}m"
+                lines.append(f"{indent}{record.label}: {record.wall_us / 1e6:.6f}s{at}")
+                shown += 1
+                if depth < max_depth:
+                    draw(children.get(record.span_id, []), children, depth + 1)
+            if len(nodes) > max_children:
+                lines.append(f"{indent}... {len(nodes) - max_children} more")
+
+        for roots, children in span_forest(self._records).values():
+            draw(roots, children, 0)
+        hidden = len(self._records) - shown
+        if hidden:
+            lines.append(f"  ({hidden} of {len(self._records)} recorded spans not shown)")
         if self.dropped_spans:
             lines.append(
                 f"  dropped_spans={self.dropped_spans} "
-                "(beyond the tree bound; aggregated and exported only)"
+                f"(beyond the {self.max_spans}-record bound; aggregated only)"
             )
         return "\n".join(lines)
 
@@ -270,12 +338,10 @@ class Tracer:
         )
 
     def reset(self) -> None:
-        """Drop all recorded spans and aggregates (exporter detached)."""
-        self.roots.clear()
-        self._stack.clear()
-        self._id_stack.clear()
-        self._aggregates.clear()
-        self._node_count = 0
-        self._next_id = 1
+        """Drop all recorded spans and aggregates; span ids restart at 1."""
         self.dropped_spans = 0
-        self.exporter = None
+        self._records: list[SpanRecord] = []
+        self._id_stack: list[int] = []
+        self._next_id = 1
+        self._epoch = perf_counter()
+        self._aggregates: dict[str, SpanStats] = {}

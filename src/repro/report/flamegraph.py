@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from repro.obs.traceexport import SpanRecord, TraceArchive
+from repro.obs.traceexport import TraceArchive
+from repro.obs.tracing import SpanRecord, span_forest
 
 __all__ = [
     "CriticalPathResult",
@@ -36,23 +37,6 @@ __all__ = [
 
 def _ms(us: int) -> str:
     return f"{us / 1000.0:.3f}ms"
-
-
-# -- tree reconstruction ---------------------------------------------------
-
-
-def _shard_trees(
-    archive: TraceArchive,
-) -> dict[str, tuple[list[SpanRecord], dict[int, list[SpanRecord]]]]:
-    """Per shard: (root records, parent span_id -> children in seq order)."""
-    out: dict[str, tuple[list[SpanRecord], dict[int, list[SpanRecord]]]] = {}
-    for record in archive.records:
-        roots, children = out.setdefault(record.shard, ([], {}))
-        if record.parent_id is None:
-            roots.append(record)
-        else:
-            children.setdefault(record.parent_id, []).append(record)
-    return out
 
 
 def _self_us(record: SpanRecord, children: Mapping[int, list[SpanRecord]]) -> int:
@@ -98,7 +82,7 @@ class CriticalPathResult:
 
 def critical_path(archive: TraceArchive, *, top_k: int = 10) -> CriticalPathResult:
     """Attribute the archive's wall-clock to the slowest span chain."""
-    trees = _shard_trees(archive)
+    trees = span_forest(archive.records)
     shard_walls = tuple(
         sorted(
             ((shard, sum(r.wall_us for r in roots)) for shard, (roots, _c) in trees.items()),
@@ -193,7 +177,7 @@ def collapsed_stacks(archive: TraceArchive) -> str:
     external flamegraph tool that reads the folded format can draw it.
     """
     totals: dict[str, int] = {}
-    for roots, children in _shard_trees(archive).values():
+    for roots, children in span_forest(archive.records).values():
         pending = [(record, record.label) for record in roots]
         while pending:
             record, stack = pending.pop()

@@ -164,7 +164,6 @@ class SimulationEngine:
         """
         if instrumented:
             registry = _OBS.registry
-            profiler = _OBS.profiler
             collector = _OBS.timeseries
             events_total = registry.counter(
                 "engine_events_total", "Events dispatched by the engine.", ("label",)
@@ -196,9 +195,7 @@ class SimulationEngine:
                 label = event.label or "unlabeled"
                 t0 = perf_counter()
                 event.callback(t)
-                elapsed = perf_counter() - t0
-                callback_seconds.observe(elapsed, label=label)
-                profiler.observe("engine.step", elapsed)
+                callback_seconds.observe(perf_counter() - t0, label=label)
                 events_total.inc(label=label)
                 queue_depth.set(len(heap))
                 if collector is not None and t >= collector.next_due:

@@ -62,16 +62,14 @@ class ObsOptions:
 
     metrics: bool = False
     trace: bool = False
-    #: Stream completed spans to a per-process JSONL-able trace shard
-    #: (:mod:`repro.obs.traceexport`); the shard rides back in the
-    #: telemetry payload under ``"trace"``.
+    #: Ship the tracer's span records back as a trace shard
+    #: (:mod:`repro.obs.traceexport`) in the telemetry payload under
+    #: ``"trace"``.
     trace_export: bool = False
-    #: Sweep-level trace id tagged onto every exported span.  Derive it
+    #: Sweep-level trace id tagged onto every span record.  Derive it
     #: with :func:`repro.obs.traceexport.trace_id_for` so all workers of
     #: one sweep agree; empty = derived per spec.
     trace_id: str = ""
-    #: Per-shard record bound of the span exporter; None = module default.
-    trace_max_spans: int | None = None
     #: Sim-time scrape cadence for the time-series collector; None = off.
     scrape_interval_days: float | None = None
     log_level: str | None = None
@@ -80,8 +78,6 @@ class ObsOptions:
     audit: bool = False
     #: Per-object sampling rate of the audit ledger, in (0, 1].
     audit_sample: float = 1.0
-    #: Ring-buffer bound of the audit ledger; None = the module default.
-    audit_max_records: int | None = None
     #: SLO rules as picklable ``(name, expression)`` pairs; empty = off.
     alert_rules: tuple[tuple[str, str], ...] = ()
 
@@ -254,9 +250,22 @@ def execute_spec(spec: RunSpec) -> RunOutcome:
     from repro.experiments import registry
 
     opts = spec.obs
+
+    def telemetry() -> dict[str, Any] | None:
+        if not opts.enabled:
+            return None
+        return obs_mod.export_payload(spec.experiment, trace=opts.trace_export)
+
     if opts.enabled:
+        slug = spec.slug()
+        trace_id = opts.trace_id
+        if opts.trace_export and not trace_id:
+            # Imported lazily: un-traced runs never load the module.
+            from repro.obs.traceexport import trace_id_for
+
+            trace_id = trace_id_for((slug,))
         obs_mod.reset()
-        state = obs_mod.enable()
+        state = obs_mod.enable(tracer=obs_mod.Tracer(trace_id=trace_id, spec=slug))
         if opts.log_level or opts.log_file:
             obs_mod.configure_logging(
                 opts.log_level or "info", opts.log_file or sys.stderr
@@ -267,31 +276,13 @@ def execute_spec(spec: RunSpec) -> RunOutcome:
             )
         if opts.audit:
             # Imported lazily: un-audited runs never load the module.
-            from repro.obs.audit import DEFAULT_MAX_RECORDS, AuditLedger
+            from repro.obs.audit import AuditLedger
 
-            state.audit = AuditLedger(
-                sample=opts.audit_sample,
-                max_records=opts.audit_max_records or DEFAULT_MAX_RECORDS,
-            )
+            state.audit = AuditLedger(sample=opts.audit_sample)
         if opts.alert_rules:
             from repro.obs.alerts import AlertEngine
 
             state.alerts = AlertEngine.from_pairs(opts.alert_rules)
-        if opts.trace_export:
-            # Imported lazily: un-traced runs never load the module.
-            from repro.obs.traceexport import (
-                DEFAULT_MAX_SPANS,
-                SpanExporter,
-                trace_id_for,
-            )
-
-            slug = spec.slug()
-            state.tracer.exporter = SpanExporter(
-                trace_id=opts.trace_id or trace_id_for((slug,)),
-                spec=slug,
-                shard=slug,
-                max_spans=opts.trace_max_spans or DEFAULT_MAX_SPANS,
-            )
     t0 = perf_counter()
     try:
         # The worker root span: every span of this spec's shard — engine
@@ -305,7 +296,7 @@ def execute_spec(spec: RunSpec) -> RunOutcome:
             spec=spec,
             ok=False,
             wall_seconds=perf_counter() - t0,
-            telemetry=obs_mod.export_payload(spec.experiment) if opts.enabled else None,
+            telemetry=telemetry(),
             error=RunError.from_exception(exc),
         )
     finally:
@@ -317,14 +308,13 @@ def execute_spec(spec: RunSpec) -> RunOutcome:
         # (direct cluster offers) may never have hit a scrape, and final
         # counters are what the CI gate should judge.
         obs_mod.STATE.alerts.evaluate(obs_mod.STATE.registry)
-    telemetry = obs_mod.export_payload(spec.experiment) if opts.enabled else None
     return RunOutcome(
         spec=spec,
         ok=True,
         wall_seconds=perf_counter() - t0,
         rendered=rendered,
         result=result,
-        telemetry=telemetry,
+        telemetry=telemetry(),
     )
 
 

@@ -124,8 +124,7 @@ def run_single_store(
             # clock at zero; rewind the cadence so the new run still scrapes.
             collector.rewind(engine.now)
         with _OBS.tracer.span("runner.run_single_store", sim_time=engine.now):
-            with _OBS.profiler.phase("runner.run"):
-                dispatched = engine.run(horizon_minutes)
+            dispatched = engine.run(horizon_minutes)
         if collector is not None:
             # Pin the end-of-horizon state even when the cadence is not due,
             # so final density/occupancy always close the collected series.

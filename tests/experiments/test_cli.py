@@ -225,7 +225,7 @@ class TestTimeSeries:
         ts = payload["timeseries"]
         assert ts["interval_minutes"] == 10 * 1440.0
         assert ts["scrape_count"] >= 2
-        assert payload["profile"]["engine.step"]["count"] >= 1.0
+        assert "profile" not in payload
 
     def test_metrics_summary_gains_trend_column(self, tmp_path, capsys):
         assert main([

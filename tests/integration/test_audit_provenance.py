@@ -7,6 +7,7 @@ deterministic regardless of ``--jobs``, and ``repro-sim alerts --check``
 is a usable CI gate.
 """
 
+import hashlib
 import io
 import json
 
@@ -43,8 +44,8 @@ class TestTwinStoreReplay:
 
     @pytest.fixture(scope="class")
     def twin_ledgers(self):
-        first = AuditLedger.from_dict(_audited_outcome().telemetry["audit"])
-        twin = AuditLedger.from_dict(_audited_outcome().telemetry["audit"])
+        first = _audited_outcome().telemetry["audit"]
+        twin = _audited_outcome().telemetry["audit"]
         return first, twin
 
     def test_twin_replay_is_byte_identical(self, twin_ledgers):
@@ -103,7 +104,7 @@ class TestMergedLedgerDeterminism:
         merged = None
         for outcome in outcomes:
             assert outcome.ok, outcome.error
-            ledger = AuditLedger.from_dict(outcome.telemetry["audit"])
+            ledger = outcome.telemetry["audit"]
             if merged is None:
                 merged = ledger
             else:
@@ -112,6 +113,15 @@ class TestMergedLedgerDeterminism:
 
     def test_jobs_1_and_jobs_4_merge_identically(self):
         assert self._sweep_audit(jobs=1) == self._sweep_audit(jobs=4)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_merged_bytes_are_pinned(self, jobs):
+        # Recorded when worker ledgers still crossed the process boundary
+        # as dicts; shipping the ledger object itself must not move a byte.
+        merged = self._sweep_audit(jobs=jobs).encode("utf-8")
+        assert hashlib.sha256(merged).hexdigest() == (
+            "c5043ea6db527af9fb436f8926e57fd8531df0447432c4ead1eb0dabf92286f8"
+        )
 
 
 class TestAlertsCliGate:

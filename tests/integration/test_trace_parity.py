@@ -8,12 +8,32 @@ canonical (wall-clock-stripped) projection, and folding the same shard
 set in any arrival order produces byte-identical archives outright.
 """
 
+import hashlib
 import random
 
+import pytest
+
 from repro.cli import main
-from repro.obs.traceexport import SpanExporter, TraceArchive, trace_id_for
+from repro.obs.traceexport import TraceArchive, trace_id_for
 from repro.obs.tracing import Tracer
 from repro.sim.parallel import ObsOptions, RunSpec, run_specs
+
+#: name -> (spec, span count, sha256 of ``TraceArchive.canonical_bytes()``),
+#: recorded when a span exporter beside the tracer still cut the shards:
+#: the tracer as the one span store must emit the same span ids, parents,
+#: labels, sim times and tags.
+PINNED = {
+    "fig6": (
+        RunSpec("fig6", seed=7, horizon_days=30.0, obs=ObsOptions(trace_export=True)),
+        6,
+        "254ee7a2a9003f5a054b930808c961a4dec5fd46918b45e743f51ef72bcafdd3",
+    ),
+    "sec53": (
+        RunSpec("sec53", seed=11, horizon_days=20.0, obs=ObsOptions(trace_export=True)),
+        1128,
+        "9a4da4ec5e50d25331db023f56dbc1887863a27fc8268360b8f8e77a5aacee02",
+    ),
+}
 
 
 def _sweep_specs():
@@ -28,9 +48,20 @@ def _sweep_specs():
 def _merged_for(jobs):
     outcomes = run_specs(_sweep_specs(), jobs=jobs)
     assert all(o.ok for o in outcomes)
-    shards = [TraceArchive.from_dict(o.telemetry["trace"]) for o in outcomes]
+    shards = [o.telemetry["trace"] for o in outcomes]
     assert all(len(s) > 0 for s in shards)
     return TraceArchive.merged(shards)
+
+
+class TestPinnedTraces:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_canonical_sha256_is_the_parent_commits(self, jobs):
+        outcomes = run_specs([spec for spec, _n, _sha in PINNED.values()], jobs=jobs)
+        for (_spec, spans, sha256), outcome in zip(PINNED.values(), outcomes):
+            assert outcome.ok, outcome.error
+            archive = outcome.telemetry["trace"]
+            assert (len(archive), archive.dropped_spans) == (spans, 0)
+            assert hashlib.sha256(archive.canonical_bytes()).hexdigest() == sha256
 
 
 class TestJobsParity:
@@ -59,10 +90,7 @@ class TestMergeProperty:
         """Randomly shaped span forests across a random shard count."""
         shards = []
         for s in range(rng.randint(2, 6)):
-            exporter = SpanExporter(
-                trace_id=trace_id_for(["prop"]), spec=f"spec-{s}", shard=f"spec-{s}"
-            )
-            tracer = Tracer(exporter=exporter)
+            tracer = Tracer(trace_id=trace_id_for(["prop"]), spec=f"spec-{s}")
 
             def grow(depth):
                 with tracer.span(f"L{depth}-{rng.randint(0, 3)}"):
@@ -71,7 +99,7 @@ class TestMergeProperty:
 
             for _ in range(rng.randint(1, 4)):
                 grow(0)
-            shards.append(exporter.archive())
+            shards.append(tracer.archive())
         return shards
 
     def test_randomized_merge_is_order_and_grouping_free(self):

@@ -1,6 +1,7 @@
 """Unit tests for the decision-provenance ledger (repro.obs.audit)."""
 
 import io
+import pickle
 
 import pytest
 
@@ -161,11 +162,17 @@ class TestMergeAndSerialisation:
         assert (len(merged), merged.dropped, merged.recorded_count) == (3, 2, 5)
         assert [r.seq for r in merged] == [2, 3, 4]
 
-    def test_dict_roundtrip(self):
-        ledger = self._filled("x", 3)
-        clone = AuditLedger.from_dict(ledger.to_dict())
+    def test_pickle_roundtrip_keeps_records_and_counters(self):
+        # A worker ships its ledger to the parent as the object itself.
+        ledger = AuditLedger(sample=0.5, max_records=2)
+        for i in range(40):
+            ledger.record("admit", t=0.0, obj=_obj(f"x-{i}"), unit="d", importance=1.0)
+        clone = pickle.loads(pickle.dumps(ledger))
         assert [r.to_dict() for r in clone] == [r.to_dict() for r in ledger]
-        assert clone.sample == ledger.sample
+        assert (clone.sample, clone.dropped, clone.recorded_count) == (
+            ledger.sample, ledger.dropped, ledger.recorded_count,
+        )
+        assert clone.wants("x-0") == ledger.wants("x-0")
 
     def test_jsonl_roundtrip_is_byte_stable(self):
         ledger = self._filled("x", 4)

@@ -1,65 +1,41 @@
-"""Unit tests for the per-phase wall-clock profiler."""
+"""Unit tests for the per-phase wall-clock profile (``profile_phase_seconds``)."""
+
+import json
 
 from repro import obs
-from repro.obs.profile import PROFILE_METRIC, PhaseProfiler
+from repro.report.metrics import metrics_summary
 
 
 class TestPhaseProfiler:
     def test_observe_aggregates_per_phase(self):
-        profiler = PhaseProfiler()
-        profiler.observe("engine.step", 0.010)
-        profiler.observe("engine.step", 0.030)
-        profiler.observe("gossip.round", 0.005)
-        stats = profiler.stats("engine.step")
-        assert stats is not None
-        assert stats.count == 2
-        assert stats.total_s == 0.040
-        assert stats.max_s == 0.030
-        assert profiler.phases() == ["engine.step", "gossip.round"]
-        assert profiler.stats("unknown") is None
-
-    def test_phase_contextmanager_times_the_block(self):
-        profiler = PhaseProfiler()
-        with profiler.phase("placement.round"):
-            pass
-        stats = profiler.stats("placement.round")
-        assert stats is not None and stats.count == 1
-        assert stats.total_s >= 0.0
-
-    def test_phase_records_even_when_block_raises(self):
-        profiler = PhaseProfiler()
-        try:
-            with profiler.phase("failing"):
-                raise ValueError("boom")
-        except ValueError:
-            pass
-        assert profiler.stats("failing").count == 1
+        obs.observe_phase("placement.round", 0.010)
+        obs.observe_phase("placement.round", 0.030)
+        obs.observe_phase("gossip.round", 0.005)
+        phases = obs.STATE.registry.get("profile_phase_seconds")
+        snap = phases.snapshot(phase="placement.round")
+        assert snap["count"] == 2
+        assert snap["sum"] == 0.040
+        assert snap["max"] == 0.030
+        assert sorted(phases.series()) == [("gossip.round",), ("placement.round",)]
 
     def test_observations_mirror_into_registry_histogram(self):
-        profiler = PhaseProfiler()
-        profiler.observe("engine.step", 0.002)
-        metric = obs.STATE.registry.get(PROFILE_METRIC)
+        obs.observe_phase("store.plan_admission", 0.002)
+        metric = obs.STATE.registry.get("profile_phase_seconds")
         assert metric is not None
-        assert metric.snapshot(phase="engine.step")["count"] == 1
+        assert metric.labelnames == ("phase",)
+        assert metric.snapshot(phase="store.plan_admission")["count"] == 1
 
     def test_aggregates_are_json_friendly(self):
-        profiler = PhaseProfiler()
-        profiler.observe("a", 0.1)
-        aggregates = profiler.aggregates()
-        assert set(aggregates) == {"a"}
-        assert aggregates["a"]["count"] == 1.0
-        assert aggregates["a"]["total_s"] == 0.1
+        obs.observe_phase("a", 0.1)
+        exported = json.loads(json.dumps(obs.STATE.registry.to_dict()))
+        (series,) = exported["profile_phase_seconds"]["series"]
+        assert series["labels"] == {"phase": "a"}
+        assert (series["count"], series["sum"]) == (1, 0.1)
 
     def test_render_and_reset(self):
-        profiler = PhaseProfiler()
-        assert "(no phases recorded)" in profiler.render()
-        profiler.observe("engine.step", 0.2)
-        assert "engine.step" in profiler.render()
-        profiler.reset()
-        assert profiler.phases() == []
-
-    def test_obs_state_owns_a_profiler_and_reset_replaces_it(self):
-        assert isinstance(obs.STATE.profiler, PhaseProfiler)
-        obs.STATE.profiler.observe("x", 0.1)
+        obs.observe_phase("gossip.round", 0.2)
+        assert "profile_phase_seconds{phase=gossip.round}" in metrics_summary(
+            obs.STATE.registry
+        )
         obs.reset()
-        assert obs.STATE.profiler.phases() == []
+        assert obs.STATE.registry.get("profile_phase_seconds") is None

@@ -1,16 +1,10 @@
 """Unit tests for cross-process span export (:mod:`repro.obs.traceexport`)."""
 
+import dataclasses
 import random
 
-from repro.obs.traceexport import (
-    DEFAULT_MAX_SPANS,
-    SpanExporter,
-    SpanRecord,
-    TraceArchive,
-    is_trace_file,
-    trace_id_for,
-)
-from repro.obs.tracing import Tracer
+from repro.obs.traceexport import TraceArchive, is_trace_file, trace_id_for
+from repro.obs.tracing import DEFAULT_MAX_SPANS, Tracer
 
 
 def _drive(tracer):
@@ -38,10 +32,12 @@ class TestTraceId:
 
 
 class TestSpanExporter:
+    """Span export: the tracer's own records, cut as one shard."""
+
     def test_ids_and_parenting_follow_the_tree(self):
-        tracer = Tracer(exporter=SpanExporter(trace_id="t", spec="s", shard="s"))
+        tracer = Tracer(trace_id="t", spec="s")
         _drive(tracer)
-        records = tracer.exporter.archive().to_dict()["records"]
+        records = [r.to_dict() for r in tracer.archive()]
         by_label = {}
         for r in records:
             by_label.setdefault(r["label"], []).append(r)
@@ -55,61 +51,40 @@ class TestSpanExporter:
         # ...while span ids are assigned in open order, root first.
         assert root["span_id"] < min(c["span_id"] for c in by_label["child"])
 
-    def test_ids_survive_keep_tree_false(self):
-        kept = Tracer(exporter=SpanExporter(trace_id="t", spec="s", shard="s"))
-        dropped = Tracer(
-            keep_tree=False,
-            exporter=SpanExporter(trace_id="t", spec="s", shard="s"),
-        )
-        _drive(kept)
-        _drive(dropped)
-        def strip(recs):
-            return [
-                {k: v for k, v in r.items() if k not in ("t_start_us", "wall_us")}
-                for r in recs
-            ]
-        assert strip(kept.exporter.archive().to_dict()["records"]) == strip(
-            dropped.exporter.archive().to_dict()["records"]
-        )
-
     def test_context_tags_on_every_record(self):
-        exporter = SpanExporter(trace_id="abc", spec="fig6-s1", shard="w0")
-        tracer = Tracer(exporter=exporter)
+        tracer = Tracer(trace_id="abc", spec="fig6-s1")
         _drive(tracer)
-        for r in exporter.archive().to_dict()["records"]:
-            assert r["trace_id"] == "abc"
-            assert r["spec"] == "fig6-s1"
-            assert r["shard"] == "w0"
+        for r in tracer.archive():
+            assert r.trace_id == "abc"
+            assert r.spec == r.shard == "fig6-s1"
 
     def test_cap_counts_dropped_spans(self):
-        exporter = SpanExporter(trace_id="t", spec="s", shard="s", max_spans=2)
-        tracer = Tracer(exporter=exporter)
+        tracer = Tracer(trace_id="t", spec="s", max_spans=2)
         for _ in range(5):
             with tracer.span("s"):
                 pass
-        archive = exporter.archive()
-        assert len(archive.to_dict()["records"]) == 2
-        assert archive.dropped_spans == 3
+        archive = tracer.archive()
+        assert len(archive) == 2
+        assert archive.dropped_spans == tracer.dropped_spans == 3
 
     def test_default_cap_is_generous(self):
-        assert SpanExporter(trace_id="t").max_spans == DEFAULT_MAX_SPANS
+        assert Tracer(trace_id="t").max_spans == DEFAULT_MAX_SPANS
 
 
 class TestTraceArchive:
     def _shard(self, spec, n=4):
-        exporter = SpanExporter(trace_id="t", spec=spec, shard=spec)
-        tracer = Tracer(exporter=exporter)
+        tracer = Tracer(trace_id="t", spec=spec)
         for i in range(n):
             with tracer.span(f"work-{i}", sim_time=float(i)):
                 pass
-        return exporter.archive()
+        return tracer.archive()
 
     def test_jsonl_round_trip(self, tmp_path):
         archive = self._shard("fig6")
         path = tmp_path / "trace.jsonl"
         archive.write_jsonl(path)
         back = TraceArchive.read_jsonl(path)
-        assert back.to_dict() == archive.to_dict()
+        assert back == archive
         assert is_trace_file(path)
 
     def test_is_trace_file_rejects_other_jsonl(self, tmp_path):
@@ -136,19 +111,18 @@ class TestTraceArchive:
 
     def test_canonical_bytes_strips_wall_fields_only(self):
         archive = self._shard("fig6")
-        twin_records = []
-        for r in archive.to_dict()["records"]:
-            bumped = dict(r, t_start_us=r["t_start_us"] + 7, wall_us=r["wall_us"] + 7)
-            twin_records.append(SpanRecord.from_dict(bumped))
+        twin_records = [
+            dataclasses.replace(r, t_start_us=r.t_start_us + 7, wall_us=r.wall_us + 7)
+            for r in archive
+        ]
         twin = TraceArchive(trace_id=archive.trace_id, _records=twin_records)
         assert twin.canonical_bytes() == archive.canonical_bytes()
         assert twin.write_bytes() != archive.write_bytes()
 
     def test_tree_accessors(self):
-        exporter = SpanExporter(trace_id="t", spec="s", shard="s")
-        tracer = Tracer(exporter=exporter)
+        tracer = Tracer(trace_id="t", spec="s")
         _drive(tracer)
-        archive = exporter.archive()
+        archive = tracer.archive()
         (root,) = archive.roots()
         assert root.label == "root"
         kids = archive.children_of(root)
@@ -161,18 +135,16 @@ class TestStateIntegration:
     def test_export_payload_carries_trace_and_drop_counter(self):
         from repro import obs
 
-        obs.enable()
-        obs.STATE.tracer.exporter = SpanExporter(
-            trace_id="t", spec="s", shard="s", max_spans=1
-        )
+        obs.enable(tracer=Tracer(trace_id="t", spec="s", max_spans=1))
         with obs.STATE.tracer.span("a"):
             pass
         with obs.STATE.tracer.span("b"):
             pass
-        payload = obs.export_payload("unit")
-        assert payload["trace"]["trace_id"] == "t"
-        assert len(payload["trace"]["records"]) == 1
-        assert payload["spans_dropped"] == 1
+        payload = obs.export_payload("unit", trace=True)
+        assert payload["trace"].trace_id == "t"
+        assert len(payload["trace"]) == 1
+        # One drop counter: the payload's is the shard header's.
+        assert payload["spans_dropped"] == payload["trace"].dropped_spans == 1
 
     def test_export_payload_without_exporter_has_no_trace_key(self):
         from repro import obs

@@ -1,22 +1,23 @@
 """Unit tests for span tracing."""
 
-from repro.obs.tracing import SpanStats, Tracer, render_aggregates
+from repro.obs.tracing import Tracer, render_aggregates, span_forest
 
 
 class TestSpans:
     def test_nested_spans_build_a_tree(self):
-        tracer = Tracer()
+        tracer = Tracer(spec="s")
         with tracer.span("outer", sim_time=0.0):
             with tracer.span("inner"):
                 pass
             with tracer.span("inner"):
                 pass
-        assert len(tracer.roots) == 1
-        root = tracer.roots[0]
+        ((roots, children),) = span_forest(tracer.records).values()
+        (root,) = roots
         assert root.label == "outer"
         assert root.sim_time == 0.0
-        assert [c.label for c in root.children] == ["inner", "inner"]
-        assert root.duration_s >= sum(c.duration_s for c in root.children) >= 0.0
+        kids = children[root.span_id]
+        assert [c.label for c in kids] == ["inner", "inner"]
+        assert root.wall_us >= sum(c.wall_us for c in kids) >= 0
 
     def test_aggregates_count_every_occurrence(self):
         tracer = Tracer()
@@ -39,33 +40,16 @@ class TestSpans:
         except ValueError:
             pass
         assert tracer.stats("boom").count == 1
-        assert tracer.roots[0].duration_s >= 0.0
+        assert tracer.records[0].wall_us >= 0
 
     def test_tree_bound_keeps_aggregates_exact(self):
-        tracer = Tracer(max_nodes=2)
+        tracer = Tracer(max_spans=2)
         for _ in range(5):
             with tracer.span("s"):
                 pass
-        assert len(tracer.roots) == 2
-        assert tracer.dropped == 3
+        assert len(tracer.records) == 2
+        assert tracer.dropped_spans == 3
         assert tracer.stats("s").count == 5
-
-    def test_keep_tree_false_records_no_nodes(self):
-        tracer = Tracer(keep_tree=False)
-        with tracer.span("s"):
-            pass
-        assert tracer.roots == []
-        assert tracer.dropped == 0
-        assert tracer.stats("s").count == 1
-
-    def test_walk_yields_depths(self):
-        tracer = Tracer()
-        with tracer.span("a"):
-            with tracer.span("b"):
-                with tracer.span("c"):
-                    pass
-        depths = [(d, n.label) for d, n in tracer.roots[0].walk()]
-        assert depths == [(0, "a"), (1, "b"), (2, "c")]
 
     def test_render_mentions_labels_and_counts(self):
         tracer = Tracer()
@@ -81,35 +65,74 @@ class TestSpans:
         with tracer.span("s"):
             pass
         tracer.reset()
-        assert tracer.roots == []
+        assert tracer.records == ()
         assert tracer.aggregates() == {}
 
     def test_reset_clears_exporter_and_ids(self):
-        class _Sink:
-            def export(self, **kwargs):
+        tracer = Tracer(max_spans=1)
+        for _ in range(2):
+            with tracer.span("s"):
                 pass
-
-        tracer = Tracer(exporter=_Sink())
-        with tracer.span("s"):
-            pass
         tracer.reset()
-        assert tracer.exporter is None
+        # Nothing is left to export, drops included...
+        assert (tracer.archive().records, tracer.dropped_spans) == ((), 0)
         with tracer.span("fresh"):
             pass
         # Span ids restart after a reset, like everything else.
-        assert tracer.roots[0].span_id == 1
+        assert [(r.span_id, r.seq) for r in tracer.records] == [(1, 0)]
+
+
+class TestRenderTree:
+    def test_children_are_limited_per_node(self):
+        tracer = Tracer()
+        with tracer.span("parent"):
+            for _ in range(25):
+                with tracer.span("child"):
+                    pass
+        lines = tracer.render_tree(max_children=20).splitlines()
+        assert lines[0] == "span tree:"
+        assert lines[1].startswith("  parent: ")
+        assert sum(line.startswith("    child: ") for line in lines) == 20
+        assert "    ... 5 more" in lines
+        assert lines[-1] == "  (5 of 26 recorded spans not shown)"
+
+    def test_depth_is_limited_and_counted(self):
+        tracer = Tracer()
+        with tracer.span("a"):
+            with tracer.span("b"):
+                with tracer.span("c"):
+                    pass
+        lines = tracer.render_tree(max_depth=1).splitlines()
+        assert [line.split(":")[0] for line in lines[1:3]] == ["  a", "    b"]
+        assert lines[-1] == "  (1 of 3 recorded spans not shown)"
+
+    def test_spans_whose_parent_was_dropped_draw_as_roots(self):
+        tracer = Tracer(max_spans=2)
+        with tracer.span("root"):
+            with tracer.span("kept"):
+                pass
+            with tracer.span("kept"):
+                pass
+        text = tracer.render_tree()
+        assert [line.split(":")[0] for line in text.splitlines()[1:3]] == [
+            "  kept", "  kept",
+        ]
+        assert "dropped_spans=1" in text
+
+    def test_empty_tracer_renders_nothing(self):
+        assert Tracer().render_tree() == ""
 
 
 class TestDroppedSpans:
     def test_render_surfaces_the_drop_counter(self):
-        tracer = Tracer(max_nodes=1)
+        tracer = Tracer(max_spans=1)
         for _ in range(4):
             with tracer.span("s"):
                 pass
         assert tracer.dropped_spans == 3
         text = tracer.render()
         assert "dropped_spans=3" in text
-        # Aggregates stay exact; only the rendered tree is bounded.
+        # Aggregates stay exact; only the records are bounded.
         assert tracer.stats("s").count == 4
 
     def test_render_is_silent_when_nothing_dropped(self):
@@ -118,30 +141,8 @@ class TestDroppedSpans:
             pass
         assert "dropped_spans" not in tracer.render()
 
-    def test_dropped_alias_tracks_dropped_spans(self):
-        tracer = Tracer(max_nodes=1)
-        for _ in range(3):
-            with tracer.span("s"):
-                pass
-        assert tracer.dropped == tracer.dropped_spans == 2
-
 
 class TestZeroObservationGuards:
-    def test_empty_stats_merge_keeps_min_finite(self):
-        target = SpanStats()
-        target.observe(0.5)
-        target.merge(SpanStats())  # zero-observation partner
-        assert target.count == 1
-        assert target.min_s == target.max_s == 0.5
-
-    def test_merge_into_empty_adopts_bounds(self):
-        target = SpanStats()
-        other = SpanStats()
-        other.observe(0.25)
-        target.merge(other)
-        assert target.count == 1
-        assert target.min_s == target.max_s == 0.25
-
     def test_render_aggregates_never_prints_inf(self):
         # A zero-observation label can reach render via merged payloads.
         payload = {
