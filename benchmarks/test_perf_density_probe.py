@@ -6,16 +6,18 @@ at a single resident.  In a long run the opposite regime dominates: once a
 term's lectures leave their persist window *every* resident is waning, the
 mass must be re-evaluated per probe, and nothing dedups (each
 ``(annotation, t_arrival)`` pair is unique).  The naive probe walks
-``StoredObject.importance_at`` per resident; the index holds waning
-residents in per-annotation ``t_arrival`` / ``size`` columns and asks each
-annotation once for its column's terms (``ImportanceFunction.wane_terms``).
+``StoredObject.importance_at`` per resident; the index leaves each waning
+resident in its ``(p, t_wane)`` victim family, sorted by absolute expiry,
+and evaluates each family's waning run in one pass
+(``GroupedResidents.wane_terms``).
 
 This bench fills twin stores (naive = the full-scan oracle of
 :mod:`tests.oracles` injected, indexed = as shipped) with ``n`` residents
-across 64 two-step annotations, moves the clock to where all of them are inside
-their wane window, and times 50 exact probes on each — asserting that the
-densities are bit-equal and that the columns deliver at least 4x at 50k
-residents.  One untimed probe first lets the index process its
+across 64 two-step annotations, arriving on the integer-minute grid as the
+workloads do, moves the clock to where all of them are inside their wane
+window, and times 50 exact probes on each (off the grid) — asserting that
+the densities are bit-equal and that the families deliver at least 4x at
+50k residents.  One untimed probe first lets the index process its
 constant→waning transitions, which a simulation pays once per resident,
 not once per probe.
 
@@ -37,7 +39,8 @@ ANNOTATIONS = 64
 PROBES = 50
 #: Long enough that no resident expires while the probes run.
 WANE = 1.0e6
-ARRIVAL_STEP = 0.37
+#: Whole minutes: family membership needs integer arrivals.
+ARRIVAL_STEP = 1.0
 
 
 def _filled_store(n: int, *, indexed: bool) -> StorageUnit:
@@ -118,7 +121,7 @@ def test_perf_density_probe(benchmark, save_artifact):
     assert results[50_000]["speedup"] >= 4.0
 
     lines = [
-        "Exact density probe, every resident waning: naive scan vs waning columns "
+        "Exact density probe, every resident waning: naive scan vs victim families "
         f"({PROBES} probes, {ANNOTATIONS} annotations)",
     ]
     for n, stats in sorted(results.items()):

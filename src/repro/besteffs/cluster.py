@@ -192,12 +192,8 @@ class BesteffsCluster:
         iterator without a :class:`~repro.sim.engine.SimulationEngine`, so
         the collector's sim-time cadence is checked here instead of in the
         dispatch loop.  Per-node density/occupancy gauges are refreshed
-        only when a scrape is actually due, and use the importance index's
-        closed-form mass (``C + A - B*t``) — a full per-node resident scan
-        per scrape would be O(residents × nodes) on the hot path.  The
-        closed form is approximate at ~1e-9 relative, which is far below
-        gauge resolution; artifact-bearing densities (the recorder's
-        samples, :meth:`mean_density`) stay on the exact path.
+        only when a scrape is actually due; the density is the same exact
+        mass the recorder's samples read, O(waning residents) per node.
         """
         collector = _OBS.timeseries
         if not _OBS.enabled or collector is None or now < collector.next_due:
@@ -214,9 +210,7 @@ class BesteffsCluster:
             ("unit",),
         )
         for node_id, node in self.nodes.items():
-            density_gauge.set(
-                importance_density(node.store, now, closed_form=True), unit=node_id
-            )
+            density_gauge.set(importance_density(node.store, now), unit=node_id)
             occupancy_gauge.set(
                 node.used_bytes / node.capacity_bytes, unit=node_id
             )

@@ -44,9 +44,7 @@ class DensitySample:
     resident_count: int
 
 
-def importance_density(
-    store: StorageUnit, now: float, *, closed_form: bool = False
-) -> float:
+def importance_density(store: StorageUnit, now: float) -> float:
     """Instantaneous storage importance density of ``store`` at ``now``.
 
     Returns a value in ``[0, 1]``; an empty store has density 0 and a store
@@ -56,14 +54,8 @@ def importance_density(
     The store's :class:`~repro.core.index.ImportanceIndex` answers instead
     of a scan over every resident; the result is bit-identical to that scan
     (both are the correctly-rounded sum of the same per-object terms).
-    ``closed_form`` opts into the O(1) ``C + A - B*t`` evaluation —
-    approximate to ~1e-9 relative, meant for monitoring gauges, never for
-    artifacts.
     """
-    index = store.importance_index
-    if closed_form:
-        return index.closed_form_mass(now) / store.capacity_bytes
-    return index.exact_mass(now) / store.capacity_bytes
+    return store.importance_index.exact_mass(now) / store.capacity_bytes
 
 
 def byte_importance_snapshot(

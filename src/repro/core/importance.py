@@ -43,8 +43,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.errors import AnnotationError
 
@@ -58,9 +57,23 @@ __all__ = [
     "StepWaneImportance",
     "PiecewiseLinearImportance",
     "ScaledImportance",
+    "linear_wane",
 ]
 
 _EPS = 1e-12
+
+
+def linear_wane(p: float, remaining: float, t_wane: float) -> float:
+    """The two-step wane (Fig. 1): importance ``remaining`` minutes before expiry.
+
+    ``p * remaining / t_wane`` for ``0 < remaining < t_wane``.  This is the
+    one spelling of the wane arithmetic: :meth:`TwoStepImportance.importance_at`
+    calls it with ``remaining = t_expire - age``, and the victim families of
+    :mod:`repro.core.victims` call it with ``remaining = E - now`` (``E`` the
+    absolute expiry), which on the exact integer grid is the same float.  So
+    every caller gets the bits the per-object chain gets.
+    """
+    return p * remaining / t_wane
 
 
 def _check_unit_interval(value: float, what: str) -> float:
@@ -117,40 +130,9 @@ class ImportanceFunction(ABC):
         """
         return 0.0
 
-    def wane_coefficients(self) -> tuple[float, float] | None:
-        """Linear-wane coefficients ``(u, v)``, or None if the wane is not linear.
-
-        When not None, ``importance_at(age) == u - v * age`` (up to float
-        evaluation order) for all ages strictly inside the wane window
-        ``(stable_until, t_expire)``.  Used by the closed-form density
-        accumulator; functions with non-linear or stepped wanes return None
-        and are evaluated per probe instead.
-        """
-        return None
-
     @abstractmethod
     def importance_at(self, age_minutes: float) -> float:
         """Return ``L(age)`` for an age in minutes, clamped to ``[0, 1]``."""
-
-    def wane_terms(
-        self, now: float, arrivals: Iterable[float], sizes: Iterable[float]
-    ) -> list[float]:
-        """Batch ``importance * size`` for objects sharing this annotation.
-
-        ``arrivals`` and ``sizes`` are parallel columns (``t_arrival``,
-        bytes).  Every member must be strictly inside the wane window at
-        ``now`` — ``stable_until < now - t_arrival < t_expire`` — which is
-        what :class:`repro.core.index.ImportanceIndex` guarantees for its
-        waning columns.  Each term is bit-identical to
-        ``StoredObject.importance_at(now) * size``: this default walks that
-        per-object chain, and overrides must perform the same float
-        operations in the same order (they may only drop branches the
-        precondition makes dead).
-        """
-        importance_at = self.importance_at
-        return [
-            importance_at(max(0.0, now - t)) * size for t, size in zip(arrivals, sizes)
-        ]
 
     def __call__(self, age_minutes: float) -> float:
         return self.importance_at(age_minutes)
@@ -296,11 +278,6 @@ class TwoStepImportance(ImportanceFunction):
     def stable_until(self) -> float:
         return self.t_persist
 
-    def wane_coefficients(self) -> tuple[float, float] | None:
-        if self.t_wane <= 0.0:
-            return None  # no wane window at all
-        return (self.p * self.t_expire / self.t_wane, self.p / self.t_wane)
-
     def importance_at(self, age_minutes: float) -> float:
         age = self._clamp_age(age_minutes)
         expire = self.t_expire
@@ -312,23 +289,7 @@ class TwoStepImportance(ImportanceFunction):
         if age <= self.t_persist:
             return self.p
         # Strictly inside the wane window, so t_wane > 0 here.
-        return self.p * (expire - age) / self.t_wane
-
-    def wane_terms(
-        self, now: float, arrivals: Iterable[float], sizes: Iterable[float]
-    ) -> list[float]:
-        # The operation order is a contract: ``p * (expire - age) / t_wane``
-        # then ``* size``, exactly as importance_at's wane branch followed
-        # by the caller's multiply, so every term is bit-identical to the
-        # per-object chain.  Inside the wane window ``age > t_persist >= 0``
-        # and ``age < expire``: the age clamp and both early returns above
-        # are dead, and ``t_wane > 0``.
-        p = self.p
-        expire = self.t_expire
-        t_wane = self.t_wane
-        return [
-            p * (expire - (now - t)) / t_wane * size for t, size in zip(arrivals, sizes)
-        ]
+        return linear_wane(self.p, expire - age, self.t_wane)
 
 
 @dataclass(frozen=True, slots=True)
@@ -527,22 +488,5 @@ class ScaledImportance(ImportanceFunction):
         # factor * (a constant) is itself constant over the same prefix.
         return self.inner.stable_until
 
-    def wane_coefficients(self) -> tuple[float, float] | None:
-        coeffs = self.inner.wane_coefficients()
-        if coeffs is None:
-            return None
-        u, v = coeffs
-        return (self.factor * u, self.factor * v)
-
     def importance_at(self, age_minutes: float) -> float:
         return self.factor * self.inner.importance_at(age_minutes)
-
-    def wane_terms(
-        self, now: float, arrivals: Iterable[float], sizes: Iterable[float]
-    ) -> list[float]:
-        # ``(factor * inner) * size``, not ``factor * (inner * size)``: the
-        # inner batch runs over unit sizes (``x * 1.0`` is exact), then the
-        # two multiplies happen in importance_at's order.
-        factor = self.factor
-        inner = self.inner.wane_terms(now, arrivals, repeat(1.0))
-        return [factor * importance * size for importance, size in zip(inner, sizes)]

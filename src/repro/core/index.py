@@ -1,4 +1,4 @@
-"""Incremental importance index: phase buckets + closed-form density mass.
+"""Incremental importance index: phase buckets + exact density mass.
 
 The paper's temporal importance functions are *structured*: every resident
 is, at any instant, in exactly one of three phases —
@@ -15,20 +15,19 @@ and rescanning them per density probe, :class:`ImportanceIndex` keeps
 
 * a dict bucket per distinct constant importance ``p`` with a per-bucket
   byte total, and an expired set;
-* the waning residents as **columns**: one :class:`_WaningColumn` per
-  distinct annotation holding parallel ``t_arrival`` / ``size`` arrays and
-  an object list (append on entry, O(1) swap-remove on exit via a
-  per-object slot map), so a probe evaluates each annotation's wane
-  arithmetic once over a whole column
-  (:meth:`ImportanceFunction.wane_terms`) instead of walking the
-  ``StoredObject`` → ``ImportanceFunction`` call chain per resident;
+* no copy of a waning two-step resident on the integer grid: it lives only
+  in its ``(p, t_wane)`` victim family (:mod:`repro.core.victims`), sorted
+  by absolute expiry ``E``, where the waning members are one contiguous
+  run and a probe evaluates their terms in one pass
+  (:meth:`GroupedResidents.wane_terms`).  Every other waning resident
+  (off-grid arrivals or durations, scaled or non-linear wanes) sits in one
+  dict and is evaluated through ``StoredObject.importance_at``;
 * a min-heap of upcoming phase-transition times; :meth:`advance` pops only
   the objects that crossed a breakpoint since the last call (amortised
   O(log n) per resident per lifetime — each object transitions at most
   twice);
-* a :class:`DensityAccumulator` so the size-weighted importance mass is
-  available exactly in O(waning) — one batch call per waning annotation —
-  or in O(non-linear waning) via the closed form ``C + A - B * t``.
+* a :class:`DensityAccumulator` holding the constant-phase terms, so the
+  size-weighted importance mass costs O(waning) per probe.
 
 Victim selection walks buckets in increasing ``p`` and stops as soon as the
 accumulated candidate bytes cover the space deficit, then sorts only that
@@ -52,23 +51,21 @@ The index is held to *bit-exact* agreement with the naive path:
   a term updates the expansion without rounding, so
   ``fsum(partials + waning terms)`` equals ``fsum`` over all per-object
   terms — exactly what the naive scan computes.
-* Waning terms come from ``wane_terms``, whose contract is the same float
-  operations in the same order as ``obj.importance_at(now) * obj.size``;
-  column members satisfy ``stable_until < age < t_expire`` after
-  :meth:`advance`, which is what lets the two-step batch drop the age
-  clamp and the expiry branch.
+* A family's waning run is found by the exact comparisons
+  ``E - t_wane < now < E``, which are the phase predicates themselves on
+  the grid, and its terms are bit-identical to
+  ``obj.importance_at(now) * obj.size`` (see
+  :func:`repro.core.importance.linear_wane`).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from array import array
 from bisect import bisect_left, insort
 from itertools import count
 from typing import Iterable
 
-from repro.core.importance import ImportanceFunction
 from repro.core.obj import ObjectId, StoredObject
 from repro.core.victims import GroupedResidents
 from repro.errors import ReproError
@@ -92,34 +89,19 @@ def _two_ulps_earlier(t: float) -> float:
 
 
 class DensityAccumulator:
-    """Incremental size-weighted importance mass.
+    """Incremental, exact size-weighted importance mass of constant terms.
 
-    Tracks per-object terms ``importance * size`` in two compartments:
-
-    * **constant** terms, exact: a Shewchuk non-overlapping float expansion
-      (``_partials``) whose real-valued sum equals the real-valued sum of
-      the registered terms.  :meth:`exact_mass` feeds the expansion plus
-      any caller-supplied waning terms to :func:`math.fsum`, which is
-      therefore bit-identical to ``fsum`` over the individual terms.
-    * **linear** terms ``a - b * t`` (waning objects with a linear wane),
-      approximate: plain running sums ``A``/``B`` refreshed periodically
-      with ``fsum`` to bound drift.  :meth:`closed_form_mass` evaluates
-      ``C + A - B * t`` in O(1).
+    The per-object terms ``importance * size`` of constant-phase residents
+    are kept as a Shewchuk non-overlapping float expansion (``_partials``)
+    whose real-valued sum equals the real-valued sum of the registered
+    terms.  :meth:`exact_mass` feeds the expansion plus any caller-supplied
+    waning terms to :func:`math.fsum`, which is therefore bit-identical to
+    ``fsum`` over the individual terms.
     """
 
     def __init__(self) -> None:
         self._partials: list[float] = []
         self._const_terms: dict[ObjectId, float] = {}
-        self._const_total: float | None = None
-        self._linear: dict[ObjectId, tuple[float, float]] = {}
-        self._a = 0.0
-        self._b = 0.0
-        self._linear_mutations = 0
-
-    def __len__(self) -> int:
-        return len(self._const_terms) + len(self._linear)
-
-    # -- exact constant compartment ---------------------------------------
 
     def _grow(self, x: float) -> None:
         """Add ``x`` to the expansion without rounding (Shewchuk grow)."""
@@ -135,7 +117,6 @@ class DensityAccumulator:
                 i += 1
             x = hi
         partials[i:] = [x]
-        self._const_total = None
 
     def add_constant(self, object_id: ObjectId, term: float) -> None:
         """Register a constant-phase term (``p * size``, caller-rounded)."""
@@ -150,36 +131,6 @@ class DensityAccumulator:
         if term is not None:
             self._grow(-term)
 
-    # -- approximate linear compartment -----------------------------------
-
-    def add_linear(self, object_id: ObjectId, a: float, b: float) -> None:
-        """Register a waning term contributing ``a - b * now``."""
-        if object_id in self._linear:
-            raise ReproError(f"{object_id!r} already has a linear term")
-        self._linear[object_id] = (a, b)
-        self._a += a
-        self._b += b
-        self._note_linear_mutation()
-
-    def remove_linear(self, object_id: ObjectId) -> None:
-        """Drop a linear term (idempotent)."""
-        coeffs = self._linear.pop(object_id, None)
-        if coeffs is not None:
-            self._a -= coeffs[0]
-            self._b -= coeffs[1]
-            self._note_linear_mutation()
-
-    def _note_linear_mutation(self) -> None:
-        # Running +/- sums accumulate rounding drift; re-derive them with
-        # fsum once enough churn has passed to amortise the O(n) cost.
-        self._linear_mutations += 1
-        if self._linear_mutations >= 1024 and self._linear_mutations >= 4 * len(self._linear):
-            self._a = math.fsum(a for a, _ in self._linear.values())
-            self._b = math.fsum(b for _, b in self._linear.values())
-            self._linear_mutations = 0
-
-    # -- probes ------------------------------------------------------------
-
     def exact_mass(self, extra_terms: Iterable[float] = ()) -> float:
         """Correctly-rounded sum of constant terms plus ``extra_terms``.
 
@@ -189,33 +140,6 @@ class DensityAccumulator:
         terms = list(self._partials)
         terms.extend(extra_terms)
         return math.fsum(terms)
-
-    def closed_form_mass(self, now: float, extra: float = 0.0) -> float:
-        """O(1) approximate mass ``C + A - B * now`` (+ ``extra``), >= 0."""
-        if self._const_total is None:
-            self._const_total = math.fsum(self._partials)
-        return max(0.0, self._const_total + (self._a - self._b * now) + extra)
-
-
-class _WaningColumn:
-    """The waning residents of one annotation, as parallel columns.
-
-    ``arrivals`` and ``sizes`` are contiguous ``array('d')`` columns: a
-    probe streams through them instead of chasing one float and one int
-    object per resident across the heap (3x faster at 50k residents).
-    ``float * int`` converts the int exactly as ``float(int)`` does, so a
-    size held as a double multiplies to the same bits.
-    """
-
-    __slots__ = ("arrivals", "sizes", "objs", "coeffs")
-
-    def __init__(self, lifetime: ImportanceFunction) -> None:
-        self.arrivals = array("d")
-        self.sizes = array("d")
-        self.objs: list[StoredObject] = []
-        #: The annotation's ``wane_coefficients()``: None for a non-linear
-        #: wane, whose members the closed form evaluates per probe.
-        self.coeffs = lifetime.wane_coefficients()
 
 
 class ImportanceIndex:
@@ -242,10 +166,10 @@ class ImportanceIndex:
         self._bucket_bytes: dict[float, int] = {}
         self._bucket_keys: list[float] = []
         self._keys_dirty = False
-        # Waning phase: one column set per annotation, and each waning
-        # object's ``(column, position in it)``.
-        self._columns: dict[ImportanceFunction, _WaningColumn] = {}
-        self._slot: dict[ObjectId, tuple[_WaningColumn, int]] = {}
+        # Waning phase: a resident of an integer-grid victim family lives
+        # only there (counted here); every other one sits in this dict.
+        self._waning: dict[ObjectId, StoredObject] = {}
+        self._family_waning = 0
         # Expired phase.
         self._expired: dict[ObjectId, StoredObject] = {}
         #: Expired residents sorted by (t_arrival, object_id) — the exact
@@ -253,7 +177,6 @@ class ImportanceIndex:
         #: ``(0.0, 0.0)``), fed to the grouped merge as one ready stream.
         self._expired_sorted: list[tuple[float, ObjectId, StoredObject]] = []
         self._expired_bytes = 0
-        self._waning_bytes = 0
         # Pending breakpoints: (scheduled time, admission seq, id).  Entries
         # are invalidated lazily — a popped entry whose seq no longer
         # matches the live object is skipped.
@@ -280,12 +203,8 @@ class ImportanceIndex:
             raise ReproError(f"{object_id!r} is not indexed") from None
 
     @property
-    def constant_count(self) -> int:
-        return len(self._bucket_of)
-
-    @property
     def waning_count(self) -> int:
-        return len(self._slot)
+        return len(self._waning) + self._family_waning
 
     @property
     def expired_count(self) -> int:
@@ -359,22 +278,10 @@ class ImportanceIndex:
                 self.accumulator.add_constant(oid, p * obj.size)
             self._arm(oid, self._stable_end_abs(obj), now)
         elif phase == PHASE_WANING:
-            lifetime = obj.lifetime
-            column = self._columns.get(lifetime)
-            if column is None:
-                column = self._columns[lifetime] = _WaningColumn(lifetime)
-            self._slot[oid] = (column, len(column.objs))
-            column.arrivals.append(obj.t_arrival)
-            column.sizes.append(obj.size)
-            column.objs.append(obj)
-            self._waning_bytes += obj.size
-            coeffs = column.coeffs
-            if coeffs is not None:
-                # importance(now) = u - v * (now - t_arrival), so the term
-                # importance * size contributes a - b*now with b = v*size.
-                u, v = coeffs
-                b = v * obj.size
-                self.accumulator.add_linear(oid, u * obj.size + b * obj.t_arrival, b)
+            if self.groups.in_family(oid):
+                self._family_waning += 1
+            else:
+                self._waning[oid] = obj
             self._arm(oid, self._expire_sched_abs(obj), now)
         else:
             self._expired[oid] = obj
@@ -394,21 +301,10 @@ class ImportanceIndex:
             self._bucket_bytes[p] -= obj.size
             self.accumulator.remove_constant(oid)
         elif phase == PHASE_WANING:
-            column, slot = self._slot.pop(oid)
-            # Swap-remove: the column's last member takes the vacated slot.
-            last = column.objs.pop()
-            t_arrival = column.arrivals.pop()
-            size = column.sizes.pop()
-            if last is not obj:
-                column.objs[slot] = last
-                column.arrivals[slot] = t_arrival
-                column.sizes[slot] = size
-                self._slot[last.object_id] = (column, slot)
-            elif not column.objs:
-                del self._columns[obj.lifetime]
-            self._waning_bytes -= obj.size
-            if column.coeffs is not None:
-                self.accumulator.remove_linear(oid)
+            # The family side needs nothing: discard() has already left the
+            # victim family, and a phase move changes no family order.
+            if self._waning.pop(oid, None) is None:
+                self._family_waning -= 1
         else:
             del self._expired[oid]
             self._expired_bytes -= obj.size
@@ -467,12 +363,11 @@ class ImportanceIndex:
         self._bucket_bytes.clear()
         self._bucket_keys = []
         self._keys_dirty = False
-        self._columns.clear()
-        self._slot.clear()
+        self._waning.clear()
+        self._family_waning = 0
         self._expired.clear()
         self._expired_sorted = []
         self._expired_bytes = 0
-        self._waning_bytes = 0
         self._heap = []
         self._now = now
         # Time regressed: previously-skipped "expired prefixes" inside the
@@ -505,8 +400,8 @@ class ImportanceIndex:
         """
         self.advance(now)
         out = list(self._expired.values())
-        for column in self._columns.values():
-            out.extend(column.objs)
+        out.extend(self._waning.values())
+        out.extend(self.groups.waning_members(now))
         freed = self._expired_bytes
         if freed < needed:
             for p in self._sorted_keys():
@@ -561,27 +456,22 @@ class ImportanceIndex:
     def exact_mass(self, now: float) -> float:
         """Size-weighted importance mass, bit-identical to the naive fsum."""
         self.advance(now)
-        terms: list[float] = []
-        for lifetime, column in self._columns.items():
-            terms.extend(lifetime.wane_terms(now, column.arrivals, column.sizes))
+        terms = self.groups.wane_terms(now)
+        terms.extend([obj.importance_at(now) * obj.size for obj in self._waning.values()])
         return self.accumulator.exact_mass(terms)
 
-    def closed_form_mass(self, now: float) -> float:
-        """Approximate mass via ``C + A - B * now``: O(waning annotations)
-        plus one batch evaluation per non-linear annotation's column."""
-        self.advance(now)
-        terms: list[float] = []
-        for lifetime, column in self._columns.items():
-            if column.coeffs is None:
-                terms.extend(lifetime.wane_terms(now, column.arrivals, column.sizes))
-        return self.accumulator.closed_form_mass(now, math.fsum(terms))
+    #: The closed-form approximation is gone; the name stays because the
+    #: benchmark's tracer (``bench/trace.py``) resolves it.
+    closed_form_mass = exact_mass
 
     # -- diagnostics -------------------------------------------------------
 
     def check(self, now: float) -> bool:
         """Verify every structural invariant at ``now`` (test helper)."""
         self.advance(now)
-        n = len(self._bucket_of) + len(self._slot) + len(self._expired)
+        self.groups.check()
+        self._check_waning(now)
+        n = len(self._bucket_of) + self.waning_count + len(self._expired)
         if n != len(self._obj) or n != len(self._phase) or n != len(self._seq_of):
             raise ReproError("index phase sets do not partition the tracked objects")
         bucket_members = sum(len(m) for m in self._buckets.values())
@@ -610,27 +500,19 @@ class ImportanceIndex:
             raise ReproError("expired stream is out of sync with the expired set")
         if any(oid not in self._expired for _, oid, _obj in stream):
             raise ReproError("expired stream holds a non-expired object")
-        self._check_columns()
         return True
 
-    def _check_columns(self) -> None:
-        members = 0
-        waning_bytes = 0
-        for lifetime, column in self._columns.items():
-            objs = column.objs
-            if not objs or not len(objs) == len(column.arrivals) == len(column.sizes):
-                raise ReproError(f"waning columns of {lifetime!r} are empty or ragged")
-            for slot, obj in enumerate(objs):
-                oid = obj.object_id
-                if self._obj.get(oid) is not obj or self._phase[oid] != PHASE_WANING:
-                    raise ReproError(f"{oid!r} sits in a waning column but is not waning")
-                if self._slot.get(oid) != (column, slot) or obj.lifetime != lifetime:
-                    raise ReproError(f"{oid!r} has a stale waning slot")
-                if (column.arrivals[slot], column.sizes[slot]) != (obj.t_arrival, float(obj.size)):
-                    raise ReproError(f"{oid!r} has stale waning column values")
-            members += len(objs)
-            waning_bytes += sum(obj.size for obj in objs)
-        if members != len(self._slot):
-            raise ReproError("waning slot map and columns disagree")
-        if waning_bytes != self._waning_bytes:
-            raise ReproError("waning byte total is stale")
+    def _check_waning(self, now: float) -> None:
+        in_family = self.groups.in_family
+        for oid, obj in self._waning.items():
+            if self._obj.get(oid) is not obj or self._phase[oid] != PHASE_WANING:
+                raise ReproError(f"{oid!r} sits in the waning set but is not waning")
+            if in_family(oid):
+                raise ReproError(f"{oid!r} is waning outside its victim family")
+        family = {obj.object_id for obj in self.groups.waning_members(now)}
+        phased = {
+            oid for oid, phase in self._phase.items()
+            if phase == PHASE_WANING and in_family(oid)
+        }
+        if family != phased or len(family) != self._family_waning:
+            raise ReproError("family waning runs disagree with the phase map")

@@ -56,18 +56,24 @@ enforced here:
   than some family member's arrival (where the naive age clamp could
   engage), return None and the caller falls back to the sort-based path.
 * Head keys must equal what ``StoredObject.importance_at`` /
-  ``remaining_lifetime_at`` return.  The specialised evaluators below
-  replicate those call chains' float operations in the same order; the
-  generic fallback simply calls the methods.
+  ``remaining_lifetime_at`` return.  A group head simply calls those
+  methods.  A family head computes ``rem = E - now`` and the wane through
+  :func:`~repro.core.importance.linear_wane`, the same function
+  ``TwoStepImportance.importance_at`` calls; on the grid ``E - now`` is
+  the float ``t_expire - age`` that call chain computes.
+
+A family is also the only home of its *waning* members: they are the
+contiguous run ``E - t_wane < now < E``, and :meth:`GroupedResidents.wane_terms`
+hands their density terms to the importance index.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heappush
-from operator import itemgetter
-from typing import Callable, Mapping
+from typing import Mapping
 
 from repro.core.importance import (
     ConstantImportance,
@@ -76,15 +82,12 @@ from repro.core.importance import (
     ImportanceFunction,
     ScaledImportance,
     TwoStepImportance,
+    linear_wane,
 )
 from repro.core.obj import ObjectId, StoredObject
 from repro.errors import ReproError
 
-__all__ = ["GroupedResidents", "key_evaluator"]
-
-#: ``(object, now) -> (importance, remaining_lifetime)`` with float results
-#: bit-identical to the layered ``StoredObject`` accessors.
-KeyEval = Callable[[StoredObject, float], tuple[float, float]]
+__all__ = ["GroupedResidents"]
 
 #: One merge entry: ``(importance, remaining, t_arrival, object_id,
 #: position, source)``.  Object ids are unique, so heap comparisons never
@@ -98,7 +101,10 @@ _MAX_EXACT_COMPONENT = 2.0**51
 #: Bound on a query ``now`` for the same exactness argument.
 _MAX_EXACT_NOW = 2.0**52
 
-_E_OF = itemgetter(0)
+#: Annotations whose float evaluation is monotone in age (subtraction,
+#: multiplication and division by positive constants preserve order), alone
+#: or under one :class:`ScaledImportance`: their residents share a group.
+_MONOTONE = (TwoStepImportance, FixedLifetimeImportance, ConstantImportance, DiracImportance)
 
 
 def _on_exact_grid(value: float) -> bool:
@@ -108,95 +114,23 @@ def _on_exact_grid(value: float) -> bool:
     return 0.0 <= value <= _MAX_EXACT_COMPONENT and value == int(value)
 
 
-def _generic_eval(obj: StoredObject, now: float) -> tuple[float, float]:
-    return obj.importance_at(now), obj.remaining_lifetime_at(now)
-
-
-def _base_evaluator(fn: ImportanceFunction) -> KeyEval | None:
-    """Specialised evaluator for one unscaled annotation, or None."""
-    if isinstance(fn, TwoStepImportance):
-        p = fn.p
-        t_persist = fn.t_persist
-        t_wane = fn.t_wane
-        expire = fn.t_expire
-
-        def _two_step(obj: StoredObject, now: float) -> tuple[float, float]:
-            age = now - obj.t_arrival
-            if age < 0.0:
-                age = 0.0
-            if age >= expire:
-                return 0.0, 0.0
-            if age <= t_persist:
-                imp = p
-            else:
-                imp = p * (expire - age) / t_wane
-            rem = expire - age
-            return imp, (rem if rem > 0.0 else 0.0)
-
-        return _two_step
-    if isinstance(fn, FixedLifetimeImportance):
-        p = fn.p
-        expire = fn.expire_after
-
-        def _fixed(obj: StoredObject, now: float) -> tuple[float, float]:
-            age = now - obj.t_arrival
-            if age < 0.0:
-                age = 0.0
-            if age >= expire:
-                return 0.0, 0.0
-            rem = expire - age
-            return p, (rem if rem > 0.0 else 0.0)
-
-        return _fixed
-    if isinstance(fn, ConstantImportance):
-        p = fn.p
-
-        def _constant(obj: StoredObject, now: float) -> tuple[float, float]:
-            return p, math.inf
-
-        return _constant
-    if isinstance(fn, DiracImportance):
-
-        def _dirac(obj: StoredObject, now: float) -> tuple[float, float]:
-            return 0.0, 0.0
-
-        return _dirac
-    return None
-
-
-def key_evaluator(lifetime: ImportanceFunction) -> KeyEval | None:
-    """A bit-exact fast ``(importance, remaining)`` evaluator, or None.
-
-    None means the annotation is outside the verified-monotone family and
-    must be evaluated through the generic accessors in a single-object
-    group.
-    """
+def _statically_ordered(lifetime: ImportanceFunction) -> bool:
+    """True when the residents of ``lifetime`` keep a static victim order."""
     if isinstance(lifetime, ScaledImportance):
-        base = _base_evaluator(lifetime.inner)
-        if base is None:
-            return None
-        factor = lifetime.factor
-
-        def _scaled(obj: StoredObject, now: float) -> tuple[float, float]:
-            imp, rem = base(obj, now)
-            # Matches ScaledImportance.importance_at's single multiply;
-            # remaining lifetime only depends on t_expire, which scaling
-            # preserves.
-            return factor * imp, rem
-
-        return _scaled
-    return _base_evaluator(lifetime)
+        lifetime = lifetime.inner
+    return isinstance(lifetime, _MONOTONE)
 
 
 def _family_spec(
     lifetime: ImportanceFunction, t_arrival: float
-) -> tuple[tuple, float, float, float] | None:
+) -> tuple[tuple[float, float], float] | None:
     """Superfamily placement for one admission, or None.
 
-    Returns ``(family_key, E_abs, t_persist, expire)`` when the annotation
-    and arrival time satisfy the exact integer-grid gate; ``expire`` is
-    the age at which the object expires (``lifetime.t_expire``) and
-    ``t_persist`` the age up to which importance is constant.
+    Returns ``((p, t_wane), E_abs)`` when the annotation and arrival time
+    satisfy the exact integer-grid gate.  A fixed lifetime is a two-step
+    function with no wane (``t_wane = 0``): a live member never reaches
+    the wane branch, so it shares a family with the two-step residents of
+    the same ``p`` and ``t_wane = 0``.
     """
     kind = type(lifetime)
     if kind is TwoStepImportance:
@@ -208,34 +142,21 @@ def _family_spec(
             and _on_exact_grid(t_wane)
         ):
             return None
-        return (
-            ("two-step", lifetime.p, t_wane),
-            t_arrival + t_persist + t_wane,
-            t_persist,
-            lifetime.t_expire,
-        )
+        return (lifetime.p, t_wane), t_arrival + t_persist + t_wane
     if kind is FixedLifetimeImportance:
         expire_after = lifetime.expire_after
         if not (_on_exact_grid(t_arrival) and _on_exact_grid(expire_after)):
             return None
-        # A live fixed-lifetime member never reaches the wane branch
-        # (t_persist == expire), so t_wane is irrelevant to its keys.
-        return (
-            ("fixed", lifetime.p),
-            t_arrival + expire_after,
-            expire_after,
-            expire_after,
-        )
+        return (lifetime.p, 0.0), t_arrival + expire_after
     return None
 
 
 class _Group:
     """One run of residents sharing an annotation, statically ordered."""
 
-    __slots__ = ("eval", "members", "live_start")
+    __slots__ = ("members", "live_start")
 
-    def __init__(self, evaluator: KeyEval) -> None:
-        self.eval = evaluator
+    def __init__(self) -> None:
         #: Sorted ascending by ``(t_arrival, object_id)`` — the static
         #: within-group victim order.
         self.members: list[tuple[float, ObjectId, StoredObject]] = []
@@ -278,8 +199,7 @@ class _Group:
         if pos >= len(members):
             return None
         t_arrival, oid, obj = members[pos]
-        imp, rem = self.eval(obj, now)
-        return (imp, rem, t_arrival, oid, pos, self)
+        return (obj.importance_at(now), obj.remaining_lifetime_at(now), t_arrival, oid, pos, self)
 
 
 class _Family:
@@ -288,25 +208,38 @@ class _Family:
     Members are sorted by ``(E_abs, t_arrival, object_id)`` — the static
     victim order for live members.  Expired members (``E_abs <= now``)
     form a prefix found by bisection; they are emitted by the expired
-    stream instead.
+    stream instead.  The waning members (``E_abs - t_wane < now < E_abs``)
+    are the contiguous run after it: this is the only place a waning
+    family member lives, and the importance index reads its density terms
+    from here (:meth:`GroupedResidents.wane_terms`).  ``expiries`` and
+    ``sizes`` are contiguous ``array('d')`` columns parallel to
+    ``members``, so a probe streams through them instead of chasing two
+    boxed floats per resident across the heap (``float * int`` converts
+    the int exactly as ``float()`` does, so a size held as a double
+    multiplies to the same bits).
     """
 
-    __slots__ = ("p", "t_wane", "members")
+    __slots__ = ("p", "t_wane", "members", "expiries", "sizes")
 
     def __init__(self, p: float, t_wane: float) -> None:
         self.p = p
         self.t_wane = t_wane
-        #: ``(E_abs, t_arrival, object_id, t_persist, expire, obj)``.
-        self.members: list[tuple[float, float, ObjectId, float, float, StoredObject]] = []
+        #: ``(E_abs, t_arrival, object_id, obj)``.
+        self.members: list[tuple[float, float, ObjectId, StoredObject]] = []
+        self.expiries = array("d")
+        self.sizes = array("d")
 
-    def insert(self, e_abs: float, t_persist: float, expire: float, obj: StoredObject) -> None:
+    def insert(self, e_abs: float, obj: StoredObject) -> None:
         probe = (e_abs, obj.t_arrival, obj.object_id)
         members = self.members
-        entry = (e_abs, obj.t_arrival, obj.object_id, t_persist, expire, obj)
-        if not members or (members[-1][0], members[-1][1], members[-1][2]) < probe:
-            members.append(entry)
-            return
-        members.insert(bisect_left(members, probe), entry)
+        # Admissions arrive in (mostly) increasing expiry: append fast path.
+        if not members or members[-1][:3] < probe:
+            i = len(members)
+        else:
+            i = bisect_left(members, probe)
+        members.insert(i, (*probe, obj))
+        self.expiries.insert(i, e_abs)
+        self.sizes.insert(i, obj.size)
 
     def remove(self, e_abs: float, t_arrival: float, object_id: ObjectId) -> None:
         members = self.members
@@ -314,25 +247,40 @@ class _Family:
         if i >= len(members) or members[i][2] != object_id:
             raise ReproError(f"{object_id!r} is not a member of its victim family")
         del members[i]
+        del self.expiries[i]
+        del self.sizes[i]
+
+    def waning(self, now: float) -> tuple[int, int]:
+        """``(lo, hi)``: the members strictly inside their wane window.
+
+        ``E_abs`` and ``E_abs - t_wane`` (the end of persistence) are exact
+        integers, and a member's age ``now - t_arrival`` is exact for any
+        ``now`` below 2**53 past its arrival, so these two comparisons are
+        exactly the index's phase predicates, on or off the grid.
+        """
+        expiries = self.expiries
+        lo = bisect_right(expiries, now)
+        t_wane = self.t_wane
+        return lo, bisect_left(expiries, now, lo, key=lambda e_abs: e_abs - t_wane)
 
     # -- merge-source protocol ---------------------------------------------
 
     def obj_at(self, pos: int) -> StoredObject:
-        return self.members[pos][5]
+        return self.members[pos][3]
 
     def entry_at(self, pos: int, now: float) -> Entry | None:
         members = self.members
         if pos >= len(members):
             return None
-        _e, t_arrival, oid, t_persist, expire, _obj = members[pos]
-        # Exact integer arithmetic throughout (see the module docstring);
-        # the member is live (E_abs > now), so age < expire and rem > 0.
-        age = now - t_arrival
-        if age <= t_persist:
-            imp = self.p
-        else:
-            imp = self.p * (expire - age) / self.t_wane
-        return (imp, expire - age, t_arrival, oid, pos, self)
+        e_abs, t_arrival, oid, _obj = members[pos]
+        # Exact integer arithmetic (see the module docstring): the member
+        # is live, ``rem = E_abs - now`` equals ``t_expire - age`` and is
+        # > 0, and ``age <= t_persist`` iff ``rem >= t_wane``.
+        rem = e_abs - now
+        p = self.p
+        t_wane = self.t_wane
+        imp = p if rem >= t_wane else linear_wane(p, rem, t_wane)
+        return (imp, rem, t_arrival, oid, pos, self)
 
 
 class _ExpiredStream:
@@ -392,26 +340,53 @@ class GroupedResidents:
         lifetime = obj.lifetime
         spec = _family_spec(lifetime, obj.t_arrival)
         if spec is not None:
-            key, e_abs, t_persist, expire = spec
+            key, e_abs = spec
             family = self._families.get(key)
             if family is None:
-                family = _Family(key[1], key[2] if len(key) > 2 else math.inf)
-                self._families[key] = family
-            family.insert(e_abs, t_persist, expire, obj)
+                family = self._families[key] = _Family(*key)
+            family.insert(e_abs, obj)
             self._membership[oid] = ("f", key, e_abs, obj.t_arrival)
             if obj.t_arrival > self._family_max_arrival:
                 self._family_max_arrival = obj.t_arrival
             return
-        evaluator = key_evaluator(lifetime)
         # Unverified annotations get single-object groups: the static-order
-        # lemma holds trivially and keys go through the generic accessors.
-        gkey: object = lifetime if evaluator is not None else oid
+        # lemma holds trivially.
+        gkey: object = lifetime if _statically_ordered(lifetime) else oid
         group = self._groups.get(gkey)
         if group is None:
-            group = _Group(evaluator if evaluator is not None else _generic_eval)
-            self._groups[gkey] = group
+            group = self._groups[gkey] = _Group()
         group.insert(obj)
         self._membership[oid] = ("g", gkey, obj.t_arrival)
+
+    def in_family(self, object_id: ObjectId) -> bool:
+        """True when ``object_id`` belongs to an integer-grid superfamily."""
+        return self._membership[object_id][0] == "f"
+
+    def waning_members(self, now: float) -> list[StoredObject]:
+        """Every family member strictly inside its wane window at ``now``."""
+        out: list[StoredObject] = []
+        for family in self._families.values():
+            lo, hi = family.waning(now)
+            out.extend([m[3] for m in family.members[lo:hi]])
+        return out
+
+    def wane_terms(self, now: float) -> list[float]:
+        """``importance * size`` of every waning family member at ``now``.
+
+        Each term is bit-identical to ``obj.importance_at(now) * obj.size``
+        (see :meth:`_Family.waning` and :func:`linear_wane`), so the
+        importance index feeds them to its exact sum unchanged.
+        """
+        terms: list[float] = []
+        for family in self._families.values():
+            p = family.p
+            t_wane = family.t_wane
+            lo, hi = family.waning(now)
+            terms.extend([
+                linear_wane(p, e_abs - now, t_wane) * size
+                for e_abs, size in zip(family.expiries[lo:hi], family.sizes[lo:hi])
+            ])
+        return terms
 
     def discard(self, object_id: ObjectId) -> None:
         entry = self._membership.pop(object_id, None)
@@ -429,6 +404,36 @@ class GroupedResidents:
         group.remove(t_arrival, object_id)
         if not group.members:
             del self._groups[gkey]
+
+    def check(self) -> None:
+        """Verify every source's order and the membership map (test helper)."""
+        members = 0
+        for key, family in self._families.items():
+            entries = family.members
+            if not len(entries) == len(family.expiries) == len(family.sizes):
+                raise ReproError(f"family {key!r} columns are ragged")
+            for (e_abs, t_arrival, oid, obj), e_col, size in zip(
+                entries, family.expiries, family.sizes
+            ):
+                if (_family_spec(obj.lifetime, obj.t_arrival), e_col, t_arrival, oid, size) != (
+                    (key, e_abs), e_abs, obj.t_arrival, obj.object_id, obj.size
+                ):
+                    raise ReproError(f"{oid!r} has stale family values")
+                if self._membership.get(oid) != ("f", key, e_abs, t_arrival):
+                    raise ReproError(f"{oid!r} has a stale membership entry")
+            if any(a[:3] >= b[:3] for a, b in zip(entries, entries[1:])):
+                raise ReproError(f"family {key!r} is out of order")
+            members += len(entries)
+        for gkey, group in self._groups.items():
+            entries = group.members
+            for t_arrival, oid, obj in entries:
+                if self._membership.get(oid) != ("g", gkey, t_arrival):
+                    raise ReproError(f"{oid!r} has a stale membership entry")
+            if any(a[:2] >= b[:2] for a, b in zip(entries, entries[1:])):
+                raise ReproError(f"group {gkey!r} is out of order")
+            members += len(entries)
+        if members != len(self._membership):
+            raise ReproError("membership map and merge sources are ragged")
 
     def reset_cursors(self) -> None:
         """Forget monotone-time assumptions after a clock regression."""
@@ -455,11 +460,9 @@ class GroupedResidents:
                 i += 1
             group.live_start = i
             if i < n:
-                t_arrival, oid, obj = members[i]
-                imp, rem = group.eval(obj, now)
-                heads.append((imp, rem, t_arrival, oid, i, group))
+                heads.append(group.entry_at(i, now))
         for family in self._families.values():
-            entry = family.entry_at(bisect_right(family.members, now, key=_E_OF), now)
+            entry = family.entry_at(bisect_right(family.expiries, now), now)
             if entry is not None:
                 heads.append(entry)
         return heads

@@ -5,12 +5,12 @@ non-increasing over age, bounded to [0, 1], and zero at/after t_expire.
 These properties are checked for randomly parameterised members of the
 whole built-in family.
 
-The last section pins the *float* contract of the batch evaluator
-``ImportanceFunction.wane_terms``: the two-step wane arithmetic is spelled
-out in four places (``TwoStepImportance.importance_at`` and ``wane_terms``,
-``victims._two_step``, ``victims._Family.entry_at``), and the index's
-density probe is bit-identical to the naive scan only while they all
-perform the same operations in the same order.
+The last section pins the *float* contract of the victim families: a
+waning two-step resident on the integer grid lives only in its
+``(p, t_wane)`` family, whose density terms and merge-head keys go through
+``linear_wane`` at ``remaining = E - now``.  The index's density probe and
+victim merge are bit-identical to the naive scan only while those equal
+the per-object ``StoredObject`` chain.
 """
 
 import math
@@ -30,7 +30,7 @@ from repro.core.importance import (
     TwoStepImportance,
 )
 from repro.core.obj import StoredObject
-from repro.core.victims import key_evaluator
+from repro.core.victims import GroupedResidents
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 duration = st.floats(min_value=0.0, max_value=1e7, allow_nan=False)
@@ -147,69 +147,61 @@ def test_is_expired_iff_importance_zero_forever(func, t):
         assert func.importance_at(t + 1e6) == 0.0
 
 
-# -- wane_terms: the batch evaluator's float contract ---------------------------
+# -- victim families: the wane term's float contract ---------------------------
 
-#: Durations and probe times on the integer-minute grid as well as off it:
-#: the victim superfamilies only answer on the grid, the index everywhere.
+#: Probe times on the integer-minute grid as well as off it: the victim
+#: merge only answers on the grid, the density probe everywhere.
 grid_or_not = st.one_of(
     st.floats(min_value=0.0, max_value=1e7, allow_nan=False),
     st.integers(min_value=0, max_value=10**7).map(float),
 )
-
-
-@st.composite
-def nested_scaled(draw):
-    """Every subclass, wrapped in zero to two ``ScaledImportance`` layers."""
-    func = draw(
-        st.one_of(
-            any_function(),
-            st.builds(
-                TwoStepImportance,
-                p=st.one_of(unit, st.sampled_from([0.0, 1.0])),
-                t_persist=grid_or_not,
-                t_wane=grid_or_not,
-            ),
-        )
-    )
-    for _ in range(draw(st.integers(min_value=0, max_value=2))):
-        factor = draw(st.floats(min_value=0.01, max_value=1.0, allow_nan=False))
-        func = ScaledImportance(inner=func, factor=factor)
-    return func
+grid_duration = st.integers(min_value=0, max_value=10**7).map(float)
 
 
 @given(
-    func=nested_scaled(),
+    p=st.one_of(unit, st.sampled_from([0.0, 1.0])),
+    t_wane=grid_duration,
     now=grid_or_not.map(lambda t: t + 2e7),
     members=st.lists(
         st.tuples(
+            grid_duration,
             st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
             st.integers(min_value=1, max_value=2**40),
+            st.booleans(),
         ),
         min_size=1,
         max_size=8,
     ),
-    on_grid=st.booleans(),
 )
 @settings(max_examples=500)
-def test_wane_terms_are_bit_identical_to_the_per_object_chain(func, now, members, on_grid):
-    stable, expire = func.stable_until, func.t_expire
-    if not stable < expire:
-        return  # no wane window: the index never builds a column for it
-    width = (expire if math.isfinite(expire) else stable + 1e7) - stable
+def test_wane_terms_are_bit_identical_to_the_per_object_chain(p, t_wane, now, members):
+    groups = GroupedResidents()
     objs = []
-    for i, (fraction, size) in enumerate(members):
-        t_arrival = now - (stable + fraction * width)
-        if on_grid:
-            t_arrival = float(math.floor(t_arrival))
-        objs.append(StoredObject(size=size, t_arrival=t_arrival, lifetime=func, object_id=f"o{i}"))
-    # The precondition, by the predicates the index classifies with.
-    waning = [o for o in objs if not o.is_expired_at(now) and o.age_at(now) > stable]
+    for i, (t_persist, fraction, size, other_p) in enumerate(members):
+        func = TwoStepImportance(p=p / 2 if other_p else p, t_persist=t_persist, t_wane=t_wane)
+        t_arrival = float(math.floor(now - (t_persist + fraction * t_wane)))
+        obj = StoredObject(
+            size=size, t_arrival=max(0.0, t_arrival), lifetime=func, object_id=f"o{i}"
+        )
+        groups.add(obj)
+        objs.append(obj)
+    # The waning run is the set the index's phase predicates pick ...
+    waning = {
+        o.object_id for o in objs
+        if not o.is_expired_at(now) and o.age_at(now) > o.lifetime.stable_until
+    }
     assume(waning)
-    terms = func.wane_terms(now, [o.t_arrival for o in waning], [o.size for o in waning])
-    assert len(terms) == len(waning)
-    evaluator = key_evaluator(func)
-    for obj, term in zip(waning, terms):
-        expect = obj.importance_at(now) * obj.size
-        assert term.hex() == expect.hex()
-        if evaluator is not None:
-            assert (evaluator(obj, now)[0] * obj.size).hex() == expect.hex()
+    run = groups.waning_members(now)
+    assert {o.object_id for o in run} == waning and len(run) == len(waning)
+    # ... and each of its terms is the per-object term, bit for bit.
+    for obj, term in zip(run, groups.wane_terms(now)):
+        assert term.hex() == (obj.importance_at(now) * obj.size).hex()
+    # On the grid, every live member's merge key is the per-object key.
+    if now.is_integer():
+        for family in groups._families.values():
+            for pos, (_e, _t, _oid, obj) in enumerate(family.members):
+                if obj.is_expired_at(now):
+                    continue
+                imp, rem = family.entry_at(pos, now)[:2]
+                assert imp.hex() == obj.importance_at(now).hex()
+                assert rem.hex() == obj.remaining_lifetime_at(now).hex()

@@ -15,6 +15,7 @@ from repro.core.importance import (
     ScaledImportance,
     StepWaneImportance,
     TwoStepImportance,
+    linear_wane,
 )
 from repro.core.index import (
     PHASE_CONSTANT,
@@ -61,22 +62,20 @@ class TestStableUntil:
 
 
 class TestWaneCoefficients:
+    """The wane is ``linear_wane(p, remaining, t_wane)``: ``u - v * age``
+    with ``u = p * t_expire / t_wane`` and ``v = p / t_wane``."""
+
     def test_two_step_wane_is_linear(self):
         fn = TwoStepImportance(p=0.8, t_persist=50.0, t_wane=40.0)
-        u, v = fn.wane_coefficients()
+        u, v = 0.8 * 90.0 / 40.0, 0.8 / 40.0
         for age in (55.0, 70.0, 89.9):
+            assert fn.importance_at(age) == linear_wane(0.8, 90.0 - age, 40.0)
             assert u - v * age == pytest.approx(fn.importance_at(age), rel=1e-12)
 
     def test_scaled_two_step_scales_the_coefficients(self):
         fn = ScaledImportance(TwoStepImportance(p=0.8, t_persist=50.0, t_wane=40.0), 0.5)
-        u, v = fn.wane_coefficients()
+        u, v = 0.5 * 0.8 * 90.0 / 40.0, 0.5 * 0.8 / 40.0
         assert u - v * 70.0 == pytest.approx(fn.importance_at(70.0), rel=1e-12)
-
-    def test_non_linear_wanes_decline(self):
-        assert ExponentialWaneImportance(p=0.8, t_persist=1.0, t_wane=1.0).wane_coefficients() is None
-        assert StepWaneImportance(p=0.8, t_persist=1.0, t_wane=1.0).wane_coefficients() is None
-        assert ConstantImportance().wane_coefficients() is None
-        assert TwoStepImportance(p=0.8, t_persist=1.0, t_wane=0.0).wane_coefficients() is None
 
 
 class TestDensityAccumulator:
@@ -96,34 +95,6 @@ class TestDensityAccumulator:
         acc.add_constant("a", 1.0)
         with pytest.raises(ReproError):
             acc.add_constant("a", 2.0)
-        acc.add_linear("b", 1.0, 0.5)
-        with pytest.raises(ReproError):
-            acc.add_linear("b", 1.0, 0.5)
-
-    def test_closed_form_tracks_linear_terms(self):
-        acc = DensityAccumulator()
-        acc.add_constant("c", 10.0)
-        acc.add_linear("w", 8.0, 0.5)  # 8 - 0.5 t
-        assert acc.closed_form_mass(4.0) == pytest.approx(10.0 + 8.0 - 2.0)
-        acc.remove_linear("w")
-        assert acc.closed_form_mass(4.0) == pytest.approx(10.0)
-
-    def test_closed_form_never_goes_negative(self):
-        acc = DensityAccumulator()
-        acc.add_linear("w", 1.0, 1.0)
-        assert acc.closed_form_mass(100.0) == 0.0
-
-    def test_linear_refresh_bounds_drift(self):
-        acc = DensityAccumulator()
-        # Heavy churn: add/remove many irrational-ish coefficients; the
-        # periodic fsum refresh keeps the running sums near the truth.
-        for i in range(3000):
-            acc.add_linear(f"w{i}", 0.1 * (i % 97), 0.001 * (i % 89))
-            if i % 2:
-                acc.remove_linear(f"w{i}")
-        survivors = [(0.1 * (i % 97), 0.001 * (i % 89)) for i in range(0, 3000, 2)]
-        expect = math.fsum(a for a, _ in survivors) - math.fsum(b for _, b in survivors) * 7.0
-        assert acc.closed_form_mass(7.0) == pytest.approx(expect, rel=1e-9)
 
 
 def two_step_obj(oid, size, t_arrival, p=0.8, persist=100.0, wane=50.0):
@@ -289,12 +260,13 @@ class TestIndexMass:
             assert index.exact_mass(now) == naive
 
     def test_closed_form_tracks_the_exact_mass(self):
+        # The closed form is gone; the name stays (the benchmark's tracer
+        # resolves it) and answers with the exact mass.
         index = ImportanceIndex()
         for i in range(50):
             index.add(two_step_obj(f"o{i}", 1000 + i, t_arrival=float(i)), float(i))
         for now in (50.0, 120.0, 140.0, 160.0):
-            exact = index.exact_mass(now)
-            assert index.closed_form_mass(now) == pytest.approx(exact, rel=1e-9, abs=1e-9)
+            assert index.closed_form_mass(now) == index.exact_mass(now)
 
     def test_mass_shrinks_on_discard(self):
         index = ImportanceIndex()
@@ -312,7 +284,9 @@ def _naive_mass(objs, now):
 
 
 class TestWaningColumns:
-    """The per-annotation waning columns under churn, probes and rebuilds."""
+    """The waning residents under churn, probes and rebuilds: integer-grid
+    two-step residents in their ``(p, t_wane)`` victim family, every other
+    one in the index's waning dict."""
 
     #: Shared annotations (columns with many members) of every waning shape.
     ANNOTATIONS = (
@@ -356,12 +330,7 @@ class TestWaningColumns:
         saw_waning = saw_expired = 0
         for index, residents, now in self._churn(seed):
             objs = list(residents.values())
-            exact = index.exact_mass(now)
-            assert exact == _naive_mass(objs, now)
-            total_bytes = sum(o.size for o in objs)
-            assert index.closed_form_mass(now) == pytest.approx(
-                exact, rel=1e-9, abs=1e-9 * total_bytes
-            )
+            assert index.exact_mass(now) == _naive_mass(objs, now)
             assert index.check(now)
             saw_waning = max(saw_waning, index.waning_count)
             saw_expired = max(saw_expired, index.expired_count)
@@ -390,7 +359,7 @@ class TestWaningColumns:
         objs = [two_step_obj(f"o{i}", 10 + i, t_arrival=float(i)) for i in range(6)]
         for obj in objs:
             index.add(obj, obj.t_arrival)
-        now = 110.0  # ages 105..110: all six waning, one shared column
+        now = 110.0  # ages 105..110: all six waning, one shared family
         index.advance(now)
         assert index.waning_count == 6
         index.discard("o2")  # middle: the tail member moves into slot 2
@@ -401,7 +370,7 @@ class TestWaningColumns:
         assert index.exact_mass(now) == _naive_mass(left, now)
         for obj in left:
             index.discard(obj.object_id)
-        assert index.waning_count == 0 and not index._columns
+        assert index.waning_count == 0 and not index.groups.family_count
         assert index.exact_mass(now) == 0.0
 
     def test_equal_annotations_share_one_column(self):
@@ -411,45 +380,49 @@ class TestWaningColumns:
         index.add(two_step_obj("other", 10, t_arrival=0.0, p=0.3), 0.0)
         index.advance(120.0)
         assert index.waning_count == 6
-        assert sorted(len(c.objs) for c in index._columns.values()) == [1, 5]
+        families = index.groups._families.values()
+        assert sorted(len(family.members) for family in families) == [1, 5]
 
 
 class TestCheckCatchesStaleColumns:
+    """A victim family is the waning column of its integer-grid residents."""
+
     def _waning_index(self):
         index = ImportanceIndex()
         for i in range(4):
             index.add(two_step_obj(f"o{i}", 10 + i, t_arrival=float(i)), float(i))
         index.add(two_step_obj("late", 5, t_arrival=100.0), 100.0)  # stays constant
         assert index.check(110.0) and index.waning_count == 4
-        (column,) = index._columns.values()
-        return index, column
+        (family,) = index.groups._families.values()
+        return index, family
 
     def test_wrong_slot_map(self):
-        index, _column = self._waning_index()
-        index._slot["o0"], index._slot["o1"] = index._slot["o1"], index._slot["o0"]
-        with pytest.raises(ReproError, match="stale waning slot"):
+        index, _family = self._waning_index()
+        membership = index.groups._membership
+        membership["o0"], membership["o1"] = membership["o1"], membership["o0"]
+        with pytest.raises(ReproError, match="stale membership"):
             index.check(110.0)
 
     def test_length_mismatch(self):
-        index, column = self._waning_index()
-        column.sizes.pop()
+        index, family = self._waning_index()
+        family.sizes.pop()
         with pytest.raises(ReproError, match="ragged"):
             index.check(110.0)
 
     def test_stale_column_value(self):
-        index, column = self._waning_index()
-        column.arrivals[1] += 1.0
-        with pytest.raises(ReproError, match="stale waning column values"):
+        index, family = self._waning_index()
+        family.expiries[1] += 1.0
+        with pytest.raises(ReproError, match="stale family values"):
             index.check(110.0)
 
     def test_member_not_in_the_waning_phase(self):
-        index, column = self._waning_index()
-        column.objs[0] = index._obj["late"]  # a constant-phase resident
+        index, _family = self._waning_index()
+        index._waning["late"] = index._obj["late"]  # a constant-phase resident
         with pytest.raises(ReproError, match="is not waning"):
             index.check(110.0)
 
-    def test_byte_total(self):
-        index, _column = self._waning_index()
-        index._waning_bytes += 1
-        with pytest.raises(ReproError, match="waning byte total"):
+    def test_waning_count(self):
+        index, _family = self._waning_index()
+        index._family_waning += 1
+        with pytest.raises(ReproError, match="family waning runs"):
             index.check(110.0)
