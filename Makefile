@@ -1,4 +1,4 @@
-.PHONY: install test unit loc test-parallel obs-smoke audit-smoke alerts-check trace-smoke serve-smoke bench bench-index bench-mega bench-serve-scaling bench-smoke bench-ab bench-baseline bench-check examples figures lint clean
+.PHONY: install test unit loc test-parallel obs-smoke audit-smoke alerts-check trace-smoke serve-smoke bench bench-index bench-mega bench-serve-scaling bench-smoke bench-ab bench-baseline bench-check refusal-census examples figures lint clean
 
 install:
 	pip install -e '.[test]'
@@ -171,6 +171,13 @@ bench-smoke:
 #   make bench-ab PARENT=HEAD~1 [ARGS="--workload sim_cluster --seed 7"]
 bench-ab:
 	python3 tools/bench_ab.py $(PARENT) $(ARGS)
+
+# How many placement refusals had an admissible unit anywhere, and how many
+# probes the cached refusal floor answered vs the merge, on the benchmark's
+# sim_cluster and serve_pressure specs at seeds 42 and 7
+# (tools/refusal_census.py; the table in docs/performance.md).
+refusal-census:
+	python3 tools/refusal_census.py --seed 42 --seed 7
 
 # Perf-regression harness: record BENCH_*.json baselines, then gate future
 # runs on wall-time (+tolerance) and artifact checksums.  See

@@ -21,7 +21,8 @@ and rescanning them per density probe, :class:`ImportanceIndex` keeps
   run and a probe evaluates their terms in one pass
   (:meth:`GroupedResidents.wane_terms`).  Every other waning resident
   (off-grid arrivals or durations, scaled or non-linear wanes) sits in one
-  dict and is evaluated through ``StoredObject.importance_at``;
+  dict and is evaluated through ``StoredObject.importance_at`` (measured
+  shares per workload: docs/performance.md);
 * a min-heap of upcoming phase-transition times; :meth:`advance` pops only
   the objects that crossed a breakpoint since the last call (amortised
   O(log n) per resident per lifetime — each object transitions at most
@@ -439,7 +440,9 @@ class ImportanceIndex:
     ) -> tuple[bool, float] | None:
         """``(admissible, highest preempted importance)`` of the plan
         :meth:`greedy_victims` would back, unbuilt: O(1) when the expired
-        residents cover ``needed``, else a fold over the live merge heads
+        residents cover ``needed`` or every live resident blocks
+        ``incoming`` (the cached floor; a refusal then reports ``incoming``),
+        else a fold over the live merge heads
         (:meth:`GroupedResidents.preempted_floor`; None when it declines)."""
         self.advance(now)
         deficit = needed - self._expired_bytes

@@ -44,8 +44,8 @@ class TemporalImportancePolicy(EvictionPolicy):
         self, store: "StorageUnit", obj: StoredObject, now: float, incoming: float
     ) -> tuple[bool, float]:
         # plan_preemptive_admission's guards in its order, then the index's
-        # score of the plan it would build; the plan itself only when the
-        # index declines (off-grid ``now``, pool run dry).
+        # score of the plan it would build (cached floor or merge); the plan
+        # itself only when the index declines (off-grid ``now``, pool run dry).
         if obj.size > store.capacity_bytes:
             return False, 0.0
         needed = obj.size - store.free_bytes

@@ -90,9 +90,10 @@ class EvictionPolicy(ABC):
 
         Section 5.3's placement probe; ``incoming`` is
         ``obj.importance_at(now)``, computed once per offer.  The default
-        plans in full.  An override may stop short of the plan (any blocking
-        importance will do on a refusal), but the plan built next must bear
-        an admissible score out bit for bit, or
+        plans in full.  An override may stop short of the plan: on a
+        refusal the score is only a lower bound on the blocker, and the
+        temporal policy's cached floor reports ``incoming`` itself.  But the
+        plan built next must bear an admissible score out bit for bit, or
         :meth:`BesteffsCluster.offer` refuses to commit it.
         """
         plan = self.plan_admission(store, obj, now)

@@ -64,7 +64,9 @@ enforced here:
 
 A family is also the only home of its *waning* members: they are the
 contiguous run ``E - t_wane < now < E``, and :meth:`GroupedResidents.wane_terms`
-hands their density terms to the importance index.
+hands their density terms to the importance index.  A placement probe
+refuses without a merge while every live resident blocks the incoming
+importance, up to an instant cached per level (:meth:`~GroupedResidents.preempted_floor`).
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import Mapping
 
@@ -112,6 +115,35 @@ def _on_exact_grid(value: float) -> bool:
     sums of up to three such components are exact in float arithmetic.
     (``value`` may be an int — annotation durations are not coerced.)"""
     return 0.0 <= value <= _MAX_EXACT_COMPONENT and value == int(value)
+
+
+def _blocks(importance: float, level: float, strict: bool) -> bool:
+    """True when a victim of ``importance`` makes the unit full for ``level``."""
+    return importance > 0.0 and (importance >= level if strict else importance > level)
+
+
+def _stable_end(t_arrival: float, stable_until: float) -> float:
+    """The last ``t`` with ``t - t_arrival <= stable_until`` in floats."""
+    end = t_arrival + stable_until
+    while end - t_arrival > stable_until:
+        end = math.nextafter(end, -math.inf)
+    return end
+
+
+@lru_cache(maxsize=4096)
+def _blocking_rem(p: float, t_wane: float, level: float, strict: bool) -> float:
+    """``r*``: a live ``(p, t_wane)`` family member blocks ``level`` iff
+    ``E - now >= r*`` (by :meth:`_Family.entry_at`'s arithmetic)."""
+    if not _blocks(p, level, strict):
+        return math.inf
+    lo, hi = 1, max(int(t_wane), 1)  # remaining >= t_wane is the stable p
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _blocks(linear_wane(p, float(mid), t_wane), level, strict):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(lo)
 
 
 def _statically_ordered(lifetime: ImportanceFunction) -> bool:
@@ -188,6 +220,14 @@ class _Group:
         del members[i]
         if i < self.live_start:
             self.live_start -= 1
+
+    def first_live(self, phases: Mapping[ObjectId, str]) -> int:
+        """Advance ``live_start`` past the expired prefix and return it."""
+        members, n, i = self.members, len(self.members), self.live_start
+        while i < n and phases.get(members[i][1]) == "expired":
+            i += 1
+        self.live_start = i
+        return i
 
     # -- merge-source protocol (pops only) ---------------------------------
 
@@ -310,7 +350,7 @@ class GroupedResidents:
     :meth:`greedy_victims` without sorting or scanning every resident.
     """
 
-    __slots__ = ("_groups", "_families", "_membership", "_family_max_arrival")
+    __slots__ = ("_groups", "_families", "_membership", "_family_max_arrival", "_floors")
 
     def __init__(self) -> None:
         self._groups: dict[object, _Group] = {}
@@ -321,6 +361,9 @@ class GroupedResidents:
         #: it would need the naive age clamp, which family evaluation
         #: omits, so they fall back.  Never decreases — conservative.
         self._family_max_arrival = -math.inf
+        #: ``(level, strict)`` -> :meth:`_blocked_through`, until the next
+        #: add, discard or cursor reset (time only moves forward in between).
+        self._floors: dict[tuple[float, bool], float] = {}
 
     def __len__(self) -> int:
         return len(self._membership)
@@ -337,6 +380,7 @@ class GroupedResidents:
         oid = obj.object_id
         if oid in self._membership:
             raise ReproError(f"{oid!r} is already grouped")
+        self._floors.clear()
         lifetime = obj.lifetime
         spec = _family_spec(lifetime, obj.t_arrival)
         if spec is not None:
@@ -392,6 +436,7 @@ class GroupedResidents:
         entry = self._membership.pop(object_id, None)
         if entry is None:
             return
+        self._floors.clear()
         if entry[0] == "f":
             _tag, key, e_abs, t_arrival = entry
             family = self._families[key]
@@ -437,35 +482,53 @@ class GroupedResidents:
 
     def reset_cursors(self) -> None:
         """Forget monotone-time assumptions after a clock regression."""
+        self._floors.clear()
         for group in self._groups.values():
             group.live_start = 0
 
-    def _live_heads(self, now: float, phases: Mapping[ObjectId, str]) -> list[Entry] | None:
-        """The merge head of every source with a live member at ``now``;
-        None when superfamily exactness cannot be guaranteed there (off the
-        integer grid, or before a family member's arrival)."""
-        if self._families and not (
+    def _exact_at(self, now: float) -> bool:
+        """False off the integer grid or before a family member's arrival."""
+        return not self._families or (
             -_MAX_EXACT_NOW <= now <= _MAX_EXACT_NOW
             and now.is_integer()
             and now >= self._family_max_arrival
-        ):
-            return None
+        )
+
+    def _live_heads(self, now: float, phases: Mapping[ObjectId, str]) -> list[Entry]:
+        """The merge head of every source with a live member at ``now``."""
         heads: list[Entry] = []
-        expired_phase = "expired"
         for group in self._groups.values():
-            members = group.members
-            n = len(members)
-            i = group.live_start
-            while i < n and phases.get(members[i][1]) == expired_phase:
-                i += 1
-            group.live_start = i
-            if i < n:
+            i = group.first_live(phases)
+            if i < len(group.members):
                 heads.append(group.entry_at(i, now))
         for family in self._families.values():
             entry = family.entry_at(bisect_right(family.expiries, now), now)
             if entry is not None:
                 heads.append(entry)
         return heads
+
+    def _blocked_through(
+        self, now: float, level: float, strict: bool, phases: Mapping[ObjectId, str]
+    ) -> float:
+        """The last instant at which every resident live at ``now`` blocks
+        ``level``: its oldest live member's stable end for a group, its
+        head's ``E - r*`` for a family; ``-inf`` if one never blocks."""
+        through = math.inf
+        for group in self._groups.values():
+            i = group.first_live(phases)
+            if i < len(group.members):
+                t_arrival, _oid, obj = group.members[i]
+                lifetime = obj.lifetime
+                if not _blocks(lifetime.initial_importance, level, strict):
+                    return -math.inf
+                through = min(through, _stable_end(t_arrival, lifetime.stable_until))
+        for family in self._families.values():
+            expiries = family.expiries
+            head = bisect_right(expiries, now)
+            if head < len(expiries):
+                r_star = _blocking_rem(family.p, family.t_wane, level, strict)
+                through = min(through, expiries[head] - r_star)
+        return through
 
     def greedy_victims(
         self,
@@ -488,9 +551,9 @@ class GroupedResidents:
         sort-based plan.
         """
         now = float(now)
-        heap = self._live_heads(now, phases)
-        if heap is None:
+        if not self._exact_at(now):
             return None
+        heap = self._live_heads(now, phases)
         if expired:
             t_arrival, oid, _obj = expired[0]
             heap.append((0.0, 0.0, t_arrival, oid, 0, _ExpiredStream(expired)))
@@ -522,19 +585,34 @@ class GroupedResidents:
         ``(True, highest)`` as :meth:`greedy_victims` would report it, or
         ``(False, importance)`` at the first victim that blocks
         ``incoming`` — victims pop in ascending importance, so the prefix
-        maximum blocks too.  None when the merge declines or the pool runs
-        dry: the caller plans in full.  See docs/performance.md.
+        maximum blocks too.  While every live resident blocks, so does the
+        first victim: the cached floor answers ``(False, incoming)``, a lower
+        bound on it, without the merge.  None when the merge declines or the
+        pool runs dry: the caller plans in full.  See docs/performance.md.
         """
         now = float(now)
-        heap = self._live_heads(now, phases)
-        if heap is None:
+        if not self._exact_at(now):
             return None
+        key = (incoming, strict)
+        through = self._floors.get(key)
+        if through is None:
+            through = self._floors[key] = self._blocked_through(now, incoming, strict, phases)
+        if now <= through:
+            return False, incoming
+        return self._merge_floor(now, deficit, incoming, strict, phases)
+
+    def _merge_floor(
+        self, now: float, deficit: int, incoming: float, strict: bool,
+        phases: Mapping[ObjectId, str],
+    ) -> tuple[bool, float] | None:
+        """:meth:`preempted_floor` by folding the merge heads."""
+        heap = self._live_heads(now, phases)
         heapify(heap)
         freed = 0
         highest = 0.0
         while heap:
             imp, _rem, _t, _oid, pos, source = heappop(heap)
-            if imp > 0.0 and (imp >= incoming if strict else imp > incoming):
+            if _blocks(imp, incoming, strict):
                 return False, imp
             freed += source.obj_at(pos).size
             if imp > highest:

@@ -72,11 +72,6 @@ class TestWaneCoefficients:
             assert fn.importance_at(age) == linear_wane(0.8, 90.0 - age, 40.0)
             assert u - v * age == pytest.approx(fn.importance_at(age), rel=1e-12)
 
-    def test_scaled_two_step_scales_the_coefficients(self):
-        fn = ScaledImportance(TwoStepImportance(p=0.8, t_persist=50.0, t_wane=40.0), 0.5)
-        u, v = 0.5 * 0.8 * 90.0 / 40.0, 0.5 * 0.8 / 40.0
-        assert u - v * 70.0 == pytest.approx(fn.importance_at(70.0), rel=1e-12)
-
 
 class TestDensityAccumulator:
     def test_exact_mass_matches_fsum_and_cancels_exactly(self):
@@ -283,12 +278,13 @@ def _naive_mass(objs, now):
     return math.fsum(imp * o.size for o in objs if (imp := o.importance_at(now)) > 0.0)
 
 
-class TestWaningColumns:
+class TestWaningPhase:
     """The waning residents under churn, probes and rebuilds: integer-grid
     two-step residents in their ``(p, t_wane)`` victim family, every other
     one in the index's waning dict."""
 
-    #: Shared annotations (columns with many members) of every waning shape.
+    #: Shared annotations (families and groups with many members) of every
+    #: waning shape.
     ANNOTATIONS = (
         TwoStepImportance(p=0.8, t_persist=100.0, t_wane=60.0),
         TwoStepImportance(p=0.35, t_persist=40.5, t_wane=90.25),
@@ -319,7 +315,7 @@ class TestWaningColumns:
                 )
                 index.add(obj, now)
                 residents[obj.object_id] = obj
-            # Evict from anywhere: the head, middle and tail of a column.
+            # Evict from anywhere: the head, middle and tail of a family.
             for oid in rng.sample(sorted(residents), min(len(residents), rng.randrange(0, 3))):
                 index.discard(oid)
                 del residents[oid]
@@ -337,7 +333,7 @@ class TestWaningColumns:
         # The run really walked residents through all three phases.
         assert saw_waning > 20 and saw_expired > 20 and index.transitions > 100
 
-    def test_regressing_probes_rebuild_the_columns(self):
+    def test_regressing_probes_rebuild_the_index(self):
         for index, residents, now in self._churn(7):
             pass
         objs = list(residents.values())
@@ -354,7 +350,7 @@ class TestWaningColumns:
                 o.object_id for o in waning
             }
 
-    def test_swap_remove_keeps_the_slot_map_current(self):
+    def test_discards_from_a_family_keep_it_current(self):
         index = ImportanceIndex()
         objs = [two_step_obj(f"o{i}", 10 + i, t_arrival=float(i)) for i in range(6)]
         for obj in objs:
@@ -362,9 +358,9 @@ class TestWaningColumns:
         now = 110.0  # ages 105..110: all six waning, one shared family
         index.advance(now)
         assert index.waning_count == 6
-        index.discard("o2")  # middle: the tail member moves into slot 2
-        index.discard("o5")  # the moved member, now mid-column
-        index.discard("o4")  # the current tail
+        index.discard("o2")  # the middle of the family
+        index.discard("o5")  # its tail
+        index.discard("o4")  # the new tail
         assert index.check(now)
         left = [objs[0], objs[1], objs[3]]
         assert index.exact_mass(now) == _naive_mass(left, now)
@@ -373,7 +369,7 @@ class TestWaningColumns:
         assert index.waning_count == 0 and not index.groups.family_count
         assert index.exact_mass(now) == 0.0
 
-    def test_equal_annotations_share_one_column(self):
+    def test_equal_annotations_share_one_family(self):
         index = ImportanceIndex()
         for i in range(5):  # distinct-but-equal annotation instances
             index.add(two_step_obj(f"o{i}", 10, t_arrival=0.0), 0.0)

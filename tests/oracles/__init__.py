@@ -13,6 +13,10 @@ densities, per-creator totals and expiry order.
 Both hold the store's own ``StoredObject`` instances in admission order
 (a dict keyed by object id: evicted ids leave, re-admitted ids re-enter
 at the end), which is the order ``StorageUnit.iter_residents`` yields.
+
+:class:`FloorTally` is the oracle of the temporal probe's cached refusal
+floor: it counts the probes the floor answers and re-scores each of them
+with the merge fold the floor skipped.
 """
 
 from __future__ import annotations
@@ -22,8 +26,9 @@ import math
 from repro.core.obj import ObjectId, StoredObject
 from repro.core.policy import EvictionPolicy
 from repro.core.store import StorageUnit
+from repro.core.victims import GroupedResidents
 
-__all__ = ["ScanIndex", "ScanSlab", "oracle_store"]
+__all__ = ["FloorTally", "ScanIndex", "ScanSlab", "oracle_store"]
 
 
 class _ResidentScan:
@@ -101,3 +106,50 @@ def oracle_store(
     if scan_slab:
         store.resident_slab = ScanSlab()
     return store
+
+
+class FloorTally:
+    """Counts temporal probes answered by the cached floor vs the merge fold.
+
+    While entered (``with FloorTally() as tally:``) it wraps
+    ``GroupedResidents.preempted_floor``: a probe that returns without
+    reaching ``GroupedResidents._merge_floor`` was answered by the floor,
+    must read ``(False, incoming)``, and is re-scored by the merge, which
+    must refuse too.  ``floor`` and ``merge`` count the two kinds; a floor
+    answer the merge disagrees with is kept in ``disagreements`` (for runs
+    that turn exceptions into responses) and raised.
+    """
+
+    def __init__(self) -> None:
+        self.floor = 0
+        self.merge = 0
+        self.disagreements: list[tuple] = []
+        self._saved: tuple | None = None
+
+    def __enter__(self) -> "FloorTally":
+        floor = GroupedResidents.preempted_floor
+        merge = GroupedResidents._merge_floor
+        self._saved = (floor, merge)
+        tally = self
+
+        def counted_merge(groups, *args):
+            tally.merge += 1
+            return merge(groups, *args)
+
+        def checked_floor(groups, now, deficit, incoming, strict, *, phases):
+            merges = tally.merge
+            scored = floor(groups, now, deficit, incoming, strict, phases=phases)
+            if scored is not None and tally.merge == merges:
+                tally.floor += 1
+                folded = merge(groups, float(now), deficit, incoming, strict, phases)
+                if scored != (False, incoming) or folded is None or folded[0]:
+                    tally.disagreements.append((now, deficit, incoming, strict, scored, folded))
+                    raise AssertionError(f"floor answer disagrees: {tally.disagreements[-1]}")
+            return scored
+
+        GroupedResidents.preempted_floor = checked_floor
+        GroupedResidents._merge_floor = counted_merge
+        return self
+
+    def __exit__(self, *exc) -> None:
+        GroupedResidents.preempted_floor, GroupedResidents._merge_floor = self._saved
