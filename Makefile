@@ -1,4 +1,4 @@
-.PHONY: install test unit loc test-parallel obs-smoke audit-smoke alerts-check trace-smoke serve-smoke bench bench-index bench-mega bench-serve-scaling bench-smoke bench-ab bench-baseline bench-check refusal-census examples figures lint clean
+.PHONY: install test unit loc test-parallel obs-smoke audit-smoke alerts-check trace-smoke serve-smoke bench bench-index bench-mega bench-serve-scaling bench-smoke bench-ab bench-baseline bench-check refusal-census resident-footprint examples figures lint clean
 
 install:
 	pip install -e '.[test]'
@@ -178,6 +178,12 @@ bench-ab:
 # (tools/refusal_census.py; the table in docs/performance.md).
 refusal-census:
 	python3 tools/refusal_census.py --seed 42 --seed 7
+
+# Bookkeeping bytes per resident and µs per free-space admit / remove of one
+# StorageUnit at 50k residents, arrivals on and off the integer-minute grid
+# (tools/resident_footprint.py; the table in docs/performance.md).
+resident-footprint:
+	python3 tools/resident_footprint.py
 
 # Perf-regression harness: record BENCH_*.json baselines, then gate future
 # runs on wall-time (+tolerance) and artifact checksums.  See

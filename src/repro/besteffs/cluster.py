@@ -265,8 +265,8 @@ class BesteffsCluster:
     def stored_bytes_by_creator(self) -> dict[str, int]:
         """Bytes currently resident per creator class (student vs university).
 
-        Integer sums, so per-node tallies (slab-served on the default
-        layout) fold associatively into exactly the flat-scan totals.
+        Integer sums, so per-node tallies (each unit's running per-creator
+        totals) fold associatively into exactly the flat-scan totals.
         """
         out: dict[str, int] = {}
         for node in self.nodes.values():

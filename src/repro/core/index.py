@@ -13,8 +13,11 @@ Phase membership only changes at an object's two breakpoints, so instead of
 re-sorting all residents per pressured arrival (``plan_preemptive_admission``)
 and rescanning them per density probe, :class:`ImportanceIndex` keeps
 
+* one :class:`Resident` record per resident, in the unit's only table
+  keyed by object id (admission order); every structure below holds the
+  record itself;
 * a dict bucket per distinct constant importance ``p`` with a per-bucket
-  byte total, and an expired set;
+  byte total, and an arrival-sorted expired stream;
 * no copy of a waning two-step resident on the integer grid: it lives only
   in its ``(p, t_wane)`` victim family (:mod:`repro.core.victims`), sorted
   by absolute expiry ``E``, where the waning members are one contiguous
@@ -69,11 +72,12 @@ from typing import Iterable
 
 from repro.core.obj import ObjectId, StoredObject
 from repro.core.victims import GroupedResidents
-from repro.errors import ReproError
+from repro.errors import ReproError, SimulationError
 
 __all__ = [
     "DensityAccumulator",
     "ImportanceIndex",
+    "Resident",
     "PHASE_CONSTANT",
     "PHASE_WANING",
     "PHASE_EXPIRED",
@@ -84,9 +88,27 @@ PHASE_WANING = "waning"
 PHASE_EXPIRED = "expired"
 
 
-def _two_ulps_earlier(t: float) -> float:
-    """Nudge a breakpoint two ulps toward -inf (schedule early, never late)."""
-    return math.nextafter(math.nextafter(t, -math.inf), -math.inf)
+class Resident:
+    """One resident's bookkeeping, booked once per admission.
+
+    ``obj`` (None once discarded, which marks its heap entry stale), its
+    admission ``seq`` (heap tie-break, expiry order), its ``phase`` as of
+    the last :meth:`ImportanceIndex.advance`, the victim ``source`` (group
+    or family, :mod:`repro.core.victims`) holding it and its sort ``key``
+    there, and its ``last_access`` (recency baselines).
+    :attr:`ImportanceIndex.residents` maps each object id to its record;
+    every other structure holds the record itself.
+    """
+
+    __slots__ = ("obj", "seq", "phase", "source", "key", "last_access")
+
+    def __init__(self, obj: StoredObject, seq: int, now: float) -> None:
+        self.obj: StoredObject | None = obj
+        self.seq = seq
+        self.phase = ""
+        self.source: object = None
+        self.key: tuple = ()
+        self.last_access = now
 
 
 class DensityAccumulator:
@@ -97,15 +119,16 @@ class DensityAccumulator:
     whose real-valued sum equals the real-valued sum of the registered
     terms.  :meth:`exact_mass` feeds the expansion plus any caller-supplied
     waning terms to :func:`math.fsum`, which is therefore bit-identical to
-    ``fsum`` over the individual terms.
+    ``fsum`` over the individual terms.  It keeps no per-object state: the
+    caller removes a term by adding its negation, recomputed (``p * size``
+    has the same bits every time), which cancels exactly.
     """
 
     def __init__(self) -> None:
         self._partials: list[float] = []
-        self._const_terms: dict[ObjectId, float] = {}
 
-    def _grow(self, x: float) -> None:
-        """Add ``x`` to the expansion without rounding (Shewchuk grow)."""
+    def add(self, x: float) -> None:
+        """Add a term to the expansion without rounding (Shewchuk grow)."""
         partials = self._partials
         i = 0
         for y in partials:
@@ -118,19 +141,6 @@ class DensityAccumulator:
                 i += 1
             x = hi
         partials[i:] = [x]
-
-    def add_constant(self, object_id: ObjectId, term: float) -> None:
-        """Register a constant-phase term (``p * size``, caller-rounded)."""
-        if object_id in self._const_terms:
-            raise ReproError(f"{object_id!r} already has a constant term")
-        self._const_terms[object_id] = term
-        self._grow(term)
-
-    def remove_constant(self, object_id: ObjectId) -> None:
-        """Drop a constant term (idempotent); cancels exactly."""
-        term = self._const_terms.pop(object_id, None)
-        if term is not None:
-            self._grow(-term)
 
     def exact_mass(self, extra_terms: Iterable[float] = ()) -> float:
         """Correctly-rounded sum of constant terms plus ``extra_terms``.
@@ -146,42 +156,39 @@ class DensityAccumulator:
 class ImportanceIndex:
     """Residents bucketed by annotation phase, advanced lazily in time.
 
-    The index mirrors a :class:`~repro.core.store.StorageUnit`'s resident
+    The index holds a :class:`~repro.core.store.StorageUnit`'s resident
     set: the store calls :meth:`add` on admission and :meth:`discard` on any
-    eviction, and read paths call :meth:`advance` (directly or via the
-    probe methods) before trusting bucket membership.  Time may regress
+    eviction, reads membership, iteration order and last access from
+    :attr:`residents`, and read paths call :meth:`advance` (directly or via
+    the probe methods) before trusting bucket membership.  Time may regress
     (tests probe stores at arbitrary instants); the index then rebuilds
-    from scratch rather than guessing.
+    from scratch rather than guessing.  A NaN ``now`` raises.
     """
 
     def __init__(self) -> None:
         self.accumulator = DensityAccumulator()
         self._now = -math.inf
         self._seq = count()
-        self._obj: dict[ObjectId, StoredObject] = {}
-        self._phase: dict[ObjectId, str] = {}
-        self._seq_of: dict[ObjectId, int] = {}
+        #: object id -> :class:`Resident`, in admission order: the unit's
+        #: only id-keyed table of its residents.
+        self.residents: dict[ObjectId, Resident] = {}
         # Constant phase: one dict bucket per distinct initial importance.
-        self._bucket_of: dict[ObjectId, float] = {}
-        self._buckets: dict[float, dict[ObjectId, StoredObject]] = {}
+        self._buckets: dict[float, dict[ObjectId, Resident]] = {}
         self._bucket_bytes: dict[float, int] = {}
         self._bucket_keys: list[float] = []
         self._keys_dirty = False
         # Waning phase: a resident of an integer-grid victim family lives
         # only there (counted here); every other one sits in this dict.
-        self._waning: dict[ObjectId, StoredObject] = {}
+        self._waning: dict[ObjectId, Resident] = {}
         self._family_waning = 0
-        # Expired phase.
-        self._expired: dict[ObjectId, StoredObject] = {}
         #: Expired residents sorted by (t_arrival, object_id) — the exact
         #: victim order among expired objects (all share the key
         #: ``(0.0, 0.0)``), fed to the grouped merge as one ready stream.
-        self._expired_sorted: list[tuple[float, ObjectId, StoredObject]] = []
+        self._expired: list[tuple[float, ObjectId, Resident]] = []
         self._expired_bytes = 0
-        # Pending breakpoints: (scheduled time, admission seq, id).  Entries
-        # are invalidated lazily — a popped entry whose seq no longer
-        # matches the live object is skipped.
-        self._heap: list[tuple[float, int, ObjectId]] = []
+        # Pending breakpoints: (scheduled time, admission seq, record).  An
+        # entry whose record was discarded (``obj`` is None) is skipped.
+        self._heap: list[tuple[float, int, Resident]] = []
         #: Residents grouped by identical annotation; answers the greedy
         #: victim-prefix query lazily (see :mod:`repro.core.victims`).
         self.groups = GroupedResidents()
@@ -190,18 +197,12 @@ class ImportanceIndex:
 
     # -- introspection -----------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self._obj)
-
-    def __contains__(self, object_id: ObjectId) -> bool:
-        return object_id in self._obj
-
     def phase_of(self, object_id: ObjectId) -> str:
         """Current phase of a tracked object (advance first for freshness)."""
-        try:
-            return self._phase[object_id]
-        except KeyError:
-            raise ReproError(f"{object_id!r} is not indexed") from None
+        rec = self.residents.get(object_id)
+        if rec is None:
+            raise ReproError(f"{object_id!r} is not indexed")
+        return rec.phase
 
     @property
     def waning_count(self) -> int:
@@ -226,102 +227,93 @@ class ImportanceIndex:
             return PHASE_CONSTANT
         return PHASE_WANING
 
-    @staticmethod
-    def _stable_end_abs(obj: StoredObject) -> float:
-        stable = obj.lifetime.stable_until
-        if math.isinf(stable):
-            return math.inf
-        return _two_ulps_earlier(obj.t_arrival + stable)
-
-    @staticmethod
-    def _expire_sched_abs(obj: StoredObject) -> float:
-        expire = obj.lifetime.t_expire
-        if math.isinf(expire):
-            return math.inf
-        return _two_ulps_earlier(obj.t_arrival + expire)
-
     # -- membership --------------------------------------------------------
 
     def add(self, obj: StoredObject, now: float) -> None:
-        """Track a freshly admitted resident."""
+        """Track a freshly admitted resident (last accessed at ``now``)."""
         oid = obj.object_id
-        if oid in self._obj:
+        if oid in self.residents:
             raise ReproError(f"{oid!r} is already indexed")
         self.advance(now)
-        self._obj[oid] = obj
-        self._seq_of[oid] = next(self._seq)
-        self.groups.add(obj)
-        self._place(oid, obj, self._classify(obj, now), now)
+        rec = self.residents[oid] = Resident(obj, next(self._seq), now)
+        self.groups.add(rec)
+        self._place(rec, self._classify(obj, now), now)
 
     def discard(self, object_id: ObjectId) -> None:
         """Stop tracking an object (idempotent) — call on any eviction."""
-        obj = self._obj.pop(object_id, None)
-        if obj is None:
+        rec = self.residents.pop(object_id, None)
+        if rec is None:
             return
-        self.groups.discard(object_id)
-        self._remove_from_phase(object_id, obj)
-        del self._seq_of[object_id]
+        self.groups.discard(rec)
+        self._remove_from_phase(rec)
+        rec.obj = None
 
-    def _place(self, oid: ObjectId, obj: StoredObject, phase: str, now: float) -> None:
-        self._phase[oid] = phase
+    def _place(self, rec: Resident, phase: str, now: float) -> None:
+        rec.phase = phase
+        obj = rec.obj
         if phase == PHASE_CONSTANT:
             p = obj.lifetime.initial_importance
-            self._bucket_of[oid] = p
             bucket = self._buckets.get(p)
             if bucket is None:
-                self._buckets[p] = {oid: obj}
+                self._buckets[p] = {obj.object_id: rec}
                 self._bucket_bytes[p] = obj.size
                 self._keys_dirty = True
             else:
-                bucket[oid] = obj
+                bucket[obj.object_id] = rec
                 self._bucket_bytes[p] += obj.size
             if p > 0.0:
-                self.accumulator.add_constant(oid, p * obj.size)
-            self._arm(oid, self._stable_end_abs(obj), now)
+                self.accumulator.add(p * obj.size)
+            self._arm(rec, now)
         elif phase == PHASE_WANING:
-            if self.groups.in_family(oid):
+            if self.groups.in_family(rec):
                 self._family_waning += 1
             else:
-                self._waning[oid] = obj
-            self._arm(oid, self._expire_sched_abs(obj), now)
+                self._waning[obj.object_id] = rec
+            self._arm(rec, now)
         else:
-            self._expired[oid] = obj
             self._expired_bytes += obj.size
-            entry = (obj.t_arrival, oid, obj)
-            stream = self._expired_sorted
+            entry = (obj.t_arrival, obj.object_id, rec)
+            stream = self._expired
             if not stream or (stream[-1][0], stream[-1][1]) < (entry[0], entry[1]):
                 stream.append(entry)
             else:
                 insort(stream, entry)
 
-    def _remove_from_phase(self, oid: ObjectId, obj: StoredObject) -> str:
-        phase = self._phase.pop(oid)
+    def _remove_from_phase(self, rec: Resident) -> None:
+        obj = rec.obj
+        phase = rec.phase
         if phase == PHASE_CONSTANT:
-            p = self._bucket_of.pop(oid)
-            del self._buckets[p][oid]
+            p = obj.lifetime.initial_importance
+            del self._buckets[p][obj.object_id]
             self._bucket_bytes[p] -= obj.size
-            self.accumulator.remove_constant(oid)
+            if p > 0.0:
+                self.accumulator.add(-(p * obj.size))
         elif phase == PHASE_WANING:
             # The family side needs nothing: discard() has already left the
             # victim family, and a phase move changes no family order.
-            if self._waning.pop(oid, None) is None:
+            if self.groups.in_family(rec):
                 self._family_waning -= 1
+            else:
+                del self._waning[obj.object_id]
         else:
-            del self._expired[oid]
             self._expired_bytes -= obj.size
-            stream = self._expired_sorted
-            i = bisect_left(stream, (obj.t_arrival, oid))
-            if i >= len(stream) or stream[i][1] != oid:
-                raise ReproError(f"{oid!r} missing from the expired stream")
+            stream = self._expired
+            i = bisect_left(stream, (obj.t_arrival, obj.object_id))
+            if i >= len(stream) or stream[i][2] is not rec:
+                raise ReproError(f"{obj.object_id!r} missing from the expired stream")
             del stream[i]
-        return phase
 
-    def _arm(self, oid: ObjectId, t: float, now: float) -> None:
-        if math.isinf(t):
+    def _arm(self, rec: Resident, now: float) -> None:
+        """Schedule the end of a constant or waning phase, two ulps early
+        (never late), and never at or before ``now``."""
+        lifetime = rec.obj.lifetime
+        span = lifetime.stable_until if rec.phase == PHASE_CONSTANT else lifetime.t_expire
+        if math.isinf(span):
             return
+        t = math.nextafter(math.nextafter(rec.obj.t_arrival + span, -math.inf), -math.inf)
         if t <= now:
             t = math.nextafter(now, math.inf)
-        heapq.heappush(self._heap, (t, self._seq_of[oid], oid))
+        heapq.heappush(self._heap, (t, rec.seq, rec))
 
     # -- time --------------------------------------------------------------
 
@@ -329,53 +321,50 @@ class ImportanceIndex:
         """Process every breakpoint at or before ``now``.
 
         Afterwards each tracked object's bucket equals its predicate phase
-        at ``now``.  A regressing clock triggers a full rebuild.
+        at ``now``.  A regressing clock triggers a full rebuild; a NaN one
+        raises :class:`~repro.errors.SimulationError`, leaving the index
+        as it was.
         """
-        if now < self._now:
+        if not now >= self._now:  # regressed, or NaN
+            if now != now:
+                raise SimulationError("the importance index cannot advance to a NaN time")
             self._rebuild(now)
             return
         self._now = now
         heap = self._heap
         while heap and heap[0][0] <= now:
-            _, seq, oid = heapq.heappop(heap)
-            obj = self._obj.get(oid)
-            if obj is None or self._seq_of[oid] != seq:
-                continue  # entry from an evicted (possibly re-added) object
-            old = self._phase[oid]
+            rec = heapq.heappop(heap)[2]
+            obj = rec.obj
+            if obj is None:
+                continue  # entry of an evicted resident
+            old = rec.phase
             new = self._classify(obj, now)
             if new == old:
                 # Popped a hair before the predicate flips (breakpoints are
                 # scheduled two ulps early): re-arm one ulp ahead and retry.
-                if old == PHASE_CONSTANT:
-                    self._arm(oid, self._stable_end_abs(obj), now)
-                elif old == PHASE_WANING:
-                    self._arm(oid, self._expire_sched_abs(obj), now)
+                self._arm(rec, now)
                 continue
-            self._remove_from_phase(oid, obj)
-            self._place(oid, obj, new, now)
+            self._remove_from_phase(rec)
+            self._place(rec, new, now)
             self.transitions += 1
 
     def _rebuild(self, now: float) -> None:
-        objs = self._obj
         self.accumulator = DensityAccumulator()
-        self._phase.clear()
-        self._bucket_of.clear()
         self._buckets.clear()
         self._bucket_bytes.clear()
         self._bucket_keys = []
         self._keys_dirty = False
         self._waning.clear()
         self._family_waning = 0
-        self._expired.clear()
-        self._expired_sorted = []
+        self._expired = []
         self._expired_bytes = 0
         self._heap = []
         self._now = now
         # Time regressed: previously-skipped "expired prefixes" inside the
         # victim groups may be live again at the earlier instant.
         self.groups.reset_cursors()
-        for oid, obj in objs.items():
-            self._place(oid, obj, self._classify(obj, now), now)
+        for rec in self.residents.values():
+            self._place(rec, self._classify(rec.obj, now), now)
 
     # -- read paths --------------------------------------------------------
 
@@ -400,8 +389,8 @@ class ImportanceIndex:
         full-sort plan bit for bit.
         """
         self.advance(now)
-        out = list(self._expired.values())
-        out.extend(self._waning.values())
+        out = [entry[2].obj for entry in self._expired]
+        out.extend([rec.obj for rec in self._waning.values()])
         out.extend(self.groups.waning_members(now))
         freed = self._expired_bytes
         if freed < needed:
@@ -409,7 +398,7 @@ class ImportanceIndex:
                 members = self._buckets.get(p)
                 if not members:
                     continue
-                out.extend(members.values())
+                out.extend([rec.obj for rec in members.values()])
                 freed += self._bucket_bytes[p]
                 if freed >= needed:
                     break
@@ -431,9 +420,7 @@ class ImportanceIndex:
         candidates-plus-sort path.
         """
         self.advance(now)
-        return self.groups.greedy_victims(
-            now, needed, phases=self._phase, expired=self._expired_sorted
-        )
+        return self.groups.greedy_victims(now, needed, expired=self._expired)
 
     def preempted_floor(
         self, now: float, needed: int, incoming: float, strict: bool
@@ -448,19 +435,20 @@ class ImportanceIndex:
         deficit = needed - self._expired_bytes
         if deficit <= 0:
             return True, 0.0
-        return self.groups.preempted_floor(now, deficit, incoming, strict, phases=self._phase)
+        return self.groups.preempted_floor(now, deficit, incoming, strict)
 
     def expired_objects(self, now: float) -> list[StoredObject]:
         """Expired residents in admission order (matches a naive scan)."""
         self.advance(now)
-        seq_of = self._seq_of
-        return sorted(self._expired.values(), key=lambda o: seq_of[o.object_id])
+        return [entry[2].obj for entry in sorted(self._expired, key=lambda e: e[2].seq)]
 
     def exact_mass(self, now: float) -> float:
         """Size-weighted importance mass, bit-identical to the naive fsum."""
         self.advance(now)
         terms = self.groups.wane_terms(now)
-        terms.extend([obj.importance_at(now) * obj.size for obj in self._waning.values()])
+        terms.extend([
+            rec.obj.importance_at(now) * rec.obj.size for rec in self._waning.values()
+        ])
         return self.accumulator.exact_mass(terms)
 
     #: The closed-form approximation is gone; the name stays because the
@@ -472,50 +460,54 @@ class ImportanceIndex:
     def check(self, now: float) -> bool:
         """Verify every structural invariant at ``now`` (test helper)."""
         self.advance(now)
-        self.groups.check()
-        self._check_waning(now)
-        n = len(self._bucket_of) + self.waning_count + len(self._expired)
-        if n != len(self._obj) or n != len(self._phase) or n != len(self._seq_of):
-            raise ReproError("index phase sets do not partition the tracked objects")
-        bucket_members = sum(len(m) for m in self._buckets.values())
-        if bucket_members != len(self._bucket_of):
-            raise ReproError("constant bucket membership is inconsistent")
-        for oid, obj in self._obj.items():
-            phase = self._phase[oid]
-            if phase != self._classify(obj, now):
-                raise ReproError(f"{oid!r} is bucketed as {phase} but classifies otherwise")
-            if phase == PHASE_CONSTANT:
-                p = self._bucket_of[oid]
-                if obj.lifetime.initial_importance != p or oid not in self._buckets[p]:
-                    raise ReproError(f"{oid!r} is in the wrong constant bucket")
-                if obj.importance_at(now) != p:
-                    raise ReproError(f"{oid!r} importance drifted inside its constant phase")
-        for p, members in self._buckets.items():
-            total = sum(o.size for o in members.values())
-            if total != self._bucket_bytes[p]:
-                raise ReproError(f"bucket {p} byte total is stale")
-        if self._expired_bytes != sum(o.size for o in self._expired.values()):
-            raise ReproError("expired byte total is stale")
-        stream = self._expired_sorted
-        if len(stream) != len(self._expired) or any(
-            stream[i][:2] >= stream[i + 1][:2] for i in range(len(stream) - 1)
+        residents = self.residents
+        filed = self.groups.check()
+        if len(filed) != len(residents) or any(
+            residents.get(rec.obj.object_id) is not rec for rec in filed
         ):
-            raise ReproError("expired stream is out of sync with the expired set")
-        if any(oid not in self._expired for _, oid, _obj in stream):
-            raise ReproError("expired stream holds a non-expired object")
-        return True
-
-    def _check_waning(self, now: float) -> None:
+            raise ReproError("the victim sources and the resident table are ragged")
         in_family = self.groups.in_family
-        for oid, obj in self._waning.items():
-            if self._obj.get(oid) is not obj or self._phase[oid] != PHASE_WANING:
+        for oid, rec in self._waning.items():
+            if residents.get(oid) is not rec or rec.phase != PHASE_WANING:
                 raise ReproError(f"{oid!r} sits in the waning set but is not waning")
-            if in_family(oid):
+            if in_family(rec):
                 raise ReproError(f"{oid!r} is waning outside its victim family")
         family = {obj.object_id for obj in self.groups.waning_members(now)}
         phased = {
-            oid for oid, phase in self._phase.items()
-            if phase == PHASE_WANING and in_family(oid)
+            oid for oid, rec in residents.items() if rec.phase == PHASE_WANING and in_family(rec)
         }
         if family != phased or len(family) != self._family_waning:
             raise ReproError("family waning runs disagree with the phase map")
+        constant = sum(len(m) for m in self._buckets.values())
+        if constant + self.waning_count + len(self._expired) != len(residents):
+            raise ReproError("index phase sets do not partition the tracked objects")
+        terms = []
+        for oid, rec in residents.items():
+            obj = rec.obj
+            if obj is None or obj.object_id != oid:
+                raise ReproError(f"{oid!r} is filed under another object")
+            phase = rec.phase
+            if phase != self._classify(obj, now):
+                raise ReproError(f"{oid!r} is bucketed as {phase} but classifies otherwise")
+            if phase == PHASE_CONSTANT:
+                p = obj.lifetime.initial_importance
+                if self._buckets.get(p, {}).get(oid) is not rec:
+                    raise ReproError(f"{oid!r} is in the wrong constant bucket")
+                if obj.importance_at(now) != p:
+                    raise ReproError(f"{oid!r} importance drifted inside its constant phase")
+                if p > 0.0:
+                    terms.append(p * obj.size)
+        if self.accumulator.exact_mass() != math.fsum(terms):
+            raise ReproError("the constant-phase mass is stale")
+        for p, members in self._buckets.items():
+            total = sum(rec.obj.size for rec in members.values())
+            if total != self._bucket_bytes[p]:
+                raise ReproError(f"bucket {p} byte total is stale")
+        stream = self._expired
+        if stream != sorted(stream, key=lambda entry: entry[:2]) or any(
+            rec.phase != PHASE_EXPIRED or residents.get(oid) is not rec for _t, oid, rec in stream
+        ):
+            raise ReproError("expired stream is out of sync with the expired phase")
+        if self._expired_bytes != sum(rec.obj.size for _t, _oid, rec in stream):
+            raise ReproError("expired byte total is stale")
+        return True

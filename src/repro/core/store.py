@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Iterator
 
-from repro.core.index import ImportanceIndex
+from repro.core.index import ImportanceIndex, Resident
 from repro.core.obj import ObjectId, StoredObject
 from repro.core.policy import AdmissionPlan, EvictionPolicy
 from repro.core.slab import ResidentSlab
-from repro.errors import CapacityError, UnknownObjectError
+from repro.errors import CapacityError, SimulationError, UnknownObjectError
 from repro.obs import COUNT_BUCKETS, STATE as _OBS, observe_phase
 
 __all__ = [
@@ -29,6 +29,12 @@ __all__ = [
     "StorageUnit",
     "StoreStats",
 ]
+
+
+def _require_time(now: float) -> None:
+    """Refuse a NaN clock before it reaches any state (it never compares)."""
+    if now != now:
+        raise SimulationError("storage unit operations need a time, got NaN")
 
 
 @dataclass(frozen=True)
@@ -134,14 +140,17 @@ class StorageUnit:
         simulations with external recorders can disable retention and rely
         on the ``on_eviction`` / ``on_rejection`` callbacks instead.
 
-    Every unit books its residents in an
-    :class:`~repro.core.index.ImportanceIndex` (:attr:`importance_index`:
-    admission victims, density mass and the expired set, all bit-identical
-    to a full scan of the residents) and a
-    :class:`~repro.core.slab.ResidentSlab` (:attr:`resident_slab`:
-    per-creator byte totals).  There is no other configuration; the
-    full-scan reference the differential suites compare against lives in
-    ``tests/oracles``.
+    Every unit books each resident once, as a
+    :class:`~repro.core.index.Resident` record in its
+    :class:`~repro.core.index.ImportanceIndex` (:attr:`importance_index`):
+    membership, admission order and last access are read from its table,
+    and its phase buckets and victim sources answer admission victims,
+    density mass and the expired set, all bit-identical to a full scan of
+    the residents.  A :class:`~repro.core.slab.ResidentSlab`
+    (:attr:`resident_slab`) keeps the per-creator byte totals.  There is
+    no other configuration; the full-scan reference the differential
+    suites compare against lives in ``tests/oracles``.  Every method that
+    takes ``now`` refuses a NaN one before changing anything.
     """
 
     def __init__(
@@ -152,21 +161,22 @@ class StorageUnit:
         name: str = "unit-0",
         keep_history: bool = True,
     ) -> None:
-        if not isinstance(capacity_bytes, int) or capacity_bytes <= 0:
+        if (
+            not isinstance(capacity_bytes, int)
+            or isinstance(capacity_bytes, bool)
+            or capacity_bytes <= 0
+        ):
             raise CapacityError(f"capacity must be a positive int, got {capacity_bytes!r}")
         self.capacity_bytes = capacity_bytes
         self.policy = policy
         self.name = name
         self.keep_history = keep_history
-        #: Phase-bucketed resident index (victims, density mass, expiry).
+        #: The residents' records, phase-bucketed (victims, density mass,
+        #: expiry, last access).
         self.importance_index = ImportanceIndex()
         #: Per-creator byte totals of the residents.
         self.resident_slab = ResidentSlab()
-
-        self._residents: dict[ObjectId, StoredObject] = {}
         self._used_bytes = 0
-        #: Last access time per resident, for recency-based baselines.
-        self._last_access: dict[ObjectId, float] = {}
 
         #: Retained event history (see ``keep_history``).
         self.evictions: list[EvictionRecord] = []
@@ -199,29 +209,31 @@ class StorageUnit:
     @property
     def resident_count(self) -> int:
         """Number of stored objects."""
-        return len(self._residents)
+        return len(self.importance_index.residents)
 
     def __len__(self) -> int:
-        return len(self._residents)
+        return len(self.importance_index.residents)
 
     def __contains__(self, object_id: ObjectId) -> bool:
-        return object_id in self._residents
+        return object_id in self.importance_index.residents
+
+    def _record(self, object_id: ObjectId) -> Resident:
+        rec = self.importance_index.residents.get(object_id)
+        if rec is None:
+            raise UnknownObjectError(f"{object_id!r} not stored on {self.name}")
+        return rec
 
     def get(self, object_id: ObjectId) -> StoredObject:
         """Return a resident by id; raises :class:`UnknownObjectError`."""
-        try:
-            return self._residents[object_id]
-        except KeyError:
-            raise UnknownObjectError(f"{object_id!r} not stored on {self.name}") from None
+        return self._record(object_id).obj
 
     def iter_residents(self) -> Iterator[StoredObject]:
         """Iterate over current residents in insertion order."""
-        return iter(tuple(self._residents.values()))
+        return iter([rec.obj for rec in self.importance_index.residents.values()])
 
     def last_access(self, object_id: ObjectId) -> float:
         """Last touch/insert time of a resident (for recency baselines)."""
-        self.get(object_id)  # raise on unknown ids
-        return self._last_access[object_id]
+        return self._record(object_id).last_access
 
     def bytes_by_creator(self) -> dict[str, int]:
         """Resident bytes per creator class (O(#creators), from the slab)."""
@@ -237,7 +249,7 @@ class StorageUnit:
             unit=self.name,
             capacity_bytes=self.capacity_bytes,
             used_bytes=self._used_bytes,
-            resident_count=len(self._residents),
+            resident_count=len(self.importance_index.residents),
             accepted_count=self.accepted_count,
             rejected_count=self.rejected_count,
             evicted_count=self.evicted_count,
@@ -264,15 +276,12 @@ class StorageUnit:
         A plan that no longer fits — a victim already gone, or too little
         space even after the evictions — raises before anything is evicted.
         """
-        if obj.object_id in self._residents:
+        _require_time(now)
+        residents = self.importance_index.residents
+        if obj.object_id in residents:
             raise CapacityError(f"{obj.object_id!r} is already stored on {self.name}")
         if plan is None:
-            if _OBS.enabled:
-                t0 = perf_counter()
-                plan = self.policy.plan_admission(self, obj, now)
-                observe_phase("store.plan_admission", perf_counter() - t0)
-            else:
-                plan = self.policy.plan_admission(self, obj, now)
+            plan = self._plan(obj, now)
         ledger = _OBS.audit if _OBS.enabled else None
         if not plan.admit:
             rejection = RejectionRecord(
@@ -309,9 +318,9 @@ class StorageUnit:
         victims = plan.victims
         reclaimable = self.free_bytes
         if victims:
-            residents = self._residents
             for victim in victims:
-                if residents.get(victim.object_id) is not victim:
+                rec = residents.get(victim.object_id)
+                if rec is None or rec.obj is not victim:
                     raise UnknownObjectError(
                         f"admission plan for {obj.object_id!r} names {victim.object_id!r}, "
                         f"which is not stored on {self.name} (stale plan?)"
@@ -326,7 +335,7 @@ class StorageUnit:
                 f"policy {self.policy.name!r} produced an infeasible plan on {self.name}: "
                 f"{obj.size} bytes needed, {reclaimable} free after evictions"
             )
-        scanned = len(self._residents) if victims else 0
+        scanned = len(residents) if victims else 0
         if ledger is not None:
             # Pressure and the exact compared importance, captured *before*
             # any victim leaves — this is the context the plan was made in.
@@ -344,9 +353,7 @@ class StorageUnit:
             )
             for victim in victims
         )
-        self._residents[obj.object_id] = obj
         self._used_bytes += obj.size
-        self._last_access[obj.object_id] = now
         self.importance_index.add(obj, now)
         self.resident_slab.add(obj)
         self.accepted_count += 1
@@ -375,21 +382,27 @@ class StorageUnit:
         so the plan can be checked against the score before it commits;
         it shares ``offer``'s ``store.plan_admission`` phase timing.
         """
-        if _OBS.enabled:
-            t0 = perf_counter()
-            plan = self.policy.plan_admission(self, obj, now)
-            observe_phase("store.plan_admission", perf_counter() - t0)
-            return plan
-        return self.policy.plan_admission(self, obj, now)
+        _require_time(now)
+        return self._plan(obj, now)
+
+    def _plan(self, obj: StoredObject, now: float) -> AdmissionPlan:
+        if not _OBS.enabled:
+            return self.policy.plan_admission(self, obj, now)
+        t0 = perf_counter()
+        plan = self.policy.plan_admission(self, obj, now)
+        observe_phase("store.plan_admission", perf_counter() - t0)
+        return plan
 
     def touch(self, object_id: ObjectId, now: float) -> StoredObject:
         """Record an access to a resident (feeds recency baselines)."""
-        obj = self.get(object_id)
-        self._last_access[object_id] = now
-        return obj
+        _require_time(now)
+        rec = self._record(object_id)
+        rec.last_access = now
+        return rec.obj
 
     def remove(self, object_id: ObjectId, now: float, *, reason: str = "manual") -> EvictionRecord:
         """Explicitly remove a resident (application-driven delete)."""
+        _require_time(now)
         victim = self.get(object_id)
         return self._evict(victim, now, reason=reason, preempted_by=None)
 
@@ -400,18 +413,13 @@ class StorageUnit:
         preempted — but delete-optimised deployments (Douglis et al.) sweep
         eagerly, and experiments use this to measure squatting.
         """
+        _require_time(now)
         # The index already knows who expired; only those are examined, in
         # admission order (what a scan of the residents would yield).
         expired = self.importance_index.expired_objects(now)
         records = tuple(self._evict(o, now, reason="expired", preempted_by=None) for o in expired)
         if _OBS.enabled:
-            _OBS.registry.histogram(
-                "store_reclaim_scan_length",
-                "Residents examined per reclamation pass (admission planning or "
-                "expiry sweep).",
-                ("unit",),
-                buckets=COUNT_BUCKETS,
-            ).observe(len(expired), unit=self.name)
+            self._observe_scan(len(expired))
         return records
 
     def _evict(
@@ -423,13 +431,12 @@ class StorageUnit:
         preempted_by: ObjectId | None,
         threshold: float | None = None,
     ) -> EvictionRecord:
-        if victim.object_id not in self._residents:
+        index = self.importance_index
+        if victim.object_id not in index.residents:
             raise UnknownObjectError(f"{victim.object_id!r} not stored on {self.name}")
-        del self._residents[victim.object_id]
-        self._last_access.pop(victim.object_id, None)
         self._used_bytes -= victim.size
-        self.importance_index.discard(victim.object_id)
-        self.resident_slab.discard(victim.object_id)
+        index.discard(victim.object_id)
+        self.resident_slab.discard(victim)
         record = EvictionRecord(
             obj=victim,
             t_evicted=now,
@@ -468,6 +475,14 @@ class StorageUnit:
             self.on_eviction(record)
         return record
 
+    def _observe_scan(self, scanned: int) -> None:
+        _OBS.registry.histogram(
+            "store_reclaim_scan_length",
+            "Residents examined per reclamation pass (admission planning or expiry sweep).",
+            ("unit",),
+            buckets=COUNT_BUCKETS,
+        ).observe(scanned, unit=self.name)
+
     def _obs_offer(
         self, *, admitted: bool, plan: AdmissionPlan, scanned: int, now: float
     ) -> None:
@@ -491,13 +506,7 @@ class StorageUnit:
                 buckets=COUNT_BUCKETS,
             ).observe(len(plan.victims), unit=self.name)
             if plan.victims:
-                registry.histogram(
-                    "store_reclaim_scan_length",
-                    "Residents examined per reclamation pass (admission planning "
-                    "or expiry sweep).",
-                    ("unit",),
-                    buckets=COUNT_BUCKETS,
-                ).observe(scanned, unit=self.name)
+                self._observe_scan(scanned)
         else:
             _OBS.logger.debug(
                 "store",
@@ -512,5 +521,5 @@ class StorageUnit:
         return (
             f"StorageUnit(name={self.name!r}, policy={self.policy.name!r}, "
             f"used={self._used_bytes}/{self.capacity_bytes} bytes, "
-            f"residents={len(self._residents)})"
+            f"residents={len(self.importance_index.residents)})"
         )

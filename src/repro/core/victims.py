@@ -76,7 +76,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from typing import Mapping
+from operator import attrgetter
+from typing import TYPE_CHECKING
 
 from repro.core.importance import (
     ConstantImportance,
@@ -90,12 +91,18 @@ from repro.core.importance import (
 from repro.core.obj import ObjectId, StoredObject
 from repro.errors import ReproError
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.index import Resident
+
 __all__ = ["GroupedResidents"]
 
 #: One merge entry: ``(importance, remaining, t_arrival, object_id,
 #: position, source)``.  Object ids are unique, so heap comparisons never
 #: reach ``source``.
 Entry = tuple[float, float, float, ObjectId, int, object]
+
+#: A record's sort key within its source (what the sources bisect on).
+_SORT_KEY = attrgetter("key")
 
 #: Component bound for exact integer-grid arithmetic: all sums of up to
 #: three components stay below 2**53 and are therefore computed exactly.
@@ -146,6 +153,19 @@ def _blocking_rem(p: float, t_wane: float, level: float, strict: bool) -> float:
     return float(lo)
 
 
+def _file(members: list[Resident], rec: Resident, source: object, key: tuple) -> int:
+    """File ``rec`` under ``source`` at ``key`` in order; return its position."""
+    rec.source = source
+    rec.key = key
+    # Admissions arrive in (mostly) increasing key order: append fast path.
+    if not members or members[-1].key < key:
+        i = len(members)
+    else:
+        i = bisect_left(members, key, key=_SORT_KEY)
+    members.insert(i, rec)
+    return i
+
+
 def _statically_ordered(lifetime: ImportanceFunction) -> bool:
     """True when the residents of ``lifetime`` keep a static victim order."""
     if isinstance(lifetime, ScaledImportance):
@@ -186,45 +206,39 @@ def _family_spec(
 class _Group:
     """One run of residents sharing an annotation, statically ordered."""
 
-    __slots__ = ("members", "live_start")
+    __slots__ = ("gkey", "members", "live_start")
 
-    def __init__(self) -> None:
-        #: Sorted ascending by ``(t_arrival, object_id)`` — the static
-        #: within-group victim order.
-        self.members: list[tuple[float, ObjectId, StoredObject]] = []
+    def __init__(self, gkey: object) -> None:
+        self.gkey = gkey  # the annotation (unverified: the object id)
+        #: Records sorted by their key ``(t_arrival, object_id)`` — the
+        #: static within-group victim order.
+        self.members: list[Resident] = []
         #: Index of the first non-expired member (expired members form a
         #: prefix of the arrival order: the annotation is shared, so
         #: expiry instants are ordered exactly like arrivals).  Advanced
         #: monotonically at query time; reset when time regresses.
         self.live_start = 0
 
-    def insert(self, obj: StoredObject) -> None:
-        probe = (obj.t_arrival, obj.object_id)
-        members = self.members
-        # Admissions arrive in (mostly) increasing time: append fast path.
-        if not members or (members[-1][0], members[-1][1]) < probe:
-            members.append((obj.t_arrival, obj.object_id, obj))
-            return
-        i = bisect_left(members, probe)
-        members.insert(i, (obj.t_arrival, obj.object_id, obj))
+    def insert(self, rec: Resident) -> None:
+        i = _file(self.members, rec, self, (rec.obj.t_arrival, rec.obj.object_id))
         if i < self.live_start:
             # Conservative: the newcomer may be live, so the expired
             # prefix can no longer be assumed past its slot.
             self.live_start = i
 
-    def remove(self, t_arrival: float, object_id: ObjectId) -> None:
+    def remove(self, rec: Resident) -> None:
         members = self.members
-        i = bisect_left(members, (t_arrival, object_id))
-        if i >= len(members) or members[i][1] != object_id:
-            raise ReproError(f"{object_id!r} is not a member of its victim group")
+        i = bisect_left(members, rec.key, key=_SORT_KEY)
+        if i >= len(members) or members[i] is not rec:
+            raise ReproError(f"{rec.key[1]!r} is not a member of its victim group")
         del members[i]
         if i < self.live_start:
             self.live_start -= 1
 
-    def first_live(self, phases: Mapping[ObjectId, str]) -> int:
+    def first_live(self) -> int:
         """Advance ``live_start`` past the expired prefix and return it."""
         members, n, i = self.members, len(self.members), self.live_start
-        while i < n and phases.get(members[i][1]) == "expired":
+        while i < n and members[i].phase == "expired":
             i += 1
         self.live_start = i
         return i
@@ -232,23 +246,25 @@ class _Group:
     # -- merge-source protocol (pops only) ---------------------------------
 
     def obj_at(self, pos: int) -> StoredObject:
-        return self.members[pos][2]
+        return self.members[pos].obj
 
     def entry_at(self, pos: int, now: float) -> Entry | None:
         members = self.members
         if pos >= len(members):
             return None
-        t_arrival, oid, obj = members[pos]
+        rec = members[pos]
+        obj = rec.obj
+        t_arrival, oid = rec.key
         return (obj.importance_at(now), obj.remaining_lifetime_at(now), t_arrival, oid, pos, self)
 
 
 class _Family:
     """Residents sharing ``(p, t_wane)`` on the exact integer grid.
 
-    Members are sorted by ``(E_abs, t_arrival, object_id)`` — the static
-    victim order for live members.  Expired members (``E_abs <= now``)
-    form a prefix found by bisection; they are emitted by the expired
-    stream instead.  The waning members (``E_abs - t_wane < now < E_abs``)
+    Member records are sorted by their key ``(E_abs, t_arrival,
+    object_id)`` — the static victim order for live members.  Expired
+    members (``E_abs <= now``) form a prefix found by bisection; they are
+    emitted by the expired stream instead.  The waning members (``E_abs - t_wane < now < E_abs``)
     are the contiguous run after it: this is the only place a waning
     family member lives, and the importance index reads its density terms
     from here (:meth:`GroupedResidents.wane_terms`).  ``expiries`` and
@@ -264,29 +280,24 @@ class _Family:
     def __init__(self, p: float, t_wane: float) -> None:
         self.p = p
         self.t_wane = t_wane
-        #: ``(E_abs, t_arrival, object_id, obj)``.
-        self.members: list[tuple[float, float, ObjectId, StoredObject]] = []
+        self.members: list[Resident] = []
         self.expiries = array("d")
         self.sizes = array("d")
 
-    def insert(self, e_abs: float, obj: StoredObject) -> None:
-        probe = (e_abs, obj.t_arrival, obj.object_id)
-        members = self.members
-        # Admissions arrive in (mostly) increasing expiry: append fast path.
-        if not members or members[-1][:3] < probe:
-            i = len(members)
-        else:
-            i = bisect_left(members, probe)
-        members.insert(i, (*probe, obj))
+    def insert(self, e_abs: float, rec: Resident) -> None:
+        obj = rec.obj
+        i = _file(self.members, rec, self, (e_abs, obj.t_arrival, obj.object_id))
         self.expiries.insert(i, e_abs)
         self.sizes.insert(i, obj.size)
 
-    def remove(self, e_abs: float, t_arrival: float, object_id: ObjectId) -> None:
-        members = self.members
-        i = bisect_left(members, (e_abs, t_arrival, object_id))
-        if i >= len(members) or members[i][2] != object_id:
-            raise ReproError(f"{object_id!r} is not a member of its victim family")
-        del members[i]
+    def remove(self, rec: Resident) -> None:
+        # Bisect the expiry column to the record's run of equal ``E``, then
+        # find the record itself there (an identity scan, no key calls).
+        try:
+            i = self.members.index(rec, bisect_left(self.expiries, rec.key[0]))
+        except ValueError:
+            raise ReproError(f"{rec.key[2]!r} is not a member of its victim family") from None
+        del self.members[i]
         del self.expiries[i]
         del self.sizes[i]
 
@@ -306,13 +317,13 @@ class _Family:
     # -- merge-source protocol ---------------------------------------------
 
     def obj_at(self, pos: int) -> StoredObject:
-        return self.members[pos][3]
+        return self.members[pos].obj
 
     def entry_at(self, pos: int, now: float) -> Entry | None:
         members = self.members
         if pos >= len(members):
             return None
-        e_abs, t_arrival, oid, _obj = members[pos]
+        e_abs, t_arrival, oid = members[pos].key
         # Exact integer arithmetic (see the module docstring): the member
         # is live, ``rem = E_abs - now`` equals ``t_expire - age`` and is
         # > 0, and ``age <= t_persist`` iff ``rem >= t_wane``.
@@ -328,17 +339,17 @@ class _ExpiredStream:
 
     __slots__ = ("items",)
 
-    def __init__(self, items: list[tuple[float, ObjectId, StoredObject]]) -> None:
+    def __init__(self, items: list[tuple[float, ObjectId, Resident]]) -> None:
         self.items = items
 
     def obj_at(self, pos: int) -> StoredObject:
-        return self.items[pos][2]
+        return self.items[pos][2].obj
 
     def entry_at(self, pos: int, now: float) -> Entry | None:
         items = self.items
         if pos >= len(items):
             return None
-        t_arrival, oid, _obj = items[pos]
+        t_arrival, oid, _rec = items[pos]
         return (0.0, 0.0, t_arrival, oid, pos, self)
 
 
@@ -348,15 +359,17 @@ class GroupedResidents:
     Mirrors a store's resident set (one :meth:`add` per admission, one
     :meth:`discard` per eviction) and answers the planning query
     :meth:`greedy_victims` without sorting or scanning every resident.
+    It keeps no map of its own from object ids: :meth:`add` files a
+    :class:`~repro.core.index.Resident` record into one source and writes
+    that source and the record's sort key onto the record, which is all
+    :meth:`discard` needs to find it again.
     """
 
-    __slots__ = ("_groups", "_families", "_membership", "_family_max_arrival", "_floors")
+    __slots__ = ("_groups", "_families", "_family_max_arrival", "_floors")
 
     def __init__(self) -> None:
         self._groups: dict[object, _Group] = {}
         self._families: dict[tuple, _Family] = {}
-        #: object id -> ("g", key, t_arrival) | ("f", key, E_abs, t_arrival).
-        self._membership: dict[ObjectId, tuple] = {}
         #: Latest arrival among (ever-added) family members: queries before
         #: it would need the naive age clamp, which family evaluation
         #: omits, so they fall back.  Never decreases — conservative.
@@ -366,7 +379,10 @@ class GroupedResidents:
         self._floors: dict[tuple[float, bool], float] = {}
 
     def __len__(self) -> int:
-        return len(self._membership)
+        return sum(len(source.members) for source in self._sources())
+
+    def _sources(self) -> list[_Group | _Family]:
+        return [*self._groups.values(), *self._families.values()]
 
     @property
     def group_count(self) -> int:
@@ -376,11 +392,10 @@ class GroupedResidents:
     def family_count(self) -> int:
         return len(self._families)
 
-    def add(self, obj: StoredObject) -> None:
-        oid = obj.object_id
-        if oid in self._membership:
-            raise ReproError(f"{oid!r} is already grouped")
+    def add(self, rec: Resident) -> None:
+        """File a freshly admitted resident's record into its source."""
         self._floors.clear()
+        obj = rec.obj
         lifetime = obj.lifetime
         spec = _family_spec(lifetime, obj.t_arrival)
         if spec is not None:
@@ -388,30 +403,29 @@ class GroupedResidents:
             family = self._families.get(key)
             if family is None:
                 family = self._families[key] = _Family(*key)
-            family.insert(e_abs, obj)
-            self._membership[oid] = ("f", key, e_abs, obj.t_arrival)
+            family.insert(e_abs, rec)
             if obj.t_arrival > self._family_max_arrival:
                 self._family_max_arrival = obj.t_arrival
             return
         # Unverified annotations get single-object groups: the static-order
         # lemma holds trivially.
-        gkey: object = lifetime if _statically_ordered(lifetime) else oid
+        gkey: object = lifetime if _statically_ordered(lifetime) else obj.object_id
         group = self._groups.get(gkey)
         if group is None:
-            group = self._groups[gkey] = _Group()
-        group.insert(obj)
-        self._membership[oid] = ("g", gkey, obj.t_arrival)
+            group = self._groups[gkey] = _Group(gkey)
+        group.insert(rec)
 
-    def in_family(self, object_id: ObjectId) -> bool:
-        """True when ``object_id`` belongs to an integer-grid superfamily."""
-        return self._membership[object_id][0] == "f"
+    @staticmethod
+    def in_family(rec: Resident) -> bool:
+        """True when ``rec`` is filed in an integer-grid superfamily."""
+        return type(rec.source) is _Family
 
     def waning_members(self, now: float) -> list[StoredObject]:
         """Every family member strictly inside its wane window at ``now``."""
         out: list[StoredObject] = []
         for family in self._families.values():
             lo, hi = family.waning(now)
-            out.extend([m[3] for m in family.members[lo:hi]])
+            out.extend([rec.obj for rec in family.members[lo:hi]])
         return out
 
     def wane_terms(self, now: float) -> list[float]:
@@ -432,53 +446,40 @@ class GroupedResidents:
             ])
         return terms
 
-    def discard(self, object_id: ObjectId) -> None:
-        entry = self._membership.pop(object_id, None)
-        if entry is None:
-            return
+    def discard(self, rec: Resident) -> None:
+        """Take a leaving resident's record out of its source."""
         self._floors.clear()
-        if entry[0] == "f":
-            _tag, key, e_abs, t_arrival = entry
-            family = self._families[key]
-            family.remove(e_abs, t_arrival, object_id)
-            if not family.members:
-                del self._families[key]
-            return
-        _tag, gkey, t_arrival = entry
-        group = self._groups[gkey]
-        group.remove(t_arrival, object_id)
-        if not group.members:
-            del self._groups[gkey]
+        source = rec.source
+        source.remove(rec)
+        if not source.members:
+            if type(source) is _Family:
+                del self._families[source.p, source.t_wane]
+            else:
+                del self._groups[source.gkey]
 
-    def check(self) -> None:
-        """Verify every source's order and the membership map (test helper)."""
-        members = 0
+    def check(self) -> list[Resident]:
+        """Verify every source's order and its records' source and sort key;
+        return the records of every source (test helper)."""
         for key, family in self._families.items():
-            entries = family.members
-            if not len(entries) == len(family.expiries) == len(family.sizes):
+            if not len(family.members) == len(family.expiries) == len(family.sizes):
                 raise ReproError(f"family {key!r} columns are ragged")
-            for (e_abs, t_arrival, oid, obj), e_col, size in zip(
-                entries, family.expiries, family.sizes
-            ):
-                if (_family_spec(obj.lifetime, obj.t_arrival), e_col, t_arrival, oid, size) != (
-                    (key, e_abs), e_abs, obj.t_arrival, obj.object_id, obj.size
+            for rec, e_col, size in zip(family.members, family.expiries, family.sizes):
+                obj = rec.obj
+                if (_family_spec(obj.lifetime, obj.t_arrival), e_col, size) != (
+                    (key, rec.key[0]), rec.key[0], obj.size
                 ):
-                    raise ReproError(f"{oid!r} has stale family values")
-                if self._membership.get(oid) != ("f", key, e_abs, t_arrival):
-                    raise ReproError(f"{oid!r} has a stale membership entry")
-            if any(a[:3] >= b[:3] for a, b in zip(entries, entries[1:])):
-                raise ReproError(f"family {key!r} is out of order")
-            members += len(entries)
-        for gkey, group in self._groups.items():
-            entries = group.members
-            for t_arrival, oid, obj in entries:
-                if self._membership.get(oid) != ("g", gkey, t_arrival):
-                    raise ReproError(f"{oid!r} has a stale membership entry")
-            if any(a[:2] >= b[:2] for a, b in zip(entries, entries[1:])):
-                raise ReproError(f"group {gkey!r} is out of order")
-            members += len(entries)
-        if members != len(self._membership):
-            raise ReproError("membership map and merge sources are ragged")
+                    raise ReproError(f"{obj.object_id!r} has stale family values")
+        records: list[Resident] = []
+        for source in self._sources():
+            for rec in source.members:
+                obj = rec.obj
+                if rec.source is not source or rec.key[-2:] != (obj.t_arrival, obj.object_id):
+                    raise ReproError(f"{obj.object_id!r} has a stale sort key")
+            keys = [rec.key for rec in source.members]
+            if any(a >= b for a, b in zip(keys, keys[1:])):
+                raise ReproError(f"victim source {source!r} is out of order")
+            records.extend(source.members)
+        return records
 
     def reset_cursors(self) -> None:
         """Forget monotone-time assumptions after a clock regression."""
@@ -494,11 +495,11 @@ class GroupedResidents:
             and now >= self._family_max_arrival
         )
 
-    def _live_heads(self, now: float, phases: Mapping[ObjectId, str]) -> list[Entry]:
+    def _live_heads(self, now: float) -> list[Entry]:
         """The merge head of every source with a live member at ``now``."""
         heads: list[Entry] = []
         for group in self._groups.values():
-            i = group.first_live(phases)
+            i = group.first_live()
             if i < len(group.members):
                 heads.append(group.entry_at(i, now))
         for family in self._families.values():
@@ -507,18 +508,17 @@ class GroupedResidents:
                 heads.append(entry)
         return heads
 
-    def _blocked_through(
-        self, now: float, level: float, strict: bool, phases: Mapping[ObjectId, str]
-    ) -> float:
+    def _blocked_through(self, now: float, level: float, strict: bool) -> float:
         """The last instant at which every resident live at ``now`` blocks
         ``level``: its oldest live member's stable end for a group, its
         head's ``E - r*`` for a family; ``-inf`` if one never blocks."""
         through = math.inf
         for group in self._groups.values():
-            i = group.first_live(phases)
+            i = group.first_live()
             if i < len(group.members):
-                t_arrival, _oid, obj = group.members[i]
-                lifetime = obj.lifetime
+                rec = group.members[i]
+                lifetime = rec.obj.lifetime
+                t_arrival = rec.key[0]
                 if not _blocks(lifetime.initial_importance, level, strict):
                     return -math.inf
                 through = min(through, _stable_end(t_arrival, lifetime.stable_until))
@@ -535,14 +535,13 @@ class GroupedResidents:
         now: float,
         needed: int,
         *,
-        phases: Mapping[ObjectId, str],
-        expired: list[tuple[float, ObjectId, StoredObject]],
+        expired: list[tuple[float, ObjectId, Resident]],
     ) -> tuple[list[StoredObject], float, int] | None:
         """The naive sort's greedy victim prefix for ``needed`` bytes.
 
-        ``phases`` and ``expired`` come from the importance index *after*
-        ``advance(now)``: the phase of every tracked object, and the
-        arrival-sorted expired residents.  Returns ``(victims,
+        Call it after the importance index's ``advance(now)``, so every
+        record's ``phase`` is current; ``expired`` is the index's
+        arrival-sorted stream of expired residents.  Returns ``(victims,
         highest_importance, freed_bytes)`` with victims in exact global
         victim order and ``highest`` equal to ``max(importance_at(now))``
         over them (0.0 when empty); ``freed < needed`` signals the pool
@@ -553,9 +552,9 @@ class GroupedResidents:
         now = float(now)
         if not self._exact_at(now):
             return None
-        heap = self._live_heads(now, phases)
+        heap = self._live_heads(now)
         if expired:
-            t_arrival, oid, _obj = expired[0]
+            t_arrival, oid, _rec = expired[0]
             heap.append((0.0, 0.0, t_arrival, oid, 0, _ExpiredStream(expired)))
         heapify(heap)
         victims: list[StoredObject] = []
@@ -574,8 +573,7 @@ class GroupedResidents:
         return victims, highest, freed
 
     def preempted_floor(
-        self, now: float, deficit: int, incoming: float, strict: bool,
-        *, phases: Mapping[ObjectId, str],
+        self, now: float, deficit: int, incoming: float, strict: bool
     ) -> tuple[bool, float] | None:
         """Score, without collecting it, the greedy prefix of the *live*
         residents for the ``deficit > 0`` bytes the expired ones leave
@@ -596,17 +594,16 @@ class GroupedResidents:
         key = (incoming, strict)
         through = self._floors.get(key)
         if through is None:
-            through = self._floors[key] = self._blocked_through(now, incoming, strict, phases)
+            through = self._floors[key] = self._blocked_through(now, incoming, strict)
         if now <= through:
             return False, incoming
-        return self._merge_floor(now, deficit, incoming, strict, phases)
+        return self._merge_floor(now, deficit, incoming, strict)
 
     def _merge_floor(
-        self, now: float, deficit: int, incoming: float, strict: bool,
-        phases: Mapping[ObjectId, str],
+        self, now: float, deficit: int, incoming: float, strict: bool
     ) -> tuple[bool, float] | None:
         """:meth:`preempted_floor` by folding the merge heads."""
-        heap = self._live_heads(now, phases)
+        heap = self._live_heads(now)
         heapify(heap)
         freed = 0
         highest = 0.0

@@ -25,7 +25,7 @@ Inside a shard the run is an epoch loop on a
   picklable :class:`EpochDigest`.
 
 The epoch digests are the shard's only output (per-object history is off;
-resident state rides in the slab-backed stores).  The parent merges the
+resident state rides in the stores' own resident records).  The parent merges the
 digests at each barrier in shard-id order — integer counters add, density
 folds as ``sum(weighted) / sum(capacity)`` — so the merged artifact is
 deterministic and identical however the shards were scheduled.

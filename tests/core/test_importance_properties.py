@@ -30,6 +30,7 @@ from repro.core.importance import (
     TwoStepImportance,
 )
 from repro.core.obj import StoredObject
+from repro.core.index import Resident
 from repro.core.victims import GroupedResidents
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -183,7 +184,7 @@ def test_wane_terms_are_bit_identical_to_the_per_object_chain(p, t_wane, now, me
         obj = StoredObject(
             size=size, t_arrival=max(0.0, t_arrival), lifetime=func, object_id=f"o{i}"
         )
-        groups.add(obj)
+        groups.add(Resident(obj, i, 0.0))
         objs.append(obj)
     # The waning run is the set the index's phase predicates pick ...
     waning = {
@@ -199,7 +200,8 @@ def test_wane_terms_are_bit_identical_to_the_per_object_chain(p, t_wane, now, me
     # On the grid, every live member's merge key is the per-object key.
     if now.is_integer():
         for family in groups._families.values():
-            for pos, (_e, _t, _oid, obj) in enumerate(family.members):
+            for pos, rec in enumerate(family.members):
+                obj = rec.obj
                 if obj.is_expired_at(now):
                     continue
                 imp, rem = family.entry_at(pos, now)[:2]

@@ -112,7 +112,7 @@ def test_randomized_workload_is_bit_identical(seed):
                 naive.reclaim_expired(now), fast.reclaim_expired(now), step
             )
         elif action < 0.90 and len(naive):
-            victim = rng.choice(sorted(oid for oid in naive._residents))
+            victim = rng.choice(sorted(o.object_id for o in naive.iter_residents()))
             rec_n = naive.remove(victim, now)
             rec_f = fast.remove(victim, now)
             assert_evictions_equal([rec_n], [rec_f], step)
@@ -127,7 +127,7 @@ def test_randomized_workload_is_bit_identical(seed):
             )
 
         assert naive.used_bytes == fast.used_bytes, f"step {step}"
-        assert sorted(naive._residents) == sorted(fast._residents), f"step {step}"
+        assert list(naive.iter_residents()) == list(fast.iter_residents()), f"step {step}"
         assert naive.bytes_by_creator() == fast.bytes_by_creator(), f"step {step}"
         if step % 250 == 0:
             assert fast.importance_index.check(max(now, fast.importance_index._now))
@@ -204,7 +204,7 @@ def test_integer_grid_workload_is_bit_identical(seed):
                 naive.reclaim_expired(now), fast.reclaim_expired(now), step
             )
         elif action < 0.92 and len(naive):
-            victim = rng.choice(sorted(oid for oid in naive._residents))
+            victim = rng.choice(sorted(o.object_id for o in naive.iter_residents()))
             assert_evictions_equal(
                 [naive.remove(victim, now)], [fast.remove(victim, now)], step
             )

@@ -79,10 +79,11 @@ POLICIES = {
 def index_snapshot(store):
     """Everything a probe at the index's own ``now`` must leave alone."""
     index = store.importance_index
+    residents = tuple(obj.object_id for obj in store.iter_residents())
     return (
         store.used_bytes,
-        tuple(store._residents),
-        dict(index._phase),
+        residents,
+        tuple(index.phase_of(oid) for oid in residents),
         index.expired_bytes,
         index.transitions,
         len(index.groups),
@@ -140,7 +141,7 @@ def churn(name, seed, *, lifetimes, tick, steps=900, probes_per_step=2):
         )
         store.offer(obj, now)
         if step % 7 == 0 and len(store):
-            store.remove(rng.choice(sorted(store._residents)), now)
+            store.remove(rng.choice(sorted(o.object_id for o in store.iter_residents())), now)
         if step % 200 == 0:
             assert store.importance_index.check(now)
     return store, outcomes, TALLY.floor - floor_answers

@@ -1,13 +1,12 @@
-"""Slab-backed resident state: differential and unit coverage.
+"""Per-creator byte totals: differential and unit coverage.
 
-The :class:`~repro.core.slab.ResidentSlab` is a secondary, array-backed
-representation of a store's residents; a scan of the dict of objects
+The :class:`~repro.core.slab.ResidentSlab` keeps a unit's resident bytes
+per creator incrementally; a scan of the residents
 (:class:`tests.oracles.ScanSlab`) is the oracle.  Twin stores — one with
-the slab, one with the scan injected — are fed identical randomized
+the tally, one with the scan injected — are fed identical randomized
 workloads and must agree on every observable: admission outcomes,
-eviction records (expiry order included), per-creator byte totals and
-occupancy.  :meth:`ResidentSlab.validate` cross-checks every column
-against the oracle along the way.
+eviction records (expiry order included), per-creator byte totals,
+occupancy and the residents themselves.
 """
 
 import inspect
@@ -22,7 +21,6 @@ from repro.core.obj import StoredObject
 from repro.core.policies.temporal import TemporalImportancePolicy
 from repro.core.slab import ResidentSlab
 from repro.core.store import StorageUnit
-from repro.errors import ReproError
 from tests.core.test_index_differential import (
     assert_evictions_equal,
     assert_plans_equal,
@@ -56,7 +54,7 @@ def _twin_step(rng, step, now, slab_store, dict_store):
             dict_store.reclaim_expired(now), slab_store.reclaim_expired(now), step
         )
     elif len(dict_store):
-        victim = rng.choice(sorted(oid for oid in dict_store._residents))
+        victim = rng.choice(sorted(o.object_id for o in dict_store.iter_residents()))
         assert_evictions_equal(
             [dict_store.remove(victim, now)], [slab_store.remove(victim, now)], step
         )
@@ -65,11 +63,11 @@ def _twin_step(rng, step, now, slab_store, dict_store):
 @pytest.mark.parametrize("seed", [11, 404])
 @pytest.mark.parametrize("indexed", [True, False])
 def test_slab_layout_matches_dict_layout(seed, indexed):
-    """Twin randomized workload: the slab against its scan oracle.
+    """Twin randomized workload: the tally against its scan oracle.
 
     Both stores carry the same index — the real one, or with
     ``indexed=False`` the scan oracle on both sides — so a disagreement
-    can only come from the slab.
+    can only come from the tally.
     """
     rng = random.Random(seed)
     slab_store = oracle_store(
@@ -91,9 +89,7 @@ def test_slab_layout_matches_dict_layout(seed, indexed):
         assert (
             slab_store.bytes_by_creator() == dict_store.bytes_by_creator()
         ), f"step {step}"
-        if step % 150 == 0:
-            assert slab_store.resident_slab.validate(slab_store._residents)
-    assert slab_store.resident_slab.validate(slab_store._residents)
+        assert list(slab_store.iter_residents()) == list(dict_store.iter_residents())
 
 
 def _obj(oid, *, size=100, t=0.0, expire=50.0, creator="u"):
@@ -107,76 +103,21 @@ def _obj(oid, *, size=100, t=0.0, expire=50.0, creator="u"):
 
 
 class TestResidentSlab:
-    def test_slots_recycle_through_the_free_list(self):
-        slab = ResidentSlab()
-        assert slab.add(_obj("a")) == 0
-        assert slab.add(_obj("b")) == 1
-        slab.discard("a")
-        assert slab.add(_obj("c")) == 0  # reuses a's slot
-        assert slab.slots == 2
-        assert len(slab) == 2
-
-    def test_discard_is_idempotent_and_add_rejects_duplicates(self):
-        slab = ResidentSlab()
-        slab.add(_obj("a"))
-        slab.discard("missing")
-        slab.discard("a")
-        slab.discard("a")
-        assert len(slab) == 0
-        slab.add(_obj("a"))
-        with pytest.raises(ReproError):
-            slab.add(_obj("a"))
-
     def test_bytes_by_creator_tracks_increments(self):
         slab = ResidentSlab()
-        slab.add(_obj("a", size=100, creator="u"))
+        a, c = _obj("a", size=100, creator="u"), _obj("c", size=60, creator="u")
+        slab.add(a)
         slab.add(_obj("b", size=40, creator="s"))
-        slab.add(_obj("c", size=60, creator="u"))
+        slab.add(c)
         assert slab.bytes_by_creator() == {"u": 160, "s": 40}
-        slab.discard("a")
+        slab.discard(a)
         assert slab.bytes_by_creator() == {"u": 60, "s": 40}
-        slab.discard("c")
+        slab.discard(c)
         # Zeroed creators vanish from the tally, matching the dict scan.
         assert slab.bytes_by_creator() == {"s": 40}
-        assert slab.used_bytes == 40
-
-    def test_validate_catches_a_stale_column(self):
-        """Every column the slab keeps is cross-checked, one at a time."""
-        obj, other = _obj("a", size=100, creator="u"), _obj("b", size=100, creator="s")
-
-        def corrupt_size(slab):
-            slab._size[0] = 99
-
-        def corrupt_creator(slab):
-            slab._creator_code[0] = slab._creator_code[1]
-
-        def corrupt_slot_map(slab):
-            slab._slot_of["a"], slab._slot_of["b"] = 1, 0
-
-        def corrupt_oids(slab):
-            slab._oids[0] = "ghost"
-
-        def corrupt_free_list(slab):
-            slab._free.append(0)
-
-        def corrupt_creator_total(slab):
-            slab._creator_bytes[0] += 1
-
-        def corrupt_byte_total(slab):
-            slab._used_bytes += 1
-
-        for corrupt in (
-            corrupt_size, corrupt_creator, corrupt_slot_map, corrupt_oids,
-            corrupt_free_list, corrupt_creator_total, corrupt_byte_total,
-        ):
-            slab = ResidentSlab()
-            slab.add(obj)
-            slab.add(other)
-            residents = {"a": obj, "b": other}
-            assert slab.validate(residents)
-            corrupt(slab)
-            with pytest.raises(ReproError):
-                slab.validate(residents)
+        slab.add(a)
+        # A returning creator keeps its first-seen position.
+        assert list(slab.bytes_by_creator()) == ["u", "s"]
 
 
 class TestStoreLayout:

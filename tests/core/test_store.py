@@ -2,13 +2,22 @@
 
 import pytest
 
+from repro.core.density import importance_density
 from repro.core.importance import FixedLifetimeImportance
+from repro.core.obj import StoredObject
 from repro.core.policies.temporal import TemporalImportancePolicy
 from repro.core.policy import AdmissionPlan
 from repro.core.store import StorageUnit
-from repro.errors import CapacityError, UnknownObjectError
+from repro.errors import CapacityError, SimulationError, UnknownObjectError
 from repro.units import days, gib
 from tests.conftest import make_obj
+
+
+def _creator_scan(store):
+    scan = {}
+    for obj in store.iter_residents():
+        scan[obj.creator] = scan.get(obj.creator, 0) + obj.size
+    return scan
 
 
 class TestConstruction:
@@ -21,6 +30,11 @@ class TestConstruction:
     def test_rejects_float_capacity(self):
         with pytest.raises(CapacityError):
             StorageUnit(1.5e9, TemporalImportancePolicy())
+
+    def test_rejects_bool_capacity(self):
+        # ``True`` is an int; a unit of it would hold one byte.
+        with pytest.raises(CapacityError):
+            StorageUnit(True, TemporalImportancePolicy())
 
     def test_starts_empty(self, temporal_store):
         assert temporal_store.used_bytes == 0
@@ -96,7 +110,7 @@ class TestOffer:
         assert self._state(temporal_store) == before
         assert plan.victims[0].object_id in temporal_store
         assert temporal_store.importance_index.check(now)
-        assert temporal_store.resident_slab.validate(temporal_store._residents)
+        assert temporal_store.bytes_by_creator() == _creator_scan(temporal_store)
 
     def test_infeasible_plan_raises_before_any_eviction(self, temporal_store):
         """A policy that frees too little raises with nothing evicted."""
@@ -116,7 +130,7 @@ class TestOffer:
         assert self._state(temporal_store) == before
         assert victim.object_id in temporal_store
         assert temporal_store.importance_index.check(now)
-        assert temporal_store.resident_slab.validate(temporal_store._residents)
+        assert temporal_store.bytes_by_creator() == _creator_scan(temporal_store)
 
     def test_capacity_never_exceeded(self, temporal_store):
         now = 0.0
@@ -269,3 +283,35 @@ class TestQueries:
         text = repr(temporal_store)
         assert "temporal-importance" in text
         assert "residents=1" in text
+
+
+class TestNanClock:
+    """A NaN ``now`` never compares, so a unit refuses it before it lands."""
+
+    def test_nan_now_is_refused_and_the_index_stays_sound(self):
+        store = StorageUnit(1000, TemporalImportancePolicy())
+        obj = StoredObject(
+            size=600, t_arrival=0.0, lifetime=FixedLifetimeImportance(0.5, 10), object_id="a"
+        )
+        store.offer(obj, 0.0)
+        small = StoredObject(
+            size=100, t_arrival=0.0, lifetime=FixedLifetimeImportance(0.5, 10), object_id="b"
+        )
+        nan = float("nan")
+        assert importance_density(store, 20.0) == 0.0
+        with pytest.raises(SimulationError):
+            importance_density(store, nan)
+        for call in (
+            lambda: store.offer(small, nan),
+            lambda: store.peek_admission(small, nan),
+            lambda: store.touch("a", nan),
+            lambda: store.remove("a", nan),
+            lambda: store.reclaim_expired(nan),
+            lambda: store.importance_index.advance(nan),
+        ):
+            with pytest.raises(SimulationError):
+                call()
+        # The clock regressed from 20 to 5: the index rebuilt, not poisoned.
+        assert importance_density(store, 5.0) == 0.3
+        assert store.last_access("a") == 0.0 and store.accepted_count == 1
+        assert store.importance_index.check(5.0)

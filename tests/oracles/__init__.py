@@ -1,18 +1,20 @@
 """Full-scan reference implementations of a store's resident bookkeeping.
 
 ``src/`` has one way to hold resident state: every
-:class:`~repro.core.store.StorageUnit` books its residents in an
-:class:`~repro.core.index.ImportanceIndex` and a
-:class:`~repro.core.slab.ResidentSlab`.  The naive paths those two
-structures replaced are kept here, as plain implementations of the same
-read protocols that answer every question by scanning all residents.
+:class:`~repro.core.store.StorageUnit` books each resident once, as a
+:class:`~repro.core.index.Resident` record in the table of its
+:class:`~repro.core.index.ImportanceIndex`, and counts its bytes per
+creator in a :class:`~repro.core.slab.ResidentSlab`.  The naive paths
+those structures replaced are kept here, as plain implementations of the
+same protocols that answer every question by scanning all residents.
 Differential suites (and the ``benchmarks/test_perf_*`` twins) inject
 them into a store and require bit-equal plans, eviction records,
 densities, per-creator totals and expiry order.
 
-Both hold the store's own ``StoredObject`` instances in admission order
-(a dict keyed by object id: evicted ids leave, re-admitted ids re-enter
-at the end), which is the order ``StorageUnit.iter_residents`` yields.
+:class:`ScanIndex` keeps the same table the store reads (records in
+admission order, keyed by object id: evicted ids leave, re-admitted ids
+re-enter at the end), which is the order ``StorageUnit.iter_residents``
+yields, and nothing else.  :class:`ScanSlab` keeps the residents by id.
 
 :class:`FloorTally` is the oracle of the temporal probe's cached refusal
 floor: it counts the probes the floor answers and re-scores each of them
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 
+from repro.core.index import Resident
 from repro.core.obj import ObjectId, StoredObject
 from repro.core.policy import EvictionPolicy
 from repro.core.store import StorageUnit
@@ -31,17 +34,7 @@ from repro.core.victims import GroupedResidents
 __all__ = ["FloorTally", "ScanIndex", "ScanSlab", "oracle_store"]
 
 
-class _ResidentScan:
-    """The residents in admission order, and nothing else."""
-
-    def __init__(self) -> None:
-        self._obj: dict[ObjectId, StoredObject] = {}
-
-    def discard(self, object_id: ObjectId) -> None:
-        self._obj.pop(object_id, None)
-
-
-class ScanIndex(_ResidentScan):
+class ScanIndex:
     """:class:`~repro.core.index.ImportanceIndex`'s protocol, by full scan.
 
     ``greedy_victims`` and ``preempted_floor`` always decline, so admission
@@ -50,8 +43,18 @@ class ScanIndex(_ResidentScan):
     the greedy prefix) — and a probe is scored from that plan.
     """
 
+    def __init__(self) -> None:
+        self.residents: dict[ObjectId, Resident] = {}
+
+    @property
+    def _objs(self) -> list[StoredObject]:
+        return [rec.obj for rec in self.residents.values()]
+
     def add(self, obj: StoredObject, now: float) -> None:
-        self._obj[obj.object_id] = obj
+        self.residents[obj.object_id] = Resident(obj, len(self.residents), now)
+
+    def discard(self, object_id: ObjectId) -> None:
+        self.residents.pop(object_id, None)
 
     def greedy_victims(self, now: float, needed: int) -> None:
         return None
@@ -60,24 +63,30 @@ class ScanIndex(_ResidentScan):
         return None
 
     def victim_candidates(self, now: float, needed: int) -> list[StoredObject]:
-        return list(self._obj.values())
+        return self._objs
 
     def expired_objects(self, now: float) -> list[StoredObject]:
-        return [obj for obj in self._obj.values() if obj.is_expired_at(now)]
+        return [obj for obj in self._objs if obj.is_expired_at(now)]
 
     def exact_mass(self, now: float) -> float:
         return math.fsum(
             importance * obj.size
-            for obj in self._obj.values()
+            for obj in self._objs
             if (importance := obj.importance_at(now)) > 0.0
         )
 
 
-class ScanSlab(_ResidentScan):
+class ScanSlab:
     """:class:`~repro.core.slab.ResidentSlab`'s protocol, by full scan."""
+
+    def __init__(self) -> None:
+        self._obj: dict[ObjectId, StoredObject] = {}
 
     def add(self, obj: StoredObject) -> None:
         self._obj[obj.object_id] = obj
+
+    def discard(self, obj: StoredObject) -> None:
+        del self._obj[obj.object_id]
 
     def bytes_by_creator(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -136,12 +145,12 @@ class FloorTally:
             tally.merge += 1
             return merge(groups, *args)
 
-        def checked_floor(groups, now, deficit, incoming, strict, *, phases):
+        def checked_floor(groups, now, deficit, incoming, strict):
             merges = tally.merge
-            scored = floor(groups, now, deficit, incoming, strict, phases=phases)
+            scored = floor(groups, now, deficit, incoming, strict)
             if scored is not None and tally.merge == merges:
                 tally.floor += 1
-                folded = merge(groups, float(now), deficit, incoming, strict, phases)
+                folded = merge(groups, float(now), deficit, incoming, strict)
                 if scored != (False, incoming) or folded is None or folded[0]:
                     tally.disagreements.append((now, deficit, incoming, strict, scored, folded))
                     raise AssertionError(f"floor answer disagrees: {tally.disagreements[-1]}")

@@ -85,9 +85,9 @@ def census(workload: str, seed: int) -> Counter:
             counts["probes"] += 1
         return probe(policy, store, obj, now, incoming)
 
-    def counted_floor(groups, now, deficit, incoming, strict, *, phases):
+    def counted_floor(groups, now, deficit, incoming, strict):
         merges = counts["merge"]
-        scored = floor(groups, now, deficit, incoming, strict, phases=phases)
+        scored = floor(groups, now, deficit, incoming, strict)
         if not sweeping and scored is not None and counts["merge"] == merges:
             counts["floor"] += 1
         return scored
