@@ -15,13 +15,13 @@ This bench fills twin stores (naive = the full-scan oracle of
 :mod:`tests.oracles` injected, indexed = as shipped) with ``n`` residents
 across 64 two-step annotations, moves the clock to where all of them are
 inside their wane window, and times 50 exact probes on each (off the grid)
-— asserting that the densities are bit-equal.  It runs twice:
+— asserting that the densities are bit-equal.  Arrivals fall on whole
+minutes, one a minute (a unit takes no other), and it runs twice:
 
-* arrivals on the integer-minute grid (``ARRIVAL_STEP`` 1.0), where every
-  resident is in a family: the families must deliver at least 4x at 50k
-  residents;
-* arrivals every 0.37 minutes, off the grid, where no resident is in a
-  family and the index evaluates each waning one through
+* whole-minute durations (``PERSIST_OFFSET`` 0.0), where every resident is
+  in a family: the families must deliver at least 4x at 50k residents;
+* persist windows 0.37 minutes longer, off the grid, where no resident is
+  in a family and the index evaluates each waning one through
   ``StoredObject.importance_at`` — the oracle's own call chain.  Only
   bit-equality is asserted; the measured ratio is written to
   ``benchmarks/out/perf_density_probe_off_grid.txt``.
@@ -50,14 +50,16 @@ ANNOTATIONS = 64
 PROBES = 50
 #: Long enough that no resident expires while the probes run.
 WANE = 1.0e6
-#: Minutes between arrivals: whole minutes put every resident in a family,
-#: fractions put none there.
-ARRIVAL_STEPS = (1.0, 0.37)
+#: Minutes added to every persist window: none puts every resident in a
+#: family, a fraction puts none there.
+PERSIST_OFFSETS = (0.0, 0.37)
 
 
-def _filled_store(n: int, arrival_step: float, *, indexed: bool) -> StorageUnit:
+def _filled_store(n: int, persist_offset: float, *, indexed: bool) -> StorageUnit:
     lifetimes = [
-        TwoStepImportance(p=0.2 + 0.7 * k / ANNOTATIONS, t_persist=100.0 + k, t_wane=WANE)
+        TwoStepImportance(
+            p=0.2 + 0.7 * k / ANNOTATIONS, t_persist=100.0 + k + persist_offset, t_wane=WANE
+        )
         for k in range(ANNOTATIONS)
     ]
     sizes = [1 + (i * 7919) % 4096 for i in range(n)]
@@ -68,7 +70,7 @@ def _filled_store(n: int, arrival_step: float, *, indexed: bool) -> StorageUnit:
         keep_history=False,
     )
     for i, size in enumerate(sizes):
-        t_arrival = i * arrival_step
+        t_arrival = float(i)
         store.offer(
             StoredObject(
                 size=size,
@@ -105,13 +107,13 @@ def _probe_both(
     return seconds[naive], seconds[indexed], densities[naive], densities[indexed]
 
 
-def run_comparison(arrival_step, sizes=(10_000, 50_000)):
+def run_comparison(persist_offset, sizes=(10_000, 50_000)):
     out = {}
     for n in sizes:
         # Past the last arrival's persist window, far inside every wane.
-        start = n * arrival_step + 100.0 + ANNOTATIONS + 1.0
-        naive = _filled_store(n, arrival_step, indexed=False)
-        indexed = _filled_store(n, arrival_step, indexed=True)
+        start = n + 100.0 + ANNOTATIONS + 1.0
+        naive = _filled_store(n, persist_offset, indexed=False)
+        indexed = _filled_store(n, persist_offset, indexed=True)
         naive_seconds, indexed_seconds, naive_densities, indexed_densities = _probe_both(
             naive, indexed, start
         )
@@ -126,16 +128,16 @@ def run_comparison(arrival_step, sizes=(10_000, 50_000)):
     return out
 
 
-@pytest.mark.parametrize("arrival_step", ARRIVAL_STEPS)
-def test_perf_density_probe(benchmark, save_artifact, arrival_step):
-    results = run_once(benchmark, run_comparison, arrival_step)
-    on_grid = arrival_step == 1.0
+@pytest.mark.parametrize("persist_offset", PERSIST_OFFSETS)
+def test_perf_density_probe(benchmark, save_artifact, persist_offset):
+    results = run_once(benchmark, run_comparison, persist_offset)
+    on_grid = persist_offset == 0.0
 
     if on_grid:
         # The acceptance bar: >= 4x over the per-resident call chain at 50k.
         assert results[50_000]["speedup"] >= 4.0
 
-    where = "victim families" if on_grid else f"off-grid arrivals every {arrival_step} min"
+    where = "victim families" if on_grid else f"persist windows {persist_offset} min off the grid"
     lines = [
         f"Exact density probe, every resident waning: naive scan vs {where} "
         f"({PROBES} probes, {ANNOTATIONS} annotations)",

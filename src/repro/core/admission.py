@@ -21,7 +21,7 @@ GreedySizePolicy` for the ablation that does weight by size).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING
 
 from repro.core.obj import StoredObject
 from repro.core.policy import AdmissionPlan
@@ -29,26 +29,7 @@ from repro.core.policy import AdmissionPlan
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.store import StorageUnit
 
-__all__ = ["importance_order", "plan_preemptive_admission"]
-
-VictimOrder = Callable[[Iterable[StoredObject], float], list[StoredObject]]
-
-
-def importance_order(residents: Iterable[StoredObject], now: float) -> list[StoredObject]:
-    """Paper ordering: increasing current importance, then remaining lifetime.
-
-    A stable third key (arrival time, then id) makes the simulation fully
-    deterministic even when many objects share importance and expiry.
-    """
-    return sorted(
-        residents,
-        key=lambda o: (
-            o.importance_at(now),
-            o.remaining_lifetime_at(now),
-            o.t_arrival,
-            o.object_id,
-        ),
-    )
+__all__ = ["plan_preemptive_admission"]
 
 
 def plan_preemptive_admission(
@@ -56,7 +37,6 @@ def plan_preemptive_admission(
     obj: StoredObject,
     now: float,
     *,
-    order: VictimOrder = importance_order,
     strict: bool = True,
 ) -> AdmissionPlan:
     """Plan admission of ``obj`` under the temporal-importance rule.
@@ -69,11 +49,8 @@ def plan_preemptive_admission(
         Incoming object; its *current* importance at ``now`` is what
         competes with residents.
     now:
-        Absolute simulation time in minutes.
-    order:
-        Victim-ordering function; the default is the paper's
-        importance-then-remaining-lifetime order.  Ablations substitute a
-        size-aware order here.
+        Absolute simulation time in minutes: a decision time of the unit's
+        clock (a whole minute, never before an earlier one).
     strict:
         When True (paper semantics) a victim may only be preempted by a
         *strictly* more important object.  ``strict=False`` relaxes this to
@@ -86,39 +63,16 @@ def plan_preemptive_admission(
         return AdmissionPlan(admit=True, reason="free-space")
 
     needed = obj.size - free
-    # The index's victim structures encode the paper ordering; an ablation's
-    # own order sorts every resident.
-    paper_order = order is importance_order
-    index = store.importance_index
-    merged = index.greedy_victims(now, needed) if paper_order else None
-    if merged is not None:
-        # Lazy k-way merge over the expired stream, statically ordered
-        # annotation groups and integer-grid superfamilies: only merge heads
-        # have their keys evaluated, and the resulting prefix (and its max
-        # importance) is bit-identical to the full paper-order sort (see
-        # repro.core.victims for the argument).
-        victims, highest, freed = merged
-        if freed < needed:
-            # Cannot happen when obj.size <= capacity, but guard against
-            # stores whose accounting was corrupted externally.
-            return AdmissionPlan(admit=False, reason="insufficient-space")
-    else:
-        # The merge declined (superfamily exactness not guaranteed at this
-        # now) or was not asked: sort candidates instead.
-        candidates: Iterable[StoredObject] = (
-            index.victim_candidates(now, needed) if paper_order else store.iter_residents()
-        )
-        ordered = order(candidates, now)
-        victims = []
-        freed = 0
-        for resident in ordered:
-            if freed >= needed:
-                break
-            victims.append(resident)
-            freed += resident.size
-        if freed < needed:
-            return AdmissionPlan(admit=False, reason="insufficient-space")
-        highest = max(victim.importance_at(now) for victim in victims)
+    # Lazy k-way merge over the expired stream, statically ordered annotation
+    # groups and integer-grid superfamilies: only merge heads have their keys
+    # evaluated, and the resulting prefix (and its max importance) is
+    # bit-identical to the full paper-order sort (see repro.core.victims for
+    # the argument).
+    victims, highest, freed = store.importance_index.greedy_victims(now, needed)
+    if freed < needed:
+        # Cannot happen when obj.size <= capacity, but guard against
+        # stores whose accounting was corrupted externally.
+        return AdmissionPlan(admit=False, reason="insufficient-space")
     incoming = obj.importance_at(now)
     blocked = highest >= incoming if strict else highest > incoming
     if highest > 0.0 and blocked:

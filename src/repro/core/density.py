@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.store import StorageUnit
-from repro.errors import SimulationError
 
 __all__ = [
     "importance_density",
@@ -54,11 +53,12 @@ def importance_density(store: StorageUnit, now: float) -> float:
 
     The store's :class:`~repro.core.index.ImportanceIndex` answers instead
     of a scan over every resident; the result is bit-identical to that scan
-    (both are the correctly-rounded sum of the same per-object terms).  A
-    NaN ``now`` raises :class:`~repro.errors.SimulationError`.
+    (both are the correctly-rounded sum of the same per-object terms).  The
+    read moves the unit's clock (:meth:`StorageUnit.advance_clock`), so a
+    NaN or backwards ``now`` raises :class:`~repro.errors.SimulationError`;
+    it may fall between minutes.
     """
-    if now != now:
-        raise SimulationError("importance density needs a time, got NaN")
+    store.advance_clock(now)
     return store.importance_index.exact_mass(now) / store.capacity_bytes
 
 

@@ -1,4 +1,4 @@
-"""Incremental importance index: phase buckets + exact density mass.
+"""Incremental importance index: resident phases + exact density mass.
 
 The paper's temporal importance functions are *structured*: every resident
 is, at any instant, in exactly one of three phases —
@@ -16,14 +16,13 @@ and rescanning them per density probe, :class:`ImportanceIndex` keeps
 * one :class:`Resident` record per resident, in the unit's only table
   keyed by object id (admission order); every structure below holds the
   record itself;
-* a dict bucket per distinct constant importance ``p`` with a per-bucket
-  byte total, and an arrival-sorted expired stream;
+* an arrival-sorted expired stream;
 * no copy of a waning two-step resident on the integer grid: it lives only
   in its ``(p, t_wane)`` victim family (:mod:`repro.core.victims`), sorted
   by absolute expiry ``E``, where the waning members are one contiguous
   run and a probe evaluates their terms in one pass
   (:meth:`GroupedResidents.wane_terms`).  Every other waning resident
-  (off-grid arrivals or durations, scaled or non-linear wanes) sits in one
+  (off-grid durations, scaled or non-linear wanes) sits in one
   dict and is evaluated through ``StoredObject.importance_at`` (measured
   shares per workload: docs/performance.md);
 * a min-heap of upcoming phase-transition times; :meth:`advance` pops only
@@ -33,9 +32,9 @@ and rescanning them per density probe, :class:`ImportanceIndex` keeps
 * a :class:`DensityAccumulator` holding the constant-phase terms, so the
   size-weighted importance mass costs O(waning) per probe.
 
-Victim selection walks buckets in increasing ``p`` and stops as soon as the
-accumulated candidate bytes cover the space deficit, then sorts only that
-candidate tail with the exact paper ordering.  The result is provably the
+Victim selection is a lazy k-way merge over the expired stream and the
+statically ordered victim sources (:mod:`repro.core.victims`) that stops as
+soon as the victims cover the space deficit.  The result is provably the
 same greedy prefix the naive full sort produces (see docs/performance.md
 for the argument), so plans — and therefore artifacts — are byte-identical.
 
@@ -48,7 +47,7 @@ The index is held to *bit-exact* agreement with the naive path:
   object is re-classified against the same predicates
   (``is_expired_at`` / age vs ``stable_until``) the naive path evaluates,
   and re-armed one ulp ahead when the predicate has not flipped yet.  After
-  :meth:`advance`, every resident's bucket matches its predicate phase at
+  :meth:`advance`, every resident's phase matches its predicate phase at
   ``now``.
 * The exact mass keeps constant-phase terms as a Shewchuk non-overlapping
   expansion (the ``math.fsum`` trick, made incremental): adding or removing
@@ -154,15 +153,14 @@ class DensityAccumulator:
 
 
 class ImportanceIndex:
-    """Residents bucketed by annotation phase, advanced lazily in time.
+    """Residents filed by annotation phase, advanced lazily in time.
 
     The index holds a :class:`~repro.core.store.StorageUnit`'s resident
     set: the store calls :meth:`add` on admission and :meth:`discard` on any
     eviction, reads membership, iteration order and last access from
     :attr:`residents`, and read paths call :meth:`advance` (directly or via
-    the probe methods) before trusting bucket membership.  Time may regress
-    (tests probe stores at arbitrary instants); the index then rebuilds
-    from scratch rather than guessing.  A NaN ``now`` raises.
+    the probe methods) before trusting phases.  Time never goes back: an
+    earlier or NaN ``now`` raises.
     """
 
     def __init__(self) -> None:
@@ -172,13 +170,9 @@ class ImportanceIndex:
         #: object id -> :class:`Resident`, in admission order: the unit's
         #: only id-keyed table of its residents.
         self.residents: dict[ObjectId, Resident] = {}
-        # Constant phase: one dict bucket per distinct initial importance.
-        self._buckets: dict[float, dict[ObjectId, Resident]] = {}
-        self._bucket_bytes: dict[float, int] = {}
-        self._bucket_keys: list[float] = []
-        self._keys_dirty = False
-        # Waning phase: a resident of an integer-grid victim family lives
-        # only there (counted here); every other one sits in this dict.
+        # Constant phase: only the accumulator's terms.  Waning phase: a
+        # resident of an integer-grid victim family lives only there
+        # (counted here); every other one sits in this dict.
         self._waning: dict[ObjectId, Resident] = {}
         self._family_waning = 0
         #: Expired residents sorted by (t_arrival, object_id) — the exact
@@ -253,14 +247,6 @@ class ImportanceIndex:
         obj = rec.obj
         if phase == PHASE_CONSTANT:
             p = obj.lifetime.initial_importance
-            bucket = self._buckets.get(p)
-            if bucket is None:
-                self._buckets[p] = {obj.object_id: rec}
-                self._bucket_bytes[p] = obj.size
-                self._keys_dirty = True
-            else:
-                bucket[obj.object_id] = rec
-                self._bucket_bytes[p] += obj.size
             if p > 0.0:
                 self.accumulator.add(p * obj.size)
             self._arm(rec, now)
@@ -284,8 +270,6 @@ class ImportanceIndex:
         phase = rec.phase
         if phase == PHASE_CONSTANT:
             p = obj.lifetime.initial_importance
-            del self._buckets[p][obj.object_id]
-            self._bucket_bytes[p] -= obj.size
             if p > 0.0:
                 self.accumulator.add(-(p * obj.size))
         elif phase == PHASE_WANING:
@@ -320,16 +304,12 @@ class ImportanceIndex:
     def advance(self, now: float) -> None:
         """Process every breakpoint at or before ``now``.
 
-        Afterwards each tracked object's bucket equals its predicate phase
-        at ``now``.  A regressing clock triggers a full rebuild; a NaN one
-        raises :class:`~repro.errors.SimulationError`, leaving the index
-        as it was.
+        Afterwards each tracked object's phase equals its predicate phase
+        at ``now``.  An earlier or NaN ``now`` raises
+        :class:`~repro.errors.SimulationError`, leaving the index as it was.
         """
-        if not now >= self._now:  # regressed, or NaN
-            if now != now:
-                raise SimulationError("the importance index cannot advance to a NaN time")
-            self._rebuild(now)
-            return
+        if not now >= self._now:  # backwards, or NaN
+            raise SimulationError(f"the importance index is at {self._now!r}, not before {now!r}")
         self._now = now
         heap = self._heap
         while heap and heap[0][0] <= now:
@@ -348,65 +328,15 @@ class ImportanceIndex:
             self._place(rec, new, now)
             self.transitions += 1
 
-    def _rebuild(self, now: float) -> None:
-        self.accumulator = DensityAccumulator()
-        self._buckets.clear()
-        self._bucket_bytes.clear()
-        self._bucket_keys = []
-        self._keys_dirty = False
-        self._waning.clear()
-        self._family_waning = 0
-        self._expired = []
-        self._expired_bytes = 0
-        self._heap = []
-        self._now = now
-        # Time regressed: previously-skipped "expired prefixes" inside the
-        # victim groups may be live again at the earlier instant.
-        self.groups.reset_cursors()
-        for rec in self.residents.values():
-            self._place(rec, self._classify(rec.obj, now), now)
-
     # -- read paths --------------------------------------------------------
 
-    def _sorted_keys(self) -> list[float]:
-        if self._keys_dirty:
-            for p in [p for p, members in self._buckets.items() if not members]:
-                del self._buckets[p]
-                del self._bucket_bytes[p]
-            self._bucket_keys = sorted(self._buckets)
-            self._keys_dirty = False
-        return self._bucket_keys
-
-    def victim_candidates(self, now: float, needed: int) -> list[StoredObject]:
-        """A superset of the naive greedy victim prefix for ``needed`` bytes.
-
-        All expired and waning residents plus ascending constant buckets
-        until expired + constant candidate bytes cover ``needed``.  Every
-        excluded resident has constant importance strictly above the last
-        included bucket, and the included sub-``p`` mass already covers the
-        deficit, so the greedy prefix of the exact ordering never reaches
-        an excluded object — sorting just these candidates reproduces the
-        full-sort plan bit for bit.
-        """
-        self.advance(now)
-        out = [entry[2].obj for entry in self._expired]
-        out.extend([rec.obj for rec in self._waning.values()])
-        out.extend(self.groups.waning_members(now))
-        freed = self._expired_bytes
-        if freed < needed:
-            for p in self._sorted_keys():
-                members = self._buckets.get(p)
-                if not members:
-                    continue
-                out.extend([rec.obj for rec in members.values()])
-                freed += self._bucket_bytes[p]
-                if freed >= needed:
-                    break
-        return out
+    #: The sort fallback is gone (every plan is the merge's); the name
+    #: stays because the benchmark's tracer (``bench/trace.py``) resolves it.
+    victim_candidates = None
 
     def greedy_victims(
         self, now: float, needed: int
-    ) -> tuple[list[StoredObject], float, int] | None:
+    ) -> tuple[list[StoredObject], float, int]:
         """The exact greedy victim prefix for ``needed`` bytes, lazily.
 
         Advances the phase machinery to ``now`` (so the expired stream is
@@ -414,10 +344,9 @@ class ImportanceIndex:
         a k-way merge over the expired stream, statically ordered annotation
         groups and integer-grid superfamilies that evaluates importance only
         for merge heads, returning ``(victims, highest, freed)`` with the
-        victims in exact paper order.  Returns None when superfamily
-        exactness cannot be guaranteed at this ``now`` (non-integer time or
-        time before a family member's arrival) — callers fall back to the
-        candidates-plus-sort path.
+        victims in exact paper order.  ``now`` is a decision time of the
+        unit's clock: a whole minute, no earlier than any resident's
+        arrival, which is what keeps the superfamily arithmetic exact.
         """
         self.advance(now)
         return self.groups.greedy_victims(now, needed, expired=self._expired)
@@ -430,7 +359,8 @@ class ImportanceIndex:
         residents cover ``needed`` or every live resident blocks
         ``incoming`` (the cached floor; a refusal then reports ``incoming``),
         else a fold over the live merge heads
-        (:meth:`GroupedResidents.preempted_floor`; None when it declines)."""
+        (:meth:`GroupedResidents.preempted_floor`; None when the pool runs
+        dry).  ``now`` is a decision time, as for :meth:`greedy_victims`."""
         self.advance(now)
         deficit = needed - self._expired_bytes
         if deficit <= 0:
@@ -478,7 +408,7 @@ class ImportanceIndex:
         }
         if family != phased or len(family) != self._family_waning:
             raise ReproError("family waning runs disagree with the phase map")
-        constant = sum(len(m) for m in self._buckets.values())
+        constant = sum(rec.phase == PHASE_CONSTANT for rec in residents.values())
         if constant + self.waning_count + len(self._expired) != len(residents):
             raise ReproError("index phase sets do not partition the tracked objects")
         terms = []
@@ -488,21 +418,15 @@ class ImportanceIndex:
                 raise ReproError(f"{oid!r} is filed under another object")
             phase = rec.phase
             if phase != self._classify(obj, now):
-                raise ReproError(f"{oid!r} is bucketed as {phase} but classifies otherwise")
+                raise ReproError(f"{oid!r} is filed as {phase} but classifies otherwise")
             if phase == PHASE_CONSTANT:
                 p = obj.lifetime.initial_importance
-                if self._buckets.get(p, {}).get(oid) is not rec:
-                    raise ReproError(f"{oid!r} is in the wrong constant bucket")
                 if obj.importance_at(now) != p:
                     raise ReproError(f"{oid!r} importance drifted inside its constant phase")
                 if p > 0.0:
                     terms.append(p * obj.size)
         if self.accumulator.exact_mass() != math.fsum(terms):
             raise ReproError("the constant-phase mass is stale")
-        for p, members in self._buckets.items():
-            total = sum(rec.obj.size for rec in members.values())
-            if total != self._bucket_bytes[p]:
-                raise ReproError(f"bucket {p} byte total is stale")
         stream = self._expired
         if stream != sorted(stream, key=lambda entry: entry[:2]) or any(
             rec.phase != PHASE_EXPIRED or residents.get(oid) is not rec for _t, oid, rec in stream

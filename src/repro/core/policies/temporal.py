@@ -45,7 +45,8 @@ class TemporalImportancePolicy(EvictionPolicy):
     ) -> tuple[bool, float]:
         # plan_preemptive_admission's guards in its order, then the index's
         # score of the plan it would build (cached floor or merge); the plan
-        # itself only when the index declines (off-grid ``now``, pool run dry).
+        # itself only when the pool runs dry.
+        store.advance_clock(now, decision=True)
         if obj.size > store.capacity_bytes:
             return False, 0.0
         needed = obj.size - store.free_bytes

@@ -4,9 +4,10 @@
 executes admission plans atomically and emits structured
 :class:`EvictionRecord` / rejection events that the simulation recorder and
 the analysis layer consume.  All temporal reasoning is delegated to the
-objects' importance functions; the unit itself is clock-free and takes
-``now`` on every call, which makes it usable both from the discrete-time
-simulator and directly from library users' code.
+objects' importance functions; the unit takes ``now`` on every call, which
+makes it usable both from the discrete-time simulator and directly from
+library users' code, and holds that ``now`` to one contract, the unit clock
+(:meth:`StorageUnit.advance_clock`).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.core.index import ImportanceIndex, Resident
 from repro.core.obj import ObjectId, StoredObject
 from repro.core.policy import AdmissionPlan, EvictionPolicy
 from repro.core.slab import ResidentSlab
+from repro.core.victims import on_exact_grid
 from repro.errors import CapacityError, SimulationError, UnknownObjectError
 from repro.obs import COUNT_BUCKETS, STATE as _OBS, observe_phase
 
@@ -29,12 +31,6 @@ __all__ = [
     "StorageUnit",
     "StoreStats",
 ]
-
-
-def _require_time(now: float) -> None:
-    """Refuse a NaN clock before it reaches any state (it never compares)."""
-    if now != now:
-        raise SimulationError("storage unit operations need a time, got NaN")
 
 
 @dataclass(frozen=True)
@@ -149,8 +145,13 @@ class StorageUnit:
     the residents.  A :class:`~repro.core.slab.ResidentSlab`
     (:attr:`resident_slab`) keeps the per-creator byte totals.  There is
     no other configuration; the full-scan reference the differential
-    suites compare against lives in ``tests/oracles``.  Every method that
-    takes ``now`` refuses a NaN one before changing anything.
+    suites compare against lives in ``tests/oracles``.
+
+    Every method that takes ``now`` keeps the unit clock
+    (:meth:`advance_clock`): time never goes backwards, decisions fall on
+    whole minutes, and an offered object arrives on a whole minute no later
+    than its offer.  A violation raises
+    :class:`~repro.errors.SimulationError` before anything changes.
     """
 
     def __init__(
@@ -177,6 +178,7 @@ class StorageUnit:
         #: Per-creator byte totals of the residents.
         self.resident_slab = ResidentSlab()
         self._used_bytes = 0
+        self._now = -float("inf")
 
         #: Retained event history (see ``keep_history``).
         self.evictions: list[EvictionRecord] = []
@@ -258,6 +260,24 @@ class StorageUnit:
             bytes_rejected=self.bytes_rejected,
         )
 
+    # -- the unit clock ----------------------------------------------------
+
+    def advance_clock(self, now: float, *, decision: bool = False) -> None:
+        """Move the unit's clock to ``now``, or refuse it.
+
+        A NaN ``now``, or one earlier than the last the unit saw, raises
+        :class:`~repro.errors.SimulationError` with the unit unchanged.
+        A ``decision`` time (:meth:`offer`, :meth:`peek_admission` and the
+        policy probe) must also be a whole minute in ``[0, 2**51]``, which
+        keeps the victim merge's arithmetic exact (:mod:`repro.core.victims`);
+        reads such as the density may fall between minutes.
+        """
+        if not now >= self._now:
+            raise SimulationError(f"{self.name}'s clock is at {self._now!r}, after {now!r}")
+        if decision and not on_exact_grid(now):
+            raise SimulationError(f"{self.name} decides at whole minutes, not at {now!r}")
+        self._now = now
+
     # -- mutation ----------------------------------------------------------
 
     def offer(
@@ -275,8 +295,15 @@ class StorageUnit:
         mutated in between, which the single-threaded simulator guarantees.
         A plan that no longer fits — a victim already gone, or too little
         space even after the evictions — raises before anything is evicted.
+        ``obj`` must arrive on a whole minute no later than ``now``.
         """
-        _require_time(now)
+        t_arrival = obj.t_arrival
+        if not (on_exact_grid(t_arrival) and t_arrival <= now):
+            raise SimulationError(
+                f"{obj.object_id!r} arrives at {t_arrival!r}: an offer at {now!r} "
+                "needs a whole-minute arrival no later than it"
+            )
+        self.advance_clock(now, decision=True)
         residents = self.importance_index.residents
         if obj.object_id in residents:
             raise CapacityError(f"{obj.object_id!r} is already stored on {self.name}")
@@ -382,7 +409,7 @@ class StorageUnit:
         so the plan can be checked against the score before it commits;
         it shares ``offer``'s ``store.plan_admission`` phase timing.
         """
-        _require_time(now)
+        self.advance_clock(now, decision=True)
         return self._plan(obj, now)
 
     def _plan(self, obj: StoredObject, now: float) -> AdmissionPlan:
@@ -395,14 +422,14 @@ class StorageUnit:
 
     def touch(self, object_id: ObjectId, now: float) -> StoredObject:
         """Record an access to a resident (feeds recency baselines)."""
-        _require_time(now)
+        self.advance_clock(now)
         rec = self._record(object_id)
         rec.last_access = now
         return rec.obj
 
     def remove(self, object_id: ObjectId, now: float, *, reason: str = "manual") -> EvictionRecord:
         """Explicitly remove a resident (application-driven delete)."""
-        _require_time(now)
+        self.advance_clock(now)
         victim = self.get(object_id)
         return self._evict(victim, now, reason=reason, preempted_by=None)
 
@@ -413,7 +440,7 @@ class StorageUnit:
         preempted — but delete-optimised deployments (Douglis et al.) sweep
         eagerly, and experiments use this to measure squatting.
         """
-        _require_time(now)
+        self.advance_clock(now)
         # The index already knows who expired; only those are examined, in
         # admission order (what a scan of the residents would yield).
         expired = self.importance_index.expired_objects(now)

@@ -49,12 +49,13 @@ enforced here:
   naive cost, never an incorrect order.
 * Superfamily order relies on *exact* float arithmetic, so membership is
   gated: ``t_arrival`` and the annotation durations must be non-negative
-  integer-valued floats below 2**51 (minutes; ~4e9 years).  All sums and
-  differences involved are then integers below 2**53 — computed without
-  rounding — and the E-order argument holds in floats because it holds in
-  the reals.  Queries at a non-integer ``now``, or at a ``now`` earlier
-  than some family member's arrival (where the naive age clamp could
-  engage), return None and the caller falls back to the sort-based path.
+  integer-valued floats below 2**51 (minutes; ~4e9 years).  A query needs
+  the same of ``now``, and no member may arrive after it (the naive age
+  clamp would engage); the storage unit's clock contract guarantees both
+  for every decision (whole minutes in ``[0, 2**51]``, never backwards,
+  arrivals no later than their offer).  All sums and differences involved
+  are then integers below 2**53 — computed without rounding — and the
+  E-order argument holds in floats because it holds in the reals.
 * Head keys must equal what ``StoredObject.importance_at`` /
   ``remaining_lifetime_at`` return.  A group head simply calls those
   methods.  A family head computes ``rem = E - now`` and the wane through
@@ -94,7 +95,7 @@ from repro.errors import ReproError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.index import Resident
 
-__all__ = ["GroupedResidents"]
+__all__ = ["GroupedResidents", "on_exact_grid"]
 
 #: One merge entry: ``(importance, remaining, t_arrival, object_id,
 #: position, source)``.  Object ids are unique, so heap comparisons never
@@ -108,19 +109,17 @@ _SORT_KEY = attrgetter("key")
 #: three components stay below 2**53 and are therefore computed exactly.
 _MAX_EXACT_COMPONENT = 2.0**51
 
-#: Bound on a query ``now`` for the same exactness argument.
-_MAX_EXACT_NOW = 2.0**52
-
 #: Annotations whose float evaluation is monotone in age (subtraction,
 #: multiplication and division by positive constants preserve order), alone
 #: or under one :class:`ScaledImportance`: their residents share a group.
 _MONOTONE = (TwoStepImportance, FixedLifetimeImportance, ConstantImportance, DiracImportance)
 
 
-def _on_exact_grid(value: float) -> bool:
+def on_exact_grid(value: float) -> bool:
     """True when ``value`` is a non-negative integer small enough that all
     sums of up to three such components are exact in float arithmetic.
-    (``value`` may be an int — annotation durations are not coerced.)"""
+    (``value`` may be an int — annotation durations are not coerced.)  The
+    storage unit decides only at such times."""
     return 0.0 <= value <= _MAX_EXACT_COMPONENT and value == int(value)
 
 
@@ -189,15 +188,15 @@ def _family_spec(
         t_persist = lifetime.t_persist
         t_wane = lifetime.t_wane
         if not (
-            _on_exact_grid(t_arrival)
-            and _on_exact_grid(t_persist)
-            and _on_exact_grid(t_wane)
+            on_exact_grid(t_arrival)
+            and on_exact_grid(t_persist)
+            and on_exact_grid(t_wane)
         ):
             return None
         return (lifetime.p, t_wane), t_arrival + t_persist + t_wane
     if kind is FixedLifetimeImportance:
         expire_after = lifetime.expire_after
-        if not (_on_exact_grid(t_arrival) and _on_exact_grid(expire_after)):
+        if not (on_exact_grid(t_arrival) and on_exact_grid(expire_after)):
             return None
         return (lifetime.p, 0.0), t_arrival + expire_after
     return None
@@ -216,7 +215,7 @@ class _Group:
         #: Index of the first non-expired member (expired members form a
         #: prefix of the arrival order: the annotation is shared, so
         #: expiry instants are ordered exactly like arrivals).  Advanced
-        #: monotonically at query time; reset when time regresses.
+        #: monotonically at query time (time never goes back).
         self.live_start = 0
 
     def insert(self, rec: Resident) -> None:
@@ -365,17 +364,13 @@ class GroupedResidents:
     :meth:`discard` needs to find it again.
     """
 
-    __slots__ = ("_groups", "_families", "_family_max_arrival", "_floors")
+    __slots__ = ("_groups", "_families", "_floors")
 
     def __init__(self) -> None:
         self._groups: dict[object, _Group] = {}
         self._families: dict[tuple, _Family] = {}
-        #: Latest arrival among (ever-added) family members: queries before
-        #: it would need the naive age clamp, which family evaluation
-        #: omits, so they fall back.  Never decreases — conservative.
-        self._family_max_arrival = -math.inf
         #: ``(level, strict)`` -> :meth:`_blocked_through`, until the next
-        #: add, discard or cursor reset (time only moves forward in between).
+        #: add or discard (time only moves forward).
         self._floors: dict[tuple[float, bool], float] = {}
 
     def __len__(self) -> int:
@@ -404,8 +399,6 @@ class GroupedResidents:
             if family is None:
                 family = self._families[key] = _Family(*key)
             family.insert(e_abs, rec)
-            if obj.t_arrival > self._family_max_arrival:
-                self._family_max_arrival = obj.t_arrival
             return
         # Unverified annotations get single-object groups: the static-order
         # lemma holds trivially.
@@ -481,20 +474,6 @@ class GroupedResidents:
             records.extend(source.members)
         return records
 
-    def reset_cursors(self) -> None:
-        """Forget monotone-time assumptions after a clock regression."""
-        self._floors.clear()
-        for group in self._groups.values():
-            group.live_start = 0
-
-    def _exact_at(self, now: float) -> bool:
-        """False off the integer grid or before a family member's arrival."""
-        return not self._families or (
-            -_MAX_EXACT_NOW <= now <= _MAX_EXACT_NOW
-            and now.is_integer()
-            and now >= self._family_max_arrival
-        )
-
     def _live_heads(self, now: float) -> list[Entry]:
         """The merge head of every source with a live member at ``now``."""
         heads: list[Entry] = []
@@ -536,22 +515,18 @@ class GroupedResidents:
         needed: int,
         *,
         expired: list[tuple[float, ObjectId, Resident]],
-    ) -> tuple[list[StoredObject], float, int] | None:
+    ) -> tuple[list[StoredObject], float, int]:
         """The naive sort's greedy victim prefix for ``needed`` bytes.
 
         Call it after the importance index's ``advance(now)``, so every
-        record's ``phase`` is current; ``expired`` is the index's
-        arrival-sorted stream of expired residents.  Returns ``(victims,
-        highest_importance, freed_bytes)`` with victims in exact global
-        victim order and ``highest`` equal to ``max(importance_at(now))``
-        over them (0.0 when empty); ``freed < needed`` signals the pool
-        ran dry.  Returns None when superfamily exactness cannot be
-        guaranteed at this ``now`` — the caller must fall back to the
-        sort-based plan.
+        record's ``phase`` is current, at a whole-minute ``now`` no
+        earlier than any member's arrival (the unit's decision clock);
+        ``expired`` is the index's arrival-sorted stream of expired
+        residents.  Returns ``(victims, highest_importance, freed_bytes)``
+        with victims in exact global victim order and ``highest`` equal to
+        ``max(importance_at(now))`` over them (0.0 when empty);
+        ``freed < needed`` signals the pool ran dry.
         """
-        now = float(now)
-        if not self._exact_at(now):
-            return None
         heap = self._live_heads(now)
         if expired:
             t_arrival, oid, _rec = expired[0]
@@ -585,12 +560,10 @@ class GroupedResidents:
         ``incoming`` — victims pop in ascending importance, so the prefix
         maximum blocks too.  While every live resident blocks, so does the
         first victim: the cached floor answers ``(False, incoming)``, a lower
-        bound on it, without the merge.  None when the merge declines or the
-        pool runs dry: the caller plans in full.  See docs/performance.md.
+        bound on it, without the merge.  None when the pool runs dry: the
+        caller plans in full.  ``now`` is a decision time, as for
+        :meth:`greedy_victims`.  See docs/performance.md.
         """
-        now = float(now)
-        if not self._exact_at(now):
-            return None
         key = (incoming, strict)
         through = self._floors.get(key)
         if through is None:

@@ -31,7 +31,6 @@ from repro.core.store import StorageUnit
 from repro.report.table import TextTable
 from repro.sim.recorder import Recorder
 from repro.sim.runner import run_single_store
-from repro.sim.workload.mixer import merge_streams
 from repro.sim.workload.single_app import RateRamp, SingleAppWorkload
 from repro.units import days, gib, to_days
 from repro.sim.parallel import RunSpec
@@ -84,26 +83,36 @@ def _run_strategy(
 
     # Producer writes: one 0.4 GiB object every 6 hours.
     size = gib(0.4)
-    producer_times = [t * 360.0 for t in range(int(horizon // 360.0))]
 
-    def producer_stream():
-        for i, t in enumerate(producer_times):
-            p = importance_for(store, t, size)
+    def arrivals():
+        # The runner pulls each write after offering the one before, so a
+        # producer write built here is annotated from the store as it is at
+        # its own arrival time: every earlier background write has been
+        # offered (ties go to the producer), and no later one has.
+        background = iter(_background_stream(horizon, seed))
+        pending = next(background, None)
+        for i in range(int(horizon // 360.0)):
+            t = i * 360.0
+            while pending is not None and pending.t_arrival < t:
+                yield pending
+                pending = next(background, None)
             yield StoredObject(
                 size=size,
                 t_arrival=t,
                 lifetime=TwoStepImportance(
-                    p=p, t_persist=days(PERSIST_DAYS), t_wane=days(WANE_DAYS)
+                    p=importance_for(store, t, size),
+                    t_persist=days(PERSIST_DAYS),
+                    t_wane=days(WANE_DAYS),
                 ),
                 object_id=f"{label}-{i:05d}",
                 creator="producer",
             )
+        while pending is not None:
+            yield pending
+            pending = next(background, None)
 
-    merged = merge_streams([
-        producer_stream(), _background_stream(horizon, seed)
-    ])
     run_single_store(
-        store, merged, horizon, recorder=recorder, density_interval_minutes=None
+        store, arrivals(), horizon, recorder=recorder, density_interval_minutes=None
     )
 
     produced = [a for a in recorder.arrivals if a.creator == "producer"]

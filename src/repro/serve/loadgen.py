@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Iterator
@@ -298,7 +299,9 @@ def _flash_arrivals(spec: LoadGenSpec) -> list[tuple[StoredObject, str]]:
 
     The burst adds ``burst_factor`` x the base volume of small cache-grade
     writes, every one naming one of ``hot_objects`` ids homed on
-    ``target_shard``, spread evenly over the middle third of the horizon.
+    ``target_shard``, spread evenly over the middle third of the horizon and
+    rounded up to whole minutes (a unit decides at whole minutes, and
+    rounding up never judges a write before it was made).
     Burst duplicates share object ids but need distinct request ids (the
     ledger keys responses by them), so each is paired with an explicit
     ``req-<object-id>@<k>``; base arrivals keep the derived id (``""``).
@@ -313,7 +316,7 @@ def _flash_arrivals(spec: LoadGenSpec) -> list[tuple[StoredObject, str]]:
     horizon = days(spec.horizon_days)
     start, end = horizon / 3.0, 2.0 * horizon / 3.0
     for k in range(burst_total):
-        t = start + (end - start) * k / max(1, burst_total)
+        t = float(math.ceil(start + (end - start) * k / max(1, burst_total)))
         object_id = hot[k % len(hot)]
         obj = StoredObject(
             size=_FLASH_BYTES,

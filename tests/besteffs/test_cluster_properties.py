@@ -24,7 +24,7 @@ def offer_sequences(draw):
     return draw(
         st.lists(
             st.tuples(
-                st.floats(min_value=0.0, max_value=days(3), allow_nan=False),   # dt
+                st.integers(min_value=0, max_value=int(days(3))).map(float),    # dt
                 st.integers(min_value=1, max_value=NODE_CAPACITY),              # size
                 st.floats(min_value=0.0, max_value=1.0, allow_nan=False),       # p
                 st.floats(min_value=0.0, max_value=days(10), allow_nan=False),  # persist

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.admission import importance_order, plan_preemptive_admission
+from repro.core.admission import plan_preemptive_admission
 from repro.core.importance import (
     ConstantImportance,
     DiracImportance,
@@ -12,6 +12,7 @@ from repro.core.policies.temporal import TemporalImportancePolicy
 from repro.core.store import StorageUnit
 from repro.units import days, gib
 from tests.conftest import make_obj
+from tests.oracles import importance_order
 
 
 @pytest.fixture

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from repro.core.admission import importance_order
 from repro.core.importance import (
     ConstantImportance,
     DiracImportance,
@@ -25,8 +24,9 @@ from repro.core.index import (
     ImportanceIndex,
 )
 from repro.core.obj import StoredObject
-from repro.errors import ReproError
+from repro.errors import ReproError, SimulationError
 from tests.conftest import make_obj
+from tests.oracles import importance_order, victim_candidates
 
 
 class TestStableUntil:
@@ -148,14 +148,15 @@ class TestImportanceIndexPhases:
                 assert index.check(t)
                 t = math.nextafter(t, math.inf)
 
-    def test_time_regression_rebuilds(self):
+    def test_time_regression_is_refused(self):
         index = ImportanceIndex()
         index.add(two_step_obj("a", 10, t_arrival=0.0), 0.0)
         index.advance(200.0)
         assert index.phase_of("a") == PHASE_EXPIRED
-        index.advance(50.0)  # probing the past is allowed on read paths
-        assert index.phase_of("a") == PHASE_CONSTANT
-        assert index.check(50.0)
+        with pytest.raises(SimulationError):
+            index.advance(50.0)  # time never goes back
+        assert index.phase_of("a") == PHASE_EXPIRED
+        assert index.check(200.0)
 
     def test_discard_and_reuse_of_an_id(self):
         index = ImportanceIndex()
@@ -190,7 +191,7 @@ class TestVictimCandidates:
             residents.append(obj)
             index.add(obj, float(i))
         needed = 250  # covered by the 0.1 + 0.3 + 0.3 buckets
-        candidates = index.victim_candidates(10.0, needed)
+        candidates = victim_candidates(index, 10.0, needed)
         ids = {o.object_id for o in candidates}
         assert {"o0", "o1", "o2"} <= ids
         assert "o5" not in ids  # the 1.0 bucket is never touched
@@ -214,7 +215,7 @@ class TestVictimCandidates:
         index = ImportanceIndex()
         index.add(make_obj(1.0, lifetime=DiracImportance(), object_id="dead"), 0.0)
         index.add(make_obj(1.0, lifetime=ConstantImportance(p=1.0), object_id="live"), 0.0)
-        candidates = index.victim_candidates(0.0, 10)
+        candidates = victim_candidates(index, 0.0, 10)
         assert [o.object_id for o in candidates] == ["dead"]
 
     def test_expired_objects_come_back_in_admission_order(self):
@@ -227,7 +228,7 @@ class TestVictimCandidates:
                     lifetime=FixedLifetimeImportance(p=0.5, expire_after=20.0),
                     object_id=oid,
                 ),
-                arrival,
+                10.0,
             )
         assert [o.object_id for o in index.expired_objects(100.0)] == ["b", "a", "c"]
 
@@ -328,20 +329,22 @@ class TestWaningPhase:
         # The run really walked residents through all three phases.
         assert saw_waning > 20 and saw_expired > 20 and index.transitions > 100
 
-    def test_regressing_probes_rebuild_the_index(self):
+    def test_regressing_probes_are_refused(self):
         for index, residents, now in self._churn(7):
             pass
         objs = list(residents.values())
-        # Forward, then back into the past (rebuild), then forward again.
-        for probe in (now, now + 40.0, now - 55.5, now - 200.0, now - 90.0, now + 300.0, 0.0):
+        # Forward probes answer; one into the past raises and changes nothing.
+        for probe in (now, now + 40.0, now + 55.5, now + 300.0):
             assert index.exact_mass(probe) == _naive_mass(objs, probe)
+            with pytest.raises(SimulationError):
+                index.exact_mass(probe - 41.0)
             assert index.check(probe)
             waning = [
                 o for o in objs
                 if not o.is_expired_at(probe) and o.age_at(probe) > o.lifetime.stable_until
             ]
             assert index.waning_count == len(waning)
-            assert {o.object_id for o in index.victim_candidates(probe, 0)} >= {
+            assert {o.object_id for o in victim_candidates(index, probe, 0)} >= {
                 o.object_id for o in waning
             }
 

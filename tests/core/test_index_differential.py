@@ -6,9 +6,13 @@ randomized workloads (mixed annotation shapes, expiries, preemption
 pressure, manual removals, expiry sweeps and density probes).  At every
 step the admission plans, eviction records, occupancy, per-creator totals
 and densities must agree **exactly**: the index is an acceleration
-structure, never a behaviour change.
+structure, never a behaviour change.  Every workload keeps the unit clock:
+whole-minute arrivals and decisions, never backwards; off-grid annotation
+durations keep annotation groups populated, and density reads ahead of the
+clock (between minutes too) are taken on a copy, since a read moves it.
 """
 
+import copy
 import hashlib
 import math
 import random
@@ -61,6 +65,12 @@ def random_lifetime(rng: random.Random):
     return TwoStepImportance(p=p, t_persist=persist, t_wane=wane)
 
 
+def density_ahead(store, t):
+    """The density ``store`` would read at ``t``, taken on a copy: a read
+    moves the unit's clock, and the workload decides before ``t`` again."""
+    return importance_density(copy.deepcopy(store), t)
+
+
 def assert_plans_equal(naive, indexed, step):
     assert naive.admit == indexed.admit, f"step {step}: admit verdicts differ"
     assert [v.object_id for v in naive.victims] == [
@@ -90,7 +100,7 @@ def test_randomized_workload_is_bit_identical(seed):
 
     now = 0.0
     for step in range(1500):
-        now += rng.uniform(0.0, 25.0)
+        now += float(round(rng.uniform(0.0, 25.0)))
         action = rng.random()
         if action < 0.70:
             obj = StoredObject(
@@ -117,11 +127,11 @@ def test_randomized_workload_is_bit_identical(seed):
             rec_f = fast.remove(victim, now)
             assert_evictions_equal([rec_n], [rec_f], step)
         else:
-            # Density probes — sometimes in the past, exercising rebuilds.
-            probe_t = now - rng.uniform(0.0, 50.0) if rng.random() < 0.2 else now
-            probe_t = max(0.0, probe_t)
-            d_naive = importance_density(naive, probe_t)
-            d_fast = importance_density(fast, probe_t)
+            # Density probes — sometimes ahead of the clock, between minutes.
+            read = density_ahead if rng.random() < 0.2 else importance_density
+            probe_t = now + rng.uniform(0.0, 50.0) if read is density_ahead else now
+            d_naive = read(naive, probe_t)
+            d_fast = read(fast, probe_t)
             assert d_naive.hex() == d_fast.hex(), (
                 f"step {step}: density drifted at t={probe_t}"
             )
@@ -130,7 +140,7 @@ def test_randomized_workload_is_bit_identical(seed):
         assert list(naive.iter_residents()) == list(fast.iter_residents()), f"step {step}"
         assert naive.bytes_by_creator() == fast.bytes_by_creator(), f"step {step}"
         if step % 250 == 0:
-            assert fast.importance_index.check(max(now, fast.importance_index._now))
+            assert fast.importance_index.check(now)
 
     # Drain everything: an empty indexed store carries exactly zero mass.
     final = now + 1e6
@@ -210,37 +220,39 @@ def test_integer_grid_workload_is_bit_identical(seed):
             )
         else:
             # Off the grid too: a family's waning slice must answer there.
-            for probe in (now, now + 0.5):
+            for read, probe in ((importance_density, now), (density_ahead, now + 0.5)):
                 assert (
-                    importance_density(naive, probe).hex()
-                    == importance_density(fast, probe).hex()
+                    read(naive, probe).hex() == read(fast, probe).hex()
                 ), f"step {step}: density drifted at t={probe}"
         assert naive.used_bytes == fast.used_bytes, f"step {step}"
         if step % 300 == 0:
-            assert fast.importance_index.check(max(now, fast.importance_index._now))
+            assert fast.importance_index.check(now)
     # The grid workload must actually have exercised the superfamily path.
     assert fast.importance_index.groups.family_count > 0
 
 
-#: ``_decision_digest`` literals recorded before waning two-step residents
-#: moved into their victim families: ``(seed, grid) -> sha256``.
+#: ``_decision_digest`` literals: ``(seed, grid) -> sha256``.  The grid
+#: one was recorded before waning two-step residents moved into their
+#: victim families; the other draws whole-minute arrivals with off-grid
+#: durations (recorded when the unit clock began refusing off-grid
+#: arrivals, and equal on the code before it).
 PINNED_DECISIONS = {
     (31337, True): "8665995038c98f24fbe5e32977ad08e127a1c6b65a6afc78fe05972dcc137753",
-    (1234, False): "66652ce7008ccf3d1f23b59aa7909a3c3597985d7ff65b625bb7d6fb3034dd1d",
+    (1234, False): "13dcb5efaccc8e2995941f89180e04b08f4366ca07ce69f497ba01b9221e5531",
 }
 
 
 def _decision_digest(seed: int, grid: bool) -> str:
     """sha256 over every offer's verdict, reason, highest preempted
     importance and evictions, plus density probes on and off the grid (the
-    forward and backward probes also force index rebuilds)."""
+    look-ahead probes read a copy of the unit)."""
     rng = random.Random(seed)
     lifetime = random_grid_lifetime if grid else random_lifetime
     store = StorageUnit(CAPACITY, TemporalImportancePolicy(), name="pin")
     digest = hashlib.sha256()
     now = 0.0
     for step in range(1500):
-        now += float(rng.randrange(0, 30)) if grid else rng.uniform(0.0, 25.0)
+        now += float(rng.randrange(0, 30)) if grid else float(round(rng.uniform(0.0, 25.0)))
         obj = StoredObject(
             size=rng.randint(100, 6000), t_arrival=now,
             lifetime=lifetime(rng), object_id=f"p-{step}",
@@ -252,8 +264,9 @@ def _decision_digest(seed: int, grid: bool) -> str:
             [record.obj.object_id for record in result.evictions],
         )).encode())
         if step % 5 == 0:
-            for probe in (now, now + 0.5, now + 7.0):
-                digest.update(importance_density(store, probe).hex().encode())
+            digest.update(importance_density(store, now).hex().encode())
+            for probe in (now + 0.5, now + 7.0):
+                digest.update(density_ahead(store, probe).hex().encode())
     return digest.hexdigest()
 
 
@@ -269,7 +282,7 @@ def test_admission_threshold_matches_the_linear_scan(seed):
     store = StorageUnit(CAPACITY, TemporalImportancePolicy(), name="thr")
     now = 0.0
     for step in range(120):
-        now += rng.uniform(0.0, 30.0)
+        now += float(round(rng.uniform(0.0, 30.0)))
         store.offer(
             StoredObject(
                 size=rng.randint(500, 8000),
@@ -316,5 +329,5 @@ def test_indexed_and_naive_agree_on_an_empty_and_full_store():
             ),
             0.0,
         )
-        assert importance_density(store, 1e9) == 1.0
         assert math.isinf(admission_threshold(store, 500, 0.0))
+        assert importance_density(store, 1e9) == 1.0

@@ -40,7 +40,7 @@ def fixed_lifetime_streams(draw):
     return draw(
         st.lists(
             st.tuples(
-                st.floats(min_value=0.0, max_value=days(4), allow_nan=False),  # dt
+                st.integers(min_value=0, max_value=int(days(4))).map(float),  # dt
                 st.integers(min_value=1, max_value=CAPACITY),                  # size
                 durations,                                                     # expire
             ),

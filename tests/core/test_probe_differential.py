@@ -21,6 +21,7 @@ reports ``incoming`` as its lower bound on the blocker.
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +44,7 @@ from repro.core.policies import (
 )
 from repro.core.store import StorageUnit
 from repro.core.victims import _blocking_rem
+from repro.errors import SimulationError
 from tests.core.test_index_differential import random_grid_lifetime, random_lifetime
 from tests.oracles import FloorTally, oracle_store
 
@@ -51,13 +53,12 @@ CAPACITY = 50_000
 TALLY = FloorTally()
 
 #: Probes the cached floor answered in each churn below, every one re-scored
-#: by the merge and held to its plan: the seed-2027 grid churn (of 1,800),
-#: the off-grid churn (of 1,000; its residents sit in annotation groups,
-#: each bound by its oldest live member's stable end) and the regressing
-#: clock (where every past probe rebuilds the index and drops the cache).
+#: by the merge and held to its plan: the seed-2027 grid churn (of 1,800)
+#: and the off-grid-duration churn (of 1,000; whole-minute arrivals, but
+#: most residents sit in annotation groups, each bound by its oldest live
+#: member's stable end).
 GRID_FLOOR_ANSWERS = {"temporal": 169, "temporal-lax": 133}
-OFF_GRID_FLOOR_ANSWERS = {"temporal": 26, "temporal-lax": 16}
-REGRESSING_FLOOR_ANSWERS = {True: 91, False: 77}
+OFF_GRID_FLOOR_ANSWERS = {"temporal": 25, "temporal-lax": 25}
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -164,9 +165,10 @@ def test_probe_equals_plan_on_grid(name):
 
 @pytest.mark.parametrize("name", ["temporal", "temporal-lax", "greedy-size"])
 def test_probe_equals_plan_off_grid(name):
-    """Fractional clocks: the merge declines and the probe falls back to the plan."""
+    """Off-grid durations: the merge runs over annotation groups."""
     _store, outcomes, floor_answers = churn(
-        name, 99, lifetimes=random_lifetime, tick=lambda rng: rng.uniform(0.0, 25.0), steps=500
+        name, 99, lifetimes=random_lifetime, tick=lambda rng: float(round(rng.uniform(0.0, 25.0))),
+        steps=500,
     )
     assert {"preempt", "full-for-importance"} <= outcomes
     assert floor_answers == OFF_GRID_FLOOR_ANSWERS.get(name, 0)
@@ -174,9 +176,10 @@ def test_probe_equals_plan_off_grid(name):
 
 @pytest.mark.parametrize("strict", [True, False])
 def test_probe_equals_plan_under_a_regressing_clock(strict):
+    """A probe of the past is refused and changes nothing; the present
+    still scores as its plan."""
     rng = random.Random(5)
     store = StorageUnit(CAPACITY, TemporalImportancePolicy(strict=strict))
-    floor_answers = TALLY.floor
     now = 0.0
     for step in range(300):
         now += float(rng.randrange(0, 40))
@@ -185,17 +188,17 @@ def test_probe_equals_plan_under_a_regressing_clock(strict):
             lifetime=random_grid_lifetime(rng), object_id=f"o-{step}",
         )
         store.offer(obj, now)
-        # Probe the past (the index rebuilds; before the newest family
-        # arrival the merge declines), then the present again.
-        past = max(0.0, now - float(rng.randrange(1, 500)))
-        for t in (past, now):
-            probe = StoredObject(
-                size=rng.choice((900, 4000, 20_000)), t_arrival=t,
-                lifetime=random_grid_lifetime(rng), object_id=f"p-{step}-{t}",
-            )
-            assert_probe_is_the_plan(store, probe, t, tag=f"step {step} t={t}")
+        past = now - float(rng.randrange(1, 500))
+        probe = StoredObject(
+            size=rng.choice((900, 4000, 20_000)), t_arrival=max(0.0, past),
+            lifetime=random_grid_lifetime(rng), object_id=f"p-{step}",
+        )
+        before = index_snapshot(store)
+        with pytest.raises(SimulationError):
+            store.policy.probe(store, probe, past, probe.importance_at(past))
+        assert index_snapshot(store) == before
+        assert_probe_is_the_plan(store, replace(probe, t_arrival=now), now, tag=f"step {step}")
         assert store.importance_index.check(now)
-    assert TALLY.floor - floor_answers == REGRESSING_FLOOR_ANSWERS[strict]
 
 
 def test_scan_oracle_probes_through_the_plan():
@@ -228,12 +231,16 @@ def two_step(p, persist, wane):
 
 
 def filled(*residents, capacity=1000, strict=True):
+    """A unit holding ``residents``, each offered at its arrival or, when
+    one arrived earlier than the one before, when the clock got there."""
     store = StorageUnit(capacity, TemporalImportancePolicy(strict=strict))
+    now = 0.0
     for i, (size, t_arrival, lifetime) in enumerate(residents):
+        now = max(now, float(t_arrival))
         result = store.offer(
             StoredObject(size=size, t_arrival=float(t_arrival), lifetime=lifetime,
                          object_id=f"r{i}"),
-            float(t_arrival),
+            now,
         )
         assert result.admitted
     return store
@@ -383,23 +390,27 @@ class TestCachedFloor:
         assert not plan.admit and by_floor
 
     def test_a_group_is_bound_by_its_oldest_live_stable_end(self):
-        off_grid = two_step(0.8, 10, 10)
-        store = filled((500, 0.5, off_grid), (500, 3.25, off_grid))
+        off_grid = two_step(0.8, 9.5, 10.25)  # stable to 10.5 and 13.5
+        store = filled((500, 1, off_grid), (500, 4, off_grid))
         assert not store.importance_index.groups.family_count
         level = probe_of(100, 0, ConstantImportance(p=0.5))
-        for now in (0.75, 7.0, 10.5):
+        for now in (4.0, 7.0, 10.0):
             plan, by_floor = scored(store, level, now)
             assert not plan.admit and by_floor, now
         # Past the oldest member's persist window the merge decides (its
-        # wane still blocks at 10.75).
-        plan, by_floor = scored(store, level, 10.75)
+        # wane still blocks at 11).
+        plan, by_floor = scored(store, level, 11.0)
         assert not plan.admit and not by_floor
 
-    def test_a_probe_before_the_newest_family_arrival_plans(self):
+    def test_a_probe_before_an_arrival_is_refused(self):
+        # The newest arrival set the unit's clock, so a probe of its past
+        # (where the merge's family arithmetic would not hold) is refused
+        # without a merge.
         store = filled((500, 0, two_step(1.0, 50, 50)), (500, 40, two_step(1.0, 50, 50)))
         merges = TALLY.merge
-        plan, by_floor = scored(store, probe_of(100, 30, ConstantImportance(p=0.5)), 30.0)
-        assert not plan.admit and not by_floor and TALLY.merge == merges
+        with pytest.raises(SimulationError):
+            scored(store, probe_of(100, 30, ConstantImportance(p=0.5)), 30.0)
+        assert TALLY.merge == merges
 
     def test_the_cache_drops_on_add_and_discard(self):
         store = filled((500, 0, ConstantImportance(p=0.9)), (500, 0, ConstantImportance(p=0.8)))
@@ -416,33 +427,38 @@ class TestCachedFloor:
         plan, by_floor = scored(store, probe_of(600, 0, ConstantImportance(p=0.5)), 9.0)
         assert not plan.admit and by_floor
 
-    def test_the_cache_drops_on_a_clock_regression(self):
-        # r0 expires at t = 20.  At 25 the floor caches "r1 blocks 0.5 for
-        # ever"; at 18 r0 is live, waned to 0.2, and covers a smaller need.
+    def test_a_clock_regression_is_refused(self):
+        # A cached floor answer could be stale in the past (r0 is live and
+        # weak there): the regression is refused before the floor is asked,
+        # and the cached answer still holds at the present.
         store = filled((400, 0, two_step(1.0, 10, 10)), (600, 0, ConstantImportance(p=0.9)))
         plan, by_floor = scored(store, probe_of(500, 0, ConstantImportance(p=0.5)), 25.0)
         assert not plan.admit and by_floor
-        plan, by_floor = scored(store, probe_of(300, 0, ConstantImportance(p=0.5)), 18.0)
-        assert plan.admit and not by_floor
+        floors = TALLY.floor
+        with pytest.raises(SimulationError):
+            scored(store, probe_of(300, 0, ConstantImportance(p=0.5)), 18.0)
+        assert TALLY.floor == floors
+        plan, by_floor = scored(store, probe_of(500, 0, ConstantImportance(p=0.5)), 25.0)
+        assert not plan.admit and by_floor
 
     def test_an_expired_group_member_does_not_bound_the_group(self):
-        off_grid = two_step(0.8, 10, 10)  # r0 expires at 20.5; r1 is stable to 25.25
-        store = filled((300, 0.5, off_grid), (700, 15.25, off_grid))
+        off_grid = two_step(0.8, 10.25, 10)  # r0 expires at 20.25; r1 is stable to 25.25
+        store = filled((300, 0, off_grid), (700, 15, off_grid))
         plan, by_floor = scored(store, probe_of(400, 0, ConstantImportance(p=0.5)), 22.0)
         assert not plan.admit and by_floor
 
     def test_a_group_stable_end_is_rounded_as_the_phase_predicate(self):
-        # 0.1 + 0.2 rounds up: at that instant the resident is 0.20000000000000004
-        # old, past its 0.2-minute persist window, and no longer blocks 0.8.
-        lifetime = TwoStepImportance(p=0.8, t_persist=0.2, t_wane=0.5)
-        store = filled((1000, 0.1, lifetime))
-        now = 0.1 + 0.2
-        assert now - 0.1 > 0.2
+        # 1 + (1 - 2**-53) rounds up to 2.0: at that instant the resident is
+        # 1.0 old, past its persist window, so the floor no longer answers
+        # (the merge does: its wane starts at 0.8, which still blocks).
+        lifetime = TwoStepImportance(p=0.8, t_persist=math.nextafter(1.0, 0.0), t_wane=0.5)
+        store = filled((1000, 1, lifetime))
+        assert 1.0 + lifetime.t_persist == 2.0
         level = probe_of(100, 0, ConstantImportance(p=0.8))
-        plan, by_floor = scored(store, level, math.nextafter(now, 0.0))
+        plan, by_floor = scored(store, level, 1.0)
         assert not plan.admit and by_floor
-        plan, by_floor = scored(store, level, now)
-        assert plan.admit and not by_floor
+        plan, by_floor = scored(store, level, 2.0)
+        assert not plan.admit and not by_floor
 
 
 # -- property: random small stores on the grid -------------------------------
@@ -462,16 +478,26 @@ grid_lifetimes = st.one_of(
     st.builds(lambda p: ConstantImportance(p=p), st.sampled_from((0.0, 0.25, 0.5, 1.0))),
     st.just(DiracImportance()),
 )
+#: The grid shapes plus two-steps with off-grid durations (annotation groups).
+lifetimes = st.one_of(
+    grid_lifetimes,
+    st.builds(
+        two_step,
+        st.sampled_from((0.25, 0.5, 1.0)),
+        st.floats(0.0, 40.0, allow_nan=False),
+        st.floats(0.0, 40.0, allow_nan=False),
+    ),
+)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     residents=st.lists(
-        st.tuples(st.integers(1, 400), st.integers(0, 60), grid_lifetimes), max_size=12
+        st.tuples(st.integers(1, 400), st.integers(0, 60), lifetimes), max_size=12
     ),
     size=st.integers(1, 1100),
-    lifetime=grid_lifetimes,
-    now=st.one_of(st.integers(0, 160).map(float), st.floats(0.0, 160.0, allow_nan=False)),
+    lifetime=lifetimes,
+    now=st.integers(60, 160).map(float),
     strict=st.booleans(),
 )
 def test_probe_is_the_plan_property(residents, size, lifetime, now, strict):
@@ -484,4 +510,4 @@ def test_probe_is_the_plan_property(residents, size, lifetime, now, strict):
         )
     probe = StoredObject(size=size, t_arrival=now, lifetime=lifetime, object_id="probe")
     assert_probe_is_the_plan(store, probe, now)
-    assert store.importance_index.check(max(now, store.importance_index._now))
+    assert store.importance_index.check(now)

@@ -83,7 +83,7 @@ def test_slab_layout_matches_dict_layout(seed, indexed):
 
     now = 0.0
     for step in range(900):
-        now += rng.uniform(0.0, 25.0)
+        now += float(round(rng.uniform(0.0, 25.0)))
         _twin_step(rng, step, now, slab_store, dict_store)
         assert slab_store.used_bytes == dict_store.used_bytes, f"step {step}"
         assert (

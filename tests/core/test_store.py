@@ -298,7 +298,7 @@ class TestNanClock:
             size=100, t_arrival=0.0, lifetime=FixedLifetimeImportance(0.5, 10), object_id="b"
         )
         nan = float("nan")
-        assert importance_density(store, 20.0) == 0.0
+        assert importance_density(store, 5.0) == 0.3
         with pytest.raises(SimulationError):
             importance_density(store, nan)
         for call in (
@@ -311,7 +311,89 @@ class TestNanClock:
         ):
             with pytest.raises(SimulationError):
                 call()
-        # The clock regressed from 20 to 5: the index rebuilt, not poisoned.
-        assert importance_density(store, 5.0) == 0.3
+        # The index was not poisoned: it still advances to the expiry.
+        assert importance_density(store, 20.0) == 0.0
         assert store.last_access("a") == 0.0 and store.accepted_count == 1
-        assert store.importance_index.check(5.0)
+        assert store.importance_index.check(20.0)
+
+
+def _unit_snapshot(store):
+    return (
+        store.stats(),
+        [(obj.object_id, store.last_access(obj.object_id)) for obj in store.iter_residents()],
+        store.bytes_by_creator(),
+        store._now,
+    )
+
+
+#: Every entry point that takes ``now``: ``(store, obj, resident id, now)``.
+ENTRY_POINTS = {
+    "offer": lambda store, obj, oid, now: store.offer(obj, now),
+    "peek_admission": lambda store, obj, oid, now: store.peek_admission(obj, now),
+    "probe": lambda store, obj, oid, now: store.policy.probe(store, obj, now, 1.0),
+    "touch": lambda store, obj, oid, now: store.touch(oid, now),
+    "remove": lambda store, obj, oid, now: store.remove(oid, now),
+    "reclaim_expired": lambda store, obj, oid, now: store.reclaim_expired(now),
+    "importance_density": lambda store, obj, oid, now: importance_density(store, now),
+}
+DECISIONS = ("offer", "peek_admission", "probe")
+
+
+class TestUnitClock:
+    """The unit clock: never backwards, decisions at whole minutes, arrivals
+    on the grid and no later than their offer.  Each bad input raises
+    :class:`SimulationError` with the unit unchanged."""
+
+    @staticmethod
+    def _unit(policy=None):
+        store = StorageUnit(1000, policy or TemporalImportancePolicy(), name="u")
+        store.offer(StoredObject(size=900, t_arrival=0.0, object_id="a",
+                                 lifetime=FixedLifetimeImportance(0.9, 100)), 10.0)
+        importance_density(store, 20.0)  # the clock is at 20
+        return store
+
+    def _refused(self, entry, now, *, t_arrival=20.0, policy=None):
+        store = self._unit(policy)
+        obj = StoredObject(size=500, t_arrival=t_arrival, object_id="b",
+                           lifetime=FixedLifetimeImportance(1.0, 100))
+        before = _unit_snapshot(store)
+        with pytest.raises(SimulationError):
+            ENTRY_POINTS[entry](store, obj, "a", now)
+        assert _unit_snapshot(store) == before
+        assert store.importance_index.check(20.0)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_nan_is_refused(self, entry):
+        self._refused(entry, float("nan"), t_arrival=0.0)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_backwards_is_refused(self, entry):
+        self._refused(entry, 19.0, t_arrival=0.0)
+
+    @pytest.mark.parametrize("entry", DECISIONS)
+    @pytest.mark.parametrize("now", [20.5, 2.0**51 + 2.0, float("inf")])
+    def test_a_decision_off_the_minute_grid_is_refused(self, entry, now):
+        self._refused(entry, now)
+
+    def test_the_base_probe_keeps_the_clock_too(self):
+        from repro.core.policies import LRUPolicy
+
+        for now in (19.0, 20.5):
+            self._refused("probe", now, policy=LRUPolicy())
+
+    def test_an_off_grid_arrival_is_refused(self):
+        self._refused("offer", 21.0, t_arrival=20.5)
+
+    def test_an_arrival_after_its_offer_is_refused(self):
+        self._refused("offer", 20.0, t_arrival=21.0)
+
+    @pytest.mark.parametrize("entry", sorted(set(ENTRY_POINTS) - set(DECISIONS)))
+    def test_reads_may_fall_between_minutes(self, entry):
+        store = self._unit()
+        ENTRY_POINTS[entry](store, None, "a", 20.25)
+        assert store._now == 20.25
+        # ... and a decision comes at the next whole minute.
+        small = StoredObject(size=1, t_arrival=20.0, lifetime=FixedLifetimeImportance(1.0, 9))
+        with pytest.raises(SimulationError):
+            store.peek_admission(small, 20.0)
+        assert store.peek_admission(small, 21.0).admit

@@ -1,20 +1,26 @@
 """Model-based test: a real :class:`StorageUnit` against its scan twin.
 
 A hypothesis :class:`RuleBasedStateMachine` drives two units through the
-same sequence of operations — offers on and off the integer-minute grid,
-manual removals, touches, expiry sweeps, placement probes, and a clock
-that steps forward and back.  The twin books its residents in the
-full-scan oracles of :mod:`tests.oracles`; the real unit is the one as
-shipped.  After every step the two must agree on every observable:
-results and eviction records, resident order, last access, per-creator
-bytes, ``stats()`` and the density bits, and the real unit's index must
-pass its own structural check.  Last access is also held to the
-machine's own model, since both units share the store code that sets it.
+same sequence of operations — offers of annotations on and off the
+integer-minute grid, manual removals, touches, expiry sweeps, placement
+probes, density reads between minutes, and a clock that only steps forward,
+as the unit clock requires.  The twin books its residents in the full-scan
+oracles of :mod:`tests.oracles`; the real unit is the one as shipped.
+After every step the two must agree on every observable: results and
+eviction records, resident order, last access, per-creator bytes,
+``stats()`` and the density bits, and the real unit's index must pass its
+own structural check.  Last access is also held to the machine's own
+model, since both units share the store code that sets it.  A bad step
+(a NaN or backwards time, an off-grid decision, an off-grid or future
+arrival) must raise on both units and leave them as they were.
 """
 
 import dataclasses
+import math
 
-from hypothesis import settings
+import pytest
+
+from hypothesis import assume, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
@@ -29,6 +35,7 @@ from repro.core.importance import (
 from repro.core.obj import StoredObject
 from repro.core.policies.temporal import TemporalImportancePolicy
 from repro.core.store import StorageUnit
+from repro.errors import SimulationError
 from tests.core.test_index_differential import assert_evictions_equal, assert_plans_equal
 from tests.oracles import oracle_store
 
@@ -48,10 +55,17 @@ annotations = st.one_of(
     st.just(DiracImportance()),
     st.builds(lambda inner, f: ScaledImportance(inner, f), two_steps, st.sampled_from((0.5, 0.9))),
 )
-#: Forward steps on and off the grid, and regressions.
-clock_steps = st.one_of(
-    st.integers(0, 45).map(float), st.sampled_from((0.37, 2.5, -3.0, -17.0, -40.63))
-)
+#: Whole-minute forward steps: every decision falls on the grid.
+clock_steps = st.integers(0, 45).map(float)
+#: ``(kind of bad time, entry point)``: each must raise and change nothing.
+BAD_STEPS = [
+    *((kind, op) for kind in ("nan", "backwards") for op in (
+        "offer", "peek", "probe", "touch", "remove", "reclaim", "density"
+    )),
+    *(("off-grid now", op) for op in ("offer", "peek", "probe")),
+    ("off-grid arrival", "offer"),
+    ("future arrival", "offer"),
+]
 
 
 class StoreMachine(RuleBasedStateMachine):
@@ -79,7 +93,51 @@ class StoreMachine(RuleBasedStateMachine):
 
     @rule(dt=clock_steps)
     def step_clock(self, dt):
-        self.now = max(0.0, self.now + dt)
+        self.now += dt
+
+    @rule(frac=st.sampled_from((0.37, 0.5, 0.9999)))
+    def read_between_minutes(self, frac):
+        t = self.now + frac
+        assert importance_density(self.real, t).hex() == importance_density(self.twin, t).hex()
+        self.now = float(math.ceil(t))
+
+    def _snapshot(self):
+        return [
+            (dataclasses.asdict(unit.stats()), list(unit.iter_residents()),
+             unit.bytes_by_creator(), unit._now)
+            for unit in (self.real, self.twin)
+        ]
+
+    @rule(bad=st.sampled_from(BAD_STEPS), pick=st.integers(0, 10**6))
+    def bad_step(self, bad, pick):
+        kind, op = bad
+        assume(kind != "backwards" or self.real._now > 0.0)
+        now = self.now
+        t = {
+            "nan": math.nan,
+            "backwards": self.real._now - 1.0,
+            "off-grid now": now + 0.5,
+            "off-grid arrival": now + 1.0,
+        }.get(kind, now)
+        arrival = {"off-grid arrival": now + 0.5, "future arrival": now + 1.0}.get(kind, now)
+        obj = StoredObject(size=pick % 3000 + 1, t_arrival=arrival,
+                           lifetime=ConstantImportance(p=1.0), object_id="bad")
+        oid = self._resident(pick) if len(self.twin) else "missing"
+        before = self._snapshot()
+        for unit in (self.real, self.twin):
+            calls = {
+                "offer": lambda: unit.offer(obj, t),
+                "peek": lambda: unit.peek_admission(obj, t),
+                "probe": lambda: unit.policy.probe(unit, obj, t, 1.0),
+                "touch": lambda: unit.touch(oid, t),
+                "remove": lambda: unit.remove(oid, t),
+                "reclaim": lambda: unit.reclaim_expired(t),
+                "density": lambda: importance_density(unit, t),
+            }
+            with pytest.raises(SimulationError):
+                calls[op]()
+        assert self._snapshot() == before
+        assert self.real.importance_index.check(now)
 
     @rule(size=st.integers(1, 2500), lifetime=annotations, creator=st.sampled_from(CREATORS))
     def offer(self, size, lifetime, creator):

@@ -32,7 +32,7 @@ def arrival_sequences(draw):
     steps = draw(
         st.lists(
             st.tuples(
-                st.floats(min_value=0.0, max_value=days(5), allow_nan=False),  # dt
+                st.integers(min_value=0, max_value=int(days(5))).map(float),  # dt
                 st.integers(min_value=1, max_value=CAPACITY),                  # size
                 st.floats(min_value=0.0, max_value=1.0, allow_nan=False),      # p
                 st.floats(min_value=0.0, max_value=days(20), allow_nan=False),  # persist

@@ -2,8 +2,17 @@
 
 import pytest
 
+from repro.core.advisor import AnnotationAdvisor
+from repro.core.importance import TwoStepImportance
+from repro.core.obj import StoredObject
+from repro.core.policies.temporal import TemporalImportancePolicy
+from repro.core.store import StorageUnit
+from repro.errors import SimulationError
 from repro.experiments import ext_advisor_loop
 from repro.sim.parallel import RunSpec
+from repro.sim.runner import run_single_store
+from repro.sim.workload.mixer import merge_streams
+from repro.units import days, gib
 
 
 class TestAdvisorLoop:
@@ -40,3 +49,26 @@ class TestAdvisorLoop:
         rendered = ext_advisor_loop.render(result)
         assert "feedback loop" in rendered
         assert "adaptive" in rendered
+
+
+def test_advice_read_ahead_of_the_store_is_refused():
+    """The loop as it once ran: ``merge_streams`` pulls the producer's next
+    write, and with it the advice, straight after yielding the previous
+    one, so the advice read the store six hours ahead of its own clock and
+    the background writes in between were offered in its past."""
+    store = StorageUnit(gib(20), TemporalImportancePolicy(), name="stale")
+    size = gib(0.4)
+
+    def producer():
+        for i in range(200):
+            t = i * 360.0
+            advice = AnnotationAdvisor(store, target_margin=0.1).advise(size, 10.0, 10.0, t)
+            yield StoredObject(
+                size=size, t_arrival=t, lifetime=advice.annotation or TwoStepImportance(
+                    p=1.0, t_persist=days(10), t_wane=days(10)
+                ), object_id=f"stale-{i:05d}", creator="producer",
+            )
+
+    arrivals = merge_streams([producer(), ext_advisor_loop._background_stream(days(50), 5)])
+    with pytest.raises(SimulationError):
+        run_single_store(store, arrivals, days(50), density_interval_minutes=None)

@@ -15,6 +15,9 @@ densities, per-creator totals and expiry order.
 admission order, keyed by object id: evicted ids leave, re-admitted ids
 re-enter at the end), which is the order ``StorageUnit.iter_residents``
 yields, and nothing else.  :class:`ScanSlab` keeps the residents by id.
+:func:`importance_order` is the paper's victim order as a full sort, and
+:func:`victim_candidates` the walk over importance levels that bounds the
+greedy prefix to a superset of it.
 
 :class:`FloorTally` is the oracle of the temporal probe's cached refusal
 floor: it counts the probes the floor answers and re-scores each of them
@@ -24,23 +27,77 @@ with the merge fold the floor skipped.
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
-from repro.core.index import Resident
+from repro.core.index import PHASE_CONSTANT, ImportanceIndex, Resident
 from repro.core.obj import ObjectId, StoredObject
 from repro.core.policy import EvictionPolicy
 from repro.core.store import StorageUnit
 from repro.core.victims import GroupedResidents
 
-__all__ = ["FloorTally", "ScanIndex", "ScanSlab", "oracle_store"]
+__all__ = [
+    "FloorTally",
+    "ScanIndex",
+    "ScanSlab",
+    "importance_order",
+    "oracle_store",
+    "victim_candidates",
+]
+
+
+def importance_order(residents: Iterable[StoredObject], now: float) -> list[StoredObject]:
+    """Paper ordering: increasing current importance, then remaining lifetime.
+
+    A stable third key (arrival time, then id) makes the simulation fully
+    deterministic even when many objects share importance and expiry.
+    """
+    return sorted(
+        residents,
+        key=lambda o: (
+            o.importance_at(now),
+            o.remaining_lifetime_at(now),
+            o.t_arrival,
+            o.object_id,
+        ),
+    )
+
+
+def victim_candidates(index: ImportanceIndex, now: float, needed: int) -> list[StoredObject]:
+    """A superset of the naive greedy victim prefix for ``needed`` bytes.
+
+    All expired and waning residents of ``index`` plus its constant-phase
+    residents by ascending ``p``, whole levels at a time, until expired +
+    constant candidate bytes cover ``needed``.  Every excluded resident has
+    constant importance strictly above the last included level, and the
+    included sub-``p`` mass already covers the deficit, so the greedy
+    prefix of the exact ordering never reaches an excluded object: sorting
+    just these candidates reproduces the full-sort plan bit for bit.
+    """
+    index.advance(now)
+    out: list[StoredObject] = []
+    levels: dict[float, list[StoredObject]] = {}
+    freed = 0
+    for rec in index.residents.values():
+        obj = rec.obj
+        if rec.phase == PHASE_CONSTANT:
+            levels.setdefault(obj.lifetime.initial_importance, []).append(obj)
+        else:
+            out.append(obj)
+            freed += obj.size if obj.is_expired_at(now) else 0
+    for p in sorted(levels):
+        if freed >= needed:
+            break
+        out.extend(levels[p])
+        freed += sum(obj.size for obj in levels[p])
+    return out
 
 
 class ScanIndex:
     """:class:`~repro.core.index.ImportanceIndex`'s protocol, by full scan.
 
-    ``greedy_victims`` and ``preempted_floor`` always decline, so admission
-    planning takes the candidates-plus-sort path over *all* residents — the
-    paper's rule as written (sort everything by current importance, take
-    the greedy prefix) — and a probe is scored from that plan.
+    ``greedy_victims`` sorts *all* residents and takes the greedy prefix —
+    the paper's rule as written — and ``preempted_floor`` always declines,
+    so a probe is scored from that plan.
     """
 
     def __init__(self) -> None:
@@ -56,14 +113,13 @@ class ScanIndex:
     def discard(self, object_id: ObjectId) -> None:
         self.residents.pop(object_id, None)
 
-    def greedy_victims(self, now: float, needed: int) -> None:
-        return None
+    def greedy_victims(self, now: float, needed: int) -> tuple[list[StoredObject], float, int]:
+        victims = list(EvictionPolicy._greedy_victims(importance_order(self._objs, now), needed))
+        highest = max((obj.importance_at(now) for obj in victims), default=0.0)
+        return victims, highest, sum(obj.size for obj in victims)
 
     def preempted_floor(self, now: float, needed: int, incoming: float, strict: bool) -> None:
         return None
-
-    def victim_candidates(self, now: float, needed: int) -> list[StoredObject]:
-        return self._objs
 
     def expired_objects(self, now: float) -> list[StoredObject]:
         return [obj for obj in self._objs if obj.is_expired_at(now)]

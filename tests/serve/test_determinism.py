@@ -74,7 +74,10 @@ _DOWNLOADS = dict(
 #: ``id: (spec, a status the run must produce, ledger sha256)``.  The
 #: hashes were captured at commit 0214633, where ``shards == 1`` still ran
 #: its own gateway, drive loop and report: they pin the one serving path
-#: to the bytes both of its predecessors wrote.
+#: to the bytes both of its predecessors wrote.  The ``flashcrowd-*`` ones
+#: were re-captured when the flash burst's arrivals were rounded up to
+#: whole minutes (a unit decides only at whole minutes); that round-up,
+#: applied alone to the earlier code, writes the same bytes.
 PINNED = {
     "university-closed": (
         dict(_SMALL, workload="university", node_capacity_gib=0.25),
@@ -109,17 +112,17 @@ PINNED = {
     "flashcrowd-1-shard": (
         dict(_FLASH, shards=1),
         "rejected-fairness",
-        "ace8fb44ea7488690a237d7695da901e1dddafee7f770b3a26ac41b3f5780953",
+        "ddf0925234a8f1a854c570eb3943b5cd3a96284cb33b0a8100ceb5353974b509",
     ),
     "flashcrowd-2-shards": (
         dict(_FLASH, shards=2),
         "rejected-fairness",
-        "872ab50b28d154fb9dba1ecf198acfcb3552e6ccd9e8b4ed3a5ddcdcbff1fb0b",
+        "73ca11553321084cb36343929fe15ecb51f9408a4afa3874e6437ea960899ff8",
     ),
     "flashcrowd-4-shards": (
         dict(_FLASH, shards=4),
         "rejected-fairness",
-        "875b446c1c1886d75d66f19880380f7501b0eacfdf927ba1e5a0a00cb4a83892",
+        "d1633f01a600947b43f52377d1586337f70e3e4daa7e202e3034430ce02af6bf",
     ),
     "deadline": (
         dict(_DOWNLOADS, nodes=2, clients=8, batch_max=2, deadline_minutes=360.0),

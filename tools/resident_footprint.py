@@ -4,12 +4,13 @@ per remove, of one :class:`~repro.core.store.StorageUnit`.
 
     python3 tools/resident_footprint.py [--residents 50000] [--repeat 3]
 
-Two arrival regimes: on the integer-minute grid (resident ``i`` arrives at
-minute ``i``, so its two-step annotation puts it in a victim family) and
-off it (minute ``i + 0.37``, so it sits in an annotation group).  Each
-regime builds a unit large enough that every admit lands in free space,
-with six two-step annotations and three creators cycling through the
-arrivals, all made before measuring:
+Resident ``i`` arrives at minute ``i`` (a unit takes whole-minute arrivals
+only), in two duration regimes: on the integer-minute grid (its two-step
+annotation puts it in a victim family) and off it (a persist window 0.37
+minutes longer, so it sits in an annotation group).  Each regime builds a
+unit large enough that every admit lands in free space, with six two-step
+annotations and three creators cycling through the arrivals, all made
+before measuring:
 
 * **bytes / resident** — ``tracemalloc`` bytes still allocated after the
   admits, over the resident count: everything the unit keeps per resident
@@ -40,21 +41,21 @@ from repro.core.policies.temporal import TemporalImportancePolicy  # noqa: E402
 from repro.core.store import StorageUnit  # noqa: E402
 
 DAY = 1440.0
-ANNOTATIONS = tuple(
-    TwoStepImportance(p=p, t_persist=persist * DAY, t_wane=15 * DAY)
-    for p in (1.0, 0.5)
-    for persist in (15, 30, 90)
-)
 CREATORS = ("university", "student", "archive")
 REGIMES = (("grid", 0.0), ("off-grid", 0.37))
 
 
 def arrivals(n: int, offset: float) -> list[StoredObject]:
+    annotations = [
+        TwoStepImportance(p=p, t_persist=persist * DAY + offset, t_wane=15 * DAY)
+        for p in (1.0, 0.5)
+        for persist in (15, 30, 90)
+    ]
     return [
         StoredObject(
             size=1 + i % 4096,
-            t_arrival=i + offset,
-            lifetime=ANNOTATIONS[i % len(ANNOTATIONS)],
+            t_arrival=float(i),
+            lifetime=annotations[i % len(annotations)],
             object_id=f"o{i}",
             creator=CREATORS[i % len(CREATORS)],
         )
