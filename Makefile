@@ -172,9 +172,9 @@ bench-smoke:
 bench-ab:
 	python3 tools/bench_ab.py $(PARENT) $(ARGS)
 
-# How many placement refusals had an admissible unit anywhere, and how many
-# probes the cached refusal floor answered vs the merge, on the benchmark's
-# sim_cluster and serve_pressure specs at seeds 42 and 7
+# How many placement refusals the cluster floor made without a walk, why the
+# rest walked, and how many probes the cached refusal floor answered vs the
+# merge, on the benchmark's sim_cluster and serve_pressure specs at seeds 42 and 7
 # (tools/refusal_census.py; the table in docs/performance.md).
 refusal-census:
 	python3 tools/refusal_census.py --seed 42 --seed 7

@@ -11,9 +11,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.besteffs.floor import RefusalFloor
 from repro.besteffs.node import BesteffsNode
 from repro.besteffs.overlay import Overlay
-from repro.besteffs.placement import PlacementConfig, PlacementDecision, choose_unit
+from repro.besteffs.placement import (
+    PlacementConfig,
+    PlacementDecision,
+    choose_unit,
+    refuse_unwalked,
+)
 from repro.core.density import importance_density
 from repro.core.obj import ObjectId, StoredObject
 from repro.core.policy import EvictionPolicy
@@ -78,6 +84,8 @@ class BesteffsCluster:
         #: Where each stored object lives (object id -> node id).
         self._locations: dict[ObjectId, str] = {}
         self.recorder = recorder
+        #: Refuses, without a walk, an offer every member would refuse.
+        self._floor = RefusalFloor()
         self.nodes: dict[str, BesteffsNode] = {}
         for node_id, capacity in node_capacities.items():
             policy = policy_factory() if policy_factory is not None else None
@@ -111,17 +119,21 @@ class BesteffsCluster:
             raise PlacementError(f"node {node.node_id!r} is already a member")
         if self.recorder is not None:
             self.recorder.attach(node.store)
-        # Preempted objects must vanish from the location index; subscribe
-        # after the recorder so both observers fire.
+        # Preempted objects must vanish from the location index, and the
+        # floor must learn of any eviction; subscribe after the recorder so
+        # every observer fires.
         previous = node.store.on_eviction
+        evicted = self._floor.evicted
 
-        def on_eviction(record, _prev=previous):
+        def on_eviction(record, _prev=previous, _node_id=node.node_id):
             self._locations.pop(record.obj.object_id, None)
+            evicted(_node_id)
             if _prev is not None:
                 _prev(record)
 
         node.store.on_eviction = on_eviction
         self.nodes[node.node_id] = node
+        self._floor.add(node)
         return node
 
     def expel_node(self, node_id: str) -> BesteffsNode:
@@ -133,6 +145,7 @@ class BesteffsCluster:
         node = self.nodes.pop(node_id, None)
         if node is None:
             raise PlacementError(f"node {node_id!r} is not a member")
+        self._floor.discard(node_id)
         return node
 
     # -- object API ---------------------------------------------------------
@@ -143,17 +156,23 @@ class BesteffsCluster:
         """Place an annotated object somewhere on the cluster.
 
         Returns the placement decision and, when placed, the node-level
-        admission result (with its eviction records).
+        admission result (with its eviction records).  An offer every
+        member would refuse is refused before any walk
+        (:mod:`repro.besteffs.floor`): ``rounds_used`` and
+        ``nodes_probed`` are then 0.
         """
-        decision, node = choose_unit(
-            self.nodes,
-            self.overlay,
-            obj,
-            now,
-            config=self.placement,
-            rng=self._rng,
-            start_node=start_node,
-        )
+        if (start_node is None or start_node in self.nodes) and self._floor.refuses(obj, now):
+            decision, node = refuse_unwalked(self.nodes, obj, now), None
+        else:
+            decision, node = choose_unit(
+                self.nodes,
+                self.overlay,
+                obj,
+                now,
+                config=self.placement,
+                rng=self._rng,
+                start_node=start_node,
+            )
         self._rounds_total += decision.rounds_used
         self._probes_total += decision.nodes_probed
         if not decision.placed or node is None:
@@ -175,6 +194,7 @@ class BesteffsCluster:
                 f"{plan.highest_preempted!r} ({plan.reason})"
             )
         result = node.store.offer(obj, now, plan=plan)
+        self._floor.committed(node.node_id, obj, now, len(result.evictions))
         self._locations[obj.object_id] = node.node_id
         self.placed_count += 1
         if self.recorder is not None:

@@ -15,6 +15,8 @@ To store an object, the reclamation algorithm:
 The comparison is deliberately *not* size-weighted (the paper calls this
 out explicitly), so a probe is a score — ``(admissible, highest preempted
 importance)`` — and no unit builds an admission plan until it is chosen.
+An offer every unit would refuse is refused before step 1, by the
+cluster's floor (:mod:`repro.besteffs.floor`, :func:`refuse_unwalked`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from repro.core.obj import StoredObject
 from repro.errors import PlacementError
 from repro.obs import COUNT_BUCKETS, IMPORTANCE_BUCKETS, STATE as _OBS, observe_phase
 
-__all__ = ["PlacementConfig", "PlacementDecision", "choose_unit"]
+__all__ = ["PlacementConfig", "PlacementDecision", "choose_unit", "refuse_unwalked"]
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,38 @@ def choose_unit(
         decision, node = _choose_unit(
             nodes, overlay, obj, now, config=config, rng=rng, start_node=start_node
         )
+    _observe(decision, nodes, obj, now)
+    return decision, node
+
+
+#: An offer refused before any walk: no round ran and no unit was probed.
+UNWALKED_REFUSAL = PlacementDecision(
+    placed=False,
+    node_id=None,
+    rounds_used=0,
+    nodes_probed=0,
+    chosen_score=float("inf"),
+    reason="all-full",
+)
+
+
+def refuse_unwalked(
+    nodes: Mapping[str, BesteffsNode], obj: StoredObject, now: float
+) -> PlacementDecision:
+    """The decision for an offer every unit is known to refuse
+    (:mod:`repro.besteffs.floor`), observed like a walked refusal."""
+    if _OBS.enabled:
+        _observe(UNWALKED_REFUSAL, nodes, obj, now)
+    return UNWALKED_REFUSAL
+
+
+def _observe(
+    decision: PlacementDecision,
+    nodes: Mapping[str, BesteffsNode],
+    obj: StoredObject,
+    now: float,
+) -> None:
+    """Export one decision; audit a refusal."""
     _record_decision(decision)
     if not decision.placed:
         ledger = _OBS.audit
@@ -110,7 +144,6 @@ def choose_unit(
                 occupancy=used / capacity if capacity else 0.0,
                 reason=decision.reason,
             )
-    return decision, node
 
 
 def _record_decision(decision: PlacementDecision) -> None:

@@ -367,6 +367,20 @@ class ImportanceIndex:
             return True, 0.0
         return self.groups.preempted_floor(now, deficit, incoming, strict)
 
+    def full_through(
+        self, now: float, level: float, strict: bool, resident: ObjectId | None = None
+    ) -> float:
+        """The unit's full-for-importance instant for ``level`` (the cached
+        :meth:`GroupedResidents.full_through`): while the clock is at or
+        before it, the unit refuses any object at ``level`` larger than
+        its free bytes plus :attr:`expired_bytes`, and only an add or a
+        discard moves either number.  With ``resident``, only that
+        resident's own instant.  ``now`` is a decision time, as for
+        :meth:`greedy_victims`."""
+        self.advance(now)
+        rec = None if resident is None else self.residents[resident]
+        return self.groups.full_through(now, level, strict, rec)
+
     def expired_objects(self, now: float) -> list[StoredObject]:
         """Expired residents in admission order (matches a naive scan)."""
         self.advance(now)

@@ -67,7 +67,9 @@ A family is also the only home of its *waning* members: they are the
 contiguous run ``E - t_wane < now < E``, and :meth:`GroupedResidents.wane_terms`
 hands their density terms to the importance index.  A placement probe
 refuses without a merge while every live resident blocks the incoming
-importance, up to an instant cached per level (:meth:`~GroupedResidents.preempted_floor`).
+importance, up to an instant cached per level
+(:meth:`~GroupedResidents.full_through`), which the cluster also reads to
+refuse a hopeless offer without walking (:mod:`repro.besteffs.floor`).
 """
 
 from __future__ import annotations
@@ -150,6 +152,24 @@ def _blocking_rem(p: float, t_wane: float, level: float, strict: bool) -> float:
         else:
             lo = mid + 1
     return float(lo)
+
+
+def _blocking_end(rec: Resident, level: float, strict: bool) -> float:
+    """The last instant at which ``rec``, live, blocks ``level``; ``-inf``
+    if it never does.  A family member: ``E - r*``.  A group member: its
+    stable end, stepped down past its expiry (a fixed lifetime expires at
+    the end of its stable prefix)."""
+    source = rec.source
+    if type(source) is _Family:
+        return rec.key[0] - _blocking_rem(source.p, source.t_wane, level, strict)
+    obj = rec.obj
+    lifetime = obj.lifetime
+    if not _blocks(lifetime.initial_importance, level, strict):
+        return -math.inf
+    end = _stable_end(obj.t_arrival, lifetime.stable_until)
+    while obj.is_expired_at(end):
+        end = math.nextafter(end, -math.inf)
+    return end
 
 
 def _file(members: list[Resident], rec: Resident, source: object, key: tuple) -> int:
@@ -369,8 +389,8 @@ class GroupedResidents:
     def __init__(self) -> None:
         self._groups: dict[object, _Group] = {}
         self._families: dict[tuple, _Family] = {}
-        #: ``(level, strict)`` -> :meth:`_blocked_through`, until the next
-        #: add or discard (time only moves forward).
+        #: ``(level, strict)`` -> :meth:`full_through`, until the next add
+        #: or discard (time only moves forward).
         self._floors: dict[tuple[float, bool], float] = {}
 
     def __len__(self) -> int:
@@ -489,24 +509,37 @@ class GroupedResidents:
 
     def _blocked_through(self, now: float, level: float, strict: bool) -> float:
         """The last instant at which every resident live at ``now`` blocks
-        ``level``: its oldest live member's stable end for a group, its
-        head's ``E - r*`` for a family; ``-inf`` if one never blocks."""
+        ``level``: the earliest :func:`_blocking_end` among the sources'
+        first live members (within a source it only grows down the
+        order); ``-inf`` if one never blocks."""
         through = math.inf
         for group in self._groups.values():
             i = group.first_live()
             if i < len(group.members):
-                rec = group.members[i]
-                lifetime = rec.obj.lifetime
-                t_arrival = rec.key[0]
-                if not _blocks(lifetime.initial_importance, level, strict):
-                    return -math.inf
-                through = min(through, _stable_end(t_arrival, lifetime.stable_until))
+                through = min(through, _blocking_end(group.members[i], level, strict))
         for family in self._families.values():
-            expiries = family.expiries
-            head = bisect_right(expiries, now)
-            if head < len(expiries):
-                r_star = _blocking_rem(family.p, family.t_wane, level, strict)
-                through = min(through, expiries[head] - r_star)
+            head = bisect_right(family.expiries, now)
+            if head < len(family.members):
+                through = min(through, _blocking_end(family.members[head], level, strict))
+        return through
+
+    def full_through(
+        self, now: float, level: float, strict: bool, rec: Resident | None = None
+    ) -> float:
+        """The unit's full-for-importance instant for ``level``: through it,
+        every resident live at ``now`` stays live and blocks ``level``, so
+        the first live victim of any plan blocks too.  Cached per ``(level,
+        strict)`` until the next :meth:`add` or :meth:`discard` (time only
+        moves forward, which only lengthens it).  With ``rec``, that one
+        resident's own instant, which is how a holder of the unit's instant
+        folds in an admission (a discard can only lengthen it).  ``now`` is
+        a decision time after the index's ``advance(now)``."""
+        if rec is not None:
+            return _blocking_end(rec, level, strict)
+        key = (level, strict)
+        through = self._floors.get(key)
+        if through is None:
+            through = self._floors[key] = self._blocked_through(now, level, strict)
         return through
 
     def greedy_victims(
@@ -564,11 +597,7 @@ class GroupedResidents:
         caller plans in full.  ``now`` is a decision time, as for
         :meth:`greedy_victims`.  See docs/performance.md.
         """
-        key = (incoming, strict)
-        through = self._floors.get(key)
-        if through is None:
-            through = self._floors[key] = self._blocked_through(now, incoming, strict)
-        if now <= through:
+        if now <= self.full_through(now, incoming, strict):
             return False, incoming
         return self._merge_floor(now, deficit, incoming, strict)
 

@@ -38,6 +38,7 @@ from repro.core.victims import GroupedResidents
 __all__ = [
     "FloorTally",
     "ScanIndex",
+    "last_blocking_minute",
     "ScanSlab",
     "importance_order",
     "oracle_store",
@@ -92,26 +93,83 @@ def victim_candidates(index: ImportanceIndex, now: float, needed: int) -> list[S
     return out
 
 
+def last_blocking_minute(obj: StoredObject, level: float, strict: bool) -> float:
+    """The last whole minute at which ``obj`` blocks ``level`` (``-inf`` if
+    it never does, ``inf`` if it never stops), by bisection over
+    ``importance_at`` on a whole-minute arrival.  It is the index's
+    full-for-importance instant of one integer-grid family member; a
+    group member's (off the grid) may end earlier, at its stable end."""
+
+    def blocks(t: float) -> bool:
+        importance = obj.importance_at(t)
+        return importance > 0.0 and (importance >= level if strict else importance > level)
+
+    lo = obj.t_arrival
+    if not blocks(lo):
+        return -math.inf
+    hi = obj.t_expire_abs
+    if math.isinf(hi):
+        return math.inf
+    hi = math.ceil(hi)  # importance is 0 from expiry on
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if blocks(mid):
+            lo = mid
+        else:
+            hi = mid
+    return float(lo)
+
+
 class ScanIndex:
     """:class:`~repro.core.index.ImportanceIndex`'s protocol, by full scan.
 
     ``greedy_victims`` sorts *all* residents and takes the greedy prefix —
     the paper's rule as written — and ``preempted_floor`` always declines,
-    so a probe is scored from that plan.
+    so a probe is scored from that plan.  ``full_through`` is the minimum
+    :func:`last_blocking_minute` over the residents live at ``now``,
+    cached per level until the next add or discard and filled when a probe
+    reaches the floor, as the index does.
     """
 
     def __init__(self) -> None:
         self.residents: dict[ObjectId, Resident] = {}
+        self._floors: dict[tuple[float, bool], float] = {}
+        self._now = -math.inf
 
     @property
     def _objs(self) -> list[StoredObject]:
         return [rec.obj for rec in self.residents.values()]
 
+    @property
+    def expired_bytes(self) -> int:
+        return sum(obj.size for obj in self._objs if obj.is_expired_at(self._now))
+
     def add(self, obj: StoredObject, now: float) -> None:
+        self._now = now
+        self._floors.clear()
         self.residents[obj.object_id] = Resident(obj, len(self.residents), now)
 
     def discard(self, object_id: ObjectId) -> None:
-        self.residents.pop(object_id, None)
+        if self.residents.pop(object_id, None) is not None:
+            self._floors.clear()
+
+    def full_through(
+        self, now: float, level: float, strict: bool, resident: ObjectId | None = None
+    ) -> float:
+        self._now = now
+        if resident is not None:
+            return last_blocking_minute(self.residents[resident].obj, level, strict)
+        key = (level, strict)
+        if key not in self._floors:
+            self._floors[key] = min(
+                (
+                    last_blocking_minute(obj, level, strict)
+                    for obj in self._objs
+                    if not obj.is_expired_at(now)
+                ),
+                default=math.inf,
+            )
+        return self._floors[key]
 
     def greedy_victims(self, now: float, needed: int) -> tuple[list[StoredObject], float, int]:
         victims = list(EvictionPolicy._greedy_victims(importance_order(self._objs, now), needed))
@@ -119,6 +177,9 @@ class ScanIndex:
         return victims, highest, sum(obj.size for obj in victims)
 
     def preempted_floor(self, now: float, needed: int, incoming: float, strict: bool) -> None:
+        self._now = now
+        if needed > self.expired_bytes:
+            self.full_through(now, incoming, strict)
         return None
 
     def expired_objects(self, now: float) -> list[StoredObject]:

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Refusal census: which placement refusals were hopeless cluster-wide, and
-which probes the cached refusal floor answered.
+"""Refusal census: which placement refusals the cluster floor decided without
+a walk, why the rest walked, and which probes the cached unit floor answered.
 
     python3 tools/refusal_census.py [--seed 42 --seed 7] [--workload sim_cluster ...]
 
@@ -12,11 +12,17 @@ for ``sim_cluster``, 360 for ``serve_pressure``), runs it once in this
 process and prints one Markdown table, one column per run.  Four class
 methods are wrapped while it runs:
 
-* ``BesteffsCluster.offer`` counts offers and refusals.  After a refusal it
-  probes every node of the cluster at the same instant; the refusal counts
-  as "admissible somewhere" when any node would have taken the object.
-  Probes are scores and leave every decision alone, so the run's own
-  offers are unchanged; the sweep's probes are not counted below.
+* ``BesteffsCluster.offer`` counts offers and refusals, and splits the
+  refusals into those the cluster floor made before any walk
+  (``rounds_used == 0``) and those made after one.  After every refusal it
+  probes every node of the cluster at the same instant (the full sweep).
+  A floor refusal with an admissible unit anywhere would be a floor bug,
+  so that row must read 0.  A walked refusal is put down to its first
+  cause of: an admissible unit somewhere (the walk missed it), a member
+  whose policy the floor does not mirror, a unit the sweep decided with
+  the merge (its cached floor did not answer), or none of these.  Probes
+  are scores and leave every decision alone, so the run's own offers are
+  unchanged; the sweep's probes are not counted below.
 * ``TemporalImportancePolicy.probe`` counts the placement probes.
 * ``GroupedResidents.preempted_floor`` and ``._merge_floor``: a probe that
   returns an answer without reaching the merge was answered by the cached
@@ -49,7 +55,13 @@ CONTRACT_SECONDS = 15.0
 ROWS = (
     ("offers", "offers"),
     ("refusals", "refusals"),
-    ("admissible", "… with an admissible unit somewhere"),
+    ("unwalked", "… refused by the cluster floor (no walk)"),
+    ("unwalked_admissible", "… … with an admissible unit somewhere (must be 0)"),
+    ("walked", "… refused after a walk"),
+    ("admissible", "… … with an admissible unit somewhere"),
+    ("unmirrored", "… … a member's policy the floor does not mirror"),
+    ("merge_decided", "… … merge-decided on some unit"),
+    ("walked_other", "… … none of these"),
     ("probes", "placement probes"),
     ("floor", "… answered by the cached floor"),
     ("merge", "… folded by the merge"),
@@ -61,23 +73,40 @@ def census(workload: str, seed: int) -> Counter:
     """Run one benchmark workload with the counters wrapped around it."""
     counts: Counter = Counter()
     sweeping = False
+    sweep_merges = 0
     offer = BesteffsCluster.offer
     probe = TemporalImportancePolicy.probe
     floor = GroupedResidents.preempted_floor
     merge = GroupedResidents._merge_floor
 
     def counted_offer(cluster, obj, now, **kwargs):
-        nonlocal sweeping
+        nonlocal sweeping, sweep_merges
         decision, result = offer(cluster, obj, now, **kwargs)
         counts["offers"] += 1
-        if not decision.placed:
-            counts["refusals"] += 1
-            sweeping = True
-            try:
-                if any(node.probe(obj, now).admissible for node in cluster.nodes.values()):
-                    counts["admissible"] += 1
-            finally:
-                sweeping = False
+        if decision.placed:
+            return decision, result
+        counts["refusals"] += 1
+        sweeping, sweep_merges = True, 0
+        try:
+            admissible = any(node.probe(obj, now).admissible for node in cluster.nodes.values())
+        finally:
+            sweeping = False
+        if decision.rounds_used == 0:
+            counts["unwalked"] += 1
+            counts["unwalked_admissible"] += admissible
+            return decision, result
+        counts["walked"] += 1
+        if admissible:
+            counts["admissible"] += 1
+        elif any(
+            type(node.store.policy) is not TemporalImportancePolicy
+            for node in cluster.nodes.values()
+        ):
+            counts["unmirrored"] += 1
+        elif sweep_merges:
+            counts["merge_decided"] += 1
+        else:
+            counts["walked_other"] += 1
         return decision, result
 
     def counted_probe(policy, store, obj, now, incoming):
@@ -93,7 +122,10 @@ def census(workload: str, seed: int) -> Counter:
         return scored
 
     def counted_merge(groups, *args):
-        if not sweeping:
+        nonlocal sweep_merges
+        if sweeping:
+            sweep_merges += 1
+        else:
             counts["merge"] += 1
         return merge(groups, *args)
 
