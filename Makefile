@@ -1,4 +1,4 @@
-.PHONY: install test unit loc test-parallel obs-smoke audit-smoke alerts-check trace-smoke serve-smoke bench bench-index bench-mega bench-serve-scaling bench-smoke bench-ab bench-baseline bench-check refusal-census resident-footprint examples figures lint clean
+.PHONY: install test unit loc test-parallel obs-smoke audit-smoke alerts-check trace-smoke serve-smoke bench bench-index bench-mega bench-serve-scaling bench-smoke bench-ab bench-baseline bench-check refusal-census resident-footprint census examples figures lint clean
 
 install:
 	pip install -e '.[test]'
@@ -178,6 +178,14 @@ bench-ab:
 # (tools/refusal_census.py; the table in docs/performance.md).
 refusal-census:
 	python3 tools/refusal_census.py --seed 42 --seed 7
+
+# Which functions of src/repro the contract runs (experiments, examples, smokes,
+# bench --quick, benchmarks/), which only the tier-1 suite reaches, and which
+# nothing runs, with the rule that keeps each of the last two
+# (tools/census.py; ~20 min, so not part of `make test`).  Like bench-check,
+# its benchmarks/ run rewrites the timing renders under benchmarks/out.
+census:
+	python3 tools/census.py --out docs/census.md
 
 # Bookkeeping bytes per resident and µs per free-space admit / remove of one
 # StorageUnit at 50k residents, arrivals on and off the integer-minute grid

@@ -37,15 +37,11 @@ from repro.analysis.prediction import (
     prediction_pairs,
 )
 from repro.analysis.summarize import describe, percentile
-from repro.analysis.survival import KaplanMeier, kaplan_meier, survival_from_run
 
 __all__ = [
     "BreuschPaganResult",
-    "KaplanMeier",
     "LifetimeStats",
     "PredictionPair",
-    "kaplan_meier",
-    "survival_from_run",
     "longevity_margin",
     "margin_correlation",
     "prediction_pairs",

@@ -1,4 +1,4 @@
-"""Decentralised estimation of the storage importance density.
+"""Decentralised estimation of the storage importance density (paper §4.4).
 
 The density is the feedback signal content creators use to pick
 annotations (Sections 4.4, 5.1.2), but Besteffs has "no centralized
@@ -158,42 +158,12 @@ class GossipAverager:
             ).set(spread)
             registry.gauge(
                 "gossip_convergence_rounds",
-                "Gossip rounds executed by the last run (or needed to "
-                "converge, for run_until).",
+                "Gossip rounds executed by the last run.",
             ).set(self.rounds)
         return spread
-
-    def run_until(self, target_spread: float, *, max_rounds: int = 64) -> int:
-        """Gossip until the spread falls to ``target_spread``.
-
-        Returns the number of rounds needed (possibly zero, when the
-        estimates already agree).  Stops after ``max_rounds`` regardless,
-        so a disconnected overlay cannot loop forever — the alert rule
-        ``gossip_convergence_rounds <= N`` is the intended detector for
-        that case.
-        """
-        rounds_used = 0
-        while self.spread() > target_spread and rounds_used < max_rounds:
-            self.round()
-            rounds_used += 1
-        if _OBS.enabled:
-            registry = _OBS.registry
-            registry.gauge(
-                "gossip_spread", "Residual estimate spread after the last run."
-            ).set(self.spread())
-            registry.gauge(
-                "gossip_convergence_rounds",
-                "Gossip rounds executed by the last run (or needed to "
-                "converge, for run_until).",
-            ).set(rounds_used)
-        return rounds_used
 
     def spread(self) -> float:
         """Max absolute deviation of any node's estimate from the truth."""
         return max(
             abs(state.density - self._truth) for state in self._states.values()
         )
-
-    def mean_estimate(self) -> float:
-        """Unweighted mean of the per-node estimates (diagnostics)."""
-        return sum(s.density for s in self._states.values()) / len(self._states)

@@ -16,11 +16,10 @@ top of :class:`~repro.besteffs.cluster.BesteffsCluster`:
   experiments (e.g. a university replacing a fraction of desktops per
   semester).
 
-Overlay maintenance defaults to **incremental splicing** — a joiner
-attaches to ``join_degree`` random members, a leaver's neighbours are
-re-matched pairwise (with bridge repair if fragmentation occurs) — the
-realistic p2p protocol.  ``incremental=False`` switches to full
-random-regular rebuilds, the idealised baseline.
+Overlay maintenance is **incremental splicing** — a joiner attaches to
+``join_degree`` random members, a leaver's neighbours are re-matched
+pairwise (with bridge repair if fragmentation occurs) — the realistic p2p
+protocol.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from dataclasses import dataclass, field
 
 from repro.besteffs.cluster import BesteffsCluster
 from repro.besteffs.node import BesteffsNode
-from repro.besteffs.overlay import Overlay
 from repro.core.store import EvictionRecord
 from repro.errors import OverlayError, PlacementError
 
@@ -48,10 +46,6 @@ class ChurnEvent:
     #: Objects lost when a node departed (empty for joins).
     lost: tuple[EvictionRecord, ...] = ()
 
-    @property
-    def lost_bytes(self) -> int:
-        return sum(record.obj.size for record in self.lost)
-
 
 class ChurnManager:
     """Applies joins and leaves to a live cluster."""
@@ -61,15 +55,10 @@ class ChurnManager:
         cluster: BesteffsCluster,
         *,
         overlay_seed: int = 0,
-        incremental: bool = True,
         join_degree: int = 8,
     ):
         self.cluster = cluster
-        self._overlay_seed = overlay_seed
         self._overlay_rng = random.Random(overlay_seed)
-        #: Incremental splicing (the realistic p2p join/leave) vs full
-        #: random-regular rebuilds (the idealised baseline).
-        self.incremental = incremental
         self.join_degree = join_degree
         self._rebuilds = 0
         #: Chronological log of applied membership changes.
@@ -80,13 +69,10 @@ class ChurnManager:
         if node_id in self.cluster.nodes:
             raise OverlayError(f"node {node_id!r} is already a member")
         self.cluster.adopt_node(BesteffsNode(node_id, capacity_bytes, keep_history=False))
-        if self.incremental:
-            self.cluster.overlay = self.cluster.overlay.with_node(
-                node_id, degree=self.join_degree, rng=self._overlay_rng
-            )
-            self._rebuilds += 1
-        else:
-            self._rebuild_overlay()
+        self.cluster.overlay = self.cluster.overlay.with_node(
+            node_id, degree=self.join_degree, rng=self._overlay_rng
+        )
+        self._rebuilds += 1
         event = ChurnEvent(
             t=now, kind="join", node_id=node_id, capacity_bytes=capacity_bytes
         )
@@ -105,13 +91,8 @@ class ChurnManager:
             for obj in list(node.store.iter_residents())
         )
         self.cluster.expel_node(node_id)
-        if self.incremental:
-            self.cluster.overlay = self.cluster.overlay.without_node(
-                node_id, rng=self._overlay_rng
-            )
-            self._rebuilds += 1
-        else:
-            self._rebuild_overlay()
+        self.cluster.overlay = self.cluster.overlay.without_node(node_id, rng=self._overlay_rng)
+        self._rebuilds += 1
         event = ChurnEvent(
             t=now,
             kind="leave",
@@ -128,14 +109,8 @@ class ChurnManager:
 
     @property
     def overlay_rebuilds(self) -> int:
-        """How many overlay updates (incremental splices or rebuilds) ran."""
+        """How many overlay splices (one per join or leave) ran."""
         return self._rebuilds
-
-    def _rebuild_overlay(self) -> None:
-        self._rebuilds += 1
-        self.cluster.overlay = Overlay.random_regular(
-            tuple(self.cluster.nodes), seed=self._overlay_seed + self._rebuilds
-        )
 
 
 @dataclass

@@ -735,6 +735,12 @@ def _explain_cmd(args: argparse.Namespace) -> int:
     from repro.report.explain import explain_object, list_objects, load_run_ledger
 
     ledger = load_run_ledger(args.run_dir)
+    if ledger.dropped:
+        print(
+            f"warning: the audit ledger dropped {ledger.dropped} of "
+            f"{ledger.recorded_count} records; timelines may be incomplete",
+            file=sys.stderr,
+        )
     if args.object_id is None:
         print(list_objects(ledger, limit=args.limit))
     else:

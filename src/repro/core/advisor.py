@@ -132,17 +132,3 @@ class AnnotationAdvisor:
             margin=margin,
             detail=detail,
         )
-
-    def would_admit(self, advice: Advice, size_bytes: int, now: float) -> bool:
-        """Dry-run the recommendation against the store right now."""
-        if not advice.achievable or advice.annotation is None:
-            return False
-        from repro.core.obj import StoredObject
-
-        probe = StoredObject(
-            size=size_bytes,
-            t_arrival=now,
-            lifetime=advice.annotation,
-            object_id="__advice-probe",
-        )
-        return self.store.peek_admission(probe, now).admit

@@ -191,13 +191,6 @@ class ImportanceIndex:
 
     # -- introspection -----------------------------------------------------
 
-    def phase_of(self, object_id: ObjectId) -> str:
-        """Current phase of a tracked object (advance first for freshness)."""
-        rec = self.residents.get(object_id)
-        if rec is None:
-            raise ReproError(f"{object_id!r} is not indexed")
-        return rec.phase
-
     @property
     def waning_count(self) -> int:
         return len(self._waning) + self._family_waning

@@ -51,19 +51,6 @@ POLICY_PALIMPSEST = "palimpsest"
 ALL_POLICIES = (POLICY_TEMPORAL, POLICY_NO_IMPORTANCE, POLICY_PALIMPSEST)
 
 
-def _setup_from_spec(cls, spec, overrides: dict) -> dict:
-    """Field values for ``cls`` drawn from a RunSpec (see ``from_spec``)."""
-    from repro.sim.parallel import seed_for
-
-    values = {"seed": seed_for(spec)}
-    if spec.horizon_days is not None:
-        values["horizon_days"] = spec.horizon_days
-    names = {f for f in cls.__dataclass_fields__}
-    values.update((k, v) for k, v in spec.params if k in names)
-    values.update(overrides)
-    return values
-
-
 @dataclass(frozen=True)
 class SingleAppSetup:
     """Configuration of one Section 5.1 run."""
@@ -78,18 +65,6 @@ class SingleAppSetup:
         """This setup at each of the paper's disk sizes."""
         return [replace(self, capacity_gib=c) for c in capacities]
 
-    @classmethod
-    def from_spec(cls, spec, **overrides) -> "SingleAppSetup":
-        """Build a setup from a :class:`repro.sim.parallel.RunSpec`.
-
-        The spec's effective seed and horizon land in the matching
-        fields; spec params whose names match setup fields
-        (``capacity_gib``, ``policy``, ...) are applied; ``overrides``
-        win last.  This replaces per-driver kwargs threading — one spec
-        describes the run everywhere.
-        """
-        return cls(**_setup_from_spec(cls, spec, overrides))
-
 
 @dataclass(frozen=True)
 class LectureSetup:
@@ -101,11 +76,6 @@ class LectureSetup:
     policy: str = POLICY_TEMPORAL
     density_interval_days: float = 1.0
     lecture: LectureConfig = field(default_factory=LectureConfig)
-
-    @classmethod
-    def from_spec(cls, spec, **overrides) -> "LectureSetup":
-        """Build a setup from a spec (see :meth:`SingleAppSetup.from_spec`)."""
-        return cls(**_setup_from_spec(cls, spec, overrides))
 
 
 def _make_policy(policy_name: str) -> EvictionPolicy:

@@ -1,4 +1,4 @@
-"""The temporal filesystem over a Besteffs cluster.
+"""The temporal filesystem over a Besteffs cluster (paper §6, §4.1).
 
 :class:`ClusterFS` gives the same write / read / stat / listdir verbs as
 :class:`~repro.fs.filesystem.TemporalFS`, but files live on a fully

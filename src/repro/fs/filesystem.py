@@ -1,4 +1,4 @@
-"""The temporal filesystem facade.
+"""The temporal filesystem facade (paper §6).
 
 :class:`TemporalFS` exposes the familiar write / read / stat / listdir /
 remove verbs over a temporal-importance store, with two deliberate

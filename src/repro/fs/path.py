@@ -1,4 +1,4 @@
-"""Path handling for the temporal filesystem.
+"""Path handling for the temporal filesystem (paper §6).
 
 Paths are absolute, ``/``-separated, case-sensitive strings.  The rules
 are deliberately strict — the FS is a prototype and silently "fixing"

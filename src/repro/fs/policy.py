@@ -1,4 +1,4 @@
-"""Default annotations by path pattern.
+"""Default annotations by path pattern (paper §1, §6).
 
 The paper discusses (and rejects as *sole* mechanism) static designation:
 "objects stored in /tmp as well as JPEG objects can be designated as less

@@ -286,5 +286,9 @@ class AuditLedger:
             if not line:
                 continue
             ledger._records.append(AuditRecord.from_dict(json.loads(line)))
-        ledger.recorded_count = len(ledger._records)
+        # ``seq`` numbers every accepted record, dropped ones included, so the
+        # last one restores the counts the ring buffer (or a merge) left.
+        if ledger._records:
+            ledger.recorded_count = ledger._records[-1].seq + 1
+        ledger.dropped = ledger.recorded_count - len(ledger._records)
         return ledger

@@ -92,22 +92,6 @@ def quantile_from_cumulative(
     return hi  # target falls in the implicit +Inf bucket
 
 
-def _bounds_from_series(series: Sequence[Mapping[str, object]]) -> tuple[float, ...]:
-    """Recover histogram bucket bounds from exported cumulative buckets.
-
-    Fallback for payloads written before ``to_dict`` exported the bucket
-    layout explicitly; without any series the layout is unknowable and
-    the duration default applies.
-    """
-    for row in series:
-        buckets = row.get("buckets")
-        if buckets:
-            return tuple(
-                sorted(float(key) for key in buckets if key != "+Inf")  # type: ignore[union-attr]
-            )
-    return DURATION_BUCKETS
-
-
 def _escape_label_value(value: str) -> str:
     return value.replace("\\", r"\\").replace('"', r"\"").replace("\n", r"\n")
 
@@ -415,10 +399,10 @@ class MetricsRegistry:
         """Rebuild a registry from :meth:`to_dict` output.
 
         Round-trips counters and gauges exactly.  Histogram bucket
-        layouts come from the exported ``buckets`` key (or, for older
-        payloads, are recovered from the per-series cumulative-bucket
-        keys); raw per-bucket counts are de-cumulated.  The result is a
-        live registry — mergeable, summarisable, re-exportable.
+        layouts come from the exported ``buckets`` key (a histogram
+        without one raises :class:`~repro.errors.ObservabilityError`);
+        raw per-bucket counts are de-cumulated.  The result is a live
+        registry — mergeable, summarisable, re-exportable.
         """
         registry = cls()
         for name, entry in payload.items():
@@ -429,7 +413,7 @@ class MetricsRegistry:
             if kind == "histogram":
                 bounds = entry.get("buckets")
                 if bounds is None:
-                    bounds = _bounds_from_series(series)  # type: ignore[arg-type]
+                    raise ObservabilityError(f"histogram {name!r} has no buckets in payload")
                 metric = registry.histogram(
                     name, help_text, labelnames,
                     buckets=tuple(float(b) for b in bounds),  # type: ignore[union-attr]
@@ -472,9 +456,6 @@ class MetricsRegistry:
     def names(self) -> list[str]:
         """Registered metric names, sorted."""
         return sorted(self._metrics)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
 
     def __len__(self) -> int:
         return len(self._metrics)

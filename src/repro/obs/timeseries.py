@@ -19,14 +19,10 @@ Two properties keep decade-long runs cheap:
   run is, and the series keeps full coverage of the run (coarser, never
   truncated).
 
-Wiring options (pick one per run):
-
-* the engine's instrumented dispatch loop calls
-  :meth:`TimeSeriesCollector.maybe_scrape` after every event when
-  ``obs.STATE.timeseries`` is set — no extra events in the heap, no
-  observer effect on event counts;
-* :func:`repro.sim.probes.timeseries_probe` schedules scraping as a
-  periodic probe event for library users driving the engine directly.
+The engine's instrumented dispatch loop calls
+:meth:`TimeSeriesCollector.maybe_scrape` after every event when
+``obs.STATE.timeseries`` is set — no extra events in the heap, no observer
+effect on event counts.
 """
 
 from __future__ import annotations

@@ -56,9 +56,6 @@ class TextTable:
         lines.extend(fmt_row(row) for row in self.rows)
         return "\n".join(lines)
 
-    def __str__(self) -> str:
-        return self.render()
-
 
 def _fmt(cell: Any) -> str:
     if isinstance(cell, float):

@@ -72,7 +72,3 @@ def __getattr__(name: str):
     import importlib
 
     return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(__all__)

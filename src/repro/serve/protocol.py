@@ -48,7 +48,7 @@ class StoreStatus(str, enum.Enum):
     """Closed outcome taxonomy of one served store request.
 
     The three ``REJECTED_*`` members map 1:1 onto the gateway's gates
-    (:attr:`StoreResponse.refused_by`); ``SHED_BACKPRESSURE`` and
+    (:attr:`StoreStatus.gate`); ``SHED_BACKPRESSURE`` and
     ``EXPIRED_IN_QUEUE`` are serving-layer outcomes (the request never
     completed the write path at all).
     """
@@ -143,9 +143,3 @@ class StoreResponse:
     @property
     def stored(self) -> bool:
         return self.status is StoreStatus.ADMITTED
-
-    @property
-    def refused_by(self) -> str | None:
-        """Legacy gate name (``auth``/``fairness``/``placement``), if any."""
-        gate = self.status.gate
-        return gate if gate in ("auth", "fairness", "placement") else None

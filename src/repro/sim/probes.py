@@ -5,9 +5,6 @@ this module provides the two the experiments need:
 
 * :func:`density_probe` — sample the storage importance density of every
   attached store at a fixed interval (daily by default).
-* :func:`timeseries_probe` — scrape a :class:`~repro.obs.TimeSeriesCollector`
-  on a periodic schedule, for library users who drive the engine directly
-  rather than through the instrumented dispatch loop.
 * :class:`SnapshotTrigger` — watch the density and capture a full
   byte-importance snapshot the first time it enters a target band; this is
   how the Figure 7 CDF (taken "at an instant when importance density was
@@ -20,13 +17,13 @@ from dataclasses import dataclass, field
 
 from repro.core.density import byte_importance_snapshot, importance_density
 from repro.core.store import StorageUnit
-from repro.obs import STATE as _OBS, TimeSeriesCollector
+from repro.obs import STATE as _OBS
 from repro.sim.engine import SimulationEngine
 from repro.sim.events import PRIORITY_PROBE
 from repro.sim.recorder import Recorder
 from repro.units import days
 
-__all__ = ["density_probe", "timeseries_probe", "SnapshotTrigger"]
+__all__ = ["density_probe", "SnapshotTrigger"]
 
 
 def density_probe(
@@ -47,41 +44,6 @@ def density_probe(
         priority=PRIORITY_PROBE,
         label="density-probe",
     )
-
-
-def timeseries_probe(
-    engine: SimulationEngine,
-    collector: TimeSeriesCollector | None = None,
-    *,
-    interval_minutes: float | None = None,
-    start_minutes: float | None = None,
-    end_minutes: float = float("inf"),
-) -> TimeSeriesCollector:
-    """Schedule periodic registry scrapes into ``collector``.
-
-    The instrumented engine loop already scrapes ``obs.STATE.timeseries``
-    between events; this probe is the event-scheduled alternative for code
-    that builds its own engine wiring (it also works when the engine was
-    started before telemetry was enabled, since the probe reads the global
-    registry at fire time).  ``collector`` defaults to the installed
-    ``obs.STATE.timeseries``, creating and installing one when absent;
-    ``interval_minutes`` defaults to the collector's own cadence.
-    """
-    if collector is None:
-        collector = _OBS.timeseries
-        if collector is None:
-            collector = _OBS.timeseries = TimeSeriesCollector()
-    interval = collector.interval_minutes if interval_minutes is None else interval_minutes
-    start = engine.now if start_minutes is None else start_minutes
-    engine.schedule_periodic(
-        start,
-        interval,
-        collector.maybe_scrape,
-        end_minutes=end_minutes,
-        priority=PRIORITY_PROBE,
-        label="timeseries-probe",
-    )
-    return collector
 
 
 @dataclass

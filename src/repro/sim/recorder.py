@@ -17,16 +17,13 @@ streams every experiment consumes:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.core.density import DensitySample, importance_density
 from repro.core.store import EvictionRecord, RejectionRecord, StorageUnit
 from repro.obs import STATE as _OBS
-from repro.units import MINUTES_PER_DAY
 
-__all__ = ["ArrivalRecord", "Recorder", "merge_recorders"]
+__all__ = ["ArrivalRecord", "Recorder"]
 
 
 @dataclass(frozen=True)
@@ -85,11 +82,6 @@ class Recorder:
         self._stores.append(store)
         return store
 
-    @property
-    def stores(self) -> tuple[StorageUnit, ...]:
-        """Stores currently attached."""
-        return tuple(self._stores)
-
     # -- feeding -------------------------------------------------------------
 
     def record_arrival(
@@ -138,60 +130,12 @@ class Recorder:
 
     # -- derived series -------------------------------------------------------
 
-    def arrival_bytes_cumulative(self) -> list[tuple[float, int]]:
-        """Cumulative offered bytes over time — the Figure 2 series."""
-        total = 0
-        series = []
-        for a in self.arrivals:
-            total += a.size
-            series.append((a.t, total))
-        return series
-
-    def lifetimes_achieved(
-        self, *, creator: str | None = None, reason: str = "preempted"
-    ) -> list[tuple[float, float]]:
-        """``(t_evicted, achieved_lifetime)`` pairs in eviction order.
-
-        The paper measures lifetimes *when the objects are evicted*
-        (Figure 3's caption), so retained objects do not appear.
-        ``reason`` filters the eviction cause (preempted vs expired sweeps);
-        pass ``reason=None`` for all causes.
-        """
-        out = []
-        for record in self.evictions:
-            if reason is not None and record.reason != reason:
-                continue
-            if creator is not None and record.obj.creator != creator:
-                continue
-            out.append((record.t_evicted, record.achieved_lifetime))
-        return out
-
-    def rejections_per_day(self) -> dict[int, int]:
-        """Count of turned-down requests keyed by simulation day."""
-        counts: dict[int, int] = defaultdict(int)
-        for record in self.rejections:
-            counts[int(record.t_rejected // MINUTES_PER_DAY)] += 1
-        return dict(counts)
-
     def rejections_cumulative(self) -> list[tuple[float, int]]:
         """Cumulative rejection count over time — the Figure 4 series."""
         series = []
         for i, record in enumerate(self.rejections, start=1):
             series.append((record.t_rejected, i))
         return series
-
-    def importance_at_reclamation(
-        self, *, creator: str | None = None
-    ) -> list[tuple[float, float]]:
-        """``(t_evicted, importance_at_eviction)`` pairs (Figure 10)."""
-        out = []
-        for record in self.evictions:
-            if record.reason != "preempted":
-                continue
-            if creator is not None and record.obj.creator != creator:
-                continue
-            out.append((record.t_evicted, record.importance_at_eviction))
-        return out
 
     def density_series(self) -> list[tuple[float, float]]:
         """``(t, density)`` pairs across all samples (Figures 6/12)."""
@@ -217,22 +161,3 @@ class Recorder:
             "mean_density": sum(densities) / len(densities) if densities else 0.0,
             "max_density": max(densities) if densities else 0.0,
         }
-
-
-def merge_recorders(recorders: Iterable[Recorder]) -> Recorder:
-    """Merge several recorders' streams into a new one (sorted by time).
-
-    Useful when a distributed scenario records per-node and an experiment
-    wants cluster-wide series.
-    """
-    merged = Recorder()
-    for rec in recorders:
-        merged.arrivals.extend(rec.arrivals)
-        merged.evictions.extend(rec.evictions)
-        merged.rejections.extend(rec.rejections)
-        merged.density_samples.extend(rec.density_samples)
-    merged.arrivals.sort(key=lambda a: a.t)
-    merged.evictions.sort(key=lambda e: e.t_evicted)
-    merged.rejections.sort(key=lambda r: r.t_rejected)
-    merged.density_samples.sort(key=lambda s: s.t)
-    return merged

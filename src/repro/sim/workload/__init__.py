@@ -15,7 +15,7 @@
   time order.
 """
 
-from repro.sim.workload.base import Workload, quantise_minute
+from repro.sim.workload.base import Workload
 from repro.sim.workload.single_app import RateRamp, SingleAppWorkload
 from repro.sim.workload.calendar import (
     AcademicCalendar,
@@ -55,7 +55,6 @@ __all__ = [
     "UniversityWorkload",
     "Workload",
     "merge_streams",
-    "quantise_minute",
     "student_lifetime_for_day",
     "synthesize_download_trace",
     "university_lifetime_for_day",

@@ -13,7 +13,7 @@ from typing import Iterator, Protocol, runtime_checkable
 
 from repro.core.obj import StoredObject
 
-__all__ = ["Workload", "quantise_minute"]
+__all__ = ["Workload"]
 
 
 @runtime_checkable
@@ -23,8 +23,3 @@ class Workload(Protocol):
     def arrivals(self, horizon_minutes: float) -> Iterator[StoredObject]:
         """Yield objects in non-decreasing ``t_arrival`` order."""
         ...
-
-
-def quantise_minute(t_minutes: float) -> float:
-    """Snap a time to the simulator's one-minute granularity (floor)."""
-    return float(int(t_minutes))

@@ -111,11 +111,6 @@ class AcademicCalendar:
         """Day of the (365-day) year for an absolute simulation time."""
         return int(t_minutes // MINUTES_PER_DAY) % DAYS_PER_YEAR
 
-    @staticmethod
-    def sim_day(t_minutes: float) -> int:
-        """Absolute simulation day for a time in minutes."""
-        return int(t_minutes // MINUTES_PER_DAY)
-
     def term_for_day(self, doy: int) -> TermSpec | None:
         """The term in session on day-of-year ``doy``, or None on breaks."""
         for spec in self.specs:

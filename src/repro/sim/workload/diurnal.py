@@ -100,17 +100,6 @@ class DiurnalModulation:
             if rng.random() < self.profile.keep_probability(obj.t_arrival):
                 yield obj
 
-    def expected_thinning(self) -> float:
-        """Mean keep-probability over a full week (for capacity planning)."""
-        total = 0.0
-        samples = 0
-        for day in range(7):
-            for hour in range(24):
-                t = day * MINUTES_PER_DAY + hour * MINUTES_PER_HOUR
-                total += self.profile.keep_probability(t)
-                samples += 1
-        return total / samples
-
 
 def semester_break_holidays(
     horizon_days: int, breaks: Sequence[tuple[int, int]]

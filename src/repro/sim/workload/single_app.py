@@ -125,19 +125,3 @@ class SingleAppWorkload:
                     creator=self.creator,
                 )
             t += MINUTES_PER_HOUR
-
-    def expected_bytes_per_day(self, t_minutes: float) -> float:
-        """Mean offered load (bytes/day) at time ``t``."""
-        return gib(self.ramp.cap_at(t_minutes)) / 2 * self.arrival_probability * 24
-
-
-def cumulative_demand_series(
-    workload: SingleAppWorkload, horizon_minutes: float
-) -> list[tuple[float, int]]:
-    """Materialise the Figure 2 series: cumulative offered bytes over time."""
-    series: list[tuple[float, int]] = []
-    total = 0
-    for obj in workload.arrivals(horizon_minutes):
-        total += obj.size
-        series.append((obj.t_arrival, total))
-    return series

@@ -34,7 +34,7 @@ class TestWritePath:
         cap = realm.mint("camera-1")
         outcome = gw.handle(StoreRequest(cap, make_obj(1.0)), now=0.0)
         assert outcome.stored
-        assert outcome.refused_by is None
+        assert outcome.status.gate is None
         assert outcome.cost_charged > 0.0
         assert outcome.decision is not None and outcome.decision.placed
 
@@ -44,7 +44,7 @@ class TestWritePath:
         greedy = make_obj(1.0)  # initial importance 1.0
         outcome = gw.handle(StoreRequest(cap, greedy), now=0.0)
         assert not outcome.stored
-        assert outcome.refused_by == "auth"
+        assert outcome.status.gate == "auth"
         assert gw.refusals["auth"] == 1
         # Nothing was charged or stored.
         assert gw.ledger.spent("student", 0.0) == 0.0
@@ -57,7 +57,7 @@ class TestWritePath:
             assert gw.handle(StoreRequest(cap, make_obj(1.0)), now=0.0).stored
         outcome = gw.handle(StoreRequest(cap, make_obj(1.0)), now=0.0)
         assert not outcome.stored
-        assert outcome.refused_by == "fairness"
+        assert outcome.status.gate == "fairness"
         assert gw.refusals["fairness"] == 1
 
     def test_placement_refusal_refunds_budget(self, gateway):
@@ -70,7 +70,7 @@ class TestWritePath:
         spent_before = gw.ledger.spent("filler", 0.0)
         outcome = gw.handle(StoreRequest(big_ledger_cap, make_obj(1.0)), now=0.0)
         assert not outcome.stored
-        assert outcome.refused_by == "placement"
+        assert outcome.status.gate == "placement"
         assert outcome.cost_charged == 0.0
         assert gw.ledger.spent("filler", 0.0) == pytest.approx(spent_before)
 

@@ -71,7 +71,6 @@ class TestHandleStatuses:
         response = gateway.handle(request)
         assert response.status is StoreStatus.REJECTED_AUTH
         assert not response.stored
-        assert response.refused_by == "auth"
         assert "ceiling" in response.detail
         assert response.cost_charged == 0.0
         assert response.retry_after is None
@@ -89,7 +88,6 @@ class TestHandleStatuses:
             StoreRequest(capability=cap, obj=make_obj(1.0)), now=now
         )
         assert response.status is StoreStatus.REJECTED_FAIRNESS
-        assert response.refused_by == "fairness"
         assert "remain this period" in response.detail
         # Retrying makes sense once the budget refreshes.
         assert response.retry_after == days(30) - (now % days(30))

@@ -74,7 +74,7 @@ class TestLeave:
         assert event.kind == "leave"
         assert [r.obj.object_id for r in event.lost] == [obj.object_id]
         assert event.lost[0].reason == "node-departure"
-        assert event.lost_bytes == obj.size
+        assert [record.obj.size for record in event.lost] == [obj.size]
         assert obj.object_id not in cluster
 
     def test_leave_unknown_raises(self, managed):

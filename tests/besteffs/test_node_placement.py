@@ -25,6 +25,8 @@ class TestBesteffsNode:
         probe = node.probe(make_obj(1.0), 0.0)
         assert probe.admissible and probe.direct
         assert probe.highest_preempted == 0.0
+        assert node.free_bytes == gib(2)
+        assert repr(node) == f"BesteffsNode('n0', used=0/{gib(2)})"
 
     def test_probe_reports_highest_preempted(self):
         node = BesteffsNode("n0", gib(1))

@@ -4,11 +4,18 @@ import pytest
 
 from repro.core.advisor import AnnotationAdvisor
 from repro.core.importance import ConstantImportance
+from repro.core.obj import StoredObject
 from repro.core.policies.temporal import TemporalImportancePolicy
 from repro.core.store import StorageUnit
 from repro.errors import ReproError
 from repro.units import days, gib
 from tests.conftest import make_obj
+
+
+def _admits(store, advice, now):
+    """Whether a 1 GiB object under the advised annotation is admitted now."""
+    probe = StoredObject(size=gib(1), t_arrival=now, lifetime=advice.annotation)
+    return store.peek_admission(probe, now).admit
 
 
 @pytest.fixture
@@ -25,7 +32,7 @@ class TestAdvise:
         assert advice.annotation.p == pytest.approx(0.2)
         assert advice.annotation.t_persist == days(10)
         assert advice.annotation.t_wane == days(10)
-        assert advisor.would_admit(advice, gib(1), 0.0)
+        assert _admits(store, advice, 0.0)
 
     def test_waned_store_recommends_above_threshold(self, store):
         for _ in range(10):
@@ -36,7 +43,7 @@ class TestAdvise:
         assert advice.achievable
         assert 0.5 < advice.threshold <= 0.52
         assert advice.annotation.p == pytest.approx(advice.threshold + 0.2)
-        assert advisor.would_admit(advice, gib(1), now)
+        assert _admits(store, advice, now)
 
     def test_margin_truncates_at_ceiling(self, store):
         for _ in range(10):
@@ -56,7 +63,6 @@ class TestAdvise:
         advice = advisor.advise(gib(1), 10, 10, days(100))
         assert not advice.achievable
         assert advice.annotation is None
-        assert not advisor.would_admit(advice, gib(1), days(100))
 
     def test_input_validation(self, store):
         advisor = AnnotationAdvisor(store)

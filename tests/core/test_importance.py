@@ -4,18 +4,23 @@ import math
 
 import pytest
 
+from repro.core.density import importance_density
 from repro.core.importance import (
     ConstantImportance,
     DiracImportance,
     ExponentialWaneImportance,
     FixedLifetimeImportance,
+    ImportanceFunction,
     PiecewiseLinearImportance,
     ScaledImportance,
     StepWaneImportance,
     TwoStepImportance,
 )
+from repro.core.obj import StoredObject
+from repro.core.policies.temporal import TemporalImportancePolicy
+from repro.core.store import StorageUnit
 from repro.errors import AnnotationError
-from repro.units import days
+from repro.units import days, gib
 
 
 class TestConstantImportance:
@@ -255,3 +260,20 @@ class TestCommonBehaviour:
     def test_nan_age_raises(self, two_step):
         with pytest.raises(AnnotationError):
             two_step.importance_at(float("nan"))
+
+
+class TestUserSubclass:
+    def test_default_stable_until_treats_it_as_waning_from_arrival(self):
+        # A library user's function that does not widen ``stable_until``
+        # keeps the safe default, and a store re-evaluates it on every read.
+        class Linear(ImportanceFunction):
+            t_expire = days(10)
+
+            def importance_at(self, age_minutes):
+                return max(0.0, 1.0 - age_minutes / days(10))
+
+        linear = Linear()
+        assert linear.stable_until == 0.0
+        store = StorageUnit(gib(1), TemporalImportancePolicy())
+        store.offer(StoredObject(size=gib(1) // 2, t_arrival=0.0, lifetime=linear), 0.0)
+        assert importance_density(store, days(5)) == pytest.approx(0.25)

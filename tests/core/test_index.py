@@ -101,36 +101,36 @@ class TestImportanceIndexPhases:
         index = ImportanceIndex()
         obj = two_step_obj("a", 10, t_arrival=0.0)
         index.add(obj, 0.0)
-        assert index.phase_of("a") == PHASE_CONSTANT
+        assert index.residents["a"].phase == PHASE_CONSTANT
 
         index.advance(100.0)  # still inside the stable prefix (age <= 100)
-        assert index.phase_of("a") == PHASE_CONSTANT
+        assert index.residents["a"].phase == PHASE_CONSTANT
 
         index.advance(100.5)
-        assert index.phase_of("a") == PHASE_WANING
+        assert index.residents["a"].phase == PHASE_WANING
 
         index.advance(151.0)
-        assert index.phase_of("a") == PHASE_EXPIRED
+        assert index.residents["a"].phase == PHASE_EXPIRED
         assert index.transitions == 2
         assert index.check(151.0)
 
     def test_admission_mid_life_classifies_directly(self):
         index = ImportanceIndex()
         index.add(two_step_obj("w", 10, t_arrival=0.0), 120.0)
-        assert index.phase_of("w") == PHASE_WANING
+        assert index.residents["w"].phase == PHASE_WANING
         index.add(two_step_obj("e", 10, t_arrival=0.0), 200.0)
-        assert index.phase_of("e") == PHASE_EXPIRED
+        assert index.residents["e"].phase == PHASE_EXPIRED
 
     def test_dirac_objects_are_expired_on_arrival(self):
         index = ImportanceIndex()
         index.add(make_obj(1.0, lifetime=DiracImportance(), object_id="d"), 0.0)
-        assert index.phase_of("d") == PHASE_EXPIRED
+        assert index.residents["d"].phase == PHASE_EXPIRED
 
     def test_constants_never_transition(self):
         index = ImportanceIndex()
         index.add(make_obj(1.0, lifetime=ConstantImportance(p=0.3), object_id="c"), 0.0)
         index.advance(1e12)
-        assert index.phase_of("c") == PHASE_CONSTANT
+        assert index.residents["c"].phase == PHASE_CONSTANT
         assert index.transitions == 0
 
     def test_breakpoints_are_never_processed_late(self):
@@ -152,10 +152,10 @@ class TestImportanceIndexPhases:
         index = ImportanceIndex()
         index.add(two_step_obj("a", 10, t_arrival=0.0), 0.0)
         index.advance(200.0)
-        assert index.phase_of("a") == PHASE_EXPIRED
+        assert index.residents["a"].phase == PHASE_EXPIRED
         with pytest.raises(SimulationError):
             index.advance(50.0)  # time never goes back
-        assert index.phase_of("a") == PHASE_EXPIRED
+        assert index.residents["a"].phase == PHASE_EXPIRED
         assert index.check(200.0)
 
     def test_discard_and_reuse_of_an_id(self):
@@ -167,7 +167,7 @@ class TestImportanceIndexPhases:
         # from the first incarnation must not corrupt the new one.
         index.add(make_obj(1.0, lifetime=ConstantImportance(p=0.5), object_id="a"), 0.0)
         index.advance(1e9)
-        assert index.phase_of("a") == PHASE_CONSTANT
+        assert index.residents["a"].phase == PHASE_CONSTANT
         assert index.check(1e9)
 
     def test_duplicate_add_is_rejected(self):

@@ -84,7 +84,7 @@ def index_snapshot(store):
     return (
         store.used_bytes,
         residents,
-        tuple(index.phase_of(oid) for oid in residents),
+        tuple(index.residents[oid].phase for oid in residents),
         index.expired_bytes,
         index.transitions,
         len(index.groups),

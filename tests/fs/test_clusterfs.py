@@ -31,6 +31,8 @@ class TestBasics:
         assert cfs.read("/docs/a", 1.0) == b"hello"
         assert cfs.node_of("/docs/a") in cfs.cluster.nodes
         assert cfs.listdir("/docs") == ["/docs/a"]
+        assert "/docs/a" in cfs and "/docs/b" not in cfs
+        assert list(cfs.files()) == ["/docs/a"]
 
     def test_stat_reports_holding_state(self, cfs):
         cfs.write("/v", b"x" * mib(1), 0.0, lifetime=two_step())

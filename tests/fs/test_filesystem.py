@@ -23,6 +23,7 @@ class TestWriteRead:
         fs.write("/docs/report.txt", b"hello storage", 0.0, lifetime=two_step())
         assert fs.read("/docs/report.txt", 1.0) == b"hello storage"
         assert fs.exists("/docs/report.txt")
+        assert "/docs/report.txt" in fs and "/docs/other.txt" not in fs
         assert len(fs) == 1
 
     def test_stat_reports_annotation_state(self, fs):

@@ -198,6 +198,15 @@ class TestExplainCli:
         assert f"object {object_id}" in text
         assert "timeline:" in text
 
+    def test_a_truncated_ledger_is_flagged(self, ledger_path, tmp_path, capsys):
+        assert main(["explain", str(ledger_path)]) == 0
+        assert "warning" not in capsys.readouterr().err
+        # What a two-record ring buffer writes after three decisions.
+        target = tmp_path / "truncated-audit.jsonl"
+        target.write_text("\n".join(ledger_path.read_text().splitlines()[1:3]) + "\n")
+        assert main(["explain", str(target)]) == 0
+        assert "dropped 1 of 3 records" in capsys.readouterr().err
+
     def test_unknown_object_exits_2(self, ledger_path, capsys):
         assert main(["explain", str(ledger_path), "obj-999999"]) == 2
         assert "no audit records" in capsys.readouterr().err

@@ -184,6 +184,24 @@ class TestMergeAndSerialisation:
         clone.write_jsonl(buf2)
         assert buf2.getvalue() == text
 
+    def test_read_jsonl_restores_drop_counts_from_seq(self):
+        # A ring-truncated ledger reads back as truncated, and so does a
+        # merge of truncated parts, whose survivors leave gaps in ``seq``.
+        truncated = AuditLedger(max_records=2)
+        for i in range(3):
+            truncated.record("admit", t=0.0, obj=_obj(f"t-{i}"), unit="d", importance=1.0)
+        merged = AuditLedger(max_records=2)
+        merged.merge(truncated)
+        merged.merge(self._filled("y", 1))
+        for ledger in (truncated, merged):
+            buf = io.StringIO()
+            ledger.write_jsonl(buf)
+            clone = AuditLedger.read_jsonl(io.StringIO(buf.getvalue()))
+            assert (clone.dropped, clone.recorded_count) == (
+                ledger.dropped, ledger.recorded_count,
+            )
+        assert (truncated.dropped, merged.dropped) == (1, 2)
+
     def test_read_jsonl_skips_blank_lines(self):
         ledger = self._filled("x", 2)
         buf = io.StringIO()
@@ -196,6 +214,7 @@ class TestMergeAndSerialisation:
         for oid in ("b", "a", "b"):
             ledger.record("admit", t=0.0, obj=_obj(oid), unit="d", importance=1.0)
         assert ledger.object_ids() == ("b", "a")
+        assert ledger.records == tuple(ledger)
         assert len(ledger.records_for("b")) == 2
 
     def test_record_roundtrip_preserves_competing_tuple(self):

@@ -368,3 +368,9 @@ class TestRegistryFromDict:
             MetricsRegistry.from_dict(
                 {"weird": {"type": "summary", "help": "", "labelnames": [], "series": []}}
             )
+
+    def test_histogram_without_buckets_names_the_metric(self):
+        payload = self._populated().to_dict()
+        del payload["scan_s"]["buckets"]
+        with pytest.raises(ObservabilityError, match="'scan_s' has no buckets"):
+            MetricsRegistry.from_dict(payload)

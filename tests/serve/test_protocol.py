@@ -107,15 +107,8 @@ class TestStoreResponse:
             detail="placed on n1", decision=decision, cost_charged=5.0,
         )
         assert response.stored
-        assert response.refused_by is None
+        assert response.status.gate is None
         assert ledger_line(make_request(), response)["response"]["node_id"] == "n1"
-
-    def test_refused_by_only_for_legacy_gates(self):
-        assert StoreResponse("r", StoreStatus.REJECTED_AUTH).refused_by == "auth"
-        assert StoreResponse("r", StoreStatus.REJECTED_FAIRNESS).refused_by == "fairness"
-        assert StoreResponse("r", StoreStatus.REJECTED_PLACEMENT).refused_by == "placement"
-        assert StoreResponse("r", StoreStatus.SHED_BACKPRESSURE).refused_by is None
-        assert StoreResponse("r", StoreStatus.EXPIRED_IN_QUEUE).refused_by is None
 
     def test_canonical_dict_has_no_wallclock_fields(self):
         response = StoreResponse(

@@ -96,47 +96,3 @@ class TestSnapshotTrigger:
         engine.run(days(4))
         assert trigger.triggered_at == days(2)
         assert trigger.triggered_density == 0.5
-
-
-class TestTimeseriesProbe:
-    def _instrumented_store(self):
-        from repro import obs
-
-        store = StorageUnit(gib(2), TemporalImportancePolicy())
-        obs.enable()
-        obs.STATE.registry.gauge("demo_gauge", "Demo.").set(1.0)
-        return store
-
-    def test_schedules_scrapes_on_cadence(self):
-        from repro import obs
-        from repro.obs import TimeSeriesCollector
-        from repro.sim.probes import timeseries_probe
-
-        self._instrumented_store()
-        try:
-            engine = SimulationEngine()
-            collector = TimeSeriesCollector(interval_minutes=days(1))
-            returned = timeseries_probe(
-                engine, collector, interval_minutes=days(1)
-            )
-            assert returned is collector
-            engine.run(days(3))
-            assert collector.scrape_count == 4  # days 0,1,2,3
-            assert collector.values("demo_gauge") == [1.0] * 4
-        finally:
-            obs.reset()
-
-    def test_installs_collector_into_obs_state_when_absent(self):
-        from repro import obs
-        from repro.sim.probes import timeseries_probe
-
-        self._instrumented_store()
-        try:
-            assert obs.STATE.timeseries is None
-            engine = SimulationEngine()
-            collector = timeseries_probe(engine, interval_minutes=days(1))
-            assert obs.STATE.timeseries is collector
-            engine.run(days(1))
-            assert collector.scrape_count == 2
-        finally:
-            obs.reset()

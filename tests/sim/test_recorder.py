@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.analysis.lifetimes import bucket_importance_by_eviction_day, lifetime_stats
 from repro.core.policies.temporal import TemporalImportancePolicy
 from repro.core.store import StorageUnit
-from repro.sim.recorder import Recorder, merge_recorders
+from repro.sim.recorder import Recorder
 from repro.units import days, gib
 from tests.conftest import make_obj
 
@@ -58,24 +59,16 @@ class TestAttachment:
 
 
 class TestDerivedSeries:
-    def test_arrival_bytes_cumulative(self):
-        recorder = Recorder()
-        recorder.record_arrival(0.0, 100, True, "a", "x1")
-        recorder.record_arrival(5.0, 50, False, "a", "x2")
-        assert recorder.arrival_bytes_cumulative() == [(0.0, 100), (5.0, 150)]
-
     def test_lifetimes_achieved_filters(self, wired):
         store, recorder = wired
         for _ in range(3):
             store.offer(make_obj(1.0, creator="u"), 0.0)
         store.offer(make_obj(1.0, t_arrival=days(20), creator="u"), days(20))
         store.remove(next(store.iter_residents()).object_id, days(21))
-        assert len(recorder.lifetimes_achieved(reason="preempted")) == 1
-        assert len(recorder.lifetimes_achieved(reason=None)) == 2
-        assert len(recorder.lifetimes_achieved(creator="nobody")) == 0
-        t_evicted, achieved = recorder.lifetimes_achieved()[0]
-        assert t_evicted == days(20)
-        assert achieved == days(20)
+        assert [r.reason for r in recorder.evictions] == ["preempted", "manual"]
+        preempted = lifetime_stats(r for r in recorder.evictions if r.reason == "preempted")
+        assert (preempted.n, preempted.mean_days) == (1, 20.0)
+        assert recorder.evictions[0].t_evicted == days(20)
 
     def test_rejections_per_day_and_cumulative(self, wired):
         store, recorder = wired
@@ -83,8 +76,6 @@ class TestDerivedSeries:
             store.offer(make_obj(1.0), 0.0)
         store.offer(make_obj(1.0), 0.0)
         store.offer(make_obj(1.0, t_arrival=days(2)), days(2))
-        per_day = recorder.rejections_per_day()
-        assert per_day == {0: 1, 2: 1}
         cumulative = recorder.rejections_cumulative()
         assert cumulative == [(0.0, 1), (days(2), 2)]
 
@@ -93,9 +84,9 @@ class TestDerivedSeries:
         for _ in range(3):
             store.offer(make_obj(1.0), 0.0)
         store.offer(make_obj(1.0, t_arrival=days(22.5)), days(22.5))
-        series = recorder.importance_at_reclamation()
-        assert len(series) == 1
-        assert series[0][1] == pytest.approx(0.5)
+        ((day, importance, count),) = bucket_importance_by_eviction_day(recorder.evictions)
+        assert (day, count) == (21, 1)
+        assert importance == pytest.approx(0.5)
 
     def test_summary_counts(self, wired):
         store, recorder = wired
@@ -106,12 +97,3 @@ class TestDerivedSeries:
         assert summary["arrivals"] == 1.0
         assert summary["admitted"] == 1.0
         assert summary["mean_density"] == pytest.approx(1.0 / 3.0, rel=1e-6)
-
-
-class TestMerge:
-    def test_merge_sorts_by_time(self):
-        a, b = Recorder(), Recorder()
-        a.record_arrival(10.0, 1, True, "a", "x1")
-        b.record_arrival(5.0, 1, True, "b", "x2")
-        merged = merge_recorders([a, b])
-        assert [r.t for r in merged.arrivals] == [5.0, 10.0]

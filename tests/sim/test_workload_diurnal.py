@@ -11,6 +11,7 @@ from repro.sim.workload.diurnal import (
 )
 from repro.sim.workload.single_app import SingleAppWorkload
 from repro.units import MINUTES_PER_HOUR, days, hours
+from tests.oracles.diurnal import expected_thinning
 
 
 class TestDiurnalProfile:
@@ -67,7 +68,7 @@ class TestDiurnalModulation:
     def test_expected_thinning_matches_empirical(self):
         inner = SingleAppWorkload(seed=3, arrival_probability=1.0)
         modulated = DiurnalModulation(inner=inner, seed=1)
-        expected = modulated.expected_thinning()
+        expected = expected_thinning(modulated.profile)
         kept = sum(1 for _ in modulated.arrivals(days(56)))  # whole weeks
         total = 56 * 24 + 1
         assert kept / total == pytest.approx(expected, rel=0.15)

@@ -8,7 +8,6 @@ from repro.sim.workload.single_app import (
     PAPER_RAMP,
     RateRamp,
     SingleAppWorkload,
-    cumulative_demand_series,
     paper_two_step_lifetime,
 )
 from repro.units import MINUTES_PER_HOUR, days, gib, months
@@ -89,19 +88,3 @@ class TestSingleAppWorkload:
     def test_rejects_bad_probability(self):
         with pytest.raises(SimulationError):
             SingleAppWorkload(arrival_probability=0.0)
-
-    def test_expected_bytes_per_day_tracks_ramp(self):
-        workload = SingleAppWorkload(seed=0)
-        early = workload.expected_bytes_per_day(0.0)
-        late = workload.expected_bytes_per_day(months(10))
-        assert late / early == pytest.approx(1.3 / 0.5)
-
-
-class TestCumulativeSeries:
-    def test_is_monotone_and_matches_total(self):
-        workload = SingleAppWorkload(seed=8)
-        series = cumulative_demand_series(workload, days(30))
-        totals = [total for _t, total in series]
-        assert totals == sorted(totals)
-        direct = sum(o.size for o in workload.arrivals(days(30)))
-        assert totals[-1] == direct
