@@ -57,6 +57,8 @@ class ChurnManager:
         overlay_seed: int = 0,
         join_degree: int = 8,
     ):
+        if join_degree < 1:
+            raise OverlayError("join_degree must be at least 1: a joiner needs an edge")
         self.cluster = cluster
         self._overlay_rng = random.Random(overlay_seed)
         self.join_degree = join_degree
@@ -65,13 +67,16 @@ class ChurnManager:
         self.events: list[ChurnEvent] = []
 
     def join(self, node_id: str, capacity_bytes: int, now: float) -> ChurnEvent:
-        """Admit a new (empty) node and splice it into the overlay."""
+        """Admit a new (empty) node and splice it into the overlay; both are
+        built before the cluster adopts either, so a failed join changes nothing."""
         if node_id in self.cluster.nodes:
             raise OverlayError(f"node {node_id!r} is already a member")
-        self.cluster.adopt_node(BesteffsNode(node_id, capacity_bytes, keep_history=False))
-        self.cluster.overlay = self.cluster.overlay.with_node(
+        node = BesteffsNode(node_id, capacity_bytes, keep_history=False)
+        overlay = self.cluster.overlay.with_node(
             node_id, degree=self.join_degree, rng=self._overlay_rng
         )
+        self.cluster.adopt_node(node)
+        self.cluster.overlay = overlay
         self._rebuilds += 1
         event = ChurnEvent(
             t=now, kind="join", node_id=node_id, capacity_bytes=capacity_bytes

@@ -27,6 +27,7 @@ from repro.core.importance import FixedLifetimeImportance, ScaledImportance, Two
 from repro.core.obj import StoredObject
 from repro.core.policies.palimpsest import PalimpsestPolicy
 from repro.core.policies.temporal import TemporalImportancePolicy
+from repro.errors import OverlayError
 from repro.obs.audit import AuditLedger
 from repro.sim.parallel import RunSpec, execute_spec
 from repro.units import days
@@ -258,6 +259,18 @@ class TestFaults:
         cluster.placement = PlacementConfig(x=4, m=1)
         decision, _result = cluster.offer(_stable(0.5, 300, 180.0, "b"), 180.0)
         assert decision.placed and decision.node_id == "fresh"
+
+    def test_a_failed_join_leaves_the_cluster_unchanged(self):
+        cluster = _full_cluster()
+        churn = ChurnManager(cluster, join_degree=2)
+        churn.join_degree = 0  # a joiner with no edge: the overlay splice fails
+        nodes, overlay = dict(cluster.nodes), cluster.overlay
+        with pytest.raises(OverlayError):
+            churn.join("late", 10_000, 60.0)
+        assert cluster.nodes == nodes and cluster.overlay is overlay
+        assert set(cluster._floor._units) == set(nodes)
+        # A half-joined empty unit's spare would hold the floor open.
+        assert _floor_refuses(cluster, 300, 60.0, "a")
 
     def test_a_drained_unit_leaves_the_floor(self):
         cluster = _full_cluster((50, 50, 50, 50))

@@ -55,6 +55,11 @@ class TestJoin:
         with pytest.raises(OverlayError):
             manager.join("n0", gib(1), 0.0)
 
+    def test_join_degree_below_one_rejected(self, managed):
+        _manager, cluster, _recorder = managed
+        with pytest.raises(OverlayError):
+            ChurnManager(cluster, join_degree=0)
+
     def test_joined_node_feeds_the_recorder(self, managed):
         manager, cluster, recorder = managed
         manager.join("fresh", gib(1), 0.0)

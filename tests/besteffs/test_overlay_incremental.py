@@ -2,7 +2,6 @@
 
 import random
 
-import networkx as nx
 import pytest
 
 from repro.besteffs.overlay import Overlay
@@ -12,12 +11,15 @@ IDS = [f"n{i:03d}" for i in range(30)]
 
 
 def connected(overlay: Overlay) -> bool:
-    graph = nx.Graph()
-    graph.add_nodes_from(overlay.node_ids)
-    for node in overlay.node_ids:
+    """Breadth-first search over ``neighbors()`` reaches every member."""
+    start = overlay.node_ids[0]
+    seen, frontier = {start}, [start]
+    for node in frontier:
         for neighbor in overlay.neighbors(node):
-            graph.add_edge(node, neighbor)
-    return nx.is_connected(graph)
+            if neighbor not in seen:
+                seen.add(neighbor)
+                frontier.append(neighbor)
+    return len(seen) == len(overlay)
 
 
 class TestWithNode:
@@ -25,7 +27,7 @@ class TestWithNode:
         overlay = Overlay.random_regular(IDS, degree=6, seed=1)
         spliced = overlay.with_node("joiner", degree=6, rng=random.Random(0))
         assert "joiner" in spliced
-        assert spliced.degree("joiner") == 6
+        assert len(spliced.neighbors("joiner")) == 6
         assert connected(spliced)
 
     def test_small_overlay_attaches_to_everyone(self):
@@ -57,8 +59,8 @@ class TestWithoutNode:
 
     def test_neighbors_rematched(self):
         # A star graph: removing the hub must re-link the leaves.
-        graph = nx.star_graph(6)
-        overlay = Overlay(nx.relabel_nodes(graph, {i: f"v{i}" for i in range(7)}))
+        leaves = [f"v{i}" for i in range(1, 7)]
+        overlay = Overlay({"v0": leaves, **{leaf: ["v0"] for leaf in leaves}})
         pruned = overlay.without_node("v0", rng=random.Random(3))
         assert connected(pruned)
         assert len(pruned) == 6

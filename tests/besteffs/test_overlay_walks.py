@@ -2,7 +2,6 @@
 
 import random
 
-import networkx as nx
 import pytest
 
 from repro.besteffs.overlay import Overlay
@@ -16,7 +15,7 @@ class TestOverlay:
     def test_random_regular_is_connected_and_regular(self):
         overlay = Overlay.random_regular(IDS, degree=6, seed=1)
         assert len(overlay) == 50
-        assert all(overlay.degree(node) == 6 for node in overlay.node_ids)
+        assert all(len(overlay.neighbors(node)) == 6 for node in overlay.node_ids)
 
     def test_small_membership_falls_back_to_complete(self):
         overlay = Overlay.random_regular(["a", "b", "c"], degree=10, seed=0)
@@ -37,18 +36,39 @@ class TestOverlay:
             Overlay.random_regular([], seed=0)
 
     def test_rejects_disconnected_graph(self):
-        graph = nx.Graph()
-        graph.add_edge("a", "b")
-        graph.add_node("island")
         with pytest.raises(OverlayError, match="connected"):
-            Overlay(graph)
+            Overlay({"a": ["b"], "b": ["a"], "island": []})
+
+    def test_rejects_a_self_loop(self):
+        with pytest.raises(OverlayError, match="itself"):
+            Overlay({"a": ["a", "b"], "b": ["a"]})
+
+    def test_rejects_an_asymmetric_edge(self):
+        with pytest.raises(OverlayError, match="reverse"):
+            Overlay({"a": ["b", "c"], "b": ["a"], "c": []})
+
+    def test_rejects_a_neighbour_that_is_not_a_member(self):
+        with pytest.raises(OverlayError, match="not a member"):
+            Overlay({"a": ["b", "ghost"], "b": ["a"]})
+
+    def test_rejects_a_duplicate_neighbour(self):
+        with pytest.raises(OverlayError, match="twice"):
+            Overlay({"a": ["b", "b"], "b": ["a"]})
+
+    def test_rejects_an_empty_mapping(self):
+        with pytest.raises(OverlayError, match="at least one node"):
+            Overlay({})
+
+    def test_neighbour_order_is_the_mapping_order(self):
+        overlay = Overlay({"a": ("c", "b"), "b": ["a"], "c": iter(["a"])})
+        assert overlay.node_ids == ("a", "b", "c")
+        assert overlay.neighbors("a") == ("c", "b")
+        assert overlay.neighbors("c") == ("a",)
 
     def test_unknown_node_queries_raise(self):
         overlay = Overlay.random_regular(IDS[:5], seed=0)
         with pytest.raises(OverlayError):
             overlay.neighbors("ghost")
-        with pytest.raises(OverlayError):
-            overlay.degree("ghost")
 
     def test_membership_check(self):
         overlay = Overlay.random_regular(IDS[:5], seed=0)
@@ -181,7 +201,7 @@ class TestWalkKernelEqualsTheStringSpaceWalk:
     def test_random_walk(self, name):
         overlay = _overlays()[name]
         if name == "spliced":
-            assert len({overlay.degree(n) for n in overlay.node_ids}) > 2  # mixed degrees
+            assert len({len(overlay.neighbors(n)) for n in overlay.node_ids}) > 2  # mixed
         for seed in range(5):
             fast, reference = random.Random(seed), _SubclassedRandom(seed)
             for start in overlay.node_ids[:6]:
