@@ -60,13 +60,13 @@ def run_comparison():
     while now <= HORIZON:
         start = time.perf_counter()
         linear_removed.extend(
-            r.obj.object_id for r in linear_store.reclaim_expired(now)
+            r.object_id for r in linear_store.reclaim_expired(now)
         )
         t_linear += time.perf_counter() - start
 
         start = time.perf_counter()
         indexed_removed.extend(
-            r.obj.object_id for r in indexed_store.reclaim_expired(now)
+            r.object_id for r in indexed_store.reclaim_expired(now)
         )
         t_indexed += time.perf_counter() - start
         now += SWEEP_EVERY

@@ -69,7 +69,7 @@ def _pressure(store: StorageUnit, now: float) -> tuple[float, list[str]]:
             now,
         )
         assert result.admitted
-        victims.extend(record.obj.object_id for record in result.evictions)
+        victims.extend(record.object_id for record in result.evictions)
     return perf_counter() - t0, victims
 
 

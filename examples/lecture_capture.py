@@ -48,7 +48,7 @@ def main() -> None:
         records = [
             r
             for r in result.recorder.evictions
-            if r.reason == "preempted" and r.obj.creator == creator
+            if r.reason == "preempted" and r.creator == creator
         ]
         if not records:
             table.add_row([creator, 0, "-", "-", "-", "-"])

@@ -76,13 +76,13 @@ def prediction_pairs(
     for record in evictions:
         if record.reason != "preempted":
             continue
-        density = _density_at(density_samples, record.obj.t_arrival)
+        density = _density_at(density_samples, record.t_arrival)
         margin = longevity_margin(
-            record.obj.lifetime.initial_importance, density
+            record.lifetime.initial_importance, density
         )
         pairs.append(
             PredictionPair(
-                object_id=record.obj.object_id,
+                object_id=record.object_id,
                 margin=margin,
                 satisfaction=satisfaction_ratio(record),
                 density_at_arrival=density,

@@ -126,7 +126,7 @@ class BesteffsCluster:
         evicted = self._floor.evicted
 
         def on_eviction(record, _prev=previous, _node_id=node.node_id):
-            self._locations.pop(record.obj.object_id, None)
+            self._locations.pop(record.object_id, None)
             evicted(_node_id)
             if _prev is not None:
                 _prev(record)

@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DensitySample:
     """One periodic probe of a store's density (time-series element)."""
 
@@ -55,8 +55,8 @@ def importance_density(store: StorageUnit, now: float) -> float:
     of a scan over every resident; the result is bit-identical to that scan
     (both are the correctly-rounded sum of the same per-object terms).  The
     read moves the unit's clock (:meth:`StorageUnit.advance_clock`), so a
-    NaN or backwards ``now`` raises :class:`~repro.errors.SimulationError`;
-    it may fall between minutes.
+    NaN, infinite or backwards ``now`` raises
+    :class:`~repro.errors.SimulationError`; it may fall between minutes.
     """
     store.advance_clock(now)
     return store.importance_index.exact_mass(now) / store.capacity_bytes

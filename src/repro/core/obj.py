@@ -39,7 +39,7 @@ def reset_object_ids() -> None:
     _id_counter = itertools.count()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StoredObject:
     """An annotated storage object: ``(size, t_arrival, lifetime)``.
 
@@ -73,8 +73,8 @@ class StoredObject:
         if self.size <= 0:
             raise AnnotationError(f"object size must be positive, got {self.size}")
         t = float(self.t_arrival)
-        if math.isnan(t) or t < 0.0:
-            raise AnnotationError(f"t_arrival must be >= 0, got {self.t_arrival!r}")
+        if not (math.isfinite(t) and t >= 0.0):
+            raise AnnotationError(f"t_arrival must be finite and >= 0, got {self.t_arrival!r}")
         object.__setattr__(self, "t_arrival", t)
         if not isinstance(self.lifetime, ImportanceFunction):
             raise AnnotationError(

@@ -13,9 +13,11 @@ library users' code, and holds that ``now`` to one contract, the unit clock
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from time import perf_counter
 from typing import Callable, Iterator
 
+from repro.core.importance import ImportanceFunction
 from repro.core.index import ImportanceIndex, Resident
 from repro.core.obj import ObjectId, StoredObject
 from repro.core.policy import AdmissionPlan, EvictionPolicy
@@ -71,16 +73,22 @@ class StoreStats:
         return self.accepted_count + self.rejected_count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvictionRecord:
     """One object leaving a storage unit.
 
     ``achieved_lifetime`` (minutes the object actually survived) and
     ``importance_at_eviction`` are the paper's two headline per-object
-    metrics (Figures 3, 9 and 10).
+    metrics (Figures 3, 9 and 10).  The record carries the object's facts
+    (id, creator, size, arrival, annotation), not the object, so a run's
+    history does not keep every evicted object and its metadata alive.
     """
 
-    obj: StoredObject
+    object_id: ObjectId
+    creator: str
+    size: int
+    t_arrival: float
+    lifetime: ImportanceFunction
     t_evicted: float
     importance_at_eviction: float
     reason: str  # "preempted" | "expired" | "manual"
@@ -90,26 +98,34 @@ class EvictionRecord:
     @property
     def achieved_lifetime(self) -> float:
         """Minutes between arrival and eviction."""
-        return self.t_evicted - self.obj.t_arrival
+        return self.t_evicted - self.t_arrival
 
     @property
     def requested_lifetime(self) -> float:
         """Minutes of lifetime the annotation asked for (``t_expire``)."""
-        return self.obj.lifetime.t_expire
+        return self.lifetime.t_expire
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RejectionRecord:
-    """One arrival turned away because the store was full for its importance."""
+    """One arrival turned away because the store was full for its importance.
 
-    obj: StoredObject
+    Like :class:`EvictionRecord`, it carries the object's facts, not the
+    object.
+    """
+
+    object_id: ObjectId
+    creator: str
+    size: int
+    t_arrival: float
+    lifetime: ImportanceFunction
     t_rejected: float
     blocking_importance: float | None
     reason: str
     unit: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdmissionResult:
     """Outcome of :meth:`StorageUnit.offer`."""
 
@@ -265,8 +281,9 @@ class StorageUnit:
     def advance_clock(self, now: float, *, decision: bool = False) -> None:
         """Move the unit's clock to ``now``, or refuse it.
 
-        A NaN ``now``, or one earlier than the last the unit saw, raises
-        :class:`~repro.errors.SimulationError` with the unit unchanged.
+        A NaN or infinite ``now``, or one earlier than the last the unit
+        saw, raises :class:`~repro.errors.SimulationError` with the unit
+        unchanged.
         A ``decision`` time (:meth:`offer`, :meth:`peek_admission` and the
         policy probe) must also be a whole minute in ``[0, 2**51]``, which
         keeps the victim merge's arithmetic exact (:mod:`repro.core.victims`);
@@ -274,6 +291,8 @@ class StorageUnit:
         """
         if not now >= self._now:
             raise SimulationError(f"{self.name}'s clock is at {self._now!r}, after {now!r}")
+        if not isfinite(now):
+            raise SimulationError(f"{self.name}'s clock cannot move to {now!r}")
         if decision and not on_exact_grid(now):
             raise SimulationError(f"{self.name} decides at whole minutes, not at {now!r}")
         self._now = now
@@ -312,7 +331,11 @@ class StorageUnit:
         ledger = _OBS.audit if _OBS.enabled else None
         if not plan.admit:
             rejection = RejectionRecord(
-                obj=obj,
+                object_id=obj.object_id,
+                creator=obj.creator,
+                size=obj.size,
+                t_arrival=t_arrival,
+                lifetime=obj.lifetime,
                 t_rejected=now,
                 blocking_importance=plan.blocking_importance,
                 reason=plan.reason,
@@ -465,7 +488,11 @@ class StorageUnit:
         index.discard(victim.object_id)
         self.resident_slab.discard(victim)
         record = EvictionRecord(
-            obj=victim,
+            object_id=victim.object_id,
+            creator=victim.creator,
+            size=victim.size,
+            t_arrival=victim.t_arrival,
+            lifetime=victim.lifetime,
             t_evicted=now,
             importance_at_eviction=victim.importance_at(now),
             reason=reason,

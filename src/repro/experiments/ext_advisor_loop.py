@@ -120,12 +120,12 @@ def _run_strategy(
     lifetimes = [
         to_days(r.achieved_lifetime)
         for r in recorder.evictions
-        if r.reason == "preempted" and r.obj.creator == "producer"
+        if r.reason == "preempted" and r.creator == "producer"
     ]
     importances = [
-        r.obj.lifetime.initial_importance
+        r.lifetime.initial_importance
         for r in recorder.evictions
-        if r.obj.creator == "producer"
+        if r.creator == "producer"
     ]
     return {
         "offered": float(len(produced)),

@@ -99,7 +99,7 @@ def _run(
         rejected=cluster.rejected_count,
         preempted=preempted,
         lost_to_departures=len(lost),
-        lost_bytes_gib=to_gib(sum(r.obj.size for r in lost)),
+        lost_bytes_gib=to_gib(sum(r.size for r in lost)),
         mean_lost_age_days=sum(lost_ages) / len(lost_ages) if lost_ages else 0.0,
         initial_capacity_gib=to_gib(initial_capacity),
         final_capacity_gib=to_gib(cluster.capacity_bytes),

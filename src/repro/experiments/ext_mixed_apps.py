@@ -111,12 +111,12 @@ def _run(
     for app in classes:
         arrivals = [a for a in result.recorder.arrivals if a.creator == app.name]
         rejected = [
-            r for r in result.recorder.rejections if r.obj.creator == app.name
+            r for r in result.recorder.rejections if r.creator == app.name
         ]
         evictions = [
             r
             for r in result.recorder.evictions
-            if r.reason == "preempted" and r.obj.creator == app.name
+            if r.reason == "preempted" and r.creator == app.name
         ]
         lifetimes = [to_days(r.achieved_lifetime) for r in evictions]
         requested = app.persist_days + app.wane_days

@@ -67,7 +67,7 @@ def _run(
             records = [
                 r
                 for r in result.recorder.evictions
-                if r.reason == "preempted" and r.obj.creator == UNIVERSITY_CREATOR
+                if r.reason == "preempted" and r.creator == UNIVERSITY_CREATOR
             ]
             key = (capacity, policy)
             series[key] = tuple(

@@ -45,7 +45,7 @@ def _creator_means(recorder, creators) -> dict[str, float]:
         lifetimes = [
             to_days(r.achieved_lifetime)
             for r in recorder.evictions
-            if r.reason == "preempted" and r.obj.creator == creator
+            if r.reason == "preempted" and r.creator == creator
         ]
         means[creator] = sum(lifetimes) / len(lifetimes) if lifetimes else 0.0
     return means
@@ -75,7 +75,7 @@ def _run(
             records = [
                 r
                 for r in result.recorder.evictions
-                if r.reason == "preempted" and r.obj.creator == creator
+                if r.reason == "preempted" and r.creator == creator
             ]
             series[(capacity, creator)] = tuple(
                 bucket_lifetimes_by_eviction_day(records, bucket_days=bucket_days)

@@ -80,7 +80,7 @@ def _run(
         lifetimes = [
             to_days(r.achieved_lifetime)
             for r in recorder.evictions
-            if r.reason == "preempted" and r.obj.creator == STUDENT_CREATOR
+            if r.reason == "preempted" and r.creator == STUDENT_CREATOR
         ]
         student_days[capacity_gib] = (
             sum(lifetimes) / len(lifetimes) if lifetimes else 0.0

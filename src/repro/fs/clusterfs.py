@@ -61,7 +61,7 @@ class ClusterFS:
         previous = node.store.on_eviction
 
         def on_eviction(record: EvictionRecord, _prev=previous) -> None:
-            self._forget(record.obj.object_id, reason=record.reason)
+            self._forget(record.object_id, reason=record.reason)
             if _prev is not None:
                 _prev(record)
 

@@ -83,7 +83,7 @@ class TemporalFS:
         previous = self.store.on_eviction
 
         def on_eviction(record: EvictionRecord, _prev=previous) -> None:
-            self._forget(record.obj.object_id, faded=record.reason == "preempted")
+            self._forget(record.object_id, faded=record.reason == "preempted")
             if _prev is not None:
                 _prev(record)
 

@@ -26,7 +26,7 @@ from repro.obs import STATE as _OBS
 __all__ = ["ArrivalRecord", "Recorder"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrivalRecord:
     """One object offered to the storage system."""
 

@@ -102,6 +102,9 @@ class LectureCaptureWorkload:
         rng = random.Random(self.seed)
         cfg = self.config
         horizon_days = int(horizon_minutes // MINUTES_PER_DAY)
+        # One size int per creator class, shared by every object of it.
+        university_bytes = cfg.university_object_bytes
+        student_bytes = cfg.student_object_bytes
         for day in range(horizon_days + 1):
             doy = day % 365
             if day % 7 not in cfg.weekday_pattern:
@@ -117,7 +120,7 @@ class LectureCaptureWorkload:
                     if t > horizon_minutes:
                         continue
                     yield StoredObject(
-                        size=cfg.university_object_bytes,
+                        size=university_bytes,
                         t_arrival=float(t),
                         lifetime=university_lifetime_for_day(t, self.calendar),
                         creator=UNIVERSITY_CREATOR,
@@ -131,7 +134,7 @@ class LectureCaptureWorkload:
                     for s in range(n_students):
                         ts = t + (s + 1) * 0.0  # same minute as the lecture
                         yield StoredObject(
-                            size=cfg.student_object_bytes,
+                            size=student_bytes,
                             t_arrival=float(ts),
                             lifetime=student_lifetime_for_day(ts, self.calendar),
                             creator=STUDENT_CREATOR,

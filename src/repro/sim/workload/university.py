@@ -93,6 +93,9 @@ class UniversityWorkload:
         # Courses are spread over the working day (08:00–20:00).
         day_start = 8 * 60
         day_span = 12 * 60
+        # One size int per creator class, shared by every object of it.
+        university_bytes = lec.university_object_bytes
+        student_bytes = lec.student_object_bytes
         for day in range(horizon_days + 1):
             doy = day % 365
             if day % 7 not in lec.weekday_pattern:
@@ -113,7 +116,7 @@ class UniversityWorkload:
                 if t > horizon_minutes:
                     continue
                 yield StoredObject(
-                    size=lec.university_object_bytes,
+                    size=university_bytes,
                     t_arrival=t,
                     lifetime=university,
                     creator=UNIVERSITY_CREATOR,
@@ -124,7 +127,7 @@ class UniversityWorkload:
                 )
                 for s in range(n_students):
                     yield StoredObject(
-                        size=lec.student_object_bytes,
+                        size=student_bytes,
                         t_arrival=t,
                         lifetime=student,
                         creator=STUDENT_CREATOR,

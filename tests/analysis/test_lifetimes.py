@@ -19,7 +19,11 @@ from tests.conftest import make_obj
 def record(arrival_day, evict_day, importance=0.5, lifetime=None):
     obj = make_obj(1.0, t_arrival=days(arrival_day), lifetime=lifetime)
     return EvictionRecord(
-        obj=obj,
+        object_id=obj.object_id,
+        creator=obj.creator,
+        size=obj.size,
+        t_arrival=obj.t_arrival,
+        lifetime=obj.lifetime,
         t_evicted=days(evict_day),
         importance_at_eviction=importance,
         reason="preempted",

@@ -23,7 +23,11 @@ def sample(t, density):
 def eviction(arrival_day, evict_day, reason="preempted"):
     obj = make_obj(1.0, t_arrival=days(arrival_day))
     return EvictionRecord(
-        obj=obj,
+        object_id=obj.object_id,
+        creator=obj.creator,
+        size=obj.size,
+        t_arrival=obj.t_arrival,
+        lifetime=obj.lifetime,
         t_evicted=days(evict_day),
         importance_at_eviction=obj.importance_at(days(evict_day)),
         reason=reason,

@@ -192,7 +192,7 @@ class TestFaults:
         # Behind the cluster's back: a 1.0 object preempts n1's 800-byte
         # resident for 100 bytes, leaving 750 free there.
         evicted = cluster.nodes["n1"].accept(_stable(1.0, 100, 120.0, "direct"), 120.0).evictions
-        assert [e.obj.object_id for e in evicted] == ["n1-big"]
+        assert [e.object_id for e in evicted] == ["n1-big"]
         decision, _result = cluster.offer(_stable(0.5, 300, 180.0, "b"), 180.0)
         assert decision.placed and decision.node_id == "n1"
 
@@ -221,7 +221,7 @@ class TestFaults:
         cluster.placement = PlacementConfig(x=3, m=1)
         decision, result = cluster.offer(_stable(0.5, 45, 180.0, "d"), 180.0)
         assert decision.placed and decision.node_id == "n0"
-        assert [e.obj.object_id for e in result.evictions] == ["direct"]
+        assert [e.object_id for e in result.evictions] == ["direct"]
 
     def test_a_direct_store_is_read_before_any_entry_of_its_unit(self):
         # As above, but n0 is read first for a new level (1.0, which its
@@ -235,7 +235,7 @@ class TestFaults:
         assert not decision.placed and decision.rounds_used == 1
         decision, result = cluster.offer(_stable(0.5, 45, 180.0, "c"), 180.0)
         assert decision.placed and decision.node_id == "n0"
-        assert [e.obj.object_id for e in result.evictions] == ["direct"]
+        assert [e.object_id for e in result.evictions] == ["direct"]
 
     def test_a_resident_expiring_at_its_stable_end_frees_its_unit_then(self):
         # A scaled fixed lifetime sits in an annotation group, blocks 0.5

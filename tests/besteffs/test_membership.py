@@ -77,9 +77,9 @@ class TestLeave:
         home = decision.node_id
         event = manager.leave(home, days(1))
         assert event.kind == "leave"
-        assert [r.obj.object_id for r in event.lost] == [obj.object_id]
+        assert [r.object_id for r in event.lost] == [obj.object_id]
         assert event.lost[0].reason == "node-departure"
-        assert [record.obj.size for record in event.lost] == [obj.size]
+        assert [record.size for record in event.lost] == [obj.size]
         assert obj.object_id not in cluster
 
     def test_leave_unknown_raises(self, managed):

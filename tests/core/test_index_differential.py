@@ -84,7 +84,7 @@ def assert_plans_equal(naive, indexed, step):
 def assert_evictions_equal(naive, indexed, step):
     assert len(naive) == len(indexed), f"step {step}: eviction counts differ"
     for mine, theirs in zip(naive, indexed):
-        assert mine.obj.object_id == theirs.obj.object_id, f"step {step}"
+        assert mine.object_id == theirs.object_id, f"step {step}"
         assert mine.importance_at_eviction == theirs.importance_at_eviction, f"step {step}"
         assert mine.reason == theirs.reason, f"step {step}"
         assert mine.t_evicted == theirs.t_evicted, f"step {step}"
@@ -261,7 +261,7 @@ def _decision_digest(seed: int, grid: bool) -> str:
         plan = result.plan
         digest.update(repr((
             result.admitted, plan.reason, plan.highest_preempted.hex(),
-            [record.obj.object_id for record in result.evictions],
+            [record.object_id for record in result.evictions],
         )).encode())
         if step % 5 == 0:
             digest.update(importance_density(store, now).hex().encode())

@@ -35,6 +35,11 @@ class TestConstruction:
         with pytest.raises(AnnotationError):
             StoredObject(size=1, t_arrival=-1.0, lifetime=two_step)
 
+    @pytest.mark.parametrize("t_arrival", [float("inf"), float("nan")])
+    def test_rejects_a_non_finite_arrival(self, two_step, t_arrival):
+        with pytest.raises(AnnotationError):
+            StoredObject(size=1, t_arrival=t_arrival, lifetime=two_step)
+
     def test_rejects_non_function_lifetime(self):
         with pytest.raises(AnnotationError):
             StoredObject(size=1, t_arrival=0.0, lifetime="forever")

@@ -55,7 +55,7 @@ class TestFixedLifetimePolicy:
         )
         assert result.admitted
         assert result.plan.reason == "expired-only"
-        assert [e.obj.object_id for e in result.evictions] == [resident.object_id]
+        assert [e.object_id for e in result.evictions] == [resident.object_id]
 
     def test_expired_victims_oldest_expiry_first(self):
         store = StorageUnit(gib(3), FixedLifetimePolicy())
@@ -68,7 +68,7 @@ class TestFixedLifetimePolicy:
             make_obj(1.0, t_arrival=days(40), lifetime=fixed30()), days(40)
         )
         assert result.admitted
-        assert [e.obj.object_id for e in result.evictions] == [first.object_id]
+        assert [e.object_id for e in result.evictions] == [first.object_id]
 
     def test_blocking_importance_reports_lowest_live(self):
         store = StorageUnit(gib(1), FixedLifetimePolicy())
@@ -104,7 +104,7 @@ class TestPalimpsestPolicy:
         result = store.offer(
             make_obj(1.0, t_arrival=2.0, lifetime=DiracImportance()), 2.0
         )
-        assert [e.obj.object_id for e in result.evictions] == [first.object_id]
+        assert [e.object_id for e in result.evictions] == [first.object_id]
 
     def test_ignores_importance_entirely(self):
         # The paper's Figure 10 pathology: a FIFO sweep reclaims the most
@@ -116,7 +116,7 @@ class TestPalimpsestPolicy:
         store.offer(make_obj(1.0, t_arrival=days(1)), days(1))
         result = store.offer(make_obj(1.0, t_arrival=days(2)), days(2))
         victim = result.evictions[0]
-        assert victim.obj.object_id == important.object_id
+        assert victim.object_id == important.object_id
         assert victim.importance_at_eviction == 1.0  # projected importance
 
     def test_names(self):
@@ -133,7 +133,7 @@ class TestLRUPolicy:
         store.offer(warm, 1.0)
         store.touch(cold.object_id, 10.0)  # cold is now the most recent
         result = store.offer(make_obj(1.0, t_arrival=20.0), 20.0)
-        assert [e.obj.object_id for e in result.evictions] == [warm.object_id]
+        assert [e.object_id for e in result.evictions] == [warm.object_id]
 
     def test_never_rejects(self):
         store = StorageUnit(gib(1), LRUPolicy())
@@ -151,7 +151,7 @@ class TestRandomPolicy:
             victims = []
             for i in range(10):
                 result = store.offer(make_obj(1.0, t_arrival=float(i)), float(i))
-                victims.extend(e.obj.object_id for e in result.evictions)
+                victims.extend(e.object_id for e in result.evictions)
             return victims
 
         assert run(1) == run(1)
@@ -173,7 +173,7 @@ class TestGreedySizePolicy:
         now = days(20)  # both waned equally
         result = store.offer(make_obj(2.0, t_arrival=now), now)
         assert result.admitted
-        assert [e.obj.object_id for e in result.evictions] == [large.object_id]
+        assert [e.object_id for e in result.evictions] == [large.object_id]
 
     def test_admits_on_weighted_mean_not_max(self):
         store = StorageUnit(gib(4), GreedySizePolicy())

@@ -121,7 +121,7 @@ def test_palimpsest_is_fifo(steps):
             log.append(
                 (
                     result.admitted,
-                    tuple(e.obj.object_id.split("-", 1)[1] for e in result.evictions),
+                    tuple(e.object_id.split("-", 1)[1] for e in result.evictions),
                 )
             )
         return log

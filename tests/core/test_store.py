@@ -149,7 +149,10 @@ class TestEvictionRecords:
         result = temporal_store.offer(winner, now)
         assert result.admitted
         record = result.evictions[0]
-        assert record.obj is victim
+        assert record.object_id == victim.object_id
+        assert (record.creator, record.size, record.t_arrival, record.lifetime) == (
+            victim.creator, victim.size, victim.t_arrival, victim.lifetime
+        )
         assert record.t_evicted == now
         assert record.importance_at_eviction == pytest.approx(0.5)
         assert record.achieved_lifetime == pytest.approx(days(22.5))
@@ -201,7 +204,7 @@ class TestRemoveAndSweep:
         temporal_store.offer(short, 0.0)
         temporal_store.offer(long, 0.0)
         records = temporal_store.reclaim_expired(days(2))
-        assert [r.obj.object_id for r in records] == [short.object_id]
+        assert [r.object_id for r in records] == [short.object_id]
         assert long.object_id in temporal_store
 
     def test_expired_objects_squat_without_pressure(self, temporal_store):
@@ -369,6 +372,21 @@ class TestUnitClock:
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_backwards_is_refused(self, entry):
         self._refused(entry, 19.0, t_arrival=0.0)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_infinity_is_refused(self, entry):
+        self._refused(entry, float("inf"), t_arrival=0.0)
+
+    def test_a_refused_infinite_read_leaves_the_unit_usable(self):
+        store = self._unit()
+        with pytest.raises(SimulationError):
+            importance_density(store, float("inf"))
+        obj = StoredObject(size=50, t_arrival=21.0, lifetime=FixedLifetimeImportance(1.0, 9))
+        assert store.offer(obj, 21.0).admitted
+        fresh = StorageUnit(1000, TemporalImportancePolicy())
+        with pytest.raises(SimulationError):
+            importance_density(fresh, float("-inf"))
+        assert fresh._now == -float("inf")
 
     @pytest.mark.parametrize("entry", DECISIONS)
     @pytest.mark.parametrize("now", [20.5, 2.0**51 + 2.0, float("inf")])

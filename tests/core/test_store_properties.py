@@ -82,8 +82,8 @@ def replay(steps):
                 # importance is exactly the victim's annotation evaluated
                 # at its eviction age, and a pre-expiry preemption implies
                 # the victim was annotated below the incoming importance.
-                age = record.t_evicted - record.obj.t_arrival
-                assert victim_importance == record.obj.lifetime.importance_at(age)
+                age = record.t_evicted - record.t_arrival
+                assert victim_importance == record.lifetime.importance_at(age)
                 if (
                     not math.isinf(record.requested_lifetime)
                     and record.achieved_lifetime < record.requested_lifetime
@@ -160,7 +160,7 @@ def _decisions(steps, scale):
         result = store.offer(obj, now)
         trail.append((
             result.admitted,
-            tuple(sorted(record.obj.object_id for record in result.evictions)),
+            tuple(sorted(record.object_id for record in result.evictions)),
             importance_density(store, now),
         ))
     return trail

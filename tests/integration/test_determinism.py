@@ -21,7 +21,7 @@ from repro.units import days, gib
 
 def eviction_fingerprint(recorder):
     return [
-        (r.obj.object_id, r.t_evicted, r.importance_at_eviction, r.reason)
+        (r.object_id, r.t_evicted, r.importance_at_eviction, r.reason)
         for r in recorder.evictions
     ]
 

@@ -85,12 +85,12 @@ class TestFiveYearLecture:
         # University differentiation persists at steady state.
         university = [
             r for r in result.recorder.evictions
-            if r.reason == "preempted" and r.obj.creator == "university"
+            if r.reason == "preempted" and r.creator == "university"
             and r.t_evicted > days(2 * 365)
         ]
         students = [
             r for r in result.recorder.evictions
-            if r.reason == "preempted" and r.obj.creator == "student"
+            if r.reason == "preempted" and r.creator == "student"
             and r.t_evicted > days(2 * 365)
         ]
         assert university and students

@@ -179,7 +179,7 @@ class TestSection52:
         records = [
             r
             for r in result.recorder.evictions
-            if r.reason == "preempted" and r.obj.creator == creator
+            if r.reason == "preempted" and r.creator == creator
         ]
         if not records:
             return 0.0
@@ -214,7 +214,7 @@ class TestSection52:
             r.importance_at_eviction
             for r in result.recorder.evictions
             if r.reason == "preempted"
-            and r.obj.creator == "university"
+            and r.creator == "university"
             and r.t_evicted > days(400)
         ]
 
@@ -253,7 +253,7 @@ class TestSection52:
         victims = [
             r
             for r in result.recorder.evictions
-            if r.reason == "preempted" and r.obj.creator == "university"
+            if r.reason == "preempted" and r.creator == "university"
         ]
         high = [r for r in victims if r.importance_at_eviction >= 0.5]
         assert len(high) > len(victims) * 0.3

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Resident footprint: bookkeeping bytes per resident, and µs per admit and
-per remove, of one :class:`~repro.core.store.StorageUnit`.
+per remove, of one :class:`~repro.core.store.StorageUnit`; then the bytes
+its history keeps per object that left it.
 
     python3 tools/resident_footprint.py [--residents 50000] [--repeat 3]
 
@@ -19,6 +20,16 @@ before measuring:
   tracing off, best of ``--repeat`` fresh builds;
 * **µs / remove** — ``StorageUnit.remove`` of every resident in a seeded
   shuffled order, per call, best of ``--repeat``.
+
+A second table offers the grid-regime arrivals, one at a time and each
+dropped after its offer as a simulation run drops it, to a 64 KiB unit
+with ``keep_history=True`` and an attached
+:class:`~repro.sim.recorder.Recorder` that also logs every arrival:
+
+* **bytes / departed object** — ``tracemalloc`` bytes still allocated
+  after the run, over the evicted plus rejected count: the unit's and the
+  recorder's history per object that left (the few dozen residents such a
+  unit holds are counted in, and weigh nothing at this scale).
 
 Stdlib only; ``make resident-footprint`` runs it at the defaults.
 """
@@ -39,28 +50,34 @@ from repro.core.importance import TwoStepImportance  # noqa: E402
 from repro.core.obj import StoredObject  # noqa: E402
 from repro.core.policies.temporal import TemporalImportancePolicy  # noqa: E402
 from repro.core.store import StorageUnit  # noqa: E402
+from repro.sim.recorder import Recorder  # noqa: E402
 
 DAY = 1440.0
 CREATORS = ("university", "student", "archive")
 REGIMES = (("grid", 0.0), ("off-grid", 0.37))
 
 
-def arrivals(n: int, offset: float) -> list[StoredObject]:
-    annotations = [
+def annotations(offset: float) -> list[TwoStepImportance]:
+    return [
         TwoStepImportance(p=p, t_persist=persist * DAY + offset, t_wane=15 * DAY)
         for p in (1.0, 0.5)
         for persist in (15, 30, 90)
     ]
-    return [
-        StoredObject(
-            size=1 + i % 4096,
-            t_arrival=float(i),
-            lifetime=annotations[i % len(annotations)],
-            object_id=f"o{i}",
-            creator=CREATORS[i % len(CREATORS)],
-        )
-        for i in range(n)
-    ]
+
+
+def make_object(i: int, lifetimes: list[TwoStepImportance]) -> StoredObject:
+    return StoredObject(
+        size=1 + i % 4096,
+        t_arrival=float(i),
+        lifetime=lifetimes[i % len(lifetimes)],
+        object_id=f"o{i}",
+        creator=CREATORS[i % len(CREATORS)],
+    )
+
+
+def arrivals(n: int, offset: float) -> list[StoredObject]:
+    lifetimes = annotations(offset)
+    return [make_object(i, lifetimes) for i in range(n)]
 
 
 def fresh_unit() -> StorageUnit:
@@ -84,6 +101,28 @@ def footprint(objs: list[StoredObject]) -> float:
     tracemalloc.stop()
     assert len(unit) == len(objs)
     return kept / len(objs)
+
+
+def departed_footprint(n: int) -> tuple[float, int]:
+    """Bytes a history-keeping unit and its recorder hold per departed object."""
+    lifetimes = annotations(0.0)
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    unit = StorageUnit(64 * 1024, TemporalImportancePolicy(), keep_history=True)
+    recorder = Recorder()
+    recorder.attach(unit)
+    for i in range(n):
+        obj = make_object(i, lifetimes)
+        admitted = unit.offer(obj, obj.t_arrival).admitted
+        recorder.record_arrival(
+            obj.t_arrival, obj.size, admitted, obj.creator, obj.object_id, unit.name
+        )
+    del obj
+    kept = tracemalloc.get_traced_memory()[0] - before
+    tracemalloc.stop()
+    departed = unit.evicted_count + unit.rejected_count
+    assert departed == len(recorder.evictions) + len(recorder.rejections)
+    return kept / departed, departed
 
 
 def timings(objs: list[StoredObject], repeat: int) -> tuple[float, float]:
@@ -115,6 +154,11 @@ def main(argv: list[str] | None = None) -> int:
         per_resident = footprint(objs)
         admit_us, remove_us = timings(objs, args.repeat)
         print(f"| {name} | {per_resident:,.0f} | {admit_us:.1f} | {remove_us:.1f} |")
+    per_departed, departed = departed_footprint(args.residents)
+    print()
+    print(f"| {args.residents:,} offers, 64 KiB unit | bytes / departed object | departed |")
+    print("|---|---|---|")
+    print(f"| history + Recorder | {per_departed:,.0f} | {departed:,} |")
     return 0
 
 
