@@ -58,6 +58,9 @@ class BesteffsGateway:
         default_factory=lambda: {"auth": 0, "fairness": 0, "placement": 0},
         repr=False,
     )
+    #: ``(prefix, node id) -> prefix + node id``: admitted responses' details,
+    #: one string per node, not per response (a held ledger keeps them all).
+    _details: dict[tuple[str, str], str] = field(default_factory=dict, repr=False)
 
     @property
     def refusals(self) -> Mapping[str, int]:
@@ -69,6 +72,12 @@ class BesteffsGateway:
         the obs wiring.
         """
         return MappingProxyType(self._refusals)
+
+    def _detail(self, prefix: str, node_id: str) -> str:
+        detail = self._details.get((prefix, node_id))
+        if detail is None:
+            detail = self._details[prefix, node_id] = prefix + node_id
+        return detail
 
     def _count_refusal(self, gate: str) -> None:
         self._refusals[gate] = self._refusals.get(gate, 0) + 1
@@ -127,7 +136,7 @@ class BesteffsGateway:
         return StoreResponse(
             request_id=request.request_id,
             status=StoreStatus.ADMITTED,
-            detail=f"placed on {decision.node_id}",
+            detail=self._detail("placed on ", decision.node_id),
             decision=decision,
             cost_charged=cost,
         )
@@ -212,7 +221,7 @@ class BesteffsGateway:
                 responses[i] = StoreResponse(
                     request_id=request.request_id,
                     status=StoreStatus.ADMITTED,
-                    detail=f"deduplicated: already resident on {holder.node_id}",
+                    detail=self._detail("deduplicated: already resident on ", holder.node_id),
                     cost_charged=0.0,
                 )
                 continue
@@ -243,7 +252,7 @@ class BesteffsGateway:
             responses[i] = StoreResponse(
                 request_id=request.request_id,
                 status=StoreStatus.ADMITTED,
-                detail=f"placed on {decision.node_id}",
+                detail=self._detail("placed on ", decision.node_id),
                 decision=decision,
                 cost_charged=cost,
             )

@@ -15,12 +15,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from repro.core.importance import ImportanceFunction
 from repro.errors import AnnotationError
 
-__all__ = ["ObjectId", "StoredObject", "reset_object_ids"]
+__all__ = ["EMPTY_METADATA", "FrozenMetadata", "ObjectId", "StoredObject", "reset_object_ids"]
 
 #: Object identifiers are plain strings: deterministic, human-readable and
 #: trivially serialisable.  Generated ids look like ``"obj-000042"``.
@@ -37,6 +37,34 @@ def reset_object_ids() -> None:
     """Reset the auto-increment id stream (for reproducible tests/sims)."""
     global _id_counter
     _id_counter = itertools.count()
+
+
+class FrozenMetadata(Mapping[str, Any]):
+    """A read-only copy of a metadata mapping that, unlike ``MappingProxyType``,
+    pickles; the empty one pickles back to :data:`EMPTY_METADATA`."""
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items: Mapping[str, Any]) -> None:
+        self._items = dict(items)
+
+    def __getitem__(self, key: str) -> Any:
+        return self._items[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __reduce__(self) -> str | tuple[Any, ...]:
+        if self is EMPTY_METADATA:
+            return "EMPTY_METADATA"
+        return (FrozenMetadata, (self._items,))
+
+
+#: The metadata of every object created without any: one shared instance.
+EMPTY_METADATA = FrozenMetadata({})
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,7 +85,8 @@ class StoredObject:
     creator:
         Free-form creator-class label (e.g. ``"university"``/``"student"``).
     metadata:
-        Read-only mapping of experiment bookkeeping (course id, term, ...).
+        Read-only mapping of experiment bookkeeping, copied once into a
+        :class:`FrozenMetadata` (shared as is; empty is :data:`EMPTY_METADATA`).
     """
 
     size: int
@@ -65,7 +94,8 @@ class StoredObject:
     lifetime: ImportanceFunction
     object_id: ObjectId = field(default="")
     creator: str = "default"
-    metadata: Mapping[str, Any] = field(default_factory=dict)
+    # A factory, not a default: Python 3.11+ refuses an unhashable default.
+    metadata: Mapping[str, Any] = field(default_factory=lambda: EMPTY_METADATA)
 
     def __post_init__(self) -> None:
         if not isinstance(self.size, int) or isinstance(self.size, bool):
@@ -82,8 +112,11 @@ class StoredObject:
             )
         if not self.object_id:
             object.__setattr__(self, "object_id", _next_object_id())
-        # Freeze the metadata view so sharing a dict between objects is safe.
-        object.__setattr__(self, "metadata", dict(self.metadata))
+        if type(self.metadata) is not FrozenMetadata:
+            if not isinstance(self.metadata, Mapping):
+                raise AnnotationError(f"metadata must be a mapping, got {self.metadata!r}")
+            frozen = FrozenMetadata(self.metadata) if self.metadata else EMPTY_METADATA
+            object.__setattr__(self, "metadata", frozen)
 
     # -- temporal queries --------------------------------------------------
 

@@ -86,10 +86,7 @@ class ClusterFS:
         annotation = (
             lifetime if lifetime is not None else self.defaults.lifetime_for(norm)
         )
-        obj = StoredObject(
-            size=len(data), t_arrival=now, lifetime=annotation, creator="fs",
-            metadata={"path": norm},
-        )
+        obj = StoredObject(size=len(data), t_arrival=now, lifetime=annotation, creator="fs")
         decision, _result = self.cluster.offer(obj, now)
         if not decision.placed:
             raise StorageFullError(

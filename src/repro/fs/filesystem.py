@@ -114,10 +114,7 @@ class TemporalFS:
             raise PathError("empty files are not storable (size must be positive)")
         annotation = lifetime if lifetime is not None else self.defaults.lifetime_for(norm)
 
-        obj = StoredObject(
-            size=len(data), t_arrival=now, lifetime=annotation, creator="fs",
-            metadata={"path": norm},
-        )
+        obj = StoredObject(size=len(data), t_arrival=now, lifetime=annotation, creator="fs")
         # Replacing? Remove the old version only after the new admission
         # plan is known to succeed — peek first so a refused write leaves
         # the previous version intact.

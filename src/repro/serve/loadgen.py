@@ -270,7 +270,6 @@ def _download_arrivals(spec: LoadGenSpec) -> Iterator[StoredObject]:
                 t_arrival=t,
                 lifetime=_DOWNLOAD_LIFETIME,
                 creator="mirror",
-                metadata={"day": day, "fetch": i},
             )
 
 
@@ -324,7 +323,6 @@ def _flash_arrivals(spec: LoadGenSpec) -> list[tuple[StoredObject, str]]:
             lifetime=_FLASH_LIFETIME,
             object_id=object_id,
             creator=FLASH_CREATOR,
-            metadata={"copy": k},
         )
         merged.append((t, 1, k, obj, f"req-{object_id}@{k}"))
     merged.sort(key=lambda item: (item[0], item[1], item[2]))

@@ -124,7 +124,6 @@ class LectureCaptureWorkload:
                         t_arrival=float(t),
                         lifetime=university_lifetime_for_day(t, self.calendar),
                         creator=UNIVERSITY_CREATOR,
-                        metadata={"course": course, "day": day},
                     )
                     n_students = sum(
                         1
@@ -138,7 +137,6 @@ class LectureCaptureWorkload:
                             t_arrival=float(ts),
                             lifetime=student_lifetime_for_day(ts, self.calendar),
                             creator=STUDENT_CREATOR,
-                            metadata={"course": course, "day": day, "student": s},
                         )
 
     def expected_bytes_per_term_day(self) -> float:

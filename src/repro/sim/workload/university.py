@@ -120,18 +120,16 @@ class UniversityWorkload:
                     t_arrival=t,
                     lifetime=university,
                     creator=UNIVERSITY_CREATOR,
-                    metadata={"course": course, "day": day},
                 )
                 n_students = sum(
                     1 for _ in range(lec.max_students) if rng.random() < lec.student_probability
                 )
-                for s in range(n_students):
+                for _ in range(n_students):
                     yield StoredObject(
                         size=student_bytes,
                         t_arrival=t,
                         lifetime=student,
                         creator=STUDENT_CREATOR,
-                        metadata={"course": course, "day": day, "student": s},
                     )
 
     def annual_demand_bytes(self) -> float:

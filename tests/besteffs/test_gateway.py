@@ -74,6 +74,25 @@ class TestWritePath:
         assert outcome.cost_charged == 0.0
         assert gw.ledger.spent("filler", 0.0) == pytest.approx(spent_before)
 
+    def test_admitted_responses_on_one_node_share_one_detail(self):
+        cluster = BesteffsCluster({"n0": gib(8)}, placement=PlacementConfig(x=1, m=1), seed=1)
+        realm = CapabilityRealm(b"secret")
+        ledger = FairShareLedger(
+            budget_per_period=annotation_cost(make_obj(1.0)) * 10, period_minutes=days(30)
+        )
+        gw = BesteffsGateway(cluster=cluster, realm=realm, ledger=ledger)
+        cap = realm.mint("camera-1")
+        first = gw.handle(StoreRequest(cap, make_obj(1.0, object_id="a")), now=0.0)
+        placed, deduped = gw.handle_batch(
+            [StoreRequest(cap, make_obj(1.0)), StoreRequest(cap, make_obj(1.0, object_id="a"))],
+            now=0.0,
+        )
+        (again,) = gw.handle_batch([StoreRequest(cap, make_obj(1.0, object_id="a"))], now=1.0)
+        assert first.stored and placed.stored and deduped.stored and again.stored
+        assert first.detail == "placed on n0" and placed.detail is first.detail
+        assert deduped.detail == "deduplicated: already resident on n0"
+        assert again.detail is deduped.detail
+
     def test_student_pegging_end_to_end(self, gateway):
         gw, realm = gateway
         student = realm.mint("student:alice", max_initial_importance=0.5)

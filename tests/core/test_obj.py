@@ -1,9 +1,13 @@
 """Unit tests for the stored-object model."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.importance import ConstantImportance, TwoStepImportance
-from repro.core.obj import StoredObject, reset_object_ids
+from repro.core.obj import EMPTY_METADATA, FrozenMetadata, StoredObject, reset_object_ids
 from repro.errors import AnnotationError
 from repro.units import days, gib
 
@@ -87,3 +91,45 @@ class TestValueSemantics:
         a = StoredObject(size=1, t_arrival=0.0, lifetime=lifetime)
         b = StoredObject(size=2, t_arrival=0.0, lifetime=lifetime)
         assert a.lifetime is b.lifetime
+
+
+class TestMetadata:
+    def test_no_metadata_shares_the_empty_mapping(self, two_step):
+        a = StoredObject(size=1, t_arrival=0.0, lifetime=two_step)
+        b = StoredObject(size=1, t_arrival=0.0, lifetime=two_step, metadata={})
+        assert a.metadata is EMPTY_METADATA and b.metadata is EMPTY_METADATA
+        assert a.metadata == {} and not a.metadata
+
+    def test_metadata_is_read_only(self, two_step):
+        obj = StoredObject(size=1, t_arrival=0.0, lifetime=two_step, metadata={"course": 1})
+        with pytest.raises(TypeError):
+            obj.metadata["course"] = 99
+        with pytest.raises(TypeError):
+            del obj.metadata["course"]
+        assert dict(obj.metadata) == {"course": 1}
+        with pytest.raises(TypeError):
+            EMPTY_METADATA["course"] = 99
+        assert not EMPTY_METADATA
+
+    @pytest.mark.parametrize("bad", [None, [("course", 1)], "course"])
+    def test_rejects_non_mapping_metadata(self, two_step, bad):
+        with pytest.raises(AnnotationError):
+            StoredObject(size=1, t_arrival=0.0, lifetime=two_step, metadata=bad)
+
+    def test_empty_mapping_pickles_back_to_the_singleton(self, two_step):
+        obj = StoredObject(size=1, t_arrival=0.0, lifetime=two_step)
+        assert pickle.loads(pickle.dumps(EMPTY_METADATA)) is EMPTY_METADATA
+        assert pickle.loads(pickle.dumps(obj)).metadata is EMPTY_METADATA
+        assert copy.deepcopy(obj).metadata is EMPTY_METADATA
+
+    def test_non_empty_mapping_pickles_back_equal(self, two_step):
+        obj = StoredObject(size=1, t_arrival=0.0, lifetime=two_step, metadata={"course": 3})
+        back = pickle.loads(pickle.dumps(obj)).metadata
+        assert type(back) is FrozenMetadata
+        assert back == {"course": 3} and back == obj.metadata
+
+    def test_replace_shares_the_frozen_mapping(self, two_step):
+        obj = StoredObject(size=1, t_arrival=0.0, lifetime=two_step, metadata={"course": 3})
+        assert dataclasses.replace(obj, t_arrival=5.0).metadata is obj.metadata
+        plain = StoredObject(size=1, t_arrival=0.0, lifetime=two_step)
+        assert dataclasses.replace(plain, size=2).metadata is EMPTY_METADATA

@@ -1,18 +1,28 @@
-"""The shape of the value types a run keeps: slotted, picklable, and the
-eviction / rejection records hold an object's facts, never the object."""
+"""The shape of the value types a run keeps: slotted, picklable, the
+eviction / rejection records hold an object's facts, never the object, and
+no generated object carries a mapping of its own."""
 
 import dataclasses
 import pickle
+from itertools import islice
 
 import pytest
 
+from repro.besteffs.auth import CapabilityRealm
+from repro.besteffs.cluster import BesteffsCluster
+from repro.besteffs.placement import PlacementConfig
 from repro.core.density import DensitySample
-from repro.core.obj import StoredObject
+from repro.core.obj import EMPTY_METADATA, StoredObject
 from repro.core.policies.temporal import TemporalImportancePolicy
 from repro.core.store import AdmissionResult, EvictionRecord, RejectionRecord, StorageUnit
 from repro.sim.recorder import ArrivalRecord, Recorder
+from repro.fs import ClusterFS, TemporalFS
+from repro.serve.loadgen import LoadGenSpec, build_requests
 from repro.sim.runner import run_single_store
-from repro.units import days, gib
+from repro.sim.workload.lecture import LectureCaptureWorkload
+from repro.sim.workload.single_app import SingleAppWorkload
+from repro.sim.workload.university import UniversityWorkload
+from repro.units import days, gib, mib
 from tests.conftest import make_obj
 
 
@@ -58,3 +68,39 @@ def test_value_types_are_slotted_and_pickle(kind):
     assert not hasattr(value, "__dict__")
     copy = pickle.loads(pickle.dumps(value))
     assert copy == value and copy is not value
+
+
+def _fs_objects():
+    local = TemporalFS(mib(16))
+    remote = ClusterFS(
+        BesteffsCluster({f"desk-{i}": mib(8) for i in range(2)},
+                        placement=PlacementConfig(x=2, m=2), seed=2)
+    )
+    for fs in (local, remote):
+        for i in range(3):
+            fs.write(f"/docs/{i}", b"x" * (i + 1), float(i))
+    stores = [local.store, *(node.store for node in remote.cluster.nodes.values())]
+    return [obj for store in stores for obj in store.iter_residents()]
+
+
+def _requested(workload):
+    spec = LoadGenSpec(workload=workload, horizon_days=30.0, scale=0.005)
+    return [request.obj for request in build_requests(spec, CapabilityRealm(b"k"))]
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [
+        lambda: UniversityWorkload(seed=3).arrivals(days(30)),
+        lambda: LectureCaptureWorkload(seed=3).arrivals(days(30)),
+        lambda: SingleAppWorkload(seed=3).arrivals(days(30)),
+        lambda: _requested("flashcrowd"),
+        lambda: _requested("downloads"),
+        _fs_objects,
+    ],
+    ids=["university", "lecture", "single-app", "flashcrowd", "downloads", "fs-writes"],
+)
+def test_every_generator_shares_the_empty_metadata(stream):
+    objs = list(islice(stream(), 2000))
+    assert len(objs) > 5
+    assert all(obj.metadata is EMPTY_METADATA for obj in objs)

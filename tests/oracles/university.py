@@ -55,16 +55,14 @@ def arrivals_per_object(
                 t_arrival=t,
                 lifetime=university_lifetime_for_day(t, workload.calendar),
                 creator=UNIVERSITY_CREATOR,
-                metadata={"course": course, "day": day},
             )
             n_students = sum(
                 1 for _ in range(lec.max_students) if rng.random() < lec.student_probability
             )
-            for s in range(n_students):
+            for _ in range(n_students):
                 yield StoredObject(
                     size=lec.student_object_bytes,
                     t_arrival=t,
                     lifetime=student_lifetime_for_day(t, workload.calendar),
                     creator=STUDENT_CREATOR,
-                    metadata={"course": course, "day": day, "student": s},
                 )

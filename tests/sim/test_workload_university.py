@@ -12,7 +12,7 @@ from repro.sim.workload.university import (
     UniversityConfig,
     UniversityWorkload,
 )
-from repro.units import days, tib
+from repro.units import MINUTES_PER_DAY, days, tib
 from tests.oracles.university import arrivals_per_object
 
 
@@ -128,7 +128,7 @@ class TestClassDayAnnotations:
         by_key: dict[tuple[int, str], set[int]] = {}
         stream = list(UniversityWorkload(config=cfg, seed=11).arrivals(self.HORIZON))
         for obj in stream:
-            key = (obj.metadata["day"], obj.creator)
+            key = (int(obj.t_arrival // MINUTES_PER_DAY), obj.creator)
             by_key.setdefault(key, set()).add(id(obj.lifetime))
         assert len(by_key) > 200
         assert all(len(ids) == 1 for ids in by_key.values())
@@ -136,4 +136,5 @@ class TestClassDayAnnotations:
     def test_a_class_day_cut_short_by_the_horizon_builds_nothing_that_raises(self):
         # Day 14 is a Monday in spring; the horizon ends before 08:00.
         workload = UniversityWorkload(config=UniversityConfig(courses=3, nodes=2))
-        assert all(o.metadata["day"] < 14 for o in workload.arrivals(days(14) + 60.0))
+        stream = workload.arrivals(days(14) + 60.0)
+        assert all(o.t_arrival // MINUTES_PER_DAY < 14 for o in stream)

@@ -31,6 +31,15 @@ with ``keep_history=True`` and an attached
   recorder's history per object that left (the few dozen residents such a
   unit holds are counted in, and weigh nothing at this scale).
 
+A third table routes the request stream of the ``serve_flash`` benchmark
+spec (``bench/workloads.py``; seed 42, the 80.25-day horizon of one
+``--seconds 15`` repetition) with
+:func:`~repro.serve.sharded.route_stream`, as every serving shard holds it:
+
+* **bytes / held request** — ``tracemalloc`` bytes still allocated while
+  the requests and their route plan are held, over the request count.
+  Unlike RSS, this count does not move between runs of the same code.
+
 Stdlib only; ``make resident-footprint`` runs it at the defaults.
 """
 
@@ -46,15 +55,24 @@ from time import perf_counter
 REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src")]
 
+from repro.besteffs.auth import CapabilityRealm  # noqa: E402
 from repro.core.importance import TwoStepImportance  # noqa: E402
-from repro.core.obj import StoredObject  # noqa: E402
+from repro.core.obj import StoredObject, reset_object_ids  # noqa: E402
 from repro.core.policies.temporal import TemporalImportancePolicy  # noqa: E402
 from repro.core.store import StorageUnit  # noqa: E402
+from repro.serve.loadgen import LoadGenSpec  # noqa: E402
+from repro.serve.sharded import route_stream  # noqa: E402
 from repro.sim.recorder import Recorder  # noqa: E402
 
 DAY = 1440.0
 CREATORS = ("university", "student", "archive")
 REGIMES = (("grid", 0.0), ("off-grid", 0.37))
+#: The ``serve_flash`` benchmark spec at seed 42 and ``--seconds 15``.
+FLASH_SPEC = LoadGenSpec(
+    workload="flashcrowd", mode="closed", clients=16, shards=4, nodes=16,
+    node_capacity_gib=800, scale=0.05, burst_factor=4, hot_objects=64, high_water=16,
+    window_minutes=720, budget_gib_days=1e9, seed=42, horizon_days=10.7 * 7.5,
+)
 
 
 def annotations(offset: float) -> list[TwoStepImportance]:
@@ -125,6 +143,17 @@ def departed_footprint(n: int) -> tuple[float, int]:
     return kept / departed, departed
 
 
+def held_stream_footprint() -> tuple[float, int]:
+    """Bytes a routed ``serve_flash`` request stream holds per request."""
+    reset_object_ids()
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    requests, _plan = route_stream(FLASH_SPEC, CapabilityRealm(key=b"footprint"))
+    kept = tracemalloc.get_traced_memory()[0] - before
+    tracemalloc.stop()
+    return kept / len(requests), len(requests)
+
+
 def timings(objs: list[StoredObject], repeat: int) -> tuple[float, float]:
     """Best-of-``repeat`` µs per admit and per remove."""
     admit = remove = float("inf")
@@ -159,6 +188,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"| {args.residents:,} offers, 64 KiB unit | bytes / departed object | departed |")
     print("|---|---|---|")
     print(f"| history + Recorder | {per_departed:,.0f} | {departed:,} |")
+    per_request, held = held_stream_footprint()
+    print()
+    print("| `serve_flash` stream, seed 42 | bytes / held request | requests |")
+    print("|---|---|---|")
+    print(f"| route_stream | {per_request:,.0f} | {held:,} |")
     return 0
 
 
