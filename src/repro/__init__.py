@@ -38,7 +38,6 @@ from repro.core import (
     FixedLifetimeImportance,
     ImportanceFunction,
     PiecewiseLinearImportance,
-    ScaledImportance,
     StorageUnit,
     StoredObject,
     TemporalImportancePolicy,
@@ -54,7 +53,6 @@ __all__ = [
     "FixedLifetimeImportance",
     "ImportanceFunction",
     "PiecewiseLinearImportance",
-    "ScaledImportance",
     "StorageUnit",
     "StoredObject",
     "TemporalImportancePolicy",

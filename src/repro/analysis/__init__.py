@@ -27,7 +27,6 @@ from repro.analysis.timeconstant import (
 from repro.analysis.heteroscedasticity import (
     BreuschPaganResult,
     breusch_pagan,
-    rolling_variance,
 )
 from repro.analysis.cdf import byte_importance_cdf, minimum_storable_importance
 from repro.analysis.prediction import (
@@ -57,5 +56,4 @@ __all__ = [
     "lifetime_stats",
     "minimum_storable_importance",
     "percentile",
-    "rolling_variance",
 ]

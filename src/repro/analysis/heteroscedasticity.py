@@ -7,8 +7,7 @@ rate" — i.e. a client cannot even bound its prediction error uniformly.
 
 We implement the standard **Breusch–Pagan** Lagrange-multiplier test
 (regress the series on time, then regress squared residuals on time; under
-homoscedasticity ``n·R²`` is χ²(1)), plus a windowed rolling-variance
-profile that makes the effect visible in reports.
+homoscedasticity ``n·R²`` is χ²(1)).
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 
-__all__ = ["BreuschPaganResult", "breusch_pagan", "rolling_variance"]
+__all__ = ["BreuschPaganResult", "breusch_pagan"]
 
 
 @dataclass(frozen=True)
@@ -70,26 +69,3 @@ def breusch_pagan(
     p = float(stats.chi2.sf(lm, df=1))
     return BreuschPaganResult(lm_statistic=float(lm), p_value=p, n=int(n))
 
-
-def rolling_variance(
-    x: Sequence[float], y: Sequence[float], *, window: int = 10
-) -> list[tuple[float, float]]:
-    """Windowed variance profile of ``y`` ordered by ``x``.
-
-    Returns ``[(window_center_x, var(y in window)), ...]``; a flat profile
-    indicates homoscedastic data, a trending one the paper's pathology.
-    """
-    if window < 2:
-        raise ValueError(f"window must be >= 2, got {window}")
-    pairs = sorted(zip(x, y))
-    if len(pairs) < window:
-        return []
-    out: list[tuple[float, float]] = []
-    for start in range(0, len(pairs) - window + 1):
-        chunk = pairs[start : start + window]
-        ys = [value for _pos, value in chunk]
-        mean = sum(ys) / window
-        var = sum((value - mean) ** 2 for value in ys) / window
-        center = chunk[window // 2][0]
-        out.append((center, var))
-    return out

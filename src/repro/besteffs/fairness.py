@@ -29,7 +29,6 @@ from repro.core.importance import (
     FixedLifetimeImportance,
     ImportanceFunction,
     PiecewiseLinearImportance,
-    ScaledImportance,
     StepWaneImportance,
     TwoStepImportance,
 )
@@ -59,8 +58,6 @@ def importance_integral(func: ImportanceFunction) -> float:
     if isinstance(func, TwoStepImportance):
         # Rectangle plus a triangle under the linear wane.
         return func.p * func.t_persist + 0.5 * func.p * func.t_wane
-    if isinstance(func, ScaledImportance):
-        return func.factor * importance_integral(func.inner)
     if isinstance(func, StepWaneImportance):
         rect = func.p * func.t_persist
         if func.t_wane <= 0.0:

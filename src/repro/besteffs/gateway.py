@@ -7,16 +7,19 @@ Composes the distributed-control pieces the paper sketches for Besteffs
    (signature, expiry, byte limit, initial-importance ceiling);
 2. is **charged** against the principal's fair-share budget of
    byte-importance-minutes (refunded if the cluster later refuses);
-3. runs the ordinary ``x``-sample / ``m``-try **placement** rule.
+3. is **deduplicated** when its object id is already resident:
+   acknowledged against that copy at no cost;
+4. otherwise runs the ordinary ``x``-sample / ``m``-try **placement** rule.
 
 Every check is locally verifiable (HMAC capability, per-node or client-
 side ledger), preserving the no-central-components property.
 
-The request surface is the frozen protocol of :mod:`repro.serve.protocol`:
-:meth:`BesteffsGateway.handle` takes a
-:class:`~repro.serve.protocol.StoreRequest` and returns a
-:class:`~repro.serve.protocol.StoreResponse`, which is what the async
-service (:mod:`repro.serve.service`), load generator and CLI speak.  The
+There is one write path, :meth:`BesteffsGateway.handle_batch`, which
+judges one admission round of requests
+(:class:`~repro.serve.protocol.StoreRequest`) at one clock and returns one
+:class:`~repro.serve.protocol.StoreResponse` per request — the frozen
+protocol the async service (:mod:`repro.serve.service`), load generator
+and CLI speak.  :meth:`BesteffsGateway.handle` is a round of one.  The
 per-gate counters live in ``repro.obs``
 (``gateway_refusals_total{gate=...}``) with the old ``refusals`` dict kept
 as a read-only view.
@@ -89,67 +92,23 @@ class BesteffsGateway:
             ).inc(gate=gate)
 
     def handle(self, request: StoreRequest, now: float | None = None) -> StoreResponse:
-        """Run the full write path for one :class:`StoreRequest`.
+        """Run the write path for one :class:`StoreRequest`: a one-request round.
 
         ``now`` defaults to the payload's arrival time; the serving layer
         passes its batch clock instead so queued requests are judged at
         admission time, not submission time.
         """
-        if now is None:
-            now = request.obj.t_arrival
-        capability, obj = request.capability, request.obj
-
-        try:
-            self.realm.authorize_store(capability, obj, now)
-        except AuthError as exc:
-            self._count_refusal("auth")
-            return StoreResponse(
-                request_id=request.request_id,
-                status=StoreStatus.REJECTED_AUTH,
-                detail=str(exc),
-            )
-
-        try:
-            cost = self.ledger.charge(capability.principal, obj, now)
-        except FairnessError as exc:
-            self._count_refusal("fairness")
-            return StoreResponse(
-                request_id=request.request_id,
-                status=StoreStatus.REJECTED_FAIRNESS,
-                detail=str(exc),
-                retry_after=self._fairness_retry_after(obj, now),
-            )
-
-        decision, _result = self.cluster.offer(obj, now)
-        if not decision.placed:
-            # The storage itself was full for this importance: the budget
-            # was not actually consumed.
-            self.ledger.refund(capability.principal, cost, now)
-            self._count_refusal("placement")
-            return StoreResponse(
-                request_id=request.request_id,
-                status=StoreStatus.REJECTED_PLACEMENT,
-                detail="cluster full for this object's importance",
-                decision=decision,
-                cost_charged=0.0,
-            )
-        return StoreResponse(
-            request_id=request.request_id,
-            status=StoreStatus.ADMITTED,
-            detail=self._detail("placed on ", decision.node_id),
-            decision=decision,
-            cost_charged=cost,
-        )
+        return self.handle_batch([request], request.obj.t_arrival if now is None else now)[0]
 
     def handle_batch(
         self, requests: list[StoreRequest], now: float
     ) -> list[StoreResponse]:
         """Run the write path for one admission round of requests.
 
-        Same gates, same order of effects as per-request :meth:`handle` —
-        placements happen in batch order, so the cluster RNG stream is
-        identical to a sequential run — with three batch-level savings on
-        the hot path:
+        Every write runs the same gates in the same order — auth, fair
+        share, dedup, placement — and placements happen in batch order, so
+        the cluster RNG stream is that of a sequential run.  A round of one
+        is :meth:`handle`.  Three batch-level savings on the hot path:
 
         * the importance integral of each distinct annotation is computed
           once per round (flash-crowd duplicates share one annotation);

@@ -173,8 +173,6 @@ _SERVE_FLAGS: dict[str, tuple[str | None, str]] = {
     "rate_burst": ("B", "token-bucket burst capacity (default: 8)"),
     "deadline_minutes": ("MIN", "relative deadline stamped on every request; queued "
                          "requests past it expire unadmitted (default: none)"),
-    "executor": (None, "batch execution: inline (deterministic) or thread pool "
-                 "(default: inline)"),
     "open_burst": ("N", "open-loop requests submitted per scheduler tick (default: 16)"),
     "budget_gib_days": ("G", "fair-share budget per principal per period, GiB-days of "
                         "importance (default: 450)"),
@@ -208,7 +206,6 @@ def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
         "mode": MODES,
         "workload": WORKLOADS,
         "spill": SPILL_POLICIES,
-        "executor": ("inline", "thread"),
     }
     hints = typing.get_type_hints(LoadGenSpec)
     for field in dataclasses.fields(LoadGenSpec):

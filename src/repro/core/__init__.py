@@ -17,33 +17,21 @@ from repro.core.importance import (
     FixedLifetimeImportance,
     ImportanceFunction,
     PiecewiseLinearImportance,
-    ScaledImportance,
     StepWaneImportance,
     TwoStepImportance,
 )
 from repro.core.advisor import Advice, AnnotationAdvisor
 from repro.core.obj import ObjectId, StoredObject
-from repro.core.annotations import (
-    Annotation,
-    annotation_from_dict,
-    annotation_to_dict,
-    validate_importance_function,
-)
+from repro.core.annotations import Annotation, validate_importance_function
 from repro.core.store import AdmissionResult, EvictionRecord, StorageUnit, StoreStats
-from repro.core.density import (
-    byte_importance_snapshot,
-    importance_density,
-    importance_histogram,
-)
+from repro.core.density import byte_importance_snapshot, importance_density
 from repro.core.index import DensityAccumulator, ImportanceIndex
 from repro.core.policy import EvictionPolicy
 from repro.core.policies import (
-    FIFOPolicy,
     FixedLifetimePolicy,
     GreedySizePolicy,
     LRUPolicy,
     PalimpsestPolicy,
-    RandomPolicy,
     TemporalImportancePolicy,
 )
 
@@ -58,7 +46,6 @@ __all__ = [
     "EvictionPolicy",
     "EvictionRecord",
     "ExponentialWaneImportance",
-    "FIFOPolicy",
     "FixedLifetimeImportance",
     "FixedLifetimePolicy",
     "GreedySizePolicy",
@@ -68,18 +55,13 @@ __all__ = [
     "ObjectId",
     "PalimpsestPolicy",
     "PiecewiseLinearImportance",
-    "RandomPolicy",
-    "ScaledImportance",
     "StepWaneImportance",
     "StorageUnit",
     "StoreStats",
     "StoredObject",
     "TemporalImportancePolicy",
     "TwoStepImportance",
-    "annotation_from_dict",
-    "annotation_to_dict",
     "byte_importance_snapshot",
     "importance_density",
-    "importance_histogram",
     "validate_importance_function",
 ]

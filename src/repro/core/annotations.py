@@ -1,47 +1,22 @@
-"""Annotation validation and (de)serialisation.
+"""Annotation validation.
 
 Importance annotations are the contract between content creators and the
-storage system, so they need to be (a) validated once, up front, against the
-paper's monotonicity requirement, and (b) serialisable so a distributed
-store can ship them alongside the object bytes.
-
-Two facilities live here:
-
-* :func:`validate_importance_function` — a sampling-based monotonicity and
-  range check usable against *any* :class:`ImportanceFunction`, including
-  user-defined subclasses the library has never seen.
-* :func:`annotation_to_dict` / :func:`annotation_from_dict` — a compact,
-  versioned wire format for the built-in function family.
+storage system, so they are validated once, up front, against the paper's
+monotonicity requirement: :func:`validate_importance_function` is a
+sampling-based monotonicity and range check usable against *any*
+:class:`ImportanceFunction`, including user-defined subclasses the library
+has never seen.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping
 
-from repro.core.importance import (
-    ConstantImportance,
-    DiracImportance,
-    ExponentialWaneImportance,
-    FixedLifetimeImportance,
-    ImportanceFunction,
-    PiecewiseLinearImportance,
-    ScaledImportance,
-    StepWaneImportance,
-    TwoStepImportance,
-)
+from repro.core.importance import ImportanceFunction
 from repro.errors import AnnotationError
 
-__all__ = [
-    "Annotation",
-    "validate_importance_function",
-    "annotation_to_dict",
-    "annotation_from_dict",
-]
-
-#: Wire-format schema version, bumped on incompatible changes.
-SCHEMA_VERSION = 1
+__all__ = ["Annotation", "validate_importance_function"]
 
 #: Tolerance for monotonicity violations attributable to float rounding.
 _MONOTONE_TOL = 1e-9
@@ -114,100 +89,3 @@ def validate_importance_function(
             )
         prev = value
 
-
-# -- wire format -----------------------------------------------------------
-
-_KIND_BY_TYPE: dict[type, str] = {
-    ConstantImportance: "constant",
-    DiracImportance: "dirac",
-    FixedLifetimeImportance: "fixed",
-    TwoStepImportance: "two_step",
-    ExponentialWaneImportance: "exp_wane",
-    StepWaneImportance: "step_wane",
-    PiecewiseLinearImportance: "piecewise",
-    ScaledImportance: "scaled",
-}
-
-
-def annotation_to_dict(func: ImportanceFunction) -> dict[str, Any]:
-    """Serialise a built-in importance function to a plain JSON-safe dict.
-
-    Raises :class:`AnnotationError` for function types outside the built-in
-    family; user-defined functions must provide their own serialisation.
-    """
-    kind = _KIND_BY_TYPE.get(type(func))
-    if kind is None:
-        raise AnnotationError(f"cannot serialise importance function of type {type(func)!r}")
-    out: dict[str, Any] = {"schema": SCHEMA_VERSION, "kind": kind}
-    if isinstance(func, ConstantImportance):
-        out["p"] = func.p
-    elif isinstance(func, DiracImportance):
-        pass
-    elif isinstance(func, FixedLifetimeImportance):
-        out.update(p=func.p, expire_after=func.expire_after)
-    elif isinstance(func, TwoStepImportance):
-        out.update(p=func.p, t_persist=func.t_persist, t_wane=func.t_wane)
-    elif isinstance(func, ExponentialWaneImportance):
-        out.update(
-            p=func.p, t_persist=func.t_persist, t_wane=func.t_wane, sharpness=func.sharpness
-        )
-    elif isinstance(func, StepWaneImportance):
-        out.update(p=func.p, t_persist=func.t_persist, t_wane=func.t_wane, steps=func.steps)
-    elif isinstance(func, PiecewiseLinearImportance):
-        out["points"] = [[age, value] for age, value in func.points]
-    elif isinstance(func, ScaledImportance):
-        out["factor"] = func.factor
-        out["inner"] = annotation_to_dict(func.inner)
-    return out
-
-
-def annotation_from_dict(data: Mapping[str, Any]) -> ImportanceFunction:
-    """Inverse of :func:`annotation_to_dict`.
-
-    Raises :class:`AnnotationError` on unknown schema versions or kinds, or
-    when the payload fails the constructor's own validation.
-    """
-    schema = data.get("schema")
-    if schema != SCHEMA_VERSION:
-        raise AnnotationError(f"unsupported annotation schema {schema!r}")
-    kind = data.get("kind")
-    try:
-        if kind == "constant":
-            return ConstantImportance(p=float(data["p"]))
-        if kind == "dirac":
-            return DiracImportance()
-        if kind == "fixed":
-            return FixedLifetimeImportance(
-                p=float(data["p"]), expire_after=float(data["expire_after"])
-            )
-        if kind == "two_step":
-            return TwoStepImportance(
-                p=float(data["p"]),
-                t_persist=float(data["t_persist"]),
-                t_wane=float(data["t_wane"]),
-            )
-        if kind == "exp_wane":
-            return ExponentialWaneImportance(
-                p=float(data["p"]),
-                t_persist=float(data["t_persist"]),
-                t_wane=float(data["t_wane"]),
-                sharpness=float(data["sharpness"]),
-            )
-        if kind == "step_wane":
-            return StepWaneImportance(
-                p=float(data["p"]),
-                t_persist=float(data["t_persist"]),
-                t_wane=float(data["t_wane"]),
-                steps=int(data["steps"]),
-            )
-        if kind == "piecewise":
-            return PiecewiseLinearImportance(
-                [(float(a), float(v)) for a, v in data["points"]]
-            )
-        if kind == "scaled":
-            return ScaledImportance(
-                inner=annotation_from_dict(data["inner"]), factor=float(data["factor"])
-            )
-    except KeyError as exc:
-        raise AnnotationError(f"annotation dict missing field {exc} for kind {kind!r}") from exc
-    raise AnnotationError(f"unknown annotation kind {kind!r}")

@@ -18,16 +18,13 @@ threshold probe used by Figures 6/12 commentary.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.core.store import StorageUnit
 
 __all__ = [
     "importance_density",
     "byte_importance_snapshot",
-    "importance_histogram",
     "admission_threshold",
     "DensitySample",
 ]
@@ -79,35 +76,6 @@ def byte_importance_snapshot(
     if include_free and store.free_bytes > 0:
         masses[0.0] = masses.get(0.0, 0) + store.free_bytes
     return sorted(masses.items())
-
-
-def importance_histogram(
-    store: StorageUnit,
-    now: float,
-    *,
-    bins: Sequence[float] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
-    include_free: bool = False,
-) -> list[tuple[float, float, int]]:
-    """Byte histogram over importance bins.
-
-    ``bins`` are ascending edges; the result lists ``(lo, hi, bytes)`` per
-    half-open bin ``[lo, hi)``, with the final bin closed at 1.0 so that
-    importance-1 bytes are counted.
-    """
-    edges = list(bins)
-    if len(edges) < 2 or any(b >= a for a, b in zip(edges[1:], edges)):
-        raise ValueError(f"bins must be >= 2 ascending edges, got {bins!r}")
-    counts = [0] * (len(edges) - 1)
-    for importance, size in byte_importance_snapshot(store, now, include_free=include_free):
-        # Index of the bin whose half-open interval [lo, hi) holds the
-        # importance: the last edge <= it.  Clamping covers the two closed
-        # ends — below the first edge lands in the first bin, and anything
-        # at or above the last edge (importance 1.0 with default bins) lands
-        # in the final, closed bin.
-        idx = bisect_right(edges, importance) - 1
-        idx = min(max(idx, 0), len(counts) - 1)
-        counts[idx] += size
-    return [(edges[i], edges[i + 1], counts[i]) for i in range(len(counts))]
 
 
 def admission_threshold(store: StorageUnit, probe_size: int, now: float) -> float:

@@ -29,13 +29,10 @@ Section 3.1:
 :class:`PiecewiseLinearImportance`
                              "general function" — arbitrary monotone
                              non-increasing piecewise-linear importance.
-:class:`ScaledImportance`    wrapper scaling another function by a factor in
-                             ``(0, 1]`` (e.g. student videos at 50 %).
 =========================== ====================================================
 
 All functions are immutable value objects: they can be shared between
-objects, hashed, compared for equality and round-tripped through
-:mod:`repro.core.annotations`.
+objects, hashed and compared for equality.
 """
 
 from __future__ import annotations
@@ -56,7 +53,6 @@ __all__ = [
     "ExponentialWaneImportance",
     "StepWaneImportance",
     "PiecewiseLinearImportance",
-    "ScaledImportance",
     "linear_wane",
 ]
 
@@ -458,35 +454,3 @@ class PiecewiseLinearImportance(ImportanceFunction):
         a1, v1 = pts[hi]
         frac = (age - a0) / (a1 - a0)
         return v0 + frac * (v1 - v0)
-
-
-@dataclass(frozen=True, slots=True)
-class ScaledImportance(ImportanceFunction):
-    """Scale another importance function by a constant factor in ``(0, 1]``.
-
-    Used in the lecture scenario to peg student-created streams at 50 % of
-    the university cameras' importance while sharing the same temporal
-    shape.  Scaling preserves monotonicity and the expiry age.
-    """
-
-    inner: ImportanceFunction
-    factor: float
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.inner, ImportanceFunction):
-            raise AnnotationError(f"inner must be an ImportanceFunction, got {self.inner!r}")
-        f = float(self.factor)
-        if math.isnan(f) or not 0.0 < f <= 1.0:
-            raise AnnotationError(f"scale factor must lie in (0, 1], got {self.factor!r}")
-
-    @property
-    def t_expire(self) -> float:
-        return self.inner.t_expire
-
-    @property
-    def stable_until(self) -> float:
-        # factor * (a constant) is itself constant over the same prefix.
-        return self.inner.stable_until
-
-    def importance_at(self, age_minutes: float) -> float:
-        return self.factor * self.inner.importance_at(age_minutes)

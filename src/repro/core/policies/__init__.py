@@ -11,25 +11,21 @@ The paper evaluates three (Section 5.1):
   the oldest objects are silently overwritten, storage is never "full".
 
 The remaining classes are baselines/ablations used by the extended
-benchmarks: plain :class:`FIFOPolicy` (an alias with no Palimpsest time
-constant bookkeeping), :class:`LRUPolicy`, :class:`RandomPolicy` and the
-size-weighted :class:`GreedySizePolicy` the paper explicitly declines to
-use in its placement rule.
+benchmarks: :class:`LRUPolicy` and the size-weighted
+:class:`GreedySizePolicy` the paper explicitly declines to use in its
+placement rule.
 """
 
 from repro.core.policies.temporal import TemporalImportancePolicy
 from repro.core.policies.fixed_lifetime import FixedLifetimePolicy
-from repro.core.policies.palimpsest import FIFOPolicy, PalimpsestPolicy
+from repro.core.policies.palimpsest import PalimpsestPolicy
 from repro.core.policies.lru import LRUPolicy
-from repro.core.policies.random_ import RandomPolicy
 from repro.core.policies.greedy_size import GreedySizePolicy
 
 __all__ = [
-    "FIFOPolicy",
     "FixedLifetimePolicy",
     "GreedySizePolicy",
     "LRUPolicy",
     "PalimpsestPolicy",
-    "RandomPolicy",
     "TemporalImportancePolicy",
 ]

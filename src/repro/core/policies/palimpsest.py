@@ -20,15 +20,18 @@ from repro.core.policy import AdmissionPlan, EvictionPolicy
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.store import StorageUnit
 
-__all__ = ["FIFOPolicy", "PalimpsestPolicy"]
+__all__ = ["PalimpsestPolicy"]
 
 
 @dataclass
-class FIFOPolicy(EvictionPolicy):
-    """Evict oldest-arrival-first; never reject (except oversized objects)."""
+class PalimpsestPolicy(EvictionPolicy):
+    """Evict oldest-arrival-first; never reject (except oversized objects).
+
+    The paper's FIFO baseline, under the name its tables use.
+    """
 
     def __post_init__(self) -> None:
-        self.name = "fifo"
+        self.name = "palimpsest"
 
     def plan_admission(
         self, store: "StorageUnit", obj: StoredObject, now: float
@@ -47,15 +50,3 @@ class FIFOPolicy(EvictionPolicy):
         return AdmissionPlan(
             admit=True, victims=victims, highest_preempted=highest, reason="fifo-overwrite"
         )
-
-
-@dataclass
-class PalimpsestPolicy(FIFOPolicy):
-    """FIFO under its Palimpsest name, for experiment tables and docs.
-
-    Identical mechanics to :class:`FIFOPolicy`; kept distinct so reports
-    label the baseline the way the paper does.
-    """
-
-    def __post_init__(self) -> None:
-        self.name = "palimpsest"

@@ -69,9 +69,7 @@ class EvictionPolicy(ABC):
     Subclasses override :meth:`plan_admission` (and may override
     :meth:`probe`); they must not mutate the store.  A policy instance may
     be shared between storage units as long as it is stateless (all built-in
-    policies are, except :class:`~repro.core.policies.random_.RandomPolicy`,
-    which carries an RNG and therefore documents that it should not be
-    shared).
+    policies are).
     """
 
     #: Human-readable policy name used in reports and experiment tables.

@@ -40,13 +40,13 @@ enforced here:
 * Group order needs the annotation's *floating-point* evaluation to be
   monotone in age, not just its real-valued ideal.  The two-step family
   (``TwoStepImportance``, ``FixedLifetimeImportance``,
-  ``ConstantImportance``, ``DiracImportance``, and ``ScaledImportance``
-  over any of these) computes importance with expressions that are
-  monotone under IEEE-754 rounding (subtraction, multiplication and
-  division by positive constants preserve order).  Annotations outside
-  this verified family are placed in single-object groups, where the
-  static order is trivially true and every key is evaluated — exactly the
-  naive cost, never an incorrect order.
+  ``ConstantImportance`` and ``DiracImportance``) computes importance with
+  expressions that are monotone under IEEE-754 rounding (subtraction,
+  multiplication and division by positive constants preserve order).
+  Annotations outside this verified family — user-defined ones included —
+  are placed in single-object groups, where the static order is trivially
+  true and every key is evaluated: exactly the naive cost, never an
+  incorrect order.
 * Superfamily order relies on *exact* float arithmetic, so membership is
   gated: ``t_arrival`` and the annotation durations must be non-negative
   integer-valued floats below 2**51 (minutes; ~4e9 years).  A query needs
@@ -87,7 +87,6 @@ from repro.core.importance import (
     DiracImportance,
     FixedLifetimeImportance,
     ImportanceFunction,
-    ScaledImportance,
     TwoStepImportance,
     linear_wane,
 )
@@ -112,8 +111,8 @@ _SORT_KEY = attrgetter("key")
 _MAX_EXACT_COMPONENT = 2.0**51
 
 #: Annotations whose float evaluation is monotone in age (subtraction,
-#: multiplication and division by positive constants preserve order), alone
-#: or under one :class:`ScaledImportance`: their residents share a group.
+#: multiplication and division by positive constants preserve order): their
+#: residents share a group.
 _MONOTONE = (TwoStepImportance, FixedLifetimeImportance, ConstantImportance, DiracImportance)
 
 
@@ -183,13 +182,6 @@ def _file(members: list[Resident], rec: Resident, source: object, key: tuple) ->
         i = bisect_left(members, key, key=_SORT_KEY)
     members.insert(i, rec)
     return i
-
-
-def _statically_ordered(lifetime: ImportanceFunction) -> bool:
-    """True when the residents of ``lifetime`` keep a static victim order."""
-    if isinstance(lifetime, ScaledImportance):
-        lifetime = lifetime.inner
-    return isinstance(lifetime, _MONOTONE)
 
 
 def _family_spec(
@@ -422,7 +414,7 @@ class GroupedResidents:
             return
         # Unverified annotations get single-object groups: the static-order
         # lemma holds trivially.
-        gkey: object = lifetime if _statically_ordered(lifetime) else obj.object_id
+        gkey: object = lifetime if isinstance(lifetime, _MONOTONE) else obj.object_id
         group = self._groups.get(gkey)
         if group is None:
             group = self._groups[gkey] = _Group(gkey)

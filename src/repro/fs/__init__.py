@@ -13,7 +13,8 @@ returning stale bytes.
   paper's "/tmp and JPEG objects can be designated as less important"
   example, made explicit and overridable);
 * :mod:`repro.fs.filesystem` — the :class:`TemporalFS` API: write / read
-  / stat / listdir / remove / reannotate / density.
+  / stat / listdir / remove / reannotate / density, over the namespace it
+  shares with :mod:`repro.fs.clusterfs`'s :class:`ClusterFS`.
 """
 
 from repro.fs.clusterfs import ClusterFS

@@ -22,7 +22,7 @@ are the real library code paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.core.advisor import Advice, AnnotationAdvisor
 from repro.core.density import importance_density
@@ -59,7 +59,151 @@ class FileStat:
     annotation: ImportanceFunction
 
 
-class TemporalFS:
+class _Namespace:
+    """The path namespace a front end keeps over its backend.
+
+    File names, bytes and fade state are metadata of the mounting client:
+    path ↔ object id maps, the content, and the paths whose bytes were
+    reclaimed (a path is never both resident and faded).  A front end
+    supplies the storage unit holding an object (:meth:`_unit_of`),
+    subscribes to its backend's eviction records (:meth:`_subscribe`), and
+    writes through :meth:`_new_object` / :meth:`_remember`.
+    """
+
+    #: Eviction reasons that fade a path; explicit removals, replacements
+    #: and expiry drop it silently.
+    _FADING = ("preempted", "node-departure")
+    #: How a faded read explains itself.
+    _FADED_BECAUSE = "reclaimed by storage pressure"
+
+    def __init__(self, policy: DefaultAnnotationPolicy | None) -> None:
+        self.defaults = policy if policy is not None else DefaultAnnotationPolicy()
+        self._path_of: dict[ObjectId, str] = {}
+        self._object_of: dict[str, ObjectId] = {}
+        self._content: dict[ObjectId, bytes] = {}
+        #: Paths whose bytes were reclaimed (for FileFadedError).
+        self._faded: set[str] = set()
+
+    def _unit_of(self, object_id: ObjectId) -> StorageUnit:
+        raise NotImplementedError
+
+    def _subscribe(self, source) -> None:
+        """Forget each object ``source`` (anything with an ``on_eviction``
+        callback attribute) evicts, after any earlier subscriber."""
+        previous: Callable[[EvictionRecord], None] | None = source.on_eviction
+
+        def on_eviction(record: EvictionRecord) -> None:
+            self._forget(record.object_id, record.reason)
+            if previous is not None:
+                previous(record)
+
+        source.on_eviction = on_eviction
+
+    # -- write path ---------------------------------------------------------
+
+    def _new_object(
+        self, path: str, data: bytes, now: float, lifetime: ImportanceFunction | None
+    ) -> tuple[str, StoredObject]:
+        """Validate a write; return its normalised path and object."""
+        norm = normalize_path(path)
+        if not isinstance(data, bytes):
+            raise PathError(f"file data must be bytes, got {type(data).__name__}")
+        if not data:
+            raise PathError("empty files are not storable (size must be positive)")
+        annotation = lifetime if lifetime is not None else self.defaults.lifetime_for(norm)
+        obj = StoredObject(size=len(data), t_arrival=now, lifetime=annotation, creator="fs")
+        return norm, obj
+
+    def _remember(self, norm: str, object_id: ObjectId, data: bytes) -> None:
+        self._path_of[object_id] = norm
+        self._object_of[norm] = object_id
+        self._content[object_id] = data
+        self._faded.discard(norm)
+
+    # -- read path ------------------------------------------------------------
+
+    def _resident(self, norm: str) -> ObjectId:
+        """The object id at a normalised path; raises FileNotFoundError."""
+        object_id = self._object_of.get(norm)
+        if object_id is None:
+            raise FileNotFoundError(norm)
+        return object_id
+
+    def _readable(self, path: str) -> tuple[str, ObjectId]:
+        """The normalised path and its object id; a path that faded raises
+        :class:`FileFadedError`, one that never existed FileNotFoundError."""
+        norm = normalize_path(path)
+        if norm in self._faded:
+            raise FileFadedError(f"{norm} was {self._FADED_BECAUSE}")
+        return norm, self._resident(norm)
+
+    def read(self, path: str, now: float) -> bytes:
+        """Return a file's bytes; faded files raise :class:`FileFadedError`."""
+        _norm, object_id = self._readable(path)
+        self._unit_of(object_id).touch(object_id, now)
+        return self._content[object_id]
+
+    def stat(self, path: str, now: float) -> FileStat:
+        """Metadata, including current importance and expiry."""
+        norm, object_id = self._readable(path)
+        obj = self._unit_of(object_id).get(object_id)
+        return FileStat(
+            path=norm,
+            size=obj.size,
+            created_at=obj.t_arrival,
+            importance=obj.importance_at(now),
+            expires_at=obj.t_expire_abs,
+            annotation=obj.lifetime,
+        )
+
+    def exists(self, path: str) -> bool:
+        """True when the file's bytes are currently resident."""
+        return normalize_path(path) in self._object_of
+
+    def listdir(self, directory: str = "/") -> list[str]:
+        """Paths of resident files under ``directory`` (recursive, sorted)."""
+        if directory != "/":
+            directory = normalize_path(directory)
+        return sorted(
+            path for path in self._object_of if is_within(path, directory)
+        )
+
+    def faded(self) -> list[str]:
+        """Paths whose bytes faded (not explicitly removed)."""
+        return sorted(self._faded)
+
+    def files(self) -> Iterator[str]:
+        """Iterate resident file paths."""
+        return iter(sorted(self._object_of))
+
+    def __contains__(self, path: str) -> bool:
+        return self.exists(path)
+
+    def __len__(self) -> int:
+        return len(self._object_of)
+
+    # -- management ------------------------------------------------------------
+
+    def remove(self, path: str, now: float) -> None:
+        """Explicitly delete a file (traditional semantics still work)."""
+        norm = normalize_path(path)
+        object_id = self._resident(norm)
+        self._unit_of(object_id).remove(object_id, now, reason="manual")
+
+    def _forget(self, object_id: ObjectId, reason: str) -> bool:
+        """Drop an evicted object's path; True when the path faded."""
+        path = self._path_of.pop(object_id, None)
+        self._content.pop(object_id, None)
+        if path is None or self._object_of.get(path) != object_id:
+            return False
+        del self._object_of[path]
+        if reason not in self._FADING:
+            return False
+        self._faded.add(path)
+        return True
+
+
+class TemporalFS(_Namespace):
     """A path-keyed prototype filesystem over a temporal store."""
 
     def __init__(
@@ -69,27 +213,21 @@ class TemporalFS:
         policy: DefaultAnnotationPolicy | None = None,
         name: str = "temporalfs",
     ) -> None:
+        super().__init__(policy)
         self.store = StorageUnit(
             capacity_bytes, TemporalImportancePolicy(), name=name, keep_history=False
         )
-        self.defaults = policy if policy is not None else DefaultAnnotationPolicy()
-        self._path_of: dict[ObjectId, str] = {}
-        self._object_of: dict[str, ObjectId] = {}
-        self._content: dict[ObjectId, bytes] = {}
-        #: Paths whose bytes were reclaimed by pressure (for FileFadedError).
-        self._faded: set[str] = set()
         self.faded_count = 0
+        self._subscribe(self.store)
 
-        previous = self.store.on_eviction
+    def _unit_of(self, object_id: ObjectId) -> StorageUnit:
+        return self.store
 
-        def on_eviction(record: EvictionRecord, _prev=previous) -> None:
-            self._forget(record.object_id, faded=record.reason == "preempted")
-            if _prev is not None:
-                _prev(record)
-
-        self.store.on_eviction = on_eviction
-
-    # -- write path ---------------------------------------------------------
+    def _forget(self, object_id: ObjectId, reason: str) -> bool:
+        faded = super()._forget(object_id, reason)
+        if faded:
+            self.faded_count += 1
+        return faded
 
     def write(
         self,
@@ -107,14 +245,8 @@ class TemporalFS:
         Raises :class:`StorageFullError` when the volume is full for this
         annotation's importance.
         """
-        norm = normalize_path(path)
-        if not isinstance(data, bytes):
-            raise PathError(f"file data must be bytes, got {type(data).__name__}")
-        if not data:
-            raise PathError("empty files are not storable (size must be positive)")
-        annotation = lifetime if lifetime is not None else self.defaults.lifetime_for(norm)
-
-        obj = StoredObject(size=len(data), t_arrival=now, lifetime=annotation, creator="fs")
+        norm, obj = self._new_object(path, data, now, lifetime)
+        annotation = obj.lifetime
         # Replacing? Remove the old version only after the new admission
         # plan is known to succeed — peek first so a refused write leaves
         # the previous version intact.
@@ -133,10 +265,7 @@ class TemporalFS:
                     raise CapacityError(
                         f"failed to restore {norm!r} after a refused overwrite"
                     )
-                self._path_of[old_obj.object_id] = norm
-                self._object_of[norm] = old_obj.object_id
-                self._content[old_obj.object_id] = old_data
-                self._faded.discard(norm)
+                self._remember(norm, old_obj.object_id, old_data)
                 raise StorageFullError(
                     f"volume full for {norm!r} at importance "
                     f"{annotation.initial_importance:.2f}",
@@ -155,87 +284,19 @@ class TemporalFS:
             if not result.admitted:  # pragma: no cover - peek/commit agree
                 raise CapacityError(f"write of {norm!r} failed after planning")
 
-        self._path_of[obj.object_id] = norm
-        self._object_of[norm] = obj.object_id
-        self._content[obj.object_id] = data
-        self._faded.discard(norm)
+        self._remember(norm, obj.object_id, data)
         return self.stat(norm, now)
-
-    # -- read path ------------------------------------------------------------
-
-    def read(self, path: str, now: float) -> bytes:
-        """Return a file's bytes; faded files raise :class:`FileFadedError`."""
-        norm = normalize_path(path)
-        object_id = self._object_of.get(norm)
-        if object_id is None:
-            if norm in self._faded:
-                raise FileFadedError(
-                    f"{norm} was reclaimed by storage pressure"
-                )
-            raise FileNotFoundError(norm)
-        self.store.touch(object_id, now)
-        return self._content[object_id]
-
-    def exists(self, path: str) -> bool:
-        """True when the file's bytes are currently resident."""
-        return normalize_path(path) in self._object_of
-
-    def stat(self, path: str, now: float) -> FileStat:
-        """Metadata, including current importance and expiry."""
-        norm = normalize_path(path)
-        object_id = self._object_of.get(norm)
-        if object_id is None:
-            if norm in self._faded:
-                raise FileFadedError(f"{norm} was reclaimed by storage pressure")
-            raise FileNotFoundError(norm)
-        obj = self.store.get(object_id)
-        return FileStat(
-            path=norm,
-            size=obj.size,
-            created_at=obj.t_arrival,
-            importance=obj.importance_at(now),
-            expires_at=obj.t_expire_abs,
-            annotation=obj.lifetime,
-        )
-
-    def listdir(self, directory: str = "/") -> list[str]:
-        """Paths of resident files under ``directory`` (recursive, sorted)."""
-        if directory != "/":
-            directory = normalize_path(directory)
-        return sorted(
-            path for path in self._object_of if is_within(path, directory)
-        )
-
-    def faded(self) -> list[str]:
-        """Paths whose bytes faded under pressure (not explicitly removed)."""
-        return sorted(self._faded)
-
-    # -- management ------------------------------------------------------------
-
-    def remove(self, path: str, now: float) -> None:
-        """Explicitly delete a file (traditional semantics still work)."""
-        norm = normalize_path(path)
-        object_id = self._object_of.get(norm)
-        if object_id is None:
-            raise FileNotFoundError(norm)
-        self.store.remove(object_id, now, reason="manual")
-        self._faded.discard(norm)
 
     def set_lifetime(
         self, path: str, lifetime: ImportanceFunction, now: float
     ) -> FileStat:
         """Re-annotate a resident file (the paper's active intervention)."""
         norm = normalize_path(path)
-        object_id = self._object_of.get(norm)
-        if object_id is None:
-            raise FileNotFoundError(norm)
+        object_id = self._resident(norm)
         data = self._content[object_id]
         replacement = reannotate(self.store, object_id, lifetime, now)
         # Reannotation preserves the object id; refresh bookkeeping.
-        self._content[replacement.object_id] = data
-        self._path_of[replacement.object_id] = norm
-        self._object_of[norm] = replacement.object_id
-        self._faded.discard(norm)
+        self._remember(norm, replacement.object_id, data)
         return self.stat(norm, now)
 
     def density(self, now: float) -> float:
@@ -249,24 +310,3 @@ class TemporalFS:
         return AnnotationAdvisor(self.store).advise(
             size_bytes, persist_days, wane_days, now
         )
-
-    def files(self) -> Iterator[str]:
-        """Iterate resident file paths."""
-        return iter(sorted(self._object_of))
-
-    def __contains__(self, path: str) -> bool:
-        return self.exists(path)
-
-    def __len__(self) -> int:
-        return len(self._object_of)
-
-    # -- internals ----------------------------------------------------------
-
-    def _forget(self, object_id: ObjectId, *, faded: bool) -> None:
-        path = self._path_of.pop(object_id, None)
-        self._content.pop(object_id, None)
-        if path is not None and self._object_of.get(path) == object_id:
-            del self._object_of[path]
-            if faded:
-                self._faded.add(path)
-                self.faded_count += 1

@@ -123,7 +123,6 @@ class LoadGenSpec:
     #: Relative deadline (minutes after arrival) stamped on every request;
     #: None submits without deadlines.
     deadline_minutes: float | None = None
-    executor: str = "inline"
     #: Open-loop pacing: requests submitted per scheduler tick.  The
     #: worker drains at most ``batch_max`` per tick, so a burst above
     #: ``batch_max`` grows the queue and eventually sheds — the knob that
@@ -199,7 +198,6 @@ class LoadGenSpec:
             batch_max=self.batch_max,
             rate_per_minute=self.rate_per_minute,
             rate_burst=self.rate_burst,
-            executor=self.executor,
             coalesce=self.coalesce,
         )
 

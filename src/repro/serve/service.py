@@ -28,17 +28,14 @@ measure admission latency for the obs histogram and the loadgen report —
 it never reaches the request/response ledger, which stays byte-identical
 across seeded runs.
 
-The default execution mode is ``inline``: batches are handled on the
-event loop, and the only await points are ``asyncio.sleep(0)`` yields, so
-scheduling is deterministic.  ``executor="thread"`` is the escape hatch
-that pushes gateway batches onto a thread pool — useful when the caller's
-event loop must stay responsive, at the price of scheduling determinism.
+Batches are handled on the event loop, one at a time — the worker awaits
+each batch before it dequeues the next — and the only await points are
+``asyncio.sleep(0)`` yields, so scheduling is deterministic.
 """
 
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -49,9 +46,6 @@ from repro.serve.protocol import ServeError, StoreRequest, StoreResponse, StoreS
 from repro.serve.ratelimit import TokenBucketLimiter
 
 __all__ = ["ServeConfig", "GatewayService", "serve"]
-
-_EXECUTORS = ("inline", "thread")
-
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -68,10 +62,6 @@ class ServeConfig:
     rate_burst: float = 8.0
     #: Retry-after hint (simulated minutes) attached to queue-full sheds.
     retry_after_minutes: float = 1.0
-    #: "inline" (deterministic, on-loop) or "thread" (pool escape hatch).
-    executor: str = "inline"
-    #: Thread-pool width when ``executor="thread"``.
-    threads: int = 4
     #: Coalesce requests presenting the same token for the same object id
     #: and payload within one admission round into a single gateway
     #: decision fanned back to all callers (the write-dedup half of
@@ -87,12 +77,6 @@ class ServeConfig:
             raise ServeError(
                 f"retry_after_minutes must be > 0, got {self.retry_after_minutes}"
             )
-        if self.executor not in _EXECUTORS:
-            raise ServeError(
-                f"executor must be one of {_EXECUTORS}, got {self.executor!r}"
-            )
-        if self.threads < 1:
-            raise ServeError(f"threads must be >= 1, got {self.threads}")
 
 
 @dataclass(slots=True)
@@ -157,7 +141,6 @@ class GatewayService:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._queue: asyncio.Queue | None = None
         self._worker_task: asyncio.Task | None = None
-        self._pool: ThreadPoolExecutor | None = None
         self._draining = False
 
     # -- lifecycle --------------------------------------------------------
@@ -173,10 +156,6 @@ class GatewayService:
         self._draining = False
         self._loop = asyncio.get_running_loop()
         self._queue = asyncio.Queue(maxsize=self.config.queue_size)
-        if self.config.executor == "thread" and self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.config.threads, thread_name_prefix="repro-serve"
-            )
         self._worker_task = asyncio.create_task(self._worker())
 
     async def stop(self) -> None:
@@ -190,9 +169,6 @@ class GatewayService:
         if self._worker_task is not None:
             await self._worker_task
             self._worker_task = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         self._queue = None
 
     # -- request path -----------------------------------------------------
@@ -336,14 +312,9 @@ class GatewayService:
                 buckets=COUNT_BUCKETS,
             ).observe(len(batch))
         try:
-            if self._pool is not None:
-                responses = await self._loop.run_in_executor(
-                    self._pool, self._handle_batch, batch, batch_now
-                )
-            else:
-                responses = self._handle_batch(batch, batch_now)
-                # Deterministic yield so open-loop submitters interleave.
-                await asyncio.sleep(0)
+            responses = self._handle_batch(batch, batch_now)
+            # Deterministic yield so open-loop submitters interleave.
+            await asyncio.sleep(0)
         except Exception as exc:
             # The gateway raised mid-round: no decision exists for any
             # member, so each caller's one terminal outcome is the error
@@ -360,7 +331,7 @@ class GatewayService:
     def _handle_batch(
         self, batch: list[_Pending], now: float
     ) -> list[StoreResponse]:
-        """Synchronous batch admission; runs on-loop or on the pool.
+        """Synchronous batch admission, on the event loop.
 
         Deadlines are checked first — an expired request is answered
         ``EXPIRED_IN_QUEUE`` *before* coalescing groups form, so it can
@@ -409,10 +380,7 @@ class GatewayService:
         else:
             members = [[i] for i in live]
         leaders = [requests[idxs[0]] for idxs in members]
-        if hasattr(self.gateway, "handle_batch"):
-            decisions = self.gateway.handle_batch(leaders, now=now)
-        else:  # duck-typed gateways without the batched write path
-            decisions = [self.gateway.handle(r, now=now) for r in leaders]
+        decisions = self.gateway.handle_batch(leaders, now=now)
         coalesced = 0
         for idxs, decision in zip(members, decisions):
             responses[idxs[0]] = decision

@@ -124,40 +124,3 @@ def to_tib(size_bytes: int) -> float:
     """Convert a byte count to tebibytes."""
     return size_bytes / TIB
 
-
-def fmt_bytes(size_bytes: int) -> str:
-    """Render a byte count with the most natural binary suffix.
-
-    >>> fmt_bytes(1536)
-    '1.50 KiB'
-    >>> fmt_bytes(80 * GIB)
-    '80.00 GiB'
-    """
-    magnitude = abs(size_bytes)
-    for limit, divisor, suffix in (
-        (KIB, 1, "B"),
-        (MIB, KIB, "KiB"),
-        (GIB, MIB, "MiB"),
-        (TIB, GIB, "GiB"),
-    ):
-        if magnitude < limit:
-            return f"{size_bytes / divisor:.2f} {suffix}"
-    return f"{size_bytes / TIB:.2f} TiB"
-
-
-def fmt_duration(duration_minutes: float) -> str:
-    """Render a duration with the most natural unit.
-
-    >>> fmt_duration(90)
-    '1.50 h'
-    >>> fmt_duration(2 * MINUTES_PER_DAY)
-    '2.00 d'
-    """
-    magnitude = abs(duration_minutes)
-    if magnitude < MINUTES_PER_HOUR:
-        return f"{duration_minutes:.0f} min"
-    if magnitude < MINUTES_PER_DAY:
-        return f"{to_hours(duration_minutes):.2f} h"
-    if magnitude < MINUTES_PER_YEAR:
-        return f"{to_days(duration_minutes):.2f} d"
-    return f"{to_years(duration_minutes):.2f} y"

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.analysis.heteroscedasticity import breusch_pagan, rolling_variance
+from repro.analysis.heteroscedasticity import breusch_pagan
 
 
 def homoscedastic_sample(n=200, seed=0):
@@ -48,22 +48,3 @@ class TestBreuschPagan:
         with pytest.raises(ValueError):
             breusch_pagan([5.0] * 10, list(range(10)))
 
-
-class TestRollingVariance:
-    def test_flat_profile_for_homoscedastic_data(self):
-        xs, ys = homoscedastic_sample()
-        profile = rolling_variance(xs, ys, window=40)
-        variances = [v for _x, v in profile]
-        assert max(variances) / min(variances) < 5.0
-
-    def test_trending_profile_for_heteroscedastic_data(self):
-        xs, ys = heteroscedastic_sample()
-        profile = rolling_variance(xs, ys, window=40)
-        assert profile[-1][1] > profile[0][1] * 10
-
-    def test_short_series_returns_empty(self):
-        assert rolling_variance([1.0, 2.0], [1.0, 2.0], window=10) == []
-
-    def test_rejects_tiny_window(self):
-        with pytest.raises(ValueError):
-            rolling_variance([1.0], [1.0], window=1)

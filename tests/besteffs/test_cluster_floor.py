@@ -23,7 +23,7 @@ from repro.besteffs.membership import ChurnManager
 from repro.besteffs.node import BesteffsNode
 from repro.besteffs.placement import PlacementConfig
 from repro.besteffs.walks import sample_nodes
-from repro.core.importance import FixedLifetimeImportance, ScaledImportance, TwoStepImportance
+from repro.core.importance import FixedLifetimeImportance, TwoStepImportance
 from repro.core.obj import StoredObject
 from repro.core.policies.palimpsest import PalimpsestPolicy
 from repro.core.policies.temporal import TemporalImportancePolicy
@@ -31,6 +31,7 @@ from repro.errors import OverlayError
 from repro.obs.audit import AuditLedger
 from repro.sim.parallel import RunSpec, execute_spec
 from repro.units import days
+from tests.oracles.scaled import Scaled
 
 
 def _object(rng: random.Random, now: float, tag: str) -> StoredObject:
@@ -238,12 +239,12 @@ class TestFaults:
         assert [e.object_id for e in result.evictions] == ["direct"]
 
     def test_a_resident_expiring_at_its_stable_end_frees_its_unit_then(self):
-        # A scaled fixed lifetime sits in an annotation group, blocks 0.5
+        # A user-defined scaled fixed lifetime sits in a group of its own, blocks 0.5
         # right up to its expiry at a whole minute, and is expired there:
         # its unit's instant must end before that minute, or the floor
         # would keep n0's spare from before the expiry at the expiry.
         cluster = _full_cluster(spares=(200, 0, 0))
-        expiring = ScaledImportance(FixedLifetimeImportance(p=1.0, expire_after=days(1)), 0.5)
+        expiring = Scaled(FixedLifetimeImportance(p=1.0, expire_after=days(1)), 0.5)
         cluster.nodes["n0"].accept(
             StoredObject(size=150, t_arrival=0.0, lifetime=expiring, object_id="expiring"), 0.0
         )

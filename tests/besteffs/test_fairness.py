@@ -18,7 +18,6 @@ from repro.core.importance import (
     ExponentialWaneImportance,
     FixedLifetimeImportance,
     PiecewiseLinearImportance,
-    ScaledImportance,
     StepWaneImportance,
     TwoStepImportance,
 )
@@ -42,13 +41,6 @@ class TestImportanceIntegral:
         func = TwoStepImportance(p=1.0, t_persist=days(15), t_wane=days(15))
         expected = days(15) + 0.5 * days(15)
         assert importance_integral(func) == pytest.approx(expected)
-
-    def test_scaled_scales_linearly(self):
-        base = TwoStepImportance(p=1.0, t_persist=days(10), t_wane=days(10))
-        half = ScaledImportance(inner=base, factor=0.5)
-        assert importance_integral(half) == pytest.approx(
-            0.5 * importance_integral(base)
-        )
 
     def test_piecewise_trapezoid(self):
         func = PiecewiseLinearImportance([(0.0, 1.0), (days(10), 0.0)])

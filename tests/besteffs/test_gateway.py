@@ -8,7 +8,7 @@ from repro.besteffs.fairness import FairShareLedger, annotation_cost
 from repro.besteffs.gateway import BesteffsGateway
 from repro.besteffs.placement import PlacementConfig
 from repro.core.importance import TwoStepImportance
-from repro.serve.protocol import StoreRequest
+from repro.serve.protocol import StoreRequest, StoreStatus
 from repro.units import days, gib
 from tests.conftest import make_obj
 
@@ -73,6 +73,25 @@ class TestWritePath:
         assert outcome.status.gate == "placement"
         assert outcome.cost_charged == 0.0
         assert gw.ledger.spent("filler", 0.0) == pytest.approx(spent_before)
+
+    def test_handle_dedups_a_resident_id(self, gateway):
+        # A one-request round dedups like any batch: a re-offered resident
+        # id is acknowledged against its copy, and its charge is refunded.
+        gw, realm = gateway
+        cap = realm.mint("camera-1")
+        first = gw.handle(StoreRequest(cap, make_obj(1.0, object_id="a")), now=0.0)
+        spent = gw.ledger.spent("camera-1", 0.0)
+        holder = gw.cluster.locate("a").node_id
+        for now in (0.0, 1.0):
+            again = gw.handle(StoreRequest(cap, make_obj(1.0, object_id="a")), now=now)
+            assert again.status is StoreStatus.ADMITTED
+            assert again.detail == f"deduplicated: already resident on {holder}"
+            assert again.cost_charged == 0.0 and again.decision is None
+            assert gw.ledger.spent("camera-1", now) == spent
+        assert first.stored and gw.deduped_total == 2
+        assert gw.cluster.resident_count() == 1
+        # The budget the re-offers never consumed still admits two writes.
+        assert all(gw.handle(StoreRequest(cap, make_obj(1.0)), now=2.0).stored for _ in range(2))
 
     def test_admitted_responses_on_one_node_share_one_detail(self):
         cluster = BesteffsCluster({"n0": gib(8)}, placement=PlacementConfig(x=1, m=1), seed=1)

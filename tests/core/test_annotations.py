@@ -1,15 +1,8 @@
-"""Tests for annotation validation and the wire format."""
+"""Tests for annotation validation."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.annotations import (
-    Annotation,
-    annotation_from_dict,
-    annotation_to_dict,
-    validate_importance_function,
-)
+from repro.core.annotations import Annotation, validate_importance_function
 from repro.core.importance import (
     ConstantImportance,
     DiracImportance,
@@ -17,7 +10,6 @@ from repro.core.importance import (
     FixedLifetimeImportance,
     ImportanceFunction,
     PiecewiseLinearImportance,
-    ScaledImportance,
     StepWaneImportance,
     TwoStepImportance,
 )
@@ -32,10 +24,6 @@ ALL_EXAMPLES = [
     ExponentialWaneImportance(p=0.9, t_persist=days(2), t_wane=days(8), sharpness=2.5),
     StepWaneImportance(p=0.8, t_persist=days(1), t_wane=days(4), steps=5),
     PiecewiseLinearImportance([(0.0, 1.0), (days(2), 0.4), (days(6), 0.0)]),
-    ScaledImportance(
-        inner=TwoStepImportance(p=1.0, t_persist=days(15), t_wane=days(15)),
-        factor=0.5,
-    ),
 ]
 
 
@@ -99,45 +87,3 @@ class TestAnnotationWrapper:
     def test_rejects_empty_name(self, two_step):
         with pytest.raises(AnnotationError):
             Annotation("", two_step)
-
-
-class TestWireFormat:
-    @pytest.mark.parametrize("func", ALL_EXAMPLES, ids=lambda f: type(f).__name__)
-    def test_roundtrip_preserves_equality(self, func):
-        assert annotation_from_dict(annotation_to_dict(func)) == func
-
-    def test_dict_is_json_safe(self, two_step):
-        import json
-
-        payload = json.dumps(annotation_to_dict(two_step))
-        assert annotation_from_dict(json.loads(payload)) == two_step
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(AnnotationError, match="unknown annotation kind"):
-            annotation_from_dict({"schema": 1, "kind": "mystery"})
-
-    def test_unknown_schema_rejected(self):
-        with pytest.raises(AnnotationError, match="schema"):
-            annotation_from_dict({"schema": 99, "kind": "constant", "p": 1.0})
-
-    def test_missing_field_rejected(self):
-        with pytest.raises(AnnotationError, match="missing field"):
-            annotation_from_dict({"schema": 1, "kind": "two_step", "p": 1.0})
-
-    def test_custom_subclass_not_serialisable(self):
-        class Custom(ConstantImportance):
-            pass
-
-        with pytest.raises(AnnotationError, match="cannot serialise"):
-            annotation_to_dict(Custom())
-
-
-@given(
-    p=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-    persist=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-    wane=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-)
-@settings(max_examples=100)
-def test_two_step_roundtrip_property(p, persist, wane):
-    func = TwoStepImportance(p=p, t_persist=persist, t_wane=wane)
-    assert annotation_from_dict(annotation_to_dict(func)) == func

@@ -6,9 +6,8 @@ from repro.core.density import (
     admission_threshold,
     byte_importance_snapshot,
     importance_density,
-    importance_histogram,
 )
-from repro.core.importance import ConstantImportance, DiracImportance
+from repro.core.importance import DiracImportance
 from repro.core.policies.temporal import TemporalImportancePolicy
 from repro.core.store import StorageUnit
 from repro.units import days, gib
@@ -84,55 +83,6 @@ class TestSnapshot:
         store.offer(make_obj(2.5), 0.0)
         snap = byte_importance_snapshot(store, days(5), include_free=True)
         assert sum(size for _imp, size in snap) == store.capacity_bytes
-
-
-class TestHistogram:
-    def test_bins_cover_stored_bytes(self, store):
-        store.offer(make_obj(4.0), 0.0)          # importance 1.0
-        store.offer(make_obj(2.0, t_arrival=0.0), 0.0)
-        hist = importance_histogram(store, days(22.5))  # waned ones at 0.5
-        total = sum(count for _lo, _hi, count in hist)
-        assert total == gib(6)
-
-    def test_importance_one_lands_in_last_bin(self, store):
-        store.offer(make_obj(1.0), 0.0)
-        hist = importance_histogram(store, 0.0)
-        assert hist[-1][2] == gib(1)
-
-    def test_rejects_bad_bins(self, store):
-        with pytest.raises(ValueError):
-            importance_histogram(store, 0.0, bins=(0.5,))
-        with pytest.raises(ValueError):
-            importance_histogram(store, 0.0, bins=(0.5, 0.4))
-
-    def test_interior_edge_opens_its_own_bin(self, store):
-        # Importance exactly 0.5 belongs to [0.5, 0.6), not [0.4, 0.5).
-        store.offer(make_obj(2.0, lifetime=ConstantImportance(p=0.5)), 0.0)
-        hist = importance_histogram(store, 0.0)
-        by_bin = {(lo, hi): count for lo, hi, count in hist}
-        assert by_bin[(0.5, 0.6)] == gib(2)
-        assert by_bin[(0.4, 0.5)] == 0
-
-    def test_importance_zero_lands_in_first_bin(self, store):
-        store.offer(make_obj(3.0, lifetime=DiracImportance()), 0.0)
-        hist = importance_histogram(store, 0.0)
-        assert hist[0][:2] == (0.0, 0.1)
-        assert hist[0][2] == gib(3)
-
-    def test_importance_one_exactly_closes_the_last_bin(self, store):
-        store.offer(make_obj(1.0, lifetime=ConstantImportance(p=1.0)), 0.0)
-        hist = importance_histogram(store, 0.0)
-        assert hist[-1][:2] == (0.9, 1.0)
-        assert hist[-1][2] == gib(1)
-        assert sum(count for _lo, _hi, count in hist) == gib(1)
-
-    def test_out_of_range_masses_clamp_into_the_edge_bins(self, store):
-        # Custom edges narrower than the data: below-range mass goes to the
-        # first bin, above-range mass to the last.
-        store.offer(make_obj(1.0, lifetime=ConstantImportance(p=0.1)), 0.0)
-        store.offer(make_obj(2.0, lifetime=ConstantImportance(p=0.9)), 0.0)
-        hist = importance_histogram(store, 0.0, bins=(0.3, 0.5, 0.7))
-        assert hist == [(0.3, 0.5, gib(1)), (0.5, 0.7, gib(2))]
 
 
 class TestAdmissionThreshold:

@@ -12,7 +12,6 @@ from repro.core.importance import (
     FixedLifetimeImportance,
     ImportanceFunction,
     PiecewiseLinearImportance,
-    ScaledImportance,
     StepWaneImportance,
     TwoStepImportance,
 )
@@ -215,26 +214,6 @@ class TestPiecewiseLinearImportance:
     def test_rejects_empty(self):
         with pytest.raises(AnnotationError):
             PiecewiseLinearImportance([])
-
-
-class TestScaledImportance:
-    def test_scales_inner_values(self, two_step):
-        func = ScaledImportance(inner=two_step, factor=0.5)
-        assert func.importance_at(0.0) == 0.5
-        assert func.importance_at(days(22.5)) == pytest.approx(0.25)
-
-    def test_preserves_expiry(self, two_step):
-        func = ScaledImportance(inner=two_step, factor=0.5)
-        assert func.t_expire == two_step.t_expire
-
-    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5])
-    def test_rejects_bad_factor(self, two_step, bad):
-        with pytest.raises(AnnotationError):
-            ScaledImportance(inner=two_step, factor=bad)
-
-    def test_rejects_non_function_inner(self):
-        with pytest.raises(AnnotationError):
-            ScaledImportance(inner="not-a-function", factor=0.5)
 
 
 class TestCommonBehaviour:

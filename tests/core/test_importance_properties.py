@@ -25,7 +25,6 @@ from repro.core.importance import (
     ExponentialWaneImportance,
     FixedLifetimeImportance,
     PiecewiseLinearImportance,
-    ScaledImportance,
     StepWaneImportance,
     TwoStepImportance,
 )
@@ -91,30 +90,21 @@ def any_function(draw):
     return draw(piecewise())
 
 
-@st.composite
-def maybe_scaled(draw):
-    func = draw(any_function())
-    if draw(st.booleans()):
-        factor = draw(st.floats(min_value=0.01, max_value=1.0, allow_nan=False))
-        return ScaledImportance(inner=func, factor=factor)
-    return func
-
-
-@given(func=maybe_scaled(), a=age, b=age)
+@given(func=any_function(), a=age, b=age)
 @settings(max_examples=300)
 def test_monotone_non_increasing(func, a, b):
     lo, hi = min(a, b), max(a, b)
     assert func.importance_at(lo) >= func.importance_at(hi) - 1e-12
 
 
-@given(func=maybe_scaled(), t=age)
+@given(func=any_function(), t=age)
 @settings(max_examples=300)
 def test_range_is_unit_interval(func, t):
     value = func.importance_at(t)
     assert 0.0 <= value <= 1.0
 
 
-@given(func=maybe_scaled(), extra=duration)
+@given(func=any_function(), extra=duration)
 @settings(max_examples=200)
 def test_zero_at_and_after_expiry(func, extra):
     expire = func.t_expire
@@ -123,7 +113,7 @@ def test_zero_at_and_after_expiry(func, extra):
     assert func.importance_at(expire + extra) == 0.0
 
 
-@given(func=maybe_scaled(), t=age)
+@given(func=any_function(), t=age)
 @settings(max_examples=200)
 def test_remaining_lifetime_consistent_with_expiry(func, t):
     remaining = func.remaining_lifetime(t)
@@ -134,13 +124,13 @@ def test_remaining_lifetime_consistent_with_expiry(func, t):
         assert remaining == max(0.0, func.t_expire - t)
 
 
-@given(func=maybe_scaled())
+@given(func=any_function())
 @settings(max_examples=150)
 def test_sampling_validator_accepts_every_builtin(func):
     validate_importance_function(func)
 
 
-@given(func=maybe_scaled(), t=age)
+@given(func=any_function(), t=age)
 @settings(max_examples=200)
 def test_is_expired_iff_importance_zero_forever(func, t):
     if func.is_expired(t):

@@ -11,7 +11,6 @@ from repro.core.importance import (
     ExponentialWaneImportance,
     FixedLifetimeImportance,
     PiecewiseLinearImportance,
-    ScaledImportance,
     StepWaneImportance,
     TwoStepImportance,
     linear_wane,
@@ -27,6 +26,7 @@ from repro.core.obj import StoredObject
 from repro.errors import ReproError, SimulationError
 from tests.conftest import make_obj
 from tests.oracles import importance_order, victim_candidates
+from tests.oracles.scaled import Scaled
 
 
 class TestStableUntil:
@@ -53,12 +53,6 @@ class TestStableUntil:
     def test_piecewise_is_stable_to_its_first_knot(self):
         fn = PiecewiseLinearImportance([(10.0, 0.9), (20.0, 0.0)])
         assert fn.stable_until == 10.0
-
-    def test_scaled_inherits_the_inner_prefix(self):
-        inner = TwoStepImportance(p=0.8, t_persist=50.0, t_wane=30.0)
-        fn = ScaledImportance(inner, 0.5)
-        assert fn.stable_until == 50.0
-        assert fn.importance_at(25.0) == fn.initial_importance
 
 
 class TestWaneCoefficients:
@@ -285,8 +279,8 @@ class TestWaningPhase:
         TwoStepImportance(p=0.8, t_persist=100.0, t_wane=60.0),
         TwoStepImportance(p=0.35, t_persist=40.5, t_wane=90.25),
         TwoStepImportance(p=0.0, t_persist=10.0, t_wane=50.0),
-        ScaledImportance(TwoStepImportance(p=0.9, t_persist=70.0, t_wane=80.0), 0.5),
-        ScaledImportance(ScaledImportance(TwoStepImportance(0.7, 20.0, 120.0), 0.9), 0.3),
+        Scaled(TwoStepImportance(p=0.9, t_persist=70.0, t_wane=80.0), 0.5),
+        Scaled(Scaled(TwoStepImportance(0.7, 20.0, 120.0), 0.9), 0.3),
         ExponentialWaneImportance(p=0.6, t_persist=50.0, t_wane=100.0),
         StepWaneImportance(p=0.9, t_persist=30.0, t_wane=80.0, steps=5),
         PiecewiseLinearImportance([(20.0, 0.9), (90.0, 0.4), (160.0, 0.0)]),

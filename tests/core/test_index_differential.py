@@ -26,7 +26,6 @@ from repro.core.importance import (
     ExponentialWaneImportance,
     FixedLifetimeImportance,
     PiecewiseLinearImportance,
-    ScaledImportance,
     StepWaneImportance,
     TwoStepImportance,
 )
@@ -35,6 +34,7 @@ from repro.core.obj import StoredObject
 from repro.core.policies.temporal import TemporalImportancePolicy
 from repro.core.store import StorageUnit
 from tests.oracles import ScanIndex, oracle_store
+from tests.oracles.scaled import Scaled
 
 CAPACITY = 50_000
 
@@ -59,7 +59,7 @@ def random_lifetime(rng: random.Random):
         vals = sorted((rng.uniform(0.0, p) for _ in range(3)), reverse=True)
         return PiecewiseLinearImportance(list(zip(knots, vals)) + [(knots[-1] + 50.0, 0.0)])
     if kind == 6:
-        return ScaledImportance(
+        return Scaled(
             TwoStepImportance(p=p, t_persist=persist, t_wane=wane), rng.uniform(0.1, 1.0)
         )
     return TwoStepImportance(p=p, t_persist=persist, t_wane=wane)
@@ -168,7 +168,7 @@ def random_grid_lifetime(rng: random.Random):
     if kind == 2:
         return ExponentialWaneImportance(p=p, t_persist=persist, t_wane=wane or 1.0)
     if kind == 3:
-        return ScaledImportance(
+        return Scaled(
             TwoStepImportance(p=p, t_persist=persist, t_wane=wane),
             rng.choice((0.25, 0.5, 0.75)),
         )

@@ -2,12 +2,10 @@
 
 from repro.core.importance import DiracImportance, FixedLifetimeImportance
 from repro.core.policies import (
-    FIFOPolicy,
     FixedLifetimePolicy,
     GreedySizePolicy,
     LRUPolicy,
     PalimpsestPolicy,
-    RandomPolicy,
     TemporalImportancePolicy,
 )
 from repro.core.store import StorageUnit
@@ -121,7 +119,6 @@ class TestPalimpsestPolicy:
 
     def test_names(self):
         assert PalimpsestPolicy().name == "palimpsest"
-        assert FIFOPolicy().name == "fifo"
 
 
 class TestLRUPolicy:
@@ -137,28 +134,6 @@ class TestLRUPolicy:
 
     def test_never_rejects(self):
         store = StorageUnit(gib(1), LRUPolicy())
-        for i in range(5):
-            assert store.offer(make_obj(1.0, t_arrival=float(i)), float(i)).admitted
-
-
-class TestRandomPolicy:
-    def test_deterministic_for_a_seed(self):
-        from repro.core.obj import reset_object_ids
-
-        def run(seed):
-            reset_object_ids()
-            store = StorageUnit(gib(3), RandomPolicy(seed=seed))
-            victims = []
-            for i in range(10):
-                result = store.offer(make_obj(1.0, t_arrival=float(i)), float(i))
-                victims.extend(e.object_id for e in result.evictions)
-            return victims
-
-        assert run(1) == run(1)
-        assert run(1) != run(2)  # overwhelmingly likely
-
-    def test_never_rejects(self):
-        store = StorageUnit(gib(1), RandomPolicy(seed=0))
         for i in range(5):
             assert store.offer(make_obj(1.0, t_arrival=float(i)), float(i)).admitted
 

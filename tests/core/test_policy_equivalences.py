@@ -10,8 +10,7 @@ sequences:
   (importance is 1 until expiry, so only expired residents are ever
   preemptible under the strict rule);
 * ``TwoStepImportance(p, t_persist, 0)`` is pointwise equal to
-  ``FixedLifetimeImportance(p, t_persist)``;
-* ``PalimpsestPolicy`` is behaviourally identical to ``FIFOPolicy``.
+  ``FixedLifetimeImportance(p, t_persist)``.
 """
 
 from hypothesis import given, settings
@@ -19,12 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.importance import FixedLifetimeImportance, TwoStepImportance
 from repro.core.obj import StoredObject
-from repro.core.policies import (
-    FIFOPolicy,
-    FixedLifetimePolicy,
-    PalimpsestPolicy,
-    TemporalImportancePolicy,
-)
+from repro.core.policies import FixedLifetimePolicy, TemporalImportancePolicy
 from repro.core.store import StorageUnit
 from repro.units import days
 
@@ -98,34 +92,3 @@ def test_two_step_with_zero_wane_equals_fixed_lifetime(p, persist, age):
     assert two_step.importance_at(age) == fixed.importance_at(age)
     assert two_step.t_expire == fixed.t_expire
     assert two_step.is_expired(age) == fixed.is_expired(age)
-
-
-@given(steps=fixed_lifetime_streams())
-@settings(max_examples=60, deadline=None)
-def test_palimpsest_is_fifo(steps):
-    """Identical verdicts and identical victim streams."""
-
-    def replay_with_victims(policy, tag):
-        store = StorageUnit(CAPACITY, policy, name=f"pf-{tag}")
-        log = []
-        now = 0.0
-        for i, (dt, size, expire) in enumerate(steps):
-            now += dt
-            obj = StoredObject(
-                size=size,
-                t_arrival=now,
-                lifetime=FixedLifetimeImportance(p=1.0, expire_after=expire),
-                object_id=f"{tag}-{i}",
-            )
-            result = store.offer(obj, now)
-            log.append(
-                (
-                    result.admitted,
-                    tuple(e.object_id.split("-", 1)[1] for e in result.evictions),
-                )
-            )
-        return log
-
-    assert replay_with_victims(PalimpsestPolicy(), "p") == replay_with_victims(
-        FIFOPolicy(), "q"
-    )

@@ -39,7 +39,6 @@ from repro.core.policies import (
     GreedySizePolicy,
     LRUPolicy,
     PalimpsestPolicy,
-    RandomPolicy,
     TemporalImportancePolicy,
 )
 from repro.core.store import StorageUnit
@@ -73,7 +72,6 @@ POLICIES = {
     "palimpsest": PalimpsestPolicy,
     "lru": LRUPolicy,
     "greedy-size": GreedySizePolicy,
-    "random": lambda: RandomPolicy(seed=11),
 }
 
 
@@ -131,8 +129,6 @@ def churn(name, seed, *, lifetimes, tick, steps=900, probes_per_step=2):
                 object_id=f"p-{step}-{k}",
             )
             before = index_snapshot(store)
-            # RandomPolicy's probe rewinds its RNG, so the plan drawn next
-            # is the plan scored — what ``BesteffsCluster.offer`` relies on.
             plan = assert_probe_is_the_plan(store, probe, now, tag=f"{name} step {step}")
             assert index_snapshot(store) == before
             outcomes.add(plan.reason)

@@ -29,7 +29,6 @@ from repro.core.importance import (
     ConstantImportance,
     DiracImportance,
     FixedLifetimeImportance,
-    ScaledImportance,
     TwoStepImportance,
 )
 from repro.core.obj import StoredObject
@@ -38,6 +37,7 @@ from repro.core.store import StorageUnit
 from repro.errors import SimulationError
 from tests.core.test_index_differential import assert_evictions_equal, assert_plans_equal
 from tests.oracles import oracle_store
+from tests.oracles.scaled import Scaled
 
 CAPACITY = 4000
 CREATORS = ("university", "student", "archive")
@@ -53,7 +53,7 @@ annotations = st.one_of(
     st.builds(lambda p, e: FixedLifetimeImportance(p=p, expire_after=e), importances, durations),
     st.builds(lambda p: ConstantImportance(p=p), importances),
     st.just(DiracImportance()),
-    st.builds(lambda inner, f: ScaledImportance(inner, f), two_steps, st.sampled_from((0.5, 0.9))),
+    st.builds(lambda inner, f: Scaled(inner, f), two_steps, st.sampled_from((0.5, 0.9))),
 )
 #: Whole-minute forward steps: every decision falls on the grid.
 clock_steps = st.integers(0, 45).map(float)

@@ -1,4 +1,9 @@
-"""Tests for the distributed filesystem facade."""
+"""Tests for the distributed filesystem facade.
+
+The namespace both front ends share (listdir, fading, stat, removal, path
+and data validation) is tested over both in ``test_filesystem.py``; these
+are the cluster's own: location, placement refusal, departures and joins.
+"""
 
 import pytest
 
@@ -25,35 +30,27 @@ def cfs():
     return ClusterFS(cluster)
 
 
+def spread(cfs, n=24):
+    """Write 1 MiB files until the cluster refuses one; return their paths."""
+    paths = []
+    for i in range(n):
+        try:
+            path = f"/spread/{i:02d}"
+            cfs.write(path, b"x" * mib(1), 0.0, lifetime=two_step())
+            paths.append(path)
+        except StorageFullError:
+            break
+    return paths
+
+
 class TestBasics:
-    def test_round_trip_and_location(self, cfs):
+    def test_node_of_names_the_holder(self, cfs):
         cfs.write("/docs/a", b"hello", 0.0, lifetime=two_step())
-        assert cfs.read("/docs/a", 1.0) == b"hello"
-        assert cfs.node_of("/docs/a") in cfs.cluster.nodes
-        assert cfs.listdir("/docs") == ["/docs/a"]
-        assert "/docs/a" in cfs and "/docs/b" not in cfs
-        assert list(cfs.files()) == ["/docs/a"]
-
-    def test_stat_reports_holding_state(self, cfs):
-        cfs.write("/v", b"x" * mib(1), 0.0, lifetime=two_step())
-        stat = cfs.stat("/v", days(22.5))
-        assert stat.importance == pytest.approx(0.5)
-        assert stat.size == mib(1)
-
-    def test_overwrite_keeps_single_version(self, cfs):
-        cfs.write("/f", b"old", 0.0, lifetime=two_step())
-        cfs.write("/f", b"new", 1.0, lifetime=two_step())
-        assert cfs.read("/f", 2.0) == b"new"
-        assert len(cfs) == 1
-        assert cfs.cluster.resident_count() == 1
-
-    def test_default_annotations_by_path(self, cfs):
-        cfs.write("/tmp/junk", b"j", 0.0)
-        cfs.write("/home/me/doc", b"d", 0.0)
-        assert (
-            cfs.stat("/tmp/junk", 0.0).importance
-            < cfs.stat("/home/me/doc", 0.0).importance
-        )
+        node_id = cfs.node_of("/docs/a")
+        held = cfs.cluster.nodes[node_id].store.iter_residents()
+        assert [obj.size for obj in held] == [len(b"hello")]
+        with pytest.raises(FileNotFoundError):
+            cfs.node_of("/docs/b")
 
     def test_cluster_full_raises(self, cfs):
         for i in range(40):
@@ -68,18 +65,6 @@ class TestBasics:
 
 
 class TestFadingAndDepartures:
-    def test_pressure_fades_low_importance_files(self, cfs):
-        for i in range(32):
-            try:
-                cfs.write(f"/low/{i:02d}", b"x" * mib(1), 0.0,
-                          lifetime=two_step(p=0.4))
-            except StorageFullError:
-                break
-        cfs.write("/high", b"h" * mib(1), 1.0, lifetime=two_step(p=1.0))
-        assert cfs.faded()
-        with pytest.raises(FileFadedError):
-            cfs.read(cfs.faded()[0], 2.0)
-
     def test_node_departure_fades_its_files(self, cfs):
         cfs.write("/doomed", b"x" * mib(1), 0.0, lifetime=two_step())
         home = cfs.node_of("/doomed")
@@ -92,28 +77,40 @@ class TestFadingAndDepartures:
     def test_joined_nodes_are_tracked_after_sync(self, cfs):
         manager = ChurnManager(cfs.cluster, overlay_seed=1)
         manager.join("desk-new", mib(8), 0.0)
-        cfs.sync_membership()
         # Fill old nodes; new writes land on the joiner and are tracked.
-        paths = []
-        for i in range(24):
-            try:
-                path = f"/spread/{i:02d}"
-                cfs.write(path, b"x" * mib(1), 0.0, lifetime=two_step())
-                paths.append(path)
-            except StorageFullError:
-                break
+        paths = spread(cfs)
         on_joiner = [p for p in paths if cfs.node_of(p) == "desk-new"]
         assert on_joiner
         # Departure of the joiner fades exactly its files.
         manager.leave("desk-new", days(1))
         assert set(on_joiner) <= set(cfs.faded())
 
-    def test_explicit_remove_does_not_fade(self, cfs):
-        cfs.write("/f", b"x", 0.0)
-        cfs.remove("/f", 1.0)
-        assert cfs.faded() == []
-        with pytest.raises(FileNotFoundError):
-            cfs.read("/f", 2.0)
+    def test_a_joiners_lost_files_read_as_faded(self, cfs):
+        # A node that joins after the mount is tracked with no resync: when
+        # it leaves, its files are gone from the namespace and read faded.
+        manager = ChurnManager(cfs.cluster, overlay_seed=1)
+        manager.join("desk-new", mib(8), 0.0)
+        paths, on_joiner = [], []
+        for i in range(80):
+            path = f"/spread/{i:02d}"
+            try:
+                cfs.write(path, b"x" * mib(1), 0.0, lifetime=two_step())
+            except StorageFullError:
+                continue
+            paths.append(path)
+            if cfs.node_of(path) == "desk-new":
+                on_joiner.append(path)
+            if len(on_joiner) == 8:  # the joiner is full
+                break
+        assert len(on_joiner) == 8
+        manager.leave("desk-new", days(1))
+        listed = cfs.listdir("/")
+        assert sorted(on_joiner) == [p for p in cfs.faded() if p in on_joiner]
+        for path in on_joiner:
+            assert not cfs.exists(path) and path not in listed
+            with pytest.raises(FileFadedError):
+                cfs.read(path, days(2))
+        assert sorted(set(paths) - set(on_joiner)) == listed
 
     def test_density_is_cluster_wide(self, cfs):
         cfs.write("/f", b"x" * mib(8), 0.0, lifetime=two_step(p=1.0))

@@ -1,10 +1,12 @@
-"""Tests for the TemporalFS prototype."""
+"""Tests for the TemporalFS prototype and the namespace both front ends share."""
 
 import pytest
 
+from repro.besteffs.cluster import BesteffsCluster
+from repro.besteffs.placement import PlacementConfig
 from repro.core.importance import ConstantImportance, TwoStepImportance
 from repro.errors import StorageFullError
-from repro.fs import FileFadedError, TemporalFS
+from repro.fs import ClusterFS, FileFadedError, TemporalFS
 from repro.fs.path import PathError
 from repro.units import days, mib
 
@@ -18,56 +20,132 @@ def fs():
     return TemporalFS(mib(16))
 
 
-class TestWriteRead:
-    def test_round_trip(self, fs):
-        fs.write("/docs/report.txt", b"hello storage", 0.0, lifetime=two_step())
-        assert fs.read("/docs/report.txt", 1.0) == b"hello storage"
-        assert fs.exists("/docs/report.txt")
-        assert "/docs/report.txt" in fs and "/docs/other.txt" not in fs
-        assert len(fs) == 1
+@pytest.fixture(params=["temporal", "cluster"])
+def any_fs(request):
+    """A 16 MiB volume behind either front end."""
+    if request.param == "temporal":
+        return TemporalFS(mib(16))
+    cluster = BesteffsCluster(
+        {f"desk-{i}": mib(4) for i in range(4)}, placement=PlacementConfig(x=4, m=2), seed=2
+    )
+    return ClusterFS(cluster)
 
-    def test_stat_reports_annotation_state(self, fs):
-        fs.write("/v.mp4", b"x" * mib(1), 0.0, lifetime=two_step())
-        stat = fs.stat("/v.mp4", days(22.5))
+
+def stored_objects(fs):
+    """Objects the front end's backend holds (superseded versions included)."""
+    if isinstance(fs, ClusterFS):
+        return fs.cluster.resident_count()
+    return len(fs.store)
+
+
+def fill(fs, *, p, prefix="/bulk"):
+    """Write 1 MiB files at importance ``p`` until the volume refuses one."""
+    for i in range(40):
+        try:
+            fs.write(f"{prefix}/{i:02d}", b"x" * mib(1), 0.0, lifetime=two_step(p=p))
+        except StorageFullError:
+            return
+    pytest.fail("volume never filled")
+
+
+class TestNamespace:
+    """The path namespace: the same behaviour over either backend."""
+
+    def test_round_trip(self, any_fs):
+        any_fs.write("/docs/report.txt", b"hello storage", 0.0, lifetime=two_step())
+        assert any_fs.read("/docs/report.txt", 1.0) == b"hello storage"
+        assert any_fs.exists("/docs/report.txt")
+        assert "/docs/report.txt" in any_fs and "/docs/other.txt" not in any_fs
+        assert len(any_fs) == 1
+        assert list(any_fs.files()) == ["/docs/report.txt"]
+        assert any_fs.listdir("/docs") == ["/docs/report.txt"]
+
+    def test_stat_reports_annotation_state(self, any_fs):
+        any_fs.write("/v.mp4", b"x" * mib(1), 0.0, lifetime=two_step())
+        stat = any_fs.stat("/v.mp4", days(22.5))
+        assert stat.path == "/v.mp4"
         assert stat.size == mib(1)
         assert stat.importance == pytest.approx(0.5)
         assert stat.expires_at == days(30)
         assert stat.created_at == 0.0
+        assert stat.annotation == two_step()
 
-    def test_default_annotations_apply_by_path(self, fs):
-        fs.write("/tmp/scratch", b"data", 0.0)
-        fs.write("/home/me/thesis.tex", b"data", 0.0)
-        tmp = fs.stat("/tmp/scratch", 0.0)
-        home = fs.stat("/home/me/thesis.tex", 0.0)
+    def test_default_annotations_apply_by_path(self, any_fs):
+        any_fs.write("/tmp/scratch", b"data", 0.0)
+        any_fs.write("/home/me/thesis.tex", b"data", 0.0)
+        tmp = any_fs.stat("/tmp/scratch", 0.0)
+        home = any_fs.stat("/home/me/thesis.tex", 0.0)
         assert tmp.importance < home.importance
 
-    def test_explicit_annotation_beats_default(self, fs):
-        fs.write("/tmp/precious", b"data", 0.0, lifetime=two_step(p=1.0))
-        assert fs.stat("/tmp/precious", 0.0).importance == 1.0
+    def test_explicit_annotation_beats_default(self, any_fs):
+        any_fs.write("/tmp/precious", b"data", 0.0, lifetime=two_step(p=1.0))
+        assert any_fs.stat("/tmp/precious", 0.0).importance == 1.0
 
-    def test_overwrite_replaces_content_and_annotation(self, fs):
-        fs.write("/f", b"old", 0.0, lifetime=two_step(p=0.5))
-        fs.write("/f", b"new", days(1), lifetime=two_step(p=1.0))
-        assert fs.read("/f", days(1)) == b"new"
-        assert fs.stat("/f", days(1)).importance == 1.0
-        assert len(fs) == 1
+    def test_overwrite_replaces_content_and_annotation(self, any_fs):
+        any_fs.write("/f", b"old", 0.0, lifetime=two_step(p=0.5))
+        any_fs.write("/f", b"new", days(1), lifetime=two_step(p=1.0))
+        assert any_fs.read("/f", days(1)) == b"new"
+        assert any_fs.stat("/f", days(1)).importance == 1.0
+        assert len(any_fs) == 1
+        assert stored_objects(any_fs) == 1
 
-    def test_missing_file_raises_plain_not_found(self, fs):
+    def test_missing_file_raises_plain_not_found(self, any_fs):
+        for op in (any_fs.read, any_fs.stat):
+            with pytest.raises(FileNotFoundError) as excinfo:
+                op("/nope", 0.0)
+            assert not isinstance(excinfo.value, FileFadedError)
         with pytest.raises(FileNotFoundError):
-            fs.read("/nope", 0.0)
-        with pytest.raises(FileNotFoundError):
-            fs.stat("/nope", 0.0)
+            any_fs.remove("/nope", 0.0)
 
     @pytest.mark.parametrize("bad", ["relative", "/", "/a/"])
-    def test_bad_paths_rejected(self, fs, bad):
+    def test_bad_paths_rejected(self, any_fs, bad):
         with pytest.raises(PathError):
-            fs.write(bad, b"x", 0.0)
+            any_fs.write(bad, b"x", 0.0)
 
-    def test_non_bytes_and_empty_data_rejected(self, fs):
+    def test_non_bytes_and_empty_data_rejected(self, any_fs):
         with pytest.raises(PathError):
-            fs.write("/f", "text", 0.0)
+            any_fs.write("/f", "text", 0.0)
         with pytest.raises(PathError):
-            fs.write("/f", b"", 0.0)
+            any_fs.write("/f", b"", 0.0)
+        assert len(any_fs) == 0 and stored_objects(any_fs) == 0
+
+    def test_pressure_fades_and_a_faded_read_says_so(self, any_fs):
+        fill(any_fs, p=0.4)
+        any_fs.write("/vip", b"v" * mib(1), 1.0, lifetime=two_step(p=1.0))
+        faded = any_fs.faded()
+        assert faded and all(path.startswith("/bulk/") for path in faded)
+        for path in faded:
+            assert not any_fs.exists(path) and path not in any_fs
+            assert path not in any_fs.listdir("/bulk")
+            with pytest.raises(FileFadedError, match="reclaimed"):
+                any_fs.read(path, 2.0)
+            with pytest.raises(FileFadedError):
+                any_fs.stat(path, 2.0)
+        assert len(any_fs) == len(any_fs.listdir("/")) == stored_objects(any_fs)
+
+    def test_fade_then_rewrite_clears_fade_state(self, any_fs):
+        fill(any_fs, p=0.5)
+        any_fs.write("/vip", b"v" * mib(1), 1.0, lifetime=two_step(p=1.0))
+        faded_path = any_fs.faded()[0]
+        any_fs.write(faded_path, b"back" + b"x" * mib(1), days(40))
+        assert any_fs.read(faded_path, days(40)).startswith(b"back")
+        assert faded_path not in any_fs.faded()
+
+    def test_remove_is_traditional_delete(self, any_fs):
+        any_fs.write("/f", b"x", 0.0)
+        any_fs.remove("/f", 1.0)
+        assert not any_fs.exists("/f")
+        with pytest.raises(FileNotFoundError):
+            any_fs.read("/f", 2.0)
+        assert any_fs.faded() == []  # explicit removal is not fading
+        assert stored_objects(any_fs) == 0
+
+    def test_listdir_filters_by_directory(self, any_fs):
+        any_fs.write("/a/one", b"x", 0.0)
+        any_fs.write("/a/two", b"x", 0.0)
+        any_fs.write("/b/three", b"x", 0.0)
+        assert any_fs.listdir("/a") == ["/a/one", "/a/two"]
+        assert len(any_fs.listdir("/")) == 3
 
 
 class TestFading:
@@ -103,31 +181,8 @@ class TestFading:
             fs.write("/target", b"y" * mib(2), 1.0, lifetime=ConstantImportance())
         assert fs.read("/target", 2.0) == b"x" * mib(1)
 
-    def test_fade_then_rewrite_clears_fade_state(self, fs):
-        self.fill(fs, 16, p=0.5)
-        fs.write("/vip", b"v" * mib(1), 1.0, lifetime=two_step(p=1.0))
-        faded_path = fs.faded()[0]
-        fs.write(faded_path, b"back" + b"x" * mib(1), days(40))
-        assert fs.read(faded_path, days(40)).startswith(b"back")
-        assert faded_path not in fs.faded()
-
 
 class TestManagement:
-    def test_remove_is_traditional_delete(self, fs):
-        fs.write("/f", b"x", 0.0)
-        fs.remove("/f", 1.0)
-        assert not fs.exists("/f")
-        with pytest.raises(FileNotFoundError):
-            fs.read("/f", 2.0)
-        assert fs.faded() == []  # explicit removal is not fading
-
-    def test_listdir_filters_by_directory(self, fs):
-        fs.write("/a/one", b"x", 0.0)
-        fs.write("/a/two", b"x", 0.0)
-        fs.write("/b/three", b"x", 0.0)
-        assert fs.listdir("/a") == ["/a/one", "/a/two"]
-        assert len(fs.listdir("/")) == 3
-
     def test_set_lifetime_rejuvenates(self, fs):
         fs.write("/f", b"x" * mib(1), 0.0, lifetime=two_step())
         stat = fs.set_lifetime("/f", two_step(), days(25))

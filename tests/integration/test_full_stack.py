@@ -95,7 +95,6 @@ def campus():
             departures += len(list(cluster.nodes[victim].store.iter_residents()))
             manager.leave(victim, now)
             manager.join(f"desk-new-{day}", gib(3), now)
-            fs.sync_membership()
             churned_at.append(day)
 
     return {

@@ -47,14 +47,14 @@ class TestSpecValidation:
     def test_serve_config_mirrors_spec(self):
         spec = small_spec(
             queue_size=17, batch_max=5, rate_per_minute=3.0, rate_burst=2.0,
-            executor="thread",
+            coalesce=False,
         )
         config = spec.serve_config()
         assert config.queue_size == 17
         assert config.batch_max == 5
         assert config.rate_per_minute == 3.0
         assert config.rate_burst == 2.0
-        assert config.executor == "thread"
+        assert config.coalesce is False
 
 
 class TestDeploymentBuild:

@@ -55,8 +55,6 @@ class TestConfigValidation:
             {"queue_size": 0},
             {"batch_max": 0},
             {"retry_after_minutes": 0.0},
-            {"executor": "fork"},
-            {"threads": 0},
         ],
     )
     def test_bad_config_rejected(self, kwargs):
@@ -242,8 +240,7 @@ class TestLifecycle:
 
         assert asyncio.run(run()).stored
 
-    @pytest.mark.parametrize("executor", ["inline", "thread"])
-    def test_raising_gateway_fails_its_batch_and_keeps_draining(self, executor):
+    def test_raising_gateway_fails_its_batch_and_keeps_draining(self):
         # Rounds of two; the gateway raises in the 2nd.  Every caller must
         # get exactly one terminal outcome and stop() must still return.
         gateway = make_gateway()
@@ -262,7 +259,7 @@ class TestLifecycle:
         async def run():
             service = GatewayService(
                 gateway,
-                config=ServeConfig(batch_max=2, executor=executor),
+                config=ServeConfig(batch_max=2),
                 ledger=ledger,
             )
             await service.start()
@@ -314,17 +311,6 @@ class TestLifecycle:
         assert all(r.stored for i, r in enumerate(responses) if i != 2)
         assert gateway.refusals["auth"] == 1
         assert len(ledger) == 5
-
-    def test_thread_executor_matches_inline_statuses(self):
-        inline_gw = make_gateway()
-        inline = serve(inline_gw, make_requests(inline_gw, 12, size_gib=0.2))
-        threaded_gw = make_gateway()
-        threaded = serve(
-            threaded_gw,
-            make_requests(threaded_gw, 12, size_gib=0.2),
-            config=ServeConfig(executor="thread", threads=2),
-        )
-        assert [r.status for r in inline] == [r.status for r in threaded]
 
 
 class TestObsWiring:

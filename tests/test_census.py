@@ -32,3 +32,22 @@ def test_a_called_function_counts_and_an_uncalled_one_runs_nowhere(tmp_path):
         ("repro/two.py", 5): "nowhere",
     }
     assert census.classify(found, set(), called)[("repro/two.py", 1)] == "tier-1 only"
+
+
+def test_every_decision_names_a_function_under_src():
+    census = load_census()
+    found = {(module, info["qualname"]) for (module, _line), info in census.functions().items()}
+    for name in census.DECIDED:
+        module, qualname = name.split(":")
+        assert any(
+            m == module and (q + ".").startswith(qualname + ".") for m, q in found
+        ), f"DECIDED names {name!r}, which is not under src/repro"
+
+
+def test_a_decision_keeps_its_function_and_its_methods():
+    census = load_census()
+    info = {"qualname": "GroupedResidents.group_count", "abstract": False, "safety": False}
+    rule = census.keep_rule(("repro/core/victims.py", 1), info, set())
+    assert rule == "(e) decided: tests read the state through it"
+    info["qualname"] = "GroupedResidentsX.group_count"
+    assert census.keep_rule(("repro/core/victims.py", 1), info, set()) == "—"

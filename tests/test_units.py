@@ -1,7 +1,5 @@
 """Tests for the unit helpers."""
 
-import pytest
-
 from repro import units
 
 
@@ -36,27 +34,6 @@ class TestBytes:
         assert units.to_tib(units.tib(2)) == 2.0
         assert units.to_mib(units.mib(3)) == 3.0
         assert units.to_kib(units.kib(9)) == 9.0
-
-
-class TestFormatting:
-    @pytest.mark.parametrize("size,expected", [
-        (512, "512.00 B"),
-        (1536, "1.50 KiB"),
-        (units.mib(3), "3.00 MiB"),
-        (units.gib(80), "80.00 GiB"),
-        (units.tib(2), "2.00 TiB"),
-    ])
-    def test_fmt_bytes(self, size, expected):
-        assert units.fmt_bytes(size) == expected
-
-    @pytest.mark.parametrize("duration,expected", [
-        (30, "30 min"),
-        (90, "1.50 h"),
-        (units.days(2), "2.00 d"),
-        (units.years(1.5), "1.50 y"),
-    ])
-    def test_fmt_duration(self, duration, expected):
-        assert units.fmt_duration(duration) == expected
 
 
 class TestPublicApi:

@@ -13,7 +13,9 @@ observability sink and ``list`` / ``explain`` / ``flamegraph`` on it,
 ``examples/*.py``, the ``make`` smokes, ``bench --quick`` and ``benchmarks/``.
 Outside it a function is kept by (a) a ``repro.api`` export, (b) a paper
 section (``PAPER_SECTIONS``), (c) being a check or input validation, or (d)
-being abstract; the table names the rule.  ``make census`` takes ≈ 20 min.
+being abstract, or (e) a recorded decision (``DECIDED``); the table names the
+rule, and a function kept by none (``—``) is an open deletion candidate.
+``make census`` takes ≈ 20 min.
 """
 
 import argparse
@@ -29,9 +31,33 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
 KINDS = ("contract", "tier-1 only", "nowhere")
-NOTE = "Written by `make census` (`tools/census.py`); a function kept by no rule (—) is a deletion candidate."
+NOTE = "Written by `make census` (`tools/census.py`); a function kept by no rule (—) is an open deletion candidate."
 PAPER_SECTIONS = {"repro/fs/": "§6", "repro/ext/security.py": "§6", "repro/ext/sensor.py": "§6",
                   "repro/besteffs/versioning.py": "§4.1", "repro/besteffs/gossip.py": "§4.4"}
+#: ``module path:qualname`` -> why it stays outside the contract; a class name
+#: covers its methods.  ``tests/test_census.py`` checks every entry still exists.
+DECIDED = {
+    "repro/core/importance.py:PiecewiseLinearImportance": "the paper's §3 general monotone function",
+    "repro/core/victims.py:_stable_end": "the only path for off-grid or user-defined annotations",
+    "repro/besteffs/fairness.py:_trapezoid": "the fair-share cost of a piecewise-linear annotation",
+    "repro/besteffs/fairness.py:_numeric": "the fair-share cost of a user-defined annotation",
+    "repro/besteffs/walks.py:random_walk": "the walk for any RNG; the reference of the table-driven walk",
+    "repro/serve/ratelimit.py:TokenBucketLimiter": "the serving rate limiter, kept whole",
+    "repro/serve/ledger.py:ServeLedger.keyed_lines": "a target of bench/trace.py",
+    "repro/serve/ledger.py:ServeLedger.entry_dicts": "a target of bench/trace.py",
+    **dict.fromkeys(["repro/units.py:" + name for name in (
+        "minutes", "years", "to_minutes", "to_years", "kib", "tib", "to_kib", "to_mib")],
+        "a one-line unit converter"),
+    **dict.fromkeys([f"repro/obs/{name}" for name in (
+        "__init__.py:is_enabled", "log.py:JsonlLogger.enabled_for", "log.py:JsonlLogger.debug",
+        "log.py:JsonlLogger.warning", "log.py:JsonlLogger.error", "log.py:JsonlLogger.flush",
+        "metrics.py:Gauge.inc", "metrics.py:Gauge.dec", "metrics.py:Gauge.value",
+        "metrics.py:MetricsRegistry.reset", "timeseries.py:SeriesBuffer", "timeseries.py:TimeSeriesCollector",
+        "tracing.py:Tracer.records", "tracing.py:Tracer.stats")], "tests read the obs state through it"),
+    **dict.fromkeys(["repro/core/index.py:ImportanceIndex.expired_count",
+                     "repro/core/victims.py:GroupedResidents", "repro/serve/router.py:ShardRouter.offered_load",
+                     "repro/sim/clock.py:SimClock.advance_by"], "tests read the state through it"),
+}
 HOOK = '''import atexit, json, os, sys, threading
 from multiprocessing import util
 _seen = type("Seen", (set,), {})()  # a set subclass, so util can hold a weak reference
@@ -88,11 +114,19 @@ def classify(found: dict, called: set, tested: set) -> dict[tuple[str, int], str
     return {key: KINDS[0] if key in called else KINDS[1] if key in tested else KINDS[2] for key in found}
 
 
+def decision(module: str, qualname: str) -> str | None:
+    """The ``DECIDED`` reason covering a function, if any."""
+    return next((reason for name, reason in DECIDED.items() if name.split(":")[0] == module
+                 and (qualname + ".").startswith(name.split(":")[1] + ".")), None)
+
+
 def keep_rule(key: tuple[str, int], info: dict, exported: set[tuple[str, str]]) -> str:
-    """Which of the rules (a)-(d) keeps a function outside the contract, if any."""
+    """Which of the rules (a)-(e) keeps a function outside the contract, if any."""
     sections = [section for prefix, section in PAPER_SECTIONS.items() if key[0].startswith(prefix)]
+    decided = decision(key[0], info["qualname"])
     rules = [(info["abstract"], "(d) abstract"), ((key[0], info["qualname"].split(".")[0]) in exported, "(a) api"),
-             (sections, f"(b) {''.join(sections[:1])}"), (info["safety"], "(c) safety")]
+             (sections, f"(b) {''.join(sections[:1])}"), (info["safety"], "(c) safety"),
+             (decided, f"(e) decided: {decided}")]
     return next((label for holds, label in rules if holds), "—")
 
 
