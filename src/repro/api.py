@@ -23,132 +23,80 @@ exposed:
   :func:`serve` helper over a gateway, and the
   :class:`LoadGenSpec`/:func:`run_loadgen` load-generator pair (see
   ``docs/serving.md``).
+
+Each name resolves on first access (:mod:`repro._lazy`), so a run loads only its layers.
 """
 
 from __future__ import annotations
 
-from repro.besteffs import (
-    BesteffsCluster,
-    BesteffsGateway,
-    BesteffsNode,
-    CapabilityRealm,
-    ClusterStats,
-    FairShareLedger,
-)
-from repro.core import (
-    Annotation,
-    EvictionPolicy,
-    ImportanceFunction,
-    PalimpsestPolicy,
-    StorageUnit,
-    StoreStats,
-    StoredObject,
-    TemporalImportancePolicy,
-    TwoStepImportance,
-    importance_density,
-)
-from repro.experiments.registry import run_experiment
-from repro.obs.alerts import AlertEngine, AlertRule, load_rules
-from repro.obs.audit import AuditLedger, AuditRecord
-from repro.obs.traceexport import TraceArchive, trace_id_for
-from repro.obs.tracing import SpanRecord
-from repro.report.explain import explain_object, load_run_ledger
-from repro.report.flamegraph import (
-    CriticalPathResult,
-    collapsed_stacks,
-    critical_path,
-    render_critical_path,
-)
-from repro.sim import Recorder, ScenarioResult, SimulationEngine, run_single_store
-from repro.sim.parallel import (
-    ObsOptions,
-    RunError,
-    RunOutcome,
-    RunSpec,
-    execute_spec,
-    expand_sweep,
-    run_specs,
-    seed_for,
-)
-from repro.sim.runner import feed_arrivals
-from repro.serve import (
-    GatewayService,
-    LoadGenReport,
-    LoadGenSpec,
-    RouterConfig,
-    ServeConfig,
-    StoreRequest,
-    StoreResponse,
-    StoreStatus,
-    home_shard,
-    plan_routes,
-    run_loadgen,
-    run_sharded,
-    serve,
-)
+from repro._lazy import lazy_getattr
 
-__all__ = [
+_LAZY = {
     # core model
-    "Annotation",
-    "EvictionPolicy",
-    "ImportanceFunction",
-    "PalimpsestPolicy",
-    "StorageUnit",
-    "StoreStats",
-    "StoredObject",
-    "TemporalImportancePolicy",
-    "TwoStepImportance",
-    "importance_density",
+    "Annotation": "repro.core",
+    "EvictionPolicy": "repro.core",
+    "ImportanceFunction": "repro.core",
+    "PalimpsestPolicy": "repro.core",
+    "StorageUnit": "repro.core",
+    "StoreStats": "repro.core",
+    "StoredObject": "repro.core",
+    "TemporalImportancePolicy": "repro.core",
+    "TwoStepImportance": "repro.core",
+    "importance_density": "repro.core",
     # simulation
-    "BesteffsCluster",
-    "BesteffsNode",
-    "ClusterStats",
-    "Recorder",
-    "ScenarioResult",
-    "SimulationEngine",
-    "feed_arrivals",
-    "run_single_store",
+    "BesteffsCluster": "repro.besteffs",
+    "BesteffsNode": "repro.besteffs",
+    "ClusterStats": "repro.besteffs",
+    "Recorder": "repro.sim",
+    "ScenarioResult": "repro.sim",
+    "SimulationEngine": "repro.sim",
+    "feed_arrivals": "repro.sim.runner",
+    "run_single_store": "repro.sim",
     # run-spec API
-    "ObsOptions",
-    "RunError",
-    "RunOutcome",
-    "RunSpec",
-    "execute_spec",
-    "expand_sweep",
-    "run_experiment",
-    "run_specs",
-    "seed_for",
+    "ObsOptions": "repro.sim.parallel",
+    "RunError": "repro.sim.parallel",
+    "RunOutcome": "repro.sim.parallel",
+    "RunSpec": "repro.sim.parallel",
+    "execute_spec": "repro.sim.parallel",
+    "expand_sweep": "repro.sim.parallel",
+    "run_experiment": "repro.experiments.registry",
+    "run_specs": "repro.sim.parallel",
+    "seed_for": "repro.sim.parallel",
     # decision provenance + SLO alerts
-    "AlertEngine",
-    "AlertRule",
-    "AuditLedger",
-    "AuditRecord",
-    "explain_object",
-    "load_rules",
-    "load_run_ledger",
+    "AlertEngine": "repro.obs.alerts",
+    "AlertRule": "repro.obs.alerts",
+    "AuditLedger": "repro.obs.audit",
+    "AuditRecord": "repro.obs.audit",
+    "explain_object": "repro.report.explain",
+    "load_rules": "repro.obs.alerts",
+    "load_run_ledger": "repro.report.explain",
     # distributed traces + critical path / collapsed stacks
-    "CriticalPathResult",
-    "SpanRecord",
-    "TraceArchive",
-    "collapsed_stacks",
-    "critical_path",
-    "render_critical_path",
-    "trace_id_for",
+    "CriticalPathResult": "repro.report.flamegraph",
+    "SpanRecord": "repro.obs.tracing",
+    "TraceArchive": "repro.obs.traceexport",
+    "collapsed_stacks": "repro.report.flamegraph",
+    "critical_path": "repro.report.flamegraph",
+    "render_critical_path": "repro.report.flamegraph",
+    "trace_id_for": "repro.obs.traceexport",
     # serving (repro.serve)
-    "BesteffsGateway",
-    "CapabilityRealm",
-    "FairShareLedger",
-    "GatewayService",
-    "LoadGenReport",
-    "LoadGenSpec",
-    "RouterConfig",
-    "ServeConfig",
-    "StoreRequest",
-    "StoreResponse",
-    "StoreStatus",
-    "home_shard",
-    "plan_routes",
-    "run_loadgen",
-    "run_sharded",
-    "serve",
-]
+    "BesteffsGateway": "repro.besteffs",
+    "CapabilityRealm": "repro.besteffs",
+    "FairShareLedger": "repro.besteffs",
+    "GatewayService": "repro.serve",
+    "LoadGenReport": "repro.serve",
+    "LoadGenSpec": "repro.serve",
+    "RouterConfig": "repro.serve",
+    "ServeConfig": "repro.serve",
+    "StoreRequest": "repro.serve",
+    "StoreResponse": "repro.serve",
+    "StoreStatus": "repro.serve",
+    "home_shard": "repro.serve",
+    "plan_routes": "repro.serve",
+    "run_loadgen": "repro.serve",
+    "run_sharded": "repro.serve",
+    "serve": "repro.serve",
+}
+
+__all__ = list(_LAZY)
+
+__getattr__ = lazy_getattr(globals(), _LAZY)

@@ -12,10 +12,15 @@ library users' code, and holds that ``now`` to one contract, the unit clock
 
 from __future__ import annotations
 
+import dataclasses
+from array import array
+from contextlib import suppress
 from dataclasses import dataclass
+from functools import cache
 from math import isfinite
+from operator import attrgetter, eq
 from time import perf_counter
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from repro.core.importance import ImportanceFunction
 from repro.core.index import ImportanceIndex, Resident
@@ -28,6 +33,7 @@ from repro.obs import COUNT_BUCKETS, STATE as _OBS, observe_phase
 
 __all__ = [
     "EvictionRecord",
+    "HistoryLog",
     "RejectionRecord",
     "AdmissionResult",
     "StorageUnit",
@@ -125,6 +131,132 @@ class RejectionRecord:
     unit: str = ""
 
 
+#: History fields that repeat a few values: kept as codes into one table
+#: of distinct labels per log.
+_LABELS = frozenset({"creator", "reason", "unit"})
+#: Column typecode by a field's annotation; "" keeps the field in a list.
+_TYPECODES = {"float": "d", "int": "q", "bool": "b"}
+#: Rows a log buffers before it moves them into its columns in one pass,
+#: so an append (one per offer or eviction) costs about a list append.
+_BATCH = 256
+
+R = TypeVar("R")
+
+
+#: Per record type: field names, column kinds ("I" label code, "d", "q",
+#: "b", "" list) and the getter of a record's field values.
+_Layout = NamedTuple("_Layout", [("names", tuple), ("kinds", tuple), ("fields_of", attrgetter)])
+
+
+@cache
+def _layout(record_type: type) -> _Layout:
+    fields = dataclasses.fields(record_type)
+    kinds = tuple("I" if f.name in _LABELS else _TYPECODES.get(f.type, "") for f in fields)
+    names = tuple(f.name for f in fields)
+    return _Layout(names, kinds, attrgetter(*names))
+
+
+class HistoryLog(Sequence[R]):
+    """An append-only, read-only sequence of one slotted record type, kept
+    as one column per field: floats in ``array("d")``, ints in
+    ``array("q")`` (a list once one outgrows 64 bits), bools in
+    ``array("b")``, the labels (``creator``, ``reason``, ``unit``) as
+    ``array("I")`` codes into one label table, and ids, annotations and
+    optional values in lists.  Indexing and iteration rebuild equal
+    records, bit for bit; :meth:`column` reads one field without building
+    any.  A log equals another log or a list of equal records, and pickles.
+    """
+
+    __slots__ = ("record_type", "_pending", "_columns", "_labels", "_codes")
+
+    def __init__(self, record_type: type[R]) -> None:
+        self.record_type = record_type
+        #: Appended rows (tuples of field values) not yet in the columns,
+        #: which appear on the first flush: an empty log is two objects.
+        self._pending: list[tuple] = []
+        self._columns: list | tuple = ()
+        self._labels: list[str] | tuple = ()
+        self._codes: dict[str, int] | tuple = ()
+
+    def append(self, record: R) -> None:
+        """Append one record."""
+        self.add(*_layout(self.record_type).fields_of(record))
+
+    def add(self, *values: object) -> None:
+        """Append one record given as its field values, in field order."""
+        kinds = _layout(self.record_type).kinds
+        if len(values) != len(kinds):
+            raise TypeError(f"{self.record_type.__name__} has {len(kinds)} fields")
+        self._pending.append(values)
+        if len(self._pending) >= _BATCH:
+            self._flush()
+
+    def _flush(self) -> list | tuple:
+        """Move the buffered rows into the columns; returns the columns."""
+        rows, columns = self._pending, self._columns
+        if not rows:
+            return columns
+        kinds = _layout(self.record_type).kinds
+        if not columns:
+            columns = self._columns = [array(kind) if kind else [] for kind in kinds]
+            self._labels, self._codes = [], {}
+        codes, labels = self._codes, self._labels
+        segments = []
+        for kind, values in zip(kinds, zip(*rows)):
+            if kind == "I":
+                for label in dict.fromkeys(values):
+                    if label not in codes:
+                        codes[label] = len(labels)
+                        labels.append(label)
+                values = map(codes.__getitem__, values)
+            if kind:
+                with suppress(OverflowError):  # an int past 64 bits stays in a tuple
+                    values = array(kind, values)
+            segments.append(values)
+        # Every segment is built before any column grows: a bad row leaves
+        # the log as it was.
+        for i, segment in enumerate(segments):
+            if isinstance(columns[i], array) and not isinstance(segment, array):
+                columns[i] = list(columns[i])
+            columns[i].extend(segment)
+        self._pending = []
+        return columns
+
+    def column(self, name: str) -> Iterable:
+        """One field's values in append order, without building records."""
+        return self._decoded(self._flush(), _layout(self.record_type).names.index(name))
+
+    def _decoded(self, columns: list, i: int) -> Iterable:
+        if not columns:
+            return ()
+        kind = _layout(self.record_type).kinds[i]
+        if kind == "I":
+            return map(self._labels.__getitem__, columns[i])
+        return map(bool, columns[i]) if kind == "b" else columns[i]
+
+    def _rows(self, columns: list) -> Iterator[R]:
+        decoded = [self._decoded(columns, i) for i in range(len(columns))]
+        return map(self.record_type, *decoded) if decoded else iter(())
+
+    def __len__(self) -> int:
+        return (len(self._columns[0]) if self._columns else 0) + len(self._pending)
+
+    def __iter__(self) -> Iterator[R]:
+        return self._rows(self._flush())
+
+    def __getitem__(self, index):
+        columns = self._flush()
+        if isinstance(index, slice):
+            return list(self._rows([column[index] for column in columns]))
+        i = range(len(self))[index]
+        return next(self._rows([column[i : i + 1] for column in columns]))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (HistoryLog, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
 @dataclass(frozen=True, slots=True)
 class AdmissionResult:
     """Outcome of :meth:`StorageUnit.offer`."""
@@ -148,7 +280,8 @@ class StorageUnit:
         Identifier used in records and reports (e.g. ``"desktop-0421"``).
     keep_history:
         When True (default) every eviction and rejection record is retained
-        in :attr:`evictions` / :attr:`rejections`.  Long multi-year
+        in :attr:`evictions` / :attr:`rejections` (read-only
+        :class:`HistoryLog` sequences).  Long multi-year
         simulations with external recorders can disable retention and rely
         on the ``on_eviction`` / ``on_rejection`` callbacks instead.
 
@@ -197,8 +330,8 @@ class StorageUnit:
         self._now = -float("inf")
 
         #: Retained event history (see ``keep_history``).
-        self.evictions: list[EvictionRecord] = []
-        self.rejections: list[RejectionRecord] = []
+        self.evictions: HistoryLog[EvictionRecord] = HistoryLog(EvictionRecord)
+        self.rejections: HistoryLog[RejectionRecord] = HistoryLog(RejectionRecord)
 
         #: Monotonic counters, always maintained regardless of history mode.
         self.accepted_count = 0

@@ -15,7 +15,7 @@ paper-scale (5/10-year) runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.importance import DiracImportance, FixedLifetimeImportance
 from repro.core.policies import (
@@ -60,10 +60,6 @@ class SingleAppSetup:
     seed: int = 42
     policy: str = POLICY_TEMPORAL
     density_interval_days: float = 1.0
-
-    def variants(self, capacities: tuple[int, ...] = (80, 120)) -> list["SingleAppSetup"]:
-        """This setup at each of the paper's disk sizes."""
-        return [replace(self, capacity_gib=c) for c in capacities]
 
 
 @dataclass(frozen=True)

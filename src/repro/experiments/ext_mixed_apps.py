@@ -108,15 +108,15 @@ def _run(
     )
 
     per_class: dict[str, dict[str, float]] = {}
+    # Each history is rebuilt into records once, not once per class.
+    recorder = result.recorder
+    all_arrivals, all_rejected = list(recorder.arrivals), list(recorder.rejections)
+    all_evictions = list(recorder.evictions)
     for app in classes:
-        arrivals = [a for a in result.recorder.arrivals if a.creator == app.name]
-        rejected = [
-            r for r in result.recorder.rejections if r.creator == app.name
-        ]
+        arrivals = [a for a in all_arrivals if a.creator == app.name]
+        rejected = [r for r in all_rejected if r.creator == app.name]
         evictions = [
-            r
-            for r in result.recorder.evictions
-            if r.reason == "preempted" and r.creator == app.name
+            r for r in all_evictions if r.reason == "preempted" and r.creator == app.name
         ]
         lifetimes = [to_days(r.achieved_lifetime) for r in evictions]
         requested = app.persist_days + app.wane_days

@@ -17,13 +17,14 @@ annotation and zero maintenance writes.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from repro.analysis.timeconstant import estimate_time_constants
 from repro.core.importance import DiracImportance
 from repro.core.obj import StoredObject
 from repro.core.policies.palimpsest import PalimpsestPolicy
-from repro.core.store import StorageUnit
+from repro.core.store import HistoryLog, StorageUnit
 from repro.ext.refresher import PalimpsestRefresher, RefreshOutcome
 from repro.report.table import TextTable
 from repro.sim.recorder import ArrivalRecord, Recorder
@@ -51,14 +52,17 @@ class RefreshResult:
 
 
 def _windowed_estimator(
-    arrivals: list[ArrivalRecord], capacity_bytes: int, window_minutes: float
+    arrivals: HistoryLog[ArrivalRecord], capacity_bytes: int, window_minutes: float
 ):
     """A client that re-estimates tau from the trailing window."""
 
     def estimate(now: float) -> float:
         start = max(0.0, now - window_minutes)
+        # Arrivals are logged in time order: the window is one slice, and
+        # only its records are rebuilt.
+        t = arrivals.column("t")
         series = estimate_time_constants(
-            [a for a in arrivals if start <= a.t <= now],
+            arrivals[bisect_left(t, start) : bisect_right(t, now)],
             capacity_bytes,
             window_minutes,
             t_start=start,

@@ -26,6 +26,7 @@ importable from :mod:`repro.besteffs.gateway` without circularity.  The
 service and loadgen surfaces load lazily on first attribute access.
 """
 
+from repro._lazy import lazy_getattr
 from repro.serve.protocol import ServeError, StoreRequest, StoreResponse, StoreStatus
 
 __all__ = [
@@ -64,11 +65,4 @@ _LAZY = {
     "run_sharded": "repro.serve.sharded",
 }
 
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
+__getattr__ = lazy_getattr(globals(), _LAZY)

@@ -14,38 +14,30 @@ years ...) on a minute granularity".  This package provides:
   Figure 8 popularity-trace synthesiser.
 * :mod:`repro.sim.parallel` — picklable :class:`RunSpec` descriptions and
   the multi-process sweep executor.
+
+Each name below resolves on first access (:mod:`repro._lazy`).
 """
 
-from repro.sim.clock import SimClock
-from repro.sim.engine import SimulationEngine
-from repro.sim.events import Event
-from repro.sim.parallel import (
-    ObsOptions,
-    RunError,
-    RunOutcome,
-    RunSpec,
-    execute_spec,
-    expand_sweep,
-    run_specs,
-    seed_for,
-)
-from repro.sim.recorder import ArrivalRecord, Recorder
-from repro.sim.runner import ScenarioResult, run_single_store
+from repro._lazy import lazy_getattr
 
-__all__ = [
-    "ArrivalRecord",
-    "Event",
-    "ObsOptions",
-    "Recorder",
-    "RunError",
-    "RunOutcome",
-    "RunSpec",
-    "ScenarioResult",
-    "SimClock",
-    "SimulationEngine",
-    "execute_spec",
-    "expand_sweep",
-    "run_single_store",
-    "run_specs",
-    "seed_for",
-]
+_LAZY = {
+    "ArrivalRecord": "repro.sim.recorder",
+    "Event": "repro.sim.events",
+    "ObsOptions": "repro.sim.parallel",
+    "Recorder": "repro.sim.recorder",
+    "RunError": "repro.sim.parallel",
+    "RunOutcome": "repro.sim.parallel",
+    "RunSpec": "repro.sim.parallel",
+    "ScenarioResult": "repro.sim.runner",
+    "SimClock": "repro.sim.clock",
+    "SimulationEngine": "repro.sim.engine",
+    "execute_spec": "repro.sim.parallel",
+    "expand_sweep": "repro.sim.parallel",
+    "run_single_store": "repro.sim.runner",
+    "run_specs": "repro.sim.parallel",
+    "seed_for": "repro.sim.parallel",
+}
+
+__all__ = list(_LAZY)
+
+__getattr__ = lazy_getattr(globals(), _LAZY)

@@ -51,6 +51,3 @@ class SimClock:
             raise ClockError(f"clock delta must be >= 0, got {delta_minutes!r}")
         self._now += delta
         return self._now
-
-    def __repr__(self) -> str:
-        return f"SimClock(now={self._now:.1f} min)"

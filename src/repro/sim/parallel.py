@@ -28,11 +28,9 @@ trivially true and keeps behaviour identical across platforms.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import re
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import product
@@ -344,6 +342,10 @@ def run_specs(
             if on_outcome is not None:
                 on_outcome(outcome)
         return outcomes
+
+    # Imported here so that inline runs (jobs=1) never load multiprocessing.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
 
     context = multiprocessing.get_context(start_method)
     results: list[RunOutcome | None] = [None] * len(spec_list)

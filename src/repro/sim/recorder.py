@@ -13,6 +13,9 @@ streams every experiment consumes:
   (Figure 4);
 * **density samples** — the instantaneous storage importance density
   time-series (Figures 6, 12), gathered by a periodic probe.
+
+Arrivals, evictions and rejections are :class:`~repro.core.store.HistoryLog`
+columns: read-only sequences that rebuild a record when it is read.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.density import DensitySample, importance_density
-from repro.core.store import EvictionRecord, RejectionRecord, StorageUnit
+from repro.core.store import EvictionRecord, HistoryLog, RejectionRecord, StorageUnit
 from repro.obs import STATE as _OBS
 
 __all__ = ["ArrivalRecord", "Recorder"]
@@ -47,9 +50,9 @@ class Recorder:
     """
 
     def __init__(self) -> None:
-        self.arrivals: list[ArrivalRecord] = []
-        self.evictions: list[EvictionRecord] = []
-        self.rejections: list[RejectionRecord] = []
+        self.arrivals: HistoryLog[ArrivalRecord] = HistoryLog(ArrivalRecord)
+        self.evictions: HistoryLog[EvictionRecord] = HistoryLog(EvictionRecord)
+        self.rejections: HistoryLog[RejectionRecord] = HistoryLog(RejectionRecord)
         self.density_samples: list[DensitySample] = []
         self._stores: list[StorageUnit] = []
 
@@ -88,12 +91,7 @@ class Recorder:
         self, t: float, size: int, admitted: bool, creator: str, object_id: str, unit: str = ""
     ) -> None:
         """Log one offered object (admitted or not)."""
-        self.arrivals.append(
-            ArrivalRecord(
-                t=t, size=size, admitted=admitted, creator=creator,
-                object_id=object_id, unit=unit,
-            )
-        )
+        self.arrivals.add(t, size, admitted, creator, object_id, unit)
 
     def sample_density(self, now: float) -> None:
         """Take one density sample per attached store.
@@ -132,10 +130,7 @@ class Recorder:
 
     def rejections_cumulative(self) -> list[tuple[float, int]]:
         """Cumulative rejection count over time — the Figure 4 series."""
-        series = []
-        for i, record in enumerate(self.rejections, start=1):
-            series.append((record.t_rejected, i))
-        return series
+        return list(zip(self.rejections.column("t_rejected"), range(1, len(self.rejections) + 1)))
 
     def density_series(self) -> list[tuple[float, float]]:
         """``(t, density)`` pairs across all samples (Figures 6/12)."""
@@ -143,12 +138,18 @@ class Recorder:
 
     def admitted_count(self) -> int:
         """Number of admitted arrivals seen by this recorder."""
-        return sum(1 for a in self.arrivals if a.admitted)
+        return sum(self.arrivals.column("admitted"))
 
     def summary(self) -> dict[str, float]:
         """Coarse run summary used by reports and integration tests."""
         admitted = self.admitted_count()
-        lifetimes = [r.achieved_lifetime for r in self.evictions if r.reason == "preempted"]
+        ev = self.evictions
+        lifetimes = [
+            t_evicted - t_arrival
+            for t_evicted, t_arrival, reason in zip(
+                ev.column("t_evicted"), ev.column("t_arrival"), ev.column("reason"))
+            if reason == "preempted"
+        ]
         densities = [s.density for s in self.density_samples]
         return {
             "arrivals": float(len(self.arrivals)),

@@ -138,12 +138,3 @@ class LectureCaptureWorkload:
                             lifetime=student_lifetime_for_day(ts, self.calendar),
                             creator=STUDENT_CREATOR,
                         )
-
-    def expected_bytes_per_term_day(self) -> float:
-        """Mean offered bytes per class day (for capacity planning docs)."""
-        cfg = self.config
-        per_lecture = (
-            cfg.university_object_bytes
-            + cfg.max_students * cfg.student_probability * cfg.student_object_bytes
-        )
-        return per_lecture * cfg.courses * cfg.lectures_per_day_per_course

@@ -22,11 +22,6 @@ from repro.units import gib
 
 
 class TestSingleAppSetup:
-    def test_variants_cover_both_disks(self):
-        setups = SingleAppSetup().variants()
-        assert [s.capacity_gib for s in setups] == [80, 120]
-        assert all(s.policy == POLICY_TEMPORAL for s in setups)
-
     @pytest.mark.parametrize("policy,policy_type", [
         (POLICY_TEMPORAL, TemporalImportancePolicy),
         (POLICY_NO_IMPORTANCE, FixedLifetimePolicy),

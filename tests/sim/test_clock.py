@@ -48,6 +48,3 @@ class TestSimClock:
     def test_advance_to_rejects_nan(self):
         with pytest.raises(ClockError):
             SimClock().advance_to(float("nan"))
-
-    def test_repr(self):
-        assert "now=3.0" in repr(SimClock(3.0))

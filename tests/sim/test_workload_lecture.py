@@ -12,6 +12,7 @@ from repro.sim.workload.lecture import (
     stream_bytes,
 )
 from repro.units import days, gib, mib
+from tests.oracles.lecture import expected_bytes_per_term_day
 
 
 class TestStreamBytes:
@@ -124,9 +125,12 @@ class TestLectureCaptureWorkload:
         assert triple == 3 * single
 
     def test_expected_bytes_per_term_day(self):
-        cfg = LectureConfig(student_probability=0.5)
-        workload = LectureCaptureWorkload(config=cfg)
-        expected = workload.expected_bytes_per_term_day()
+        cfg = LectureConfig(courses=10, student_probability=0.5)
+        expected = expected_bytes_per_term_day(cfg)
         assert expected == pytest.approx(
-            cfg.university_object_bytes + 1.5 * cfg.student_object_bytes
+            10 * (cfg.university_object_bytes + 1.5 * cfg.student_object_bytes)
         )
+        objs = list(LectureCaptureWorkload(config=cfg, seed=5).arrivals(days(365)))
+        class_days = {int(obj.t_arrival // days(1)) for obj in objs}
+        offered = sum(obj.size for obj in objs) / len(class_days)
+        assert offered == pytest.approx(expected, rel=0.03)

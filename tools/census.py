@@ -56,7 +56,8 @@ DECIDED = {
         "tracing.py:Tracer.records", "tracing.py:Tracer.stats")], "tests read the obs state through it"),
     **dict.fromkeys(["repro/core/index.py:ImportanceIndex.expired_count",
                      "repro/core/victims.py:GroupedResidents", "repro/serve/router.py:ShardRouter.offered_load",
-                     "repro/sim/clock.py:SimClock.advance_by"], "tests read the state through it"),
+                     "repro/sim/clock.py:SimClock.advance_by", "repro/core/store.py:HistoryLog.__eq__"],
+                    "tests read the state through it"),
 }
 HOOK = '''import atexit, json, os, sys, threading
 from multiprocessing import util
@@ -133,7 +134,7 @@ def keep_rule(key: tuple[str, int], info: dict, exported: set[tuple[str, str]]) 
 def render(found: dict, status: dict[tuple[str, int], str], heading: str) -> str:
     import repro.api as api
     exported = {(Path(sys.modules[obj.__module__].__file__).resolve().relative_to(SRC.parent).as_posix(),
-                 obj.__qualname__.split(".")[0]) for obj in map(api.__dict__.get, api.__all__)}
+                 obj.__qualname__.split(".")[0]) for obj in (getattr(api, name) for name in api.__all__)}
     totals = {kind: [0, 0] for kind in KINDS}
     modules: dict[str, list[str]] = {}
     for key in sorted(found):
