@@ -2,7 +2,8 @@
 
 To store an object, the reclamation algorithm:
 
-1. randomly picks ``x`` storage units (random walks on the overlay);
+1. randomly picks ``x`` storage units (random walks on the overlay,
+   walked one at a time, so a round stops walking at its direct store);
 2. probes each for the **highest importance object that will be
    preempted** were the object stored there;
 3. stores *directly* on any probed unit whose highest preempted importance
@@ -28,7 +29,7 @@ from typing import Mapping
 
 from repro.besteffs.node import BesteffsNode
 from repro.besteffs.overlay import Overlay
-from repro.besteffs.walks import DEFAULT_WALK_LENGTH, sample_nodes
+from repro.besteffs.walks import DEFAULT_WALK_LENGTH, walk_endpoints
 from repro.core.obj import StoredObject
 from repro.errors import PlacementError
 from repro.obs import COUNT_BUCKETS, IMPORTANCE_BUCKETS, STATE as _OBS, observe_phase
@@ -197,7 +198,8 @@ def _choose_unit(
 
     for round_no in range(1, config.m + 1):
         round_t0 = perf_counter() if profiled else 0.0
-        sampled = sample_nodes(
+        # Lazy: a round walks only until the probe that decides it.
+        sampled = walk_endpoints(
             overlay, origin, config.x, rng, walk_length=config.walk_length
         )
         for node_id in sampled:
@@ -211,6 +213,7 @@ def _choose_unit(
             if not probe.admissible:
                 continue  # full for this object (or oversized here)
             if probe.direct:
+                sampled.close()  # observes the walks this round ran
                 if profiled:
                     observe_phase("placement.round", perf_counter() - round_t0)
                 return (

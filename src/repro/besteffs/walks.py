@@ -10,12 +10,13 @@ global membership view.
 from __future__ import annotations
 
 import random
+from typing import Generator
 
 from repro.besteffs.overlay import Overlay
 from repro.errors import OverlayError
 from repro.obs import COUNT_BUCKETS, STATE as _OBS
 
-__all__ = ["random_walk", "sample_nodes"]
+__all__ = ["random_walk", "sample_nodes", "walk_endpoints"]
 
 #: Default walk length; ≥ the mixing time of the default 8-regular overlay
 #: at the paper's 2,000-node scale.
@@ -57,7 +58,7 @@ def random_walk(
     return current
 
 
-def sample_nodes(
+def walk_endpoints(
     overlay: Overlay,
     start: str,
     x: int,
@@ -65,21 +66,22 @@ def sample_nodes(
     *,
     walk_length: int = DEFAULT_WALK_LENGTH,
     max_attempts_factor: int = 8,
-) -> list[str]:
-    """Collect up to ``x`` *distinct* nodes via independent random walks.
+) -> Generator[str, None, None]:
+    """Yield up to ``x`` *distinct* nodes, one random walk at a time.
 
-    Walk endpoints may repeat, so the sampler retries until it has ``x``
-    distinct units or has spent ``x * max_attempts_factor`` walks — on a
-    small overlay fewer than ``x`` distinct nodes may exist at all, in
-    which case every member found is returned.
+    Walk endpoints may repeat, so the sampler walks until it has yielded
+    ``x`` distinct units or has spent ``x * max_attempts_factor`` walks —
+    on a small overlay fewer than ``x`` distinct nodes may exist at all.
+    Each endpoint is yielded when its walk ends, so a caller that stops
+    early (placement's direct store) draws no bits for walks it would not
+    use: its draws are a prefix of the full sample's.  Arguments are
+    checked at the call; the count of walks run is observed when the
+    generator finishes or is closed.
 
     When ``x`` covers the whole overlay the walks cannot discover
-    anything a membership scan would not: the best possible outcome is
-    "every node", and on a two-node shard the sampler would burn
-    ``x * max_attempts_factor`` sixteen-step walks to get there.  That
-    case short-circuits to the canonical member list without touching
-    the RNG, so callers that stay below the overlay size (every
-    full-cluster path) draw exactly the bits they always did.
+    anything a membership scan would not (and on a two-node shard would
+    burn ``x * max_attempts_factor`` walks to get there), so that case
+    yields the canonical member list without touching the RNG.
     """
     if x < 1:
         raise OverlayError(f"sample size x must be >= 1, got {x}")
@@ -88,19 +90,24 @@ def sample_nodes(
     start_ix = index_of.get(start)
     if start_ix is None:
         raise OverlayError(f"walk start {start!r} is not an overlay member")
+    if x < len(overlay.node_ids) and walk_length < 0:
+        raise OverlayError(f"walk length must be >= 0, got {walk_length}")
+    limit = x * max_attempts_factor
+    return _endpoints(overlay, start, start_ix, draws, x, rng, walk_length, limit)
+
+
+def _endpoints(overlay, start, start_ix, draws, x, rng, walk_length, limit):
+    """The walks of :func:`walk_endpoints`, run as they are consumed."""
     members = overlay.node_ids
-    found: list[str] = []
     attempts = 0
-    if x >= len(members):
-        found = list(members)
-    else:
-        if walk_length < 0:
-            raise OverlayError(f"walk length must be >= 0, got {walk_length}")
+    try:
+        if x >= len(members):
+            yield from members
+            return
         seen: set[str] = set()
-        limit = x * max_attempts_factor
         fast = type(rng) is random.Random
         getrandbits = rng.getrandbits
-        while len(found) < x and attempts < limit:
+        while len(seen) < x and attempts < limit:
             if fast:
                 endpoint = members[_walk(draws, start_ix, walk_length, getrandbits)]
             else:
@@ -108,21 +115,33 @@ def sample_nodes(
             attempts += 1
             if endpoint not in seen:
                 seen.add(endpoint)
-                found.append(endpoint)
-    if _OBS.enabled:
-        registry = _OBS.registry
-        registry.counter(
-            "overlay_walks_total", "Random walks executed by the sampler."
-        ).inc(attempts)
-        if attempts:  # none on the whole-overlay shortcut
-            registry.histogram(
-                "overlay_walk_length",
-                "Steps taken per random walk.",
-                buckets=COUNT_BUCKETS,
-            ).observe(walk_length)
+                yield endpoint
+    finally:
+        if _OBS.enabled:
+            _observe_walks(attempts, walk_length)
+
+
+def sample_nodes(
+    overlay: Overlay, start: str, x: int, rng: random.Random, **options: int
+) -> list[str]:
+    """All of :func:`walk_endpoints` (same options), as a list."""
+    return list(walk_endpoints(overlay, start, x, rng, **options))
+
+
+def _observe_walks(attempts: int, walk_length: int) -> None:
+    """Export one sample's walks (the whole-overlay shortcut walks none)."""
+    registry = _OBS.registry
+    registry.counter(
+        "overlay_walks_total", "Random walks executed by the sampler."
+    ).inc(attempts)
+    if attempts:
         registry.histogram(
-            "overlay_sample_attempts",
-            "Walks needed to collect the requested distinct units.",
+            "overlay_walk_length",
+            "Steps taken per random walk.",
             buckets=COUNT_BUCKETS,
-        ).observe(attempts)
-    return found
+        ).observe(walk_length)
+    registry.histogram(
+        "overlay_sample_attempts",
+        "Walks run per sample (up to its decision when stopped early).",
+        buckets=COUNT_BUCKETS,
+    ).observe(attempts)

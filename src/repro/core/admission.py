@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.obj import StoredObject
-from repro.core.policy import AdmissionPlan
+from repro.core.policy import FREE_SPACE_PLAN, TOO_LARGE_PLAN, AdmissionPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.store import StorageUnit
@@ -57,10 +57,10 @@ def plan_preemptive_admission(
         >=, which is measured by the victim-ordering ablation.
     """
     if obj.size > store.capacity_bytes:
-        return AdmissionPlan(admit=False, reason="object-too-large")
+        return TOO_LARGE_PLAN
     free = store.free_bytes
     if obj.size <= free:
-        return AdmissionPlan(admit=True, reason="free-space")
+        return FREE_SPACE_PLAN
 
     needed = obj.size - free
     # Lazy k-way merge over the expired stream, statically ordered annotation

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.obj import StoredObject
-from repro.core.policy import AdmissionPlan, EvictionPolicy
+from repro.core.policy import FREE_SPACE_PLAN, AdmissionPlan, EvictionPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.store import StorageUnit
@@ -43,7 +43,7 @@ class GreedySizePolicy(EvictionPolicy):
         if too_large is not None:
             return too_large
         if self._fits_free(store, obj):
-            return AdmissionPlan(admit=True, reason="free-space")
+            return FREE_SPACE_PLAN
 
         needed = obj.size - store.free_bytes
         ordered = sorted(

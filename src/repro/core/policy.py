@@ -20,7 +20,7 @@ from repro.core.obj import StoredObject
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.store import StorageUnit
 
-__all__ = ["AdmissionPlan", "EvictionPolicy"]
+__all__ = ["FREE_SPACE_PLAN", "TOO_LARGE_PLAN", "AdmissionPlan", "EvictionPolicy"]
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,12 @@ class AdmissionPlan:
     blocking_importance: float | None = None
     reason: str = ""
     incoming_importance: float | None = None
+
+
+#: The plans of every free-space admit and every oversize refusal: shared,
+#: not built per probe (a plan is frozen, so nobody can tell them apart).
+FREE_SPACE_PLAN = AdmissionPlan(admit=True, reason="free-space")
+TOO_LARGE_PLAN = AdmissionPlan(admit=False, reason="object-too-large")
 
 
 @dataclass
@@ -105,7 +111,7 @@ class EvictionPolicy(ABC):
     def _too_large(store: "StorageUnit", obj: StoredObject) -> AdmissionPlan | None:
         """Common guard: an object larger than raw capacity never fits."""
         if obj.size > store.capacity_bytes:
-            return AdmissionPlan(admit=False, reason="object-too-large")
+            return TOO_LARGE_PLAN
         return None
 
     @staticmethod

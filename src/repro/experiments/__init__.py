@@ -1,9 +1,10 @@
 """Experiment drivers — one module per paper table/figure.
 
-Every driver exposes a ``run(...)`` function returning a result dataclass
-plus a ``render(result)`` producing the printed reproduction (tables and
-ASCII charts).  The benchmark suite calls ``run`` under pytest-benchmark;
-the CLI (``python -m repro``) dispatches to the same drivers.
+Every driver exposes ``execute(spec)`` returning a result dataclass plus a
+``render(result)`` producing the printed reproduction (tables and ASCII
+charts); :mod:`repro.experiments.registry` names them for the CLI and the
+benchmark suite.  The shared setup names below resolve on first access
+(:mod:`repro._lazy`), so importing the registry loads no simulator.
 
 ========================  =====================================================
 ``fig2_storage_requirements``  cumulative offered bytes over a year
@@ -22,24 +23,15 @@ the CLI (``python -m repro``) dispatches to the same drivers.
 ========================  =====================================================
 """
 
-from repro.experiments.common import (
-    POLICY_NO_IMPORTANCE,
-    POLICY_PALIMPSEST,
-    POLICY_TEMPORAL,
-    SingleAppSetup,
-    LectureSetup,
-    build_single_app_scenario,
-    run_lecture_scenario,
-    run_single_app_scenario,
+from repro._lazy import lazy_getattr
+
+_LAZY = dict.fromkeys(
+    ("LectureSetup", "POLICY_NO_IMPORTANCE", "POLICY_PALIMPSEST", "POLICY_TEMPORAL",
+     "SingleAppSetup", "build_single_app_scenario", "run_lecture_scenario",
+     "run_single_app_scenario"),
+    "repro.experiments.common",
 )
 
-__all__ = [
-    "LectureSetup",
-    "POLICY_NO_IMPORTANCE",
-    "POLICY_PALIMPSEST",
-    "POLICY_TEMPORAL",
-    "SingleAppSetup",
-    "build_single_app_scenario",
-    "run_lecture_scenario",
-    "run_single_app_scenario",
-]
+__all__ = list(_LAZY)
+
+__getattr__ = lazy_getattr(globals(), _LAZY)

@@ -1,6 +1,7 @@
 """Integration tests: instrumentation threaded through the hot layers."""
 
 from repro import obs
+from repro.besteffs import walks
 from repro.besteffs.cluster import BesteffsCluster
 from repro.besteffs.gossip import GossipAverager, sampled_density
 from repro.besteffs.placement import PlacementConfig
@@ -142,21 +143,33 @@ class TestRunnerInstrumentation:
 
 
 class TestBesteffsInstrumentation:
-    def test_placement_metrics_and_span(self):
+    def test_placement_metrics_and_span(self, monkeypatch):
+        walked = []
+        kernel = walks._walk
+        monkeypatch.setattr(walks, "_walk", lambda *args: walked.append(1) or kernel(*args))
         obs.enable()
         cluster = BesteffsCluster({f"n{i}": gib(2) for i in range(8)}, seed=1)
-        placed = rejected = 0
+        placed = rejected = rounds = probes = 0
         for i in range(6):
             decision, _result = cluster.offer(make_obj(1.0, t_arrival=0.0), 0.0)
             placed += decision.placed
             rejected += not decision.placed
+            rounds += decision.rounds_used
+            probes += decision.nodes_probed
+            assert decision.reason == "direct"
         reg = obs.STATE.registry
         decisions = reg.get("placement_decisions_total")
         total = sum(decisions.series().values())
         assert total == 6.0
         assert reg.get("placement_rounds_used").snapshot()["count"] == 6
         assert reg.get("placement_nodes_probed").snapshot()["max"] >= 1
-        assert reg.get("overlay_walks_total").value() > 0
+        # The walks that ran: a direct store stops its round's walks.
+        walks_total = reg.get("overlay_walks_total").value()
+        assert walks_total == len(walked) > 0
+        assert walks_total < cluster.placement.x * rounds
+        assert walks_total == probes  # one walk per probe: no repeated endpoint at seed 1
+        attempts = reg.get("overlay_sample_attempts").snapshot()
+        assert attempts["count"] == rounds and attempts["sum"] == walks_total
         assert reg.get("overlay_walk_length").snapshot()["count"] > 0
         assert obs.STATE.tracer.stats("besteffs.choose_unit").count == 6
 

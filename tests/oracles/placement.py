@@ -14,10 +14,10 @@ from __future__ import annotations
 import random
 from typing import Mapping
 
+from repro.besteffs import placement
 from repro.besteffs.node import BesteffsNode
 from repro.besteffs.overlay import Overlay
 from repro.besteffs.placement import PlacementConfig, PlacementDecision
-from repro.besteffs.walks import sample_nodes
 from repro.core.obj import StoredObject
 
 __all__ = ["choose_unit_by_plans"]
@@ -39,7 +39,11 @@ def choose_unit_by_plans(
     best_node: BesteffsNode | None = None
     probed_total = 0
     for round_no in range(1, config.m + 1):
-        sampled = sample_nodes(overlay, origin, config.x, rng, walk_length=config.walk_length)
+        # Lazy like the rule it defines: a round walks only until it decides
+        # (looked up at call time, so the eager sampler can be patched in).
+        sampled = placement.walk_endpoints(
+            overlay, origin, config.x, rng, walk_length=config.walk_length
+        )
         for node_id in sampled:
             node = nodes[node_id]
             plan = node.store.peek_admission(obj, now)

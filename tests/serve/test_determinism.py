@@ -77,7 +77,10 @@ _DOWNLOADS = dict(
 #: to the bytes both of its predecessors wrote.  The ``flashcrowd-*`` ones
 #: were re-captured when the flash burst's arrivals were rounded up to
 #: whole minutes (a unit decides only at whole minutes); that round-up,
-#: applied alone to the earlier code, writes the same bytes.
+#: applied alone to the earlier code, writes the same bytes.  Of those,
+#: ``flashcrowd-1-shard`` (eight nodes, so its rounds walk) was re-captured
+#: again when rounds became lazy; the eager sampler swapped back in writes
+#: its previous bytes (``tests/besteffs/test_lazy_rounds.py``).
 PINNED = {
     "university-closed": (
         dict(_SMALL, workload="university", node_capacity_gib=0.25),
@@ -112,7 +115,7 @@ PINNED = {
     "flashcrowd-1-shard": (
         dict(_FLASH, shards=1),
         "rejected-fairness",
-        "ddf0925234a8f1a854c570eb3943b5cd3a96284cb33b0a8100ceb5353974b509",
+        "89c582f9caba3db5eea142de8248690a8718c54a860e886d70912c6594beeb49",
     ),
     "flashcrowd-2-shards": (
         dict(_FLASH, shards=2),

@@ -4,9 +4,10 @@ Every benchmark child, CLI call and ``spawn`` worker pays for what it
 imports.  networkx, numpy and scipy are each tens of milliseconds and
 megabytes; the modules that need numpy or scipy import them themselves,
 and networkx is only the overlay tests' oracle.  The facades
-(``repro.api``, ``repro.sim``, ``repro.serve``) resolve their names on
-first access, so a simulation loads neither the serving stack (asyncio,
-which pulls in ssl) nor the sweep pool (multiprocessing).  Each check
+(``repro.api``, ``repro.sim``, ``repro.serve``, ``repro.experiments``)
+resolve their names on first access, so a simulation loads neither the
+serving stack (asyncio, which pulls in ssl) nor the sweep pool
+(multiprocessing), and the experiment registry loads no simulator.  Each check
 runs in a fresh interpreter, since this test process has loaded them.
 """
 
@@ -20,7 +21,8 @@ HEAVY = ("networkx", "numpy", "scipy")
 SERVING_AND_POOL = (
     "asyncio", "ssl", "multiprocessing", "concurrent.futures.process", "repro.serve.service",
 )
-FACADES = ("repro", "repro.api", "repro.sim", "repro.serve")
+FACADES = ("repro", "repro.api", "repro.sim", "repro.serve", "repro.experiments")
+SIMULATOR = ("repro.experiments.common", "repro.sim.runner", "repro.sim.engine")
 
 
 def _fresh(script: str):
@@ -54,6 +56,11 @@ def test_import_repro_api_loads_no_heavy_package():
 )
 def test_a_simulation_loads_neither_the_serving_stack_nor_the_pool(statement):
     assert _loaded_after(statement, SERVING_AND_POOL) == []
+
+
+def test_the_experiment_registry_loads_no_simulator():
+    # ``execute_spec`` imports the registry inside a serving run's timed call.
+    assert _loaded_after("import repro.experiments.registry", SIMULATOR) == []
 
 
 @pytest.mark.parametrize("facade", FACADES)

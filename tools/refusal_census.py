@@ -9,8 +9,8 @@ For each cluster workload (default ``sim_cluster`` and ``serve_pressure``;
 (``bench/workloads.py``) at the horizon one repetition of the contract run
 simulates (``days_per_second`` x 15 s / ``bench.measure.REPS``: 322.5 days
 for ``sim_cluster``, 360 for ``serve_pressure``), runs it once in this
-process and prints one Markdown table, one column per run.  Four class
-methods are wrapped while it runs:
+process and prints one Markdown table, one column per run.  Five
+functions are wrapped while it runs:
 
 * ``BesteffsCluster.offer`` counts offers and refusals, and splits the
   refusals into those the cluster floor made before any walk
@@ -23,6 +23,10 @@ methods are wrapped while it runs:
   the merge (its cached floor did not answer), or none of these.  Probes
   are scores and leave every decision alone, so the run's own offers are
   unchanged; the sweep's probes are not counted below.
+  It also counts the offers that walked (``rounds_used > 0``) and the
+  direct stores decided by the first probe of the first round.
+* ``repro.besteffs.walks._walk`` counts the walks run (the kernel of every
+  walk on a plain ``random.Random``; the sweep walks none).
 * ``TemporalImportancePolicy.probe`` counts the placement probes.
 * ``GroupedResidents.preempted_floor`` and ``._merge_floor``: a probe that
   returns an answer without reaching the merge was answered by the cached
@@ -45,6 +49,7 @@ sys.path[:0] = [str(REPO / "src"), str(REPO)]
 
 from bench.measure import REPS  # noqa: E402
 from bench.workloads import WORKLOADS  # noqa: E402
+from repro.besteffs import walks  # noqa: E402
 from repro.besteffs.cluster import BesteffsCluster  # noqa: E402
 from repro.core.policies.temporal import TemporalImportancePolicy  # noqa: E402
 from repro.core.victims import GroupedResidents  # noqa: E402
@@ -62,6 +67,9 @@ ROWS = (
     ("unmirrored", "… … a member's policy the floor does not mirror"),
     ("merge_decided", "… … merge-decided on some unit"),
     ("walked_other", "… … none of these"),
+    ("walks", "walks run"),
+    ("walks_per_walked_offer", "… per walked offer"),
+    ("direct_first_share", "share of offers direct at the first probe"),
     ("probes", "placement probes"),
     ("floor", "… answered by the cached floor"),
     ("merge", "… folded by the merge"),
@@ -78,11 +86,14 @@ def census(workload: str, seed: int) -> Counter:
     probe = TemporalImportancePolicy.probe
     floor = GroupedResidents.preempted_floor
     merge = GroupedResidents._merge_floor
+    walk = walks._walk
 
     def counted_offer(cluster, obj, now, **kwargs):
         nonlocal sweeping, sweep_merges
         decision, result = offer(cluster, obj, now, **kwargs)
         counts["offers"] += 1
+        counts["walked_offers"] += decision.rounds_used > 0
+        counts["direct_first"] += decision.reason == "direct" and decision.nodes_probed == 1
         if decision.placed:
             return decision, result
         counts["refusals"] += 1
@@ -108,6 +119,10 @@ def census(workload: str, seed: int) -> Counter:
         else:
             counts["walked_other"] += 1
         return decision, result
+
+    def counted_walk(*args):
+        counts["walks"] += 1
+        return walk(*args)
 
     def counted_probe(policy, store, obj, now, incoming):
         if not sweeping:
@@ -136,6 +151,7 @@ def census(workload: str, seed: int) -> Counter:
     TemporalImportancePolicy.probe = counted_probe
     GroupedResidents.preempted_floor = counted_floor
     GroupedResidents._merge_floor = counted_merge
+    walks._walk = counted_walk
     try:
         run()
     finally:
@@ -143,7 +159,10 @@ def census(workload: str, seed: int) -> Counter:
         TemporalImportancePolicy.probe = probe
         GroupedResidents.preempted_floor = floor
         GroupedResidents._merge_floor = merge
+        walks._walk = walk
     counts["other"] = counts["probes"] - counts["floor"] - counts["merge"]
+    counts["walks_per_walked_offer"] = counts["walks"] / max(counts["walked_offers"], 1)
+    counts["direct_first_share"] = counts["direct_first"] / max(counts["offers"], 1)
     counts["horizon_days"] = horizon_days
     return counts
 
@@ -164,7 +183,9 @@ def main(argv: list[str] | None = None) -> int:
         f"`{w}` seed {s} ({c['horizon_days']:g} d)" for w, s, c in columns) + " |")
     print("|---|" + "---|" * len(columns))
     for key, label in ROWS:
-        print(f"| {label} | " + " | ".join(f"{c[key]:,}" for _w, _s, c in columns) + " |")
+        cells = (f"{c[key]:,.3f}" if isinstance(c[key], float) else f"{c[key]:,}"
+                 for _w, _s, c in columns)
+        print(f"| {label} | " + " | ".join(cells) + " |")
     return 0
 
 
