@@ -28,7 +28,7 @@ and rescanning them per density probe, :class:`ImportanceIndex` keeps
 * a min-heap of upcoming phase-transition times; :meth:`advance` pops only
   the objects that crossed a breakpoint since the last call (amortised
   O(log n) per resident per lifetime — each object transitions at most
-  twice);
+  twice); a discarded resident's entry goes stale and is shed in bulk;
 * a :class:`DensityAccumulator` holding the constant-phase terms, so the
   size-weighted importance mass costs O(waning) per probe.
 
@@ -86,15 +86,20 @@ PHASE_CONSTANT = "constant"
 PHASE_WANING = "waning"
 PHASE_EXPIRED = "expired"
 
+#: Stale heap entries are dropped once they outnumber the residents over this
+#: share: ``n`` residents keep ``(1 + 1/share) n`` entries at most, a discard
+#: filters ``share + 1`` amortised, and live (t, seq) entries keep their order.
+_STALE_SHARE = 1
+
 
 class Resident:
     """One resident's bookkeeping, booked once per admission.
 
-    ``obj`` (None once discarded, which marks its heap entry stale), its
-    admission ``seq`` (heap tie-break, expiry order), its ``phase`` as of
-    the last :meth:`ImportanceIndex.advance`, the victim ``source`` (group
-    or family, :mod:`repro.core.victims`) holding it and its sort ``key``
-    there, and its ``last_access`` (recency baselines).
+    ``obj`` (None once discarded, as are ``source`` and ``key``, which
+    marks its heap entry stale), its admission ``seq`` (heap tie-break,
+    expiry order), its ``phase`` as of the last :meth:`ImportanceIndex.advance`,
+    the victim ``source`` (group or family, :mod:`repro.core.victims`)
+    holding it and its sort ``key`` there, and its ``last_access`` (recency baselines).
     :attr:`ImportanceIndex.residents` maps each object id to its record;
     every other structure holds the record itself.
     """
@@ -180,9 +185,10 @@ class ImportanceIndex:
         #: ``(0.0, 0.0)``), fed to the grouped merge as one ready stream.
         self._expired: list[tuple[float, ObjectId, Resident]] = []
         self._expired_bytes = 0
-        # Pending breakpoints: (scheduled time, admission seq, record).  An
-        # entry whose record was discarded (``obj`` is None) is skipped.
+        # Pending breakpoints: (scheduled time, admission seq, record); the
+        # ``_stale`` ones, whose record was discarded (``obj`` None), are skipped.
         self._heap: list[tuple[float, int, Resident]] = []
+        self._stale = 0
         #: Residents grouped by identical annotation; answers the greedy
         #: victim-prefix query lazily (see :mod:`repro.core.victims`).
         self.groups = GroupedResidents()
@@ -233,7 +239,12 @@ class ImportanceIndex:
             return
         self.groups.discard(rec)
         self._remove_from_phase(rec)
-        rec.obj = None
+        self._stale += math.isfinite(self._span(rec))
+        rec.obj = rec.source = rec.key = None
+        if self._stale * _STALE_SHARE > len(self.residents):
+            self._heap[:] = [entry for entry in self._heap if entry[2].obj is not None]
+            heapq.heapify(self._heap)
+            self._stale = 0
 
     def _place(self, rec: Resident, phase: str, now: float) -> None:
         rec.phase = phase
@@ -280,11 +291,18 @@ class ImportanceIndex:
                 raise ReproError(f"{obj.object_id!r} missing from the expired stream")
             del stream[i]
 
+    @staticmethod
+    def _span(rec: Resident) -> float:
+        """Minutes from arrival to the end of the phase (inf: no entry)."""
+        lifetime = rec.obj.lifetime
+        if rec.phase == PHASE_CONSTANT:
+            return lifetime.stable_until
+        return lifetime.t_expire if rec.phase == PHASE_WANING else math.inf
+
     def _arm(self, rec: Resident, now: float) -> None:
         """Schedule the end of a constant or waning phase, two ulps early
         (never late), and never at or before ``now``."""
-        lifetime = rec.obj.lifetime
-        span = lifetime.stable_until if rec.phase == PHASE_CONSTANT else lifetime.t_expire
+        span = self._span(rec)
         if math.isinf(span):
             return
         t = math.nextafter(math.nextafter(rec.obj.t_arrival + span, -math.inf), -math.inf)
@@ -309,7 +327,8 @@ class ImportanceIndex:
             rec = heapq.heappop(heap)[2]
             obj = rec.obj
             if obj is None:
-                continue  # entry of an evicted resident
+                self._stale -= 1  # entry of an evicted resident
+                continue
             old = rec.phase
             new = self._classify(obj, now)
             if new == old:
@@ -441,4 +460,10 @@ class ImportanceIndex:
             raise ReproError("expired stream is out of sync with the expired phase")
         if self._expired_bytes != sum(rec.obj.size for _t, _oid, rec in stream):
             raise ReproError("expired byte total is stale")
+        live = sorted(id(rec) for _t, _seq, rec in self._heap if rec.obj is not None)
+        if live != sorted(id(r) for r in residents.values() if math.isfinite(self._span(r))):
+            raise ReproError("the heap does not hold one entry per resident with a breakpoint")
+        stale = len(self._heap) - len(live)
+        if stale != self._stale or stale * _STALE_SHARE > len(residents):
+            raise ReproError(f"{stale} stale heap entries, counted {self._stale}, or too many")
         return True

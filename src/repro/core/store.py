@@ -17,6 +17,7 @@ from array import array
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 from math import isfinite
 from operator import attrgetter, eq
 from time import perf_counter
@@ -134,8 +135,8 @@ class RejectionRecord:
 #: History fields that repeat a few values: kept as codes into one table
 #: of distinct labels per log.
 _LABELS = frozenset({"creator", "reason", "unit"})
-#: Column typecode by a field's annotation; "" keeps the field in a list.
-_TYPECODES = {"float": "d", "int": "q", "bool": "b"}
+#: Column kind by a field's annotation: a typecode, "s" packed ids, "" a list.
+_TYPECODES = {"float": "d", "int": "q", "bool": "b", "ObjectId": "s", "ObjectId | None": "s"}
 #: Rows a log buffers before it moves them into its columns in one pass,
 #: so an append (one per offer or eviction) costs about a list append.
 _BATCH = 256
@@ -144,7 +145,7 @@ R = TypeVar("R")
 
 
 #: Per record type: field names, column kinds ("I" label code, "d", "q",
-#: "b", "" list) and the getter of a record's field values.
+#: "b", "s" packed ids, "" list) and the getter of a record's field values.
 _Layout = NamedTuple("_Layout", [("names", tuple), ("kinds", tuple), ("fields_of", attrgetter)])
 
 
@@ -156,15 +157,44 @@ def _layout(record_type: type) -> _Layout:
     return _Layout(names, kinds, attrgetter(*names))
 
 
+class _Ids:
+    """An id column: the ids' UTF-8 bytes back to back and each row's end
+    offset (``~end`` for None), so the log keeps no id string alive."""
+
+    __slots__ = ("data", "ends")
+
+    def __init__(self) -> None:
+        self.data, self.ends = bytearray(), array("q")
+
+    def extend(self, encoded: list[bytes | None]) -> None:
+        ends = [*accumulate([len(raw or b"") for raw in encoded], initial=len(self.data))][1:]
+        self.ends += array("q", [~end if raw is None else end for raw, end in zip(encoded, ends)])
+        self.data += b"".join(filter(None, encoded))
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __iter__(self) -> Iterator[str | None]:
+        return map(self._id, range(len(self.ends)))
+
+    def __getitem__(self, rows: slice) -> list[str | None]:
+        return list(map(self._id, range(len(self.ends))[rows]))
+
+    def _id(self, row: int) -> str | None:
+        end, before = self.ends[row], self.ends[row - 1] if row else 0
+        raw = None if end < 0 else self.data[max(before, ~before) : end]  # from before's end
+        return None if raw is None else raw.decode("utf-8", "surrogatepass")
+
+
 class HistoryLog(Sequence[R]):
     """An append-only, read-only sequence of one slotted record type, kept
     as one column per field: floats in ``array("d")``, ints in
     ``array("q")`` (a list once one outgrows 64 bits), bools in
     ``array("b")``, the labels (``creator``, ``reason``, ``unit``) as
-    ``array("I")`` codes into one label table, and ids, annotations and
-    optional values in lists.  Indexing and iteration rebuild equal
-    records, bit for bit; :meth:`column` reads one field without building
-    any.  A log equals another log or a list of equal records, and pickles.
+    ``array("I")`` codes into one label table, ids packed (:class:`_Ids`),
+    annotations and optional values in lists.  Items and iteration rebuild
+    equal records, bit for bit; :meth:`column` reads one field without
+    building any.  A log equals a log or list of equal records, and pickles.
     """
 
     __slots__ = ("record_type", "_pending", "_columns", "_labels", "_codes")
@@ -198,7 +228,9 @@ class HistoryLog(Sequence[R]):
             return columns
         kinds = _layout(self.record_type).kinds
         if not columns:
-            columns = self._columns = [array(kind) if kind else [] for kind in kinds]
+            columns = self._columns = [
+                _Ids() if kind == "s" else array(kind) if kind else [] for kind in kinds
+            ]
             self._labels, self._codes = [], {}
         codes, labels = self._codes, self._labels
         segments = []
@@ -209,7 +241,9 @@ class HistoryLog(Sequence[R]):
                         codes[label] = len(labels)
                         labels.append(label)
                 values = map(codes.__getitem__, values)
-            if kind:
+            if kind == "s":
+                values = [None if i is None else i.encode("utf-8", "surrogatepass") for i in values]
+            elif kind:
                 with suppress(OverflowError):  # an int past 64 bits stays in a tuple
                     values = array(kind, values)
             segments.append(values)

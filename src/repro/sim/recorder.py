@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.density import DensitySample, importance_density
+from repro.core.obj import ObjectId
 from repro.core.store import EvictionRecord, HistoryLog, RejectionRecord, StorageUnit
 from repro.obs import STATE as _OBS
 
@@ -37,7 +38,7 @@ class ArrivalRecord:
     size: int
     admitted: bool
     creator: str
-    object_id: str
+    object_id: ObjectId
     unit: str = ""
 
 

@@ -1,6 +1,7 @@
 """The run history's column store (:class:`repro.core.store.HistoryLog`):
 every record appended comes back equal and bit for bit, whatever the
-float signs, integer widths, optionals or label counts, and a log pickles."""
+float signs, integer widths, optionals, ids or label counts, across flush
+boundaries and between reads, and a log pickles."""
 
 import dataclasses
 import pickle
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.importance import ConstantImportance, TwoStepImportance
-from repro.core.store import EvictionRecord, HistoryLog, RejectionRecord
+from repro.core.store import _BATCH, EvictionRecord, HistoryLog, RejectionRecord
 from repro.sim.recorder import ArrivalRecord
 
 LIFETIMES = (TwoStepImportance(p=0.5, t_persist=10.0, t_wane=20.0), ConstantImportance(1.0))
@@ -17,7 +18,14 @@ LIFETIMES = (TwoStepImportance(p=0.5, t_persist=10.0, t_wane=20.0), ConstantImpo
 floats = st.floats(allow_nan=False) | st.sampled_from([-0.0, 0.0, 5e-324, -1e308])
 sizes = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([2**63 - 1, 1, 0])
 labels = st.text(max_size=4)
-ids = st.text(max_size=8)
+#: Packed into one byte buffer per column: None, empty, non-ASCII (lone
+#: surrogates included) and 1 KiB ids must all come back equal.
+ids = (
+    st.none()
+    | st.text(max_size=8)
+    | st.text(st.characters(min_codepoint=0x80), max_size=4)
+    | st.sampled_from(["", "\ud800", "x" * 1024, "é" * 512, "\U0001f600" * 256])
+)
 
 RECORDS = {
     ArrivalRecord: st.builds(
@@ -44,16 +52,27 @@ def _bits(record):
     return tuple((type(v), v.hex() if isinstance(v, float) else v) for v in values)
 
 
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from(sorted(RECORDS, key=lambda kind: kind.__name__)).flatmap(
         lambda kind: st.tuples(st.just(kind), st.lists(RECORDS[kind], max_size=30))
-    )
+    ),
+    st.integers(0, _BATCH + 10),
+    st.data(),
 )
-def test_appended_records_come_back_equal_and_bit_exact(kind_and_records):
+def test_appended_records_come_back_equal_and_bit_exact(kind_and_records, pad, data):
     kind, records = kind_and_records
+    # Padding rows put the drawn records across a flush boundary.
+    records = records[:1] * pad + records
+    # A read part way through flushes the rows so far; the rest stay buffered.
+    cut = data.draw(st.integers(0, len(records)))
     log = HistoryLog(kind)
-    for record in records:
+    for i, record in enumerate(records):
+        if i == cut:
+            assert len(log) == cut and log[:] == records[:cut]
+            assert [_bits(log[j]) for j in range(max(0, cut - 3), cut)] == [
+                _bits(r) for r in records[max(0, cut - 3) : cut]
+            ]
         log.append(record)
     assert len(log) == len(records)
     assert log == records and records == log
@@ -101,3 +120,12 @@ def test_a_log_is_read_only_and_compares_by_records():
     assert len(log) == 1 and len(copy) == 2
     with pytest.raises(TypeError):
         log[0] = record
+
+
+def test_ids_read_back_as_equal_strings_and_none_as_none():
+    log = HistoryLog(EvictionRecord)
+    oid = "".join(["obj-", "1"])  # built at run time, so not an interned constant
+    record = EvictionRecord(oid, "c", 1, 0.0, LIFETIMES[0], 1.0, 0.5, "manual", None, "u")
+    log.append(record)
+    assert log[0] == record and log[0].object_id == oid and log[0].object_id is not oid
+    assert log[0].preempted_by is None and list(log.column("preempted_by")) == [None]

@@ -23,6 +23,8 @@ from repro.core.index import (
     ImportanceIndex,
 )
 from repro.core.obj import StoredObject
+from repro.core.policies.temporal import TemporalImportancePolicy
+from repro.core.store import StorageUnit
 from repro.errors import ReproError, SimulationError
 from tests.conftest import make_obj
 from tests.oracles import importance_order, victim_candidates
@@ -414,3 +416,53 @@ class TestCheckCatchesStaleColumns:
         index._family_waning += 1
         with pytest.raises(ReproError, match="family waning runs"):
             index.check(110.0)
+
+
+class TestBreakpointHeap:
+    """A discarded resident's breakpoint entry is stale; the heap sheds its
+    stale entries once they pass ``_STALE_SHARE`` of the live ones."""
+
+    def test_preempted_constant_residents_leave_the_heap_bounded(self):
+        from repro.core.index import _STALE_SHARE
+
+        n = 12_000
+        unit = StorageUnit(100, TemporalImportancePolicy(), keep_history=False)
+        for i in range(n):  # each arrival outranks, and preempts, the last
+            obj = two_step_obj(f"o{i}", 100, float(i), p=(i + 1) / n, persist=1e7)
+            assert unit.offer(obj, float(i)).admitted
+        index = unit.importance_index
+        assert unit.evicted_count == n - 1 and len(index.residents) == 1
+        assert len(index._heap) <= len(index.residents) * (1 + 1 / _STALE_SHARE)
+        assert index.check(float(n))
+
+    def test_stale_entries_outlive_expiries_and_go_with_the_residents(self):
+        index = ImportanceIndex()
+        for i in range(10):  # five long-lived residents, then five short-lived
+            persist = 1e7 if i < 5 else 10.0
+            index.add(two_step_obj(f"o{i}", 1, float(i), persist=persist, wane=5.0), float(i))
+        for i in range(5):
+            index.discard(f"o{i}")
+        assert index.check(10.0) and index._stale == 5 and len(index._heap) == 10
+        assert index.check(100.0) and index.expired_count == 5  # expiries pop live entries
+        assert index._stale == 5 and len(index._heap) == 5
+        index.discard("o5")  # five stale entries, four residents: rebuilt
+        assert index._heap == [] and index._stale == 0 and index.check(100.0)
+
+    def test_check_counts_the_entries(self):
+        index = ImportanceIndex()
+        for i in range(4):
+            index.add(two_step_obj(f"o{i}", 1, float(i)), float(i))
+        index.discard("o0")
+        assert index.check(5.0) and index._stale == 1
+        index._stale = 0
+        with pytest.raises(ReproError, match="stale heap entries"):
+            index.check(5.0)
+        index._stale = 1
+        entry = next(e for e in index._heap if e[2].obj is not None)
+        index._heap.remove(entry)
+        with pytest.raises(ReproError, match="one entry per resident"):
+            index.check(5.0)
+        index._heap.append(entry)
+        index._heap.append(entry)
+        with pytest.raises(ReproError, match="one entry per resident"):
+            index.check(5.0)

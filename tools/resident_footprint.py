@@ -29,7 +29,10 @@ with ``keep_history=True`` and an attached
 * **bytes / departed object** — ``tracemalloc`` bytes still allocated
   after the run, over the evicted plus rejected count: the unit's and the
   recorder's history per object that left (the few dozen residents such a
-  unit holds are counted in, and weigh nothing at this scale).
+  unit holds are counted in, and weigh nothing at this scale);
+* **heap entries / resident** — the unit's breakpoint-heap entries at the
+  end of the run over its residents: live plus stale (the entries of
+  evicted residents, which the heap sheds past a fixed share).
 
 A third table routes the request stream of the ``serve_flash`` benchmark
 spec (``bench/workloads.py``; seed 42, the 80.25-day horizon of one
@@ -121,8 +124,9 @@ def footprint(objs: list[StoredObject]) -> float:
     return kept / len(objs)
 
 
-def departed_footprint(n: int) -> tuple[float, int]:
-    """Bytes a history-keeping unit and its recorder hold per departed object."""
+def departed_footprint(n: int) -> tuple[float, int, float]:
+    """Bytes a history-keeping unit and its recorder hold per departed
+    object, the departed count and heap entries per resident at the end."""
     lifetimes = annotations(0.0)
     tracemalloc.start()
     before = tracemalloc.get_traced_memory()[0]
@@ -140,7 +144,7 @@ def departed_footprint(n: int) -> tuple[float, int]:
     tracemalloc.stop()
     departed = unit.evicted_count + unit.rejected_count
     assert departed == len(recorder.evictions) + len(recorder.rejections)
-    return kept / departed, departed
+    return kept / departed, departed, len(unit.importance_index._heap) / len(unit)
 
 
 def held_stream_footprint() -> tuple[float, int]:
@@ -183,11 +187,12 @@ def main(argv: list[str] | None = None) -> int:
         per_resident = footprint(objs)
         admit_us, remove_us = timings(objs, args.repeat)
         print(f"| {name} | {per_resident:,.0f} | {admit_us:.1f} | {remove_us:.1f} |")
-    per_departed, departed = departed_footprint(args.residents)
+    per_departed, departed, entries = departed_footprint(args.residents)
     print()
-    print(f"| {args.residents:,} offers, 64 KiB unit | bytes / departed object | departed |")
-    print("|---|---|---|")
-    print(f"| history + Recorder | {per_departed:,.0f} | {departed:,} |")
+    print(f"| {args.residents:,} offers, 64 KiB unit | bytes / departed object | departed "
+          "| heap entries / resident |")
+    print("|---|---|---|---|")
+    print(f"| history + Recorder | {per_departed:,.0f} | {departed:,} | {entries:.2f} |")
     per_request, held = held_stream_footprint()
     print()
     print("| `serve_flash` stream, seed 42 | bytes / held request | requests |")
