@@ -32,9 +32,24 @@ obs-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python examples/obs_demo.py >/dev/null
 	@echo "obs smoke OK"
 
-# Decision-provenance round trip: audited run -> JSONL ledger -> explain.
+# Decision-provenance round trip: audited run -> JSONL ledger -> explain;
+# then a tiny audited sweep at --jobs 1 and --jobs 2, whose `-merged`
+# ledgers must be the same bytes, and `repro-sim explain` over the jobs-2
+# run directory with its `-merged` ledger taken away, so it folds the
+# per-spec ledgers itself (exit non-zero if any leg fails).
 audit-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python examples/explain_demo.py >/dev/null
+	@rm -rf .audit-smoke && mkdir -p .audit-smoke
+	@for jobs in 1 2; do \
+		PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro.cli sweep fig6 \
+			--seeds 2 --horizon-days 30 --jobs $$jobs \
+			--audit-out .audit-smoke/jobs-$$jobs/audit.jsonl >/dev/null || exit 1; \
+	done
+	cmp .audit-smoke/jobs-1/audit-merged.jsonl .audit-smoke/jobs-2/audit-merged.jsonl
+	rm .audit-smoke/jobs-2/audit-merged.jsonl
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro.cli explain \
+		.audit-smoke/jobs-2 >/dev/null
+	@rm -rf .audit-smoke
 	@echo "audit smoke OK"
 
 # The SLO gate exactly as CI runs it: a short audited run, then
@@ -232,5 +247,5 @@ lint:
 # Caches only — benchmarks/out holds committed reference output and must
 # survive a clean.
 clean:
-	rm -rf .pytest_cache .hypothesis .ruff_cache .alerts-check .trace-smoke .serve-smoke build dist src/*.egg-info
+	rm -rf .pytest_cache .hypothesis .ruff_cache .alerts-check .audit-smoke .trace-smoke .serve-smoke build dist src/*.egg-info
 	find . -name __pycache__ -type d -exec rm -rf {} +

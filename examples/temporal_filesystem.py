@@ -4,7 +4,8 @@
 Files carry importance annotations instead of being persistent until
 deleted: scratch and cache files fade first under pressure, important
 documents persist, and the filesystem itself tells you what annotation a
-new file needs to stick around.
+new file needs to stick around.  Listing, re-annotating and deleting
+files work as well.
 
 Run with::
 
@@ -64,6 +65,18 @@ def main() -> None:
     else:
         print(f"advisor: {advice.detail}")
 
+    # Traditional verbs still work next to fading: list a directory,
+    # re-annotate a file (the paper's active intervention restarts its
+    # clock), and delete one outright, which is not fading.
+    print(f"/home/ada holds {fs.listdir('/home/ada')}")
+    semester = TwoStepImportance(p=1.0, t_persist=days(90), t_wane=days(30))
+    stat = fs.set_lifetime("/home/ada/thesis.tex", semester, 3 * day)
+    print(f"thesis re-annotated: importance {stat.importance:.2f}, "
+          f"expires day {stat.expires_at / day:.0f}")
+    first, second = fs.listdir("/video")[:2]
+    fs.remove(first, 3 * day)
+    print(f"{first} removed: exists {fs.exists(first)}, "
+          f"faded {first in fs.faded()}; {second} still there: {second in fs}")
 
 if __name__ == "__main__":
     main()

@@ -15,7 +15,7 @@ The package is organised as:
 * :mod:`repro.report` — text tables, ASCII charts and CSV output.
 * :mod:`repro.experiments` — one driver per paper table/figure.
 * :mod:`repro.ext` — the Section 6 extension scenarios (sensor stores,
-  security-decay stores).
+  re-annotation, the Palimpsest refresher).
 
 Quickstart::
 

@@ -17,7 +17,6 @@ components.  This package implements the pieces the evaluation exercises:
   will be preempted*, retry up to ``m`` times, store on the unit with the
   lowest such value.
 * :mod:`repro.besteffs.cluster` — the cluster facade tying it together.
-* :mod:`repro.besteffs.versioning` — write-once versioned object names.
 """
 
 from repro.besteffs.node import BesteffsNode
@@ -25,7 +24,6 @@ from repro.besteffs.overlay import Overlay
 from repro.besteffs.walks import random_walk, sample_nodes
 from repro.besteffs.placement import PlacementConfig, PlacementDecision, choose_unit
 from repro.besteffs.cluster import BesteffsCluster, ClusterStats
-from repro.besteffs.versioning import VersionedNamespace, VersionRecord
 from repro.besteffs.membership import ChurnEvent, ChurnManager, ChurnModel
 from repro.besteffs.gossip import GossipAverager, sampled_density
 from repro.besteffs.auth import AuthError, Capability, CapabilityRealm
@@ -54,8 +52,6 @@ __all__ = [
     "Overlay",
     "PlacementConfig",
     "PlacementDecision",
-    "VersionRecord",
-    "VersionedNamespace",
     "annotation_cost",
     "choose_unit",
     "importance_integral",

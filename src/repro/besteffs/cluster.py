@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.besteffs.floor import RefusalFloor
 from repro.besteffs.node import BesteffsNode
@@ -24,7 +23,7 @@ from repro.besteffs.placement import (
 from repro.core.density import importance_density
 from repro.core.obj import ObjectId, StoredObject
 from repro.core.policy import EvictionPolicy
-from repro.core.store import AdmissionResult, EvictionRecord
+from repro.core.store import AdmissionResult
 from repro.errors import PlacementError, UnknownObjectError
 from repro.obs import STATE as _OBS
 from repro.sim.recorder import Recorder
@@ -85,9 +84,6 @@ class BesteffsCluster:
         #: Where each stored object lives (object id -> node id).
         self._locations: dict[ObjectId, str] = {}
         self.recorder = recorder
-        #: Called with every eviction record of every member, joiners
-        #: included (pressure victims, expiries, removals, departures).
-        self.on_eviction: Callable[[EvictionRecord], None] | None = None
         #: Refuses, without a walk, an offer every member would refuse.
         self._floor = RefusalFloor()
         self.nodes: dict[str, BesteffsNode] = {}
@@ -123,18 +119,15 @@ class BesteffsCluster:
             raise PlacementError(f"node {node.node_id!r} is already a member")
         if self.recorder is not None:
             self.recorder.attach(node.store)
-        # Preempted objects must vanish from the location index, the
-        # floor must learn of any eviction, and the cluster's own
-        # subscriber sees the record; subscribe after the recorder so every
-        # observer fires.
+        # Preempted objects must vanish from the location index and the
+        # floor must learn of any eviction; subscribe after the recorder so
+        # both observers fire.
         previous = node.store.on_eviction
         evicted = self._floor.evicted
 
         def on_eviction(record, _prev=previous, _node_id=node.node_id):
             self._locations.pop(record.object_id, None)
             evicted(_node_id)
-            if self.on_eviction is not None:
-                self.on_eviction(record)
             if _prev is not None:
                 _prev(record)
 

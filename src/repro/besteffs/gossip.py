@@ -97,19 +97,6 @@ class GossipAverager:
             )
             for node_id, node in cluster.nodes.items()
         }
-        self.rounds = 0
-
-    @property
-    def truth(self) -> float:
-        """The exact capacity-weighted density at initialisation time."""
-        return self._truth
-
-    def estimate(self, node_id: str) -> float:
-        """The current local estimate held by ``node_id``."""
-        state = self._states.get(node_id)
-        if state is None:
-            raise OverlayError(f"unknown node {node_id!r}")
-        return state.density
 
     def round(self) -> None:
         """One synchronous push-pull round across all nodes."""
@@ -134,7 +121,6 @@ class GossipAverager:
             half = total / 2.0
             a.weight = half
             b.weight = half
-        self.rounds += 1
         if _OBS.enabled:
             registry = _OBS.registry
             registry.counter(
@@ -146,24 +132,9 @@ class GossipAverager:
             ).inc(exchanges)
             observe_phase("gossip.round", perf_counter() - round_t0)
 
-    def run(self, rounds: int) -> float:
-        """Run ``rounds`` gossip rounds; returns the final spread."""
-        for _ in range(rounds):
-            self.round()
-        spread = self.spread()
-        if _OBS.enabled:
-            registry = _OBS.registry
-            registry.gauge(
-                "gossip_spread", "Residual estimate spread after the last run."
-            ).set(spread)
-            registry.gauge(
-                "gossip_convergence_rounds",
-                "Gossip rounds executed by the last run.",
-            ).set(self.rounds)
-        return spread
-
     def spread(self) -> float:
-        """Max absolute deviation of any node's estimate from the truth."""
+        """Max absolute deviation of any node's estimate from the exact
+        capacity-weighted density at initialisation time."""
         return max(
             abs(state.density - self._truth) for state in self._states.values()
         )

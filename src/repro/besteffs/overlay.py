@@ -254,9 +254,6 @@ class Overlay:
     def node_ids(self) -> tuple[str, ...]:
         return self._nodes
 
-    def __len__(self) -> int:
-        return len(self._nodes)
-
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._adj
 

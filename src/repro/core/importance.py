@@ -198,10 +198,6 @@ class DiracImportance(ImportanceFunction):
     def t_expire(self) -> float:
         return 0.0
 
-    @property
-    def stable_until(self) -> float:
-        return math.inf  # identically zero: trivially constant
-
     def importance_at(self, age_minutes: float) -> float:
         self._clamp_age(age_minutes)
         return 0.0

@@ -7,7 +7,7 @@ the lecture scenario to distinguish university cameras from student
 uploads) and free-form metadata for experiment bookkeeping.
 
 Objects are immutable: *Besteffs* is write-once with versioned updates, so
-an "update" is a new object (see :mod:`repro.besteffs.versioning`).
+an "update" is a new object.
 """
 
 from __future__ import annotations

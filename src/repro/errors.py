@@ -70,10 +70,6 @@ class OverlayError(ReproError):
     """The p2p overlay is malformed (e.g. empty, disconnected sampling)."""
 
 
-class VersioningError(ReproError):
-    """A write-once versioning rule was violated (e.g. in-place update)."""
-
-
 class ObservabilityError(ReproError):
     """The telemetry layer was misused (bad metric name, label mismatch,
     conflicting re-registration, unknown log level, ...)."""

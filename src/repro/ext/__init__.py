@@ -1,33 +1,27 @@
 """Section 6 extension scenarios.
 
-The paper's discussion sketches two follow-on uses of temporal importance,
-both of which need *active intervention* to raise an importance (the
-static functions are monotone by design, so any increase must be an
-explicit re-annotation):
+The paper's discussion sketches follow-on uses of temporal importance
+that need *active intervention* to raise an importance (the static
+functions are monotone by design, so any increase must be an explicit
+re-annotation):
 
 * :mod:`repro.ext.sensor` — sensor stores that treat unprocessed data as
   important, retain processed data until results are acknowledged, and
   downgrade on acknowledgment.
-* :mod:`repro.ext.security` — stores whose object importance mirrors the
-  confidence in the object's integrity, decaying since the last
-  verification; under pressure the most-compromised objects go first.
 
-Both build on :mod:`repro.ext.reannotate`, the generic re-annotation
+It builds on :mod:`repro.ext.reannotate`, the generic re-annotation
 primitive.
 """
 
 from repro.ext.reannotate import reannotate
 from repro.ext.refresher import PalimpsestRefresher, RefreshOutcome
 from repro.ext.sensor import SensorPipeline, SensorReading, SensorStage
-from repro.ext.security import SecurityDecayStore, verification_lifetime
 
 __all__ = [
     "PalimpsestRefresher",
     "RefreshOutcome",
-    "SecurityDecayStore",
     "SensorPipeline",
     "SensorReading",
     "SensorStage",
     "reannotate",
-    "verification_lifetime",
 ]

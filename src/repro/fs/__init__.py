@@ -13,17 +13,14 @@ returning stale bytes.
   paper's "/tmp and JPEG objects can be designated as less important"
   example, made explicit and overridable);
 * :mod:`repro.fs.filesystem` — the :class:`TemporalFS` API: write / read
-  / stat / listdir / remove / reannotate / density, over the namespace it
-  shares with :mod:`repro.fs.clusterfs`'s :class:`ClusterFS`.
+  / stat / listdir / remove / set_lifetime / density.
 """
 
-from repro.fs.clusterfs import ClusterFS
 from repro.fs.filesystem import FileFadedError, FileStat, TemporalFS
 from repro.fs.policy import DefaultAnnotationPolicy, PatternRule
 from repro.fs.path import normalize_path
 
 __all__ = [
-    "ClusterFS",
     "DefaultAnnotationPolicy",
     "FileFadedError",
     "FileStat",

@@ -22,7 +22,7 @@ are the real library code paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.core.advisor import Advice, AnnotationAdvisor
 from repro.core.density import importance_density
@@ -59,52 +59,51 @@ class FileStat:
     annotation: ImportanceFunction
 
 
-class _Namespace:
-    """The path namespace a front end keeps over its backend.
+class TemporalFS:
+    """A path-keyed prototype filesystem over a temporal store.
 
     File names, bytes and fade state are metadata of the mounting client:
     path ↔ object id maps, the content, and the paths whose bytes were
-    reclaimed (a path is never both resident and faded).  A front end
-    supplies the storage unit holding an object (:meth:`_unit_of`),
-    subscribes to its backend's eviction records (:meth:`_subscribe`), and
-    writes through :meth:`_new_object` / :meth:`_remember`.
+    reclaimed (a path is never both resident and faded).
     """
 
-    #: Eviction reasons that fade a path; explicit removals, replacements
-    #: and expiry drop it silently.
-    _FADING = ("preempted", "node-departure")
-    #: How a faded read explains itself.
-    _FADED_BECAUSE = "reclaimed by storage pressure"
-
-    def __init__(self, policy: DefaultAnnotationPolicy | None) -> None:
+    def __init__(
+        self,
+        capacity_bytes: int,
+        *,
+        policy: DefaultAnnotationPolicy | None = None,
+        name: str = "temporalfs",
+    ) -> None:
         self.defaults = policy if policy is not None else DefaultAnnotationPolicy()
+        self.store = StorageUnit(
+            capacity_bytes, TemporalImportancePolicy(), name=name, keep_history=False
+        )
+        self.store.on_eviction = self._forget
+        self.faded_count = 0
         self._path_of: dict[ObjectId, str] = {}
         self._object_of: dict[str, ObjectId] = {}
         self._content: dict[ObjectId, bytes] = {}
         #: Paths whose bytes were reclaimed (for FileFadedError).
         self._faded: set[str] = set()
 
-    def _unit_of(self, object_id: ObjectId) -> StorageUnit:
-        raise NotImplementedError
-
-    def _subscribe(self, source) -> None:
-        """Forget each object ``source`` (anything with an ``on_eviction``
-        callback attribute) evicts, after any earlier subscriber."""
-        previous: Callable[[EvictionRecord], None] | None = source.on_eviction
-
-        def on_eviction(record: EvictionRecord) -> None:
-            self._forget(record.object_id, record.reason)
-            if previous is not None:
-                previous(record)
-
-        source.on_eviction = on_eviction
-
     # -- write path ---------------------------------------------------------
 
-    def _new_object(
-        self, path: str, data: bytes, now: float, lifetime: ImportanceFunction | None
-    ) -> tuple[str, StoredObject]:
-        """Validate a write; return its normalised path and object."""
+    def write(
+        self,
+        path: str,
+        data: bytes,
+        now: float,
+        *,
+        lifetime: ImportanceFunction | None = None,
+    ) -> FileStat:
+        """Create or replace a file.
+
+        Without an explicit ``lifetime`` the default-annotation policy
+        picks one from the path.  Replacement is write-once underneath: a
+        new object is stored and the old one removed (never mutated).
+        Raises :class:`StorageFullError` when the volume is full for this
+        annotation's importance.
+        """
         norm = normalize_path(path)
         if not isinstance(data, bytes):
             raise PathError(f"file data must be bytes, got {type(data).__name__}")
@@ -112,7 +111,45 @@ class _Namespace:
             raise PathError("empty files are not storable (size must be positive)")
         annotation = lifetime if lifetime is not None else self.defaults.lifetime_for(norm)
         obj = StoredObject(size=len(data), t_arrival=now, lifetime=annotation, creator="fs")
-        return norm, obj
+        # Replacing? Remove the old version only after the new admission
+        # plan is known to succeed — peek first so a refused write leaves
+        # the previous version intact.
+        existing = self._object_of.get(norm)
+        plan = self.store.peek_admission(obj, now)
+        if not plan.admit and existing is not None:
+            # Retry the plan assuming the old version's bytes are freed;
+            # if even that fails, restore the old version untouched.
+            old_obj = self.store.get(existing)
+            old_data = self._content[existing]
+            self.store.remove(existing, now, reason="replace")
+            result = self.store.offer(obj, now)
+            if not result.admitted:
+                rollback = self.store.offer(old_obj, now)
+                if not rollback.admitted:  # pragma: no cover - bytes just freed
+                    raise CapacityError(
+                        f"failed to restore {norm!r} after a refused overwrite"
+                    )
+                self._remember(norm, old_obj.object_id, old_data)
+                raise StorageFullError(
+                    f"volume full for {norm!r} at importance "
+                    f"{annotation.initial_importance:.2f}",
+                    blocking_importance=result.plan.blocking_importance,
+                )
+        else:
+            if not plan.admit:
+                raise StorageFullError(
+                    f"volume full for {norm!r} at importance "
+                    f"{annotation.initial_importance:.2f}",
+                    blocking_importance=plan.blocking_importance,
+                )
+            if existing is not None:
+                self.store.remove(existing, now, reason="replace")
+            result = self.store.offer(obj, now)
+            if not result.admitted:  # pragma: no cover - peek/commit agree
+                raise CapacityError(f"write of {norm!r} failed after planning")
+
+        self._remember(norm, obj.object_id, data)
+        return self.stat(norm, now)
 
     def _remember(self, norm: str, object_id: ObjectId, data: bytes) -> None:
         self._path_of[object_id] = norm
@@ -134,19 +171,19 @@ class _Namespace:
         :class:`FileFadedError`, one that never existed FileNotFoundError."""
         norm = normalize_path(path)
         if norm in self._faded:
-            raise FileFadedError(f"{norm} was {self._FADED_BECAUSE}")
+            raise FileFadedError(f"{norm} was reclaimed by storage pressure")
         return norm, self._resident(norm)
 
     def read(self, path: str, now: float) -> bytes:
         """Return a file's bytes; faded files raise :class:`FileFadedError`."""
         _norm, object_id = self._readable(path)
-        self._unit_of(object_id).touch(object_id, now)
+        self.store.touch(object_id, now)
         return self._content[object_id]
 
     def stat(self, path: str, now: float) -> FileStat:
         """Metadata, including current importance and expiry."""
         norm, object_id = self._readable(path)
-        obj = self._unit_of(object_id).get(object_id)
+        obj = self.store.get(object_id)
         return FileStat(
             path=norm,
             size=obj.size,
@@ -188,104 +225,19 @@ class _Namespace:
         """Explicitly delete a file (traditional semantics still work)."""
         norm = normalize_path(path)
         object_id = self._resident(norm)
-        self._unit_of(object_id).remove(object_id, now, reason="manual")
+        self.store.remove(object_id, now, reason="manual")
 
-    def _forget(self, object_id: ObjectId, reason: str) -> bool:
-        """Drop an evicted object's path; True when the path faded."""
-        path = self._path_of.pop(object_id, None)
-        self._content.pop(object_id, None)
-        if path is None or self._object_of.get(path) != object_id:
-            return False
+    def _forget(self, record: EvictionRecord) -> None:
+        """Drop an evicted object's path; a preempted one's path fades
+        (explicit removals, replacements and expiry drop it silently)."""
+        path = self._path_of.pop(record.object_id, None)
+        self._content.pop(record.object_id, None)
+        if path is None or self._object_of.get(path) != record.object_id:
+            return
         del self._object_of[path]
-        if reason not in self._FADING:
-            return False
-        self._faded.add(path)
-        return True
-
-
-class TemporalFS(_Namespace):
-    """A path-keyed prototype filesystem over a temporal store."""
-
-    def __init__(
-        self,
-        capacity_bytes: int,
-        *,
-        policy: DefaultAnnotationPolicy | None = None,
-        name: str = "temporalfs",
-    ) -> None:
-        super().__init__(policy)
-        self.store = StorageUnit(
-            capacity_bytes, TemporalImportancePolicy(), name=name, keep_history=False
-        )
-        self.faded_count = 0
-        self._subscribe(self.store)
-
-    def _unit_of(self, object_id: ObjectId) -> StorageUnit:
-        return self.store
-
-    def _forget(self, object_id: ObjectId, reason: str) -> bool:
-        faded = super()._forget(object_id, reason)
-        if faded:
+        if record.reason == "preempted":
+            self._faded.add(path)
             self.faded_count += 1
-        return faded
-
-    def write(
-        self,
-        path: str,
-        data: bytes,
-        now: float,
-        *,
-        lifetime: ImportanceFunction | None = None,
-    ) -> FileStat:
-        """Create or replace a file.
-
-        Without an explicit ``lifetime`` the default-annotation policy
-        picks one from the path.  Replacement is write-once underneath: a
-        new object is stored and the old one removed (never mutated).
-        Raises :class:`StorageFullError` when the volume is full for this
-        annotation's importance.
-        """
-        norm, obj = self._new_object(path, data, now, lifetime)
-        annotation = obj.lifetime
-        # Replacing? Remove the old version only after the new admission
-        # plan is known to succeed — peek first so a refused write leaves
-        # the previous version intact.
-        existing = self._object_of.get(norm)
-        plan = self.store.peek_admission(obj, now)
-        if not plan.admit and existing is not None:
-            # Retry the plan assuming the old version's bytes are freed;
-            # if even that fails, restore the old version untouched.
-            old_obj = self.store.get(existing)
-            old_data = self._content[existing]
-            self.store.remove(existing, now, reason="replace")
-            result = self.store.offer(obj, now)
-            if not result.admitted:
-                rollback = self.store.offer(old_obj, now)
-                if not rollback.admitted:  # pragma: no cover - bytes just freed
-                    raise CapacityError(
-                        f"failed to restore {norm!r} after a refused overwrite"
-                    )
-                self._remember(norm, old_obj.object_id, old_data)
-                raise StorageFullError(
-                    f"volume full for {norm!r} at importance "
-                    f"{annotation.initial_importance:.2f}",
-                    blocking_importance=result.plan.blocking_importance,
-                )
-        else:
-            if not plan.admit:
-                raise StorageFullError(
-                    f"volume full for {norm!r} at importance "
-                    f"{annotation.initial_importance:.2f}",
-                    blocking_importance=plan.blocking_importance,
-                )
-            if existing is not None:
-                self.store.remove(existing, now, reason="replace")
-            result = self.store.offer(obj, now)
-            if not result.admitted:  # pragma: no cover - peek/commit agree
-                raise CapacityError(f"write of {norm!r} failed after planning")
-
-        self._remember(norm, obj.object_id, data)
-        return self.stat(norm, now)
 
     def set_lifetime(
         self, path: str, lifetime: ImportanceFunction, now: float

@@ -11,7 +11,7 @@ import posixpath
 
 from repro.errors import ReproError
 
-__all__ = ["PathError", "normalize_path", "parent_of", "is_within"]
+__all__ = ["PathError", "normalize_path", "is_within"]
 
 
 class PathError(ReproError):
@@ -41,11 +41,6 @@ def normalize_path(path: str) -> str:
     if normalized == "/":
         raise PathError("the root directory is not a file path")
     return normalized
-
-
-def parent_of(path: str) -> str:
-    """Parent directory of a normalised path (``/`` for top-level files)."""
-    return posixpath.dirname(path) or "/"
 
 
 def is_within(path: str, directory: str) -> bool:

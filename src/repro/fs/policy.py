@@ -16,11 +16,7 @@ from __future__ import annotations
 import fnmatch
 from dataclasses import dataclass, field
 
-from repro.core.importance import (
-    ConstantImportance,
-    ImportanceFunction,
-    TwoStepImportance,
-)
+from repro.core.importance import ImportanceFunction, TwoStepImportance
 from repro.errors import ReproError
 from repro.units import days, hours
 
@@ -104,21 +100,3 @@ class DefaultAnnotationPolicy:
             if rule.matches(path):
                 return rule.lifetime
         raise ReproError(f"no annotation rule matches {path!r}")
-
-    def with_rule_first(self, rule: PatternRule) -> "DefaultAnnotationPolicy":
-        """A copy of this policy with ``rule`` taking precedence."""
-        return DefaultAnnotationPolicy(rules=(rule, *self.rules))
-
-    def explain(self, path: str) -> str:
-        """Which rule governs a path (for tooling/debugging)."""
-        for rule in self.rules:
-            if rule.matches(path):
-                label = rule.description or rule.pattern
-                return f"{path} -> {label} (pattern {rule.pattern!r})"
-        return f"{path} -> no matching rule"
-
-
-#: Guard against accidentally defaulting files to forever: the policy
-#: itself permits ConstantImportance rules, but the filesystem warns via
-#: this marker in its docstrings/tests.
-PERSISTENT = ConstantImportance(p=1.0)

@@ -4,7 +4,6 @@ A rule is one comparison, ``<signal> <op> <number>``::
 
     healthy_rejects:  reject_rate < 0.3
     density_floor:    importance_density_p5 > 0.05
-    gossip_fast:      gossip_convergence_rounds <= 12
     queue_sane:       engine_queue_depth:max < 100000
 
 Rules live in a flat ``name: expression`` mapping — a plain dict in
@@ -31,9 +30,6 @@ Derived signals (computed from the standard store metrics):
 ``importance_density_min`` / ``_mean`` / ``_max`` / ``_p<N>``
     Aggregates (or the N-th percentile) of the per-unit
     ``store_importance_density`` gauge.
-``gossip_convergence_rounds``
-    Rounds the last gossip run needed to converge (gauge set by
-    :class:`~repro.besteffs.gossip.GossipAverager`).
 
 Any other signal is a generic metric selector
 ``name[{label=value,...}][:agg]`` where ``agg`` is one of ``sum``,
@@ -342,12 +338,6 @@ def resolve_signal(registry: MetricsRegistry, signal: str) -> float | None:
         if suffix in ("min", "mean", "max") or _PERCENTILE_RE.match(suffix):
             values = _gauge_values(registry, "store_importance_density")
             return None if values is None else _aggregate_scalar(values, suffix)
-    if signal == "gossip_convergence_rounds":
-        metric = registry.get("gossip_convergence_rounds")
-        if not isinstance(metric, Gauge):
-            return None
-        values = list(metric.series().values())
-        return values[-1] if values else None
     return _resolve_selector(registry, signal)
 
 

@@ -69,7 +69,7 @@ def test_lazy_rounds_decide_as_eager_rounds(monkeypatch, name, rng_type, expelle
         PlacementConfig(x=1, m=1, walk_length=16),
         PlacementConfig(x=3, m=2, walk_length=5),
         PlacementConfig(x=5, m=3, walk_length=16),
-        PlacementConfig(x=len(overlay), m=2, walk_length=4),  # the whole overlay
+        PlacementConfig(x=len(overlay.node_ids), m=2, walk_length=4),  # the whole overlay
     ]
     walker = rng_type(7)
     now = 0.0
@@ -96,13 +96,13 @@ def test_lazy_rounds_decide_as_eager_rounds(monkeypatch, name, rng_type, expelle
         if node is not None:
             assert node.accept(obj, now).admitted
     assert reasons == {"direct", "lowest-preempted", "all-full"}
-    if rng_type is _LoggedRandom and len(overlay) > 1:
+    if rng_type is _LoggedRandom and len(overlay.node_ids) > 1:
         assert saved > 0  # some direct stores skipped walks
 
 
 def test_the_eager_oracle_is_the_full_lazy_sample():
     for name, overlay in _overlays().items():
-        for x in (1, 3, len(overlay)):
+        for x in (1, 3, len(overlay.node_ids)):
             lazy, eager = random.Random(x), random.Random(x)
             for start in overlay.node_ids[:4]:
                 assert list(placement.walk_endpoints(overlay, start, x, lazy)) == (

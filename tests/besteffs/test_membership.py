@@ -97,7 +97,7 @@ class TestLeave:
         manager, cluster, _recorder = managed
         manager.leave("n0", 0.0)
         assert "n0" not in cluster.overlay
-        assert len(cluster.overlay) == 5
+        assert len(cluster.overlay.node_ids) == 5
 
     def test_lost_objects_accumulate(self, managed):
         manager, cluster, _recorder = managed

@@ -14,22 +14,22 @@ IDS = [f"n{i:03d}" for i in range(50)]
 class TestOverlay:
     def test_random_regular_is_connected_and_regular(self):
         overlay = Overlay.random_regular(IDS, degree=6, seed=1)
-        assert len(overlay) == 50
+        assert len(overlay.node_ids) == 50
         assert all(len(overlay.neighbors(node)) == 6 for node in overlay.node_ids)
 
     def test_small_membership_falls_back_to_complete(self):
         overlay = Overlay.random_regular(["a", "b", "c"], degree=10, seed=0)
-        assert len(overlay) == 3
+        assert len(overlay.node_ids) == 3
         assert set(overlay.neighbors("a")) == {"b", "c"}
 
     def test_single_node_overlay(self):
         overlay = Overlay.random_regular(["solo"], degree=4, seed=0)
-        assert len(overlay) == 1
+        assert len(overlay.node_ids) == 1
         assert overlay.neighbors("solo") == ()
 
     def test_small_world_topology(self):
         overlay = Overlay.small_world(IDS, k=6, rewire_p=0.3, seed=2)
-        assert len(overlay) == 50
+        assert len(overlay.node_ids) == 50
 
     def test_rejects_empty_membership(self):
         with pytest.raises(OverlayError):
@@ -220,7 +220,7 @@ class TestWalkKernelEqualsTheStringSpaceWalk:
             )
             for start in overlay.node_ids[:4]:
                 for x, walk_length in ((1, 16), (3, 5), (5, 16), (7, 0)):
-                    if x >= len(overlay):
+                    if x >= len(overlay.node_ids):
                         continue  # the whole-overlay shortcut, tested above
                     expected = _reference_sample(overlay, start, x, plain, walk_length)
                     assert sample_nodes(

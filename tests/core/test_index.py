@@ -36,7 +36,10 @@ class TestStableUntil:
         assert ConstantImportance(p=0.7).stable_until == math.inf
 
     def test_dirac_is_trivially_stable(self):
-        assert DiracImportance().stable_until == math.inf
+        # Expired from age 0, a Dirac resident never enters the constant
+        # phase, so the base class's safe default is never read.
+        fn = DiracImportance()
+        assert fn.is_expired(0.0) and fn.stable_until == 0.0
 
     def test_fixed_lifetime_is_stable_to_the_cliff(self):
         fn = FixedLifetimeImportance(p=0.4, expire_after=100.0)

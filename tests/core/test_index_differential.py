@@ -29,7 +29,7 @@ from repro.core.importance import (
     StepWaneImportance,
     TwoStepImportance,
 )
-from repro.core.index import ImportanceIndex
+from repro.core.index import PHASE_EXPIRED, ImportanceIndex
 from repro.core.obj import StoredObject
 from repro.core.policies.temporal import TemporalImportancePolicy
 from repro.core.store import StorageUnit
@@ -229,6 +229,44 @@ def test_integer_grid_workload_is_bit_identical(seed):
             assert fast.importance_index.check(now)
     # The grid workload must actually have exercised the superfamily path.
     assert fast.importance_index.groups.family_count > 0
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_dirac_residents_sit_expired_and_off_the_heap(seed):
+    """A Dirac resident is expired from its arrival, so the index never
+    reads its ``stable_until``: it sits in the expired phase with no
+    breakpoint entry, and a twin workload where half the arrivals are Dirac
+    still decides like the scan oracle."""
+    rng = random.Random(seed)
+    naive = oracle_store(CAPACITY, TemporalImportancePolicy(), name="naive")
+    fast = StorageUnit(CAPACITY, TemporalImportancePolicy(), name="fast")
+    index = fast.importance_index
+    now = 0.0
+    for step in range(600):
+        now += float(rng.randrange(0, 20))
+        if rng.random() < 0.85:
+            lifetime = DiracImportance() if rng.random() < 0.5 else random_lifetime(rng)
+            obj = StoredObject(
+                size=rng.randint(100, 6000), t_arrival=now, lifetime=lifetime,
+                object_id=f"d-{step}",
+            )
+            res_n = naive.offer(obj, now)
+            res_f = fast.offer(obj, now)
+            assert res_n.admitted == res_f.admitted, f"step {step}"
+            assert_plans_equal(res_n.plan, res_f.plan, step)
+            assert_evictions_equal(res_n.evictions, res_f.evictions, step)
+        else:
+            assert_evictions_equal(
+                naive.reclaim_expired(now), fast.reclaim_expired(now), step
+            )
+        dirac = [rec for rec in index.residents.values()
+                 if type(rec.obj.lifetime) is DiracImportance]
+        assert all(rec.phase == PHASE_EXPIRED for rec in dirac), f"step {step}"
+        armed = {id(rec) for _t, _seq, rec in index._heap if rec.obj is not None}
+        assert not armed & {id(rec) for rec in dirac}, f"step {step}"
+        assert naive.used_bytes == fast.used_bytes, f"step {step}"
+        assert list(naive.iter_residents()) == list(fast.iter_residents()), f"step {step}"
+    assert index.check(now)
 
 
 #: ``_decision_digest`` literals: ``(seed, grid) -> sha256``.  The grid

@@ -9,14 +9,12 @@ from itertools import islice
 import pytest
 
 from repro.besteffs.auth import CapabilityRealm
-from repro.besteffs.cluster import BesteffsCluster
-from repro.besteffs.placement import PlacementConfig
 from repro.core.density import DensitySample
 from repro.core.obj import EMPTY_METADATA, StoredObject
 from repro.core.policies.temporal import TemporalImportancePolicy
 from repro.core.store import AdmissionResult, EvictionRecord, RejectionRecord, StorageUnit
 from repro.sim.recorder import ArrivalRecord, Recorder
-from repro.fs import ClusterFS, TemporalFS
+from repro.fs import TemporalFS
 from repro.serve.loadgen import LoadGenSpec, build_requests
 from repro.sim.runner import run_single_store
 from repro.sim.workload.lecture import LectureCaptureWorkload
@@ -71,16 +69,10 @@ def test_value_types_are_slotted_and_pickle(kind):
 
 
 def _fs_objects():
-    local = TemporalFS(mib(16))
-    remote = ClusterFS(
-        BesteffsCluster({f"desk-{i}": mib(8) for i in range(2)},
-                        placement=PlacementConfig(x=2, m=2), seed=2)
-    )
-    for fs in (local, remote):
-        for i in range(3):
-            fs.write(f"/docs/{i}", b"x" * (i + 1), float(i))
-    stores = [local.store, *(node.store for node in remote.cluster.nodes.values())]
-    return [obj for store in stores for obj in store.iter_residents()]
+    fs = TemporalFS(mib(16))
+    for i in range(6):
+        fs.write(f"/docs/{i}", b"x" * (i + 1), float(i))
+    return list(fs.store.iter_residents())
 
 
 def _requested(workload):

@@ -1,12 +1,10 @@
-"""Tests for the TemporalFS prototype and the namespace both front ends share."""
+"""Tests for the TemporalFS prototype."""
 
 import pytest
 
-from repro.besteffs.cluster import BesteffsCluster
-from repro.besteffs.placement import PlacementConfig
 from repro.core.importance import ConstantImportance, TwoStepImportance
 from repro.errors import StorageFullError
-from repro.fs import ClusterFS, FileFadedError, TemporalFS
+from repro.fs import FileFadedError, TemporalFS
 from repro.fs.path import PathError
 from repro.units import days, mib
 
@@ -20,21 +18,14 @@ def fs():
     return TemporalFS(mib(16))
 
 
-@pytest.fixture(params=["temporal", "cluster"])
+@pytest.fixture(params=[TemporalFS], ids=["temporal"])
 def any_fs(request):
-    """A 16 MiB volume behind either front end."""
-    if request.param == "temporal":
-        return TemporalFS(mib(16))
-    cluster = BesteffsCluster(
-        {f"desk-{i}": mib(4) for i in range(4)}, placement=PlacementConfig(x=4, m=2), seed=2
-    )
-    return ClusterFS(cluster)
+    """A 16 MiB volume behind each front end of the path namespace."""
+    return request.param(mib(16))
 
 
 def stored_objects(fs):
-    """Objects the front end's backend holds (superseded versions included)."""
-    if isinstance(fs, ClusterFS):
-        return fs.cluster.resident_count()
+    """Objects the volume holds (superseded versions included)."""
     return len(fs.store)
 
 
@@ -49,7 +40,7 @@ def fill(fs, *, p, prefix="/bulk"):
 
 
 class TestNamespace:
-    """The path namespace: the same behaviour over either backend."""
+    """The path namespace."""
 
     def test_round_trip(self, any_fs):
         any_fs.write("/docs/report.txt", b"hello storage", 0.0, lifetime=two_step())

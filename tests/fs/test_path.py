@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fs.path import PathError, is_within, normalize_path, parent_of
+from repro.fs.path import PathError, is_within, normalize_path
 
 
 class TestNormalizePath:
@@ -21,10 +21,6 @@ class TestNormalizePath:
 
 
 class TestHelpers:
-    def test_parent_of(self):
-        assert parent_of("/a/b/c") == "/a/b"
-        assert parent_of("/top") == "/"
-
     def test_is_within(self):
         assert is_within("/a/b/c", "/a")
         assert is_within("/a/b/c", "/")

@@ -34,22 +34,15 @@ class TestPaperDefaults:
 
 
 class TestCustomRules:
-    def test_first_match_wins_and_with_rule_first(self):
-        policy = DefaultAnnotationPolicy()
+    def test_first_match_wins(self):
         special = PatternRule(
             "/tmp/keep-*",
             TwoStepImportance(p=1.0, t_persist=days(90), t_wane=days(90)),
             "pinned scratch",
         )
-        boosted = policy.with_rule_first(special)
+        boosted = DefaultAnnotationPolicy(rules=(special, *DefaultAnnotationPolicy().rules))
         assert boosted.lifetime_for("/tmp/keep-me").initial_importance == 1.0
         assert boosted.lifetime_for("/tmp/other").initial_importance == 0.6
-        # The original policy is untouched.
-        assert policy.lifetime_for("/tmp/keep-me").initial_importance == 0.6
-
-    def test_explain_names_the_rule(self):
-        policy = DefaultAnnotationPolicy()
-        assert "scratch" in policy.explain("/tmp/x")
 
     def test_no_match_raises(self):
         policy = DefaultAnnotationPolicy(rules=(

@@ -4,7 +4,7 @@ A small campus deployment runs for two simulated semesters:
 
 * a Besteffs cluster of desktops with the paper's placement rule;
 * an authenticated, fairness-policed gateway in front of it;
-* a cluster-backed temporal filesystem mounting the capture pipeline;
+* shared documents placed on the cluster directly, outside the gateway;
 * desktop churn taking single copies away mid-run;
 * decentralised density estimation feeding an annotation advisor.
 
@@ -31,7 +31,6 @@ from repro.besteffs import (
 )
 from repro.core.importance import TwoStepImportance
 from repro.core.obj import StoredObject
-from repro.fs import ClusterFS
 from repro.serve import StoreRequest
 from repro.units import days, gib, mib
 
@@ -49,7 +48,6 @@ def campus():
         budget_per_period=gib(40) * days(30), period_minutes=days(120)
     )
     gateway = BesteffsGateway(cluster=cluster, realm=realm, ledger=ledger)
-    fs = ClusterFS(cluster)
     manager = ChurnManager(cluster, overlay_seed=13)
 
     registrar = realm.mint("registrar", max_initial_importance=1.0)
@@ -57,9 +55,9 @@ def campus():
 
     lecture_life = TwoStepImportance(p=1.0, t_persist=days(30), t_wane=days(60))
     student_life = TwoStepImportance(p=0.5, t_persist=days(30), t_wane=days(14))
+    notes_life = TwoStepImportance(p=1.0, t_persist=days(30), t_wane=days(30))
 
     outcomes = {"stored": 0, "refused": 0}
-    fs_paths = []
     churned_at = []
     departures = 0
 
@@ -81,14 +79,12 @@ def campus():
                 object_id=f"stu-{day:03d}", creator="student",
             )
             gateway.handle(StoreRequest(capability=student, obj=sobj), now=now)
-        # The filesystem mounts some shared documents weekly.
+        # Shared documents arrive weekly.
         if day % 7 == 1:
-            path = f"/shared/notes-{day:03d}.pdf"
-            try:
-                fs.write(path, b"n" * mib(50), now)
-                fs_paths.append(path)
-            except Exception:
-                pass
+            notes = StoredObject(
+                size=mib(50), t_arrival=now, lifetime=notes_life, creator="shared"
+            )
+            cluster.offer(notes, now)
         # Monthly churn: one desktop leaves, one joins bigger.
         if day > 0 and day % 30 == 0:
             victim = sorted(cluster.nodes)[day % len(cluster.nodes)]
@@ -100,13 +96,11 @@ def campus():
     return {
         "cluster": cluster,
         "gateway": gateway,
-        "fs": fs,
         "manager": manager,
         "ledger": ledger,
         "realm": realm,
         "now": now,
         "outcomes": outcomes,
-        "fs_paths": fs_paths,
     }
 
 
@@ -154,19 +148,6 @@ class TestFullStack:
         assert ledger.spent("registrar", now) >= placed_cost * 0.99
         assert sum(gateway.refusals.values()) >= 0
 
-    def test_filesystem_view_matches_cluster(self, campus):
-        fs = campus["fs"]
-        cluster = campus["cluster"]
-        now = campus["now"]
-        for path in fs.listdir("/shared"):
-            stat = fs.stat(path, now)
-            node_id = fs.node_of(path)
-            assert node_id in cluster.nodes
-            assert stat.size == mib(50)
-        # Every mounted file is either resident or tracked as faded.
-        mounted = set(campus["fs_paths"])
-        assert mounted == set(fs.listdir("/shared")) | (mounted & set(fs.faded()))
-
     def test_density_signals_are_consistent(self, campus):
         cluster = campus["cluster"]
         now = campus["now"]
@@ -175,7 +156,8 @@ class TestFullStack:
         sample = sampled_density(cluster, now, k=8, rng=random.Random(1))
         assert abs(sample - truth) < 0.25
         gossip = GossipAverager(cluster, now, seed=2)
-        gossip.run(rounds=15)
+        for _ in range(15):
+            gossip.round()
         assert gossip.spread() < 0.02
 
     def test_student_objects_remain_second_class(self, campus):

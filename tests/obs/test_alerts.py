@@ -73,10 +73,10 @@ class TestLoadRules:
         assert load_rules(handle)[0].signal == "reject_rate"
 
     def test_flat_yaml_subset(self):
-        text = "# SLOs\nhealthy: reject_rate < 0.3\n\nfast: 'gossip_convergence_rounds <= 12'\n"
+        text = "# SLOs\nhealthy: reject_rate < 0.3\n\nqueue: 'engine_queue_depth:max < 100000'\n"
         rules = load_rules(io.StringIO(text))
-        assert [r.name for r in rules] == ["healthy", "fast"]
-        assert rules[1].expr == "gossip_convergence_rounds <= 12"
+        assert [r.name for r in rules] == ["healthy", "queue"]
+        assert rules[1].expr == "engine_queue_depth:max < 100000"
 
     @pytest.mark.parametrize(
         "expr",

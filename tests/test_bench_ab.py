@@ -1,8 +1,14 @@
-"""``tools/bench_ab.py``'s traced-pair check: each side's traced run must
-hash to that side's untraced digest, whether or not the change moved it."""
+"""``tools/bench_ab.py``: each side's traced run must hash to that side's
+untraced digest, whether or not the change moved it; both trees are
+byte-compiled before the first run; and a stopped tool leaves no run behind."""
 
 import argparse
 import importlib.util
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -52,3 +58,66 @@ def test_a_traced_digest_that_differs_from_its_side_fails(bench_ab, monkeypatch,
 def test_untraced_runs_that_disagree_fail_the_traced_check(bench_ab, monkeypatch):
     untraced = {"parent": {"aaaa"}, "change": {"bbbb", "cccc"}}
     assert not traced_pair(bench_ab, monkeypatch, "aaaa", "bbbb", untraced)
+
+
+def test_prepare_byte_compiles_the_extracted_tree(bench_ab, monkeypatch, tmp_path):
+    def extract(rev, into):
+        for part in ("src/repro", "bench"):
+            (into / part).mkdir(parents=True)
+        (into / "src" / "repro" / "api.py").write_text("NAMES = ()\n")
+        (into / "bench" / "__main__.py").write_text("print()\n")
+
+    monkeypatch.setattr(bench_ab, "extract", extract)
+    monkeypatch.setattr(bench_ab, "REPO", tmp_path / "checkout")
+    extract("HEAD", tmp_path / "checkout")
+    bench_ab.prepare("HEAD", tmp_path / "parent")
+    for tree in ("parent", "checkout"):
+        assert list((tmp_path / tree / "src" / "repro" / "__pycache__").glob("api.*.pyc"))
+        assert list((tmp_path / tree / "bench" / "__pycache__").glob("__main__.*.pyc"))
+
+
+def _alive(pid):
+    """Whether ``pid`` runs (a zombie nobody reaped yet does not)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    stat = Path(f"/proc/{pid}/stat")
+    return not stat.exists() or stat.read_text().rpartition(")")[2].split()[0] != "Z"
+
+
+def test_stopping_the_tool_stops_its_run_and_the_runs_children(tmp_path):
+    # A stub ``python -m bench`` that starts a sleeping child, the way the
+    # benchmark starts ``bench.child``, and sleeps itself.
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "__main__.py").write_text(
+        "import os, pathlib, subprocess, sys, time\n"
+        "child = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'])\n"
+        f"pathlib.Path({str(tmp_path / 'pids')!r}).write_text(f'{{os.getpid()}} {{child.pid}}')\n"
+        "time.sleep(60)\n"
+    )
+    driver = (
+        "import importlib.util, signal, sys\n"
+        f"spec = importlib.util.spec_from_file_location('bench_ab', {str(REPO / 'tools' / 'bench_ab.py')!r})\n"
+        "tool = importlib.util.module_from_spec(spec); spec.loader.exec_module(tool)\n"
+        "signal.signal(signal.SIGTERM, tool._stop)\n"
+        f"tool.run_once(tool.Path({str(tmp_path)!r}), 'w', 1, 1.0)\n"
+    )
+    tool = subprocess.Popen([sys.executable, "-c", driver])
+    pids = tmp_path / "pids"
+    deadline = time.monotonic() + 30
+    while not pids.exists() or len(pids.read_text().split()) < 2:
+        assert time.monotonic() < deadline and tool.poll() is None, "the stub never started"
+        time.sleep(0.05)
+    stub_pids = [int(pid) for pid in pids.read_text().split()]
+    try:
+        assert all(map(_alive, stub_pids))
+        tool.send_signal(signal.SIGTERM)
+        assert tool.wait(timeout=30) == 128 + signal.SIGTERM
+        deadline = time.monotonic() + 10
+        while any(map(_alive, stub_pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, stub_pids))
+    finally:  # a failing run leaves nothing behind either
+        for pid in filter(_alive, stub_pids):
+            os.kill(pid, signal.SIGKILL)

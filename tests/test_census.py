@@ -51,3 +51,11 @@ def test_a_decision_keeps_its_function_and_its_methods():
     assert rule == "(e) decided: tests read the state through it"
     info["qualname"] = "GroupedResidentsX.group_count"
     assert census.keep_rule(("repro/core/victims.py", 1), info, set()) == "—"
+
+
+def test_a_paper_section_keeps_nothing():
+    census = load_census()
+    assert not hasattr(census, "PAPER_SECTIONS")
+    info = {"qualname": "normalize_path", "abstract": False, "safety": False}
+    assert census.keep_rule(("repro/fs/path.py", 1), info, set()) == "—"
+    assert census.keep_rule(("repro/fs/path.py", 1), info, {("repro/fs/path.py", "normalize_path")}) == "(a) api"

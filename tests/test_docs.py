@@ -1,7 +1,6 @@
 """Docs that quote measured numbers must equal the committed baselines,
 and every ``repro.<dotted.path>`` they name must exist."""
 
-import ast
 import importlib
 import json
 import re
@@ -87,20 +86,3 @@ def test_every_dotted_repro_reference_in_the_docs_resolves():
             broken[dotted] = (sorted(set(files)), repr(error))
     assert not broken
 
-
-def test_modules_kept_for_the_paper_name_their_section():
-    """A module the census keeps under rule (b) says which paper section it is."""
-    from tests.test_census import load_census
-
-    sections = load_census().PAPER_SECTIONS
-    unnamed = {}
-    for prefix, section in sections.items():
-        paths = sorted((REPO / "src" / prefix).glob("*.py")) if prefix.endswith("/") else [
-            REPO / "src" / prefix
-        ]
-        assert paths, prefix
-        for path in paths:
-            docstring = ast.get_docstring(ast.parse(path.read_text(encoding="utf-8"))) or ""
-            if section not in docstring.replace("Section ", "§"):
-                unnamed[path.relative_to(REPO).as_posix()] = section
-    assert not unnamed

@@ -64,7 +64,6 @@ class TestPublicApi:
             "SimulationError",
             "PlacementError",
             "OverlayError",
-            "VersioningError",
             "UnknownObjectError",
         ):
             exc_type = getattr(errors, name)

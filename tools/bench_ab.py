@@ -5,7 +5,7 @@
 
 Extracts the committed files of ``PARENT_REV`` into a temporary directory
 (``git archive``: nothing is registered in ``.git``, and the parent runs
-from its own ``bench/`` and ``src/``), then runs
+from its own ``bench/`` and ``src/``), byte-compiles both sides, then runs
 
     python3 -m bench --workload W --seed S --seconds 15 --trace 0
 
@@ -47,7 +47,11 @@ without enforcing them, as ``python3 -m bench --quick`` does.
 from __future__ import annotations
 
 import argparse
+import compileall
+import contextlib
 import json
+import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -69,22 +73,53 @@ def extract(rev: str, into: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
 
 
+def prepare(rev: str, into: Path) -> None:
+    """Extract ``rev`` and byte-compile it and this checkout alike.
+
+    Under ``PYTHONDONTWRITEBYTECODE`` an extracted tree would otherwise
+    compile every import on every run while this checkout reads its cached
+    bytecode, and ``setup_s`` would show a gain for any change."""
+    extract(rev, into)
+    for tree in (into, REPO):
+        for part in ("src", "bench"):
+            compileall.compile_dir(str(tree / part), quiet=1)
+
+
+def _stop(signum: int, _frame) -> None:
+    """SIGTERM unwinds like SIGINT, so every run's group is killed on the way out."""
+    raise SystemExit(128 + signum)
+
+
+def run_bench(checkout: Path, argv: list[str]) -> tuple[str, str]:
+    """``python3 -m bench ARGV`` in ``checkout``: its stdout and stderr.
+
+    The run gets a session of its own, and its whole process group (the
+    ``bench.child`` processes too) is killed when the run ends or the tool
+    is stopped, so no run outlives the tool."""
+    proc = subprocess.Popen([sys.executable, "-m", "bench", *argv], cwd=checkout, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        return proc.communicate()
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One ``BENCHMARK.json`` contract run: its result object plus the digest.
 
     A run failed when it printed no result object; one that printed
     ``"correct": false`` (a traced run's validity check) is returned.
     """
-    done = subprocess.run(
-        [sys.executable, "-m", "bench", "--workload", workload, "--seed", str(seed),
-         "--seconds", f"{seconds:g}", "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True,
-    )
-    lines = done.stdout.strip().splitlines()
+    stdout, stderr = run_bench(checkout, ["--workload", workload, "--seed", str(seed),
+                                          "--seconds", f"{seconds:g}", "--trace", str(trace)])
+    lines = stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
-        raise SystemExit(f"bench failed in {checkout}:\n{done.stdout}{done.stderr}") from None
+        raise SystemExit(f"bench failed in {checkout}:\n{stdout}{stderr}") from None
     result["digest"] = lines[0].rpartition("digest=")[2]
     result["validity"] = [line.strip() for line in lines if line.startswith("  validity ")]
     return result
@@ -221,9 +256,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    signal.signal(signal.SIGTERM, _stop)
     ok = True
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as tmp:
-        extract(args.parent_rev, Path(tmp))
+        prepare(args.parent_rev, Path(tmp))
         for workload in args.workload or workloads:
             ok = compare(workload, Path(tmp), args, spec["end_to_end"]) and ok
     return 0 if ok else 1

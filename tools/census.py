@@ -11,10 +11,11 @@ experiment with ``--csv`` at ``--horizon-days 30`` (``fig7`` at its default
 horizon, the shortest that reaches its density band), one fig6 run with every
 observability sink and ``list`` / ``explain`` / ``flamegraph`` on it,
 ``examples/*.py``, the ``make`` smokes, ``bench --quick`` and ``benchmarks/``.
-Outside it a function is kept by (a) a ``repro.api`` export, (b) a paper
-section (``PAPER_SECTIONS``), (c) being a check or input validation, or (d)
-being abstract, or (e) a recorded decision (``DECIDED``); the table names the
-rule, and a function kept by none (``—``) is an open deletion candidate.
+Outside it a function is kept by (a) a ``repro.api`` export, (c) being a
+check or input validation, (d) being abstract, or (e) a recorded decision
+(``DECIDED``); the table names the rule, and a function kept by none (``—``)
+is an open deletion candidate.  There is no rule (b) any more: a paper section
+is a reason to run code, not to keep it.
 ``make census`` takes ≈ 20 min.
 """
 
@@ -32,8 +33,6 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
 KINDS = ("contract", "tier-1 only", "nowhere")
 NOTE = "Written by `make census` (`tools/census.py`); a function kept by no rule (—) is an open deletion candidate."
-PAPER_SECTIONS = {"repro/fs/": "§6", "repro/ext/security.py": "§6", "repro/ext/sensor.py": "§6",
-                  "repro/besteffs/versioning.py": "§4.1", "repro/besteffs/gossip.py": "§4.4"}
 #: ``module path:qualname`` -> why it stays outside the contract; a class name
 #: covers its methods.  ``tests/test_census.py`` checks every entry still exists.
 DECIDED = {
@@ -45,6 +44,9 @@ DECIDED = {
     "repro/serve/ratelimit.py:TokenBucketLimiter": "the serving rate limiter, kept whole",
     "repro/serve/ledger.py:ServeLedger.keyed_lines": "a target of bench/trace.py",
     "repro/serve/ledger.py:ServeLedger.entry_dicts": "a target of bench/trace.py",
+    **dict.fromkeys(["repro/core/obj.py:FrozenMetadata." + name for name in (
+        "__getitem__", "__iter__", "__len__", "__reduce__")],
+        "the Mapping protocol, and pickling across --jobs workers"),
     **dict.fromkeys(["repro/units.py:" + name for name in (
         "minutes", "years", "to_minutes", "to_years", "kib", "tib", "to_kib", "to_mib")],
         "a one-line unit converter"),
@@ -122,12 +124,10 @@ def decision(module: str, qualname: str) -> str | None:
 
 
 def keep_rule(key: tuple[str, int], info: dict, exported: set[tuple[str, str]]) -> str:
-    """Which of the rules (a)-(e) keeps a function outside the contract, if any."""
-    sections = [section for prefix, section in PAPER_SECTIONS.items() if key[0].startswith(prefix)]
+    """Which of the rules (a), (c)-(e) keeps a function outside the contract, if any."""
     decided = decision(key[0], info["qualname"])
     rules = [(info["abstract"], "(d) abstract"), ((key[0], info["qualname"].split(".")[0]) in exported, "(a) api"),
-             (sections, f"(b) {''.join(sections[:1])}"), (info["safety"], "(c) safety"),
-             (decided, f"(e) decided: {decided}")]
+             (info["safety"], "(c) safety"), (decided, f"(e) decided: {decided}")]
     return next((label for holds, label in rules if holds), "—")
 
 
