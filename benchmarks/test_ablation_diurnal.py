@@ -50,10 +50,7 @@ def run_comparison(horizon_days=365.0, seed=42):
             if diurnal
             else workload.arrivals(days(horizon_days))
         )
-        store = StorageUnit(
-            gib(80), TemporalImportancePolicy(), name=f"diur-{name}",
-            keep_history=False,
-        )
+        store = StorageUnit(gib(80), TemporalImportancePolicy(), name=f"diur-{name}")
         result = run_single_store(
             store, arrivals, days(horizon_days), recorder=Recorder()
         )

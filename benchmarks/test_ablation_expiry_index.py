@@ -45,13 +45,9 @@ def populate(store):
 
 
 def run_comparison():
-    linear_store = oracle_store(
-        gib(8), TemporalImportancePolicy(), name="linear", keep_history=False
-    )
+    linear_store = oracle_store(gib(8), TemporalImportancePolicy(), name="linear")
     populate(linear_store)
-    indexed_store = StorageUnit(
-        gib(8), TemporalImportancePolicy(), name="indexed", keep_history=False
-    )
+    indexed_store = StorageUnit(gib(8), TemporalImportancePolicy(), name="indexed")
     populate(indexed_store)
 
     linear_removed, indexed_removed = [], []

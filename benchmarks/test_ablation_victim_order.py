@@ -24,7 +24,7 @@ def run_both(horizon_days=365.0, seed=42):
         ("paper-max", TemporalImportancePolicy()),
         ("size-weighted", GreedySizePolicy()),
     ):
-        store = StorageUnit(gib(80), policy, name=name, keep_history=False)
+        store = StorageUnit(gib(80), policy, name=name)
         workload = SingleAppWorkload(seed=seed)
         result = run_single_store(
             store, workload.arrivals(days(horizon_days)), days(horizon_days),

@@ -33,9 +33,7 @@ SHAPES = {
 def run_all(horizon_days=365.0, seed=42):
     out = {}
     for name, lifetime in SHAPES.items():
-        store = StorageUnit(
-            gib(80), TemporalImportancePolicy(), name=f"wane-{name}", keep_history=False
-        )
+        store = StorageUnit(gib(80), TemporalImportancePolicy(), name=f"wane-{name}")
         workload = SingleAppWorkload(lifetime=lifetime, seed=seed)
         result = run_single_store(
             store, workload.arrivals(days(horizon_days)), days(horizon_days),

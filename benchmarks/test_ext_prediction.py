@@ -20,9 +20,7 @@ from repro.units import days, gib
 
 
 def run_prediction_study(horizon_days=300.0, seed=42):
-    store = StorageUnit(
-        gib(40), TemporalImportancePolicy(), name="pred", keep_history=False
-    )
+    store = StorageUnit(gib(40), TemporalImportancePolicy(), name="pred")
     streams = []
     for i, importance in enumerate((1.0, 0.8, 0.6, 0.4)):
         workload = SingleAppWorkload(

@@ -36,7 +36,6 @@ def _filled_store(n: int, *, indexed: bool) -> StorageUnit:
         n,
         TemporalImportancePolicy(),
         name=f"{'idx' if indexed else 'naive'}-{n}",
-        keep_history=False,
     )
     for i in range(n):
         # 101 distinct importance levels spread over [0.2, 0.9].

@@ -67,7 +67,6 @@ def _filled_store(n: int, persist_offset: float, *, indexed: bool) -> StorageUni
         sum(sizes),
         TemporalImportancePolicy(),
         name=f"{'idx' if indexed else 'naive'}-{n}",
-        keep_history=False,
     )
     for i, size in enumerate(sizes):
         t_arrival = float(i)

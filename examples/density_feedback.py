@@ -25,7 +25,7 @@ from repro.units import days, gib
 
 def main() -> None:
     # Drive a 40 GiB disk into steady pressure with the Section 5.1 ramp.
-    store = StorageUnit(gib(40), TemporalImportancePolicy(), keep_history=False)
+    store = StorageUnit(gib(40), TemporalImportancePolicy())
     workload = SingleAppWorkload(seed=7)
     horizon = days(200)
     run_single_store(store, workload.arrivals(horizon), horizon)

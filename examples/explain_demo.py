@@ -26,7 +26,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.api import AlertEngine, AuditLedger, RunSpec, run_experiment
-from repro.report.explain import explain_object, list_objects, load_run_ledger
+from repro.report.explain import explain_object, list_objects, load_run_ledgers
 from repro.report.metrics import alerts_verdict_line
 
 
@@ -56,12 +56,13 @@ def main() -> None:
         with open(path, "w", encoding="utf-8") as fh:
             written = ledger.write_jsonl(fh)
         print(f"ledger: {written} decision records -> {path.name}")
-        reloaded = load_run_ledger(str(path))
+        ledgers = load_run_ledgers(str(path))
 
     print()
-    print(list_objects(reloaded, limit=8))
+    print(list_objects(ledgers, limit=8))
     print()
 
+    (reloaded,) = ledgers.values()
     evicted = next(r.object_id for r in reloaded if r.action == "evict")
     print(explain_object(reloaded, evicted))
     print()

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from repro.analysis.summarize import coefficient_of_variation, describe
-from repro.sim.recorder import ArrivalRecord
+from repro.core.store import ArrivalRecord
 from repro.units import MINUTES_PER_DAY, MINUTES_PER_HOUR, MINUTES_PER_MONTH, to_days
 
 __all__ = [

@@ -69,7 +69,7 @@ _LAZY = {
     "AuditRecord": "repro.obs.audit",
     "explain_object": "repro.report.explain",
     "load_rules": "repro.obs.alerts",
-    "load_run_ledger": "repro.report.explain",
+    "load_run_ledgers": "repro.report.explain",
     # distributed traces + critical path / collapsed stacks
     "CriticalPathResult": "repro.report.flamegraph",
     "SpanRecord": "repro.obs.tracing",

@@ -74,7 +74,6 @@ class BesteffsCluster:
         overlay: Overlay | None = None,
         seed: int = 0,
         policy_factory: type[EvictionPolicy] | None = None,
-        keep_history: bool = False,
         recorder: Recorder | None = None,
     ) -> None:
         if not node_capacities:
@@ -89,9 +88,7 @@ class BesteffsCluster:
         self.nodes: dict[str, BesteffsNode] = {}
         for node_id, capacity in node_capacities.items():
             policy = policy_factory() if policy_factory is not None else None
-            self.adopt_node(
-                BesteffsNode(node_id, capacity, policy=policy, keep_history=keep_history)
-            )
+            self.adopt_node(BesteffsNode(node_id, capacity, policy=policy))
         self.overlay = (
             overlay
             if overlay is not None
@@ -120,16 +117,12 @@ class BesteffsCluster:
         if self.recorder is not None:
             self.recorder.attach(node.store)
         # Preempted objects must vanish from the location index and the
-        # floor must learn of any eviction; subscribe after the recorder so
-        # both observers fire.
-        previous = node.store.on_eviction
+        # floor must learn of any eviction.
         evicted = self._floor.evicted
 
-        def on_eviction(record, _prev=previous, _node_id=node.node_id):
+        def on_eviction(record, _node_id=node.node_id):
             self._locations.pop(record.object_id, None)
             evicted(_node_id)
-            if _prev is not None:
-                _prev(record)
 
         node.store.on_eviction = on_eviction
         self.nodes[node.node_id] = node
@@ -197,11 +190,6 @@ class BesteffsCluster:
         self._floor.committed(node.node_id, obj, now, len(result.evictions))
         self._locations[obj.object_id] = node.node_id
         self.placed_count += 1
-        if self.recorder is not None:
-            self.recorder.record_arrival(
-                t=now, size=obj.size, admitted=True,
-                creator=obj.creator, object_id=obj.object_id, unit=node.node_id,
-            )
         self._obs_scrape(now)
         return decision, result
 

@@ -71,7 +71,7 @@ class ChurnManager:
         built before the cluster adopts either, so a failed join changes nothing."""
         if node_id in self.cluster.nodes:
             raise OverlayError(f"node {node_id!r} is already a member")
-        node = BesteffsNode(node_id, capacity_bytes, keep_history=False)
+        node = BesteffsNode(node_id, capacity_bytes)
         overlay = self.cluster.overlay.with_node(
             node_id, degree=self.join_degree, rng=self._overlay_rng
         )

@@ -49,7 +49,6 @@ class BesteffsNode:
         capacity_bytes: int,
         *,
         policy: EvictionPolicy | None = None,
-        keep_history: bool = True,
     ) -> None:
         if not node_id:
             raise CapacityError("node_id must be non-empty")
@@ -58,7 +57,6 @@ class BesteffsNode:
             capacity_bytes,
             policy if policy is not None else TemporalImportancePolicy(),
             name=node_id,
-            keep_history=keep_history,
         )
 
     @property

@@ -729,19 +729,20 @@ def _flamegraph_cmd(args: argparse.Namespace) -> int:
 
 def _explain_cmd(args: argparse.Namespace) -> int:
     """The ``explain`` subcommand: one object's decision timeline."""
-    from repro.report.explain import explain_object, list_objects, load_run_ledger
+    from repro.report.explain import explain_object, ledger_for, list_objects, load_run_ledgers
 
-    ledger = load_run_ledger(args.run_dir)
-    if ledger.dropped:
-        print(
-            f"warning: the audit ledger dropped {ledger.dropped} of "
-            f"{ledger.recorded_count} records; timelines may be incomplete",
-            file=sys.stderr,
-        )
+    ledgers = load_run_ledgers(args.run_dir)
+    for file, ledger in ledgers.items():
+        if ledger.dropped:
+            print(
+                f"warning: the audit ledger {file} dropped {ledger.dropped} of "
+                f"{ledger.recorded_count} records; timelines may be incomplete",
+                file=sys.stderr,
+            )
     if args.object_id is None:
-        print(list_objects(ledger, limit=args.limit))
+        print(list_objects(ledgers, limit=args.limit))
     else:
-        print(explain_object(ledger, args.object_id))
+        print(explain_object(ledger_for(ledgers, args.object_id), args.object_id))
     return 0
 
 

@@ -1,12 +1,13 @@
 """A single storage unit with preemptive admission (paper Section 3).
 
 :class:`StorageUnit` owns the residents, enforces the capacity invariant,
-executes admission plans atomically and emits structured
-:class:`EvictionRecord` / rejection events that the simulation recorder and
-the analysis layer consume.  All temporal reasoning is delegated to the
-objects' importance functions; the unit takes ``now`` on every call, which
-makes it usable both from the discrete-time simulator and directly from
-library users' code, and holds that ``now`` to one contract, the unit clock
+executes admission plans atomically and logs every decision it makes (each
+offer's verdict, each eviction, each rejection) into one :class:`History`
+that the simulation recorder and the analysis layer read.  All temporal
+reasoning is delegated to the objects' importance functions; the unit
+takes ``now`` on every call, which makes it usable both from the
+discrete-time simulator and directly from library users' code, and holds
+that ``now`` to one contract, the unit clock
 (:meth:`StorageUnit.advance_clock`).
 """
 
@@ -33,7 +34,9 @@ from repro.errors import CapacityError, SimulationError, UnknownObjectError
 from repro.obs import COUNT_BUCKETS, STATE as _OBS, observe_phase
 
 __all__ = [
+    "ArrivalRecord",
     "EvictionRecord",
+    "History",
     "HistoryLog",
     "RejectionRecord",
     "AdmissionResult",
@@ -78,6 +81,18 @@ class StoreStats:
     def offered_count(self) -> int:
         """Total objects ever offered (accepted + rejected)."""
         return self.accepted_count + self.rejected_count
+
+
+@dataclass(frozen=True, slots=True)
+class ArrivalRecord:
+    """One object offered to a storage unit, with its verdict."""
+
+    t: float
+    size: int
+    admitted: bool
+    creator: str
+    object_id: ObjectId
+    unit: str = ""
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,6 +306,16 @@ class HistoryLog(Sequence[R]):
         return len(self) == len(other) and all(map(eq, self, other))
 
 
+class History:
+    """A stream of per-object decisions, as written by the units that made
+    them: each offer's verdict, each eviction and each rejection."""
+
+    def __init__(self) -> None:
+        self.arrivals: HistoryLog[ArrivalRecord] = HistoryLog(ArrivalRecord)
+        self.evictions: HistoryLog[EvictionRecord] = HistoryLog(EvictionRecord)
+        self.rejections: HistoryLog[RejectionRecord] = HistoryLog(RejectionRecord)
+
+
 @dataclass(frozen=True, slots=True)
 class AdmissionResult:
     """Outcome of :meth:`StorageUnit.offer`."""
@@ -313,11 +338,10 @@ class StorageUnit:
     name:
         Identifier used in records and reports (e.g. ``"desktop-0421"``).
     keep_history:
-        When True (default) every eviction and rejection record is retained
-        in :attr:`evictions` / :attr:`rejections` (read-only
-        :class:`HistoryLog` sequences).  Long multi-year
-        simulations with external recorders can disable retention and rely
-        on the ``on_eviction`` / ``on_rejection`` callbacks instead.
+        When True the unit logs its decisions into a :class:`History` of
+        its own (:attr:`history`); by default it logs nothing until a
+        :class:`~repro.sim.recorder.Recorder` is attached, which makes the
+        recorder its history.
 
     Every unit books each resident once, as a
     :class:`~repro.core.index.Resident` record in its
@@ -343,7 +367,7 @@ class StorageUnit:
         policy: EvictionPolicy,
         *,
         name: str = "unit-0",
-        keep_history: bool = True,
+        keep_history: bool = False,
     ) -> None:
         if (
             not isinstance(capacity_bytes, int)
@@ -354,7 +378,6 @@ class StorageUnit:
         self.capacity_bytes = capacity_bytes
         self.policy = policy
         self.name = name
-        self.keep_history = keep_history
         #: The residents' records, phase-bucketed (victims, density mass,
         #: expiry, last access).
         self.importance_index = ImportanceIndex()
@@ -363,9 +386,8 @@ class StorageUnit:
         self._used_bytes = 0
         self._now = -float("inf")
 
-        #: Retained event history (see ``keep_history``).
-        self.evictions: HistoryLog[EvictionRecord] = HistoryLog(EvictionRecord)
-        self.rejections: HistoryLog[RejectionRecord] = HistoryLog(RejectionRecord)
+        #: Where every decision is logged (see ``keep_history``), or None.
+        self.history: History | None = History() if keep_history else None
 
         #: Monotonic counters, always maintained regardless of history mode.
         self.accepted_count = 0
@@ -375,9 +397,8 @@ class StorageUnit:
         self.bytes_evicted = 0
         self.bytes_rejected = 0
 
-        #: Optional observers invoked synchronously on each event.
+        #: An optional observer invoked synchronously on each eviction.
         self.on_eviction: Callable[[EvictionRecord], None] | None = None
-        self.on_rejection: Callable[[RejectionRecord], None] | None = None
 
     # -- introspection -----------------------------------------------------
 
@@ -496,6 +517,7 @@ class StorageUnit:
         if plan is None:
             plan = self._plan(obj, now)
         ledger = _OBS.audit if _OBS.enabled else None
+        history = self.history
         if not plan.admit:
             rejection = RejectionRecord(
                 object_id=obj.object_id,
@@ -510,10 +532,9 @@ class StorageUnit:
             )
             self.rejected_count += 1
             self.bytes_rejected += obj.size
-            if self.keep_history:
-                self.rejections.append(rejection)
-            if self.on_rejection is not None:
-                self.on_rejection(rejection)
+            if history is not None:
+                history.arrivals.add(now, obj.size, False, obj.creator, obj.object_id, self.name)
+                history.rejections.append(rejection)
             if _OBS.enabled:
                 self._obs_offer(admitted=False, plan=plan, scanned=0, now=now)
             if ledger is not None and ledger.wants(obj.object_id):
@@ -575,6 +596,8 @@ class StorageUnit:
         self.resident_slab.add(obj)
         self.accepted_count += 1
         self.bytes_accepted += obj.size
+        if history is not None:
+            history.arrivals.add(now, obj.size, True, obj.creator, obj.object_id, self.name)
         if _OBS.enabled:
             self._obs_offer(admitted=True, plan=plan, scanned=scanned, now=now)
         if ledger is not None and ledger.wants(obj.object_id):
@@ -690,8 +713,8 @@ class StorageUnit:
                     reason=reason,
                     preempted_by=preempted_by,
                 )
-        if self.keep_history:
-            self.evictions.append(record)
+        if self.history is not None:
+            self.history.evictions.append(record)
         if self.on_eviction is not None:
             self.on_eviction(record)
         return record

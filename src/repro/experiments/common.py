@@ -108,7 +108,6 @@ def build_single_app_scenario(
         gib(setup.capacity_gib),
         _make_policy(setup.policy),
         name=f"disk-{setup.capacity_gib}g-{setup.policy}",
-        keep_history=False,
     )
     workload = SingleAppWorkload(
         lifetime=_single_app_lifetime(setup.policy), seed=setup.seed
@@ -142,7 +141,6 @@ def run_lecture_scenario(setup: LectureSetup) -> ScenarioResult:
         gib(setup.capacity_gib),
         _make_policy(setup.policy),
         name=f"lecture-{setup.capacity_gib}g-{setup.policy}",
-        keep_history=False,
     )
     workload = LectureCaptureWorkload(config=setup.lecture, seed=setup.seed)
     horizon = days(setup.horizon_days)

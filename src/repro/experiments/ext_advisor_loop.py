@@ -73,12 +73,8 @@ def _run_strategy(
     horizon_days: float,
     seed: int,
 ) -> dict[str, float]:
-    store = StorageUnit(
-        gib(capacity_gib), TemporalImportancePolicy(),
-        name=f"loop-{label}", keep_history=False,
-    )
+    store = StorageUnit(gib(capacity_gib), TemporalImportancePolicy(), name=f"loop-{label}")
     recorder = Recorder()
-    recorder.attach(store)
     horizon = days(horizon_days)
 
     # Producer writes: one 0.4 GiB object every 6 hours.

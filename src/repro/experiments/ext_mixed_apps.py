@@ -88,9 +88,7 @@ def _run(
     classes: tuple[AppClass, ...] = APP_CLASSES,
 ) -> MixedAppsResult:
     """Run the mixed-application scenario on one shared disk."""
-    store = StorageUnit(
-        gib(capacity_gib), TemporalImportancePolicy(), name="shared", keep_history=False
-    )
+    store = StorageUnit(gib(capacity_gib), TemporalImportancePolicy(), name="shared")
     streams = []
     for i, app in enumerate(classes):
         workload = SingleAppWorkload(

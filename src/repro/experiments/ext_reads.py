@@ -92,8 +92,7 @@ def _run(
     per_policy: dict[str, dict[str, float]] = {}
     for name, (policy_type, annotation_fn) in VARIANTS.items():
         store = StorageUnit(
-            gib(capacity_gib), policy_type(),
-            name=f"reads-{name.replace('/', '-')}", keep_history=False,
+            gib(capacity_gib), policy_type(), name=f"reads-{name.replace('/', '-')}"
         )
         stored_ids: dict[int, str] = {}
         read_iter = iter(reads)

@@ -24,15 +24,18 @@ from repro.analysis.timeconstant import estimate_time_constants
 from repro.core.importance import DiracImportance
 from repro.core.obj import StoredObject
 from repro.core.policies.palimpsest import PalimpsestPolicy
-from repro.core.store import HistoryLog, StorageUnit
+from repro.core.store import ArrivalRecord, HistoryLog, StorageUnit
 from repro.ext.refresher import PalimpsestRefresher, RefreshOutcome
 from repro.report.table import TextTable
-from repro.sim.recorder import ArrivalRecord, Recorder
+from repro.sim.recorder import Recorder
 from repro.sim.workload.single_app import SingleAppWorkload
 from repro.units import MINUTES_PER_DAY, MINUTES_PER_HOUR, days, gib
 from repro.sim.parallel import RunSpec
 
 __all__ = ["RefreshResult", "execute", "render", "CSV_HEADERS", "csv_rows"]
+
+#: The refreshing client's creator label (the tau estimate skips its offers).
+CLIENT = "refresh-client"
 
 WINDOWS = {
     "hour": float(MINUTES_PER_HOUR),
@@ -54,15 +57,17 @@ class RefreshResult:
 def _windowed_estimator(
     arrivals: HistoryLog[ArrivalRecord], capacity_bytes: int, window_minutes: float
 ):
-    """A client that re-estimates tau from the trailing window."""
+    """A client that re-estimates tau from the trailing window of the
+    background stream (the store also logs the client's own offers)."""
 
     def estimate(now: float) -> float:
         start = max(0.0, now - window_minutes)
         # Arrivals are logged in time order: the window is one slice, and
         # only its records are rebuilt.
         t = arrivals.column("t")
+        window = arrivals[bisect_left(t, start) : bisect_right(t, now)]
         series = estimate_time_constants(
-            arrivals[bisect_left(t, start) : bisect_right(t, now)],
+            [a for a in window if a.creator != CLIENT],
             capacity_bytes,
             window_minutes,
             t_start=start,
@@ -90,8 +95,7 @@ def _run(
     for window_name, window_minutes in WINDOWS.items():
         for safety in safety_factors:
             store = StorageUnit(
-                gib(capacity_gib), PalimpsestPolicy(),
-                name=f"fifo-{window_name}-{safety}", keep_history=False,
+                gib(capacity_gib), PalimpsestPolicy(), name=f"fifo-{window_name}-{safety}"
             )
             recorder = Recorder()
             recorder.attach(store)
@@ -120,16 +124,13 @@ def _run(
                         object_id=(
                             f"keep-{window_name}-{safety}-{int(next_register)}"
                         ),
-                        creator="refresh-client",
+                        creator=CLIENT,
                     )
                     refresher.register(
                         keeper, next_register + days(keep_days), next_register
                     )
                     next_register += days(register_every_days)
-                result = store.offer(obj, now)
-                recorder.record_arrival(
-                    now, obj.size, result.admitted, obj.creator, obj.object_id
-                )
+                store.offer(obj, now)
             outcomes[(window_name, safety)] = refresher.finalise(horizon)
     return RefreshResult(
         capacity_gib=capacity_gib,

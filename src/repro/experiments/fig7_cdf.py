@@ -67,7 +67,7 @@ def _run(
         engine, interval_minutes=60.0
     )
     horizon = days(horizon_days)
-    feed_arrivals(engine, store, workload.arrivals(horizon), recorder, horizon_minutes=horizon)
+    feed_arrivals(engine, store, workload.arrivals(horizon), horizon_minutes=horizon)
     engine.run(horizon)
     if trigger.snapshot is None:
         raise RuntimeError(

@@ -75,9 +75,7 @@ class TemporalFS:
         name: str = "temporalfs",
     ) -> None:
         self.defaults = policy if policy is not None else DefaultAnnotationPolicy()
-        self.store = StorageUnit(
-            capacity_bytes, TemporalImportancePolicy(), name=name, keep_history=False
-        )
+        self.store = StorageUnit(capacity_bytes, TemporalImportancePolicy(), name=name)
         self.store.on_eviction = self._forget
         self.faded_count = 0
         self._path_of: dict[ObjectId, str] = {}

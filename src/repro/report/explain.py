@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.errors import ReproError
 from repro.obs.audit import AuditLedger, AuditRecord
@@ -24,7 +25,8 @@ from repro.units import MINUTES_PER_DAY
 __all__ = [
     "ObjectTimeline",
     "discover_ledger_files",
-    "load_run_ledger",
+    "load_run_ledgers",
+    "ledger_for",
     "explain_object",
     "list_objects",
     "render_timeline",
@@ -34,9 +36,10 @@ __all__ = [
 def discover_ledger_files(path: str) -> list[str]:
     """Audit JSONL files under ``path`` (a file, or a run directory).
 
-    A file is taken as given; a directory yields its ``*audit*.jsonl``
-    files, or only the ``-merged`` ledger when there is one — the
-    per-spec ledgers it was folded from would double-count.
+    A file is taken as given; a directory yields its per-spec
+    ``*audit*.jsonl`` files and skips their ``-merged`` fold: every spec
+    numbers its objects from ``obj-000000``, so a fold keyed by object id
+    would interleave the timelines of different runs.
     """
     explicit = os.path.isfile(path)
     found = run_files(
@@ -44,17 +47,31 @@ def discover_ledger_files(path: str) -> list[str]:
         ".jsonl",
         lambda file: explicit or "audit" in os.path.basename(file),
         what="audit ledgers (*audit*.jsonl, written by --audit-out)",
+        merged="skip",
     )
     return list(found)
 
 
-def load_run_ledger(path: str) -> AuditLedger:
-    """Load (and fold) every audit ledger of a run into one."""
-    files = discover_ledger_files(path)
-    ledger = AuditLedger.read_jsonl(files[0])
-    for extra in files[1:]:
-        ledger.merge(AuditLedger.read_jsonl(extra))
-    return ledger
+def load_run_ledgers(path: str) -> dict[str, AuditLedger]:
+    """Every audit ledger of a run, one per file: ``{file: ledger}``."""
+    return {file: AuditLedger.read_jsonl(file) for file in discover_ledger_files(path)}
+
+
+def ledger_for(ledgers: Mapping[str, AuditLedger], object_id: str) -> AuditLedger:
+    """The one ledger holding ``object_id``'s records (the first ledger
+    when none does, so explaining the object from it reports the id as
+    unknown).
+
+    Raises :class:`ReproError` when several do (each spec of a sweep has
+    its own ``obj-000000``), naming the files to pass instead.
+    """
+    holding = [file for file, ledger in ledgers.items() if ledger.records_for(object_id)]
+    if len(holding) > 1:
+        raise ReproError(
+            f"object {object_id!r} has records in {len(holding)} ledgers; "
+            "pass one of them instead: " + ", ".join(holding)
+        )
+    return ledgers[(holding or list(ledgers))[0]]
 
 
 @dataclass(frozen=True)
@@ -171,23 +188,28 @@ def explain_object(ledger: AuditLedger, object_id: str) -> str:
     return render_timeline(timeline_for(ledger, object_id))
 
 
-def list_objects(ledger: AuditLedger, *, limit: int = 40) -> str:
-    """Summarise explainable objects (most-eventful first).
+def list_objects(ledgers: Mapping[str, AuditLedger], *, limit: int = 40) -> str:
+    """Summarise explainable objects (most-eventful first), each with the
+    name of the ledger that holds it.
 
     The listing favours objects whose timelines show an actual threshold
     fight (rejects/evicts sort first), so the ids shown are the
     interesting ones to explain.
     """
     interest = {"reject": 0, "evict": 1, "expire": 2, "refresh": 3, "admit": 4}
-    summaries: list[tuple[int, int, str, str]] = []
-    for object_id in ledger.object_ids():
-        records = ledger.records_for(object_id)
-        final = records[-1]
-        rank = min(interest.get(r.action, 9) for r in records)
-        summaries.append((rank, -len(records), object_id, final.action))
+    summaries: list[tuple[int, int, str, str, str]] = []
+    for file, ledger in ledgers.items():
+        timelines: dict[str, list[AuditRecord]] = {}
+        for record in ledger:  # one pass: a lookup per object would rescan the ledger
+            timelines.setdefault(record.object_id, []).append(record)
+        for object_id, records in timelines.items():
+            rank = min(interest.get(r.action, 9) for r in records)
+            summaries.append(
+                (rank, -len(records), object_id, os.path.basename(file), records[-1].action)
+            )
     summaries.sort()
     total = len(summaries)
     lines = [f"{total} objects with audit records" + (f" (showing {limit})" if total > limit else "")]
-    for _rank, neg_count, object_id, final_action in summaries[:limit]:
-        lines.append(f"  {object_id}  ({-neg_count} records, final: {final_action})")
+    for _rank, neg_count, object_id, name, final_action in summaries[:limit]:
+        lines.append(f"  {object_id}  ({-neg_count} records, final: {final_action})  in {name}")
     return "\n".join(lines)

@@ -21,7 +21,7 @@ Each name below resolves on first access (:mod:`repro._lazy`).
 from repro._lazy import lazy_getattr
 
 _LAZY = {
-    "ArrivalRecord": "repro.sim.recorder",
+    "ArrivalRecord": "repro.core.store",
     "Event": "repro.sim.events",
     "ObsOptions": "repro.sim.parallel",
     "Recorder": "repro.sim.recorder",

@@ -1,8 +1,8 @@
 """Metric recording for simulation runs (paper Section 4.4).
 
-The :class:`Recorder` attaches to one or more
-:class:`~repro.core.store.StorageUnit` instances and collects the event
-streams every experiment consumes:
+A :class:`Recorder` is the :class:`~repro.core.store.History` that one or
+more :class:`~repro.core.store.StorageUnit` instances log their decisions
+into once attached, plus the density samples every experiment consumes:
 
 * **arrivals** — every offered object with its admission verdict (feeds
   the Figure 2 storage-requirement series and the Palimpsest time-constant
@@ -15,75 +15,56 @@ streams every experiment consumes:
   time-series (Figures 6, 12), gathered by a periodic probe.
 
 Arrivals, evictions and rejections are :class:`~repro.core.store.HistoryLog`
-columns: read-only sequences that rebuild a record when it is read.
+columns: read-only sequences that rebuild a record when it is read.  The
+units write them; the recorder only adds the offers no unit decides (a
+cluster's refusals).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.density import DensitySample, importance_density
-from repro.core.obj import ObjectId
-from repro.core.store import EvictionRecord, HistoryLog, RejectionRecord, StorageUnit
+from repro.core.store import History, StorageUnit
+from repro.errors import SimulationError
 from repro.obs import STATE as _OBS
 
-__all__ = ["ArrivalRecord", "Recorder"]
+__all__ = ["Recorder"]
 
 
-@dataclass(frozen=True, slots=True)
-class ArrivalRecord:
-    """One object offered to the storage system."""
+class Recorder(History):
+    """One history shared by any number of units, plus density samples.
 
-    t: float
-    size: int
-    admitted: bool
-    creator: str
-    object_id: ObjectId
-    unit: str = ""
-
-
-class Recorder:
-    """Collects arrival/eviction/rejection/density streams across stores.
-
-    A recorder may be attached to any number of stores (a single desktop or
-    a whole Besteffs cluster); records carry the unit name so per-node
-    analyses remain possible.
+    A recorder may be attached to a single desktop or a whole Besteffs
+    cluster; records carry the unit name so per-node analyses remain
+    possible.
     """
 
     def __init__(self) -> None:
-        self.arrivals: HistoryLog[ArrivalRecord] = HistoryLog(ArrivalRecord)
-        self.evictions: HistoryLog[EvictionRecord] = HistoryLog(EvictionRecord)
-        self.rejections: HistoryLog[RejectionRecord] = HistoryLog(RejectionRecord)
+        super().__init__()
         self.density_samples: list[DensitySample] = []
-        self._stores: list[StorageUnit] = []
+        #: The attached units, in attach order.
+        self.units: list[StorageUnit] = []
 
     # -- wiring --------------------------------------------------------------
 
     def attach(self, store: StorageUnit) -> StorageUnit:
-        """Subscribe to a store's eviction/rejection callbacks.
+        """Make this recorder the history ``store`` logs its decisions into.
 
-        The store's own history retention can be disabled
-        (``keep_history=False``) once a recorder is attached; the recorder
-        then becomes the single source of truth.
+        Attaching twice is a no-op.  A unit that already logs into another
+        recorder, or whose own history holds records, is refused: each
+        decision is logged once, in one history.
         """
-        if store in self._stores:
+        own = store.history
+        if own is self:
             return store
-        previous_evict = store.on_eviction
-        previous_reject = store.on_rejection
-
-        def on_eviction(record: EvictionRecord) -> None:
-            self.evictions.append(record)
-            if previous_evict is not None:
-                previous_evict(record)
-
-        def on_rejection(record: RejectionRecord) -> None:
-            self.rejections.append(record)
-            if previous_reject is not None:
-                previous_reject(record)
-
-        store.on_eviction = on_eviction
-        store.on_rejection = on_rejection
-        self._stores.append(store)
+        if own is not None and (
+            isinstance(own, Recorder) or own.arrivals or own.evictions or own.rejections
+        ):
+            raise SimulationError(
+                f"{store.name} already logs its decisions elsewhere; "
+                "attach a recorder before the unit decides"
+            )
+        store.history = self
+        self.units.append(store)
         return store
 
     # -- feeding -------------------------------------------------------------
@@ -91,7 +72,7 @@ class Recorder:
     def record_arrival(
         self, t: float, size: int, admitted: bool, creator: str, object_id: str, unit: str = ""
     ) -> None:
-        """Log one offered object (admitted or not)."""
+        """Log one offer no attached unit decided (a cluster's refusal)."""
         self.arrivals.add(t, size, admitted, creator, object_id, unit)
 
     def sample_density(self, now: float) -> None:
@@ -102,7 +83,7 @@ class Recorder:
         gauges — the probe already pays for the density computation, so the
         gauges come for free.
         """
-        for store in self._stores:
+        for store in self.units:
             density = importance_density(store, now)
             stats = store.stats()
             self.density_samples.append(
@@ -142,7 +123,11 @@ class Recorder:
         return sum(self.arrivals.column("admitted"))
 
     def summary(self) -> dict[str, float]:
-        """Coarse run summary used by reports and integration tests."""
+        """Coarse run summary used by reports and integration tests.
+
+        ``rejected`` counts the arrivals not admitted, whoever refused them:
+        a unit (one rejection record each) or a cluster placement.
+        """
         admitted = self.admitted_count()
         ev = self.evictions
         lifetimes = [
@@ -155,7 +140,7 @@ class Recorder:
         return {
             "arrivals": float(len(self.arrivals)),
             "admitted": float(admitted),
-            "rejected": float(len(self.rejections)),
+            "rejected": float(len(self.arrivals) - admitted),
             "evicted": float(len(self.evictions)),
             "mean_achieved_lifetime_minutes": (
                 sum(lifetimes) / len(lifetimes) if lifetimes else 0.0

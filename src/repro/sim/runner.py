@@ -41,7 +41,6 @@ def feed_arrivals(
     engine: SimulationEngine,
     store: StorageUnit,
     arrivals: Iterable[StoredObject],
-    recorder: Recorder | None = None,
     *,
     horizon_minutes: float = float("inf"),
 ) -> None:
@@ -55,6 +54,8 @@ def feed_arrivals(
     draining, so a generator that interleaves over-horizon objects with
     in-horizon ones (e.g. per-creator streams merged without a total
     order past the horizon) still delivers every in-horizon arrival.
+    Each arrival is one ``store.offer``, which logs its verdict into the
+    store's history (an attached recorder).
     """
     iterator: Iterator[StoredObject] = iter(arrivals)
 
@@ -74,16 +75,7 @@ def feed_arrivals(
             return
 
     def dispatch(obj: StoredObject, now: float) -> None:
-        result = store.offer(obj, now)
-        if recorder is not None:
-            recorder.record_arrival(
-                t=now,
-                size=obj.size,
-                admitted=result.admitted,
-                creator=obj.creator,
-                object_id=obj.object_id,
-                unit=store.name,
-            )
+        store.offer(obj, now)
         schedule_next(now)
 
     schedule_next(0.0)
@@ -109,7 +101,7 @@ def run_single_store(
     recorder.attach(store)
     if density_interval_minutes is not None:
         density_probe(engine, recorder, interval_minutes=density_interval_minutes)
-    feed_arrivals(engine, store, arrivals, recorder, horizon_minutes=horizon_minutes)
+    feed_arrivals(engine, store, arrivals, horizon_minutes=horizon_minutes)
     if _OBS.enabled:
         _OBS.logger.info(
             "runner",

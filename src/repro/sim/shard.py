@@ -227,7 +227,6 @@ def run_shard(
         },
         placement=placement if placement is not None else PlacementConfig(),
         seed=local_seed,
-        keep_history=False,
     )
 
     engine = SimulationEngine()

@@ -7,7 +7,7 @@ from repro.analysis.timeconstant import (
     WINDOW_HOUR,
     estimate_time_constants,
 )
-from repro.sim.recorder import ArrivalRecord
+from repro.core.store import ArrivalRecord
 from repro.units import MINUTES_PER_DAY, MINUTES_PER_HOUR, days, gib
 
 

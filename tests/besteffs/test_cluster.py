@@ -9,6 +9,7 @@ from repro.errors import PlacementError, UnknownObjectError
 from repro.sim.recorder import Recorder
 from repro.units import days, gib
 from tests.conftest import make_obj
+from tests.oracles.replay import check_replay
 
 
 def small_cluster(n=6, capacity_gib=2.0, **kwargs):
@@ -107,6 +108,16 @@ class TestIntegration:
         assert len(recorder.arrivals) == 4
         assert sum(1 for a in recorder.arrivals if not a.admitted) == 1
         assert len(recorder.evictions) == 1
+
+    def test_recorder_counts_the_cluster_refusals(self):
+        recorder = Recorder()
+        cluster = small_cluster(n=2, capacity_gib=1.0, recorder=recorder)
+        for _ in range(3):
+            cluster.offer(make_obj(1.0), 0.0)
+        # The cluster refused the third offer before any unit saw it.
+        assert cluster.rejected_count == 1 and not recorder.rejections
+        assert recorder.summary()["rejected"] == 1.0
+        check_replay(recorder, [node.store for node in cluster.nodes.values()])
 
     def test_policy_factory_builds_baseline_clusters(self):
         cluster = BesteffsCluster(

@@ -309,7 +309,7 @@ class TestScope:
     def test_one_unmirrored_member_turns_the_floor_off_until_it_leaves(self):
         cluster = _full_cluster()
         assert _floor_refuses(cluster, 300, 60.0, "a")
-        node = BesteffsNode("fifo", 1000, policy=PalimpsestPolicy(), keep_history=False)
+        node = BesteffsNode("fifo", 1000, policy=PalimpsestPolicy())
         node.accept(_stable(1.0, 1000, 60.0, "fifo-1"), 60.0)
         cluster.adopt_node(node)  # outside the overlay: never sampled
         decision, _result = cluster.offer(_stable(0.5, 300, 120.0, "b"), 120.0)

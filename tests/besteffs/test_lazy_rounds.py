@@ -63,7 +63,7 @@ def test_lazy_rounds_decide_as_eager_rounds(monkeypatch, name, rng_type, expelle
         # Still overlay members, no longer nodes: probed and skipped.
         members = [m for m in members if m not in set(rng.sample(members, 3))]
     nodes = {
-        m: BesteffsNode(m, rng.choice((2000, 4000)), keep_history=False) for m in members
+        m: BesteffsNode(m, rng.choice((2000, 4000))) for m in members
     }
     configs = [
         PlacementConfig(x=1, m=1, walk_length=16),

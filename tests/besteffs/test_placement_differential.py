@@ -53,7 +53,7 @@ def test_score_placement_equals_plan_placement(seed, strict):
     nodes = {
         f"n{i:02d}": BesteffsNode(
             f"n{i:02d}", rng.choice((2000, 4000)),
-            policy=TemporalImportancePolicy(strict=strict), keep_history=False,
+            policy=TemporalImportancePolicy(strict=strict),
         )
         for i in range(n)
     }

@@ -27,8 +27,9 @@ def two_step() -> TwoStepImportance:
 
 @pytest.fixture
 def temporal_store() -> StorageUnit:
-    """A 10 GiB disk under the temporal-importance policy."""
-    return StorageUnit(gib(10), TemporalImportancePolicy(), name="test-disk")
+    """A 10 GiB disk under the temporal-importance policy, logging its
+    decisions into a history of its own."""
+    return StorageUnit(gib(10), TemporalImportancePolicy(), name="test-disk", keep_history=True)
 
 
 def make_obj(

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.importance import ConstantImportance, TwoStepImportance
 from repro.core.store import _BATCH, EvictionRecord, HistoryLog, RejectionRecord
-from repro.sim.recorder import ArrivalRecord
+from repro.core.store import ArrivalRecord
 
 LIFETIMES = (TwoStepImportance(p=0.5, t_persist=10.0, t_wane=20.0), ConstantImportance(1.0))
 

@@ -45,7 +45,7 @@ def fixed_lifetime_streams(draw):
 
 
 def replay(policy, steps, tag):
-    store = StorageUnit(CAPACITY, policy, name=f"eq-{tag}")
+    store = StorageUnit(CAPACITY, policy, name=f"eq-{tag}", keep_history=True)
     verdicts = []
     now = 0.0
     for i, (dt, size, expire) in enumerate(steps):
@@ -75,7 +75,7 @@ def test_temporal_reduces_to_fixed_lifetime_policy(steps):
     assert temporal_verdicts == fixed_verdicts
     # Under either policy every preemption victim had fully expired.
     for store in (temporal_store, fixed_store):
-        for record in store.evictions:
+        for record in store.history.evictions:
             if record.reason == "preempted":
                 assert record.importance_at_eviction == 0.0
 

@@ -71,7 +71,7 @@ class TestOffer:
         residents_after = sorted(o.object_id for o in temporal_store.iter_residents())
         assert residents_before == residents_after
         assert temporal_store.rejected_count == 1
-        assert temporal_store.rejections[0].reason == "full-for-importance"
+        assert temporal_store.history.rejections[0].reason == "full-for-importance"
 
     def test_preemption_is_atomic(self, temporal_store):
         for _ in range(10):
@@ -89,8 +89,9 @@ class TestOffer:
             store.stats(),
             [o.object_id for o in store.iter_residents()],
             store.bytes_by_creator(),
-            len(store.evictions),
-            len(store.rejections),
+            len(store.history.arrivals),
+            len(store.history.evictions),
+            len(store.history.rejections),
         )
 
     def test_stale_plan_raises_before_any_eviction(self, temporal_store):
@@ -162,23 +163,20 @@ class TestEvictionRecords:
         assert record.unit == temporal_store.name
 
     def test_history_retention_toggle(self):
-        store = StorageUnit(
-            gib(2), TemporalImportancePolicy(), keep_history=False
-        )
+        store = StorageUnit(gib(2), TemporalImportancePolicy())
         store.offer(make_obj(1.0), 0.0)
         store.remove(next(store.iter_residents()).object_id, days(1))
-        assert store.evictions == []  # history off
+        assert store.history is None  # history off by default
         assert store.evicted_count == 1  # counters always on
 
     def test_callbacks_fire(self, temporal_store):
-        evicted, rejected = [], []
+        evicted = []
         temporal_store.on_eviction = evicted.append
-        temporal_store.on_rejection = rejected.append
         temporal_store.offer(make_obj(10.0), 0.0)
         temporal_store.offer(make_obj(1.0), 0.0)  # rejected: full at same importance
-        assert len(rejected) == 1
+        assert len(temporal_store.history.rejections) == 1
         temporal_store.offer(make_obj(1.0, t_arrival=days(20)), days(20))
-        assert len(evicted) == 1
+        assert evicted == list(temporal_store.history.evictions) and len(evicted) == 1
 
 
 class TestRemoveAndSweep:

@@ -12,8 +12,14 @@ from repro.besteffs.auth import CapabilityRealm
 from repro.core.density import DensitySample
 from repro.core.obj import EMPTY_METADATA, StoredObject
 from repro.core.policies.temporal import TemporalImportancePolicy
-from repro.core.store import AdmissionResult, EvictionRecord, RejectionRecord, StorageUnit
-from repro.sim.recorder import ArrivalRecord, Recorder
+from repro.core.store import (
+    AdmissionResult,
+    ArrivalRecord,
+    EvictionRecord,
+    RejectionRecord,
+    StorageUnit,
+)
+from repro.sim.recorder import Recorder
 from repro.fs import TemporalFS
 from repro.serve.loadgen import LoadGenSpec, build_requests
 from repro.sim.runner import run_single_store
@@ -25,8 +31,8 @@ from tests.conftest import make_obj
 
 
 def _busy_run():
-    """A recorded run, history kept, with preemptions and rejections."""
-    store = StorageUnit(gib(3), TemporalImportancePolicy(), name="busy", keep_history=True)
+    """A recorded run with preemptions and rejections."""
+    store = StorageUnit(gib(3), TemporalImportancePolicy(), name="busy")
     arrivals = [make_obj(1.0, t_arrival=days(day)) for day in range(0, 40, 2) for _ in range(2)]
     result = run_single_store(store, arrivals, days(40), recorder=Recorder())
     return store, result.recorder
@@ -47,9 +53,9 @@ def _one_of_each():
 
 def test_records_hold_no_stored_object():
     store, recorder = _busy_run()
-    records = [*store.evictions, *store.rejections, *recorder.evictions, *recorder.rejections]
+    records = [*recorder.evictions, *recorder.rejections]
     assert recorder.evictions and recorder.rejections
-    assert store.evictions == recorder.evictions and store.rejections == recorder.rejections
+    assert store.history is recorder
     for record in records:
         for field in dataclasses.fields(record):
             assert not isinstance(getattr(record, field.name), StoredObject), field.name

@@ -13,14 +13,24 @@ from repro.sim.parallel import RunSpec
 from repro.sim.runner import run_single_store
 from repro.sim.workload.mixer import merge_streams
 from repro.units import days, gib
+from tests.oracles.replay import check_recorders, recorders_made
 
 
 class TestAdvisorLoop:
     @pytest.fixture(scope="class")
-    def result(self):
-        return ext_advisor_loop.execute(
-            RunSpec("ext-advisor", {"capacity_gib": 20}, seed=5, horizon_days=100.0)
-        )
+    def run(self):
+        with recorders_made() as recorders:
+            result = ext_advisor_loop.execute(
+                RunSpec("ext-advisor", {"capacity_gib": 20}, seed=5, horizon_days=100.0)
+            )
+        return result, recorders
+
+    @pytest.fixture(scope="class")
+    def result(self, run):
+        return run[0]
+
+    def test_every_recorded_store_replays(self, run):
+        check_recorders(run[1])
 
     def test_all_strategies_scored(self, result):
         assert set(result.per_strategy) == {

@@ -23,6 +23,7 @@ from repro.experiments import (
     table1_parameters,
 )
 from repro.sim.parallel import RunSpec
+from tests.oracles.replay import check_recorders, recorders_made
 
 
 class TestFig2:
@@ -82,9 +83,13 @@ class TestFig6:
 
 class TestFig7:
     def test_snapshot_in_band(self):
-        result = fig7_cdf.execute(
-            RunSpec("fig7", {"capacity_gib": 8, "band": (0.75, 0.95)}, seed=11, horizon_days=200.0)
-        )
+        with recorders_made() as recorders:
+            result = fig7_cdf.execute(
+                RunSpec(
+                    "fig7", {"capacity_gib": 8, "band": (0.75, 0.95)}, seed=11, horizon_days=200.0
+                )
+            )
+        check_recorders(recorders)
         assert 0.75 <= result.density_at_snapshot <= 0.95
         assert result.cdf[-1][1] == pytest.approx(1.0)
         assert 0.0 < result.fraction_importance_one < 1.0

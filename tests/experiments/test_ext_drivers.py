@@ -4,13 +4,16 @@ import pytest
 
 from repro.experiments import ext_churn, ext_mixed_apps, ext_refresh
 from repro.sim.parallel import RunSpec
+from tests.oracles.replay import check_recorders, recorders_made
 
 
 class TestMixedApps:
     def test_importance_order_governs_service(self):
-        result = ext_mixed_apps.execute(
-            RunSpec("ext-mixed", {"capacity_gib": 20}, seed=3, horizon_days=120.0)
-        )
+        with recorders_made() as recorders:
+            result = ext_mixed_apps.execute(
+                RunSpec("ext-mixed", {"capacity_gib": 20}, seed=3, horizon_days=120.0)
+            )
+        check_recorders(recorders)
         archiver = result.per_class["archiver"]
         reporter = result.per_class["reporter"]
         cache = result.per_class["cache"]
@@ -29,8 +32,13 @@ class TestMixedApps:
 
 class TestChurn:
     def test_departures_lose_single_copies(self):
-        result = ext_churn.execute(RunSpec("ext-churn", seed=3, horizon_days=200.0))
+        with recorders_made() as recorders:
+            result = ext_churn.execute(RunSpec("ext-churn", seed=3, horizon_days=200.0))
+        check_recorders(recorders)  # departed units fold to empty
         assert result.lost_to_departures > 0
+        (recorder,) = recorders
+        departures = list(recorder.evictions.column("reason")).count("node-departure")
+        assert departures == result.lost_to_departures
         assert result.lost_bytes_gib > 0
         assert result.overlay_rebuilds > 0
         assert "lost to departures" in ext_churn.render(result)
@@ -96,8 +104,22 @@ class TestReads:
 
 class TestRefresh:
     @pytest.fixture(scope="class")
-    def result(self):
-        return ext_refresh.execute(RunSpec("ext-refresh", seed=3, horizon_days=120.0))
+    def run(self):
+        with recorders_made() as recorders:
+            result = ext_refresh.execute(RunSpec("ext-refresh", seed=3, horizon_days=120.0))
+        return result, recorders
+
+    @pytest.fixture(scope="class")
+    def result(self, run):
+        return run[0]
+
+    def test_every_store_replays_with_the_client_offers(self, run):
+        result, recorders = run
+        check_recorders(recorders)
+        assert len(recorders) == len(result.outcomes)
+        for recorder in recorders:
+            assert ext_refresh.CLIENT in set(recorder.arrivals.column("creator"))
+            assert set(recorder.arrivals.column("unit")) == {recorder.units[0].name}
 
     def test_safety_factor_trades_losses_for_writes(self, result):
         for window in ("hour", "day", "month"):

@@ -13,7 +13,7 @@ from tests.conftest import make_obj
 
 @pytest.fixture
 def store():
-    return StorageUnit(gib(4), TemporalImportancePolicy(), name="re")
+    return StorageUnit(gib(4), TemporalImportancePolicy(), name="re", keep_history=True)
 
 
 class TestReannotate:
@@ -58,7 +58,7 @@ class TestReannotate:
         obj = make_obj(1.0)
         store.offer(obj, 0.0)
         reannotate(store, obj.object_id, ConstantImportance(), days(1))
-        reasons = [r.reason for r in store.evictions]
+        reasons = [r.reason for r in store.history.evictions]
         assert reasons == ["reannotate"]
 
     def test_counters_remain_consistent(self, store):

@@ -211,6 +211,26 @@ class TestExplainCli:
         assert main(["explain", str(ledger_path), "obj-999999"]) == 2
         assert "no audit records" in capsys.readouterr().err
 
+    def test_a_sweep_directory_is_read_one_ledger_per_spec(self, tmp_path, capsys):
+        # Both seeds number their objects from obj-000000.
+        code = main(
+            ["sweep", "fig6", "--seeds", "2", "--horizon-days", "30",
+             "--audit-out", str(tmp_path / "audit.jsonl")]
+        )
+        capsys.readouterr()
+        assert code == 0
+        per_spec = sorted(p.name for p in tmp_path.glob("audit-*.jsonl") if "merged" not in p.name)
+        assert len(per_spec) == 2
+        assert main(["explain", str(tmp_path), "--limit", "100000"]) == 0
+        listed = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert {words[-1] for words in listed} == set(per_spec)
+        assert sum(words[0] == "obj-000000" for words in listed) == 2
+        assert main(["explain", str(tmp_path), "obj-000000"]) == 2
+        err = capsys.readouterr().err
+        assert "2 ledgers" in err and all(name in err for name in per_spec)
+        assert main(["explain", str(tmp_path / per_spec[0]), "obj-000000"]) == 0
+        assert capsys.readouterr().out.count("  admit ") == 1
+
     def test_audit_json_not_duplicated_into_metrics_export(self, tmp_path, capsys):
         metrics = tmp_path / "m.json"
         audit = tmp_path / "audit.jsonl"

@@ -25,6 +25,7 @@ from repro.experiments.common import (
     run_single_app_scenario,
 )
 from repro.units import days, gib, to_days
+from tests.oracles.replay import check_replay
 
 HORIZON = 365.0
 SEED = 42
@@ -267,3 +268,18 @@ class TestSection52:
             return sum(tail) / len(tail)
 
         assert mean_density(80) > mean_density(120)
+
+
+class TestReplay:
+    """The recorded history of every §5.1 / §5.2 run folds back to the
+    store's final residents (ROADMAP aim 3)."""
+
+    def test_section51_histories_replay(self, single_app_results):
+        for result in single_app_results.values():
+            assert result.recorder.units == [result.store]
+            check_replay(result.recorder, [result.store])
+
+    def test_section52_histories_replay(self, lecture_results):
+        for result in lecture_results.values():
+            assert result.recorder.units == [result.store]
+            check_replay(result.recorder, [result.store])

@@ -12,8 +12,9 @@ from repro.obs.audit import AuditLedger
 from repro.report.explain import (
     discover_ledger_files,
     explain_object,
+    ledger_for,
     list_objects,
-    load_run_ledger,
+    load_run_ledgers,
     render_timeline,
     timeline_for,
 )
@@ -96,15 +97,16 @@ class TestTimelines:
 
     def test_list_objects_ranks_contested_first(self):
         ledger = _audited_contested_store()
-        listing = list_objects(ledger, limit=10)
+        listing = list_objects({"run/unit-a-audit.jsonl": ledger}, limit=10)
         lines = listing.splitlines()
         # "weak" (rejected) sorts ahead of the untouched resident "keeper".
         assert lines[1].split()[0] == "weak"
+        assert lines[1].endswith("in unit-a-audit.jsonl")
         assert "keeper" in lines[-1] or any("keeper" in ln for ln in lines)
 
     def test_list_objects_respects_limit(self):
         ledger = _audited_contested_store()
-        listing = list_objects(ledger, limit=1)
+        listing = list_objects({"unit-a-audit.jsonl": ledger}, limit=1)
         assert len(listing.splitlines()) == 2  # header + one object
 
 
@@ -118,22 +120,31 @@ class TestDiscovery:
         target = tmp_path / "run-audit.jsonl"
         self._write(target, ledger)
         assert discover_ledger_files(str(target)) == [str(target)]
-        loaded = load_run_ledger(str(target))
+        (loaded,) = load_run_ledgers(str(target)).values()
         assert len(loaded) == len(ledger)
 
-    def test_directory_prefers_merged(self, tmp_path):
+    def test_directory_skips_merged(self, tmp_path):
         ledger = _audited_contested_store()
         self._write(tmp_path / "audit-a.jsonl", ledger)
         self._write(tmp_path / "audit-merged.jsonl", ledger)
         files = discover_ledger_files(str(tmp_path))
-        assert files == [str(tmp_path / "audit-merged.jsonl")]
+        assert files == [str(tmp_path / "audit-a.jsonl")]
 
-    def test_directory_folds_shards_without_merged(self, tmp_path):
+    def test_directory_keeps_one_ledger_per_spec(self, tmp_path):
         ledger = _audited_contested_store()
         self._write(tmp_path / "audit-a.jsonl", ledger)
         self._write(tmp_path / "audit-b.jsonl", ledger)
-        loaded = load_run_ledger(str(tmp_path))
-        assert len(loaded) == 2 * len(ledger)
+        loaded = load_run_ledgers(str(tmp_path))
+        assert list(loaded) == [str(tmp_path / "audit-a.jsonl"), str(tmp_path / "audit-b.jsonl")]
+        assert [len(one) for one in loaded.values()] == [len(ledger)] * 2
+
+    def test_an_id_in_two_ledgers_is_refused(self, tmp_path):
+        ledger = _audited_contested_store()
+        ledgers = {"audit-a.jsonl": ledger, "audit-b.jsonl": AuditLedger()}
+        assert ledger_for(ledgers, "weak") is ledger
+        ledgers["audit-b.jsonl"] = ledger
+        with pytest.raises(ReproError, match="audit-a.jsonl, audit-b.jsonl"):
+            ledger_for(ledgers, "weak")
 
     def test_empty_directory_raises(self, tmp_path):
         with pytest.raises(ReproError, match="no audit ledgers"):

@@ -5,6 +5,7 @@ import pytest
 from repro.analysis.lifetimes import bucket_importance_by_eviction_day, lifetime_stats
 from repro.core.policies.temporal import TemporalImportancePolicy
 from repro.core.store import StorageUnit
+from repro.errors import SimulationError
 from repro.sim.recorder import Recorder
 from repro.units import days, gib
 from tests.conftest import make_obj
@@ -35,15 +36,46 @@ class TestAttachment:
         store.remove(next(store.iter_residents()).object_id, 1.0)
         assert len(recorder.evictions) == 1  # not double-recorded
 
-    def test_chains_existing_callbacks(self):
+    def test_user_subscriber_fires_beside_recorder(self):
         store = StorageUnit(gib(1), TemporalImportancePolicy())
         seen = []
         store.on_eviction = seen.append
         recorder = Recorder()
         recorder.attach(store)
+        assert store.on_eviction == seen.append
         store.offer(make_obj(1.0), 0.0)
         store.remove(next(store.iter_residents()).object_id, 1.0)
-        assert len(seen) == 1 and len(recorder.evictions) == 1
+        assert seen == list(recorder.evictions) and len(seen) == 1
+
+    def test_the_unit_logs_every_verdict_into_the_recorder(self, wired):
+        store, recorder = wired
+        assert store.history is recorder
+        objs = [make_obj(1.0) for _ in range(4)]
+        for obj in objs:
+            store.offer(obj, 0.0)
+        assert [(a.object_id, a.admitted, a.unit) for a in recorder.arrivals] == [
+            (obj.object_id, i < 3, "rec") for i, obj in enumerate(objs)
+        ]
+        assert recorder.summary()["rejected"] == 1.0 == len(recorder.rejections)
+
+    def test_a_unit_with_history_of_its_own(self):
+        unit = StorageUnit(gib(1), TemporalImportancePolicy(), keep_history=True)
+        recorder = Recorder()
+        recorder.attach(unit)  # an empty history of its own gives way
+        assert unit.history is recorder
+        kept = StorageUnit(gib(1), TemporalImportancePolicy(), keep_history=True)
+        kept.offer(make_obj(1.0), 0.0)
+        own = kept.history
+        with pytest.raises(SimulationError, match="elsewhere"):
+            recorder.attach(kept)  # its records are neither dropped nor split
+        assert kept.history is own and len(own.arrivals) == 1
+        assert kept not in recorder.units
+
+    def test_a_unit_logs_into_one_recorder(self, wired):
+        store, recorder = wired
+        with pytest.raises(SimulationError, match="elsewhere"):
+            Recorder().attach(store)
+        assert store.history is recorder
 
     def test_multiple_stores(self):
         recorder = Recorder()
@@ -90,10 +122,10 @@ class TestDerivedSeries:
 
     def test_summary_counts(self, wired):
         store, recorder = wired
-        recorder.record_arrival(0.0, gib(1), True, "a", "x")
         store.offer(make_obj(1.0), 0.0)
         recorder.sample_density(0.0)
         summary = recorder.summary()
         assert summary["arrivals"] == 1.0
         assert summary["admitted"] == 1.0
+        assert summary["rejected"] == 0.0
         assert summary["mean_density"] == pytest.approx(1.0 / 3.0, rel=1e-6)

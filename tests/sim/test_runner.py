@@ -17,8 +17,9 @@ class TestFeedArrivals:
         store = StorageUnit(gib(100), TemporalImportancePolicy())
         engine = SimulationEngine()
         recorder = Recorder()
+        recorder.attach(store)
         arrivals = (make_obj(1.0, t_arrival=days(i)) for i in range(5))
-        feed_arrivals(engine, store, arrivals, recorder)
+        feed_arrivals(engine, store, arrivals)
         # Only the first arrival is in the heap; the rest follow lazily.
         assert engine.pending == 1
         engine.run(days(10))
@@ -29,7 +30,7 @@ class TestFeedArrivals:
         store = StorageUnit(gib(100), TemporalImportancePolicy())
         engine = SimulationEngine()
         bad = [make_obj(1.0, t_arrival=days(5)), make_obj(1.0, t_arrival=days(1))]
-        feed_arrivals(engine, store, iter(bad), None)
+        feed_arrivals(engine, store, iter(bad))
         with pytest.raises(SimulationError, match="backwards"):
             engine.run(days(10))
 
@@ -37,7 +38,7 @@ class TestFeedArrivals:
         store = StorageUnit(gib(100), TemporalImportancePolicy())
         engine = SimulationEngine()
         arrivals = [make_obj(1.0, t_arrival=days(i)) for i in (1, 2, 50)]
-        feed_arrivals(engine, store, iter(arrivals), None, horizon_minutes=days(10))
+        feed_arrivals(engine, store, iter(arrivals), horizon_minutes=days(10))
         engine.run(days(10))
         assert store.stats().resident_count == 2
 
@@ -47,7 +48,7 @@ class TestFeedArrivals:
         store = StorageUnit(gib(100), TemporalImportancePolicy())
         engine = SimulationEngine()
         arrivals = [make_obj(1.0, t_arrival=days(t)) for t in (1, 50, 2, 3)]
-        feed_arrivals(engine, store, iter(arrivals), None, horizon_minutes=days(10))
+        feed_arrivals(engine, store, iter(arrivals), horizon_minutes=days(10))
         engine.run(days(10))
         assert store.stats().resident_count == 3
 
@@ -55,7 +56,7 @@ class TestFeedArrivals:
         store = StorageUnit(gib(100), TemporalImportancePolicy())
         engine = SimulationEngine()
         arrivals = [make_obj(1.0, t_arrival=days(t)) for t in (5, 50, 1)]
-        feed_arrivals(engine, store, iter(arrivals), None, horizon_minutes=days(10))
+        feed_arrivals(engine, store, iter(arrivals), horizon_minutes=days(10))
         with pytest.raises(SimulationError, match="backwards"):
             engine.run(days(10))
 

@@ -23,13 +23,14 @@ before measuring:
 
 A second table offers the grid-regime arrivals, one at a time and each
 dropped after its offer as a simulation run drops it, to a 64 KiB unit
-with ``keep_history=True`` and an attached
-:class:`~repro.sim.recorder.Recorder` that also logs every arrival:
+that logs every decision into an attached
+:class:`~repro.sim.recorder.Recorder`:
 
 * **bytes / departed object** — ``tracemalloc`` bytes still allocated
-  after the run, over the evicted plus rejected count: the unit's and the
-  recorder's history per object that left (the few dozen residents such a
-  unit holds are counted in, and weigh nothing at this scale);
+  after the run, over the evicted plus rejected count: the recorder's
+  history per object that left, its arrival row included (the few dozen
+  residents such a unit holds are counted in, and weigh nothing at this
+  scale);
 * **heap entries / resident** — the unit's breakpoint-heap entries at the
   end of the run over its residents: live plus stale (the entries of
   evicted residents, which the heap sheds past a fixed share).
@@ -102,7 +103,7 @@ def arrivals(n: int, offset: float) -> list[StoredObject]:
 
 
 def fresh_unit() -> StorageUnit:
-    return StorageUnit(2**62, TemporalImportancePolicy(), keep_history=False)
+    return StorageUnit(2**62, TemporalImportancePolicy())
 
 
 def admit_all(unit: StorageUnit, objs: list[StoredObject]) -> float:
@@ -125,25 +126,23 @@ def footprint(objs: list[StoredObject]) -> float:
 
 
 def departed_footprint(n: int) -> tuple[float, int, float]:
-    """Bytes a history-keeping unit and its recorder hold per departed
-    object, the departed count and heap entries per resident at the end."""
+    """Bytes a unit's recorder holds per departed object, the departed
+    count and heap entries per resident at the end."""
     lifetimes = annotations(0.0)
     tracemalloc.start()
     before = tracemalloc.get_traced_memory()[0]
-    unit = StorageUnit(64 * 1024, TemporalImportancePolicy(), keep_history=True)
+    unit = StorageUnit(64 * 1024, TemporalImportancePolicy())
     recorder = Recorder()
     recorder.attach(unit)
     for i in range(n):
         obj = make_object(i, lifetimes)
-        admitted = unit.offer(obj, obj.t_arrival).admitted
-        recorder.record_arrival(
-            obj.t_arrival, obj.size, admitted, obj.creator, obj.object_id, unit.name
-        )
+        unit.offer(obj, obj.t_arrival)
     del obj
     kept = tracemalloc.get_traced_memory()[0] - before
     tracemalloc.stop()
     departed = unit.evicted_count + unit.rejected_count
     assert departed == len(recorder.evictions) + len(recorder.rejections)
+    assert len(recorder.arrivals) == n
     return kept / departed, departed, len(unit.importance_index._heap) / len(unit)
 
 
@@ -192,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"| {args.residents:,} offers, 64 KiB unit | bytes / departed object | departed "
           "| heap entries / resident |")
     print("|---|---|---|---|")
-    print(f"| history + Recorder | {per_departed:,.0f} | {departed:,} | {entries:.2f} |")
+    print(f"| Recorder | {per_departed:,.0f} | {departed:,} | {entries:.2f} |")
     per_request, held = held_stream_footprint()
     print()
     print("| `serve_flash` stream, seed 42 | bytes / held request | requests |")
