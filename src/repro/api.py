@@ -50,7 +50,6 @@ _LAZY = {
     "Recorder": "repro.sim",
     "ScenarioResult": "repro.sim",
     "SimulationEngine": "repro.sim",
-    "feed_arrivals": "repro.sim.runner",
     "run_single_store": "repro.sim",
     # run-spec API
     "ObsOptions": "repro.sim.parallel",

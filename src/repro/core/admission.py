@@ -81,7 +81,6 @@ def plan_preemptive_admission(
             highest_preempted=highest,
             blocking_importance=highest,
             reason="full-for-importance",
-            incoming_importance=incoming,
         )
     reason = "expired-only" if highest == 0.0 else "preempt"
     return AdmissionPlan(
@@ -89,5 +88,4 @@ def plan_preemptive_admission(
         victims=tuple(victims),
         highest_preempted=highest,
         reason=reason,
-        incoming_importance=incoming,
     )

@@ -46,12 +46,6 @@ class AdmissionPlan:
         Short machine-readable cause: ``"free-space"``, ``"preempt"``,
         ``"full-for-importance"``, ``"object-too-large"``, ``"expired-only"``
         (policy-specific strings are allowed).
-    incoming_importance:
-        The incoming object's current importance as the planner computed
-        it, when a threshold comparison actually happened (``None`` on
-        free-space admits and guard rejections).  Carried on the plan so
-        the audit ledger records the *exact* float the store compared —
-        a twin-store replay reproduces it bit for bit.
     """
 
     admit: bool
@@ -59,7 +53,6 @@ class AdmissionPlan:
     highest_preempted: float = 0.0
     blocking_importance: float | None = None
     reason: str = ""
-    incoming_importance: float | None = None
 
 
 #: The plans of every free-space admit and every oversize refusal: shared,

@@ -538,13 +538,12 @@ class StorageUnit:
             if _OBS.enabled:
                 self._obs_offer(admitted=False, plan=plan, scanned=0, now=now)
             if ledger is not None and ledger.wants(obj.object_id):
-                incoming = plan.incoming_importance
                 ledger.record(
                     "reject",
                     t=now,
                     obj=obj,
                     unit=self.name,
-                    importance=obj.importance_at(now) if incoming is None else incoming,
+                    importance=obj.importance_at(now),
                     threshold=plan.blocking_importance,
                     occupancy=self._used_bytes / self.capacity_bytes,
                     reason=plan.reason,
@@ -578,9 +577,7 @@ class StorageUnit:
             # Pressure and the exact compared importance, captured *before*
             # any victim leaves — this is the context the plan was made in.
             occupancy_at_plan = self._used_bytes / self.capacity_bytes
-            incoming = plan.incoming_importance
-            if incoming is None:
-                incoming = obj.importance_at(now)
+            incoming = obj.importance_at(now)
             evict_threshold: float | None = incoming if victims else None
         else:
             evict_threshold = None

@@ -58,10 +58,6 @@ class SimulationError(ReproError):
     """The simulation engine detected an inconsistent schedule or state."""
 
 
-class ClockError(SimulationError):
-    """An event was scheduled in the past or the clock moved backwards."""
-
-
 class PlacementError(ReproError):
     """Besteffs could not place an object on any sampled storage unit."""
 

@@ -22,7 +22,6 @@ from repro.report.asciichart import ascii_cdf
 from repro.sim.engine import SimulationEngine
 from repro.sim.probes import SnapshotTrigger, density_probe
 from repro.sim.recorder import Recorder
-from repro.sim.runner import feed_arrivals
 from repro.units import days, to_days
 from repro.sim.parallel import RunSpec
 
@@ -67,7 +66,7 @@ def _run(
         engine, interval_minutes=60.0
     )
     horizon = days(horizon_days)
-    feed_arrivals(engine, store, workload.arrivals(horizon), horizon_minutes=horizon)
+    engine.feed(workload.arrivals(horizon), store.offer, horizon_minutes=horizon)
     engine.run(horizon)
     if trigger.snapshot is None:
         raise RuntimeError(

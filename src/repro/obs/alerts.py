@@ -4,7 +4,7 @@ A rule is one comparison, ``<signal> <op> <number>``::
 
     healthy_rejects:  reject_rate < 0.3
     density_floor:    importance_density_p5 > 0.05
-    queue_sane:       engine_queue_depth:max < 100000
+    probe_fast:       engine_callback_seconds{label=density-probe}:p99 < 0.5
 
 Rules live in a flat ``name: expression`` mapping — a plain dict in
 code, JSON on disk, or a minimal YAML subset (one ``name: expr`` pair

@@ -3,9 +3,8 @@
 The paper analyses system behaviour "over a large time frame (five and ten
 years ...) on a minute granularity".  This package provides:
 
-* :mod:`repro.sim.clock` / :mod:`repro.sim.events` /
-  :mod:`repro.sim.engine` — a deterministic event-driven simulator whose
-  native tick is one minute.
+* :mod:`repro.sim.engine` — the dispatch loop: one time-ordered arrival
+  stream merged with fixed-cadence ticks, at one-minute granularity.
 * :mod:`repro.sim.recorder` — metric collection (arrivals, evictions,
   rejections, density time-series).
 * :mod:`repro.sim.probes` — periodic measurement hooks.
@@ -22,14 +21,12 @@ from repro._lazy import lazy_getattr
 
 _LAZY = {
     "ArrivalRecord": "repro.core.store",
-    "Event": "repro.sim.events",
     "ObsOptions": "repro.sim.parallel",
     "Recorder": "repro.sim.recorder",
     "RunError": "repro.sim.parallel",
     "RunOutcome": "repro.sim.parallel",
     "RunSpec": "repro.sim.parallel",
     "ScenarioResult": "repro.sim.runner",
-    "SimClock": "repro.sim.clock",
     "SimulationEngine": "repro.sim.engine",
     "execute_spec": "repro.sim.parallel",
     "expand_sweep": "repro.sim.parallel",

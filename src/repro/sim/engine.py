@@ -1,225 +1,208 @@
-"""Deterministic discrete-event simulation engine.
+"""The simulation dispatch loop (paper Section 4.3, minute granularity).
 
-The engine keeps a binary heap of :class:`~repro.sim.events.Event` entries
-and dispatches them in ``(time, priority, insertion order)`` order while
-advancing a :class:`~repro.sim.clock.SimClock`.  Callbacks may schedule
-further events (at or after the current time).  Periodic schedules are
-provided as a convenience for measurement probes.
-
-The native granularity is one minute, per the paper; times are floats so
-workloads may place arrivals at arbitrary sub-minute offsets, but all of
-the built-in workloads quantise to whole minutes.
+Every run is one time-ordered arrival stream (:meth:`SimulationEngine.feed`)
+merged with a few fixed-cadence ticks (:meth:`SimulationEngine.every`):
+density probes, the Figure 7 snapshot trigger, the Section 5.4 epoch
+barriers.  At each timestamp the ``first`` ticks due fire, then that
+timestamp's arrivals in stream order, then the other ticks due; ticks of
+one phase fire in registration order.  So a probe at time T observes the
+store after the time-T arrivals, and a barrier closes its epoch before
+the next epoch's first arrivals.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
+from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.errors import SimulationError
 from repro.obs import STATE as _OBS
-from repro.sim.clock import SimClock
-from repro.sim.events import Event, EventCallback
+
+if TYPE_CHECKING:
+    from repro.core.obj import StoredObject
 
 __all__ = ["SimulationEngine"]
 
 
+@dataclass(slots=True)
+class _Tick:
+    """One fixed-cadence callback and the time it fires next."""
+
+    at: float
+    interval: float
+    callback: Callable[[float], None]
+    label: str
+    first: bool
+
+
 class SimulationEngine:
-    """Event loop driving a simulation run."""
+    """One arrival stream merged with fixed-cadence ticks."""
 
-    def __init__(self, start_minutes: float = 0.0) -> None:
-        self.clock = SimClock(start_minutes)
-        self._heap: list[tuple[float, int, int, Event]] = []
-        self._seq = itertools.count()
-        self._stopped = False
-        #: Number of events dispatched so far (for progress reporting).
+    def __init__(self) -> None:
+        #: Current simulation time in minutes.
+        self.now = 0.0
+        #: Arrivals offered plus ticks fired so far, published per event.
         self.dispatched = 0
+        self._ticks: list[_Tick] = []
+        self._offer: Callable[[StoredObject, float], object] | None = None
+        self._stream = iter(())
+        self._horizon = math.inf
+        self._last = 0.0
+        self._next: StoredObject | None = None
 
-    @property
-    def now(self) -> float:
-        """Current simulation time in minutes."""
-        return self.clock.now
-
-    @property
-    def pending(self) -> int:
-        """Number of events still queued."""
-        return len(self._heap)
-
-    def schedule(self, event: Event) -> None:
-        """Queue an event; it must not be in the past."""
-        if event.time < self.clock.now:
-            raise SimulationError(
-                f"cannot schedule event at {event.time} before now={self.clock.now}"
-            )
-        heapq.heappush(self._heap, (event.time, event.priority, next(self._seq), event))
-
-    def schedule_at(
+    def feed(
         self,
-        time_minutes: float,
-        callback: EventCallback,
+        arrivals: Iterable[StoredObject],
+        offer: Callable[[StoredObject, float], object],
         *,
-        priority: int = 0,
-        label: str = "",
+        horizon_minutes: float = math.inf,
     ) -> None:
-        """Convenience wrapper building and queueing an :class:`Event`."""
-        self.schedule(Event(time=time_minutes, callback=callback, priority=priority, label=label))
+        """Offer a time-ordered stream as ``offer(obj, t_arrival)``.
 
-    def schedule_periodic(
+        The stream is drawn one object ahead and must be non-decreasing in
+        ``t_arrival`` (else :class:`SimulationError` when drawn).  Arrivals
+        beyond ``horizon_minutes`` are skipped while the stream keeps
+        draining, so later in-horizon ones are still offered.
+        """
+        if self._offer is not None:
+            raise SimulationError("an engine takes one arrival stream")
+        self._offer = offer
+        self._stream = iter(arrivals)
+        self._horizon = horizon_minutes
+        self._last = self.now
+        self._next = self._pull()
+
+    def every(
         self,
-        start_minutes: float,
         interval_minutes: float,
-        callback: EventCallback,
+        callback: Callable[[float], None],
         *,
-        end_minutes: float = math.inf,
-        priority: int = 0,
-        label: str = "",
+        start_minutes: float | None = None,
+        first: bool = False,
+        label: str,
     ) -> None:
-        """Fire ``callback`` every ``interval_minutes`` from ``start``.
+        """Fire ``callback(now)`` every ``interval_minutes`` from ``start``.
 
-        The schedule re-arms itself after each firing and stops (silently)
-        once the next firing would land past ``end_minutes`` or the engine
-        has been stopped.
+        ``start_minutes`` defaults to :attr:`now`.  A tick fires after the
+        arrivals of its minute, or before them when ``first`` is set.
         """
-        if interval_minutes <= 0 or math.isnan(interval_minutes):
+        if not interval_minutes > 0:
             raise SimulationError(f"interval must be > 0, got {interval_minutes!r}")
+        start = self.now if start_minutes is None else float(start_minutes)
+        if not start >= self.now:
+            raise SimulationError(f"cannot start a tick at {start} before now={self.now}")
+        self._ticks.append(_Tick(start, interval_minutes, callback, label, first))
 
-        def fire(now: float) -> None:
-            callback(now)
-            nxt = now + interval_minutes
-            if nxt <= end_minutes and not self._stopped:
-                self.schedule_at(nxt, fire, priority=priority, label=label)
+    def run(self, until_minutes: float) -> int:
+        """Dispatch every arrival and tick with ``time <= until_minutes``.
 
-        if start_minutes <= end_minutes:
-            self.schedule_at(start_minutes, fire, priority=priority, label=label)
-
-    def stop(self) -> None:
-        """Request the run loop to exit after the current event."""
-        self._stopped = True
-
-    def run(
-        self,
-        until_minutes: float,
-        *,
-        max_events: int | None = None,
-        on_progress: Callable[[float, int], None] | None = None,
-        progress_every: int = 100_000,
-    ) -> int:
-        """Dispatch queued events with ``time <= until_minutes``.
-
-        Returns the number of events dispatched by this call.  The clock is
-        left at ``until_minutes`` (or at the stop point) so density probes
-        taken after :meth:`run` see a consistent "end of horizon" time.
-
-        When :mod:`repro.obs` is enabled (sampled once on entry), the loop
-        runs under an ``engine.run`` span and per-event dispatch counters,
-        callback wall-time histograms and a queue-depth gauge are kept.
-        With a time-series collector installed (``obs.STATE.timeseries``),
-        the loop additionally scrapes the metrics registry whenever the
-        clock crosses the collector's sim-time cadence, plus once at the
-        end of the run, so density/occupancy/event series survive the run
-        without any extra events in the heap.
+        Returns the number dispatched by this call and leaves :attr:`now`
+        at ``until_minutes``; a later call resumes from there.  When
+        :mod:`repro.obs` is enabled (sampled once on entry), the loop runs
+        under an ``engine.run`` span with per-label dispatch counters and
+        callback timings, and scrapes a time-series collector
+        (``obs.STATE.timeseries``) on its sim-time cadence and at the end.
         """
-        if until_minutes < self.clock.now:
+        if not until_minutes >= self.now:
             raise SimulationError(
-                f"cannot run until {until_minutes}, clock already at {self.clock.now}"
+                f"cannot run until {until_minutes}, clock already at {self.now}"
             )
-        self._stopped = False
+        before = self.dispatched
+        offer = self._offer
+        calls = [tick.callback for tick in self._ticks]
         if not _OBS.enabled:
-            return self._dispatch_loop_batched(
-                until_minutes, max_events, on_progress, progress_every, instrumented=False
-            )
-        with _OBS.tracer.span("engine.run", sim_time=self.clock.now):
-            dispatched = self._dispatch_loop_batched(
-                until_minutes, max_events, on_progress, progress_every, instrumented=True
-            )
+            self._loop(until_minutes, offer, calls)
+            return self.dispatched - before
+        if offer is not None:
+            offer = self._metered("arrival", offer)
+        calls = [self._metered(tick.label, call) for tick, call in zip(self._ticks, calls)]
+        with _OBS.tracer.span("engine.run", sim_time=self.now):
+            self._loop(until_minutes, offer, calls)
         collector = _OBS.timeseries
         if collector is not None:
-            collector.maybe_scrape(self.clock.now)
-        return dispatched
+            collector.maybe_scrape(self.now)
+        return self.dispatched - before
 
-    def _dispatch_loop_batched(
-        self,
-        until_minutes: float,
-        max_events: int | None,
-        on_progress: Callable[[float, int], None] | None,
-        progress_every: int,
-        *,
-        instrumented: bool,
-    ) -> int:
-        """The dispatch loop, draining same-timestamp runs per batch.
+    def _pull(self) -> StoredObject | None:
+        """The stream's next in-horizon arrival, or None once it is drained."""
+        last = self._last
+        for obj in self._stream:
+            t = obj.t_arrival
+            if t < last:
+                raise SimulationError(f"arrival stream went backwards: {t} < {last}")
+            if t <= self._horizon:
+                self._last = t
+                return obj
+        return None
 
-        Workloads quantise arrivals to whole minutes, so long runs of
-        events share one timestamp; the clock advances once per distinct
-        timestamp instead of once per event, and the hot loop touches only
-        local names.  Events still pop in ``(time, priority, seq)`` order
-        one at a time, so callbacks that schedule more work at the current
-        timestamp interleave exactly as they were queued.
-
-        Obs metering rides the same loop behind ``instrumented`` (sampled
-        once, by :meth:`run`): with it off each event pays one local truth
-        test.
-        """
-        if instrumented:
-            registry = _OBS.registry
-            collector = _OBS.timeseries
-            events_total = registry.counter(
-                "engine_events_total", "Events dispatched by the engine.", ("label",)
-            )
-            callback_seconds = registry.histogram(
-                "engine_callback_seconds",
-                "Wall-clock time spent inside event callbacks.",
-                ("label",),
-            )
-            queue_depth = registry.gauge(
-                "engine_queue_depth", "Events pending in the engine heap."
-            )
-        heap = self._heap
-        heappop = heapq.heappop
-        advance = self.clock.advance_to
-        current = None
-        dispatched_here = 0
-        while heap and not self._stopped:
-            entry = heap[0]
-            t = entry[0]
-            if t > until_minutes:
+    def _loop(self, until: float, offer, calls: list) -> None:
+        """Merge the stream with the ticks (``calls[i]`` fires tick ``i``)."""
+        ticks = self._ticks
+        pull = self._pull
+        obj = self._next
+        due = min((tick.at for tick in ticks), default=math.inf)
+        while True:
+            t = obj.t_arrival if obj is not None else math.inf
+            if t < due:
+                if t > until:
+                    break
+                self.now = t
+                offer(obj, t)
+                self.dispatched += 1
+                obj = self._next = pull()
+                continue
+            t = due
+            if t > until or t == math.inf:
                 break
-            heappop(heap)
-            if t != current:
-                advance(t)
-                current = t
-            if instrumented:
-                event = entry[3]
-                label = event.label or "unlabeled"
-                t0 = perf_counter()
-                event.callback(t)
-                callback_seconds.observe(perf_counter() - t0, label=label)
-                events_total.inc(label=label)
-                queue_depth.set(len(heap))
-                if collector is not None and t >= collector.next_due:
-                    # Scrapes walk every registry series; under a span so
-                    # trace shards separate scrape cost from event cost.
-                    with _OBS.tracer.span("engine.scrape", sim_time=t):
-                        collector.scrape(t, registry)
-                        alerts = _OBS.alerts
-                        if alerts is not None:
-                            # Scrape-time SLO evaluation: first-violation
-                            # sim times come from here (the end-of-run
-                            # evaluation alone could not date a transient
-                            # breach).
-                            alerts.evaluate(registry, now=t)
-            else:
-                entry[3].callback(t)
-            dispatched_here += 1
-            # Published per event: a callback reading the counter mid-run
-            # sees the events before it, and a raising one is not counted.
-            self.dispatched += 1
-            if max_events is not None and dispatched_here >= max_events:
-                break
-            if on_progress is not None and dispatched_here % progress_every == 0:
-                on_progress(t, dispatched_here)
-        if not self._stopped and (max_events is None or dispatched_here < max_events):
-            self.clock.advance_to(until_minutes)
-        return dispatched_here
+            self.now = t
+            self._fire(t, calls, first=True)
+            while obj is not None and obj.t_arrival == t:
+                offer(obj, t)
+                self.dispatched += 1
+                obj = self._next = pull()
+            self._fire(t, calls, first=False)
+            due = min(tick.at for tick in ticks)
+        self.now = until
+
+    def _fire(self, t: float, calls: list, *, first: bool) -> None:
+        """Fire the ticks of one phase due at ``t``, in registration order."""
+        for tick, call in zip(self._ticks, calls):
+            if tick.first == first and tick.at == t:
+                call(t)
+                self.dispatched += 1
+                tick.at = t + tick.interval
+
+    def _metered(self, label: str, callback: Callable) -> Callable:
+        """``callback`` counted, timed and followed by any due scrape."""
+        registry = _OBS.registry
+        collector = _OBS.timeseries
+        events_total = registry.counter(
+            "engine_events_total", "Events dispatched by the engine.", ("label",)
+        )
+        callback_seconds = registry.histogram(
+            "engine_callback_seconds",
+            "Wall-clock time spent inside event callbacks.",
+            ("label",),
+        )
+
+        def call(*args) -> None:
+            t0 = perf_counter()
+            callback(*args)
+            callback_seconds.observe(perf_counter() - t0, label=label)
+            events_total.inc(label=label)
+            now = self.now
+            if collector is not None and now >= collector.next_due:
+                # Scrapes walk every registry series; under a span so trace
+                # shards separate scrape cost from event cost.
+                with _OBS.tracer.span("engine.scrape", sim_time=now):
+                    collector.scrape(now, registry)
+                    alerts = _OBS.alerts
+                    if alerts is not None:
+                        # Scrape-time SLO evaluation: first-violation sim
+                        # times come from here (the end-of-run evaluation
+                        # alone could not date a transient breach).
+                        alerts.evaluate(registry, now=now)
+
+        return call

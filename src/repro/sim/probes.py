@@ -1,6 +1,6 @@
 """Periodic measurement probes.
 
-Probes are plain callables scheduled on the engine's periodic schedule;
+Probes are plain callables ticking on the engine (``engine.every``);
 this module provides the two the experiments need:
 
 * :func:`density_probe` — sample the storage importance density of every
@@ -19,7 +19,6 @@ from repro.core.density import byte_importance_snapshot, importance_density
 from repro.core.store import StorageUnit
 from repro.obs import STATE as _OBS
 from repro.sim.engine import SimulationEngine
-from repro.sim.events import PRIORITY_PROBE
 from repro.sim.recorder import Recorder
 from repro.units import days
 
@@ -32,16 +31,15 @@ def density_probe(
     *,
     interval_minutes: float = days(1),
     start_minutes: float | None = None,
-    end_minutes: float = float("inf"),
 ) -> None:
-    """Schedule periodic density sampling into ``recorder``."""
-    start = engine.now if start_minutes is None else start_minutes
-    engine.schedule_periodic(
-        start,
+    """Sample density into ``recorder`` every ``interval_minutes``.
+
+    A sample fires after the arrivals of its minute.
+    """
+    engine.every(
         interval_minutes,
         recorder.sample_density,
-        end_minutes=end_minutes,
-        priority=PRIORITY_PROBE,
+        start_minutes=start_minutes,
         label="density-probe",
     )
 
@@ -97,13 +95,8 @@ class SnapshotTrigger:
         interval_minutes: float = days(1),
         start_minutes: float | None = None,
     ) -> "SnapshotTrigger":
-        """Schedule this trigger on the engine's periodic probe schedule."""
-        start = engine.now if start_minutes is None else start_minutes
-        engine.schedule_periodic(
-            start,
-            interval_minutes,
-            self,
-            priority=PRIORITY_PROBE,
-            label="snapshot-trigger",
+        """Tick this trigger on the engine, after each minute's arrivals."""
+        engine.every(
+            interval_minutes, self, start_minutes=start_minutes, label="snapshot-trigger"
         )
         return self

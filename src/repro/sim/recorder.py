@@ -111,8 +111,17 @@ class Recorder(History):
     # -- derived series -------------------------------------------------------
 
     def rejections_cumulative(self) -> list[tuple[float, int]]:
-        """Cumulative rejection count over time — the Figure 4 series."""
-        return list(zip(self.rejections.column("t_rejected"), range(1, len(self.rejections) + 1)))
+        """Cumulative count of arrivals not admitted — the Figure 4 series.
+
+        Read off the arrivals log, so a cluster's refusals (which no unit
+        records as a rejection) count too.
+        """
+        arrivals = self.arrivals
+        refused = [
+            t for t, admitted in zip(arrivals.column("t"), arrivals.column("admitted"))
+            if not admitted
+        ]
+        return list(zip(refused, range(1, len(refused) + 1)))
 
     def density_series(self) -> list[tuple[float, float]]:
         """``(t, density)`` pairs across all samples (Figures 6/12)."""

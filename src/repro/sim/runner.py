@@ -9,18 +9,17 @@ Section 5.1 and 5.2 experiments.  Distributed (Section 5.3) runs use
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.core.obj import StoredObject
 from repro.core.store import StorageUnit
-from repro.errors import SimulationError
 from repro.obs import STATE as _OBS
 from repro.sim.engine import SimulationEngine
 from repro.sim.probes import density_probe
 from repro.sim.recorder import Recorder
 from repro.units import days
 
-__all__ = ["ScenarioResult", "run_single_store", "feed_arrivals"]
+__all__ = ["ScenarioResult", "run_single_store"]
 
 
 @dataclass
@@ -37,50 +36,6 @@ class ScenarioResult:
         return self.recorder.summary()
 
 
-def feed_arrivals(
-    engine: SimulationEngine,
-    store: StorageUnit,
-    arrivals: Iterable[StoredObject],
-    *,
-    horizon_minutes: float = float("inf"),
-) -> None:
-    """Schedule a time-ordered arrival stream onto the engine.
-
-    Arrivals are scheduled lazily — one event in the heap at a time — so
-    multi-year streams do not materialise up front.  The stream must be
-    non-decreasing in ``t_arrival``; a violation raises
-    :class:`SimulationError` at dispatch time.  Arrivals beyond
-    ``horizon_minutes`` are skipped individually — the stream keeps
-    draining, so a generator that interleaves over-horizon objects with
-    in-horizon ones (e.g. per-creator streams merged without a total
-    order past the horizon) still delivers every in-horizon arrival.
-    Each arrival is one ``store.offer``, which logs its verdict into the
-    store's history (an attached recorder).
-    """
-    iterator: Iterator[StoredObject] = iter(arrivals)
-
-    def schedule_next(previous_t: float) -> None:
-        for obj in iterator:
-            if obj.t_arrival < previous_t:
-                raise SimulationError(
-                    f"arrival stream went backwards: {obj.t_arrival} < {previous_t}"
-                )
-            if obj.t_arrival > horizon_minutes:
-                continue  # skip this arrival, keep draining in-horizon ones
-            engine.schedule_at(
-                obj.t_arrival,
-                lambda now, obj=obj: dispatch(obj, now),
-                label="arrival",
-            )
-            return
-
-    def dispatch(obj: StoredObject, now: float) -> None:
-        store.offer(obj, now)
-        schedule_next(now)
-
-    schedule_next(0.0)
-
-
 def run_single_store(
     store: StorageUnit,
     arrivals: Iterable[StoredObject],
@@ -93,7 +48,9 @@ def run_single_store(
 
     Returns a :class:`ScenarioResult`; the provided (or newly created)
     recorder is attached to the store and, unless
-    ``density_interval_minutes`` is None, sampled periodically.
+    ``density_interval_minutes`` is None, sampled periodically.  Each
+    arrival is one ``store.offer``, which logs its verdict into the
+    recorder; arrivals past the horizon are skipped.
     """
     engine = SimulationEngine()
     if recorder is None:
@@ -101,7 +58,7 @@ def run_single_store(
     recorder.attach(store)
     if density_interval_minutes is not None:
         density_probe(engine, recorder, interval_minutes=density_interval_minutes)
-    feed_arrivals(engine, store, arrivals, horizon_minutes=horizon_minutes)
+    engine.feed(arrivals, store.offer, horizon_minutes=horizon_minutes)
     if _OBS.enabled:
         _OBS.logger.info(
             "runner",

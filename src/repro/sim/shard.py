@@ -12,17 +12,13 @@ executor provides worker-process isolation, and ``--jobs 1`` versus
 :func:`~repro.sim.parallel.run_shards` returns every shard's typed
 :class:`ShardRun` in shard-id order regardless of completion order.
 
-Inside a shard the run is an epoch loop on a
-:class:`~repro.sim.engine.SimulationEngine`:
-
-* a *pump* event at each epoch start drains the workload iterator for the
-  epoch and schedules one arrival event per capture (whole-minute
-  timestamps, so runs of same-timestamp arrivals exercise the engine's
-  batched dispatch);
-* a *barrier* event at each epoch end summarises the shard — placement
-  counters, occupancy, per-creator residency, and the capacity-weighted
-  density mass the cluster-wide gossip average is folded from — into a
-  picklable :class:`EpochDigest`.
+Inside a shard the run is one :class:`~repro.sim.engine.SimulationEngine`
+loop: the workload's arrivals (whole-minute timestamps) are offered to the
+shard's cluster, and a *barrier* tick at each epoch end — before that
+minute's arrivals, which belong to the next epoch — summarises the shard
+(placement counters, occupancy, per-creator residency, and the
+capacity-weighted density mass the cluster-wide gossip average is folded
+from) into a picklable :class:`EpochDigest`.
 
 The epoch digests are the shard's only output (per-object history is off;
 resident state rides in the stores' own resident records).  The parent merges the
@@ -69,11 +65,6 @@ __all__ = [
     "shard_seed",
     "shard_slice",
 ]
-
-#: Barrier events run before the next epoch's pump at the same timestamp.
-BARRIER_PRIORITY = -10
-PUMP_PRIORITY = -5
-
 
 def shard_slice(total: int, shards: int, shard: int) -> tuple[int, int]:
     """Contiguous balanced partition: ``(start, count)`` of shard ``shard``.
@@ -207,7 +198,6 @@ def run_shard(
             f"horizon_days={horizon_days} must be a positive multiple of "
             f"epoch_days={epoch_days}"
         )
-    epochs = int(epochs)
     total_courses = mega_courses(nodes) if courses is None else courses
     node_start, node_count = shard_slice(nodes, shards, shard)
     course_start, course_count = shard_slice(total_courses, shards, shard)
@@ -232,34 +222,15 @@ def run_shard(
     engine = SimulationEngine()
     epoch_minutes = days(epoch_days)
     horizon = days(horizon_days)
-    stream = workload.arrivals(horizon)
-    lookahead: list[StoredObject] = []  # one-object pushback buffer
     arrivals = 0
     digests: list[EpochDigest] = []
 
-    def offer(now: float, obj: StoredObject) -> None:
+    def offer(obj: StoredObject, now: float) -> None:
+        nonlocal arrivals
+        arrivals += 1
         cluster.offer(obj, now)
 
-    def make_pump(end_minutes: float):
-        def pump(_now: float) -> None:
-            nonlocal arrivals
-            while True:
-                obj = lookahead.pop() if lookahead else next(stream, None)
-                if obj is None:
-                    return
-                if obj.t_arrival >= end_minutes:
-                    lookahead.append(obj)
-                    return
-                arrivals += 1
-                engine.schedule_at(
-                    obj.t_arrival,
-                    lambda now, obj=obj: offer(now, obj),
-                    label="arrival",
-                )
-
-        return pump
-
-    def barrier(now: float, epoch: int) -> None:
+    def barrier(now: float) -> None:
         used = 0
         resident = 0
         evicted = 0
@@ -273,7 +244,7 @@ def run_shard(
         creators = cluster.stored_bytes_by_creator()
         digests.append(
             EpochDigest(
-                epoch=epoch,
+                epoch=len(digests) + 1,
                 t_minutes=now,
                 placed=cluster.placed_count,
                 rejected=cluster.rejected_count,
@@ -286,16 +257,10 @@ def run_shard(
             )
         )
 
-    for k in range(epochs):
-        engine.schedule_at(
-            k * epoch_minutes, make_pump((k + 1) * epoch_minutes),
-            priority=PUMP_PRIORITY, label="pump",
-        )
-        engine.schedule_at(
-            (k + 1) * epoch_minutes,
-            lambda now, epoch=k + 1: barrier(now, epoch),
-            priority=BARRIER_PRIORITY, label="barrier",
-        )
+    # An arrival on the last barrier's minute would open an epoch past the
+    # horizon, so it is left unoffered.
+    engine.feed((obj for obj in workload.arrivals(horizon) if obj.t_arrival < horizon), offer)
+    engine.every(epoch_minutes, barrier, start_minutes=epoch_minutes, first=True, label="barrier")
     engine.run(horizon)
     return ShardRun(
         shard=shard,

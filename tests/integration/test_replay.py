@@ -45,6 +45,14 @@ def test_the_summary_counts_the_cluster_refusals(sec53_run):
     assert summary["admitted"] == stats.placed
 
 
+def test_the_rejection_series_counts_the_cluster_refusals(sec53_run):
+    _result, (recorder,) = sec53_run
+    series = recorder.rejections_cumulative()
+    assert series[-1][1] == recorder.summary()["rejected"]
+    times = [t for t, _count in series]
+    assert times == sorted(times)
+
+
 def _copy(history: History, *, evictions: list[EvictionRecord]) -> History:
     copy = History()
     for record in history.arrivals:

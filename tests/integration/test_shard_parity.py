@@ -96,10 +96,10 @@ class TestMegaExperiment:
         ]
         assert result.arrivals == sum(row[3] + row[4] for row in last_epochs)
         # The shards' own counts reach the summary: every arrival is one
-        # event, plus one pump and one barrier per epoch.
+        # dispatch, plus one barrier per epoch.
         epochs = int(PARAMS["horizon_days"] / PARAMS["epoch_days"])
         for _shard, _nodes, _courses, arrivals, dispatched in result.shard_summary:
-            assert dispatched == arrivals + 2 * epochs
+            assert dispatched == arrivals + epochs
 
     def test_registry_exposes_sec54(self):
         from repro.experiments import registry

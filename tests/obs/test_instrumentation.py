@@ -26,7 +26,8 @@ class TestDisabledIsInert:
     def test_disabled_run_records_nothing(self):
         store = StorageUnit(gib(2), TemporalImportancePolicy())
         engine = SimulationEngine()
-        engine.schedule_at(0.0, lambda t: store.offer(make_obj(1.0), t), label="arrival")
+        engine.feed([make_obj(1.0)], store.offer)
+        engine.every(5.0, lambda t: None, label="probe")
         engine.run(10.0)
         store.reclaim_expired(10.0)
         assert len(obs.STATE.registry) == 0
@@ -46,20 +47,19 @@ class TestEngineInstrumentation:
     def test_event_counts_by_label_and_callback_timing(self):
         obs.enable()
         engine = SimulationEngine()
-        for i in range(3):
-            engine.schedule_at(float(i), lambda t: None, label="arrival")
-        engine.schedule_at(1.0, lambda t: None, label="probe")
-        engine.schedule_at(2.0, lambda t: None)  # unlabeled
+        engine.feed([make_obj(1.0, t_arrival=float(i)) for i in range(3)], lambda obj, t: None)
+        engine.every(10.0, lambda t: None, start_minutes=1.0, label="probe")
+        engine.every(5.0, lambda t: None, start_minutes=2.0, first=True, label="barrier")
         engine.run(10.0)
         reg = obs.STATE.registry
         events = reg.get("engine_events_total")
         assert events.value(label="arrival") == 3.0
         assert events.value(label="probe") == 1.0
-        assert events.value(label="unlabeled") == 1.0
+        assert events.value(label="barrier") == 2.0
         timing = reg.get("engine_callback_seconds").snapshot(label="arrival")
         assert timing["count"] == 3
         assert timing["sum"] >= 0.0
-        assert reg.get("engine_queue_depth").value() == 0.0
+        assert reg.get("engine_queue_depth") is None
         assert obs.STATE.tracer.stats("engine.run").count == 1
 
 

@@ -1,135 +1,136 @@
-"""Unit tests for the discrete-event engine."""
+"""Unit tests for the dispatch loop: one arrival stream merged with ticks."""
+
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.engine import SimulationEngine
-from repro.sim.events import PRIORITY_ARRIVAL, PRIORITY_PROBE, Event
+from tests.conftest import make_obj
+from tests.oracles.heap_engine import HeapEngine
+
+
+def _stream(*times):
+    return [make_obj(0.001, t_arrival=float(t)) for t in times]
+
+
+def _logging_offer(log):
+    return lambda obj, t: log.append(("arrival", t))
 
 
 class TestScheduling:
     def test_events_dispatch_in_time_order(self):
         engine = SimulationEngine()
         log = []
-        engine.schedule_at(30.0, lambda t: log.append(("b", t)))
-        engine.schedule_at(10.0, lambda t: log.append(("a", t)))
-        engine.schedule_at(20.0, lambda t: log.append(("m", t)))
+        engine.feed(_stream(10, 20, 30), _logging_offer(log))
+        engine.every(25.0, lambda t: log.append(("tick", t)), start_minutes=5.0, label="p")
         engine.run(100.0)
-        assert log == [("a", 10.0), ("m", 20.0), ("b", 30.0)]
+        assert log == [
+            ("tick", 5.0), ("arrival", 10.0), ("arrival", 20.0),
+            ("arrival", 30.0), ("tick", 30.0), ("tick", 55.0), ("tick", 80.0),
+        ]
 
     def test_ties_respect_priority_then_insertion(self):
+        # At one minute: ``first`` ticks, then the arrivals in stream
+        # order, then the other ticks; each phase in registration order.
         engine = SimulationEngine()
         log = []
-        engine.schedule_at(5.0, lambda t: log.append("probe"), priority=PRIORITY_PROBE)
-        engine.schedule_at(5.0, lambda t: log.append("arrival1"), priority=PRIORITY_ARRIVAL)
-        engine.schedule_at(5.0, lambda t: log.append("arrival2"), priority=PRIORITY_ARRIVAL)
+        engine.every(10.0, lambda t: log.append("probe-a"), start_minutes=5.0, label="a")
+        engine.every(10.0, lambda t: log.append("barrier-a"), start_minutes=5.0, first=True, label="b")
+        engine.every(10.0, lambda t: log.append("probe-b"), start_minutes=5.0, label="c")
+        engine.every(10.0, lambda t: log.append("barrier-b"), start_minutes=5.0, first=True, label="d")
+        first, second = _stream(5, 5)
+        engine.feed([first, second], lambda obj, t: log.append(obj.object_id))
         engine.run(10.0)
-        assert log == ["arrival1", "arrival2", "probe"]
+        assert log == [
+            "barrier-a", "barrier-b", first.object_id, second.object_id, "probe-a", "probe-b",
+        ]
 
     def test_cannot_schedule_into_the_past(self):
         engine = SimulationEngine()
-        engine.schedule_at(10.0, lambda t: None)
         engine.run(20.0)
-        with pytest.raises(SimulationError):
-            engine.schedule_at(5.0, lambda t: None)
+        with pytest.raises(SimulationError, match="before now"):
+            engine.every(1.0, lambda t: None, start_minutes=5.0, label="late")
+        with pytest.raises(SimulationError, match="before now"):
+            engine.every(1.0, lambda t: None, start_minutes=math.nan, label="nan")
 
-    def test_callbacks_can_schedule_more_events(self):
+
+class TestFeed:
+    def test_a_stream_starting_before_now_is_backwards(self):
+        engine = SimulationEngine()
+        engine.run(20.0)
+        with pytest.raises(SimulationError, match="went backwards: 5.0 < 20.0"):
+            engine.feed(_stream(5), lambda obj, t: None)
+
+    def test_an_engine_takes_one_stream(self):
+        engine = SimulationEngine()
+        engine.feed([], lambda obj, t: None)
+        with pytest.raises(SimulationError, match="one arrival stream"):
+            engine.feed([], lambda obj, t: None)
+
+    def test_an_arrival_on_the_horizon_is_offered(self):
         engine = SimulationEngine()
         log = []
-
-        def chain(t):
-            log.append(t)
-            if t < 5.0:
-                engine.schedule_at(t + 1.0, chain)
-
-        engine.schedule_at(0.0, chain)
-        engine.run(10.0)
-        assert log == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
-
-    def test_invalid_event_construction(self):
-        with pytest.raises(SimulationError):
-            Event(time=-1.0, callback=lambda t: None)
-        with pytest.raises(SimulationError):
-            Event(time=1.0, callback="not-callable")
+        engine.feed(_stream(10, 11), _logging_offer(log), horizon_minutes=10.0)
+        assert engine.run(20.0) == 1
+        assert log == [("arrival", 10.0)]
 
 
 class TestRun:
     def test_run_honours_horizon(self):
         engine = SimulationEngine()
         log = []
-        engine.schedule_at(10.0, lambda t: log.append(t))
-        engine.schedule_at(100.0, lambda t: log.append(t))
+        engine.feed(_stream(10, 100), _logging_offer(log))
         dispatched = engine.run(50.0)
         assert dispatched == 1
-        assert log == [10.0]
-        assert engine.pending == 1
+        assert log == [("arrival", 10.0)]
         assert engine.now == 50.0  # clock parked at the horizon
 
     def test_run_can_be_resumed(self):
         engine = SimulationEngine()
         log = []
-        engine.schedule_at(10.0, lambda t: log.append(t))
-        engine.schedule_at(100.0, lambda t: log.append(t))
+        engine.feed(_stream(10, 100), _logging_offer(log))
         engine.run(50.0)
         engine.run(150.0)
-        assert log == [10.0, 100.0]
+        assert log == [("arrival", 10.0), ("arrival", 100.0)]
 
     def test_run_backwards_raises(self):
         engine = SimulationEngine()
         engine.run(100.0)
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="clock already at"):
             engine.run(50.0)
-
-    def test_max_events_limits_dispatch(self):
-        engine = SimulationEngine()
-        log = []
-        for i in range(10):
-            engine.schedule_at(float(i), lambda t: log.append(t))
-        engine.run(100.0, max_events=3)
-        assert len(log) == 3
-
-    def test_stop_exits_the_loop(self):
-        engine = SimulationEngine()
-        log = []
-        engine.schedule_at(1.0, lambda t: log.append(t))
-        engine.schedule_at(2.0, lambda t: engine.stop())
-        engine.schedule_at(3.0, lambda t: log.append(t))
-        engine.run(10.0)
-        assert log == [1.0]
-        assert engine.pending == 1
 
     def test_dispatch_counter_accumulates(self):
         engine = SimulationEngine()
-        for i in range(5):
-            engine.schedule_at(float(i), lambda t: None)
-        engine.run(10.0)
-        assert engine.dispatched == 5
+        engine.feed(_stream(0, 1, 2, 3, 4), lambda obj, t: None)
+        engine.every(5.0, lambda t: None, label="p")
+        assert engine.run(7.0) == 7
+        assert engine.run(10.0) == 1
+        assert engine.dispatched == 8
 
-    def test_progress_callback(self):
+    def test_an_empty_engine_runs_to_any_horizon(self):
         engine = SimulationEngine()
-        seen = []
-        for i in range(5):
-            engine.schedule_at(float(i), lambda t: None)
-        engine.run(10.0, on_progress=lambda t, n: seen.append(n), progress_every=2)
-        assert seen == [2, 4]
+        assert engine.run(math.inf) == 0
+        assert engine.now == math.inf
 
 
 class TestPeriodic:
     def test_fires_at_fixed_interval(self):
         engine = SimulationEngine()
         log = []
-        engine.schedule_periodic(0.0, 10.0, log.append, end_minutes=35.0)
-        engine.run(100.0)
+        engine.every(10.0, log.append, label="p")
+        engine.run(35.0)
         assert log == [0.0, 10.0, 20.0, 30.0]
 
     def test_interval_must_be_positive(self):
         with pytest.raises(SimulationError):
-            SimulationEngine().schedule_periodic(0.0, 0.0, lambda t: None)
+            SimulationEngine().every(0.0, lambda t: None, label="p")
 
     def test_periodic_survives_horizon_pauses(self):
         engine = SimulationEngine()
         log = []
-        engine.schedule_periodic(0.0, 10.0, log.append)
+        engine.every(10.0, log.append, label="p")
         engine.run(25.0)
         engine.run(45.0)
         assert log == [0.0, 10.0, 20.0, 30.0, 40.0]
@@ -137,42 +138,59 @@ class TestPeriodic:
     def test_start_after_end_schedules_nothing(self):
         engine = SimulationEngine()
         log = []
-        engine.schedule_periodic(50.0, 10.0, log.append, end_minutes=40.0)
-        engine.run(100.0)
+        engine.every(10.0, log.append, start_minutes=50.0, label="p")
+        engine.run(40.0)
         assert log == []
 
     def test_fires_exactly_at_end_boundary(self):
-        # A firing landing exactly on end_minutes happens; the next one
-        # (end + interval) is past the boundary and is never armed.
+        # A firing landing exactly on the horizon happens; the next one
+        # (horizon + interval) waits for a later run.
         engine = SimulationEngine()
         log = []
-        engine.schedule_periodic(0.0, 10.0, log.append, end_minutes=30.0)
-        engine.run(100.0)
+        engine.every(10.0, log.append, label="p")
+        engine.run(30.0)
         assert log == [0.0, 10.0, 20.0, 30.0]
-        assert engine.pending == 0
-
-    def test_stop_mid_run_halts_rearming(self):
-        engine = SimulationEngine()
-        log = []
-
-        def tick(now):
-            log.append(now)
-            if now >= 20.0:
-                engine.stop()
-
-        engine.schedule_periodic(0.0, 10.0, tick)
-        engine.run(100.0)
-        assert log == [0.0, 10.0, 20.0]
-        # The stopped schedule never re-armed: nothing left in the heap,
-        # so resuming the engine does not resurrect it.
-        assert engine.pending == 0
-        engine.run(200.0)
-        assert log == [0.0, 10.0, 20.0]
 
     def test_nan_interval_raises(self):
         with pytest.raises(SimulationError):
-            SimulationEngine().schedule_periodic(0.0, float("nan"), lambda t: None)
+            SimulationEngine().every(float("nan"), lambda t: None, label="p")
 
     def test_negative_interval_raises(self):
         with pytest.raises(SimulationError):
-            SimulationEngine().schedule_periodic(0.0, -5.0, lambda t: None)
+            SimulationEngine().every(-5.0, lambda t: None, label="p")
+
+
+@st.composite
+def _schedules(draw):
+    """A whole-minute stream, 0-2 ticks (one per phase) and the run horizons."""
+    gaps = draw(st.lists(st.integers(0, 3), max_size=30))
+    times = [sum(gaps[: i + 1]) for i in range(len(gaps))]
+    horizon = draw(st.integers(0, 60) | st.just(math.inf))
+    phases = draw(st.permutations([True, False]))[: draw(st.integers(0, 2))]
+    ticks = [
+        (draw(st.integers(1, 20)), draw(st.integers(0, 30)), first) for first in phases
+    ]
+    stops = sorted(draw(st.lists(st.integers(0, 80), min_size=1, max_size=2)))
+    return times, horizon, ticks, stops
+
+
+def _dispatch_log(engine_type, times, horizon, ticks, stops):
+    engine = engine_type()
+    log = []
+    objs = [make_obj(0.001, t_arrival=float(t), object_id=f"o{i}") for i, t in enumerate(times)]
+    engine.feed(
+        objs, lambda obj, t: log.append((t, "arrival", obj.object_id)), horizon_minutes=horizon
+    )
+    for k, (interval, start, first) in enumerate(ticks):
+        engine.every(
+            float(interval), lambda t, k=k: log.append((t, "tick", k)),
+            start_minutes=float(start), first=first, label=f"t{k}",
+        )
+    counts = [engine.run(float(stop)) for stop in stops]
+    return log, counts, engine.dispatched, engine.now
+
+
+@settings(max_examples=300, deadline=None)
+@given(_schedules())
+def test_the_loop_dispatches_as_the_heap_did(schedule):
+    assert _dispatch_log(SimulationEngine, *schedule) == _dispatch_log(HeapEngine, *schedule)

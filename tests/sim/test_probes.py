@@ -23,13 +23,13 @@ class TestDensityProbe:
 
     def test_probe_runs_after_same_minute_arrivals(self):
         # An arrival and a probe at the same instant: the probe must see
-        # the post-arrival state (PRIORITY_PROBE > PRIORITY_ARRIVAL).
+        # the post-arrival state (a tick fires after its minute's arrivals).
         store = StorageUnit(gib(2), TemporalImportancePolicy())
         engine = SimulationEngine()
         recorder = Recorder()
         recorder.attach(store)
         density_probe(engine, recorder, interval_minutes=days(1), start_minutes=0.0)
-        engine.schedule_at(0.0, lambda t: store.offer(make_obj(1.0, t_arrival=t), t))
+        engine.feed([make_obj(1.0, t_arrival=0.0)], store.offer)
         engine.run(0.0)
         assert recorder.density_samples[0].density == 0.5
 
@@ -90,9 +90,7 @@ class TestSnapshotTrigger:
         trigger = SnapshotTrigger(store, low=0.4, high=0.6).arm(
             engine, interval_minutes=days(1)
         )
-        engine.schedule_at(
-            days(1.5), lambda t: store.offer(make_obj(1.0, t_arrival=t), t)
-        )
+        engine.feed([make_obj(1.0, t_arrival=days(1.5))], store.offer)
         engine.run(days(4))
         assert trigger.triggered_at == days(2)
         assert trigger.triggered_density == 0.5

@@ -7,7 +7,7 @@ from repro.core.store import StorageUnit
 from repro.errors import SimulationError
 from repro.sim.engine import SimulationEngine
 from repro.sim.recorder import Recorder
-from repro.sim.runner import feed_arrivals, run_single_store
+from repro.sim.runner import run_single_store
 from repro.units import days, gib
 from tests.conftest import make_obj
 
@@ -18,10 +18,13 @@ class TestFeedArrivals:
         engine = SimulationEngine()
         recorder = Recorder()
         recorder.attach(store)
-        arrivals = (make_obj(1.0, t_arrival=days(i)) for i in range(5))
-        feed_arrivals(engine, store, arrivals)
-        # Only the first arrival is in the heap; the rest follow lazily.
-        assert engine.pending == 1
+        drawn = []
+        arrivals = (drawn.append(i) or make_obj(1.0, t_arrival=days(i)) for i in range(5))
+        engine.feed(arrivals, store.offer)
+        # Only the first arrival is drawn; the rest follow lazily.
+        assert drawn == [0]
+        engine.run(days(2))
+        assert drawn == [0, 1, 2, 3]
         engine.run(days(10))
         assert store.stats().resident_count == 5
         assert [a.t for a in recorder.arrivals] == [days(i) for i in range(5)]
@@ -30,7 +33,7 @@ class TestFeedArrivals:
         store = StorageUnit(gib(100), TemporalImportancePolicy())
         engine = SimulationEngine()
         bad = [make_obj(1.0, t_arrival=days(5)), make_obj(1.0, t_arrival=days(1))]
-        feed_arrivals(engine, store, iter(bad))
+        engine.feed(iter(bad), store.offer)
         with pytest.raises(SimulationError, match="backwards"):
             engine.run(days(10))
 
@@ -38,7 +41,7 @@ class TestFeedArrivals:
         store = StorageUnit(gib(100), TemporalImportancePolicy())
         engine = SimulationEngine()
         arrivals = [make_obj(1.0, t_arrival=days(i)) for i in (1, 2, 50)]
-        feed_arrivals(engine, store, iter(arrivals), horizon_minutes=days(10))
+        engine.feed(iter(arrivals), store.offer, horizon_minutes=days(10))
         engine.run(days(10))
         assert store.stats().resident_count == 2
 
@@ -48,7 +51,7 @@ class TestFeedArrivals:
         store = StorageUnit(gib(100), TemporalImportancePolicy())
         engine = SimulationEngine()
         arrivals = [make_obj(1.0, t_arrival=days(t)) for t in (1, 50, 2, 3)]
-        feed_arrivals(engine, store, iter(arrivals), horizon_minutes=days(10))
+        engine.feed(iter(arrivals), store.offer, horizon_minutes=days(10))
         engine.run(days(10))
         assert store.stats().resident_count == 3
 
@@ -56,7 +59,7 @@ class TestFeedArrivals:
         store = StorageUnit(gib(100), TemporalImportancePolicy())
         engine = SimulationEngine()
         arrivals = [make_obj(1.0, t_arrival=days(t)) for t in (5, 50, 1)]
-        feed_arrivals(engine, store, iter(arrivals), horizon_minutes=days(10))
+        engine.feed(iter(arrivals), store.offer, horizon_minutes=days(10))
         with pytest.raises(SimulationError, match="backwards"):
             engine.run(days(10))
 

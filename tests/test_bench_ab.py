@@ -1,6 +1,7 @@
 """``tools/bench_ab.py``: each side's traced run must hash to that side's
-untraced digest, whether or not the change moved it; both trees are
-byte-compiled before the first run; and a stopped tool leaves no run behind."""
+untraced digest, whether or not the change moved it; a ``--quick`` pair
+reports a timing regression without failing; both trees are byte-compiled
+before the first run; and a stopped tool leaves no run behind."""
 
 import argparse
 import importlib.util
@@ -58,6 +59,37 @@ def test_a_traced_digest_that_differs_from_its_side_fails(bench_ab, monkeypatch,
 def test_untraced_runs_that_disagree_fail_the_traced_check(bench_ab, monkeypatch):
     untraced = {"parent": {"aaaa"}, "change": {"bbbb", "cccc"}}
     assert not traced_pair(bench_ab, monkeypatch, "aaaa", "bbbb", untraced)
+
+
+def untraced_pair(bench_ab, monkeypatch, *, quick, change_s=2.0, change_digest="aaaa",
+                  change_failed=0):
+    """Run ``compare`` on one canned untraced pair: no benchmark runs."""
+
+    def run_once(checkout, workload, seed, seconds, trace=0):
+        change = checkout == bench_ab.REPO
+        return {
+            "digest": change_digest if change else "aaaa",
+            "metrics": {"wall_s": {"value": change_s if change else 1.0}},
+            "failed": change_failed if change else 0,
+            "correct": True,
+        }
+
+    monkeypatch.setattr(bench_ab, "run_once", run_once)
+    args = argparse.Namespace(seed=42, quick=quick, pairs=1, parent_rev="HEAD", layers=False)
+    metrics = [{"name": "wall_s", "better": "lower", "bound": 0.25}]
+    return bench_ab.compare("sim_single", Path("parent"), args, metrics)
+
+
+def test_a_quick_pair_reports_a_timing_regression_without_failing(
+    bench_ab, monkeypatch, capsys
+):
+    # One 2 s pair times nothing: its regression is printed, not enforced.
+    assert untraced_pair(bench_ab, monkeypatch, quick=True)
+    assert "regression (not enforced: --quick)" in capsys.readouterr().out
+    assert not untraced_pair(bench_ab, monkeypatch, quick=False)
+    # What --quick does check still fails it.
+    assert not untraced_pair(bench_ab, monkeypatch, quick=True, change_digest="bbbb")
+    assert not untraced_pair(bench_ab, monkeypatch, quick=True, change_failed=1)
 
 
 def test_prepare_byte_compiles_the_extracted_tree(bench_ab, monkeypatch, tmp_path):

@@ -32,16 +32,17 @@ differs at all is marked ``!=``; a time row is marked ``*`` when it moved
 more than 10 % (and is at least a millisecond on one side: below that the
 tracer's own clock reads are the row).
 
-Exit status is 1 on a regression, a digest mismatch, a failed run or more
-failed operations on the change side; with ``--layers`` also when the
+Exit status is 1 on a regression (outside ``--quick``), a digest
+mismatch, a failed run or more failed operations on the change side; with ``--layers`` also when the
 change's traced run fails (a ``bench/trace.py`` target that no longer
 resolves), when either side's traced run hashes to another digest than
 that side's untraced runs (tracing must not move an outcome; a change may
 move its digest on purpose), or when the change's traced run is not
 ``correct`` (a validity check flipped).  ``--quick`` is the smoke shape
 (``--seconds 2``): it exercises the tool, not the program — too short to
-reach the regimes the validity checks describe, so it reports them
-without enforcing them, as ``python3 -m bench --quick`` does.
+reach the regimes the validity checks describe or to time anything, so it
+reports validity and timing verdicts without enforcing them, as
+``python3 -m bench --quick`` does for validity.
 """
 
 from __future__ import annotations
@@ -228,11 +229,12 @@ def compare(workload: str, parent_dir: Path, args: argparse.Namespace, metrics) 
         parent = [run["metrics"][name]["value"] for run in runs["parent"]]
         change = [run["metrics"][name]["value"] for run in runs["change"]]
         wins, decided, verdict = judge(parent, change, metric["better"], metric["bound"])
-        ok = ok and verdict != "regression"
+        ok = ok and (verdict != "regression" or args.quick)
         p_q, c_q = quartiles(parent), quartiles(change)
+        enforced = " (not enforced: --quick)" if verdict == "regression" and args.quick else ""
         print(f"  {name:<15} {'/'.join(f'{v:.4g}' for v in p_q):>32} "
               f"{'/'.join(f'{v:.4g}' for v in c_q):>32} "
-              f"{(c_q[1] - p_q[1]) / p_q[1]:>+8.1%} {wins:>3}/{decided:<2}  {verdict}")
+              f"{(c_q[1] - p_q[1]) / p_q[1]:>+8.1%} {wins:>3}/{decided:<2}  {verdict}{enforced}")
         print(f"    {name} per pair: "
               + " ".join(f"{p:.4g}|{c:.4g}" for p, c in zip(parent, change)))
     if args.layers:

@@ -58,7 +58,7 @@ DECIDED = {
         "tracing.py:Tracer.records", "tracing.py:Tracer.stats")], "tests read the obs state through it"),
     **dict.fromkeys(["repro/core/index.py:ImportanceIndex.expired_count",
                      "repro/core/victims.py:GroupedResidents", "repro/serve/router.py:ShardRouter.offered_load",
-                     "repro/sim/clock.py:SimClock.advance_by", "repro/core/store.py:HistoryLog.__eq__"],
+                     "repro/core/store.py:HistoryLog.__eq__"],
                     "tests read the state through it"),
 }
 HOOK = '''import atexit, json, os, sys, threading
