@@ -36,7 +36,8 @@ obs-smoke:
 # then a tiny audited sweep at --jobs 1 and --jobs 2, whose `-merged`
 # ledgers must be the same bytes, and `repro-sim explain` over the jobs-2
 # run directory with its `-merged` ledger taken away, so it folds the
-# per-spec ledgers itself (exit non-zero if any leg fails).
+# per-spec ledgers itself: once to list, once to explain the first listed
+# id that only one ledger holds (exit non-zero if any leg fails).
 audit-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python examples/explain_demo.py >/dev/null
 	@rm -rf .audit-smoke && mkdir -p .audit-smoke
@@ -48,7 +49,10 @@ audit-smoke:
 	cmp .audit-smoke/jobs-1/audit-merged.jsonl .audit-smoke/jobs-2/audit-merged.jsonl
 	rm .audit-smoke/jobs-2/audit-merged.jsonl
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro.cli explain \
-		.audit-smoke/jobs-2 >/dev/null
+		.audit-smoke/jobs-2 --limit 100000 >.audit-smoke/listing.txt
+	id=$$(awk 'NR > 1 {print $$1}' .audit-smoke/listing.txt | sort | uniq -u | head -n 1); \
+	test -n "$$id" && PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro.cli \
+		explain .audit-smoke/jobs-2 "$$id" >/dev/null
 	@rm -rf .audit-smoke
 	@echo "audit smoke OK"
 

@@ -25,7 +25,6 @@ from repro.core.obj import ObjectId, StoredObject
 from repro.core.policy import EvictionPolicy
 from repro.core.store import AdmissionResult
 from repro.errors import PlacementError, UnknownObjectError
-from repro.obs import STATE as _OBS
 from repro.sim.recorder import Recorder
 
 __all__ = ["BesteffsCluster", "ClusterStats"]
@@ -175,7 +174,6 @@ class BesteffsCluster:
                     t=now, size=obj.size, admitted=False,
                     creator=obj.creator, object_id=obj.object_id, unit="",
                 )
-            self._obs_scrape(now)
             return decision, None
         # Only the winner is planned, and the plan must be the one its probe
         # scored: checked on every placed offer, before anything is evicted.
@@ -190,42 +188,7 @@ class BesteffsCluster:
         self._floor.committed(node.node_id, obj, now, len(result.evictions))
         self._locations[obj.object_id] = node.node_id
         self.placed_count += 1
-        self._obs_scrape(now)
         return decision, result
-
-    def _obs_scrape(self, now: float) -> None:
-        """Feed the time-series collector on engine-less (direct) drives.
-
-        Cluster experiments offer arrivals straight from the workload
-        iterator without a :class:`~repro.sim.engine.SimulationEngine`, so
-        the collector's sim-time cadence is checked here instead of in the
-        dispatch loop.  Per-node density/occupancy gauges are refreshed
-        only when a scrape is actually due; the density is the same exact
-        mass the recorder's samples read, O(waning residents) per node.
-        """
-        collector = _OBS.timeseries
-        if not _OBS.enabled or collector is None or now < collector.next_due:
-            return
-        registry = _OBS.registry
-        density_gauge = registry.gauge(
-            "store_importance_density",
-            "Instantaneous storage importance density.",
-            ("unit",),
-        )
-        occupancy_gauge = registry.gauge(
-            "store_occupancy_ratio",
-            "Fraction of raw capacity occupied.",
-            ("unit",),
-        )
-        for node_id, node in self.nodes.items():
-            density_gauge.set(importance_density(node.store, now), unit=node_id)
-            occupancy_gauge.set(
-                node.used_bytes / node.capacity_bytes, unit=node_id
-            )
-        collector.scrape(now)
-        alerts = _OBS.alerts
-        if alerts is not None:
-            alerts.evaluate(registry, now=now)
 
     def locate(self, object_id: ObjectId) -> BesteffsNode:
         """Find the node currently holding an object."""

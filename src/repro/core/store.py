@@ -734,11 +734,6 @@ class StorageUnit:
             "Admission outcomes per storage unit.",
             ("unit", "outcome"),
         ).inc(unit=self.name, outcome="admitted" if admitted else "rejected")
-        registry.gauge(
-            "store_occupancy_ratio",
-            "Fraction of raw capacity occupied.",
-            ("unit",),
-        ).set(self._used_bytes / self.capacity_bytes, unit=self.name)
         if admitted:
             registry.histogram(
                 "store_preemption_depth",

@@ -16,11 +16,13 @@ buys:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.besteffs.cluster import BesteffsCluster
 from repro.besteffs.membership import ChurnManager, ChurnModel
 from repro.besteffs.placement import PlacementConfig
 from repro.report.table import TextTable
+from repro.sim.engine import SimulationEngine
 from repro.sim.recorder import Recorder
 from repro.sim.workload.lecture import LectureConfig
 from repro.sim.workload.university import UniversityConfig, UniversityWorkload
@@ -80,13 +82,13 @@ def _run(
     )
     initial_capacity = cluster.capacity_bytes
 
-    next_churn = days(churn_interval_days)
     horizon = days(horizon_days)
-    for obj in workload.arrivals(horizon):
-        while obj.t_arrival >= next_churn:
-            churn.apply(manager, next_churn)
-            next_churn += days(churn_interval_days)
-        cluster.offer(obj, obj.t_arrival)
+    engine = SimulationEngine()
+    engine.feed(workload.arrivals(horizon), cluster.offer, units=cluster.nodes.values())
+    # Desktops leave and join before the arrivals of the churn's minute.
+    step = days(churn_interval_days)
+    engine.every(step, partial(churn.apply, manager), start_minutes=step, first=True, label="churn")
+    engine.run()
 
     lost = manager.lost_objects()
     preempted = sum(1 for r in recorder.evictions if r.reason == "preempted")

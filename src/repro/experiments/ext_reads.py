@@ -20,6 +20,11 @@ review of the whole back-catalogue), and we measure the **hit rate** and
   importance for two weeks after capture, then waning) recovers FIFO-level
   availability *while keeping producer control* — the fix the paper's own
   framework prescribes: express the demand shape in the annotation.
+
+This is the one experiment that offers from its own loop rather than
+:class:`~repro.sim.engine.SimulationEngine`: it merges the captures with
+read requests, which are neither stored objects nor on a fixed cadence,
+and an engine merges one object stream with fixed-cadence ticks only.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from repro.core.policies.palimpsest import PalimpsestPolicy
 from repro.core.store import ArrivalRecord, HistoryLog, StorageUnit
 from repro.ext.refresher import PalimpsestRefresher, RefreshOutcome
 from repro.report.table import TextTable
+from repro.sim.engine import SimulationEngine
 from repro.sim.recorder import Recorder
 from repro.sim.workload.single_app import SingleAppWorkload
 from repro.units import MINUTES_PER_DAY, MINUTES_PER_HOUR, days, gib
@@ -107,30 +108,25 @@ def _run(
                 _windowed_estimator(recorder.arrivals, gib(capacity_gib), window_minutes),
                 safety_factor=safety,
             )
-            next_register = 0.0
-            tick_every = days(1)
-            next_tick = 0.0
+
+            def register(now: float) -> None:
+                keeper = StoredObject(
+                    size=gib(object_gib),
+                    t_arrival=now,
+                    lifetime=DiracImportance(),
+                    object_id=f"keep-{window_name}-{safety}-{int(now)}",
+                    creator=CLIENT,
+                )
+                refresher.register(keeper, now + days(keep_days), now)
+
             horizon = days(horizon_days)
-            for obj in background.arrivals(horizon):
-                now = obj.t_arrival
-                while next_tick <= now:
-                    refresher.tick(next_tick)
-                    next_tick += tick_every
-                while next_register <= now:
-                    keeper = StoredObject(
-                        size=gib(object_gib),
-                        t_arrival=next_register,
-                        lifetime=DiracImportance(),
-                        object_id=(
-                            f"keep-{window_name}-{safety}-{int(next_register)}"
-                        ),
-                        creator=CLIENT,
-                    )
-                    refresher.register(
-                        keeper, next_register + days(keep_days), next_register
-                    )
-                    next_register += days(register_every_days)
-                store.offer(obj, now)
+            engine = SimulationEngine()
+            engine.feed(background.arrivals(horizon), store.offer, units=(store,))
+            # The client acts before the background arrivals of its minute:
+            # the daily refresh pass first, then any new keeper.
+            engine.every(days(1), refresher.tick, first=True, label="refresh")
+            engine.every(days(register_every_days), register, first=True, label="register")
+            engine.run()
             outcomes[(window_name, safety)] = refresher.finalise(horizon)
     return RefreshResult(
         capacity_gib=capacity_gib,

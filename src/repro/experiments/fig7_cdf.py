@@ -66,7 +66,9 @@ def _run(
         engine, interval_minutes=60.0
     )
     horizon = days(horizon_days)
-    engine.feed(workload.arrivals(horizon), store.offer, horizon_minutes=horizon)
+    engine.feed(
+        workload.arrivals(horizon), store.offer, horizon_minutes=horizon, units=(store,)
+    )
     engine.run(horizon)
     if trigger.snapshot is None:
         raise RuntimeError(

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from repro.besteffs.cluster import BesteffsCluster, ClusterStats
 from repro.besteffs.placement import PlacementConfig
+from repro.sim.engine import SimulationEngine
 from repro.sim.recorder import Recorder
 from repro.sim.workload.lecture import STUDENT_CREATOR, UNIVERSITY_CREATOR
 from repro.sim.workload.university import UniversityConfig, UniversityWorkload
@@ -71,11 +72,10 @@ def _run(
             recorder=recorder,
         )
         horizon = days(horizon_days)
-        last_t = 0.0
-        for obj in workload.arrivals(horizon):
-            cluster.offer(obj, obj.t_arrival)
-            last_t = obj.t_arrival
-        stats[capacity_gib] = cluster.stats(max(last_t, horizon))
+        engine = SimulationEngine()
+        engine.feed(workload.arrivals(horizon), cluster.offer, units=cluster.nodes.values())
+        engine.run()
+        stats[capacity_gib] = cluster.stats(horizon)
         by_creator[capacity_gib] = cluster.stored_bytes_by_creator()
         lifetimes = [
             to_days(r.achieved_lifetime)

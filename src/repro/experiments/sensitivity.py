@@ -27,6 +27,7 @@ from repro.experiments.common import (
     run_single_app_scenario,
 )
 from repro.report.table import TextTable
+from repro.sim.engine import SimulationEngine
 from repro.sim.workload.lecture import LectureConfig
 from repro.sim.workload.university import UniversityConfig, UniversityWorkload
 from repro.units import days, gib, to_days
@@ -141,6 +142,7 @@ def topology_sweep(
         "complete": Overlay.random_regular(node_ids, degree=nodes - 1, seed=seed),
     }
     config = UniversityConfig(courses=20, nodes=nodes, lecture=LectureConfig())
+    horizon = days(horizon_days)
     per_topology: dict[str, dict[str, float]] = {}
     for name, overlay in overlays.items():
         cluster = BesteffsCluster(
@@ -150,9 +152,10 @@ def topology_sweep(
             seed=seed,
         )
         workload = UniversityWorkload(config=config, seed=seed)
-        for obj in workload.arrivals(days(horizon_days)):
-            cluster.offer(obj, obj.t_arrival)
-        stats = cluster.stats(days(horizon_days))
+        engine = SimulationEngine()
+        engine.feed(workload.arrivals(horizon), cluster.offer, units=cluster.nodes.values())
+        engine.run()
+        stats = cluster.stats(horizon)
         per_topology[name] = {
             "placed": float(stats.placed),
             "rejected": float(stats.rejected),

@@ -19,10 +19,11 @@ Two properties keep decade-long runs cheap:
   run is, and the series keeps full coverage of the run (coarser, never
   truncated).
 
-The engine's instrumented dispatch loop calls
-:meth:`TimeSeriesCollector.maybe_scrape` after every event when
-``obs.STATE.timeseries`` is set — no extra events in the heap, no observer
-effect on event counts.
+Whoever owns the sim clock scrapes, through
+:func:`repro.sim.probes.scrape`: the engine's instrumented dispatch loop
+after any event that finds the cadence due (the check adds no tick and no
+event count) and once at the end of each run, and the serving worker
+after such a batch.
 """
 
 from __future__ import annotations

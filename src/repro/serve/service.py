@@ -44,6 +44,7 @@ from repro.obs import COUNT_BUCKETS, STATE as _OBS
 from repro.serve.ledger import ServeLedger
 from repro.serve.protocol import ServeError, StoreRequest, StoreResponse, StoreStatus
 from repro.serve.ratelimit import TokenBucketLimiter
+from repro.sim.probes import scrape
 
 __all__ = ["ServeConfig", "GatewayService", "serve"]
 
@@ -327,6 +328,11 @@ class GatewayService:
             return
         for pending, response in zip(batch, responses):
             self._finish(pending, response, batch_now)
+        if _OBS.enabled:
+            # The worker owns the serving clock, so it runs the scrape.
+            collector = _OBS.timeseries
+            if collector is not None and batch_now >= collector.next_due:
+                scrape(self.gateway.cluster.nodes.values(), batch_now)
 
     def _handle_batch(
         self, batch: list[_Pending], now: float

@@ -7,7 +7,8 @@ barriers.  At each timestamp the ``first`` ticks due fire, then that
 timestamp's arrivals in stream order, then the other ticks due; ticks of
 one phase fire in registration order.  So a probe at time T observes the
 store after the time-T arrivals, and a barrier closes its epoch before
-the next epoch's first arrivals.
+the next epoch's first arrivals.  The engine owns the sim clock, so it
+also runs the scrape (:func:`repro.sim.probes.scrape`) of the fed units.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.errors import SimulationError
 from repro.obs import STATE as _OBS
+from repro.sim.probes import scrape
 
 if TYPE_CHECKING:
     from repro.core.obj import StoredObject
@@ -51,6 +53,7 @@ class SimulationEngine:
         self._horizon = math.inf
         self._last = 0.0
         self._next: StoredObject | None = None
+        self._units: Iterable = ()
 
     def feed(
         self,
@@ -58,21 +61,30 @@ class SimulationEngine:
         offer: Callable[[StoredObject, float], object],
         *,
         horizon_minutes: float = math.inf,
+        units: Iterable = (),
     ) -> None:
         """Offer a time-ordered stream as ``offer(obj, t_arrival)``.
 
         The stream is drawn one object ahead and must be non-decreasing in
         ``t_arrival`` (else :class:`SimulationError` when drawn).  Arrivals
         beyond ``horizon_minutes`` are skipped while the stream keeps
-        draining, so later in-horizon ones are still offered.
+        draining, so later in-horizon ones are still offered.  ``units``
+        are the storage units (or Besteffs nodes) the scrapes publish
+        gauges for; pass a live view such as ``cluster.nodes.values()``
+        so joins and departures are seen.
         """
         if self._offer is not None:
             raise SimulationError("an engine takes one arrival stream")
         self._offer = offer
         self._stream = iter(arrivals)
         self._horizon = horizon_minutes
+        self._units = units
         self._last = self.now
         self._next = self._pull()
+        if _OBS.enabled and _OBS.timeseries is not None:
+            # An experiment may run engines one after another, each from t=0;
+            # rewind the cadence so the new stream still scrapes.
+            _OBS.timeseries.rewind(self.now)
 
     def every(
         self,
@@ -95,17 +107,20 @@ class SimulationEngine:
             raise SimulationError(f"cannot start a tick at {start} before now={self.now}")
         self._ticks.append(_Tick(start, interval_minutes, callback, label, first))
 
-    def run(self, until_minutes: float) -> int:
+    def run(self, until_minutes: float | None = None) -> int:
         """Dispatch every arrival and tick with ``time <= until_minutes``.
 
         Returns the number dispatched by this call and leaves :attr:`now`
-        at ``until_minutes``; a later call resumes from there.  When
-        :mod:`repro.obs` is enabled (sampled once on entry), the loop runs
-        under an ``engine.run`` span with per-label dispatch counters and
-        callback timings, and scrapes a time-series collector
-        (``obs.STATE.timeseries``) on its sim-time cadence and at the end.
+        at ``until_minutes``; a later call resumes from there.  Without
+        ``until_minutes`` the run drains the stream: it ends at the last
+        arrival's minute (or at :attr:`now` when no arrival is left) and
+        fires only the ticks due by then.  When :mod:`repro.obs` is
+        enabled (sampled once on entry), the loop runs under an
+        ``engine.run`` span with per-label dispatch counters and callback
+        timings, scrapes on the collector's sim-time cadence, and scrapes
+        once more at the end.
         """
-        if not until_minutes >= self.now:
+        if until_minutes is not None and not until_minutes >= self.now:
             raise SimulationError(
                 f"cannot run until {until_minutes}, clock already at {self.now}"
             )
@@ -120,9 +135,7 @@ class SimulationEngine:
         calls = [self._metered(tick.label, call) for tick, call in zip(self._ticks, calls)]
         with _OBS.tracer.span("engine.run", sim_time=self.now):
             self._loop(until_minutes, offer, calls)
-        collector = _OBS.timeseries
-        if collector is not None:
-            collector.maybe_scrape(self.now)
+        scrape(self._units, self.now)
         return self.dispatched - before
 
     def _pull(self) -> StoredObject | None:
@@ -137,24 +150,28 @@ class SimulationEngine:
                 return obj
         return None
 
-    def _loop(self, until: float, offer, calls: list) -> None:
+    def _loop(self, until: float | None, offer, calls: list) -> None:
         """Merge the stream with the ticks (``calls[i]`` fires tick ``i``)."""
         ticks = self._ticks
         pull = self._pull
         obj = self._next
+        stop = math.inf if until is None else until
         due = min((tick.at for tick in ticks), default=math.inf)
         while True:
             t = obj.t_arrival if obj is not None else math.inf
             if t < due:
-                if t > until:
+                if t > stop:
                     break
                 self.now = t
                 offer(obj, t)
                 self.dispatched += 1
                 obj = self._next = pull()
                 continue
+            if obj is None and until is None:
+                # Drained: no tick fires past the last arrival's minute.
+                stop = self.now
             t = due
-            if t > until or t == math.inf:
+            if t > stop or t == math.inf:
                 break
             self.now = t
             self._fire(t, calls, first=True)
@@ -164,7 +181,7 @@ class SimulationEngine:
                 obj = self._next = pull()
             self._fire(t, calls, first=False)
             due = min(tick.at for tick in ticks)
-        self.now = until
+        self.now = stop
 
     def _fire(self, t: float, calls: list, *, first: bool) -> None:
         """Fire the ticks of one phase due at ``t``, in registration order."""
@@ -178,6 +195,7 @@ class SimulationEngine:
         """``callback`` counted, timed and followed by any due scrape."""
         registry = _OBS.registry
         collector = _OBS.timeseries
+        units = self._units
         events_total = registry.counter(
             "engine_events_total", "Events dispatched by the engine.", ("label",)
         )
@@ -192,17 +210,7 @@ class SimulationEngine:
             callback(*args)
             callback_seconds.observe(perf_counter() - t0, label=label)
             events_total.inc(label=label)
-            now = self.now
-            if collector is not None and now >= collector.next_due:
-                # Scrapes walk every registry series; under a span so trace
-                # shards separate scrape cost from event cost.
-                with _OBS.tracer.span("engine.scrape", sim_time=now):
-                    collector.scrape(now, registry)
-                    alerts = _OBS.alerts
-                    if alerts is not None:
-                        # Scrape-time SLO evaluation: first-violation sim
-                        # times come from here (the end-of-run evaluation
-                        # alone could not date a transient breach).
-                        alerts.evaluate(registry, now=now)
+            if collector is not None and self.now >= collector.next_due:
+                scrape(units, self.now)
 
         return call

@@ -302,8 +302,8 @@ def execute_spec(spec: RunSpec) -> RunOutcome:
             obs_mod.STATE.logger.close()
             obs_mod.disable()
     if opts.enabled and obs_mod.STATE.alerts is not None:
-        # Always close with an end-of-run evaluation: engine-less drives
-        # (direct cluster offers) may never have hit a scrape, and final
+        # Always close with an end-of-run evaluation: a run without a
+        # time-series collector never evaluates at a scrape, and final
         # counters are what the CI gate should judge.
         obs_mod.STATE.alerts.evaluate(obs_mod.STATE.registry)
     return RunOutcome(

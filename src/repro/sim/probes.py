@@ -9,20 +9,57 @@ this module provides the two the experiments need:
   byte-importance snapshot the first time it enters a target band; this is
   how the Figure 7 CDF (taken "at an instant when importance density was
   0.8369") is reproduced deterministically.
+
+It also holds :func:`scrape`, the one time-series scrape, run by whoever
+owns the sim clock: the engine's loop, and the serving worker per batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.density import byte_importance_snapshot, importance_density
 from repro.core.store import StorageUnit
 from repro.obs import STATE as _OBS
-from repro.sim.engine import SimulationEngine
 from repro.sim.recorder import Recorder
 from repro.units import days
 
-__all__ = ["density_probe", "SnapshotTrigger"]
+if TYPE_CHECKING:
+    from repro.sim.engine import SimulationEngine
+
+__all__ = ["density_probe", "scrape", "SnapshotTrigger"]
+
+
+def scrape(units: Iterable, now: float) -> None:
+    """Set each unit's density and occupancy gauges at ``now``; then, with
+    a time-series collector installed, scrape it and evaluate the alert
+    rules (which dates a rule's first violation).  ``units`` are storage
+    units or Besteffs nodes; call it only with :mod:`repro.obs` enabled.
+    """
+    registry = _OBS.registry
+    if units:
+        density = registry.gauge(
+            "store_importance_density",
+            "Instantaneous storage importance density.",
+            ("unit",),
+        )
+        occupancy = registry.gauge(
+            "store_occupancy_ratio", "Fraction of raw capacity occupied.", ("unit",)
+        )
+        for unit in units:
+            store = getattr(unit, "store", unit)
+            density.set(importance_density(store, now), unit=store.name)
+            occupancy.set(store.used_bytes / store.capacity_bytes, unit=store.name)
+    collector = _OBS.timeseries
+    if collector is None:
+        return
+    # Scrapes walk every registry series; under a span so trace shards
+    # separate scrape cost from event cost.
+    with _OBS.tracer.span("engine.scrape", sim_time=now):
+        collector.scrape(now, registry)
+        if _OBS.alerts is not None:
+            _OBS.alerts.evaluate(registry, now=now)
 
 
 def density_probe(

@@ -25,7 +25,6 @@ from __future__ import annotations
 from repro.core.density import DensitySample, importance_density
 from repro.core.store import History, StorageUnit
 from repro.errors import SimulationError
-from repro.obs import STATE as _OBS
 
 __all__ = ["Recorder"]
 
@@ -76,13 +75,7 @@ class Recorder(History):
         self.arrivals.add(t, size, admitted, creator, object_id, unit)
 
     def sample_density(self, now: float) -> None:
-        """Take one density sample per attached store.
-
-        When :mod:`repro.obs` is enabled, each sample also refreshes the
-        per-unit ``store_importance_density`` / ``store_occupancy_ratio``
-        gauges — the probe already pays for the density computation, so the
-        gauges come for free.
-        """
+        """Take one density sample per attached store."""
         for store in self.units:
             density = importance_density(store, now)
             stats = store.stats()
@@ -95,18 +88,6 @@ class Recorder(History):
                     resident_count=stats.resident_count,
                 )
             )
-            if _OBS.enabled:
-                registry = _OBS.registry
-                registry.gauge(
-                    "store_importance_density",
-                    "Instantaneous storage importance density.",
-                    ("unit",),
-                ).set(density, unit=store.name)
-                registry.gauge(
-                    "store_occupancy_ratio",
-                    "Fraction of raw capacity occupied.",
-                    ("unit",),
-                ).set(stats.utilization, unit=store.name)
 
     # -- derived series -------------------------------------------------------
 

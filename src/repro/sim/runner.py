@@ -2,8 +2,10 @@
 
 :func:`run_single_store` wires a workload iterator, a storage unit and a
 recorder onto the engine and drives the run — the shape shared by the
-Section 5.1 and 5.2 experiments.  Distributed (Section 5.3) runs use
-:mod:`repro.besteffs.cluster` with the same recorder interfaces.
+Section 5.1 and 5.2 experiments.  Cluster (Section 5.3) experiments feed
+:meth:`~repro.besteffs.cluster.BesteffsCluster.offer` to their own
+engine the same way; either way the engine's scrapes publish the gauges
+of the units it was fed.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def run_single_store(
     recorder.attach(store)
     if density_interval_minutes is not None:
         density_probe(engine, recorder, interval_minutes=density_interval_minutes)
-    engine.feed(arrivals, store.offer, horizon_minutes=horizon_minutes)
+    engine.feed(arrivals, store.offer, horizon_minutes=horizon_minutes, units=(store,))
     if _OBS.enabled:
         _OBS.logger.info(
             "runner",
@@ -67,17 +69,9 @@ def run_single_store(
             store=store.name,
             horizon_minutes=horizon_minutes,
         )
-        collector = _OBS.timeseries
-        if collector is not None:
-            # Sequential sub-runs (one engine per capacity) restart the sim
-            # clock at zero; rewind the cadence so the new run still scrapes.
-            collector.rewind(engine.now)
         with _OBS.tracer.span("runner.run_single_store", sim_time=engine.now):
             dispatched = engine.run(horizon_minutes)
-        if collector is not None:
-            # Pin the end-of-horizon state even when the cadence is not due,
-            # so final density/occupancy always close the collected series.
-            collector.scrape(engine.now)
+        collector = _OBS.timeseries
         stats = store.stats()
         _OBS.logger.info(
             "runner",

@@ -259,7 +259,8 @@ def run_shard(
 
     # An arrival on the last barrier's minute would open an epoch past the
     # horizon, so it is left unoffered.
-    engine.feed((obj for obj in workload.arrivals(horizon) if obj.t_arrival < horizon), offer)
+    stream = (obj for obj in workload.arrivals(horizon) if obj.t_arrival < horizon)
+    engine.feed(stream, offer, units=cluster.nodes.values())
     engine.every(epoch_minutes, barrier, start_minutes=epoch_minutes, first=True, label="barrier")
     engine.run(horizon)
     return ShardRun(

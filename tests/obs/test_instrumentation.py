@@ -3,12 +3,14 @@
 from repro import obs
 from repro.besteffs import walks
 from repro.besteffs.cluster import BesteffsCluster
+from repro.besteffs.node import BesteffsNode
 from repro.besteffs.gossip import GossipAverager, sampled_density
 from repro.besteffs.placement import PlacementConfig
 from repro.core.importance import FixedLifetimeImportance
 from repro.core.policies.temporal import TemporalImportancePolicy
 from repro.core.store import StorageUnit
 from repro.sim.engine import SimulationEngine
+from repro.sim.probes import scrape
 from repro.sim.recorder import Recorder
 from repro.sim.runner import run_single_store
 from repro.units import days, gib
@@ -75,6 +77,8 @@ class TestStoreInstrumentation:
         adm = reg.get("store_admissions_total")
         assert adm.value(unit="d0", outcome="admitted") == 2.0
         assert adm.value(unit="d0", outcome="rejected") == 1.0
+        # Occupancy is a gauge the clock owner's scrape publishes.
+        scrape((store,), 0.0)
         assert reg.get("store_occupancy_ratio").value(unit="d0") == 1.0
 
     def test_preemption_depth_and_scan_length_on_preempting_offer(self):
@@ -112,8 +116,8 @@ class TestStoreInstrumentation:
         assert reg.get("store_evictions_total").value(unit="d0", reason="expired") == 1.0
 
 
-class TestRecorderGauges:
-    def test_density_probe_updates_gauges(self):
+class TestScrapeGauges:
+    def test_a_scrape_publishes_the_unit_gauges(self):
         obs.enable()
         store = StorageUnit(gib(2), TemporalImportancePolicy(), name="d0")
         store.offer(make_obj(1.0), 0.0)
@@ -121,8 +125,28 @@ class TestRecorderGauges:
         recorder.attach(store)
         recorder.sample_density(0.0)
         reg = obs.STATE.registry
+        assert reg.get("store_importance_density") is None  # a probe only samples
+        scrape((store,), 0.0)
         assert reg.get("store_importance_density").value(unit="d0") == 0.5
         assert reg.get("store_occupancy_ratio").value(unit="d0") == 0.5
+
+    def test_the_engine_scrapes_the_live_members_of_a_cluster(self):
+        obs.enable(timeseries=obs.TimeSeriesCollector(interval_minutes=10.0))
+        cluster = BesteffsCluster({f"n{i}": gib(2) for i in range(2)}, seed=1)
+        engine = SimulationEngine()
+        arrivals = [make_obj(1.0, t_arrival=float(t)) for t in (0, 5, 20)]
+        engine.feed(arrivals, cluster.offer, units=cluster.nodes.values())
+        engine.run(10.0)
+        cluster.adopt_node(BesteffsNode("n2", gib(2)))
+        engine.run()
+        collector = obs.STATE.timeseries
+        # Due at 0 and 20, and once more at the end of each run.
+        assert collector.scrape_count == 4
+        times = collector.get("store_importance_density{unit=n0}").times
+        assert times == [0.0, 10.0, 20.0, 20.0]
+        assert collector.get("store_importance_density{unit=n2}").times == [20.0, 20.0]
+        occupancy = obs.STATE.registry.get("store_occupancy_ratio")
+        assert occupancy.value(unit="n2") == 0.0
 
 
 class TestRunnerInstrumentation:

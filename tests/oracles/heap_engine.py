@@ -6,7 +6,9 @@ arrival, once dispatched, pushed the next — and a periodic callback
 re-armed itself after each firing: ticks that fire before a minute's
 arrivals at priority −10, the others at +10.  This is the reference the
 merge loop must reproduce, dispatch for dispatch, through the same
-``feed`` / ``every`` / ``run`` surface.
+``feed`` / ``every`` / ``run`` surface.  A drained run (``run()``) pops
+everything while an arrival is still chained, then only the events of
+the minute it stopped at.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ class HeapEngine:
         self.dispatched = 0
         self._heap: list[tuple[float, int, int, Callable[[float], None]]] = []
         self._seq = itertools.count()
+        #: Whether the stream has an arrival on the heap.
+        self._chained = False
 
     def schedule_at(
         self, t: float, callback: Callable[[float], None], *, priority: int = PRIORITY_ARRIVAL
@@ -61,6 +65,7 @@ class HeapEngine:
         iterator = iter(arrivals)
 
         def schedule_next(previous_t: float) -> None:
+            self._chained = False
             for obj in iterator:
                 if obj.t_arrival < previous_t:
                     raise SimulationError(
@@ -69,6 +74,7 @@ class HeapEngine:
                 if obj.t_arrival > horizon_minutes:
                     continue
                 self.schedule_at(obj.t_arrival, lambda now, obj=obj: dispatch(obj, now))
+                self._chained = True
                 return
 
         def dispatch(obj: StoredObject, now: float) -> None:
@@ -90,14 +96,19 @@ class HeapEngine:
         priority = PRIORITY_FIRST if first else PRIORITY_TICK
         self.schedule_periodic(start, interval_minutes, callback, priority=priority)
 
-    def run(self, until_minutes: float) -> int:
+    def run(self, until_minutes: float | None = None) -> int:
         dispatched = 0
         heap = self._heap
-        while heap and heap[0][0] <= until_minutes:
+        while heap and (
+            heap[0][0] <= until_minutes
+            if until_minutes is not None
+            else self._chained or heap[0][0] <= self.now
+        ):
             t, _priority, _seq, callback = heapq.heappop(heap)
             self.now = t
             callback(t)
             dispatched += 1
             self.dispatched += 1
-        self.now = until_minutes
+        if until_minutes is not None:
+            self.now = until_minutes
         return dispatched

@@ -114,6 +114,26 @@ class TestRun:
         assert engine.run(math.inf) == 0
         assert engine.now == math.inf
 
+    def test_a_drained_run_ends_at_the_last_arrival(self):
+        # Ticks on the last arrival's minute fire in both phases; the ones
+        # after it do not, and the clock stops there.
+        engine = SimulationEngine()
+        log = []
+        engine.feed(_stream(10, 25), _logging_offer(log))
+        engine.every(5.0, lambda t: log.append(("first", t)), first=True, label="a")
+        engine.every(25.0, lambda t: log.append(("after", t)), label="b")
+        assert engine.run() == 10
+        assert log[-3:] == [("first", 25.0), ("arrival", 25.0), ("after", 25.0)]
+        assert engine.now == 25.0
+        assert engine.run() == 0
+
+    def test_a_drained_run_without_arrivals_fires_only_the_current_minute(self):
+        engine = SimulationEngine()
+        log = []
+        engine.every(5.0, log.append, label="p")
+        assert engine.run() == 1
+        assert (log, engine.now) == ([0.0], 0.0)
+
 
 class TestPeriodic:
     def test_fires_at_fixed_interval(self):
@@ -162,15 +182,22 @@ class TestPeriodic:
 
 @st.composite
 def _schedules(draw):
-    """A whole-minute stream, 0-2 ticks (one per phase) and the run horizons."""
+    """A whole-minute stream, 0-2 ticks (one per phase) and the run horizons.
+
+    A ``None`` stop is a drained run, drawn last.  Ticks may start on the
+    last arrival's minute, so a drained run's final minute fires both phases.
+    """
     gaps = draw(st.lists(st.integers(0, 3), max_size=30))
     times = [sum(gaps[: i + 1]) for i in range(len(gaps))]
     horizon = draw(st.integers(0, 60) | st.just(math.inf))
     phases = draw(st.permutations([True, False]))[: draw(st.integers(0, 2))]
-    ticks = [
-        (draw(st.integers(1, 20)), draw(st.integers(0, 30)), first) for first in phases
-    ]
-    stops = sorted(draw(st.lists(st.integers(0, 80), min_size=1, max_size=2)))
+    starts = st.integers(0, 30)
+    if times:
+        starts |= st.just(times[-1])
+    ticks = [(draw(st.integers(1, 20)), draw(starts), first) for first in phases]
+    stops = sorted(draw(st.lists(st.integers(0, 80), max_size=2)))
+    if not stops or draw(st.booleans()):
+        stops.append(None)
     return times, horizon, ticks, stops
 
 
@@ -186,7 +213,7 @@ def _dispatch_log(engine_type, times, horizon, ticks, stops):
             float(interval), lambda t, k=k: log.append((t, "tick", k)),
             start_minutes=float(start), first=first, label=f"t{k}",
         )
-    counts = [engine.run(float(stop)) for stop in stops]
+    counts = [engine.run(None if stop is None else float(stop)) for stop in stops]
     return log, counts, engine.dispatched, engine.now
 
 
