@@ -1,4 +1,4 @@
-.PHONY: install test unit loc test-parallel obs-smoke audit-smoke alerts-check trace-smoke serve-smoke bench bench-index bench-mega bench-serve-scaling bench-smoke bench-ab bench-baseline bench-check refusal-census resident-footprint census examples figures lint clean
+.PHONY: install test unit loc test-parallel obs-smoke audit-smoke alerts-check trace-smoke serve-smoke bench bench-index bench-mega bench-serve-scaling bench-smoke bench-ab bench-baseline bench-check refusal-census resident-footprint sample-profile census examples figures lint clean
 
 install:
 	pip install -e '.[test]'
@@ -211,6 +211,13 @@ census:
 # (tools/resident_footprint.py; the table in docs/performance.md).
 resident-footprint:
 	python3 tools/resident_footprint.py
+
+# Where one benchmark workload's CPU goes: a SIGPROF stack sampler over one
+# bench-sized run in this process, printing self and inclusive shares per
+# function (tools/sample_profile.py; reads bench/, edits nothing).
+W ?= sim_single
+sample-profile:
+	python3 tools/sample_profile.py --workload $(W)
 
 # Perf-regression harness: record BENCH_*.json baselines, then gate future
 # runs on wall-time (+tolerance) and artifact checksums.  See

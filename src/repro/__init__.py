@@ -30,33 +30,27 @@ Quickstart::
     )
     result = store.offer(video, now=0.0)
     assert result.admitted
+
+Each name below resolves on first access (:mod:`repro._lazy`).
 """
 
-from repro.core import (
-    ConstantImportance,
-    DiracImportance,
-    FixedLifetimeImportance,
-    ImportanceFunction,
-    PiecewiseLinearImportance,
-    StorageUnit,
-    StoredObject,
-    TemporalImportancePolicy,
-    TwoStepImportance,
-    importance_density,
-)
+from repro._lazy import lazy_getattr
+
+_LAZY = {
+    "ConstantImportance": "repro.core.importance",
+    "DiracImportance": "repro.core.importance",
+    "FixedLifetimeImportance": "repro.core.importance",
+    "ImportanceFunction": "repro.core.importance",
+    "PiecewiseLinearImportance": "repro.core.importance",
+    "StorageUnit": "repro.core.store",
+    "StoredObject": "repro.core.obj",
+    "TemporalImportancePolicy": "repro.core.policies.temporal",
+    "TwoStepImportance": "repro.core.importance",
+    "importance_density": "repro.core.density",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ConstantImportance",
-    "DiracImportance",
-    "FixedLifetimeImportance",
-    "ImportanceFunction",
-    "PiecewiseLinearImportance",
-    "StorageUnit",
-    "StoredObject",
-    "TemporalImportancePolicy",
-    "TwoStepImportance",
-    "importance_density",
-    "__version__",
-]
+__all__ = [*_LAZY, "__version__"]
+
+__getattr__ = lazy_getattr(globals(), _LAZY)

@@ -17,45 +17,37 @@ components.  This package implements the pieces the evaluation exercises:
   will be preempted*, retry up to ``m`` times, store on the unit with the
   lowest such value.
 * :mod:`repro.besteffs.cluster` — the cluster facade tying it together.
+
+Each name below resolves on first access (:mod:`repro._lazy`).
 """
 
-from repro.besteffs.node import BesteffsNode
-from repro.besteffs.overlay import Overlay
-from repro.besteffs.walks import random_walk, sample_nodes
-from repro.besteffs.placement import PlacementConfig, PlacementDecision, choose_unit
-from repro.besteffs.cluster import BesteffsCluster, ClusterStats
-from repro.besteffs.membership import ChurnEvent, ChurnManager, ChurnModel
-from repro.besteffs.gossip import GossipAverager, sampled_density
-from repro.besteffs.auth import AuthError, Capability, CapabilityRealm
-from repro.besteffs.fairness import (
-    FairnessError,
-    FairShareLedger,
-    annotation_cost,
-    importance_integral,
-)
-from repro.besteffs.gateway import BesteffsGateway
+from repro._lazy import lazy_getattr
 
-__all__ = [
-    "AuthError",
-    "BesteffsCluster",
-    "BesteffsGateway",
-    "BesteffsNode",
-    "Capability",
-    "CapabilityRealm",
-    "ChurnEvent",
-    "ChurnManager",
-    "ChurnModel",
-    "ClusterStats",
-    "FairShareLedger",
-    "FairnessError",
-    "GossipAverager",
-    "Overlay",
-    "PlacementConfig",
-    "PlacementDecision",
-    "annotation_cost",
-    "choose_unit",
-    "importance_integral",
-    "random_walk",
-    "sample_nodes",
-    "sampled_density",
-]
+_LAZY = {
+    "AuthError": "repro.besteffs.auth",
+    "BesteffsCluster": "repro.besteffs.cluster",
+    "BesteffsGateway": "repro.besteffs.gateway",
+    "BesteffsNode": "repro.besteffs.node",
+    "Capability": "repro.besteffs.auth",
+    "CapabilityRealm": "repro.besteffs.auth",
+    "ChurnEvent": "repro.besteffs.membership",
+    "ChurnManager": "repro.besteffs.membership",
+    "ChurnModel": "repro.besteffs.membership",
+    "ClusterStats": "repro.besteffs.cluster",
+    "FairShareLedger": "repro.besteffs.fairness",
+    "FairnessError": "repro.besteffs.fairness",
+    "GossipAverager": "repro.besteffs.gossip",
+    "Overlay": "repro.besteffs.overlay",
+    "PlacementConfig": "repro.besteffs.placement",
+    "PlacementDecision": "repro.besteffs.placement",
+    "annotation_cost": "repro.besteffs.fairness",
+    "choose_unit": "repro.besteffs.placement",
+    "importance_integral": "repro.besteffs.fairness",
+    "random_walk": "repro.besteffs.walks",
+    "sample_nodes": "repro.besteffs.walks",
+    "sampled_density": "repro.besteffs.gossip",
+}
+
+__all__ = list(_LAZY)
+
+__getattr__ = lazy_getattr(globals(), _LAZY)

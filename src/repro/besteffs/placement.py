@@ -30,6 +30,7 @@ from typing import Mapping
 from repro.besteffs.node import BesteffsNode
 from repro.besteffs.overlay import Overlay
 from repro.besteffs.walks import DEFAULT_WALK_LENGTH, walk_endpoints
+from repro._values import slot_init
 from repro.core.obj import StoredObject
 from repro.errors import PlacementError
 from repro.obs import COUNT_BUCKETS, IMPORTANCE_BUCKETS, STATE as _OBS, observe_phase
@@ -57,7 +58,8 @@ class PlacementConfig:
             raise PlacementError(f"walk_length must be >= 0, got {self.walk_length}")
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class PlacementDecision:
     """Outcome of running the placement rule for one object."""
 

@@ -8,60 +8,43 @@ code only needs::
     from repro.core import (
         TwoStepImportance, StoredObject, StorageUnit, TemporalImportancePolicy,
     )
+
+Each name below resolves on first access (:mod:`repro._lazy`).
 """
 
-from repro.core.importance import (
-    ConstantImportance,
-    DiracImportance,
-    ExponentialWaneImportance,
-    FixedLifetimeImportance,
-    ImportanceFunction,
-    PiecewiseLinearImportance,
-    StepWaneImportance,
-    TwoStepImportance,
-)
-from repro.core.advisor import Advice, AnnotationAdvisor
-from repro.core.obj import ObjectId, StoredObject
-from repro.core.annotations import Annotation, validate_importance_function
-from repro.core.store import AdmissionResult, EvictionRecord, StorageUnit, StoreStats
-from repro.core.density import byte_importance_snapshot, importance_density
-from repro.core.index import DensityAccumulator, ImportanceIndex
-from repro.core.policy import EvictionPolicy
-from repro.core.policies import (
-    FixedLifetimePolicy,
-    GreedySizePolicy,
-    LRUPolicy,
-    PalimpsestPolicy,
-    TemporalImportancePolicy,
-)
+from repro._lazy import lazy_getattr
 
-__all__ = [
-    "Advice",
-    "Annotation",
-    "AnnotationAdvisor",
-    "AdmissionResult",
-    "ConstantImportance",
-    "DensityAccumulator",
-    "DiracImportance",
-    "EvictionPolicy",
-    "EvictionRecord",
-    "ExponentialWaneImportance",
-    "FixedLifetimeImportance",
-    "FixedLifetimePolicy",
-    "GreedySizePolicy",
-    "ImportanceFunction",
-    "ImportanceIndex",
-    "LRUPolicy",
-    "ObjectId",
-    "PalimpsestPolicy",
-    "PiecewiseLinearImportance",
-    "StepWaneImportance",
-    "StorageUnit",
-    "StoreStats",
-    "StoredObject",
-    "TemporalImportancePolicy",
-    "TwoStepImportance",
-    "byte_importance_snapshot",
-    "importance_density",
-    "validate_importance_function",
-]
+_LAZY = {
+    "Advice": "repro.core.advisor",
+    "Annotation": "repro.core.annotations",
+    "AnnotationAdvisor": "repro.core.advisor",
+    "AdmissionResult": "repro.core.store",
+    "ConstantImportance": "repro.core.importance",
+    "DensityAccumulator": "repro.core.index",
+    "DiracImportance": "repro.core.importance",
+    "EvictionPolicy": "repro.core.policy",
+    "EvictionRecord": "repro.core.store",
+    "ExponentialWaneImportance": "repro.core.importance",
+    "FixedLifetimeImportance": "repro.core.importance",
+    "FixedLifetimePolicy": "repro.core.policies.fixed_lifetime",
+    "GreedySizePolicy": "repro.core.policies.greedy_size",
+    "ImportanceFunction": "repro.core.importance",
+    "ImportanceIndex": "repro.core.index",
+    "LRUPolicy": "repro.core.policies.lru",
+    "ObjectId": "repro.core.obj",
+    "PalimpsestPolicy": "repro.core.policies.palimpsest",
+    "PiecewiseLinearImportance": "repro.core.importance",
+    "StepWaneImportance": "repro.core.importance",
+    "StorageUnit": "repro.core.store",
+    "StoreStats": "repro.core.store",
+    "StoredObject": "repro.core.obj",
+    "TemporalImportancePolicy": "repro.core.policies.temporal",
+    "TwoStepImportance": "repro.core.importance",
+    "byte_importance_snapshot": "repro.core.density",
+    "importance_density": "repro.core.density",
+    "validate_importance_function": "repro.core.annotations",
+}
+
+__all__ = list(_LAZY)
+
+__getattr__ = lazy_getattr(globals(), _LAZY)

@@ -65,9 +65,13 @@ def linear_wane(p: float, remaining: float, t_wane: float) -> float:
     ``p * remaining / t_wane`` for ``0 < remaining < t_wane``.  This is the
     one spelling of the wane arithmetic: :meth:`TwoStepImportance.importance_at`
     calls it with ``remaining = t_expire - age``, and the victim families of
-    :mod:`repro.core.victims` call it with ``remaining = E - now`` (``E`` the
-    absolute expiry), which on the exact integer grid is the same float.  So
-    every caller gets the bits the per-object chain gets.
+    :mod:`repro.core.victims` compute it with ``remaining = E - now`` (``E``
+    the absolute expiry), which on the exact integer grid is the same float.
+    So every caller gets the bits the per-object chain gets.  The family sum
+    of the density probe (:meth:`~repro.core.victims.GroupedResidents.wane_terms`)
+    writes these operations inline, in this order, to save a call per
+    waning resident; ``tests/core/test_importance_properties.py`` pins its
+    bits to this function's.
     """
     return p * remaining / t_wane
 

@@ -66,7 +66,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, insort
-from itertools import count
+from itertools import chain, count
 from typing import Iterable
 
 from repro.core.obj import ObjectId, StoredObject
@@ -152,9 +152,7 @@ class DensityAccumulator:
         Bit-identical to ``math.fsum`` over the individual constant terms
         followed by ``extra_terms``, in any order.
         """
-        terms = list(self._partials)
-        terms.extend(extra_terms)
-        return math.fsum(terms)
+        return math.fsum(chain(self._partials, extra_terms))
 
 
 class ImportanceIndex:

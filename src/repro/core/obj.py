@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
+from repro._values import slot_init
 from repro.core.importance import ImportanceFunction
 from repro.errors import AnnotationError
 
@@ -67,6 +68,7 @@ class FrozenMetadata(Mapping[str, Any]):
 EMPTY_METADATA = FrozenMetadata({})
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class StoredObject:
     """An annotated storage object: ``(size, t_arrival, lifetime)``.
@@ -98,25 +100,32 @@ class StoredObject:
     metadata: Mapping[str, Any] = field(default_factory=lambda: EMPTY_METADATA)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or isinstance(self.size, bool):
-            raise AnnotationError(f"object size must be an int (bytes), got {self.size!r}")
-        if self.size <= 0:
-            raise AnnotationError(f"object size must be positive, got {self.size}")
-        t = float(self.t_arrival)
+        # Cheapest test first: an exact int size and a float arrival (what
+        # every generator builds) skip the general checks and conversion.
+        size = self.size
+        if type(size) is not int and (not isinstance(size, int) or isinstance(size, bool)):
+            raise AnnotationError(f"object size must be an int (bytes), got {size!r}")
+        if size <= 0:
+            raise AnnotationError(f"object size must be positive, got {size}")
+        t = self.t_arrival
+        exact = type(t) is float
+        if not exact:
+            t = float(t)
         if not (math.isfinite(t) and t >= 0.0):
             raise AnnotationError(f"t_arrival must be finite and >= 0, got {self.t_arrival!r}")
-        object.__setattr__(self, "t_arrival", t)
+        if not exact:
+            _set_t_arrival(self, t)
         if not isinstance(self.lifetime, ImportanceFunction):
             raise AnnotationError(
                 f"lifetime must be an ImportanceFunction, got {self.lifetime!r}"
             )
         if not self.object_id:
-            object.__setattr__(self, "object_id", _next_object_id())
+            _set_object_id(self, _next_object_id())
         if type(self.metadata) is not FrozenMetadata:
             if not isinstance(self.metadata, Mapping):
                 raise AnnotationError(f"metadata must be a mapping, got {self.metadata!r}")
             frozen = FrozenMetadata(self.metadata) if self.metadata else EMPTY_METADATA
-            object.__setattr__(self, "metadata", frozen)
+            _set_metadata(self, frozen)
 
     # -- temporal queries --------------------------------------------------
 
@@ -146,3 +155,8 @@ class StoredObject:
             f"StoredObject(id={self.object_id!r}, size={self.size}, "
             f"t_arrival={self.t_arrival:.0f}, creator={self.creator!r})"
         )
+
+
+_set_t_arrival = StoredObject.__dict__["t_arrival"].__set__
+_set_object_id = StoredObject.__dict__["object_id"].__set__
+_set_metadata = StoredObject.__dict__["metadata"].__set__

@@ -15,6 +15,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
+from repro._values import slot_init
 from repro.core.obj import StoredObject
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -23,7 +24,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = ["FREE_SPACE_PLAN", "TOO_LARGE_PLAN", "AdmissionPlan", "EvictionPolicy"]
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class AdmissionPlan:
     """The outcome of planning admission for one object on one unit.
 

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 from math import isfinite
-from operator import attrgetter, eq
+from operator import eq
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
+from repro._values import slot_init
 from repro.core.importance import ImportanceFunction
 from repro.core.index import ImportanceIndex, Resident
 from repro.core.obj import ObjectId, StoredObject
@@ -95,6 +96,7 @@ class ArrivalRecord:
     unit: str = ""
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class EvictionRecord:
     """One object leaving a storage unit.
@@ -128,6 +130,7 @@ class EvictionRecord:
         return self.lifetime.t_expire
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class RejectionRecord:
     """One arrival turned away because the store was full for its importance.
@@ -159,9 +162,9 @@ _BATCH = 256
 R = TypeVar("R")
 
 
-#: Per record type: field names, column kinds ("I" label code, "d", "q",
-#: "b", "s" packed ids, "" list) and the getter of a record's field values.
-_Layout = NamedTuple("_Layout", [("names", tuple), ("kinds", tuple), ("fields_of", attrgetter)])
+#: Per record type: field names and column kinds ("I" label code, "d", "q",
+#: "b", "s" packed ids, "" list).
+_Layout = NamedTuple("_Layout", [("names", tuple), ("kinds", tuple)])
 
 
 @cache
@@ -169,7 +172,7 @@ def _layout(record_type: type) -> _Layout:
     fields = dataclasses.fields(record_type)
     kinds = tuple("I" if f.name in _LABELS else _TYPECODES.get(f.type, "") for f in fields)
     names = tuple(f.name for f in fields)
-    return _Layout(names, kinds, attrgetter(*names))
+    return _Layout(names, kinds)
 
 
 class _Ids:
@@ -212,10 +215,12 @@ class HistoryLog(Sequence[R]):
     building any.  A log equals a log or list of equal records, and pickles.
     """
 
-    __slots__ = ("record_type", "_pending", "_columns", "_labels", "_codes")
+    __slots__ = ("record_type", "_width", "_pending", "_columns", "_labels", "_codes")
 
     def __init__(self, record_type: type[R]) -> None:
         self.record_type = record_type
+        #: Fields per row (what :meth:`add` checks, once per row).
+        self._width = len(_layout(record_type).kinds)
         #: Appended rows (tuples of field values) not yet in the columns,
         #: which appear on the first flush: an empty log is two objects.
         self._pending: list[tuple] = []
@@ -223,17 +228,13 @@ class HistoryLog(Sequence[R]):
         self._labels: list[str] | tuple = ()
         self._codes: dict[str, int] | tuple = ()
 
-    def append(self, record: R) -> None:
-        """Append one record."""
-        self.add(*_layout(self.record_type).fields_of(record))
-
     def add(self, *values: object) -> None:
         """Append one record given as its field values, in field order."""
-        kinds = _layout(self.record_type).kinds
-        if len(values) != len(kinds):
-            raise TypeError(f"{self.record_type.__name__} has {len(kinds)} fields")
-        self._pending.append(values)
-        if len(self._pending) >= _BATCH:
+        if len(values) != self._width:
+            raise TypeError(f"{self.record_type.__name__} has {self._width} fields")
+        pending = self._pending
+        pending.append(values)
+        if len(pending) >= _BATCH:
             self._flush()
 
     def _flush(self) -> list | tuple:
@@ -316,6 +317,7 @@ class History:
         self.rejections: HistoryLog[RejectionRecord] = HistoryLog(RejectionRecord)
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class AdmissionResult:
     """Outcome of :meth:`StorageUnit.offer`."""
@@ -519,22 +521,17 @@ class StorageUnit:
         ledger = _OBS.audit if _OBS.enabled else None
         history = self.history
         if not plan.admit:
-            rejection = RejectionRecord(
-                object_id=obj.object_id,
-                creator=obj.creator,
-                size=obj.size,
-                t_arrival=t_arrival,
-                lifetime=obj.lifetime,
-                t_rejected=now,
-                blocking_importance=plan.blocking_importance,
-                reason=plan.reason,
-                unit=self.name,
+            # One row, in RejectionRecord's field order: logged and built as is.
+            row = (
+                obj.object_id, obj.creator, obj.size, t_arrival, obj.lifetime, now,
+                plan.blocking_importance, plan.reason, self.name,
             )
+            rejection = RejectionRecord(*row)
             self.rejected_count += 1
             self.bytes_rejected += obj.size
             if history is not None:
                 history.arrivals.add(now, obj.size, False, obj.creator, obj.object_id, self.name)
-                history.rejections.append(rejection)
+                history.rejections.add(*row)
             if _OBS.enabled:
                 self._obs_offer(admitted=False, plan=plan, scanned=0, now=now)
             if ledger is not None and ledger.wants(obj.object_id):
@@ -581,13 +578,13 @@ class StorageUnit:
             evict_threshold: float | None = incoming if victims else None
         else:
             evict_threshold = None
-        evictions = tuple(
+        evictions = tuple([
             self._evict(
                 victim, now, reason="preempted", preempted_by=obj.object_id,
                 threshold=evict_threshold,
             )
             for victim in victims
-        )
+        ])
         self._used_bytes += obj.size
         self.importance_index.add(obj, now)
         self.resident_slab.add(obj)
@@ -674,18 +671,12 @@ class StorageUnit:
         self._used_bytes -= victim.size
         index.discard(victim.object_id)
         self.resident_slab.discard(victim)
-        record = EvictionRecord(
-            object_id=victim.object_id,
-            creator=victim.creator,
-            size=victim.size,
-            t_arrival=victim.t_arrival,
-            lifetime=victim.lifetime,
-            t_evicted=now,
-            importance_at_eviction=victim.importance_at(now),
-            reason=reason,
-            preempted_by=preempted_by,
-            unit=self.name,
+        # One row, in EvictionRecord's field order: logged and built as is.
+        row = (
+            victim.object_id, victim.creator, victim.size, victim.t_arrival, victim.lifetime,
+            now, victim.importance_at(now), reason, preempted_by, self.name,
         )
+        record = EvictionRecord(*row)
         self.evicted_count += 1
         self.bytes_evicted += victim.size
         if _OBS.enabled:
@@ -711,7 +702,7 @@ class StorageUnit:
                     preempted_by=preempted_by,
                 )
         if self.history is not None:
-            self.history.evictions.append(record)
+            self.history.evictions.add(*row)
         if self.on_eviction is not None:
             self.on_eviction(record)
         return record

@@ -438,7 +438,10 @@ class GroupedResidents:
 
         Each term is bit-identical to ``obj.importance_at(now) * obj.size``
         (see :meth:`_Family.waning` and :func:`linear_wane`), so the
-        importance index feeds them to its exact sum unchanged.
+        importance index feeds them to its exact sum unchanged.  The wane
+        is :func:`linear_wane` written inline, the same float operations
+        left to right (``tests/core/test_importance_properties.py`` pins
+        the bits).
         """
         terms: list[float] = []
         for family in self._families.values():
@@ -446,7 +449,7 @@ class GroupedResidents:
             t_wane = family.t_wane
             lo, hi = family.waning(now)
             terms.extend([
-                linear_wane(p, e_abs - now, t_wane) * size
+                p * (e_abs - now) / t_wane * size
                 for e_abs, size in zip(family.expiries[lo:hi], family.sizes[lo:hi])
             ])
         return terms

@@ -13,49 +13,36 @@
   trace synthesiser.
 * :mod:`repro.sim.workload.mixer` — merge multiple arrival streams in
   time order.
+
+Each name below resolves on first access (:mod:`repro._lazy`).
 """
 
-from repro.sim.workload.base import Workload
-from repro.sim.workload.single_app import RateRamp, SingleAppWorkload
-from repro.sim.workload.calendar import (
-    AcademicCalendar,
-    Term,
-    TermSpec,
-    student_lifetime_for_day,
-    university_lifetime_for_day,
-)
-from repro.sim.workload.lecture import LectureCaptureWorkload, LectureConfig
-from repro.sim.workload.university import UniversityWorkload, UniversityConfig
-from repro.sim.workload.diurnal import (
-    OFFICE_HOURS_PROFILE,
-    DiurnalModulation,
-    DiurnalProfile,
-    semester_break_holidays,
-)
-from repro.sim.workload.downloads import DownloadTraceConfig, synthesize_download_trace
-from repro.sim.workload.mixer import merge_streams
-from repro.sim.workload.readers import ReadRequest, build_read_schedule
+from repro._lazy import lazy_getattr
 
-__all__ = [
-    "AcademicCalendar",
-    "DiurnalModulation",
-    "DiurnalProfile",
-    "DownloadTraceConfig",
-    "OFFICE_HOURS_PROFILE",
-    "ReadRequest",
-    "build_read_schedule",
-    "semester_break_holidays",
-    "LectureCaptureWorkload",
-    "LectureConfig",
-    "RateRamp",
-    "SingleAppWorkload",
-    "Term",
-    "TermSpec",
-    "UniversityConfig",
-    "UniversityWorkload",
-    "Workload",
-    "merge_streams",
-    "student_lifetime_for_day",
-    "synthesize_download_trace",
-    "university_lifetime_for_day",
-]
+_LAZY = {
+    "AcademicCalendar": "repro.sim.workload.calendar",
+    "DiurnalModulation": "repro.sim.workload.diurnal",
+    "DiurnalProfile": "repro.sim.workload.diurnal",
+    "DownloadTraceConfig": "repro.sim.workload.downloads",
+    "OFFICE_HOURS_PROFILE": "repro.sim.workload.diurnal",
+    "ReadRequest": "repro.sim.workload.readers",
+    "build_read_schedule": "repro.sim.workload.readers",
+    "semester_break_holidays": "repro.sim.workload.diurnal",
+    "LectureCaptureWorkload": "repro.sim.workload.lecture",
+    "LectureConfig": "repro.sim.workload.lecture",
+    "RateRamp": "repro.sim.workload.single_app",
+    "SingleAppWorkload": "repro.sim.workload.single_app",
+    "Term": "repro.sim.workload.calendar",
+    "TermSpec": "repro.sim.workload.calendar",
+    "UniversityConfig": "repro.sim.workload.university",
+    "UniversityWorkload": "repro.sim.workload.university",
+    "Workload": "repro.sim.workload.base",
+    "merge_streams": "repro.sim.workload.mixer",
+    "student_lifetime_for_day": "repro.sim.workload.calendar",
+    "synthesize_download_trace": "repro.sim.workload.downloads",
+    "university_lifetime_for_day": "repro.sim.workload.calendar",
+}
+
+__all__ = list(_LAZY)
+
+__getattr__ = lazy_getattr(globals(), _LAZY)

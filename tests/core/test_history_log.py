@@ -46,10 +46,14 @@ RECORDS = {
 }
 
 
+def _fields(record) -> tuple:
+    """A record's field values in field order, as :meth:`HistoryLog.add` takes them."""
+    return tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+
+
 def _bits(record):
     """Each field as (type, exact value): ``-0.0`` and ``0.0`` differ."""
-    values = (getattr(record, f.name) for f in dataclasses.fields(record))
-    return tuple((type(v), v.hex() if isinstance(v, float) else v) for v in values)
+    return tuple((type(v), v.hex() if isinstance(v, float) else v) for v in _fields(record))
 
 
 @settings(max_examples=200, deadline=None)
@@ -73,7 +77,7 @@ def test_appended_records_come_back_equal_and_bit_exact(kind_and_records, pad, d
             assert [_bits(log[j]) for j in range(max(0, cut - 3), cut)] == [
                 _bits(r) for r in records[max(0, cut - 3) : cut]
             ]
-        log.append(record)
+        log.add(*_fields(record))
     assert len(log) == len(records)
     assert log == records and records == log
     assert [_bits(r) for r in log] == [_bits(r) for r in records]
@@ -112,11 +116,11 @@ def test_a_log_is_read_only_and_compares_by_records():
     log = HistoryLog(ArrivalRecord)
     assert log == [] and len(log) == 0 and list(log) == []
     record = ArrivalRecord(0.0, 10, True, "c", "a")
-    log.append(record)
+    log.add(*_fields(record))
     assert log != [] and log != [ArrivalRecord(0.0, 10, False, "c", "a")]
     assert log != (record,)  # a tuple is not a list of records
     copy = pickle.loads(pickle.dumps(log))
-    copy.append(record)
+    copy.add(*_fields(record))
     assert len(log) == 1 and len(copy) == 2
     with pytest.raises(TypeError):
         log[0] = record
@@ -126,6 +130,6 @@ def test_ids_read_back_as_equal_strings_and_none_as_none():
     log = HistoryLog(EvictionRecord)
     oid = "".join(["obj-", "1"])  # built at run time, so not an interned constant
     record = EvictionRecord(oid, "c", 1, 0.0, LIFETIMES[0], 1.0, 0.5, "manual", None, "u")
-    log.append(record)
+    log.add(*_fields(record))
     assert log[0] == record and log[0].object_id == oid and log[0].object_id is not oid
     assert log[0].preempted_by is None and list(log.column("preempted_by")) == [None]

@@ -15,7 +15,7 @@ the per-object ``StoredObject`` chain.
 
 import math
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.annotations import validate_importance_function
@@ -165,6 +165,11 @@ grid_duration = st.integers(min_value=0, max_value=10**7).map(float)
     ),
 )
 @settings(max_examples=500)
+# The inlined wane always runs: three members inside their wane window.
+@example(
+    p=0.3, t_wane=1000.0, now=20000050.5,
+    members=[(10.0, 0.5, 1000, False), (20.0, 0.25, 7, True), (30.0, 0.1, 3, False)],
+)
 def test_wane_terms_are_bit_identical_to_the_per_object_chain(p, t_wane, now, members):
     groups = GroupedResidents()
     objs = []

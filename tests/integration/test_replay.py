@@ -53,12 +53,16 @@ def test_the_rejection_series_counts_the_cluster_refusals(sec53_run):
     assert times == sorted(times)
 
 
+def _fields(record) -> tuple:
+    return tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+
+
 def _copy(history: History, *, evictions: list[EvictionRecord]) -> History:
     copy = History()
     for record in history.arrivals:
-        copy.arrivals.append(record)
+        copy.arrivals.add(*_fields(record))
     for record in evictions:
-        copy.evictions.append(record)
+        copy.evictions.add(*_fields(record))
     return copy
 
 

@@ -5,9 +5,11 @@ imports.  networkx, numpy and scipy are each tens of milliseconds and
 megabytes; the modules that need numpy or scipy import them themselves,
 and networkx is only the overlay tests' oracle.  The facades
 (``repro.api``, ``repro.sim``, ``repro.serve``, ``repro.experiments``)
-resolve their names on first access, so a simulation loads neither the
-serving stack (asyncio, which pulls in ssl) nor the sweep pool
-(multiprocessing), and the experiment registry loads no simulator.  Each check
+and the package facades (``repro``, ``repro.core``, ``repro.besteffs``,
+``repro.sim.workload``) resolve their names on first access, so a
+simulation loads neither the serving stack (asyncio, which pulls in ssl)
+nor the sweep pool (multiprocessing), a cluster run loads no gateway
+shell, and the experiment registry loads no simulator.  Each check
 runs in a fresh interpreter, since this test process has loaded them.
 """
 
@@ -21,7 +23,10 @@ HEAVY = ("networkx", "numpy", "scipy")
 SERVING_AND_POOL = (
     "asyncio", "ssl", "multiprocessing", "concurrent.futures.process", "repro.serve.service",
 )
-FACADES = ("repro", "repro.api", "repro.sim", "repro.serve", "repro.experiments")
+FACADES = (
+    "repro", "repro.api", "repro.core", "repro.besteffs", "repro.sim", "repro.sim.workload",
+    "repro.serve", "repro.experiments",
+)
 SIMULATOR = ("repro.experiments.common", "repro.sim.runner", "repro.sim.engine")
 
 
@@ -56,6 +61,20 @@ def test_import_repro_api_loads_no_heavy_package():
 )
 def test_a_simulation_loads_neither_the_serving_stack_nor_the_pool(statement):
     assert _loaded_after(statement, SERVING_AND_POOL) == []
+
+
+def test_a_bench_child_loads_neither_the_serving_shell_nor_the_advisor():
+    # What every benchmark child imports before its clock starts: the store
+    # and the cluster, not the gateway shell beside them.
+    loaded = _fresh(
+        "import json, sys\nimport repro.core.obj, repro.besteffs.cluster\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    shell = tuple(f"repro.besteffs.{name}" for name in
+                  ("auth", "fairness", "gateway", "gossip", "membership"))
+    assert [name for name in loaded
+            if name in shell or name.startswith("repro.serve") or name == "repro.core.advisor"
+            ] == []
 
 
 def test_the_experiment_registry_loads_no_simulator():
