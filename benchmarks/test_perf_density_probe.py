@@ -14,17 +14,19 @@ and evaluates each family's waning run in one pass
 This bench fills twin stores (naive = the full-scan oracle of
 :mod:`tests.oracles` injected, indexed = as shipped) with ``n`` residents
 across 64 two-step annotations, moves the clock to where all of them are
-inside their wane window, and times 50 exact probes on each (off the grid)
-— asserting that the densities are bit-equal.  Arrivals fall on whole
-minutes, one a minute (a unit takes no other), and it runs twice:
+inside their wane window, and times 50 exact probes on each, 14 minutes
+apart — asserting that the densities are bit-equal.  Arrivals fall on
+whole minutes, one a minute (a unit takes no other), and it runs twice:
 
-* whole-minute durations (``PERSIST_OFFSET`` 0.0), where every resident is
+* ``families``: the two-step annotations as they are, so every resident is
   in a family: the families must deliver at least 4x at 50k residents;
-* persist windows 0.37 minutes longer, off the grid, where no resident is
-  in a family and the index evaluates each waning one through
-  ``StoredObject.importance_at`` — the oracle's own call chain.  Only
-  bit-equality is asserted; the measured ratio is written to
-  ``benchmarks/out/perf_density_probe_off_grid.txt``.
+* ``groups``: each annotation wrapped in a user-defined
+  :class:`~tests.oracles.scaled.Scaled` of factor 1 (the same importance),
+  so no resident is in a family and the index evaluates each waning one
+  through ``StoredObject.importance_at`` from its waning dict — the
+  oracle's own call chain, plus the wrapper.  Only bit-equality is
+  asserted; the measured ratio is written to
+  ``benchmarks/out/perf_density_probe_groups.txt``.
 
 One untimed probe first lets the index process its constant→waning
 transitions, which a simulation pays once per resident, not once per
@@ -45,23 +47,24 @@ from repro.core.obj import StoredObject
 from repro.core.policies.temporal import TemporalImportancePolicy
 from repro.core.store import StorageUnit
 from tests.oracles import oracle_store
+from tests.oracles.scaled import Scaled
 
 ANNOTATIONS = 64
 PROBES = 50
 #: Long enough that no resident expires while the probes run.
 WANE = 1.0e6
-#: Minutes added to every persist window: none puts every resident in a
-#: family, a fraction puts none there.
-PERSIST_OFFSETS = (0.0, 0.37)
+#: Where the waning residents live: their victim families, or (wrapped in a
+#: user-defined annotation) the index's waning dict.
+REGIMES = ("families", "groups")
 
 
-def _filled_store(n: int, persist_offset: float, *, indexed: bool) -> StorageUnit:
+def _filled_store(n: int, regime: str, *, indexed: bool) -> StorageUnit:
     lifetimes = [
-        TwoStepImportance(
-            p=0.2 + 0.7 * k / ANNOTATIONS, t_persist=100.0 + k + persist_offset, t_wane=WANE
-        )
+        TwoStepImportance(p=0.2 + 0.7 * k / ANNOTATIONS, t_persist=100.0 + k, t_wane=WANE)
         for k in range(ANNOTATIONS)
     ]
+    if regime == "groups":
+        lifetimes = [Scaled(lifetime, 1.0) for lifetime in lifetimes]
     sizes = [1 + (i * 7919) % 4096 for i in range(n)]
     store = (StorageUnit if indexed else oracle_store)(
         sum(sizes),
@@ -97,7 +100,7 @@ def _probe_both(
     seconds = {naive: 0.0, indexed: 0.0}
     densities: dict[StorageUnit, list[float]] = {naive: [], indexed: []}
     for j in range(PROBES):
-        now = start + 13.7 * (j + 1)
+        now = start + 14.0 * (j + 1)
         for store in (naive, indexed):
             t0 = perf_counter()
             density = importance_density(store, now)
@@ -106,13 +109,13 @@ def _probe_both(
     return seconds[naive], seconds[indexed], densities[naive], densities[indexed]
 
 
-def run_comparison(persist_offset, sizes=(10_000, 50_000)):
+def run_comparison(regime, sizes=(10_000, 50_000)):
     out = {}
     for n in sizes:
         # Past the last arrival's persist window, far inside every wane.
         start = n + 100.0 + ANNOTATIONS + 1.0
-        naive = _filled_store(n, persist_offset, indexed=False)
-        indexed = _filled_store(n, persist_offset, indexed=True)
+        naive = _filled_store(n, regime, indexed=False)
+        indexed = _filled_store(n, regime, indexed=True)
         naive_seconds, indexed_seconds, naive_densities, indexed_densities = _probe_both(
             naive, indexed, start
         )
@@ -127,16 +130,16 @@ def run_comparison(persist_offset, sizes=(10_000, 50_000)):
     return out
 
 
-@pytest.mark.parametrize("persist_offset", PERSIST_OFFSETS)
-def test_perf_density_probe(benchmark, save_artifact, persist_offset):
-    results = run_once(benchmark, run_comparison, persist_offset)
-    on_grid = persist_offset == 0.0
+@pytest.mark.parametrize("regime", REGIMES)
+def test_perf_density_probe(benchmark, save_artifact, regime):
+    results = run_once(benchmark, run_comparison, regime)
+    families = regime == "families"
 
-    if on_grid:
+    if families:
         # The acceptance bar: >= 4x over the per-resident call chain at 50k.
         assert results[50_000]["speedup"] >= 4.0
 
-    where = "victim families" if on_grid else f"persist windows {persist_offset} min off the grid"
+    where = "victim families" if families else "user-defined annotations (the waning dict)"
     lines = [
         f"Exact density probe, every resident waning: naive scan vs {where} "
         f"({PROBES} probes, {ANNOTATIONS} annotations)",
@@ -147,5 +150,5 @@ def test_perf_density_probe(benchmark, save_artifact, persist_offset):
             f"indexed {stats['indexed_seconds'] * 1e3:8.1f} ms   "
             f"speedup {stats['speedup']:6.1f}x"
         )
-    name = "perf_density_probe" if on_grid else "perf_density_probe_off_grid"
+    name = "perf_density_probe" if families else "perf_density_probe_groups"
     save_artifact(name, "\n".join(lines), checksum=False)

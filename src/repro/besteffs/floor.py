@@ -57,7 +57,7 @@ from repro.besteffs.node import BesteffsNode
 from repro.core.obj import StoredObject
 from repro.core.policies.temporal import TemporalImportancePolicy
 from repro.core.store import StorageUnit
-from repro.core.victims import on_exact_grid
+from repro.units import on_exact_grid
 
 __all__ = ["MAX_LEVELS", "RefusalFloor"]
 
@@ -225,7 +225,7 @@ class RefusalFloor:
     def _refresh(self, unit: _Unit, now: float) -> None:
         """Read every entry and the spare of ``unit`` afresh."""
         store = unit.store
-        store.advance_clock(now, decision=True)
+        store.advance_clock(now)
         index = store.importance_index
         if unit.strict is not None:
             for incoming, level in self._levels.items():
@@ -237,7 +237,7 @@ class RefusalFloor:
     def _read(self, unit: _Unit, incoming: float, now: float) -> float:
         """The unit's own instant for ``incoming`` at ``now``; reads its spare."""
         store = unit.store
-        store.advance_clock(now, decision=True)
+        store.advance_clock(now)
         index = store.importance_index
         through = index.full_through(now, incoming, unit.strict)
         self._set_spare(unit, store.free_bytes + index.expired_bytes)

@@ -52,8 +52,8 @@ def importance_density(store: StorageUnit, now: float) -> float:
     of a scan over every resident; the result is bit-identical to that scan
     (both are the correctly-rounded sum of the same per-object terms).  The
     read moves the unit's clock (:meth:`StorageUnit.advance_clock`), so a
-    NaN, infinite or backwards ``now`` raises
-    :class:`~repro.errors.SimulationError`; it may fall between minutes.
+    ``now`` off the whole minutes or before the clock raises
+    :class:`~repro.errors.SimulationError`.
     """
     store.advance_clock(now)
     return store.importance_index.exact_mass(now) / store.capacity_bytes

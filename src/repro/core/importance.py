@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import AnnotationError
+from repro.units import on_exact_grid
 
 __all__ = [
     "ImportanceFunction",
@@ -83,11 +84,21 @@ def _check_unit_interval(value: float, what: str) -> float:
     return value
 
 
-def _check_non_negative(value: float, what: str) -> float:
-    value = float(value)
-    if math.isnan(value) or value < 0.0:
-        raise AnnotationError(f"{what} must be >= 0, got {value!r}")
-    return value
+def _check_minutes(value: float, what: str) -> None:
+    """Refuse a duration that is not a whole minute (``inf``, never, passes)."""
+    if value != math.inf and not on_exact_grid(value):
+        raise AnnotationError(f"{what} must be a whole number of minutes >= 0, got {value!r}")
+
+
+def check_filed(lifetime: ImportanceFunction) -> None:
+    """Refuse an annotation defined outside this module (a user-defined
+    one) whose ``stable_until`` or ``t_expire`` is not a whole minute (or
+    ``inf``).  The built-ins check their durations when built; a storage
+    unit calls this once per admission, before it changes anything."""
+    kind = type(lifetime)
+    if kind.__module__ != __name__:
+        _check_minutes(lifetime.stable_until, f"{kind.__name__}.stable_until")
+        _check_minutes(lifetime.t_expire, f"{kind.__name__}.t_expire")
 
 
 class ImportanceFunction(ABC):
@@ -222,7 +233,7 @@ class FixedLifetimeImportance(ImportanceFunction):
 
     def __post_init__(self) -> None:
         _check_unit_interval(self.p, "fixed importance p")
-        _check_non_negative(self.expire_after, "t_expire")
+        _check_minutes(self.expire_after, "expire_after")
 
     @property
     def t_expire(self) -> float:
@@ -261,8 +272,8 @@ class TwoStepImportance(ImportanceFunction):
 
     def __post_init__(self) -> None:
         _check_unit_interval(self.p, "two-step importance p")
-        _check_non_negative(self.t_persist, "t_persist")
-        _check_non_negative(self.t_wane, "t_wane")
+        _check_minutes(self.t_persist, "t_persist")
+        _check_minutes(self.t_wane, "t_wane")
         if math.isinf(self.t_wane):
             raise AnnotationError("t_wane must be finite (use ConstantImportance for no expiry)")
 
@@ -310,8 +321,8 @@ class ExponentialWaneImportance(ImportanceFunction):
 
     def __post_init__(self) -> None:
         _check_unit_interval(self.p, "exponential-wane importance p")
-        _check_non_negative(self.t_persist, "t_persist")
-        _check_non_negative(self.t_wane, "t_wane")
+        _check_minutes(self.t_persist, "t_persist")
+        _check_minutes(self.t_wane, "t_wane")
         if math.isnan(self.sharpness) or self.sharpness <= 0.0:
             raise AnnotationError(f"sharpness must be > 0, got {self.sharpness!r}")
 
@@ -353,8 +364,8 @@ class StepWaneImportance(ImportanceFunction):
 
     def __post_init__(self) -> None:
         _check_unit_interval(self.p, "step-wane importance p")
-        _check_non_negative(self.t_persist, "t_persist")
-        _check_non_negative(self.t_wane, "t_wane")
+        _check_minutes(self.t_persist, "t_persist")
+        _check_minutes(self.t_wane, "t_wane")
         if self.steps < 1:
             raise AnnotationError(f"steps must be >= 1, got {self.steps!r}")
 
@@ -405,7 +416,7 @@ class PiecewiseLinearImportance(ImportanceFunction):
         prev_age = -math.inf
         prev_val = math.inf
         for age, val in knots:
-            _check_non_negative(age, "knot age")
+            _check_minutes(age, "knot age")
             _check_unit_interval(val, "knot importance")
             if age <= prev_age:
                 raise AnnotationError(f"knot ages must be strictly increasing at age {age}")
@@ -454,3 +465,4 @@ class PiecewiseLinearImportance(ImportanceFunction):
         a1, v1 = pts[hi]
         frac = (age - a0) / (a1 - a0)
         return v0 + frac * (v1 - v0)
+

@@ -17,14 +17,14 @@ and rescanning them per density probe, :class:`ImportanceIndex` keeps
   keyed by object id (admission order); every structure below holds the
   record itself;
 * an arrival-sorted expired stream;
-* no copy of a waning two-step resident on the integer grid: it lives only
+* no copy of a waning two-step or fixed-lifetime resident: it lives only
   in its ``(p, t_wane)`` victim family (:mod:`repro.core.victims`), sorted
   by absolute expiry ``E``, where the waning members are one contiguous
   run and a probe evaluates their terms in one pass
   (:meth:`GroupedResidents.wane_terms`).  Every other waning resident
-  (off-grid durations, scaled or non-linear wanes) sits in one
-  dict and is evaluated through ``StoredObject.importance_at`` (measured
-  shares per workload: docs/performance.md);
+  (scaled, non-linear or user-defined wanes) sits in one dict and is
+  evaluated through ``StoredObject.importance_at`` (measured shares per
+  workload: docs/performance.md);
 * a min-heap of upcoming phase-transition times; :meth:`advance` pops only
   the objects that crossed a breakpoint since the last call (amortised
   O(log n) per resident per lifetime — each object transitions at most
@@ -38,16 +38,20 @@ soon as the victims cover the space deficit.  The result is provably the
 same greedy prefix the naive full sort produces (see docs/performance.md
 for the argument), so plans — and therefore artifacts — are byte-identical.
 
-Floating-point discipline
--------------------------
+Exactness
+---------
 
-The index is held to *bit-exact* agreement with the naive path:
+The index is held to *bit-exact* agreement with the naive path, on the
+whole-minute clock (:mod:`repro.units`): arrivals, reads and the
+annotations' breakpoints are whole minutes, so every time it adds or
+subtracts is an exact integer.
 
-* Transition times are scheduled two ulps **early** (never late): a popped
-  object is re-classified against the same predicates
-  (``is_expired_at`` / age vs ``stable_until``) the naive path evaluates,
-  and re-armed one ulp ahead when the predicate has not flipped yet.  After
-  :meth:`advance`, every resident's phase matches its predicate phase at
+* A phase ends at the first whole minute its predicate
+  (``is_expired_at`` / age vs ``stable_until``) flips: a constant
+  resident at ``t_arrival + min(stable_until + 1, t_expire)``, a waning
+  one at ``t_arrival + t_expire``.  That is when its breakpoint is
+  scheduled, so a popped entry always moves its resident, and after
+  :meth:`advance` every resident's phase matches its predicate phase at
   ``now``.
 * The exact mass keeps constant-phase terms as a Shewchuk non-overlapping
   expansion (the ``math.fsum`` trick, made incremental): adding or removing
@@ -55,10 +59,9 @@ The index is held to *bit-exact* agreement with the naive path:
   ``fsum(partials + waning terms)`` equals ``fsum`` over all per-object
   terms — exactly what the naive scan computes.
 * A family's waning run is found by the exact comparisons
-  ``E - t_wane < now < E``, which are the phase predicates themselves on
-  the grid, and its terms are bit-identical to
-  ``obj.importance_at(now) * obj.size`` (see
-  :func:`repro.core.importance.linear_wane`).
+  ``E - t_wane < now < E``, which are the phase predicates themselves,
+  and its terms are bit-identical to ``obj.importance_at(now) * obj.size``
+  (see :func:`repro.core.importance.linear_wane`).
 """
 
 from __future__ import annotations
@@ -174,7 +177,7 @@ class ImportanceIndex:
         #: only id-keyed table of its residents.
         self.residents: dict[ObjectId, Resident] = {}
         # Constant phase: only the accumulator's terms.  Waning phase: a
-        # resident of an integer-grid victim family lives only there
+        # resident of a victim family lives only there
         # (counted here); every other one sits in this dict.
         self._waning: dict[ObjectId, Resident] = {}
         self._family_waning = 0
@@ -228,7 +231,7 @@ class ImportanceIndex:
         self.advance(now)
         rec = self.residents[oid] = Resident(obj, next(self._seq), now)
         self.groups.add(rec)
-        self._place(rec, self._classify(obj, now), now)
+        self._place(rec, self._classify(obj, now))
 
     def discard(self, object_id: ObjectId) -> None:
         """Stop tracking an object (idempotent) — call on any eviction."""
@@ -244,20 +247,20 @@ class ImportanceIndex:
             heapq.heapify(self._heap)
             self._stale = 0
 
-    def _place(self, rec: Resident, phase: str, now: float) -> None:
+    def _place(self, rec: Resident, phase: str) -> None:
         rec.phase = phase
         obj = rec.obj
         if phase == PHASE_CONSTANT:
             p = obj.lifetime.initial_importance
             if p > 0.0:
                 self.accumulator.add(p * obj.size)
-            self._arm(rec, now)
+            self._arm(rec)
         elif phase == PHASE_WANING:
             if self.groups.in_family(rec):
                 self._family_waning += 1
             else:
                 self._waning[obj.object_id] = rec
-            self._arm(rec, now)
+            self._arm(rec)
         else:
             self._expired_bytes += obj.size
             entry = (obj.t_arrival, obj.object_id, rec)
@@ -291,22 +294,20 @@ class ImportanceIndex:
 
     @staticmethod
     def _span(rec: Resident) -> float:
-        """Minutes from arrival to the end of the phase (inf: no entry)."""
+        """Minutes from arrival to the first whole minute at which the phase
+        is over (inf: no entry).  A constant phase ends one minute past the
+        stable prefix or at the expiry, whichever comes first (a fixed
+        lifetime expires at the end of its stable prefix)."""
         lifetime = rec.obj.lifetime
         if rec.phase == PHASE_CONSTANT:
-            return lifetime.stable_until
+            return min(lifetime.stable_until + 1, lifetime.t_expire)
         return lifetime.t_expire if rec.phase == PHASE_WANING else math.inf
 
-    def _arm(self, rec: Resident, now: float) -> None:
-        """Schedule the end of a constant or waning phase, two ulps early
-        (never late), and never at or before ``now``."""
+    def _arm(self, rec: Resident) -> None:
+        """Schedule the end of a constant or waning phase."""
         span = self._span(rec)
-        if math.isinf(span):
-            return
-        t = math.nextafter(math.nextafter(rec.obj.t_arrival + span, -math.inf), -math.inf)
-        if t <= now:
-            t = math.nextafter(now, math.inf)
-        heapq.heappush(self._heap, (t, rec.seq, rec))
+        if span != math.inf:
+            heapq.heappush(self._heap, (rec.obj.t_arrival + span, rec.seq, rec))
 
     # -- time --------------------------------------------------------------
 
@@ -327,15 +328,11 @@ class ImportanceIndex:
             if obj is None:
                 self._stale -= 1  # entry of an evicted resident
                 continue
-            old = rec.phase
             new = self._classify(obj, now)
-            if new == old:
-                # Popped a hair before the predicate flips (breakpoints are
-                # scheduled two ulps early): re-arm one ulp ahead and retry.
-                self._arm(rec, now)
-                continue
+            if new == rec.phase:  # a time or an annotation off the whole minutes
+                raise ReproError(f"{obj.object_id!r} is still {new} at its breakpoint {now!r}")
             self._remove_from_phase(rec)
-            self._place(rec, new, now)
+            self._place(rec, new)
             self.transitions += 1
 
     # -- read paths --------------------------------------------------------
@@ -352,10 +349,10 @@ class ImportanceIndex:
         Advances the phase machinery to ``now`` (so the expired stream is
         current), then delegates to :meth:`GroupedResidents.greedy_victims`:
         a k-way merge over the expired stream, statically ordered annotation
-        groups and integer-grid superfamilies that evaluates importance only
+        groups and superfamilies that evaluates importance only
         for merge heads, returning ``(victims, highest, freed)`` with the
-        victims in exact paper order.  ``now`` is a decision time of the
-        unit's clock: a whole minute, no earlier than any resident's
+        victims in exact paper order.  ``now`` is a time of the unit's
+        clock: a whole minute, no earlier than any resident's
         arrival, which is what keeps the superfamily arithmetic exact.
         """
         self.advance(now)
@@ -370,7 +367,7 @@ class ImportanceIndex:
         ``incoming`` (the cached floor; a refusal then reports ``incoming``),
         else a fold over the live merge heads
         (:meth:`GroupedResidents.preempted_floor`; None when the pool runs
-        dry).  ``now`` is a decision time, as for :meth:`greedy_victims`."""
+        dry).  ``now`` is a time of the unit's clock, as for :meth:`greedy_victims`."""
         self.advance(now)
         deficit = needed - self._expired_bytes
         if deficit <= 0:
@@ -385,7 +382,7 @@ class ImportanceIndex:
         before it, the unit refuses any object at ``level`` larger than
         its free bytes plus :attr:`expired_bytes`, and only an add or a
         discard moves either number.  With ``resident``, only that
-        resident's own instant.  ``now`` is a decision time, as for
+        resident's own instant.  ``now`` is a time of the unit's clock, as for
         :meth:`greedy_victims`."""
         self.advance(now)
         rec = None if resident is None else self.residents[resident]

@@ -46,7 +46,7 @@ class TemporalImportancePolicy(EvictionPolicy):
         # plan_preemptive_admission's guards in its order, then the index's
         # score of the plan it would build (cached floor or merge); the plan
         # itself only when the pool runs dry.
-        store.advance_clock(now, decision=True)
+        store.advance_clock(now)
         if obj.size > store.capacity_bytes:
             return False, 0.0
         needed = obj.size - store.free_bytes

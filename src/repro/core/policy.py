@@ -93,10 +93,10 @@ class EvictionPolicy(ABC):
         refusal the score is only a lower bound on the blocker, and the
         temporal policy's cached floor reports ``incoming`` itself.  But the
         plan built next must bear an admissible score out bit for bit, or
-        :meth:`BesteffsCluster.offer` refuses to commit it.  ``now`` is a
-        decision time of the unit's clock (:meth:`StorageUnit.advance_clock`).
+        :meth:`BesteffsCluster.offer` refuses to commit it.  ``now`` moves
+        the unit's clock (:meth:`StorageUnit.advance_clock`).
         """
-        store.advance_clock(now, decision=True)
+        store.advance_clock(now)
         plan = self.plan_admission(store, obj, now)
         return plan.admit, plan.highest_preempted
 

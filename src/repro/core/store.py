@@ -19,20 +19,19 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
-from math import isfinite
 from operator import eq
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from repro._values import slot_init
-from repro.core.importance import ImportanceFunction
+from repro.core.importance import ImportanceFunction, check_filed
 from repro.core.index import ImportanceIndex, Resident
 from repro.core.obj import ObjectId, StoredObject
 from repro.core.policy import AdmissionPlan, EvictionPolicy
 from repro.core.slab import ResidentSlab
-from repro.core.victims import on_exact_grid
 from repro.errors import CapacityError, SimulationError, UnknownObjectError
 from repro.obs import COUNT_BUCKETS, STATE as _OBS, observe_phase
+from repro.units import on_exact_grid
 
 __all__ = [
     "ArrivalRecord",
@@ -357,9 +356,8 @@ class StorageUnit:
     suites compare against lives in ``tests/oracles``.
 
     Every method that takes ``now`` keeps the unit clock
-    (:meth:`advance_clock`): time never goes backwards, decisions fall on
-    whole minutes, and an offered object arrives on a whole minute no later
-    than its offer.  A violation raises
+    (:meth:`advance_clock`): time moves only forward, on whole minutes, and
+    an offered object arrives on a whole minute no later than its offer.  A violation raises
     :class:`~repro.errors.SimulationError` before anything changes.
     """
 
@@ -468,23 +466,21 @@ class StorageUnit:
 
     # -- the unit clock ----------------------------------------------------
 
-    def advance_clock(self, now: float, *, decision: bool = False) -> None:
+    def advance_clock(self, now: float) -> None:
         """Move the unit's clock to ``now``, or refuse it.
 
-        A NaN or infinite ``now``, or one earlier than the last the unit
-        saw, raises :class:`~repro.errors.SimulationError` with the unit
-        unchanged.
-        A ``decision`` time (:meth:`offer`, :meth:`peek_admission` and the
-        policy probe) must also be a whole minute in ``[0, 2**51]``, which
-        keeps the victim merge's arithmetic exact (:mod:`repro.core.victims`);
-        reads such as the density may fall between minutes.
+        ``now`` must be a whole minute in ``[0, 2**51]``
+        (:func:`repro.units.on_exact_grid`) no earlier than the last the
+        unit saw, which keeps the victim merge's arithmetic exact
+        (:mod:`repro.core.victims`) and puts every read on the minute the
+        importance index schedules its breakpoints at; else
+        :class:`~repro.errors.SimulationError`, with the unit unchanged.
         """
-        if not now >= self._now:
-            raise SimulationError(f"{self.name}'s clock is at {self._now!r}, after {now!r}")
-        if not isfinite(now):
-            raise SimulationError(f"{self.name}'s clock cannot move to {now!r}")
-        if decision and not on_exact_grid(now):
-            raise SimulationError(f"{self.name} decides at whole minutes, not at {now!r}")
+        if not (now >= self._now and on_exact_grid(now)):
+            raise SimulationError(
+                f"{self.name}'s clock is at {self._now!r}; it moves to a later whole "
+                f"minute, not to {now!r}"
+            )
         self._now = now
 
     # -- mutation ----------------------------------------------------------
@@ -504,7 +500,9 @@ class StorageUnit:
         mutated in between, which the single-threaded simulator guarantees.
         A plan that no longer fits — a victim already gone, or too little
         space even after the evictions — raises before anything is evicted.
-        ``obj`` must arrive on a whole minute no later than ``now``.
+        ``obj`` must arrive on a whole minute no later than ``now``, and an
+        annotation of a kind outside the built-ins must hold its breakpoints
+        to whole minutes (:func:`~repro.core.importance.check_filed`).
         """
         t_arrival = obj.t_arrival
         if not (on_exact_grid(t_arrival) and t_arrival <= now):
@@ -512,7 +510,8 @@ class StorageUnit:
                 f"{obj.object_id!r} arrives at {t_arrival!r}: an offer at {now!r} "
                 "needs a whole-minute arrival no later than it"
             )
-        self.advance_clock(now, decision=True)
+        check_filed(obj.lifetime)
+        self.advance_clock(now)
         residents = self.importance_index.residents
         if obj.object_id in residents:
             raise CapacityError(f"{obj.object_id!r} is already stored on {self.name}")
@@ -616,7 +615,7 @@ class StorageUnit:
         so the plan can be checked against the score before it commits;
         it shares ``offer``'s ``store.plan_admission`` phase timing.
         """
-        self.advance_clock(now, decision=True)
+        self.advance_clock(now)
         return self._plan(obj, now)
 
     def _plan(self, obj: StoredObject, now: float) -> AdmissionPlan:

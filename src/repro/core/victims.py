@@ -17,15 +17,15 @@ Three merge sources feed a lazy k-way heap:
    older object.  Each distinct annotation therefore contributes one
    cursor over its members sorted by ``(t_arrival, object_id)``, and only
    cursor heads ever have their keys evaluated.
-2. **Superfamilies** — on the exact integer-minute grid, two-step
-   residents sharing only ``(p, t_wane)`` (but *different* ``t_persist``,
-   e.g. lectures from different days of the same term) also order
-   statically, by absolute expiry ``E = t_arrival + t_persist + t_wane``:
-   a waning member's importance is ``p * (E - now) / t_wane``, monotone
-   in ``E``; a constant member always sorts after every waning member of
-   the family (it entered its wane later, so its ``E`` is larger); and
-   remaining lifetimes (``E - now``) tie-break identically.  A whole
-   term's worth of per-day annotations collapses into a single cursor.
+2. **Superfamilies** — two-step residents sharing only ``(p, t_wane)``
+   (but *different* ``t_persist``, e.g. lectures from different days of
+   the same term) also order statically, by absolute expiry
+   ``E = t_arrival + t_persist + t_wane``: a waning member's importance is
+   ``p * (E - now) / t_wane``, monotone in ``E``; a constant member always
+   sorts after every waning member of the family (it entered its wane
+   later, so its ``E`` is larger); and remaining lifetimes (``E - now``)
+   tie-break identically.  A whole term's worth of per-day annotations
+   collapses into a single cursor.
 3. **The expired stream** — the importance index's phase machinery
    already knows exactly which residents are expired at ``now``; they all
    carry the key ``(0.0, 0.0, t_arrival, object_id)``, so an
@@ -34,34 +34,28 @@ Three merge sources feed a lazy k-way heap:
 Bit-exactness
 -------------
 
-The merge reproduces the naive full sort *bit for bit* under conditions
-enforced here:
+The merge reproduces the naive full sort *bit for bit*:
 
 * Group order needs the annotation's *floating-point* evaluation to be
-  monotone in age, not just its real-valued ideal.  The two-step family
-  (``TwoStepImportance``, ``FixedLifetimeImportance``,
-  ``ConstantImportance`` and ``DiracImportance``) computes importance with
-  expressions that are monotone under IEEE-754 rounding (subtraction,
-  multiplication and division by positive constants preserve order).
-  Annotations outside this verified family — user-defined ones included —
-  are placed in single-object groups, where the static order is trivially
-  true and every key is evaluated: exactly the naive cost, never an
-  incorrect order.
-* Superfamily order relies on *exact* float arithmetic, so membership is
-  gated: ``t_arrival`` and the annotation durations must be non-negative
-  integer-valued floats below 2**51 (minutes; ~4e9 years).  A query needs
-  the same of ``now``, and no member may arrive after it (the naive age
-  clamp would engage); the storage unit's clock contract guarantees both
-  for every decision (whole minutes in ``[0, 2**51]``, never backwards,
-  arrivals no later than their offer).  All sums and differences involved
-  are then integers below 2**53 — computed without rounding — and the
-  E-order argument holds in floats because it holds in the reals.
+  monotone in age, not just its real-valued ideal.  Only annotations
+  constant in age (``ConstantImportance``, ``DiracImportance``) share a
+  group; every other one outside the families — user-defined ones
+  included — gets a single-object group, where the static order is
+  trivially true and every key is evaluated: exactly the naive cost,
+  never an incorrect order.
+* Superfamily order relies on *exact* float arithmetic, which the
+  whole-minute clock (:mod:`repro.units`) provides: ``t_arrival``, the
+  annotation durations and every ``now`` are whole minutes in
+  ``[0, 2**51]`` (or an infinite duration), and no member arrives after
+  ``now`` (the naive age clamp would engage).  All sums and differences
+  involved are then integers below 2**53 — computed without rounding —
+  and the E-order argument holds in floats because it holds in the reals.
 * Head keys must equal what ``StoredObject.importance_at`` /
   ``remaining_lifetime_at`` return.  A group head simply calls those
   methods.  A family head computes ``rem = E - now`` and the wane through
   :func:`~repro.core.importance.linear_wane`, the same function
-  ``TwoStepImportance.importance_at`` calls; on the grid ``E - now`` is
-  the float ``t_expire - age`` that call chain computes.
+  ``TwoStepImportance.importance_at`` calls; ``E - now`` is the float
+  ``t_expire - age`` that call chain computes, both exact integers.
 
 A family is also the only home of its *waning* members: they are the
 contiguous run ``E - t_wane < now < E``, and :meth:`GroupedResidents.wane_terms`
@@ -96,7 +90,7 @@ from repro.errors import ReproError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.index import Resident
 
-__all__ = ["GroupedResidents", "on_exact_grid"]
+__all__ = ["GroupedResidents"]
 
 #: One merge entry: ``(importance, remaining, t_arrival, object_id,
 #: position, source)``.  Object ids are unique, so heap comparisons never
@@ -106,35 +100,13 @@ Entry = tuple[float, float, float, ObjectId, int, object]
 #: A record's sort key within its source (what the sources bisect on).
 _SORT_KEY = attrgetter("key")
 
-#: Component bound for exact integer-grid arithmetic: all sums of up to
-#: three components stay below 2**53 and are therefore computed exactly.
-_MAX_EXACT_COMPONENT = 2.0**51
-
-#: Annotations whose float evaluation is monotone in age (subtraction,
-#: multiplication and division by positive constants preserve order): their
-#: residents share a group.
-_MONOTONE = (TwoStepImportance, FixedLifetimeImportance, ConstantImportance, DiracImportance)
-
-
-def on_exact_grid(value: float) -> bool:
-    """True when ``value`` is a non-negative integer small enough that all
-    sums of up to three such components are exact in float arithmetic.
-    (``value`` may be an int — annotation durations are not coerced.)  The
-    storage unit decides only at such times."""
-    return 0.0 <= value <= _MAX_EXACT_COMPONENT and value == int(value)
+#: Annotations constant in age: their residents share a group.
+_CONSTANT = (ConstantImportance, DiracImportance)
 
 
 def _blocks(importance: float, level: float, strict: bool) -> bool:
     """True when a victim of ``importance`` makes the unit full for ``level``."""
     return importance > 0.0 and (importance >= level if strict else importance > level)
-
-
-def _stable_end(t_arrival: float, stable_until: float) -> float:
-    """The last ``t`` with ``t - t_arrival <= stable_until`` in floats."""
-    end = t_arrival + stable_until
-    while end - t_arrival > stable_until:
-        end = math.nextafter(end, -math.inf)
-    return end
 
 
 @lru_cache(maxsize=4096)
@@ -155,20 +127,18 @@ def _blocking_rem(p: float, t_wane: float, level: float, strict: bool) -> float:
 
 def _blocking_end(rec: Resident, level: float, strict: bool) -> float:
     """The last instant at which ``rec``, live, blocks ``level``; ``-inf``
-    if it never does.  A family member: ``E - r*``.  A group member: its
-    stable end, stepped down past its expiry (a fixed lifetime expires at
-    the end of its stable prefix)."""
+    if it never does.  A family member: ``E - r*``.  A group member: the
+    end of its stable prefix, or the minute before its expiry if that comes
+    first (a fixed lifetime expires at the end of its stable prefix)."""
     source = rec.source
     if type(source) is _Family:
-        return rec.key[0] - _blocking_rem(source.p, source.t_wane, level, strict)
+        rem = _blocking_rem(source.p, source.t_wane, level, strict)
+        return rec.key[0] - rem if rem != math.inf else -math.inf
     obj = rec.obj
     lifetime = obj.lifetime
     if not _blocks(lifetime.initial_importance, level, strict):
         return -math.inf
-    end = _stable_end(obj.t_arrival, lifetime.stable_until)
-    while obj.is_expired_at(end):
-        end = math.nextafter(end, -math.inf)
-    return end
+    return obj.t_arrival + min(lifetime.stable_until, lifetime.t_expire - 1)
 
 
 def _file(members: list[Resident], rec: Resident, source: object, key: tuple) -> int:
@@ -189,28 +159,17 @@ def _family_spec(
 ) -> tuple[tuple[float, float], float] | None:
     """Superfamily placement for one admission, or None.
 
-    Returns ``((p, t_wane), E_abs)`` when the annotation and arrival time
-    satisfy the exact integer-grid gate.  A fixed lifetime is a two-step
-    function with no wane (``t_wane = 0``): a live member never reaches
-    the wane branch, so it shares a family with the two-step residents of
-    the same ``p`` and ``t_wane = 0``.
+    Returns ``((p, t_wane), E_abs)`` for a two-step or a fixed-lifetime
+    annotation.  A fixed lifetime is a two-step function with no wane
+    (``t_wane = 0``): a live member never reaches the wane branch, so it
+    shares a family with the two-step residents of the same ``p`` and
+    ``t_wane = 0``.
     """
     kind = type(lifetime)
     if kind is TwoStepImportance:
-        t_persist = lifetime.t_persist
-        t_wane = lifetime.t_wane
-        if not (
-            on_exact_grid(t_arrival)
-            and on_exact_grid(t_persist)
-            and on_exact_grid(t_wane)
-        ):
-            return None
-        return (lifetime.p, t_wane), t_arrival + t_persist + t_wane
+        return (lifetime.p, lifetime.t_wane), t_arrival + lifetime.t_persist + lifetime.t_wane
     if kind is FixedLifetimeImportance:
-        expire_after = lifetime.expire_after
-        if not (on_exact_grid(t_arrival) and on_exact_grid(expire_after)):
-            return None
-        return (lifetime.p, 0.0), t_arrival + expire_after
+        return (lifetime.p, 0.0), t_arrival + lifetime.expire_after
     return None
 
 
@@ -270,7 +229,7 @@ class _Group:
 
 
 class _Family:
-    """Residents sharing ``(p, t_wane)`` on the exact integer grid.
+    """Residents sharing ``(p, t_wane)``: a two-step or fixed-lifetime superfamily.
 
     Member records are sorted by their key ``(E_abs, t_arrival,
     object_id)`` — the static victim order for live members.  Expired
@@ -315,10 +274,9 @@ class _Family:
     def waning(self, now: float) -> tuple[int, int]:
         """``(lo, hi)``: the members strictly inside their wane window.
 
-        ``E_abs`` and ``E_abs - t_wane`` (the end of persistence) are exact
-        integers, and a member's age ``now - t_arrival`` is exact for any
-        ``now`` below 2**53 past its arrival, so these two comparisons are
-        exactly the index's phase predicates, on or off the grid.
+        ``E_abs``, ``E_abs - t_wane`` (the end of persistence) and a
+        member's age ``now - t_arrival`` are exact integers, so these two
+        comparisons are exactly the index's phase predicates.
         """
         expiries = self.expiries
         lo = bisect_right(expiries, now)
@@ -414,7 +372,7 @@ class GroupedResidents:
             return
         # Unverified annotations get single-object groups: the static-order
         # lemma holds trivially.
-        gkey: object = lifetime if isinstance(lifetime, _MONOTONE) else obj.object_id
+        gkey: object = lifetime if isinstance(lifetime, _CONSTANT) else obj.object_id
         group = self._groups.get(gkey)
         if group is None:
             group = self._groups[gkey] = _Group(gkey)
@@ -422,7 +380,7 @@ class GroupedResidents:
 
     @staticmethod
     def in_family(rec: Resident) -> bool:
-        """True when ``rec`` is filed in an integer-grid superfamily."""
+        """True when ``rec`` is filed in a superfamily."""
         return type(rec.source) is _Family
 
     def waning_members(self, now: float) -> list[StoredObject]:
@@ -528,7 +486,7 @@ class GroupedResidents:
         moves forward, which only lengthens it).  With ``rec``, that one
         resident's own instant, which is how a holder of the unit's instant
         folds in an admission (a discard can only lengthen it).  ``now`` is
-        a decision time after the index's ``advance(now)``."""
+        a time of the unit's clock after the index's ``advance(now)``."""
         if rec is not None:
             return _blocking_end(rec, level, strict)
         key = (level, strict)
@@ -548,7 +506,7 @@ class GroupedResidents:
 
         Call it after the importance index's ``advance(now)``, so every
         record's ``phase`` is current, at a whole-minute ``now`` no
-        earlier than any member's arrival (the unit's decision clock);
+        earlier than any member's arrival (the unit's clock);
         ``expired`` is the index's arrival-sorted stream of expired
         residents.  Returns ``(victims, highest_importance, freed_bytes)``
         with victims in exact global victim order and ``highest`` equal to
@@ -589,7 +547,7 @@ class GroupedResidents:
         maximum blocks too.  While every live resident blocks, so does the
         first victim: the cached floor answers ``(False, incoming)``, a lower
         bound on it, without the merge.  None when the pool runs dry: the
-        caller plans in full.  ``now`` is a decision time, as for
+        caller plans in full.  ``now`` is a time of the unit's clock, as for
         :meth:`greedy_victims`.  See docs/performance.md.
         """
         if now <= self.full_through(now, incoming, strict):

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from repro.errors import SimulationError
 from repro.obs import STATE as _OBS
 from repro.sim.probes import scrape
+from repro.units import on_exact_grid
 
 if TYPE_CHECKING:
     from repro.core.obj import StoredObject
@@ -98,13 +99,19 @@ class SimulationEngine:
         """Fire ``callback(now)`` every ``interval_minutes`` from ``start``.
 
         ``start_minutes`` defaults to :attr:`now`.  A tick fires after the
-        arrivals of its minute, or before them when ``first`` is set.
+        arrivals of its minute, or before them when ``first`` is set.  Both
+        must be whole minutes (:func:`repro.units.on_exact_grid`), so every
+        tick reads the units on their clock's grid.
         """
-        if not interval_minutes > 0:
-            raise SimulationError(f"interval must be > 0, got {interval_minutes!r}")
+        if not (interval_minutes > 0 and on_exact_grid(interval_minutes)):
+            raise SimulationError(
+                f"interval must be a whole number of minutes > 0, got {interval_minutes!r}"
+            )
         start = self.now if start_minutes is None else float(start_minutes)
-        if not start >= self.now:
-            raise SimulationError(f"cannot start a tick at {start} before now={self.now}")
+        if not (start >= self.now and on_exact_grid(start)):
+            raise SimulationError(
+                f"cannot start a tick at {start}: off the whole minutes or before now={self.now}"
+            )
         self._ticks.append(_Tick(start, interval_minutes, callback, label, first))
 
     def run(self, until_minutes: float | None = None) -> int:

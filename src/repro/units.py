@@ -5,10 +5,15 @@ The simulator follows the paper's setup (Section 4.3): time advances at
 and prevent unit bugs, every quantity in the public API is expressed through
 the helpers in this module:
 
-* **Time** is an integer or float number of *minutes* since the simulation
-  epoch.  Use :func:`minutes`, :func:`hours`, :func:`days`, :func:`months`
-  and :func:`years` to construct durations, and :func:`to_days` /
-  :func:`to_hours` to render them for reports.
+* **Time** is whole *minutes* since the simulation epoch, as an integer or
+  an integer-valued float in ``[0, 2**51]`` (:func:`on_exact_grid`); an
+  annotation duration may also be ``inf``, never.  Durations are checked
+  when an annotation is built, a storage unit's clock on every move, and
+  an engine tick's cadence when it is registered; so every sum and
+  difference of up to three times is an integer below 2**53, computed
+  without rounding.  Use :func:`minutes`, :func:`hours`,
+  :func:`days`, :func:`months` and :func:`years` to construct durations,
+  and :func:`to_days` / :func:`to_hours` to render them for reports.
 * **Sizes** are integer *bytes*.  Use :func:`kib`, :func:`mib`, :func:`gib`,
   :func:`tib` (binary multiples, matching how disk-resident object sizes
   are accounted) and :func:`to_gib` for display.
@@ -38,6 +43,12 @@ MIB = 1024 * KIB
 GIB = 1024 * MIB
 #: Bytes in one tebibyte.
 TIB = 1024 * GIB
+
+
+def on_exact_grid(value: float) -> bool:
+    """True when ``value`` is a whole minute in ``[0, 2**51]`` (an int or an
+    integer-valued float); False for NaN and infinities."""
+    return 0.0 <= value <= 2.0**51 and value == int(value)
 
 
 def minutes(n: float) -> float:

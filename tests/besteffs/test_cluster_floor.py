@@ -23,7 +23,11 @@ from repro.besteffs.membership import ChurnManager
 from repro.besteffs.node import BesteffsNode
 from repro.besteffs.placement import PlacementConfig
 from repro.besteffs.walks import sample_nodes
-from repro.core.importance import FixedLifetimeImportance, TwoStepImportance
+from repro.core.importance import (
+    ExponentialWaneImportance,
+    FixedLifetimeImportance,
+    TwoStepImportance,
+)
 from repro.core.obj import StoredObject
 from repro.core.policies.palimpsest import PalimpsestPolicy
 from repro.core.policies.temporal import TemporalImportancePolicy
@@ -38,11 +42,12 @@ def _object(rng: random.Random, now: float, tag: str) -> StoredObject:
     p = rng.choice((0.25, 0.5, 0.5, 1.0, 1.0, 1.0))
     persist = days(rng.randrange(3, 30))
     roll = rng.random()
+    # One in five is filed in an annotation group, not a family.
     if roll < 0.1:
-        # Off the grid: filed in an annotation group, not a family.
-        lifetime = FixedLifetimeImportance(p=p, expire_after=persist + 0.5)
+        lifetime = Scaled(FixedLifetimeImportance(p=p, expire_after=persist), 1.0)
     elif roll < 0.2:
-        lifetime = TwoStepImportance(p=p, t_persist=persist, t_wane=days(rng.randrange(1, 9)) + 0.37)
+        wane = days(rng.randrange(1, 9))
+        lifetime = ExponentialWaneImportance(p=p, t_persist=persist, t_wane=wane)
     else:
         lifetime = TwoStepImportance(p=p, t_persist=persist, t_wane=days(rng.randrange(0, 9)))
     size = rng.choice((40, 100, 250, 600, 1500))  # the last exceeds the small units

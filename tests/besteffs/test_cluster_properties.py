@@ -27,8 +27,8 @@ def offer_sequences(draw):
                 st.integers(min_value=0, max_value=int(days(3))).map(float),    # dt
                 st.integers(min_value=1, max_value=NODE_CAPACITY),              # size
                 st.floats(min_value=0.0, max_value=1.0, allow_nan=False),       # p
-                st.floats(min_value=0.0, max_value=days(10), allow_nan=False),  # persist
-                st.floats(min_value=0.0, max_value=days(10), allow_nan=False),  # wane
+                st.integers(min_value=0, max_value=int(days(10))).map(float),   # persist
+                st.integers(min_value=0, max_value=int(days(10))).map(float),   # wane
             ),
             min_size=n,
             max_size=n,

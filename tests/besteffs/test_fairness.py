@@ -52,8 +52,8 @@ class TestImportanceIntegral:
 
     @given(
         p=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-        persist=st.floats(min_value=0.0, max_value=1e5, allow_nan=False),
-        wane=st.floats(min_value=0.0, max_value=1e5, allow_nan=False),
+        persist=st.integers(min_value=0, max_value=10**5).map(float),
+        wane=st.integers(min_value=0, max_value=10**5).map(float),
         sharp=st.floats(min_value=0.2, max_value=10.0, allow_nan=False),
         steps=st.integers(min_value=1, max_value=8),
     )

@@ -30,6 +30,7 @@ from repro.units import days, gib
 from tests.conftest import make_obj
 from tests.integration.test_index_parity import _artifact_sha
 from tests.oracles.placement import choose_unit_by_plans
+from tests.oracles.scaled import Scaled
 
 
 def random_object(rng: random.Random, now: float, tag: str) -> StoredObject:
@@ -63,13 +64,12 @@ def test_score_placement_equals_plan_placement(seed, strict):
     now = 0.0
     reasons = set()
     for step in range(1200):
-        # Whole minutes (the unit clock); sometimes an off-grid wane files
-        # the object into an annotation group instead of a family.
+        # Whole minutes (the unit clock); sometimes a user-defined wrapper
+        # files the object into an annotation group instead of a family.
         now += float(rng.randrange(0, 600))
         obj = random_object(rng, now, f"o-{step}")
         if rng.random() < 0.1 and isinstance(obj.lifetime, TwoStepImportance):
-            lifetime = obj.lifetime
-            obj = replace(obj, lifetime=replace(lifetime, t_wane=lifetime.t_wane + 0.37))
+            obj = replace(obj, lifetime=Scaled(obj.lifetime, 1.0))
         twin_walker = random.Random()
         twin_walker.setstate(walker.getstate())
         decision, node = choose_unit(nodes, overlay, obj, now, config=config, rng=walker)

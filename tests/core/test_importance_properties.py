@@ -5,16 +5,20 @@ non-increasing over age, bounded to [0, 1], and zero at/after t_expire.
 These properties are checked for randomly parameterised members of the
 whole built-in family.
 
+Durations are whole minutes (:func:`repro.units.on_exact_grid`): every
+built-in refuses any other duration or knot age when it is built.
+
 The last section pins the *float* contract of the victim families: a
-waning two-step resident on the integer grid lives only in its
-``(p, t_wane)`` family, whose density terms and merge-head keys go through
-``linear_wane`` at ``remaining = E - now``.  The index's density probe and
-victim merge are bit-identical to the naive scan only while those equal
-the per-object ``StoredObject`` chain.
+waning two-step resident lives only in its ``(p, t_wane)`` family, whose
+density terms and merge-head keys go through ``linear_wane`` at
+``remaining = E - now``.  The index's density probe and victim merge are
+bit-identical to the naive scan only while those equal the per-object
+``StoredObject`` chain.
 """
 
 import math
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -31,9 +35,11 @@ from repro.core.importance import (
 from repro.core.obj import StoredObject
 from repro.core.index import Resident
 from repro.core.victims import GroupedResidents
+from repro.errors import AnnotationError
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-duration = st.floats(min_value=0.0, max_value=1e7, allow_nan=False)
+#: Whole minutes, as floats (what ``days()`` and friends build).
+duration = st.integers(min_value=0, max_value=10**7).map(float)
 age = st.floats(min_value=0.0, max_value=2e7, allow_nan=False)
 
 
@@ -138,24 +144,62 @@ def test_is_expired_iff_importance_zero_forever(func, t):
         assert func.importance_at(t + 1e6) == 0.0
 
 
-# -- victim families: the wane term's float contract ---------------------------
+# -- the whole-minute contract: durations off the grid are refused ----------
 
-#: Probe times on the integer-minute grid as well as off it: the victim
-#: merge only answers on the grid, the density probe everywhere.
-grid_or_not = st.one_of(
-    st.floats(min_value=0.0, max_value=1e7, allow_nan=False),
-    st.integers(min_value=0, max_value=10**7).map(float),
+#: Durations no annotation takes: between minutes, NaN, negative, past 2**51.
+off_grid = st.one_of(
+    st.floats(min_value=0.0, max_value=1e7, allow_nan=False).filter(
+        lambda x: not x.is_integer()
+    ),
+    st.sampled_from([math.nan, -1.0, -math.inf, 2.0**51 + 2.0, 2.0**52]),
 )
-grid_duration = st.integers(min_value=0, max_value=10**7).map(float)
 
+#: One builder per built-in with a duration: ``build(field_value)``, where
+#: the other durations are whole minutes.
+BUILDERS = {
+    "fixed expire_after": lambda d: FixedLifetimeImportance(p=0.5, expire_after=d),
+    "two-step t_persist": lambda d: TwoStepImportance(p=0.5, t_persist=d, t_wane=60.0),
+    "two-step t_wane": lambda d: TwoStepImportance(p=0.5, t_persist=60.0, t_wane=d),
+    "exp-wane t_persist": lambda d: ExponentialWaneImportance(p=0.5, t_persist=d, t_wane=60.0),
+    "exp-wane t_wane": lambda d: ExponentialWaneImportance(p=0.5, t_persist=60.0, t_wane=d),
+    "step-wane t_persist": lambda d: StepWaneImportance(p=0.5, t_persist=d, t_wane=60.0),
+    "step-wane t_wane": lambda d: StepWaneImportance(p=0.5, t_persist=60.0, t_wane=d),
+    "piecewise first knot": lambda d: PiecewiseLinearImportance([(d, 0.5)]),
+    "piecewise last knot": lambda d: PiecewiseLinearImportance([(0.0, 0.5), (d, 0.0)]),
+}
+
+
+@pytest.mark.parametrize("field", BUILDERS)
+@given(d=off_grid)
+@settings(max_examples=60)
+def test_a_duration_off_the_grid_is_refused(field, d):
+    with pytest.raises(AnnotationError, match=field.split()[-1]):
+        BUILDERS[field](d)
+
+
+@pytest.mark.parametrize("field", BUILDERS)
+@given(
+    d=st.one_of(
+        st.integers(min_value=1, max_value=10**7).map(float),
+        st.integers(min_value=1, max_value=2**51),
+        st.just(2.0**51),
+    )
+)
+@settings(max_examples=60)
+def test_a_whole_minute_duration_is_taken(field, d):
+    func = BUILDERS[field](d)
+    assert func.t_expire >= 0.0
+
+
+# -- victim families: the wane term's float contract ---------------------------
 
 @given(
     p=st.one_of(unit, st.sampled_from([0.0, 1.0])),
-    t_wane=grid_duration,
-    now=grid_or_not.map(lambda t: t + 2e7),
+    t_wane=duration,
+    now=duration.map(lambda t: t + 2e7),
     members=st.lists(
         st.tuples(
-            grid_duration,
+            duration,
             st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
             st.integers(min_value=1, max_value=2**40),
             st.booleans(),
@@ -167,7 +211,7 @@ grid_duration = st.integers(min_value=0, max_value=10**7).map(float)
 @settings(max_examples=500)
 # The inlined wane always runs: three members inside their wane window.
 @example(
-    p=0.3, t_wane=1000.0, now=20000050.5,
+    p=0.3, t_wane=1000.0, now=20000050.0,
     members=[(10.0, 0.5, 1000, False), (20.0, 0.25, 7, True), (30.0, 0.1, 3, False)],
 )
 def test_wane_terms_are_bit_identical_to_the_per_object_chain(p, t_wane, now, members):
@@ -192,13 +236,20 @@ def test_wane_terms_are_bit_identical_to_the_per_object_chain(p, t_wane, now, me
     # ... and each of its terms is the per-object term, bit for bit.
     for obj, term in zip(run, groups.wane_terms(now)):
         assert term.hex() == (obj.importance_at(now) * obj.size).hex()
-    # On the grid, every live member's merge key is the per-object key.
-    if now.is_integer():
-        for family in groups._families.values():
-            for pos, rec in enumerate(family.members):
-                obj = rec.obj
-                if obj.is_expired_at(now):
-                    continue
-                imp, rem = family.entry_at(pos, now)[:2]
-                assert imp.hex() == obj.importance_at(now).hex()
-                assert rem.hex() == obj.remaining_lifetime_at(now).hex()
+    # Every live member's merge key is the per-object key.
+    for family in groups._families.values():
+        for pos, rec in enumerate(family.members):
+            obj = rec.obj
+            if obj.is_expired_at(now):
+                continue
+            imp, rem = family.entry_at(pos, now)[:2]
+            assert imp.hex() == obj.importance_at(now).hex()
+            assert rem.hex() == obj.remaining_lifetime_at(now).hex()
+
+
+def test_an_infinite_duration_means_never():
+    assert FixedLifetimeImportance(p=0.5, expire_after=math.inf).t_expire == math.inf
+    assert TwoStepImportance(p=0.5, t_persist=math.inf, t_wane=60.0).t_expire == math.inf
+    assert PiecewiseLinearImportance([(0.0, 0.5), (math.inf, 0.25)]).t_expire == math.inf
+    with pytest.raises(AnnotationError, match="t_wane"):
+        TwoStepImportance(p=0.5, t_persist=60.0, t_wane=math.inf)

@@ -105,7 +105,7 @@ class TestImportanceIndexPhases:
         index.advance(100.0)  # still inside the stable prefix (age <= 100)
         assert index.residents["a"].phase == PHASE_CONSTANT
 
-        index.advance(100.5)
+        index.advance(101.0)  # the first minute past it
         assert index.residents["a"].phase == PHASE_WANING
 
         index.advance(151.0)
@@ -132,20 +132,68 @@ class TestImportanceIndexPhases:
         assert index.residents["c"].phase == PHASE_CONSTANT
         assert index.transitions == 0
 
-    def test_breakpoints_are_never_processed_late(self):
-        # Probe densely around the breakpoints: after advance(now) the
-        # bucket must always match the predicates at exactly that now.
+    def test_breakpoints_are_never_processed_late(self, monkeypatch):
+        # After advance(t) at whole minutes around every breakpoint, each
+        # live entry is scheduled at exactly the first minute its resident's
+        # predicate phase flips, and every live entry popped is a
+        # transition: nothing pops early and is pushed back.
+        import repro.core.index as index_module
+
+        order = {PHASE_CONSTANT: 0, PHASE_WANING: 1, PHASE_EXPIRED: 2}
+        horizon = 10_000.0
+
+        def phase(obj, t):
+            if obj.is_expired_at(t):
+                return PHASE_EXPIRED
+            return PHASE_CONSTANT if obj.age_at(t) <= obj.lifetime.stable_until else PHASE_WANING
+
+        def first_flip(obj, t):
+            # The phase only moves forward, so bisect the first later minute.
+            lo, hi = t + 1.0, horizon
+            if phase(obj, hi) == phase(obj, t):
+                return None
+            while lo < hi:
+                mid = float((lo + hi) // 2)
+                if phase(obj, mid) == phase(obj, t):
+                    lo = mid + 1.0
+                else:
+                    hi = mid
+            return lo
+
+        pops = []
+        heappop = index_module.heapq.heappop
+        monkeypatch.setattr(
+            index_module.heapq, "heappop", lambda heap: pops.append(heappop(heap)) or pops[-1]
+        )
         index = ImportanceIndex()
-        obj = two_step_obj("a", 10, t_arrival=0.123456789, persist=7.77, wane=3.33)
-        index.add(obj, 0.2)
-        for base in (0.123456789 + 7.77, 0.123456789 + 7.77 + 3.33):
-            t = base
-            for _ in range(5):
-                t = math.nextafter(t, -math.inf)
-            for _ in range(10):
-                index.advance(t)
-                assert index.check(t)
-                t = math.nextafter(t, math.inf)
+        objs = []
+        for i, lifetime in enumerate(TestWaningPhase.ANNOTATIONS * 2):
+            obj = StoredObject(
+                size=10, t_arrival=float(3 * i), lifetime=lifetime, object_id=f"o{i}"
+            )
+            index.add(obj, obj.t_arrival)
+            objs.append(obj)
+        now = objs[-1].t_arrival
+        breakpoints = sorted({
+            b for obj in objs
+            for b in (obj.t_arrival + obj.lifetime.stable_until + 1,
+                      obj.t_arrival + obj.lifetime.t_expire)
+            if b < horizon
+        })
+        for t in sorted({b + d for b in breakpoints for d in (-1.0, 0.0, 1.0)}):
+            if t < now:
+                continue
+            now = t
+            index.advance(t)
+            assert index.check(t)
+            live = {id(rec): at for at, _seq, rec in index._heap if rec.obj is not None}
+            for rec in index.residents.values():
+                assert rec.phase == phase(rec.obj, t)
+                assert live.get(id(rec)) == first_flip(rec.obj, t), rec.obj.object_id
+        assert sum(rec.obj is not None for _at, _seq, rec in pops) == index.transitions > 20
+        kinds = (TwoStepImportance, FixedLifetimeImportance)
+        for rec in index.residents.values():
+            assert index.groups.in_family(rec) == (type(rec.obj.lifetime) in kinds)
 
     def test_time_regression_is_refused(self):
         index = ImportanceIndex()
@@ -238,12 +286,12 @@ class TestIndexMass:
         objs = []
         for i in range(50):
             obj = two_step_obj(
-                f"o{i}", 7 + 13 * i, t_arrival=1.7 * i, p=0.1 + (i % 9) * 0.1,
+                f"o{i}", 7 + 13 * i, t_arrival=float(17 * i // 10), p=0.1 + (i % 9) * 0.1,
                 persist=40.0 + i, wane=25.0,
             )
             objs.append(obj)
             index.add(obj, obj.t_arrival)
-        for now in (90.0, 111.1, 143.7, 200.0, 400.0):
+        for now in (90.0, 111.0, 144.0, 200.0, 400.0):
             naive = math.fsum(
                 imp * o.size for o in objs if (imp := o.importance_at(now)) > 0.0
             )
@@ -274,15 +322,15 @@ def _naive_mass(objs, now):
 
 
 class TestWaningPhase:
-    """The waning residents under churn, probes and rebuilds: integer-grid
-    two-step residents in their ``(p, t_wane)`` victim family, every other
-    one in the index's waning dict."""
+    """The waning residents under churn, probes and rebuilds: two-step and
+    fixed-lifetime residents in their ``(p, t_wane)`` victim family, every
+    other one in the index's waning dict."""
 
     #: Shared annotations (families and groups with many members) of every
     #: waning shape.
     ANNOTATIONS = (
         TwoStepImportance(p=0.8, t_persist=100.0, t_wane=60.0),
-        TwoStepImportance(p=0.35, t_persist=40.5, t_wane=90.25),
+        TwoStepImportance(p=0.35, t_persist=41.0, t_wane=90.0),
         TwoStepImportance(p=0.0, t_persist=10.0, t_wane=50.0),
         Scaled(TwoStepImportance(p=0.9, t_persist=70.0, t_wane=80.0), 0.5),
         Scaled(Scaled(TwoStepImportance(0.7, 20.0, 120.0), 0.9), 0.3),
@@ -300,11 +348,11 @@ class TestWaningPhase:
         residents = {}
         now = 0.0
         for step in range(400):
-            now += rng.choice((0.0, 0.5, 1.0, 3.0, 7.25))
+            now += rng.choice((0.0, 1.0, 3.0, 7.0))
             for _ in range(rng.randrange(0, 4)):
                 obj = StoredObject(
                     size=rng.randrange(1, 2**30),
-                    t_arrival=max(0.0, now - rng.choice((0.0, 0.0, 15.0, 60.5, 130.0))),
+                    t_arrival=max(0.0, now - rng.choice((0.0, 0.0, 15.0, 61.0, 130.0))),
                     lifetime=rng.choice(self.ANNOTATIONS),
                     object_id=f"o{step}-{len(residents)}-{rng.randrange(10**6)}",
                 )
@@ -333,7 +381,7 @@ class TestWaningPhase:
             pass
         objs = list(residents.values())
         # Forward probes answer; one into the past raises and changes nothing.
-        for probe in (now, now + 40.0, now + 55.5, now + 300.0):
+        for probe in (now, now + 40.0, now + 55.0, now + 300.0):
             assert index.exact_mass(probe) == _naive_mass(objs, probe)
             with pytest.raises(SimulationError):
                 index.exact_mass(probe - 41.0)
@@ -378,7 +426,7 @@ class TestWaningPhase:
 
 
 class TestCheckCatchesStaleColumns:
-    """A victim family is the waning column of its integer-grid residents."""
+    """A victim family is the waning column of its residents."""
 
     def _waning_index(self):
         index = ImportanceIndex()

@@ -7,9 +7,10 @@ pressure, manual removals, expiry sweeps and density probes).  At every
 step the admission plans, eviction records, occupancy, per-creator totals
 and densities must agree **exactly**: the index is an acceleration
 structure, never a behaviour change.  Every workload keeps the unit clock:
-whole-minute arrivals and decisions, never backwards; off-grid annotation
-durations keep annotation groups populated, and density reads ahead of the
-clock (between minutes too) are taken on a copy, since a read moves it.
+whole-minute arrivals, decisions, reads and annotation durations, never
+backwards; user-defined and non-linear annotations keep annotation groups
+populated, and density reads ahead of the clock are taken on a copy, since
+a read moves it.
 """
 
 import copy
@@ -40,29 +41,34 @@ CAPACITY = 50_000
 
 
 def random_lifetime(rng: random.Random):
+    """Mixed shapes, all in annotation groups: the two-step and fixed
+    lifetimes come wrapped in a :class:`Scaled` of factor 1 (the same
+    importance, but an annotation the unit cannot file in a family)."""
     p = rng.choice((0.0, 0.1, 0.25, 0.5, 0.5, 0.75, 0.9, 1.0)) or 0.05
-    persist = rng.uniform(0.0, 400.0)
-    wane = rng.uniform(0.0, 300.0)
+    persist = float(round(rng.uniform(0.0, 400.0)))
+    wane = float(round(rng.uniform(0.0, 300.0)))
     kind = rng.randrange(8)
     if kind == 0:
         return ConstantImportance(p=p)
     if kind == 1:
         return DiracImportance()
     if kind == 2:
-        return FixedLifetimeImportance(p=p, expire_after=persist)
+        return Scaled(FixedLifetimeImportance(p=p, expire_after=persist), 1.0)
     if kind == 3:
         return ExponentialWaneImportance(p=p, t_persist=persist, t_wane=wane or 1.0)
     if kind == 4:
         return StepWaneImportance(p=p, t_persist=persist, t_wane=wane or 1.0, steps=3)
     if kind == 5:
-        knots = sorted(rng.uniform(0.0, 500.0) for _ in range(3))
+        knots = sorted(float(round(rng.uniform(0.0, 500.0))) for _ in range(3))
+        for i in (1, 2):  # strictly increasing once rounded
+            knots[i] = max(knots[i], knots[i - 1] + 1.0)
         vals = sorted((rng.uniform(0.0, p) for _ in range(3)), reverse=True)
         return PiecewiseLinearImportance(list(zip(knots, vals)) + [(knots[-1] + 50.0, 0.0)])
     if kind == 6:
         return Scaled(
             TwoStepImportance(p=p, t_persist=persist, t_wane=wane), rng.uniform(0.1, 1.0)
         )
-    return TwoStepImportance(p=p, t_persist=persist, t_wane=wane)
+    return Scaled(TwoStepImportance(p=p, t_persist=persist, t_wane=wane), 1.0)
 
 
 def density_ahead(store, t):
@@ -127,9 +133,9 @@ def test_randomized_workload_is_bit_identical(seed):
             rec_f = fast.remove(victim, now)
             assert_evictions_equal([rec_n], [rec_f], step)
         else:
-            # Density probes — sometimes ahead of the clock, between minutes.
+            # Density probes — sometimes ahead of the clock.
             read = density_ahead if rng.random() < 0.2 else importance_density
-            probe_t = now + rng.uniform(0.0, 50.0) if read is density_ahead else now
+            probe_t = now + float(round(rng.uniform(0.0, 50.0))) if read is density_ahead else now
             d_naive = read(naive, probe_t)
             d_fast = read(fast, probe_t)
             assert d_naive.hex() == d_fast.hex(), (
@@ -219,8 +225,7 @@ def test_integer_grid_workload_is_bit_identical(seed):
                 [naive.remove(victim, now)], [fast.remove(victim, now)], step
             )
         else:
-            # Off the grid too: a family's waning slice must answer there.
-            for read, probe in ((importance_density, now), (density_ahead, now + 0.5)):
+            for read, probe in ((importance_density, now), (density_ahead, now + 1.0)):
                 assert (
                     read(naive, probe).hex() == read(fast, probe).hex()
                 ), f"step {step}: density drifted at t={probe}"
@@ -270,20 +275,23 @@ def test_dirac_residents_sit_expired_and_off_the_heap(seed):
 
 
 #: ``_decision_digest`` literals: ``(seed, grid) -> sha256``.  The grid
-#: one was recorded before waning two-step residents moved into their
-#: victim families; the other draws whole-minute arrivals with off-grid
-#: durations (recorded when the unit clock began refusing off-grid
-#: arrivals, and equal on the code before it).
+#: regime files its two-step and fixed residents in victim families; the
+#: other files every resident in an annotation group (two-step and fixed
+#: lifetimes wrapped in ``Scaled(..., 1.0)``).  Both were re-recorded when
+#: durations and reads moved onto whole minutes: that regime's durations
+#: are its old draws rounded, and the look-ahead read moved from
+#: ``now + 0.5`` to ``now + 1.0``; the code before that change gives the
+#: same two digests on these inputs.
 PINNED_DECISIONS = {
-    (31337, True): "8665995038c98f24fbe5e32977ad08e127a1c6b65a6afc78fe05972dcc137753",
-    (1234, False): "13dcb5efaccc8e2995941f89180e04b08f4366ca07ce69f497ba01b9221e5531",
+    (31337, True): "77b574b709b7afbc69c3cd1ef992d883713d7c0f7b61ed392ceb6545bde1fdee",
+    (1234, False): "66923a4057e4cb4e3382ed8a7629490bf50f256431f8988039abb27cc4e5dd79",
 }
 
 
 def _decision_digest(seed: int, grid: bool) -> str:
     """sha256 over every offer's verdict, reason, highest preempted
-    importance and evictions, plus density probes on and off the grid (the
-    look-ahead probes read a copy of the unit)."""
+    importance and evictions, plus density probes now and ahead of the
+    clock (the look-ahead probes read a copy of the unit)."""
     rng = random.Random(seed)
     lifetime = random_grid_lifetime if grid else random_lifetime
     store = StorageUnit(CAPACITY, TemporalImportancePolicy(), name="pin")
@@ -303,7 +311,7 @@ def _decision_digest(seed: int, grid: bool) -> str:
         )).encode())
         if step % 5 == 0:
             digest.update(importance_density(store, now).hex().encode())
-            for probe in (now + 0.5, now + 7.0):
+            for probe in (now + 1.0, now + 7.0):
                 digest.update(density_ahead(store, probe).hex().encode())
     return digest.hexdigest()
 

@@ -24,7 +24,7 @@ from repro.units import days
 
 CAPACITY = 1000
 
-durations = st.floats(min_value=1.0, max_value=days(30), allow_nan=False)
+durations = st.integers(min_value=1, max_value=int(days(30))).map(float)
 
 
 @st.composite
@@ -82,7 +82,7 @@ def test_temporal_reduces_to_fixed_lifetime_policy(steps):
 
 @given(
     p=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-    persist=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+    persist=st.integers(min_value=0, max_value=10**6).map(float),
     age=st.floats(min_value=0.0, max_value=2e6, allow_nan=False),
 )
 @settings(max_examples=200)

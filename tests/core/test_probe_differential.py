@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from repro.core.importance import (
     ConstantImportance,
     DiracImportance,
+    ExponentialWaneImportance,
     FixedLifetimeImportance,
     TwoStepImportance,
 )
@@ -46,6 +47,7 @@ from repro.core.victims import _blocking_rem
 from repro.errors import SimulationError
 from tests.core.test_index_differential import random_grid_lifetime, random_lifetime
 from tests.oracles import FloorTally, oracle_store
+from tests.oracles.scaled import Scaled
 
 CAPACITY = 50_000
 
@@ -53,11 +55,13 @@ TALLY = FloorTally()
 
 #: Probes the cached floor answered in each churn below, every one re-scored
 #: by the merge and held to its plan: the seed-2027 grid churn (of 1,800)
-#: and the off-grid-duration churn (of 1,000; whole-minute arrivals, but
-#: most residents sit in annotation groups, each bound by its oldest live
-#: member's stable end).
+#: and the annotation-group churn (of 1,000; every resident sits in an
+#: annotation group, each bound by its oldest live member's stable end).
+#: The second ran off-grid durations until every duration became a whole
+#: minute; it was re-counted then on ``random_lifetime``'s new draws (the
+#: code before that change counts the same).
 GRID_FLOOR_ANSWERS = {"temporal": 169, "temporal-lax": 133}
-OFF_GRID_FLOOR_ANSWERS = {"temporal": 25, "temporal-lax": 25}
+OFF_GRID_FLOOR_ANSWERS = {"temporal": 25, "temporal-lax": 29}
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -161,7 +165,8 @@ def test_probe_equals_plan_on_grid(name):
 
 @pytest.mark.parametrize("name", ["temporal", "temporal-lax", "greedy-size"])
 def test_probe_equals_plan_off_grid(name):
-    """Off-grid durations: the merge runs over annotation groups."""
+    """The annotation-group regime (it once drew off-grid durations): the
+    merge runs over annotation groups only."""
     _store, outcomes, floor_answers = churn(
         name, 99, lifetimes=random_lifetime, tick=lambda rng: float(round(rng.uniform(0.0, 25.0))),
         steps=500,
@@ -385,9 +390,18 @@ class TestCachedFloor:
         plan, by_floor = scored(store, probe_of(100, 0, ConstantImportance(p=0.2)), 10.0)
         assert not plan.admit and by_floor
 
+    def test_a_family_member_that_never_expires_or_blocks_disarms_the_floor(self):
+        # E = inf and r* = inf: the member never blocks 0.5 (not inf - inf).
+        store = filled((1000, 0, two_step(0.3, math.inf, 10)))
+        assert store.importance_index.groups.family_count == 1
+        plan, by_floor = scored(store, probe_of(100, 0, ConstantImportance(p=0.5)), 10.0)
+        assert plan.admit and not by_floor
+        plan, by_floor = scored(store, probe_of(100, 0, ConstantImportance(p=0.2)), 10.0)
+        assert not plan.admit and by_floor
+
     def test_a_group_is_bound_by_its_oldest_live_stable_end(self):
-        off_grid = two_step(0.8, 9.5, 10.25)  # stable to 10.5 and 13.5
-        store = filled((500, 1, off_grid), (500, 4, off_grid))
+        wane = ExponentialWaneImportance(p=0.8, t_persist=9.0, t_wane=10.0)  # stable to 10, 13
+        store = filled((500, 1, wane), (500, 4, wane))
         assert not store.importance_index.groups.family_count
         level = probe_of(100, 0, ConstantImportance(p=0.5))
         for now in (4.0, 7.0, 10.0):
@@ -438,23 +452,21 @@ class TestCachedFloor:
         assert not plan.admit and by_floor
 
     def test_an_expired_group_member_does_not_bound_the_group(self):
-        off_grid = two_step(0.8, 10.25, 10)  # r0 expires at 20.25; r1 is stable to 25.25
-        store = filled((300, 0, off_grid), (700, 15, off_grid))
+        wane = ExponentialWaneImportance(p=0.8, t_persist=10.0, t_wane=10.0)
+        store = filled((300, 0, wane), (700, 15, wane))  # r0 expires at 20; r1 is stable to 25
         plan, by_floor = scored(store, probe_of(400, 0, ConstantImportance(p=0.5)), 22.0)
         assert not plan.admit and by_floor
 
-    def test_a_group_stable_end_is_rounded_as_the_phase_predicate(self):
-        # 1 + (1 - 2**-53) rounds up to 2.0: at that instant the resident is
-        # 1.0 old, past its persist window, so the floor no longer answers
-        # (the merge does: its wane starts at 0.8, which still blocks).
-        lifetime = TwoStepImportance(p=0.8, t_persist=math.nextafter(1.0, 0.0), t_wane=0.5)
-        store = filled((1000, 1, lifetime))
-        assert 1.0 + lifetime.t_persist == 2.0
-        level = probe_of(100, 0, ConstantImportance(p=0.8))
-        plan, by_floor = scored(store, level, 1.0)
+    def test_a_group_member_blocks_until_the_minute_before_its_expiry(self):
+        # A fixed lifetime is stable to its expiry, where it stops blocking:
+        # a group member's instant is the minute before (here 1 + 5 - 1).
+        store = filled((1000, 1, Scaled(FixedLifetimeImportance(p=0.8, expire_after=5.0), 1.0)))
+        assert not store.importance_index.groups.family_count
+        level = probe_of(100, 0, ConstantImportance(p=0.5))
+        plan, by_floor = scored(store, level, 5.0)
         assert not plan.admit and by_floor
-        plan, by_floor = scored(store, level, 2.0)
-        assert not plan.admit and not by_floor
+        plan, by_floor = scored(store, level, 6.0)
+        assert plan.reason == "expired-only" and not by_floor
 
 
 # -- property: random small stores on the grid -------------------------------
@@ -474,15 +486,16 @@ grid_lifetimes = st.one_of(
     st.builds(lambda p: ConstantImportance(p=p), st.sampled_from((0.0, 0.25, 0.5, 1.0))),
     st.just(DiracImportance()),
 )
-#: The grid shapes plus two-steps with off-grid durations (annotation groups).
+#: The grid shapes plus wanes outside the families (annotation groups).
 lifetimes = st.one_of(
     grid_lifetimes,
     st.builds(
-        two_step,
+        lambda p, persist, wane: ExponentialWaneImportance(p, float(persist), float(wane)),
         st.sampled_from((0.25, 0.5, 1.0)),
-        st.floats(0.0, 40.0, allow_nan=False),
-        st.floats(0.0, 40.0, allow_nan=False),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=1, max_value=40),
     ),
+    st.builds(lambda inner: Scaled(inner, 1.0), grid_lifetimes),
 )
 
 

@@ -8,9 +8,10 @@ from repro.core.obj import StoredObject
 from repro.core.policies.temporal import TemporalImportancePolicy
 from repro.core.policy import AdmissionPlan
 from repro.core.store import StorageUnit
-from repro.errors import CapacityError, SimulationError, UnknownObjectError
+from repro.errors import AnnotationError, CapacityError, SimulationError, UnknownObjectError
 from repro.units import days, gib
 from tests.conftest import make_obj
+from tests.oracles.scaled import Scaled
 
 
 def _creator_scan(store):
@@ -341,7 +342,7 @@ DECISIONS = ("offer", "peek_admission", "probe")
 
 
 class TestUnitClock:
-    """The unit clock: never backwards, decisions at whole minutes, arrivals
+    """The unit clock: never backwards, always on whole minutes, arrivals
     on the grid and no later than their offer.  Each bad input raises
     :class:`SimulationError` with the unit unchanged."""
 
@@ -403,13 +404,23 @@ class TestUnitClock:
     def test_an_arrival_after_its_offer_is_refused(self):
         self._refused("offer", 20.0, t_arrival=21.0)
 
-    @pytest.mark.parametrize("entry", sorted(set(ENTRY_POINTS) - set(DECISIONS)))
-    def test_reads_may_fall_between_minutes(self, entry):
+    def test_a_user_annotation_off_the_grid_is_refused(self):
+        # A built-in checks its durations when built; any other annotation
+        # is checked once, when the unit files it, before anything moves.
+        class HalfMinute(FixedLifetimeImportance):
+            @property
+            def stable_until(self):
+                return self.expire_after - 0.5
+
         store = self._unit()
-        ENTRY_POINTS[entry](store, None, "a", 20.25)
-        assert store._now == 20.25
-        # ... and a decision comes at the next whole minute.
-        small = StoredObject(size=1, t_arrival=20.0, lifetime=FixedLifetimeImportance(1.0, 9))
-        with pytest.raises(SimulationError):
-            store.peek_admission(small, 20.0)
-        assert store.peek_admission(small, 21.0).admit
+        before = _unit_snapshot(store)
+        odd = StoredObject(size=50, t_arrival=21.0, lifetime=HalfMinute(1.0, 100))
+        with pytest.raises(AnnotationError, match="HalfMinute.stable_until"):
+            store.offer(odd, 21.0)
+        assert _unit_snapshot(store) == before
+        wrapped = StoredObject(size=50, t_arrival=21.0, lifetime=Scaled(odd.lifetime, 1.0))
+        with pytest.raises(AnnotationError, match="Scaled.stable_until"):
+            store.offer(wrapped, 21.0)
+        fine = Scaled(FixedLifetimeImportance(1.0, 100), 0.5)
+        fine = StoredObject(size=50, t_arrival=21.0, lifetime=fine)
+        assert store.offer(fine, 21.0).admitted

@@ -35,8 +35,8 @@ def arrival_sequences(draw):
                 st.integers(min_value=0, max_value=int(days(5))).map(float),  # dt
                 st.integers(min_value=1, max_value=CAPACITY),                  # size
                 st.floats(min_value=0.0, max_value=1.0, allow_nan=False),      # p
-                st.floats(min_value=0.0, max_value=days(20), allow_nan=False),  # persist
-                st.floats(min_value=0.0, max_value=days(20), allow_nan=False),  # wane
+                st.integers(min_value=0, max_value=int(days(20))).map(float),   # persist
+                st.integers(min_value=0, max_value=int(days(20))).map(float),   # wane
             ),
             min_size=n,
             max_size=n,

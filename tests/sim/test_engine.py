@@ -179,6 +179,23 @@ class TestPeriodic:
         with pytest.raises(SimulationError):
             SimulationEngine().every(-5.0, lambda t: None, label="p")
 
+    def test_fractional_interval_raises_at_registration(self):
+        # A tick between minutes would read the units off their clock's
+        # grid; it is refused before the run, not at its first read.
+        engine = SimulationEngine()
+        with pytest.raises(SimulationError, match="whole number of minutes"):
+            engine.every(432.5, lambda t: None, label="p")
+        assert engine._ticks == []
+
+    def test_fractional_start_raises_at_registration(self):
+        engine = SimulationEngine()
+        with pytest.raises(SimulationError, match="off the whole minutes"):
+            engine.every(10.0, lambda t: None, start_minutes=2.5, label="p")
+        engine.run(7.5)  # the default start is the clock, here between minutes
+        with pytest.raises(SimulationError, match="off the whole minutes"):
+            engine.every(10.0, lambda t: None, label="p")
+        assert engine._ticks == []
+
 
 @st.composite
 def _schedules(draw):

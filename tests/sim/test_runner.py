@@ -76,6 +76,20 @@ class TestRunSingleStore:
         assert len(result.recorder.density_samples) == 11
         assert result.summary["arrivals"] == 5.0
 
+    def test_a_fractional_density_interval_fails_at_set_up(self):
+        # days(0.0001) is 0.144 minutes: refused when the probe registers,
+        # before the first arrival is drawn, not at its first read.
+        drawn = []
+
+        def arrivals():
+            drawn.append(True)
+            yield make_obj(1.0)
+
+        store = StorageUnit(gib(10), TemporalImportancePolicy())
+        with pytest.raises(SimulationError, match="whole number of minutes"):
+            run_single_store(store, arrivals(), days(10), density_interval_minutes=days(0.0001))
+        assert drawn == [] and store.stats().offered_count == 0
+
     def test_density_sampling_can_be_disabled(self):
         store = StorageUnit(gib(10), TemporalImportancePolicy())
         result = run_single_store(

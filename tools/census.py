@@ -37,7 +37,6 @@ NOTE = "Written by `make census` (`tools/census.py`); a function kept by no rule
 #: covers its methods.  ``tests/test_census.py`` checks every entry still exists.
 DECIDED = {
     "repro/core/importance.py:PiecewiseLinearImportance": "the paper's §3 general monotone function",
-    "repro/core/victims.py:_stable_end": "the only path for off-grid or user-defined annotations",
     "repro/besteffs/fairness.py:_trapezoid": "the fair-share cost of a piecewise-linear annotation",
     "repro/besteffs/fairness.py:_numeric": "the fair-share cost of a user-defined annotation",
     "repro/besteffs/walks.py:random_walk": "the walk for any RNG; the reference of the table-driven walk",

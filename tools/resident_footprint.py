@@ -6,12 +6,13 @@ its history keeps per object that left it.
     python3 tools/resident_footprint.py [--residents 50000] [--repeat 3]
 
 Resident ``i`` arrives at minute ``i`` (a unit takes whole-minute arrivals
-only), in two duration regimes: on the integer-minute grid (its two-step
-annotation puts it in a victim family) and off it (a persist window 0.37
-minutes longer, so it sits in an annotation group).  Each regime builds a
-unit large enough that every admit lands in free space, with six two-step
-annotations and three creators cycling through the arrivals, all made
-before measuring:
+only), in two regimes: ``families`` (its two-step annotation puts it in a
+victim family) and ``groups`` (the same annotation wrapped in a
+user-defined :class:`~tests.oracles.scaled.Scaled` of factor 1, so it sits
+in an annotation group of its own and, once waning, in the index's waning
+dict).  Each regime builds a unit large enough that every admit lands in
+free space, with six two-step annotations and three creators cycling
+through the arrivals, all made before measuring:
 
 * **bytes / resident** — ``tracemalloc`` bytes still allocated after the
   admits, over the resident count: everything the unit keeps per resident
@@ -21,7 +22,7 @@ before measuring:
 * **µs / remove** — ``StorageUnit.remove`` of every resident in a seeded
   shuffled order, per call, best of ``--repeat``.
 
-A second table offers the grid-regime arrivals, one at a time and each
+A second table offers the ``families`` arrivals, one at a time and each
 dropped after its offer as a simulation run drops it, to a 64 KiB unit
 that logs every decision into an attached
 :class:`~repro.sim.recorder.Recorder`:
@@ -57,7 +58,7 @@ from pathlib import Path
 from time import perf_counter
 
 REPO = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(REPO / "src")]
+sys.path[:0] = [str(REPO / "src"), str(REPO)]
 
 from repro.besteffs.auth import CapabilityRealm  # noqa: E402
 from repro.core.importance import TwoStepImportance  # noqa: E402
@@ -67,10 +68,11 @@ from repro.core.store import StorageUnit  # noqa: E402
 from repro.serve.loadgen import LoadGenSpec  # noqa: E402
 from repro.serve.sharded import route_stream  # noqa: E402
 from repro.sim.recorder import Recorder  # noqa: E402
+from tests.oracles.scaled import Scaled  # noqa: E402
 
 DAY = 1440.0
 CREATORS = ("university", "student", "archive")
-REGIMES = (("grid", 0.0), ("off-grid", 0.37))
+REGIMES = (("families", False), ("groups", True))
 #: The ``serve_flash`` benchmark spec at seed 42 and ``--seconds 15``.
 FLASH_SPEC = LoadGenSpec(
     workload="flashcrowd", mode="closed", clients=16, shards=4, nodes=16,
@@ -79,15 +81,16 @@ FLASH_SPEC = LoadGenSpec(
 )
 
 
-def annotations(offset: float) -> list[TwoStepImportance]:
-    return [
-        TwoStepImportance(p=p, t_persist=persist * DAY + offset, t_wane=15 * DAY)
+def annotations(wrapped: bool) -> list:
+    lifetimes = [
+        TwoStepImportance(p=p, t_persist=persist * DAY, t_wane=15 * DAY)
         for p in (1.0, 0.5)
         for persist in (15, 30, 90)
     ]
+    return [Scaled(lifetime, 1.0) for lifetime in lifetimes] if wrapped else lifetimes
 
 
-def make_object(i: int, lifetimes: list[TwoStepImportance]) -> StoredObject:
+def make_object(i: int, lifetimes: list) -> StoredObject:
     return StoredObject(
         size=1 + i % 4096,
         t_arrival=float(i),
@@ -97,8 +100,8 @@ def make_object(i: int, lifetimes: list[TwoStepImportance]) -> StoredObject:
     )
 
 
-def arrivals(n: int, offset: float) -> list[StoredObject]:
-    lifetimes = annotations(offset)
+def arrivals(n: int, wrapped: bool) -> list[StoredObject]:
+    lifetimes = annotations(wrapped)
     return [make_object(i, lifetimes) for i in range(n)]
 
 
@@ -128,7 +131,7 @@ def footprint(objs: list[StoredObject]) -> float:
 def departed_footprint(n: int) -> tuple[float, int, float]:
     """Bytes a unit's recorder holds per departed object, the departed
     count and heap entries per resident at the end."""
-    lifetimes = annotations(0.0)
+    lifetimes = annotations(False)
     tracemalloc.start()
     before = tracemalloc.get_traced_memory()[0]
     unit = StorageUnit(64 * 1024, TemporalImportancePolicy())
@@ -181,8 +184,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     print(f"| {args.residents:,} residents | bytes / resident | µs / admit | µs / remove |")
     print("|---|---|---|---|")
-    for name, offset in REGIMES:
-        objs = arrivals(args.residents, offset)
+    for name, wrapped in REGIMES:
+        objs = arrivals(args.residents, wrapped)
         per_resident = footprint(objs)
         admit_us, remove_us = timings(objs, args.repeat)
         print(f"| {name} | {per_resident:,.0f} | {admit_us:.1f} | {remove_us:.1f} |")
