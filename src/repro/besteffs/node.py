@@ -10,7 +10,6 @@ highest importance that admitting a given object would preempt, as a score
 from __future__ import annotations
 
 from time import perf_counter
-from typing import NamedTuple
 
 from repro.core.obj import StoredObject
 from repro.core.policies.temporal import TemporalImportancePolicy
@@ -19,25 +18,7 @@ from repro.core.store import AdmissionResult, StorageUnit
 from repro.errors import CapacityError
 from repro.obs import STATE as _OBS, observe_phase
 
-__all__ = ["BesteffsNode", "ProbeResult"]
-
-
-class ProbeResult(NamedTuple):
-    """Outcome of probing one node for one object.
-
-    ``admissible`` is True when the node could accept the object right now;
-    ``highest_preempted`` is then the importance the placement rule
-    minimises (0.0 when the object fits in free/expired space).
-    """
-
-    node_id: str
-    admissible: bool
-    highest_preempted: float
-
-    @property
-    def direct(self) -> bool:
-        """True when storing displaces nothing live (the rule's fast path)."""
-        return self.admissible and self.highest_preempted == 0.0
+__all__ = ["BesteffsNode"]
 
 
 class BesteffsNode:
@@ -73,17 +54,20 @@ class BesteffsNode:
 
     def probe(
         self, obj: StoredObject, now: float, incoming: float | None = None
-    ) -> ProbeResult:
-        """Non-mutating admission probe (Section 5.3's per-unit check): a
-        score, not a plan (:meth:`EvictionPolicy.probe`).  ``incoming`` is
-        ``obj.importance_at(now)``; placement computes it once per offer."""
+    ) -> tuple[bool, float]:
+        """Non-mutating admission probe (Section 5.3's per-unit check): the
+        policy's score ``(admissible, highest_preempted)``, not a plan
+        (:meth:`EvictionPolicy.probe`); 0.0 preempted is a direct store.
+        ``incoming`` is ``obj.importance_at(now)``, once per offer."""
         if incoming is None:
             incoming = obj.importance_at(now)
-        t0 = perf_counter() if _OBS.enabled else 0.0
-        admissible, highest = self.store.policy.probe(self.store, obj, now, incoming)
-        if _OBS.enabled:
-            observe_phase("store.plan_admission", perf_counter() - t0)
-        return ProbeResult(self.node_id, admissible, highest)
+        store = self.store
+        if not _OBS.enabled:
+            return store.policy.probe(store, obj, now, incoming)
+        t0 = perf_counter()
+        score = store.policy.probe(store, obj, now, incoming)
+        observe_phase("store.plan_admission", perf_counter() - t0)
+        return score
 
     def accept(self, obj: StoredObject, now: float) -> AdmissionResult:
         """Store the object on this node (may preempt residents)."""

@@ -164,7 +164,7 @@ class Overlay:
         self._nodes: tuple[str, ...] = tuple(adj)
         # Lazy draw table for the walk hot path; an Overlay is immutable
         # (joins/departures build new instances) so it never invalidates.
-        self._compact: tuple[dict[str, int], tuple] | None = None
+        self._compact: tuple[dict[str, int], tuple[tuple[int, list], ...]] | None = None
 
     @classmethod
     def random_regular(
@@ -264,26 +264,26 @@ class Overlay:
         except KeyError:
             raise OverlayError(f"unknown overlay node {node_id!r}") from None
 
-    def walk_draws(
-        self,
-    ) -> tuple[dict[str, int], tuple[tuple[int, tuple[int, ...]], ...]]:
-        """Integer-indexed draw table for the walk hot path.
+    def walk_draws(self) -> tuple[dict[str, int], tuple[tuple[int, list], ...]]:
+        """Linked draw rows for the walk hot path.
 
-        Returns ``(index_of, draws)``; index ``i`` is ``node_ids[i]`` and
-        ``draws[i] = (k, row)`` answers ``rng.choice(neighbors(node))`` as
+        Returns ``(index_of, rows)``; index ``i`` is ``node_ids[i]`` and
+        ``rows[i] = (k, slots)`` answers ``rng.choice(neighbors(node))`` as
         ``_randbelow_with_getrandbits`` does, one lookup per draw: of
-        ``k = len(neighbors).bit_length()`` drawn bits, ``row[bits]`` is the
-        chosen neighbour's *index* in :meth:`neighbors` order, or -1 where
-        ``choice`` rejects the draw (``bits >= len(neighbors)``).  ``k`` is
-        0 for the isolated node of a single-node overlay.
+        ``k = len(neighbors).bit_length()`` drawn bits, ``slots[bits]`` is the
+        chosen neighbour's own row, or None where ``choice`` rejects the
+        draw (``bits >= len(neighbors)``); ``slots[-1]`` is ``i``.  The
+        isolated node of a single-node overlay has ``k = 0`` and itself as
+        its one draw (``getrandbits(0)`` draws nothing), so a walk from it
+        stays put.
         """
         compact = self._compact
         if compact is None:
             index_of = {node: i for i, node in enumerate(self._nodes)}
-            draws = []
-            for nbrs in self._adj.values():
-                row = [index_of[m] for m in nbrs]
-                k = len(row).bit_length()
-                draws.append((k, tuple(row + [-1] * ((1 << k) - len(row))) if k else ()))
-            compact = self._compact = (index_of, tuple(draws))
+            rows = tuple((len(nbrs).bit_length(), []) for nbrs in self._adj.values())
+            for i, nbrs in enumerate(self._adj.values()):
+                k, slots = rows[i]
+                slots += [rows[index_of[m]] for m in nbrs] if nbrs else [rows[i]]
+                slots += [None] * ((1 << k) - len(slots)) + [i]
+            compact = self._compact = (index_of, rows)
         return compact

@@ -211,10 +211,10 @@ def _choose_unit(
                 # Expelled since the overlay was built: a brick that cannot
                 # store, probed and skipped like a full unit.
                 continue
-            probe = node.probe(obj, now, incoming)
-            if not probe.admissible:
+            admissible, highest = node.probe(obj, now, incoming)
+            if not admissible:
                 continue  # full for this object (or oversized here)
-            if probe.direct:
+            if highest == 0.0:  # displaces nothing live: store directly
                 sampled.close()  # observes the walks this round ran
                 if profiled:
                     observe_phase("placement.round", perf_counter() - round_t0)
@@ -229,8 +229,8 @@ def _choose_unit(
                     ),
                     node,
                 )
-            if probe.highest_preempted < best_score:
-                best_score = probe.highest_preempted
+            if highest < best_score:
+                best_score = highest
                 best_node = node
         if profiled:
             observe_phase("placement.round", perf_counter() - round_t0)

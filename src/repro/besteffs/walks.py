@@ -4,7 +4,9 @@
 units" (Section 5.3).  On a (near-)regular connected graph, the endpoint
 of a sufficiently long walk is close to uniform over nodes, so repeated
 walks yield the ``x`` candidate units the placement rule needs without any
-global membership view.
+global membership view.  On a plain ``random.Random`` a walk step is one
+``getrandbits(k)`` and one lookup in the overlay's linked draw rows
+(:func:`_walk`).
 """
 
 from __future__ import annotations
@@ -23,19 +25,17 @@ __all__ = ["random_walk", "sample_nodes", "walk_endpoints"]
 DEFAULT_WALK_LENGTH = 16
 
 
-def _walk(draws, start_ix: int, length: int, getrandbits) -> int:
-    """Endpoint index of one walk over :meth:`Overlay.walk_draws` rows:
-    bits are drawn exactly as ``rng.choice(neighbors)`` draws them, so the
-    endpoint — and the RNG state left behind — are bit-identical to the
-    string-space walk."""
-    current = start_ix
-    if len(draws) > 1:  # else: the isolated node of a single-node overlay
-        for _ in range(length):
-            k, row = draws[current]
-            current = row[getrandbits(k)]
-            while current < 0:
-                current = row[getrandbits(k)]
-    return current
+def _walk(row: tuple[int, list], length: int, getrandbits) -> int:
+    """Endpoint index of one walk from ``row``, over the linked rows of
+    :meth:`Overlay.walk_draws`: bits are drawn exactly as
+    ``rng.choice(neighbors)`` draws them, so the endpoint — and the RNG
+    state left behind — are bit-identical to the string-space walk."""
+    k, slots = row
+    for _ in range(length):
+        while (row := slots[getrandbits(k)]) is None:
+            pass  # a draw ``rng.choice`` rejects
+        k, slots = row
+    return slots[-1]
 
 
 def random_walk(
@@ -47,8 +47,8 @@ def random_walk(
     if length < 0:
         raise OverlayError(f"walk length must be >= 0, got {length}")
     if type(rng) is random.Random:
-        index_of, draws = overlay.walk_draws()
-        return overlay.node_ids[_walk(draws, index_of[start], length, rng.getrandbits)]
+        index_of, rows = overlay.walk_draws()
+        return overlay.node_ids[_walk(rows[index_of[start]], length, rng.getrandbits)]
     current = start
     for _ in range(length):
         neighbors = overlay.neighbors(current)
@@ -86,17 +86,17 @@ def walk_endpoints(
     if x < 1:
         raise OverlayError(f"sample size x must be >= 1, got {x}")
     # Resolve the overlay once per sample, not once per walk.
-    index_of, draws = overlay.walk_draws()
+    index_of, rows = overlay.walk_draws()
     start_ix = index_of.get(start)
     if start_ix is None:
         raise OverlayError(f"walk start {start!r} is not an overlay member")
     if x < len(overlay.node_ids) and walk_length < 0:
         raise OverlayError(f"walk length must be >= 0, got {walk_length}")
     limit = x * max_attempts_factor
-    return _endpoints(overlay, start, start_ix, draws, x, rng, walk_length, limit)
+    return _endpoints(overlay, start, rows[start_ix], x, rng, walk_length, limit)
 
 
-def _endpoints(overlay, start, start_ix, draws, x, rng, walk_length, limit):
+def _endpoints(overlay, start, start_row, x, rng, walk_length, limit):
     """The walks of :func:`walk_endpoints`, run as they are consumed."""
     members = overlay.node_ids
     attempts = 0
@@ -109,7 +109,7 @@ def _endpoints(overlay, start, start_ix, draws, x, rng, walk_length, limit):
         getrandbits = rng.getrandbits
         while len(seen) < x and attempts < limit:
             if fast:
-                endpoint = members[_walk(draws, start_ix, walk_length, getrandbits)]
+                endpoint = members[_walk(start_row, walk_length, getrandbits)]
             else:
                 endpoint = random_walk(overlay, start, walk_length, rng)
             attempts += 1

@@ -73,7 +73,7 @@ from itertools import chain, count
 from typing import Iterable
 
 from repro.core.obj import ObjectId, StoredObject
-from repro.core.victims import GroupedResidents
+from repro.core.victims import GroupedResidents, blocking_end
 from repro.errors import ReproError, SimulationError
 
 __all__ = [
@@ -193,6 +193,8 @@ class ImportanceIndex:
         #: Residents grouped by identical annotation; answers the greedy
         #: victim-prefix query lazily (see :mod:`repro.core.victims`).
         self.groups = GroupedResidents()
+        #: ``(level, strict)`` -> :meth:`full_through`, until an add or discard.
+        self._floors: dict[tuple[float, bool], float] = {}
         #: Phase moves processed so far (monotonic; for tests/diagnostics).
         self.transitions = 0
 
@@ -230,6 +232,7 @@ class ImportanceIndex:
             raise ReproError(f"{oid!r} is already indexed")
         self.advance(now)
         rec = self.residents[oid] = Resident(obj, next(self._seq), now)
+        self._floors.clear()
         self.groups.add(rec)
         self._place(rec, self._classify(obj, now))
 
@@ -238,6 +241,7 @@ class ImportanceIndex:
         rec = self.residents.pop(object_id, None)
         if rec is None:
             return
+        self._floors.clear()
         self.groups.discard(rec)
         self._remove_from_phase(rec)
         self._stale += math.isfinite(self._span(rec))
@@ -364,29 +368,41 @@ class ImportanceIndex:
         """``(admissible, highest preempted importance)`` of the plan
         :meth:`greedy_victims` would back, unbuilt: O(1) when the expired
         residents cover ``needed`` or every live resident blocks
-        ``incoming`` (the cached floor; a refusal then reports ``incoming``),
-        else a fold over the live merge heads
-        (:meth:`GroupedResidents.preempted_floor`; None when the pool runs
+        ``incoming`` (the cached floor, :meth:`full_through`; a refusal then
+        reports ``incoming``), else one fold over the live merge heads
+        (:meth:`GroupedResidents.merge_floor`; None when the pool runs
         dry).  ``now`` is a time of the unit's clock, as for :meth:`greedy_victims`."""
         self.advance(now)
         deficit = needed - self._expired_bytes
         if deficit <= 0:
             return True, 0.0
-        return self.groups.preempted_floor(now, deficit, incoming, strict)
+        key = (incoming, strict)
+        through = self._floors.get(key)
+        if through is None:  # :meth:`full_through` without a second ``advance``
+            through = self._floors[key] = self.groups.blocked_through(now, incoming, strict)
+        if now <= through:
+            return False, incoming
+        return self.groups.merge_floor(now, deficit, incoming, strict)
 
     def full_through(
         self, now: float, level: float, strict: bool, resident: ObjectId | None = None
     ) -> float:
-        """The unit's full-for-importance instant for ``level`` (the cached
-        :meth:`GroupedResidents.full_through`): while the clock is at or
-        before it, the unit refuses any object at ``level`` larger than
-        its free bytes plus :attr:`expired_bytes`, and only an add or a
-        discard moves either number.  With ``resident``, only that
-        resident's own instant.  ``now`` is a time of the unit's clock, as for
+        """The unit's full-for-importance instant for ``level``
+        (:meth:`GroupedResidents.blocked_through`, cached until the next
+        :meth:`add` or :meth:`discard`): while the clock is at or before
+        it, the unit refuses any object at ``level`` larger than its free
+        bytes plus :attr:`expired_bytes`, and only an add or a discard
+        moves either number.  With ``resident``, only that resident's own
+        instant.  ``now`` is a time of the unit's clock, as for
         :meth:`greedy_victims`."""
         self.advance(now)
-        rec = None if resident is None else self.residents[resident]
-        return self.groups.full_through(now, level, strict, rec)
+        if resident is not None:
+            return blocking_end(self.residents[resident], level, strict)
+        key = (level, strict)
+        through = self._floors.get(key)
+        if through is None:
+            through = self._floors[key] = self.groups.blocked_through(now, level, strict)
+        return through
 
     def expired_objects(self, now: float) -> list[StoredObject]:
         """Expired residents in admission order (matches a naive scan)."""
@@ -412,7 +428,7 @@ class ImportanceIndex:
         """Verify every structural invariant at ``now`` (test helper)."""
         self.advance(now)
         residents = self.residents
-        filed = self.groups.check()
+        filed = self.groups.check(now)
         if len(filed) != len(residents) or any(
             residents.get(rec.obj.object_id) is not rec for rec in filed
         ):

@@ -52,18 +52,22 @@ The merge reproduces the naive full sort *bit for bit*:
   and the E-order argument holds in floats because it holds in the reals.
 * Head keys must equal what ``StoredObject.importance_at`` /
   ``remaining_lifetime_at`` return.  A group head simply calls those
-  methods.  A family head computes ``rem = E - now`` and the wane through
-  :func:`~repro.core.importance.linear_wane`, the same function
-  ``TwoStepImportance.importance_at`` calls; ``E - now`` is the float
+  methods.  A family head computes ``rem = E - now`` and the wane as
+  :func:`~repro.core.importance.linear_wane` (inlined for first heads),
+  which ``TwoStepImportance.importance_at`` calls; ``E - now`` is the float
   ``t_expire - age`` that call chain computes, both exact integers.
 
 A family is also the only home of its *waning* members: they are the
 contiguous run ``E - t_wane < now < E``, and :meth:`GroupedResidents.wane_terms`
-hands their density terms to the importance index.  A placement probe
-refuses without a merge while every live resident blocks the incoming
-importance, up to an instant cached per level
-(:meth:`~GroupedResidents.full_through`), which the cluster also reads to
-refuse a hopeless offer without walking (:mod:`repro.besteffs.floor`).
+hands their density terms to the importance index.  Its expired members
+are the prefix ``E <= now``, which a cursor (:attr:`_Family.live`) walks
+past as the clock moves; the first live members are kept between merges
+until an add, a discard or the first of them expires.  A placement probe
+is one fold over the merge heads (:meth:`GroupedResidents.merge_floor`),
+skipped while every live resident blocks the incoming importance, up to
+an instant the index caches per level (:meth:`GroupedResidents.blocked_through`),
+which the cluster also reads to refuse a hopeless offer without walking
+(:mod:`repro.besteffs.floor`).
 """
 
 from __future__ import annotations
@@ -125,7 +129,7 @@ def _blocking_rem(p: float, t_wane: float, level: float, strict: bool) -> float:
     return float(lo)
 
 
-def _blocking_end(rec: Resident, level: float, strict: bool) -> float:
+def blocking_end(rec: Resident, level: float, strict: bool) -> float:
     """The last instant at which ``rec``, live, blocks ``level``; ``-inf``
     if it never does.  A family member: ``E - r*``.  A group member: the
     end of its stable prefix, or the minute before its expiry if that comes
@@ -245,7 +249,7 @@ class _Family:
     multiplies to the same bits).
     """
 
-    __slots__ = ("p", "t_wane", "members", "expiries", "sizes")
+    __slots__ = ("p", "t_wane", "members", "expiries", "sizes", "live")
 
     def __init__(self, p: float, t_wane: float) -> None:
         self.p = p
@@ -253,6 +257,10 @@ class _Family:
         self.members: list[Resident] = []
         self.expiries = array("d")
         self.sizes = array("d")
+        #: The first live member, ``bisect_right(expiries, now)`` at the last
+        #: read (:meth:`first_live`), pulled back by :meth:`remove`; a late
+        #: arrival filed before it (already expired) leaves it short.
+        self.live = 0
 
     def insert(self, e_abs: float, rec: Resident) -> None:
         obj = rec.obj
@@ -270,6 +278,17 @@ class _Family:
         del self.members[i]
         del self.expiries[i]
         del self.sizes[i]
+        if i < self.live:
+            self.live -= 1
+
+    def first_live(self, now: float) -> int:
+        """Advance :attr:`live` past the members expired at ``now`` and return it."""
+        expiries, i = self.expiries, self.live
+        n = len(expiries)
+        while i < n and expiries[i] <= now:
+            i += 1
+        self.live = i
+        return i
 
     def waning(self, now: float) -> tuple[int, int]:
         """``(lo, hi)``: the members strictly inside their wane window.
@@ -278,10 +297,9 @@ class _Family:
         member's age ``now - t_arrival`` are exact integers, so these two
         comparisons are exactly the index's phase predicates.
         """
-        expiries = self.expiries
-        lo = bisect_right(expiries, now)
+        lo = self.first_live(now)
         t_wane = self.t_wane
-        return lo, bisect_left(expiries, now, lo, key=lambda e_abs: e_abs - t_wane)
+        return lo, bisect_left(self.expiries, now, lo, key=lambda e_abs: e_abs - t_wane)
 
     # -- merge-source protocol ---------------------------------------------
 
@@ -334,14 +352,16 @@ class GroupedResidents:
     :meth:`discard` needs to find it again.
     """
 
-    __slots__ = ("_groups", "_families", "_floors")
+    __slots__ = ("_groups", "_families", "_heads", "_heads_until")
 
     def __init__(self) -> None:
         self._groups: dict[object, _Group] = {}
         self._families: dict[tuple, _Family] = {}
-        #: ``(level, strict)`` -> :meth:`full_through`, until the next add
-        #: or discard (time only moves forward).
-        self._floors: dict[tuple[float, bool], float] = {}
+        #: ``(E_abs, t_arrival, object_id, position, family, p, t_wane)`` of each
+        #: family's first live member, kept until an add, a discard or
+        #: ``_heads_until``, the earliest of their ``E_abs``.
+        self._heads: list[tuple] | None = None
+        self._heads_until = -math.inf
 
     def __len__(self) -> int:
         return sum(len(source.members) for source in self._sources())
@@ -359,7 +379,7 @@ class GroupedResidents:
 
     def add(self, rec: Resident) -> None:
         """File a freshly admitted resident's record into its source."""
-        self._floors.clear()
+        self._heads = None
         obj = rec.obj
         lifetime = obj.lifetime
         spec = _family_spec(lifetime, obj.t_arrival)
@@ -414,7 +434,7 @@ class GroupedResidents:
 
     def discard(self, rec: Resident) -> None:
         """Take a leaving resident's record out of its source."""
-        self._floors.clear()
+        self._heads = None
         source = rec.source
         source.remove(rec)
         if not source.members:
@@ -423,18 +443,24 @@ class GroupedResidents:
             else:
                 del self._groups[source.gkey]
 
-    def check(self) -> list[Resident]:
-        """Verify every source's order and its records' source and sort key;
-        return the records of every source (test helper)."""
+    def check(self, now: float) -> list[Resident]:
+        """Verify every source's order, its records' source and sort key, and each
+        family cursor and cached head at ``now``; return every record (test helper)."""
         for key, family in self._families.items():
             if not len(family.members) == len(family.expiries) == len(family.sizes):
                 raise ReproError(f"family {key!r} columns are ragged")
+            # A lagging cursor is caught up by the next read; one too far hides a member.
+            if not 0 <= family.live <= bisect_right(family.expiries, now):
+                raise ReproError(f"family {key!r} live cursor is past a live member")
             for rec, e_col, size in zip(family.members, family.expiries, family.sizes):
                 obj = rec.obj
                 if (_family_spec(obj.lifetime, obj.t_arrival), e_col, size) != (
                     (key, rec.key[0]), rec.key[0], obj.size
                 ):
                     raise ReproError(f"{obj.object_id!r} has stale family values")
+        if self._heads is not None and now < self._heads_until:
+            if self._heads != self._family_heads(now):
+                raise ReproError("the cached family heads are stale")
         records: list[Resident] = []
         for source in self._sources():
             for rec in source.members:
@@ -447,52 +473,50 @@ class GroupedResidents:
             records.extend(source.members)
         return records
 
+    def _family_heads(self, now: float) -> list[tuple]:
+        """Each family's first live member at ``now``, as ``_heads`` files it."""
+        heads = []
+        for family in self._families.values():
+            i = family.first_live(now)
+            if i < len(family.members):
+                e_abs, t_arrival, oid = family.members[i].key
+                heads.append((e_abs, t_arrival, oid, i, family, family.p, family.t_wane))
+        return heads
+
     def _live_heads(self, now: float) -> list[Entry]:
-        """The merge head of every source with a live member at ``now``."""
+        """The merge head of every source with a live member at ``now`` (a
+        family's is :meth:`_Family.entry_at` inline, the same operations)."""
         heads: list[Entry] = []
         for group in self._groups.values():
             i = group.first_live()
             if i < len(group.members):
                 heads.append(group.entry_at(i, now))
-        for family in self._families.values():
-            entry = family.entry_at(bisect_right(family.expiries, now), now)
-            if entry is not None:
-                heads.append(entry)
+        specs = self._heads
+        if specs is None or now >= self._heads_until:
+            specs = self._heads = self._family_heads(now)
+            self._heads_until = min([spec[0] for spec in specs], default=math.inf)
+        for e_abs, t_arrival, oid, i, family, p, t_wane in specs:
+            rem = e_abs - now
+            heads.append((p if rem >= t_wane else p * rem / t_wane, rem, t_arrival, oid, i, family))
         return heads
 
-    def _blocked_through(self, now: float, level: float, strict: bool) -> float:
-        """The last instant at which every resident live at ``now`` blocks
-        ``level``: the earliest :func:`_blocking_end` among the sources'
-        first live members (within a source it only grows down the
-        order); ``-inf`` if one never blocks."""
+    def blocked_through(self, now: float, level: float, strict: bool) -> float:
+        """The unit's full-for-importance instant for ``level``: the last
+        instant at which every resident live at ``now`` stays live and
+        blocks ``level``, so the first live victim of any plan blocks too;
+        the earliest :func:`blocking_end` among the sources' first live
+        members (within a source it only grows down the order), ``-inf`` if
+        one never blocks.  Time only lengthens it, so the index caches it
+        until an add or a discard.  ``now`` is a time of the unit's clock."""
         through = math.inf
         for group in self._groups.values():
             i = group.first_live()
             if i < len(group.members):
-                through = min(through, _blocking_end(group.members[i], level, strict))
+                through = min(through, blocking_end(group.members[i], level, strict))
         for family in self._families.values():
-            head = bisect_right(family.expiries, now)
-            if head < len(family.members):
-                through = min(through, _blocking_end(family.members[head], level, strict))
-        return through
-
-    def full_through(
-        self, now: float, level: float, strict: bool, rec: Resident | None = None
-    ) -> float:
-        """The unit's full-for-importance instant for ``level``: through it,
-        every resident live at ``now`` stays live and blocks ``level``, so
-        the first live victim of any plan blocks too.  Cached per ``(level,
-        strict)`` until the next :meth:`add` or :meth:`discard` (time only
-        moves forward, which only lengthens it).  With ``rec``, that one
-        resident's own instant, which is how a holder of the unit's instant
-        folds in an admission (a discard can only lengthen it).  ``now`` is
-        a time of the unit's clock after the index's ``advance(now)``."""
-        if rec is not None:
-            return _blocking_end(rec, level, strict)
-        key = (level, strict)
-        through = self._floors.get(key)
-        if through is None:
-            through = self._floors[key] = self._blocked_through(now, level, strict)
+            i = family.first_live(now)
+            if i < len(family.members):
+                through = min(through, blocking_end(family.members[i], level, strict))
         return through
 
     def greedy_victims(
@@ -533,7 +557,7 @@ class GroupedResidents:
                 heappush(heap, nxt)
         return victims, highest, freed
 
-    def preempted_floor(
+    def merge_floor(
         self, now: float, deficit: int, incoming: float, strict: bool
     ) -> tuple[bool, float] | None:
         """Score, without collecting it, the greedy prefix of the *live*
@@ -544,20 +568,13 @@ class GroupedResidents:
         ``(True, highest)`` as :meth:`greedy_victims` would report it, or
         ``(False, importance)`` at the first victim that blocks
         ``incoming`` — victims pop in ascending importance, so the prefix
-        maximum blocks too.  While every live resident blocks, so does the
-        first victim: the cached floor answers ``(False, incoming)``, a lower
-        bound on it, without the merge.  None when the pool runs dry: the
-        caller plans in full.  ``now`` is a time of the unit's clock, as for
-        :meth:`greedy_victims`.  See docs/performance.md.
+        maximum blocks too.  None when the pool runs dry: the caller plans
+        in full.  ``now`` is a time of the unit's clock, as for
+        :meth:`greedy_victims`; the cached floor that answers a hopeless
+        probe without this fold is the index's
+        (:meth:`~repro.core.index.ImportanceIndex.preempted_floor`).  See
+        docs/performance.md.
         """
-        if now <= self.full_through(now, incoming, strict):
-            return False, incoming
-        return self._merge_floor(now, deficit, incoming, strict)
-
-    def _merge_floor(
-        self, now: float, deficit: int, incoming: float, strict: bool
-    ) -> tuple[bool, float] | None:
-        """:meth:`preempted_floor` by folding the merge heads."""
         heap = self._live_heads(now)
         heapify(heap)
         freed = 0

@@ -22,7 +22,7 @@ from repro.besteffs.cluster import BesteffsCluster
 from repro.besteffs.membership import ChurnManager, ChurnModel
 from repro.besteffs.placement import PlacementConfig
 from repro.report.table import TextTable
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import SimulationEngine, horizon_minutes
 from repro.sim.recorder import Recorder
 from repro.sim.workload.lecture import LectureConfig
 from repro.sim.workload.university import UniversityConfig, UniversityWorkload
@@ -82,7 +82,7 @@ def _run(
     )
     initial_capacity = cluster.capacity_bytes
 
-    horizon = days(horizon_days)
+    horizon = horizon_minutes(horizon_days)
     engine = SimulationEngine()
     engine.feed(workload.arrivals(horizon), cluster.offer, units=cluster.nodes.values())
     # Desktops leave and join before the arrivals of the churn's minute.

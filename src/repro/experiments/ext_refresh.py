@@ -27,7 +27,7 @@ from repro.core.policies.palimpsest import PalimpsestPolicy
 from repro.core.store import ArrivalRecord, HistoryLog, StorageUnit
 from repro.ext.refresher import PalimpsestRefresher, RefreshOutcome
 from repro.report.table import TextTable
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import SimulationEngine, horizon_minutes
 from repro.sim.recorder import Recorder
 from repro.sim.workload.single_app import SingleAppWorkload
 from repro.units import MINUTES_PER_DAY, MINUTES_PER_HOUR, days, gib
@@ -119,7 +119,7 @@ def _run(
                 )
                 refresher.register(keeper, now + days(keep_days), now)
 
-            horizon = days(horizon_days)
+            horizon = horizon_minutes(horizon_days)
             engine = SimulationEngine()
             engine.feed(background.arrivals(horizon), store.offer, units=(store,))
             # The client acts before the background arrivals of its minute:

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 from repro.besteffs.cluster import BesteffsCluster, ClusterStats
 from repro.besteffs.placement import PlacementConfig
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import SimulationEngine, horizon_minutes
 from repro.sim.recorder import Recorder
 from repro.sim.workload.lecture import STUDENT_CREATOR, UNIVERSITY_CREATOR
 from repro.sim.workload.university import UniversityConfig, UniversityWorkload
 from repro.report.table import TextTable
-from repro.units import days, gib, to_days, to_tib
+from repro.units import gib, to_days, to_tib
 from repro.sim.parallel import RunSpec
 
 __all__ = ["Sec53Result", "execute", "render", "CSV_HEADERS", "csv_rows"]
@@ -71,7 +71,7 @@ def _run(
             seed=seed,
             recorder=recorder,
         )
-        horizon = days(horizon_days)
+        horizon = horizon_minutes(horizon_days)
         engine = SimulationEngine()
         engine.feed(workload.arrivals(horizon), cluster.offer, units=cluster.nodes.values())
         engine.run()

@@ -27,10 +27,10 @@ from repro.experiments.common import (
     run_single_app_scenario,
 )
 from repro.report.table import TextTable
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import SimulationEngine, horizon_minutes
 from repro.sim.workload.lecture import LectureConfig
 from repro.sim.workload.university import UniversityConfig, UniversityWorkload
-from repro.units import days, gib, to_days
+from repro.units import gib, to_days
 
 __all__ = [
     "SeedSweepResult",
@@ -142,7 +142,7 @@ def topology_sweep(
         "complete": Overlay.random_regular(node_ids, degree=nodes - 1, seed=seed),
     }
     config = UniversityConfig(courses=20, nodes=nodes, lecture=LectureConfig())
-    horizon = days(horizon_days)
+    horizon = horizon_minutes(horizon_days)
     per_topology: dict[str, dict[str, float]] = {}
     for name, overlay in overlays.items():
         cluster = BesteffsCluster(

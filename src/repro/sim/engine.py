@@ -21,12 +21,21 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from repro.errors import SimulationError
 from repro.obs import STATE as _OBS
 from repro.sim.probes import scrape
-from repro.units import on_exact_grid
+from repro.units import days, on_exact_grid
 
 if TYPE_CHECKING:
     from repro.core.obj import StoredObject
 
-__all__ = ["SimulationEngine"]
+__all__ = ["SimulationEngine", "horizon_minutes"]
+
+
+def horizon_minutes(horizon_days: float) -> float:
+    """``days(horizon_days)``, refused unless a whole minute: what a driver
+    that reads its units at the horizon checks before it dispatches."""
+    horizon = days(horizon_days)
+    if not on_exact_grid(horizon):
+        raise SimulationError(f"a horizon of {horizon_days!r} days is {horizon!r} minutes")
+    return horizon
 
 
 @dataclass(slots=True)
@@ -118,18 +127,21 @@ class SimulationEngine:
         """Dispatch every arrival and tick with ``time <= until_minutes``.
 
         Returns the number dispatched by this call and leaves :attr:`now`
-        at ``until_minutes``; a later call resumes from there.  Without
-        ``until_minutes`` the run drains the stream: it ends at the last
-        arrival's minute (or at :attr:`now` when no arrival is left) and
-        fires only the ticks due by then.  When :mod:`repro.obs` is
-        enabled (sampled once on entry), the loop runs under an
-        ``engine.run`` span with per-label dispatch counters and callback
-        timings, scrapes on the collector's sim-time cadence, and scrapes
-        once more at the end.
+        at ``until_minutes`` (a whole minute or ``inf``, else nothing runs);
+        a later call resumes from there.  Without ``until_minutes`` the run
+        drains the stream: it ends at the last arrival's minute (or at
+        :attr:`now` when no arrival is left) and fires only the ticks due
+        by then.  When :mod:`repro.obs` is enabled (sampled once on entry),
+        the loop runs under an ``engine.run`` span with per-label dispatch
+        counters and callback timings, scrapes on the collector's sim-time
+        cadence, and scrapes once more at the end.
         """
-        if until_minutes is not None and not until_minutes >= self.now:
+        if until_minutes is not None and not (
+            until_minutes >= self.now and (on_exact_grid(until_minutes) or math.isinf(until_minutes))
+        ):
             raise SimulationError(
-                f"cannot run until {until_minutes}, clock already at {self.now}"
+                f"cannot run until {until_minutes!r} (a whole minute, not before the "
+                f"clock already at {self.now})"
             )
         before = self.dispatched
         offer = self._offer

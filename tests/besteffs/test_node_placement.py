@@ -22,9 +22,8 @@ def cluster_of(n: int, capacity_gib: float = 4.0, seed: int = 0):
 class TestBesteffsNode:
     def test_probe_reports_direct_store_on_free_space(self):
         node = BesteffsNode("n0", gib(2))
-        probe = node.probe(make_obj(1.0), 0.0)
-        assert probe.admissible and probe.direct
-        assert probe.highest_preempted == 0.0
+        admissible, highest = node.probe(make_obj(1.0), 0.0)
+        assert admissible and highest == 0.0  # a direct store
         assert node.free_bytes == gib(2)
         assert repr(node) == f"BesteffsNode('n0', used=0/{gib(2)})"
 
@@ -32,15 +31,15 @@ class TestBesteffsNode:
         node = BesteffsNode("n0", gib(1))
         node.accept(make_obj(1.0, t_arrival=0.0), 0.0)
         now = days(20)
-        probe = node.probe(make_obj(1.0, t_arrival=now), now)
-        assert probe.admissible and not probe.direct
-        assert probe.highest_preempted == pytest.approx(2.0 / 3.0)
+        admissible, highest = node.probe(make_obj(1.0, t_arrival=now), now)
+        assert admissible and highest != 0.0  # not a direct store
+        assert highest == pytest.approx(2.0 / 3.0)
 
     def test_probe_full_for_this_object(self):
         node = BesteffsNode("n0", gib(1))
         node.accept(make_obj(1.0), 0.0)
-        probe = node.probe(make_obj(1.0), 0.0)
-        assert not probe.admissible
+        admissible, _highest = node.probe(make_obj(1.0), 0.0)
+        assert not admissible
 
     def test_rejects_empty_node_id(self):
         with pytest.raises(CapacityError):

@@ -84,10 +84,17 @@ def assert_same(overlay, graph):
     index_of = {node: i for i, node in enumerate(graph.nodes())}
     draws = []
     for node in graph.nodes():
-        row = [index_of[m] for m in graph.neighbors(node)]
-        k = len(row).bit_length()
-        draws.append((k, tuple(row + [-1] * ((1 << k) - len(row))) if k else ()))
-    assert overlay.walk_draws() == (index_of, tuple(draws))
+        row = [index_of[m] for m in graph.neighbors(node)] or [index_of[node]]
+        k = len(list(graph.neighbors(node))).bit_length()
+        draws.append((k, index_of[node], row + [-1] * ((1 << k) - len(row))))
+    # The rows are linked (each draw is the neighbour's own row), so they
+    # are compared by the index each row carries, not by ``==``.
+    got_index_of, rows = overlay.walk_draws()
+    assert got_index_of == index_of
+    assert [
+        (k, slots[-1], [-1 if r is None else r[1][-1] for r in slots[:-1]]) for k, slots in rows
+    ] == draws
+    assert all(r is None or r is rows[r[1][-1]] for _k, slots in rows for r in slots[:-1])
 
 
 GRID = [

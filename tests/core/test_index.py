@@ -2,8 +2,11 @@
 
 import math
 import random
+from bisect import bisect_right
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.importance import (
     ConstantImportance,
@@ -467,6 +470,72 @@ class TestCheckCatchesStaleColumns:
         index._family_waning += 1
         with pytest.raises(ReproError, match="family waning runs"):
             index.check(110.0)
+
+    def test_stale_cached_heads(self):
+        index, _family = self._waning_index()
+        index.groups._live_heads(110.0)
+        assert index.check(110.0)
+        (head,) = index.groups._heads
+        index.groups._heads = [head[:3] + (1,) + head[4:]]  # the second member's slot
+        with pytest.raises(ReproError, match="cached family heads"):
+            index.groups.check(110.0)
+
+    def test_live_cursor_past_a_live_member(self):
+        index, family = self._waning_index()
+        assert family.live == 0  # every member is live at 110
+        family.live = 1
+        with pytest.raises(ReproError, match="live cursor"):
+            index.check(110.0)
+
+
+#: One step of the cursor property: move the clock by ``dt`` minutes, then
+#: admit (arriving ``back`` minutes before the clock, so possibly expired
+#: already) or discard the ``pick``-th resident, or only move the clock.
+_cursor_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add"), st.integers(0, 30), st.integers(0, 60),
+            st.integers(0, 40), st.integers(1, 40), st.sampled_from((0.5, 1.0)),
+        ),
+        st.tuples(st.just("discard"), st.integers(0, 30), st.integers(0, 10**6)),
+        st.tuples(st.just("advance"), st.integers(0, 30)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=_cursor_steps, read_every=st.integers(1, 4))
+def test_family_live_cursor_is_the_expired_prefix(steps, read_every):
+    # Each family's cursor, read, equals ``bisect_right(expiries, now)``
+    # after every step: moved lazily by reads (some steps skip the read, so
+    # an admission or discard can meet a lagging cursor), left short by
+    # late admissions filed inside the expired prefix, pulled back by
+    # discards.
+    # ``check`` also holds the heads the reads cache to a fresh look.
+    index = ImportanceIndex()
+    now = 0.0
+    for n, (kind, dt, *args) in enumerate(steps):
+        now += dt
+        index.advance(now)
+        if kind == "add":
+            back, persist, wane, p = args
+            t_arrival = max(0.0, now - back)
+            lifetime = (
+                TwoStepImportance(p=p, t_persist=float(persist), t_wane=float(wane))
+                if wane % 3 else FixedLifetimeImportance(p=p, expire_after=float(persist))
+            )
+            index.add(
+                StoredObject(size=1, t_arrival=t_arrival, lifetime=lifetime, object_id=f"o{n}"),
+                now,
+            )
+        elif kind == "discard" and index.residents:
+            index.discard(sorted(index.residents)[args[0] % len(index.residents)])
+        assert index.check(now)
+        if n % read_every == 0:
+            index.groups._live_heads(now)  # fills the cached heads
+            for family in index.groups._families.values():
+                assert family.first_live(now) == bisect_right(family.expiries, now)
 
 
 class TestBreakpointHeap:

@@ -22,6 +22,9 @@ from repro.experiments import (
     sec53_university,
     table1_parameters,
 )
+from repro.errors import SimulationError
+from repro.experiments import registry
+from repro.sim.engine import SimulationEngine
 from repro.sim.parallel import RunSpec
 from tests.oracles.replay import check_recorders, recorders_made
 
@@ -179,3 +182,17 @@ class TestSec53:
         assert stats.placed > 0
         assert 0.0 <= stats.mean_density <= 1.0
         assert "Section 5.3" in sec53_university.render(result)
+
+
+class TestOffGridHorizon:
+    """A horizon off the whole minutes (10.0001 days is 14400.144 minutes)
+    is refused before anything is dispatched, by the drivers that read
+    their units at the horizon and by ``SimulationEngine.run``."""
+
+    @pytest.mark.parametrize("name", ["sec53", "fig6", "fig7", "ext-churn", "ext-refresh"])
+    def test_refused_before_the_first_dispatch(self, name, monkeypatch):
+        monkeypatch.setattr(
+            SimulationEngine, "_loop", lambda *args: pytest.fail("the run dispatched")
+        )
+        with pytest.raises(SimulationError, match=r"14400\.144"):
+            registry.run_experiment(RunSpec(name, {}, seed=1, horizon_days=10.0001))

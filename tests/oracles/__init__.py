@@ -238,12 +238,13 @@ class FloorTally:
     """Counts temporal probes answered by the cached floor vs the merge fold.
 
     While entered (``with FloorTally() as tally:``) it wraps
-    ``GroupedResidents.preempted_floor``: a probe that returns without
-    reaching ``GroupedResidents._merge_floor`` was answered by the floor,
-    must read ``(False, incoming)``, and is re-scored by the merge, which
-    must refuse too.  ``floor`` and ``merge`` count the two kinds; a floor
-    answer the merge disagrees with is kept in ``disagreements`` (for runs
-    that turn exceptions into responses) and raised.
+    ``ImportanceIndex.preempted_floor``: a probe the expired residents do
+    not cover that returns without reaching ``GroupedResidents.merge_floor``
+    was answered by the floor, must read ``(False, incoming)``, and is
+    re-scored by the merge, which must refuse too.  ``floor`` and ``merge``
+    count the two kinds; a floor answer the merge disagrees with is kept in
+    ``disagreements`` (for runs that turn exceptions into responses) and
+    raised.
     """
 
     def __init__(self) -> None:
@@ -253,8 +254,8 @@ class FloorTally:
         self._saved: tuple | None = None
 
     def __enter__(self) -> "FloorTally":
-        floor = GroupedResidents.preempted_floor
-        merge = GroupedResidents._merge_floor
+        floor = ImportanceIndex.preempted_floor
+        merge = GroupedResidents.merge_floor
         self._saved = (floor, merge)
         tally = self
 
@@ -262,20 +263,21 @@ class FloorTally:
             tally.merge += 1
             return merge(groups, *args)
 
-        def checked_floor(groups, now, deficit, incoming, strict):
+        def checked_floor(index, now, needed, incoming, strict):
             merges = tally.merge
-            scored = floor(groups, now, deficit, incoming, strict)
-            if scored is not None and tally.merge == merges:
+            scored = floor(index, now, needed, incoming, strict)
+            deficit = needed - index.expired_bytes
+            if scored is not None and deficit > 0 and tally.merge == merges:
                 tally.floor += 1
-                folded = merge(groups, float(now), deficit, incoming, strict)
+                folded = merge(index.groups, float(now), deficit, incoming, strict)
                 if scored != (False, incoming) or folded is None or folded[0]:
                     tally.disagreements.append((now, deficit, incoming, strict, scored, folded))
                     raise AssertionError(f"floor answer disagrees: {tally.disagreements[-1]}")
             return scored
 
-        GroupedResidents.preempted_floor = checked_floor
-        GroupedResidents._merge_floor = counted_merge
+        ImportanceIndex.preempted_floor = checked_floor
+        GroupedResidents.merge_floor = counted_merge
         return self
 
     def __exit__(self, *exc) -> None:
-        GroupedResidents.preempted_floor, GroupedResidents._merge_floor = self._saved
+        ImportanceIndex.preempted_floor, GroupedResidents.merge_floor = self._saved

@@ -32,7 +32,7 @@ def sample_nodes_eagerly(
     """Run every walk of the sample, then return its distinct endpoints."""
     if x < 1:
         raise OverlayError(f"sample size x must be >= 1, got {x}")
-    index_of, draws = overlay.walk_draws()
+    index_of, rows = overlay.walk_draws()
     start_ix = index_of.get(start)
     if start_ix is None:
         raise OverlayError(f"walk start {start!r} is not an overlay member")
@@ -49,7 +49,7 @@ def sample_nodes_eagerly(
         fast = type(rng) is random.Random
         while len(found) < x and attempts < limit:
             if fast:
-                endpoint = members[walks._walk(draws, start_ix, walk_length, rng.getrandbits)]
+                endpoint = members[walks._walk(rows[start_ix], walk_length, rng.getrandbits)]
             else:
                 endpoint = random_walk(overlay, start, walk_length, rng)
             attempts += 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import SimulationEngine, horizon_minutes
 from tests.conftest import make_obj
 from tests.oracles.heap_engine import HeapEngine
 
@@ -101,6 +101,21 @@ class TestRun:
         with pytest.raises(SimulationError, match="clock already at"):
             engine.run(50.0)
 
+    @pytest.mark.parametrize("until", [100.5, 14400.144, math.nan])
+    def test_run_off_the_whole_minutes_dispatches_nothing(self, until):
+        engine = SimulationEngine()
+        log = []
+        engine.feed(_stream(10, 20), _logging_offer(log))
+        engine.every(5.0, lambda t: log.append(("tick", t)), label="p")
+        with pytest.raises(SimulationError, match="cannot run until"):
+            engine.run(until)
+        assert log == [] and engine.now == 0.0 and engine.dispatched == 0
+
+    def test_horizon_minutes(self):
+        assert horizon_minutes(10.0) == 14400.0
+        with pytest.raises(SimulationError, match=r"10\.0001 days is 14400\.144 minutes"):
+            horizon_minutes(10.0001)
+
     def test_dispatch_counter_accumulates(self):
         engine = SimulationEngine()
         engine.feed(_stream(0, 1, 2, 3, 4), lambda obj, t: None)
@@ -191,7 +206,13 @@ class TestPeriodic:
         engine = SimulationEngine()
         with pytest.raises(SimulationError, match="off the whole minutes"):
             engine.every(10.0, lambda t: None, start_minutes=2.5, label="p")
-        engine.run(7.5)  # the default start is the clock, here between minutes
+        with pytest.raises(SimulationError, match="a whole minute"):
+            engine.run(7.5)  # a horizon is a whole minute too
+        # An arrival off the whole minutes leaves the clock between minutes
+        # (the store it is offered to refuses it); the default start is the clock.
+        engine.feed(_stream(7.5), lambda obj, t: None)
+        engine.run()
+        assert engine.now == 7.5
         with pytest.raises(SimulationError, match="off the whole minutes"):
             engine.every(10.0, lambda t: None, label="p")
         assert engine._ticks == []

@@ -28,11 +28,11 @@ functions are wrapped while it runs:
 * ``repro.besteffs.walks._walk`` counts the walks run (the kernel of every
   walk on a plain ``random.Random``; the sweep walks none).
 * ``TemporalImportancePolicy.probe`` counts the placement probes.
-* ``GroupedResidents.preempted_floor`` and ``._merge_floor``: a probe that
-  returns an answer without reaching the merge was answered by the cached
-  floor.  The rest of the probes were decided before either (too large,
-  free space, expired bytes cover the need) or planned in full (off the
-  exact grid).
+* ``ImportanceIndex.preempted_floor`` and ``GroupedResidents.merge_floor``:
+  a probe the expired residents do not cover that returns an answer
+  without reaching the merge was answered by the cached floor.  The rest
+  of the probes were decided before either (too large, free space,
+  expired bytes cover the need) or planned in full (the merge ran dry).
 
 Stdlib only; ``make refusal-census`` runs it at seeds 42 and 7.
 """
@@ -52,6 +52,7 @@ from bench.workloads import WORKLOADS  # noqa: E402
 from repro.besteffs import walks  # noqa: E402
 from repro.besteffs.cluster import BesteffsCluster  # noqa: E402
 from repro.core.policies.temporal import TemporalImportancePolicy  # noqa: E402
+from repro.core.index import ImportanceIndex  # noqa: E402
 from repro.core.victims import GroupedResidents  # noqa: E402
 
 #: Seconds of the contract run (``BENCHMARK.json`` ``run_seconds``).
@@ -84,8 +85,8 @@ def census(workload: str, seed: int) -> Counter:
     sweep_merges = 0
     offer = BesteffsCluster.offer
     probe = TemporalImportancePolicy.probe
-    floor = GroupedResidents.preempted_floor
-    merge = GroupedResidents._merge_floor
+    floor = ImportanceIndex.preempted_floor
+    merge = GroupedResidents.merge_floor
     walk = walks._walk
 
     def counted_offer(cluster, obj, now, **kwargs):
@@ -99,7 +100,7 @@ def census(workload: str, seed: int) -> Counter:
         counts["refusals"] += 1
         sweeping, sweep_merges = True, 0
         try:
-            admissible = any(node.probe(obj, now).admissible for node in cluster.nodes.values())
+            admissible = any(node.probe(obj, now)[0] for node in cluster.nodes.values())
         finally:
             sweeping = False
         if decision.rounds_used == 0:
@@ -129,10 +130,13 @@ def census(workload: str, seed: int) -> Counter:
             counts["probes"] += 1
         return probe(policy, store, obj, now, incoming)
 
-    def counted_floor(groups, now, deficit, incoming, strict):
+    def counted_floor(index, now, needed, incoming, strict):
         merges = counts["merge"]
-        scored = floor(groups, now, deficit, incoming, strict)
-        if not sweeping and scored is not None and counts["merge"] == merges:
+        scored = floor(index, now, needed, incoming, strict)
+        if (
+            not sweeping and scored is not None and needed > index.expired_bytes
+            and counts["merge"] == merges
+        ):
             counts["floor"] += 1
         return scored
 
@@ -149,16 +153,16 @@ def census(workload: str, seed: int) -> Counter:
     run = spec.build(seed, horizon_days)
     BesteffsCluster.offer = counted_offer
     TemporalImportancePolicy.probe = counted_probe
-    GroupedResidents.preempted_floor = counted_floor
-    GroupedResidents._merge_floor = counted_merge
+    ImportanceIndex.preempted_floor = counted_floor
+    GroupedResidents.merge_floor = counted_merge
     walks._walk = counted_walk
     try:
         run()
     finally:
         BesteffsCluster.offer = offer
         TemporalImportancePolicy.probe = probe
-        GroupedResidents.preempted_floor = floor
-        GroupedResidents._merge_floor = merge
+        ImportanceIndex.preempted_floor = floor
+        GroupedResidents.merge_floor = merge
         walks._walk = walk
     counts["other"] = counts["probes"] - counts["floor"] - counts["merge"]
     counts["walks_per_walked_offer"] = counts["walks"] / max(counts["walked_offers"], 1)
